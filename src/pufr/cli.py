@@ -100,7 +100,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cutoffs-utility", type=_cutoffs, default=(10, 100))
     p.add_argument("--cutoffs-fairness", type=_cutoffs, default=(10, 50))
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--ndcg-floor",
         type=float,
@@ -200,7 +199,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         alpha_grid=args.alpha_grid,
         cutoffs_utility=args.cutoffs_utility,
         cutoffs_fairness=args.cutoffs_fairness,
-        seed=args.seed,
         depth=args.depth,
     )
     result = run_sweep(corpus, judgments, cfg)

@@ -11,9 +11,10 @@ deterministic tie-break for every sort downstream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 
 class GroupLabel(Enum):
@@ -75,10 +76,16 @@ class ScoredCandidate:
 
 @dataclass(frozen=True)
 class QueryCandidates:
-    """A query id plus its candidate set; the unit of all per-query work."""
+    """A query id plus its candidate set; the unit of all per-query work.
+
+    Neutrality lookups are built on first use and kept with the object;
+    that memo takes no part in equality, hashing or repr."""
 
     query_id: str
     candidates: tuple[ScoredCandidate, ...]
+    _neutrality: tuple[dict[str, float], tuple[float, ...]] | None = field(
+        default=None, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not self.candidates:
@@ -106,7 +113,9 @@ class QueryCandidates:
                 return c
         raise KeyError(f"query {self.query_id!r} has no candidate {doc_id!r}")
 
-    def neutrality_by_doc(self) -> dict[str, float]:
+    def _neutrality_memo(self) -> tuple[dict[str, float], tuple[float, ...]]:
+        if self._neutrality is not None:
+            return self._neutrality
         out: dict[str, float] = {}
         for c in self.candidates:
             if c.neutrality is None:
@@ -114,7 +123,16 @@ class QueryCandidates:
                     f"query {self.query_id!r}: candidate {c.doc_id!r} has no neutrality score"
                 )
             out[c.doc_id] = c.neutrality
-        return out
+        object.__setattr__(self, "_neutrality", (out, tuple(sorted(out.values(), reverse=True))))
+        return self._neutrality
+
+    def neutrality_by_doc(self) -> Mapping[str, float]:
+        """Read-only doc id -> neutrality score mapping."""
+        return MappingProxyType(self._neutrality_memo()[0])
+
+    def neutrality_descending(self) -> tuple[float, ...]:
+        """Every candidate's neutrality score, largest first."""
+        return self._neutrality_memo()[1]
 
 
 @dataclass(frozen=True)
@@ -183,13 +201,3 @@ def rank_by_score(query: QueryCandidates, scores: Mapping[str, float]) -> Rankin
 
 
 Corpus = Sequence[QueryCandidates]
-
-
-def iter_sigmas(corpus: Iterable[QueryCandidates]) -> Iterable[float]:
-    for query in corpus:
-        for c in query.candidates:
-            if c.sigma is None:
-                raise ValueError(
-                    f"query {query.query_id!r}: candidate {c.doc_id!r} has no sigma"
-                )
-            yield c.sigma

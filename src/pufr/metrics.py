@@ -4,9 +4,10 @@ t-tests, and uncertainty-interval intersection counts."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
+import numpy as np
 from scipy import stats
 
 from .core import QueryCandidates, Ranking
@@ -14,22 +15,47 @@ from .core import QueryCandidates, Ranking
 
 @dataclass(frozen=True)
 class RelevanceJudgments:
-    """Graded relevance per (query, doc); missing pairs count as grade 0."""
+    """Graded relevance per (query, doc); missing pairs count as grade 0.
+
+    Construction takes a snapshot: ``grades`` is copied and indexed by
+    query, so later changes to the caller's mapping change neither
+    :meth:`grade` nor :func:`ndcg_at_k`. Ideal DCGs are kept once computed."""
 
     grades: Mapping[tuple[str, str], int]
+    _by_query: dict[str, list[int]] = field(init=False, compare=False, repr=False)
+    _ideal_dcg: dict[tuple[str, int], float] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
-        for (query_id, doc_id), grade in self.grades.items():
+        grades = dict(self.grades)
+        by_query: dict[str, list[int]] = {}
+        for (query_id, doc_id), grade in grades.items():
             if grade < 0:
                 raise ValueError(
                     f"negative relevance grade {grade} for ({query_id!r}, {doc_id!r})"
                 )
+            by_query.setdefault(query_id, []).append(grade)
+        object.__setattr__(self, "grades", grades)
+        object.__setattr__(self, "_by_query", by_query)
 
     def grade(self, query_id: str, doc_id: str) -> int:
         return self.grades.get((query_id, doc_id), 0)
 
     def grades_for_query(self, query_id: str) -> list[int]:
-        return [g for (qid, _), g in self.grades.items() if qid == query_id]
+        """The query's judged grades, in ``grades`` order."""
+        return list(self._by_query.get(query_id, ()))
+
+    def ideal_dcg(self, query_id: str, k: int) -> float:
+        """DCG@k of the query's judged grades sorted descending."""
+        key = (query_id, k)
+        if key not in self._ideal_dcg:
+            ideal_grades = sorted(self.grades_for_query(query_id), reverse=True)
+            self._ideal_dcg[key] = sum(
+                grade / _discount(position)
+                for position, grade in enumerate(ideal_grades[:k], start=1)
+            )
+        return self._ideal_dcg[key]
 
 
 @dataclass(frozen=True)
@@ -68,11 +94,7 @@ def ndcg_at_k(ranking: Ranking, judgments: RelevanceJudgments, k: int) -> float:
     dcg = 0.0
     for position, (doc_id, _) in enumerate(ranking.entries[:k], start=1):
         dcg += judgments.grade(ranking.query_id, doc_id) / _discount(position)
-    ideal_grades = sorted(judgments.grades_for_query(ranking.query_id), reverse=True)
-    idcg = sum(
-        grade / _discount(position)
-        for position, grade in enumerate(ideal_grades[:k], start=1)
-    )
+    idcg = judgments.ideal_dcg(ranking.query_id, k)
     if idcg == 0.0:
         return 0.0
     return dcg / idcg
@@ -98,7 +120,7 @@ def ideal_fairr_at_k(query: QueryCandidates, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
-    values = sorted(query.neutrality_by_doc().values(), reverse=True)
+    values = query.neutrality_descending()
     return sum(value / rank for rank, value in enumerate(values[:k], start=1))
 
 
@@ -146,27 +168,23 @@ def intersection_counts(query: QueryCandidates, alpha: float) -> list[int]:
     [mu - alpha*sigma, mu + alpha*sigma] overlap that doc's interval.
 
     Overlap is closed-interval (touching endpoints count); a document is
-    never counted against itself.
+    never counted against itself. Counted from the sorted endpoints in
+    O(n log n).
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be > 0, got {alpha!r}")
     docs = query.by_original_rank()
-    bounds = []
-    for c in docs:
-        if c.sigma is None:
-            raise ValueError(
-                f"query {query.query_id!r}: candidate {c.doc_id!r} has no sigma"
-            )
-        bounds.append((c.mu - alpha * c.sigma, c.mu + alpha * c.sigma))
-    counts = []
-    for i, (lo_i, hi_i) in enumerate(bounds):
-        overlapping = sum(
-            1
-            for j, (lo_j, hi_j) in enumerate(bounds)
-            if j != i and max(lo_i, lo_j) <= min(hi_i, hi_j)
-        )
-        counts.append(overlapping)
-    return counts
+    missing = [c.doc_id for c in docs if c.sigma is None]
+    if missing:
+        raise ValueError(f"query {query.query_id!r}: candidate {missing[0]!r} has no sigma")
+    mu = np.array([c.mu for c in docs])
+    margin = alpha * np.array([c.sigma for c in docs])
+    lo, hi = mu - margin, mu + margin
+    # i overlaps j unless lo_j > hi_i or hi_j < lo_i (never both), and
+    # every interval overlaps itself
+    starting_by_hi = np.searchsorted(np.sort(lo), hi, side="right")
+    ending_before_lo = np.searchsorted(np.sort(hi), lo, side="left")
+    return (starting_by_hi - ending_before_lo - 1).tolist()
 
 
 def median_intersections(corpus: Iterable[QueryCandidates], alpha: float) -> list[int]:

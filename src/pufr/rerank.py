@@ -12,10 +12,10 @@ corpus mean, which serves as the constant-shift ablation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
-from .core import GroupLabel, QueryCandidates, Ranking, iter_sigmas, rank_by_score
+from .core import GroupLabel, QueryCandidates, Ranking, rank_by_score
 
 
 @dataclass(frozen=True)
@@ -48,12 +48,17 @@ def adjust_scores(query: QueryCandidates, cfg: PufrConfig) -> dict[str, float]:
     maximum from below. With alpha 0 the original means are returned
     unchanged.
     """
+    return _adjust(query, cfg, None)
+
+
+def _adjust(query: QueryCandidates, cfg: PufrConfig, sigma: float | None) -> dict[str, float]:
+    """:func:`adjust_scores`, with every sigma taken as ``sigma`` unless that is None."""
     for c in query.candidates:
         if c.group is None:
             raise ValueError(
                 f"query {query.query_id!r}: candidate {c.doc_id!r} has no group label"
             )
-        if c.sigma is None:
+        if sigma is None and c.sigma is None:
             raise ValueError(
                 f"query {query.query_id!r}: candidate {c.doc_id!r} has no sigma"
             )
@@ -63,14 +68,14 @@ def adjust_scores(query: QueryCandidates, cfg: PufrConfig) -> dict[str, float]:
     running_min = math.inf
     for c in by_mu_desc:
         if c.group is GroupLabel.PROTECTED:
-            raw = c.mu + cfg.alpha_protected * c.sigma
+            raw = c.mu + cfg.alpha_protected * (c.sigma if sigma is None else sigma)
             running_min = min(running_min, raw)
             adjusted[c.doc_id] = running_min
 
     running_max = -math.inf
     for c in reversed(by_mu_desc):
         if c.group is GroupLabel.NON_PROTECTED:
-            raw = c.mu - cfg.alpha_nonprotected * c.sigma
+            raw = c.mu - cfg.alpha_nonprotected * (c.sigma if sigma is None else sigma)
             running_max = max(running_max, raw)
             adjusted[c.doc_id] = running_max
 
@@ -86,9 +91,14 @@ def compute_sigma_mean(corpus: Iterable[QueryCandidates]) -> float:
     """Arithmetic mean of sigma over every (query, candidate) pair."""
     total = 0.0
     count = 0
-    for sigma in iter_sigmas(corpus):
-        total += sigma
-        count += 1
+    for query in corpus:
+        for c in query.candidates:
+            if c.sigma is None:
+                raise ValueError(
+                    f"query {query.query_id!r}: candidate {c.doc_id!r} has no sigma"
+                )
+            total += c.sigma
+            count += 1
     if count == 0:
         raise ValueError("cannot compute a sigma mean over an empty corpus")
     return total / count
@@ -102,8 +112,4 @@ def uniform_rerank(query: QueryCandidates, sigma_mean: float, cfg: PufrConfig) -
     """
     if not (math.isfinite(sigma_mean) and sigma_mean >= 0.0):
         raise ValueError(f"sigma_mean must be finite and >= 0, got {sigma_mean!r}")
-    flattened = QueryCandidates(
-        query_id=query.query_id,
-        candidates=tuple(replace(c, sigma=sigma_mean) for c in query.candidates),
-    )
-    return pufr_rerank(flattened, cfg)
+    return rank_by_score(query, _adjust(query, cfg, float(sigma_mean)))

@@ -42,7 +42,6 @@ class SweepConfig:
     alpha_grid: tuple[float, ...]
     cutoffs_utility: tuple[int, ...] = (10, 100)
     cutoffs_fairness: tuple[int, ...] = (10, 50)
-    seed: int = 0
     depth: int = DEFAULT_DEPTH
     fastar_significance: float = DEFAULT_SIGNIFICANCE
 

@@ -54,6 +54,31 @@ class TestQueryCandidates:
         with pytest.raises(ValueError, match="permutation"):
             QueryCandidates(query_id="q", candidates=cands)
 
+    def test_neutrality_memo_leaves_equality_hash_and_repr_alone(self):
+        a = make_query([2.0, 1.0, 0.5], [0.1, 0.2, 0.3], [1.0, 0.25, 0.5])
+        b = make_query([2.0, 1.0, 0.5], [0.1, 0.2, 0.3], [1.0, 0.25, 0.5])
+        a.neutrality_by_doc()
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+        assert len({a, b}) == 1
+
+    def test_neutrality_by_doc_is_read_only(self):
+        q = make_query([2.0, 1.0], [0.1, 0.2], [1.0, 0.25])
+        neutrality = q.neutrality_by_doc()
+        assert dict(neutrality) == {"d1": 1.0, "d2": 0.25}
+        with pytest.raises(TypeError):
+            neutrality["d1"] = 0.0
+        assert q.neutrality_by_doc()["d1"] == 1.0
+
+    def test_neutrality_descending(self):
+        q = make_query([3.0, 2.0, 1.0, 0.0], [0.0] * 4, [0.25, 1.0, 0.0, 0.5])
+        assert q.neutrality_descending() == (1.0, 0.5, 0.25, 0.0)
+
+    def test_missing_neutrality_raises_on_every_call(self):
+        q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0)])
+        for _ in range(2):
+            with pytest.raises(ValueError, match="'d' has no neutrality"):
+                q.neutrality_by_doc()
+
 
 class TestBuildQuery:
     def test_ranks_follow_mu_descending(self):

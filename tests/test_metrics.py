@@ -3,6 +3,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from pufr import (
@@ -33,6 +35,31 @@ def judgments_of(query_id, grades_by_doc):
     return RelevanceJudgments(
         grades={(query_id, d): g for d, g in grades_by_doc.items()}
     )
+
+
+def scalar_ndcg(ranking, grades, k):
+    """nDCG@k straight from a (query, doc) -> grade dict, the ideal taken
+    from a full scan of the dict."""
+    dcg = 0.0
+    for position, (doc_id, _) in enumerate(ranking.entries[:k], start=1):
+        dcg += grades.get((ranking.query_id, doc_id), 0) / math.log2(position + 1)
+    ideal = sorted((g for (qid, _), g in grades.items() if qid == ranking.query_id), reverse=True)
+    idcg = sum(g / math.log2(position + 1) for position, g in enumerate(ideal[:k], start=1))
+    return 0.0 if idcg == 0.0 else dcg / idcg
+
+
+def scalar_intersection_counts(query, alpha):
+    """O(n^2) oracle: compare every pair of closed intervals
+    [mu - alpha*sigma, mu + alpha*sigma], in original-rank order."""
+    bounds = [(c.mu - alpha * c.sigma, c.mu + alpha * c.sigma) for c in query.by_original_rank()]
+    counts = []
+    for i, (lo_i, hi_i) in enumerate(bounds):
+        counts.append(sum(
+            1
+            for j, (lo_j, hi_j) in enumerate(bounds)
+            if j != i and max(lo_i, lo_j) <= min(hi_i, hi_j)
+        ))
+    return counts
 
 
 class TestNdcg:
@@ -241,20 +268,46 @@ class TestIntersectionCounts:
         for _ in range(25):
             n = int(rng.integers(1, 12))
             q = make_query(rng.normal(size=n), np.abs(rng.normal(size=n)))
-            counts = intersection_counts(q, 2.0)
-            docs = q.by_original_rank()
-            # independent pairwise recount
-            expected = []
-            for i, c in enumerate(docs):
-                overlap = 0
-                for j, other in enumerate(docs):
-                    if i == j:
-                        continue
-                    lo = max(c.mu - 2.0 * c.sigma, other.mu - 2.0 * other.sigma)
-                    hi = min(c.mu + 2.0 * c.sigma, other.mu + 2.0 * other.sigma)
-                    overlap += lo <= hi
-                expected.append(overlap)
-            assert counts == expected
+            assert intersection_counts(q, 2.0) == scalar_intersection_counts(q, 2.0)
+
+    def test_touching_endpoints_count(self):
+        # [-1, 1] and [1, 3] share only the point 1
+        q = make_query([0.0, 2.0], [1.0, 1.0])
+        assert intersection_counts(q, 1.0) == [1, 1]
+        assert intersection_counts(q, 0.5) == [0, 0]
+
+    def test_tied_means_and_zero_sigma(self):
+        # rank order: the point at 3, the points at 1, then [1 - a, 1 + a]
+        q = make_query([1.0, 1.0, 1.0, 3.0], [0.0, 0.0, 1.0, 0.0])
+        assert intersection_counts(q, 1.0) == [0, 2, 2, 2]
+        assert intersection_counts(q, 2.0) == [1, 2, 2, 3]
+
+    def test_one_document_query(self):
+        q = make_query([0.7], [0.3])
+        for alpha in (0.5, 1.0, 4.0):
+            assert intersection_counts(q, alpha) == [0]
+
+    def test_returns_builtin_ints(self):
+        q = make_query([0.0, 1.0, 5.0], [1.0, 1.0, 0.1])
+        assert all(type(count) is int for count in intersection_counts(q, 1.0))
+
+    # dyadic means, sigmas and alphas make ties and touching endpoints
+    # common while keeping the interval arithmetic exact
+    _dyadic = st.integers(-8, 8).map(lambda i: i / 4)
+    _mus = st.one_of(_dyadic, st.floats(-1e6, 1e6, allow_nan=False))
+    _sigmas = st.one_of(
+        st.integers(0, 8).map(lambda i: i / 4), st.floats(0.0, 1e3, allow_nan=False)
+    )
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        pairs=st.lists(st.tuples(_mus, _sigmas), min_size=1, max_size=12),
+        alpha=st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0]),
+                        st.floats(1e-3, 10.0, allow_nan=False)),
+    )
+    def test_matches_scalar_oracle(self, pairs, alpha):
+        q = make_query([mu for mu, _ in pairs], [sigma for _, sigma in pairs])
+        assert intersection_counts(q, alpha) == scalar_intersection_counts(q, alpha)
 
     def test_alpha_must_be_positive(self):
         q = make_query([1.0], [0.5])
@@ -294,6 +347,69 @@ class TestMedianIntersections:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             median_intersections([], 1.0)
+
+
+class TestRelevanceJudgments:
+    @staticmethod
+    def interleaved_grades(rng, n_queries=5, n_docs=150):
+        """Judgments for several queries, in a shuffled (not grouped) order,
+        with about a third of the docs left unjudged."""
+        pairs = [(f"q{i}", f"d{j}") for i in range(n_queries) for j in range(n_docs)]
+        rng.shuffle(pairs)
+        return {
+            (qid, doc): int(rng.integers(0, 4))
+            for qid, doc in pairs
+            if rng.random() < 0.65
+        }
+
+    def test_grades_for_query_matches_a_full_scan_in_order(self):
+        grades = self.interleaved_grades(np.random.default_rng(401))
+        judgments = RelevanceJudgments(grades=grades)
+        for qid in ("q0", "q1", "q4", "unjudged"):
+            assert judgments.grades_for_query(qid) == [
+                g for (query_id, _), g in grades.items() if query_id == qid
+            ]
+
+    def test_grades_for_query_returns_a_copy(self):
+        judgments = judgments_of("q", {"a": 2, "b": 1})
+        judgments.grades_for_query("q").append(9)
+        assert judgments.grades_for_query("q") == [2, 1]
+
+    def test_ndcg_matches_scalar_recomputation(self):
+        rng = np.random.default_rng(409)
+        grades = self.interleaved_grades(rng)
+        judgments = RelevanceJudgments(grades=grades)
+        for qid in ("q0", "q2", "q3"):
+            docs = [f"d{j}" for j in rng.permutation(150)]
+            ranking = ranking_of(qid, docs)
+            for k in (1, 10, 100):
+                # twice: the second call reads the memoized ideal DCG
+                assert ndcg_at_k(ranking, judgments, k) == scalar_ndcg(ranking, grades, k)
+                assert ndcg_at_k(ranking, judgments, k) == scalar_ndcg(ranking, grades, k)
+
+    def test_query_without_judgments_scores_zero(self):
+        judgments = judgments_of("q", {"a": 2})
+        ranking = ranking_of("other", ["a", "b"])
+        assert judgments.grades_for_query("other") == []
+        for k in (1, 10, 100):
+            assert ndcg_at_k(ranking, judgments, k) == 0.0
+
+    def test_source_dict_is_snapshotted(self):
+        source = {("q", "a"): 0, ("q", "b"): 3, ("q", "c"): 1}
+        judgments = RelevanceJudgments(grades=source)
+        ranking = ranking_of("q", ["a", "b", "c"])
+        before = ndcg_at_k(ranking, judgments, 2)
+        source[("q", "a")] = 3
+        source[("q", "z")] = 5
+        del source[("q", "b")]
+        assert judgments.grade("q", "a") == 0
+        assert judgments.grade("q", "b") == 3
+        assert judgments.grade("q", "z") == 0
+        assert judgments.grades_for_query("q") == [0, 3, 1]
+        assert ndcg_at_k(ranking, judgments, 2) == before
+        assert ndcg_at_k(ranking, judgments, 3) == scalar_ndcg(
+            ranking, {("q", "a"): 0, ("q", "b"): 3, ("q", "c"): 1}, 3
+        )
 
 
 class TestReportTypes:

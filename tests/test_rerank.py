@@ -5,6 +5,7 @@ from pufr import (
     GroupLabel,
     PufrConfig,
     adjust_scores,
+    assign_groups,
     build_query,
     compute_sigma_mean,
     fairr_at_k,
@@ -241,8 +242,9 @@ class TestUniformRerank:
             n = int(rng.integers(2, 12))
             neutralities = np.where(rng.random(n) < 0.5, 1.0, 0.3)
             q = make_query(rng.normal(size=n), [0.8] * n, neutralities, query_id=f"q{i}")
-            cfg = PufrConfig.symmetric(1.5)
-            assert uniform_rerank(q, 0.8, cfg).doc_ids() == pufr_rerank(q, cfg).doc_ids()
+            # an asymmetric config too: protected alpha 2, non-protected 0.5
+            for cfg in (PufrConfig.symmetric(1.5), PufrConfig(2.0, 0.5)):
+                assert uniform_rerank(q, 0.8, cfg) == pufr_rerank(q, cfg)
 
     def test_hand_case(self):
         q = make_query([5.0, 3.0, 2.5], [9.0, 9.0, 9.0], [0.0, 0.0, 1.0],
@@ -253,6 +255,18 @@ class TestUniformRerank:
         assert scores["D2"] == pytest.approx(2.6, abs=1e-12)
         assert scores["D3"] == pytest.approx(2.9, abs=1e-12)
         assert ranking.doc_ids() == ("D1", "D3", "D2")
+
+    def test_accepts_candidates_without_sigma(self):
+        mus, neutralities = [4.0, 3.0, 2.5, 1.0], [0.0, 1.0, 1.0, 0.2]
+        bare = assign_groups(build_query("q", [
+            ScoredCandidate(doc_id=f"d{i}", mu=mu, neutrality=n)
+            for i, (mu, n) in enumerate(zip(mus, neutralities))
+        ]))
+        with_sigma = make_query(mus, [0.6] * 4, neutralities, doc_ids=["d0", "d1", "d2", "d3"])
+        cfg = PufrConfig.symmetric(1.25)
+        assert uniform_rerank(bare, 0.6, cfg) == pufr_rerank(with_sigma, cfg)
+        with pytest.raises(ValueError, match="'d0' has no sigma"):
+            adjust_scores(bare, cfg)
 
     def test_negative_sigma_mean_rejected(self):
         q = make_query([1.0], [0.5], [1.0])
