@@ -6,9 +6,9 @@ intersection CSV), ``laplace`` (features + posterior to run and sigma
 files), ``synth`` (writes a full fixture corpus), and ``ttest`` (paired
 t-test between two per-query CSVs).
 
-Exit codes: 0 on success, 1 on usage or parse errors, 2 when a
-constrained re-ranking instance was infeasible (partial output is still
-written).
+Exit codes: 0 on success; 1 on usage or parse errors, including a run
+file with no data lines; 2 when a re-ranking could not meet its fairness
+floor on some query (partial output is still written).
 """
 
 from __future__ import annotations
@@ -19,19 +19,12 @@ from pathlib import Path
 from typing import Sequence
 
 from . import fileio
-from .baselines import (
-    DEFAULT_DEPTH,
-    ConstraintConfig,
-    compute_m_table,
-    constrained_rerank,
-    fastar_rerank,
-    unfair_rank,
-)
-from .core import QueryCandidates, Ranking, assign_groups
+from .baselines import DEFAULT_DEPTH, unfair_rank
+from .core import QueryCandidates, assign_groups
 from .metrics import paired_t_test
-from .rerank import PufrConfig, compute_sigma_mean, pufr_rerank, uniform_rerank
 from .sweep import (
     METHODS,
+    REGISTRY,
     SweepConfig,
     records_to_csv,
     report_interval_analysis,
@@ -73,9 +66,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_corpus_args(p: argparse.ArgumentParser, need_sigmas: bool = True) -> None:
+    def add_corpus_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--run", required=True, help="input run file")
-        p.add_argument("--sigmas", required=need_sigmas, help="sigma file")
+        p.add_argument("--sigmas", help="sigma file")
         p.add_argument("--neutrality", required=True, help="neutrality score file")
         p.add_argument(
             "--protected-threshold",
@@ -85,7 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p = sub.add_parser("rerank", help="re-rank a run with one method at one alpha")
-    add_corpus_args(p, need_sigmas=False)
+    add_corpus_args(p)
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
@@ -93,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", required=True, help="output run file")
 
     p = sub.add_parser("sweep", help="trade-off sweep over an alpha grid")
-    add_corpus_args(p, need_sigmas=False)
+    add_corpus_args(p)
     p.add_argument("--qrels", required=True)
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--alpha-grid", type=_alpha_grid, required=True)
@@ -144,56 +137,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_corpus(args: argparse.Namespace, need_sigmas: bool) -> list[QueryCandidates]:
-    corpus = fileio.parse_run_file(args.run)
-    if need_sigmas:
-        if not args.sigmas:
-            raise ValueError(f"method {args.method!r} needs --sigmas")
+def _read_run(path: str) -> list[QueryCandidates]:
+    corpus = fileio.parse_run_file(path)
+    if not corpus:
+        raise ValueError(f"{path}: no data lines")
+    return corpus
+
+
+def _load_corpus(args: argparse.Namespace) -> list[QueryCandidates]:
+    corpus = _read_run(args.run)
+    if args.sigmas:
         corpus = fileio.attach_sigmas(corpus, fileio.parse_sigma_file(args.sigmas))
-    elif args.sigmas:
-        corpus = fileio.attach_sigmas(corpus, fileio.parse_sigma_file(args.sigmas))
+    elif REGISTRY[args.method].needs_sigma:
+        raise ValueError(f"method {args.method!r} needs --sigmas")
     corpus = fileio.attach_neutrality(corpus, fileio.parse_neutrality_file(args.neutrality))
     return [assign_groups(q, args.protected_threshold) for q in corpus]
 
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
-    needs_sigma = args.method in ("pufr", "uniform")
-    corpus = _load_corpus(args, needs_sigma)
-    rankings: list[Ranking] = []
-    infeasible = 0
-    if args.method == "pufr":
-        cfg = PufrConfig.symmetric(args.alpha)
-        rankings = [pufr_rerank(q, cfg) for q in corpus]
-    elif args.method == "uniform":
-        cfg = PufrConfig.symmetric(args.alpha)
-        sigma_mean = compute_sigma_mean(corpus)
-        rankings = [uniform_rerank(q, sigma_mean, cfg) for q in corpus]
-    elif args.method == "unfair":
-        rankings = [unfair_rank(q) for q in corpus]
-    elif args.method == "fastar":
-        table = compute_m_table(max(len(q) for q in corpus), args.alpha)
-        rankings = [fastar_rerank(q, table) for q in corpus]
-    else:
-        ccfg = ConstraintConfig(alpha_fairness=args.alpha, depth=args.depth)
-        for q in corpus:
-            result = constrained_rerank(q, ccfg)
-            rankings.append(result.ranking)
-            if not result.feasible:
-                infeasible += 1
-    fileio.write_run_file(args.output, rankings, tag=args.tag)
+    method = REGISTRY[args.method]
+    method.check_alpha(args.alpha)
+    corpus = _load_corpus(args)
+    rerank = method.prepare(corpus, args.depth)(args.alpha)
+    results = [rerank(q) for q in corpus]
+    fileio.write_run_file(args.output, [ranking for ranking, _ in results], tag=args.tag)
+    infeasible = sum(not feasible for _, feasible in results)
     if infeasible:
-        print(
-            f"warning: fairness floor infeasible for {infeasible} queries",
-            file=sys.stderr,
-        )
+        print(f"warning: fairness floor infeasible for {infeasible} queries", file=sys.stderr)
         return EXIT_INFEASIBLE
     return EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    needs_sigma = args.method in ("pufr", "uniform")
-    corpus = _load_corpus(args, needs_sigma)
-    judgments = fileio.parse_qrels(args.qrels)
     cfg = SweepConfig(
         method=args.method,
         alpha_grid=args.alpha_grid,
@@ -201,6 +176,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         cutoffs_fairness=args.cutoffs_fairness,
         depth=args.depth,
     )
+    corpus = _load_corpus(args)
+    judgments = fileio.parse_qrels(args.qrels)
     result = run_sweep(corpus, judgments, cfg)
     Path(args.output).write_text(records_to_csv(result.records), encoding="utf-8")
     if args.ndcg_floor is not None:
@@ -230,8 +207,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_intervals(args: argparse.Namespace) -> int:
-    corpus = fileio.parse_run_file(args.run)
-    corpus = fileio.attach_sigmas(corpus, fileio.parse_sigma_file(args.sigmas))
+    corpus = fileio.attach_sigmas(_read_run(args.run), fileio.parse_sigma_file(args.sigmas))
     Path(args.output).write_text(
         report_interval_analysis(corpus, args.alpha_grid), encoding="utf-8"
     )
@@ -278,17 +254,19 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _read_per_query_csv(path: str) -> dict[str, float]:
     values: dict[str, float] = {}
     text = Path(path).read_text(encoding="utf-8")
+    data_lines = 0
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
+        data_lines += 1
         parts = [p.strip() for p in stripped.split(",")]
         if len(parts) != 2:
             raise ValueError(f"{path}:{lineno}: expected 'query_id,value'")
         try:
             value = float(parts[1])
         except ValueError:
-            if lineno == 1:
+            if data_lines == 1:
                 continue  # header row
             raise ValueError(f"{path}:{lineno}: value is not a number: {parts[1]!r}") from None
         if parts[0] in values:

@@ -71,18 +71,21 @@ def parse_run_file(path: str | Path) -> list[QueryCandidates]:
         if (query_id, doc_id) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate entry for ({query_id}, {doc_id})")
         seen.add((query_id, doc_id))
-        rows.setdefault(query_id, []).append((doc_id, score, rank))
+        rows.setdefault(query_id, []).append((doc_id, score, rank, lineno))
 
     corpus = []
     for query_id, entries in rows.items():
-        ranks = sorted(rank for _, _, rank in entries)
-        if ranks != list(range(1, len(entries) + 1)):
-            raise ValueError(
-                f"{path}: query {query_id!r}: rank column must be a permutation of "
-                f"1..{len(entries)}, got {ranks}"
-            )
+        # n distinct ranks within 1..n are a permutation of 1..n
+        used: set[int] = set()
+        for _, _, rank, lineno in entries:
+            if rank in used or not 1 <= rank <= len(entries):
+                raise ValueError(
+                    f"{path}:{lineno}: query {query_id!r}: rank {rank} is repeated or outside "
+                    f"1..{len(entries)}, so the rank column is not a permutation"
+                )
+            used.add(rank)
         corpus.append(
-            build_query(query_id, [ScoredCandidate(doc_id=d, mu=s) for d, s, _ in entries])
+            build_query(query_id, [ScoredCandidate(doc_id=d, mu=s) for d, s, _, _ in entries])
         )
     if not corpus:
         logger.warning("run file %s contains no data lines", path)

@@ -7,11 +7,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .baselines import (
     DEFAULT_DEPTH,
-    DEFAULT_SIGNIFICANCE,
     ConstraintConfig,
     compute_m_table,
     constrained_rerank,
@@ -29,11 +29,71 @@ from .metrics import (
 )
 from .rerank import PufrConfig, compute_sigma_mean, pufr_rerank, uniform_rerank
 
-METHODS = ("pufr", "uniform", "unfair", "fastar", "constrained")
+Reranker = Callable[[QueryCandidates], tuple[Ranking, bool]]
+RerankerAt = Callable[[float], Reranker]
 
-_SIGMA_METHODS = frozenset({"pufr", "uniform"})
-_GROUP_METHODS = frozenset({"pufr", "uniform", "fastar"})
-_UNIT_ALPHA_METHODS = frozenset({"fastar", "constrained"})
+
+@dataclass(frozen=True)
+class Method:
+    """What a method needs from a corpus. ``prepare(corpus, depth)`` does the
+    corpus-wide work once and returns alpha -> per-query re-ranker."""
+
+    name: str
+    prepare: Callable[[Sequence[QueryCandidates], int], RerankerAt]
+    needs_sigma: bool = False
+    needs_groups: bool = False
+    unit_alpha: bool = False
+
+    def check_alpha(self, alpha: float) -> None:
+        if self.unit_alpha and not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"method {self.name!r} needs alpha values in [0, 1]")
+
+
+def _feasible(rerank: Callable[..., Ranking], *args: object) -> Reranker:
+    return lambda q: (rerank(q, *args), True)
+
+
+def _constrained(q: QueryCandidates, cfg: ConstraintConfig) -> tuple[Ranking, bool]:
+    result = constrained_rerank(q, cfg)
+    return result.ranking, result.feasible
+
+
+# The prepare functions name the library functions in their bodies, so a
+# caller that rebinds those module globals (as bench/tracer.py does) sees every call.
+def _prepare_pufr(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
+    return lambda alpha: _feasible(pufr_rerank, PufrConfig.symmetric(alpha))
+
+
+def _prepare_uniform(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
+    sigma_mean = compute_sigma_mean(corpus)
+    return lambda alpha: _feasible(uniform_rerank, sigma_mean, PufrConfig.symmetric(alpha))
+
+
+def _prepare_unfair(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
+    return lambda alpha: _feasible(unfair_rank)
+
+
+def _prepare_fastar(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
+    max_len = max(len(q) for q in corpus)
+    return lambda alpha: _feasible(fastar_rerank, compute_m_table(max_len, alpha))
+
+
+def _prepare_constrained(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
+    return lambda alpha: partial(_constrained, cfg=ConstraintConfig(alpha, depth))
+
+
+# Only the constrained baseline can report a query infeasible.
+REGISTRY = {
+    m.name: m
+    for m in (
+        Method("pufr", _prepare_pufr, needs_sigma=True, needs_groups=True),
+        Method("uniform", _prepare_uniform, needs_sigma=True, needs_groups=True),
+        Method("unfair", _prepare_unfair),
+        Method("fastar", _prepare_fastar, needs_groups=True, unit_alpha=True),
+        Method("constrained", _prepare_constrained, unit_alpha=True),
+    )
+}
+METHODS = tuple(REGISTRY)
 
 
 @dataclass(frozen=True)
@@ -43,10 +103,9 @@ class SweepConfig:
     cutoffs_utility: tuple[int, ...] = (10, 100)
     cutoffs_fairness: tuple[int, ...] = (10, 50)
     depth: int = DEFAULT_DEPTH
-    fastar_significance: float = DEFAULT_SIGNIFICANCE
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
+        if self.method not in REGISTRY:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if not self.alpha_grid:
             raise ValueError("alpha grid must not be empty")
@@ -54,10 +113,8 @@ class SweepConfig:
             raise ValueError("alpha grid values must be finite")
         if any(b <= a for a, b in zip(self.alpha_grid, self.alpha_grid[1:])):
             raise ValueError("alpha grid must be strictly increasing")
-        if self.method in _UNIT_ALPHA_METHODS and not all(
-            0.0 <= a <= 1.0 for a in self.alpha_grid
-        ):
-            raise ValueError(f"method {self.method!r} needs alpha values in [0, 1]")
+        for alpha in self.alpha_grid:
+            REGISTRY[self.method].check_alpha(alpha)
         if not self.cutoffs_utility or not self.cutoffs_fairness:
             raise ValueError("cutoff lists must not be empty")
         if any(k < 1 for k in self.cutoffs_utility + self.cutoffs_fairness):
@@ -84,24 +141,6 @@ class TradeoffRecord:
 class SweepResult:
     records: tuple[TradeoffRecord, ...]
     infeasible_queries: int
-
-
-def _require_sigmas(corpus: Sequence[QueryCandidates], method: str) -> None:
-    for query in corpus:
-        for c in query.candidates:
-            if c.sigma is None:
-                raise ValueError(
-                    f"method {method!r} needs sigma for every candidate, but "
-                    f"({query.query_id}, {c.doc_id}) has none"
-                )
-
-
-def _has_sigmas(corpus: Sequence[QueryCandidates]) -> bool:
-    return all(c.sigma is not None for q in corpus for c in q.candidates)
-
-
-def _has_groups(corpus: Sequence[QueryCandidates]) -> bool:
-    return all(c.group is not None for q in corpus for c in q.candidates)
 
 
 def _evaluate(
@@ -139,17 +178,17 @@ def run_sweep(
         raise ValueError("corpus is empty")
     for query in corpus:
         query.neutrality_by_doc()  # metrics need neutrality everywhere
-    if cfg.method in _SIGMA_METHODS:
-        _require_sigmas(corpus, cfg.method)
-    if cfg.method in _GROUP_METHODS and not _has_groups(corpus):
+    method = REGISTRY[cfg.method]
+    has_sigmas = all(c.sigma is not None for q in corpus for c in q.candidates)
+    has_groups = all(c.group is not None for q in corpus for c in q.candidates)
+    if method.needs_sigma and not has_sigmas:
+        raise ValueError(f"method {cfg.method!r} needs sigma on every candidate")
+    if method.needs_groups and not has_groups:
         raise ValueError(f"method {cfg.method!r} needs group labels on every candidate")
 
     alphas = (0.0,) if cfg.method == "unfair" else cfg.alpha_grid
-    sigma_mean = compute_sigma_mean(corpus) if cfg.method == "uniform" else None
-    max_depth = max(len(q) for q in corpus)
-    pufr_reference_ok = (
-        cfg.method not in ("pufr", "unfair") and _has_sigmas(corpus) and _has_groups(corpus)
-    )
+    rerank_at = method.prepare(corpus, cfg.depth)
+    pufr_reference_ok = cfg.method not in ("pufr", "unfair") and has_sigmas and has_groups
 
     unfair_rankings = {q.query_id: unfair_rank(q) for q in corpus}
     unfair_reports = _evaluate(unfair_rankings, corpus, judgments, cfg)
@@ -157,18 +196,16 @@ def run_sweep(
     records = []
     infeasible_total = 0
     for alpha in alphas:
-        rerank, count_infeasible = _make_reranker(cfg, alpha, sigma_mean, max_depth)
+        rerank = rerank_at(alpha)
         rankings: dict[str, Ranking] = {}
         elapsed = 0.0
-        infeasible = 0
         for query in corpus:
             start = time.perf_counter()
             ranking, feasible = rerank(query)
             elapsed += time.perf_counter() - start
             rankings[query.query_id] = ranking
-            if count_infeasible and not feasible:
-                infeasible += 1
-        infeasible_total += infeasible
+            if not feasible:
+                infeasible_total += 1
         reports = _evaluate(rankings, corpus, judgments, cfg)
 
         if pufr_reference_ok:
@@ -203,30 +240,6 @@ def run_sweep(
             )
         )
     return SweepResult(records=tuple(records), infeasible_queries=infeasible_total)
-
-
-def _make_reranker(
-    cfg: SweepConfig, alpha: float, sigma_mean: float | None, max_depth: int
-) -> tuple[Callable[[QueryCandidates], tuple[Ranking, bool]], bool]:
-    if cfg.method == "pufr":
-        pcfg = PufrConfig.symmetric(alpha)
-        return (lambda q: (pufr_rerank(q, pcfg), True)), False
-    if cfg.method == "uniform":
-        assert sigma_mean is not None
-        pcfg = PufrConfig.symmetric(alpha)
-        return (lambda q: (uniform_rerank(q, sigma_mean, pcfg), True)), False
-    if cfg.method == "unfair":
-        return (lambda q: (unfair_rank(q), True)), False
-    if cfg.method == "fastar":
-        table = compute_m_table(max_depth, alpha, cfg.fastar_significance)
-        return (lambda q: (fastar_rerank(q, table), True)), False
-    ccfg = ConstraintConfig(alpha_fairness=alpha, depth=cfg.depth)
-
-    def rerank(q: QueryCandidates) -> tuple[Ranking, bool]:
-        result = constrained_rerank(q, ccfg)
-        return result.ranking, result.feasible
-
-    return rerank, True
 
 
 def _format(value: float) -> str:
@@ -302,6 +315,8 @@ def report_interval_analysis(
 
 __all__ = [
     "METHODS",
+    "Method",
+    "REGISTRY",
     "SweepConfig",
     "TradeoffRecord",
     "SweepResult",

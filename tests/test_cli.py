@@ -1,8 +1,21 @@
 import numpy as np
 import pytest
 
-from pufr import analytic_predictive, unfair_rank
+from pufr import (
+    ConstraintConfig,
+    PufrConfig,
+    analytic_predictive,
+    assign_groups,
+    compute_m_table,
+    compute_sigma_mean,
+    constrained_rerank,
+    fastar_rerank,
+    pufr_rerank,
+    uniform_rerank,
+    unfair_rank,
+)
 from pufr import fileio
+from pufr.baselines import DEFAULT_DEPTH
 from pufr.cli import main
 
 
@@ -91,6 +104,108 @@ class TestRerankCommand:
         assert main(argv) == 2
         assert "infeasible" in capsys.readouterr().err
         assert out.exists()  # partial output still written
+
+
+def library_rankings(paths, method, alpha, depth=DEFAULT_DEPTH):
+    """Rankings of every query by the library calls, without the CLI."""
+    corpus = fileio.parse_run_file(paths["run"])
+    corpus = fileio.attach_sigmas(corpus, fileio.parse_sigma_file(paths["sigma"]))
+    corpus = fileio.attach_neutrality(corpus, fileio.parse_neutrality_file(paths["neutrality"]))
+    corpus = [assign_groups(q, 1.0) for q in corpus]
+    if method == "unfair":
+        return [unfair_rank(q) for q in corpus]
+    if method == "pufr":
+        return [pufr_rerank(q, PufrConfig.symmetric(alpha)) for q in corpus]
+    if method == "uniform":
+        sigma_mean = compute_sigma_mean(corpus)
+        return [uniform_rerank(q, sigma_mean, PufrConfig.symmetric(alpha)) for q in corpus]
+    if method == "fastar":
+        table = compute_m_table(max(len(q) for q in corpus), alpha)
+        return [fastar_rerank(q, table) for q in corpus]
+    assert method == "constrained"
+    ccfg = ConstraintConfig(alpha_fairness=alpha, depth=depth)
+    return [constrained_rerank(q, ccfg).ranking for q in corpus]
+
+
+class TestMethodParity:
+    """`pufr rerank` runs each method exactly as the library calls do."""
+
+    @pytest.mark.parametrize("method,alpha", [
+        ("unfair", 0.0), ("pufr", 1.25), ("uniform", 1.25),
+        ("fastar", 0.7), ("constrained", 0.8),
+    ])
+    def test_rerank_run_file_is_byte_identical_to_library_calls(
+        self, fixture_dir, tmp_path, method, alpha
+    ):
+        paths = fixture_paths(fixture_dir)
+        out = tmp_path / "cli.run"
+        assert main([
+            "rerank", "--run", str(paths["run"]), "--sigmas", str(paths["sigma"]),
+            "--neutrality", str(paths["neutrality"]), "--method", method,
+            "--alpha", repr(alpha), "--output", str(out),
+        ]) == 0
+        expected = tmp_path / "library.run"
+        fileio.write_run_file(expected, library_rankings(paths, method, alpha), tag="pufr")
+        assert out.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("method", ["fastar", "constrained"])
+    def test_rerank_and_sweep_reject_alpha_above_one_alike(
+        self, fixture_dir, tmp_path, capsys, method
+    ):
+        paths = fixture_paths(fixture_dir)
+        corpus_args = [
+            "--run", str(paths["run"]), "--sigmas", str(paths["sigma"]),
+            "--neutrality", str(paths["neutrality"]), "--method", method,
+        ]
+        assert main(["rerank", *corpus_args, "--alpha", "1.5",
+                     "--output", str(tmp_path / "o.run")]) == 1
+        rerank_err = capsys.readouterr().err
+        assert main(["sweep", *corpus_args, "--qrels", str(paths["qrels"]),
+                     "--alpha-grid", "1.5", "--output", str(tmp_path / "o.csv")]) == 1
+        sweep_err = capsys.readouterr().err
+        assert rerank_err == sweep_err == f"error: method {method!r} needs alpha values in [0, 1]\n"
+        assert not (tmp_path / "o.run").exists() and not (tmp_path / "o.csv").exists()
+
+
+class TestEmptyRunFile:
+    """A run file with no data lines is one error for every command and method."""
+
+    @pytest.fixture()
+    def empty_run(self, tmp_path):
+        path = tmp_path / "empty.run"
+        path.write_text("# no data lines\n\n")
+        return path
+
+    @pytest.mark.parametrize("method", ["pufr", "uniform", "unfair", "fastar", "constrained"])
+    def test_rerank_rejects_it_naming_the_file(
+        self, fixture_dir, tmp_path, capsys, empty_run, method
+    ):
+        paths = fixture_paths(fixture_dir)
+        out = tmp_path / "out.run"
+        assert main([
+            "rerank", "--run", str(empty_run), "--sigmas", str(paths["sigma"]),
+            "--neutrality", str(paths["neutrality"]), "--method", method,
+            "--alpha", "0.5", "--output", str(out),
+        ]) == 1
+        assert f"error: {empty_run}: no data lines\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_rejects_it_naming_the_file(self, fixture_dir, tmp_path, capsys, empty_run):
+        paths = fixture_paths(fixture_dir)
+        assert main([
+            "sweep", "--run", str(empty_run), "--sigmas", str(paths["sigma"]),
+            "--neutrality", str(paths["neutrality"]), "--qrels", str(paths["qrels"]),
+            "--method", "pufr", "--alpha-grid", "0,1", "--output", str(tmp_path / "o.csv"),
+        ]) == 1
+        assert f"error: {empty_run}: no data lines\n" in capsys.readouterr().err
+
+    def test_intervals_rejects_it_naming_the_file(self, fixture_dir, tmp_path, capsys, empty_run):
+        paths = fixture_paths(fixture_dir)
+        assert main([
+            "intervals", "--run", str(empty_run), "--sigmas", str(paths["sigma"]),
+            "--output", str(tmp_path / "o.csv"),
+        ]) == 1
+        assert f"error: {empty_run}: no data lines\n" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -206,6 +321,20 @@ class TestTTestCommand:
         out = capsys.readouterr().out
         assert "df=2" in out
         assert "p=0.074" in out
+
+    def test_header_after_a_comment_is_skipped(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        b = tmp_path / "b.csv"
+        a.write_text("# nDCG@10 per query\nquery_id,value\nq1,1.0\nq2,2.0\nq3,3.0\n")
+        b.write_text("\n# baseline\nquery_id,value\nq1,0.0\nq2,0.0\nq3,0.0\n")
+        assert main(["ttest", "--a", str(a), "--b", str(b)]) == 0
+        assert "df=2" in capsys.readouterr().out
+
+    def test_non_number_after_the_header_cites_its_line(self, tmp_path, capsys):
+        a = tmp_path / "a.csv"
+        a.write_text("# comment\nquery_id,value\nq1,1.0\nq2,high\n")
+        assert main(["ttest", "--a", str(a), "--b", str(a)]) == 1
+        assert f"{a}:4: value is not a number: 'high'" in capsys.readouterr().err
 
     def test_mismatched_queries_fail(self, tmp_path, capsys):
         a = tmp_path / "a.csv"

@@ -48,6 +48,21 @@ class TestParseRunFile:
         with pytest.raises(ValueError, match="permutation"):
             fileio.parse_run_file(path)
 
+    def test_repeated_rank_cites_its_line_briefly(self, tmp_path):
+        path = tmp_path / "run"
+        ranks = list(range(1, 1001))
+        ranks[700] = 3  # line 701 repeats the rank of line 3
+        path.write_text("".join(f"q1 Q0 d{i} {r} {-i}.0 t\n" for i, r in enumerate(ranks)))
+        with pytest.raises(ValueError, match=r":701:.*permutation") as info:
+            fileio.parse_run_file(path)
+        assert len(str(info.value)) < 200
+
+    def test_rank_outside_range_cites_its_line(self, tmp_path):
+        path = tmp_path / "run"
+        path.write_text("q1 Q0 d7 1 8.25 t\nq2 Q0 d8 1 3.0 t\nq1 Q0 d9 0 2.0 t\n")
+        with pytest.raises(ValueError, match=r":3: query 'q1': rank 0 .*1\.\.2"):
+            fileio.parse_run_file(path)
+
     def test_non_numeric_score_cites_line(self, tmp_path):
         path = tmp_path / "run"
         path.write_text("q1 Q0 d7 1 high t\n")
