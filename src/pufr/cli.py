@@ -156,7 +156,7 @@ def _load_corpus(args: argparse.Namespace) -> list[QueryCandidates]:
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
     method = REGISTRY[args.method]
-    method.check_alpha(args.alpha)
+    method.check((args.alpha,), args.depth)
     corpus = _load_corpus(args)
     rerank = method.prepare(corpus, args.depth)(args.alpha)
     results = [rerank(q) for q in corpus]
@@ -219,6 +219,12 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
     if not features:
         raise ValueError(f"{args.features}: no feature rows")
     posterior = fileio.parse_posterior_file(args.posterior)
+    feature_dim = next(iter(next(iter(features.values())).values())).shape[0]
+    if feature_dim != posterior.dim:
+        raise ValueError(
+            f"{args.features} has feature dimension {feature_dim} but "
+            f"{args.posterior} has posterior dimension {posterior.dim}"
+        )
     cfg = McConfig(n_samples=args.mc_samples, seed=args.seed)
     corpus = fileio.corpus_from_features(features)
     scored = [score_query(posterior, q, features[q.query_id], cfg) for q in corpus]

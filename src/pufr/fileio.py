@@ -49,6 +49,21 @@ def _parse_float(path: str | Path, lineno: int, token: str, what: str) -> float:
     return value
 
 
+def _parse_floats(path: str | Path, lineno: int, tokens: list[str], what: str) -> np.ndarray:
+    """Parse a row of finite floats with one call. ``np.array`` accepts and
+    rejects the same tokens as ``float()``, with the same bits; only a row that
+    fails is walked token by token, so the error names its first bad value."""
+    try:
+        values = np.array(tokens, dtype=np.float64)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
+    return np.array(
+        [_parse_float(path, lineno, t, f"{what} {j + 1}") for j, t in enumerate(tokens)]
+    )
+
+
 def parse_run_file(path: str | Path) -> list[QueryCandidates]:
     """Read a retrieval run into per-query candidates (mu filled, sigma absent).
 
@@ -162,10 +177,7 @@ def parse_features_file(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
         if len(fields) < 3:
             raise ValueError(f"{path}:{lineno}: expected at least 3 fields, got {len(fields)}")
         query_id, doc_id = fields[0], fields[1]
-        values = [
-            _parse_float(path, lineno, token, f"feature value {j + 1}")
-            for j, token in enumerate(fields[2:])
-        ]
+        values = _parse_floats(path, lineno, fields[2:], "feature value")
         if dim is None:
             dim = len(values)
         elif len(values) != dim:
@@ -175,7 +187,7 @@ def parse_features_file(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
         per_query = features.setdefault(query_id, {})
         if doc_id in per_query:
             raise ValueError(f"{path}:{lineno}: duplicate entry for ({query_id}, {doc_id})")
-        per_query[doc_id] = np.array(values)
+        per_query[doc_id] = values
     return features
 
 
@@ -200,9 +212,7 @@ def parse_posterior_file(path: str | Path) -> LastLayerPosterior:
             raise ValueError(
                 f"{path}:{lineno}: declared dimension {dim} but {len(values)} values"
             )
-        return np.array(
-            [_parse_float(path, lineno, v, f"{label} value {j + 1}") for j, v in enumerate(values)]
-        )
+        return _parse_floats(path, lineno, values, f"{label} value")
 
     theta = vector_line(0, "theta")
     fisher_raw = vector_line(1, "fisher")
@@ -262,6 +272,8 @@ def attach_neutrality(
 
 
 def write_run_file(path: str | Path, rankings: Iterable[Ranking], tag: str = "pufr") -> None:
+    if tag.split() != [tag]:
+        raise ValueError(f"run tag must be one field without whitespace, got {tag!r}")
     lines = []
     for ranking in rankings:
         for rank, (doc_id, score) in enumerate(ranking.entries, start=1):

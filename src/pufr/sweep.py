@@ -44,9 +44,15 @@ class Method:
     needs_groups: bool = False
     unit_alpha: bool = False
 
-    def check_alpha(self, alpha: float) -> None:
-        if self.unit_alpha and not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"method {self.name!r} needs alpha values in [0, 1]")
+    def check(self, alphas: Sequence[float], depth: int) -> None:
+        """The checks `pufr rerank` and `pufr sweep` share, made before any file is read."""
+        for alpha in alphas:
+            if not math.isfinite(alpha):
+                raise ValueError(f"alpha values must be finite, got {alpha!r}")
+            if self.unit_alpha and not 0.0 <= alpha <= 1.0:
+                raise ValueError(f"method {self.name!r} needs alpha values in [0, 1]")
+        if depth < 1:
+            raise ValueError(f"depth must be >= 1, got {depth}")
 
 
 def _feasible(rerank: Callable[..., Ranking], *args: object) -> Reranker:
@@ -109,18 +115,13 @@ class SweepConfig:
             raise ValueError(f"unknown method {self.method!r}, expected one of {METHODS}")
         if not self.alpha_grid:
             raise ValueError("alpha grid must not be empty")
-        if any(not math.isfinite(a) for a in self.alpha_grid):
-            raise ValueError("alpha grid values must be finite")
+        REGISTRY[self.method].check(self.alpha_grid, self.depth)
         if any(b <= a for a, b in zip(self.alpha_grid, self.alpha_grid[1:])):
             raise ValueError("alpha grid must be strictly increasing")
-        for alpha in self.alpha_grid:
-            REGISTRY[self.method].check_alpha(alpha)
         if not self.cutoffs_utility or not self.cutoffs_fairness:
             raise ValueError("cutoff lists must not be empty")
         if any(k < 1 for k in self.cutoffs_utility + self.cutoffs_fairness):
             raise ValueError("cutoffs must be >= 1")
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
 
 
 @dataclass(frozen=True)

@@ -121,13 +121,15 @@ def squared_error_gradients(
 def sample_last_layers(posterior: LastLayerPosterior, cfg: McConfig) -> np.ndarray:
     """Draw ``cfg.n_samples`` weight vectors from the posterior.
 
-    Returns an (N, d) array; fully reproducible from ``cfg.seed``.
+    Returns an (N, d) array; fully reproducible from ``cfg.seed``. The draws
+    equal ``rng.normal(loc=theta_map, scale=1/sqrt(fisher_diag), size=(N, d))``
+    bit for bit: one standard-normal fill, scaled and shifted in place.
     """
     rng = np.random.default_rng(cfg.seed)
-    scale = 1.0 / np.sqrt(posterior.fisher_diag)
-    return rng.normal(
-        loc=posterior.theta_map, scale=scale, size=(cfg.n_samples, posterior.dim)
-    )
+    samples = rng.standard_normal((cfg.n_samples, posterior.dim))
+    samples *= 1.0 / np.sqrt(posterior.fisher_diag)
+    samples += posterior.theta_map
+    return samples
 
 
 def predictive_moments(samples: np.ndarray, feature: np.ndarray) -> PredictiveDistribution:

@@ -167,6 +167,70 @@ class TestMethodParity:
         assert not (tmp_path / "o.run").exists() and not (tmp_path / "o.csv").exists()
 
 
+class TestSharedValidation:
+    """`pufr rerank` checks depth and alpha as `pufr sweep` does, before any file
+    is read: the run file given here does not exist."""
+
+    @pytest.mark.parametrize("method", ["pufr", "uniform", "unfair", "fastar", "constrained"])
+    @pytest.mark.parametrize("flags,rerank_alpha,grid,message", [
+        (["--depth", "-3"], "0.5", "0.5", "depth must be >= 1, got -3"),
+        (["--depth", "0"], "0.5", "0.5", "depth must be >= 1, got 0"),
+        ([], "nan", "nan", "alpha values must be finite, got nan"),
+        ([], "inf", "0,inf", "alpha values must be finite, got inf"),
+    ], ids=["depth-3", "depth0", "alpha-nan", "alpha-inf"])
+    def test_rerank_and_sweep_reject_alike_before_reading(
+        self, tmp_path, capsys, method, flags, rerank_alpha, grid, message
+    ):
+        corpus_args = [
+            "--run", str(tmp_path / "missing.run"), "--sigmas", str(tmp_path / "s"),
+            "--neutrality", str(tmp_path / "n"), "--method", method, *flags,
+        ]
+        assert main(["rerank", *corpus_args, "--alpha", rerank_alpha,
+                     "--output", str(tmp_path / "o.run")]) == 1
+        rerank_err = capsys.readouterr().err
+        assert main(["sweep", *corpus_args, "--qrels", str(tmp_path / "q"),
+                     "--alpha-grid", grid, "--output", str(tmp_path / "o.csv")]) == 1
+        sweep_err = capsys.readouterr().err
+        assert rerank_err == sweep_err == f"error: {message}\n"
+        assert not (tmp_path / "o.run").exists() and not (tmp_path / "o.csv").exists()
+
+
+class TestRunTag:
+    """A tag that is not one whitespace-free field is refused, and no run file
+    is written, since a reader could not split the lines back into 6 fields."""
+
+    @pytest.mark.parametrize("tag", ["", "my tag"])
+    def test_rerank(self, fixture_dir, tmp_path, capsys, tag):
+        paths = fixture_paths(fixture_dir)
+        out = tmp_path / "o.run"
+        assert main([
+            "rerank", "--run", str(paths["run"]), "--sigmas", str(paths["sigma"]),
+            "--neutrality", str(paths["neutrality"]), "--method", "pufr",
+            "--alpha", "1.0", "--tag", tag, "--output", str(out),
+        ]) == 1
+        assert "tag" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tag", ["", "my tag"])
+    def test_laplace(self, tmp_path, capsys, tag):
+        features_path, posterior_path = write_laplace_inputs(tmp_path, 2, 2)
+        out = tmp_path / "o.run"
+        assert main([
+            "laplace", "--features", str(features_path), "--posterior", str(posterior_path),
+            "--tag", tag, "--output", str(out), "--sigma-output", str(tmp_path / "o.sigma"),
+        ]) == 1
+        assert "tag" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tag", ["", "my tag"])
+    def test_synth(self, tmp_path, capsys, tag):
+        out = tmp_path / "fix"
+        assert main(["synth", "--output", str(out), "--queries", "2", "--candidates", "3",
+                     "--tag", tag]) == 1
+        assert "tag" in capsys.readouterr().err
+        assert not (out / "fixture.run").exists()
+
+
 class TestEmptyRunFile:
     """A run file with no data lines is one error for every command and method."""
 
@@ -249,6 +313,22 @@ class TestIntervalsCommand:
         assert len(lines) == 11  # 10 candidate positions
 
 
+def write_laplace_inputs(directory, feature_dim, posterior_dim):
+    """A two-query feature file and a posterior file of the given widths."""
+    directory.mkdir(parents=True, exist_ok=True)
+    features_path = directory / "features"
+    features_path.write_text("".join(
+        f"q{q} d{q}{d} " + " ".join(repr(0.5 * (q + d + j)) for j in range(feature_dim)) + "\n"
+        for q in range(2) for d in range(2)
+    ))
+    posterior_path = directory / "posterior"
+    posterior_path.write_text(
+        f"theta {posterior_dim}" + " 0.5" * posterior_dim + "\n"
+        f"fisher {posterior_dim}" + " 2.0" * posterior_dim + "\n"
+    )
+    return features_path, posterior_path
+
+
 class TestLaplaceCommand:
     def test_scores_features_into_run_and_sigma_files(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -309,6 +389,21 @@ class TestLaplaceCommand:
             ]) == 0
             outputs.append((run_out.read_bytes(), sigma_out.read_bytes()))
         assert outputs[0] == outputs[1]
+
+
+    def test_dimension_mismatch_names_both_files_before_scoring(self, tmp_path, capsys):
+        features_path, _ = write_laplace_inputs(tmp_path, 3, 3)
+        _, posterior_path = write_laplace_inputs(tmp_path / "two", 2, 2)
+        run_out, sigma_out = tmp_path / "o.run", tmp_path / "o.sigma"
+        assert main([
+            "laplace", "--features", str(features_path), "--posterior", str(posterior_path),
+            "--output", str(run_out), "--sigma-output", str(sigma_out),
+        ]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {features_path} has feature dimension 3 but "
+            f"{posterior_path} has posterior dimension 2\n"
+        )
+        assert not run_out.exists() and not sigma_out.exists()
 
 
 class TestTTestCommand:

@@ -1,7 +1,11 @@
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pufr import (
     RelevanceJudgments,
@@ -208,6 +212,121 @@ class TestParseFeaturesAndPosterior:
             fileio.parse_posterior_file(path)
 
 
+def scalar_floats(path, lineno, tokens, what):
+    """Per-token oracle: one ``float()`` and one finiteness check per value,
+    citing ``path:line`` and the 1-based position of the first bad one."""
+    return np.array(
+        [fileio._parse_float(path, lineno, token, f"{what} {j + 1}")
+         for j, token in enumerate(tokens)]
+    )
+
+
+def scalar_parse_features_file(path):
+    """The feature-file parser with the per-token loop, as the oracle."""
+    features = {}
+    dim = None
+    for lineno, fields in fileio._data_lines(path):
+        if len(fields) < 3:
+            raise ValueError(f"{path}:{lineno}: expected at least 3 fields, got {len(fields)}")
+        query_id, doc_id = fields[0], fields[1]
+        values = scalar_floats(path, lineno, fields[2:], "feature value")
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise ValueError(
+                f"{path}:{lineno}: feature dimension {len(values)} differs from {dim}"
+            )
+        per_query = features.setdefault(query_id, {})
+        if doc_id in per_query:
+            raise ValueError(f"{path}:{lineno}: duplicate entry for ({query_id}, {doc_id})")
+        per_query[doc_id] = values
+    return features
+
+
+def outcome(parse, *args):
+    """What a parser returns, or the message it raises."""
+    try:
+        return "ok", parse(*args)
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# Ordinary reprs mixed with tokens at the edges of what float() accepts:
+# signed zero, subnormals, digit separators, non-ASCII digits, overflow to
+# inf, nan and inf, C99 hex floats and numpy-2 reprs.
+_EDGE_TOKENS = [
+    "-0.0", "5e-324", "-2.5e-310", "1_000", "\u0661\u0662", "1e400", "-1e400",
+    "nan", "inf", "-inf", "0x1p3", "np.float64(0.5)",
+]
+_tokens = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from(_EDGE_TOKENS),
+)
+
+
+class TestBulkFloatParsing:
+    """Whole-row parsing gives the per-token oracle's bits and messages."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(width=st.integers(1, 6), data=st.data())
+    def test_features_match_the_per_token_oracle(self, width, data):
+        rows = data.draw(st.lists(
+            st.lists(_tokens, min_size=width, max_size=width), min_size=1, max_size=3
+        ))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "feat"
+            path.write_text(
+                "".join(f"q{i % 2} d{i} " + " ".join(row) + "\n" for i, row in enumerate(rows)),
+                encoding="utf-8",
+            )
+            kind, got = outcome(fileio.parse_features_file, path)
+            want_kind, want = outcome(scalar_parse_features_file, path)
+        assert kind == want_kind
+        if kind == "error":
+            assert got == want
+            return
+        assert list(got) == list(want)
+        for query_id, per_query in want.items():
+            assert list(got[query_id]) == list(per_query)
+            for doc_id, vector in per_query.items():
+                assert same_bits(got[query_id][doc_id], vector)
+
+    @settings(max_examples=300, deadline=None)
+    @given(row=st.lists(_tokens, min_size=1, max_size=6))
+    def test_posterior_theta_matches_the_per_token_oracle(self, row):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "post"
+            path.write_text(
+                f"theta {len(row)} {' '.join(row)}\nfisher {len(row)} {' 1.0' * len(row)}\n",
+                encoding="utf-8",
+            )
+            kind, got = outcome(fileio.parse_posterior_file, path)
+            want_kind, want = outcome(scalar_floats, path, 1, row, "theta value")
+        assert kind == want_kind
+        if kind == "error":
+            assert got == want
+        else:
+            assert same_bits(got.theta_map, want)
+
+    def test_first_bad_value_of_a_row_is_named(self, tmp_path):
+        path = tmp_path / "feat"
+        path.write_text("q1 d1 0.5 1.5 2.5\nq1 d2 0.5 nan 0x1p3\n")
+        with pytest.raises(ValueError) as info:
+            fileio.parse_features_file(path)
+        assert str(info.value) == f"{path}:2: feature value 2 must be finite, got 'nan'"
+
+    def test_fisher_line_uses_its_own_label(self, tmp_path):
+        path = tmp_path / "post"
+        path.write_text("theta 2 0.5 0.25\nfisher 2 1.0 1e400\n")
+        with pytest.raises(ValueError) as info:
+            fileio.parse_posterior_file(path)
+        assert str(info.value) == f"{path}:2: fisher value 2 must be finite, got '1e400'"
+
+
 def fixture_corpus(seed=0, n_queries=6, n_candidates=8):
     cfg = SyntheticConfig(n_queries=n_queries, n_candidates=n_candidates, seed=seed)
     return generate_synthetic(cfg)
@@ -284,6 +403,14 @@ class TestWriters:
         q2 = build_query("q2", [ScoredCandidate(doc_id="d", mu=1.0, neutrality=0.6)])
         with pytest.raises(ValueError, match="conflicting"):
             fileio.write_neutrality_file(tmp_path / "neu", [q1, q2])
+
+    @pytest.mark.parametrize("tag", ["", "my tag", "tab\there", "trailing\n", "nbsp\u00a0"])
+    def test_run_writer_rejects_a_tag_that_is_not_one_field(self, tmp_path, tag):
+        corpus, _ = fixture_corpus()
+        path = tmp_path / "run"
+        with pytest.raises(ValueError, match="tag"):
+            fileio.write_run_file(path, [unfair_rank(q) for q in corpus], tag=tag)
+        assert not path.exists()
 
     def test_qrels_round_trip(self, tmp_path):
         judgments = RelevanceJudgments(grades={("q1", "d1"): 2, ("q2", "d9"): 0})

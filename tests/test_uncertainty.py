@@ -90,6 +90,20 @@ class TestSampleLastLayers:
         b = sample_last_layers(post, cfg)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dim", [1, 3, 33, 768])
+    @pytest.mark.parametrize("n_samples", [2, 1000])
+    def test_draws_equal_rng_normal_bit_for_bit(self, dim, n_samples):
+        for seed in (0, 1, 2**63 + 5, 12345):
+            rng = np.random.default_rng(seed + dim)
+            post = posterior(rng.normal(size=dim), rng.uniform(0.1, 50.0, size=dim))
+            expected = np.random.default_rng(seed).normal(
+                loc=post.theta_map, scale=1.0 / np.sqrt(post.fisher_diag),
+                size=(n_samples, dim),
+            )
+            got = sample_last_layers(post, McConfig(n_samples=n_samples, seed=seed))
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="n_samples"):
             McConfig(n_samples=1, seed=0)
