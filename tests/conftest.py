@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 
 from pufr import GroupLabel, QueryCandidates, ScoredCandidate, assign_groups, build_query
@@ -46,3 +48,25 @@ def random_query(
 
 def groups_of(query: QueryCandidates) -> dict[str, GroupLabel]:
     return {c.doc_id: c.group for c in query.candidates}
+
+
+Row = namedtuple("Row", "doc_id mu sigma neutrality protected")
+
+
+def rows(query: QueryCandidates) -> list[Row]:
+    """The query's candidates in original-rank order, as plain rows."""
+    return [
+        Row(c.doc_id, c.mu, c.sigma, c.neutrality,
+            None if c.group is None else c.group is GroupLabel.PROTECTED)
+        for c in query.by_original_rank()
+    ]
+
+
+def score_map(query: QueryCandidates, scores) -> dict[str, float]:
+    """A score result of ``adjust_scores`` as doc id -> score."""
+    return dict(scores)
+
+
+def score_column(query: QueryCandidates, mapping):
+    """A doc id -> score mapping in the form ``rank_by_score`` takes."""
+    return dict(mapping)

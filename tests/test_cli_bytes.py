@@ -1,0 +1,154 @@
+"""Byte-level regression test of `pufr rerank` and `pufr sweep`.
+
+A small hand-written corpus holds the edge cases: exact ``mu`` ties,
+``-0.0`` scores tied with ``0.0`` in either group, zero sigmas, a one-group
+query and a one-document query; alpha runs at 0 and -0.0 too. The expected
+files in ``golden/`` are the bytes the commands wrote before queries became
+columnar; sweep CSVs have their ``rerank_time_s`` column masked, since it is
+a wall-clock time.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from pufr.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+RUN = """\
+q1 Q0 d3 1 2.5 t
+q1 Q0 d1 2 2.5 t
+q1 Q0 d2 3 1.0 t
+q1 Q0 d4 4 0.0 t
+q1 Q0 d5 5 -0.0 t
+q1 Q0 d6 6 -1.5 t
+q1 Q0 d7 7 -1.5 t
+q2 Q0 p1 1 3.0 t
+q2 Q0 p2 2 1.0 t
+q2 Q0 p3 3 1.0 t
+q3 Q0 x1 1 0.7 t
+q4 Q0 d1 1 0.0 t
+q4 Q0 e3 2 -0.0 t
+q4 Q0 e2 3 -0.0 t
+q4 Q0 e4 4 -2.0 t
+q5 Q0 f2 1 -0.0 t
+q5 Q0 f1 2 0.0 t
+q5 Q0 f3 3 0.5 t
+"""
+SIGMA = """\
+q1 d1 0.5
+q1 d2 1.0
+q1 d3 0.0
+q1 d4 0.0
+q1 d5 0.25
+q1 d6 2.0
+q1 d7 0.0
+q2 p1 0.1
+q2 p2 0.0
+q2 p3 0.3
+q3 x1 0.0
+q4 d1 0.0
+q4 e2 0.5
+q4 e3 0.0
+q4 e4 1.0
+q5 f1 0.0
+q5 f2 0.0
+q5 f3 0.2
+"""
+NEUTRALITY = """\
+d1 1.0
+d2 0.0
+d3 0.5
+d4 1.0
+d5 0.2
+d6 1.0
+d7 0.0
+p1 1.0
+p2 1.0
+p3 1.0
+x1 0.3
+e2 1.0
+e3 0.0
+e4 0.4
+f1 0.0
+f2 0.1
+f3 1.0
+"""
+QRELS = """\
+q1 0 d2 1
+q1 0 d4 2
+q1 0 d6 1
+q2 0 p3 1
+q3 0 x1 1
+q4 0 e2 1
+q4 0 e4 2
+q5 0 f1 1
+"""
+
+# (name, method, alpha or alpha grid, extra arguments, expected exit code)
+RERANKS = (
+    ("rerank_pufr_a0", "pufr", "0", (), 0),
+    ("rerank_pufr_neg0", "pufr", "-0.0", (), 0),
+    ("rerank_pufr_a1", "pufr", "1", (), 0),
+    ("rerank_uniform", "uniform", "1.5", (), 0),
+    ("rerank_unfair", "unfair", "0", (), 0),
+    ("rerank_fastar", "fastar", "0.9", (), 0),
+    ("rerank_constrained", "constrained", "0.95", ("--depth", "3"), 2),
+)
+SWEEPS = (
+    ("sweep_pufr", "pufr", "0,0.5,1,4", (), 0),
+    ("sweep_uniform", "uniform", "0,0.5,1,4", (), 0),
+    ("sweep_unfair", "unfair", "0", (), 0),
+    ("sweep_fastar", "fastar", "0,0.5,0.9", (), 0),
+    ("sweep_constrained", "constrained", "0.5,0.95", ("--depth", "3"), 2),
+)
+
+
+def write_corpus(directory: Path) -> list[str]:
+    for name, text in (("run", RUN), ("sigma", SIGMA), ("neutrality", NEUTRALITY),
+                       ("qrels", QRELS)):
+        (directory / name).write_text(text, encoding="utf-8")
+    return ["--run", str(directory / "run"), "--sigmas", str(directory / "sigma"),
+            "--neutrality", str(directory / "neutrality")]
+
+
+def mask_time(csv: str) -> str:
+    lines = csv.splitlines(keepends=True)
+    column = lines[0].split(",").index("rerank_time_s")
+    masked = [lines[0]]
+    for line in lines[1:]:
+        fields = line.split(",")
+        fields[column] = "*"
+        masked.append(",".join(fields))
+    return "".join(masked)
+
+
+def run_command(directory: Path, kind: str, name: str, method: str, alpha: str,
+                extra: tuple[str, ...]) -> tuple[int, str]:
+    """Run one command on the corpus in ``directory``; returns (exit code, output text)."""
+    corpus = write_corpus(directory)
+    out = directory / name
+    if kind == "rerank":
+        argv = ["rerank", *corpus, "--method", method, "--alpha", alpha, "--tag", method]
+    else:
+        argv = ["sweep", *corpus, "--qrels", str(directory / "qrels"), "--method", method,
+                "--alpha-grid", alpha]
+    code = main([*argv, *extra, "--output", str(out)])
+    text = out.read_bytes().decode("utf-8")
+    return code, text if kind == "rerank" else mask_time(text)
+
+
+CASES = [("rerank", *case) for case in RERANKS] + [("sweep", *case) for case in SWEEPS]
+
+
+@pytest.mark.parametrize("kind,name,method,alpha,extra,exit_code", CASES,
+                         ids=[case[1] for case in CASES])
+def test_output_bytes_are_unchanged(tmp_path, capsys, kind, name, method, alpha, extra,
+                                    exit_code):
+    code, text = run_command(tmp_path, kind, name, method, alpha, extra)
+    assert code == exit_code, capsys.readouterr().err
+    suffix = ".run" if kind == "rerank" else ".csv"
+    assert text == (GOLDEN / (name + suffix)).read_text(encoding="utf-8")

@@ -1,0 +1,163 @@
+"""Property tests of the re-rankers over random queries, against the scalar
+oracles in ``oracles.py``.
+
+The strategies make exact ``mu`` ties, signed zeros, zero sigma, alpha 0
+and -0.0, one-group and one-document queries common. Scores are compared
+as ``float.hex`` so that 0.0 and -0.0 count as different.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import oracles
+from conftest import Row, rows, score_column, score_map
+from pufr import (
+    PufrConfig,
+    ScoredCandidate,
+    adjust_scores,
+    assign_groups,
+    build_query,
+    compute_sigma_mean,
+    pufr_rerank,
+    rank_by_score,
+    unfair_rank,
+    uniform_rerank,
+)
+
+TIED_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5)
+ALPHAS = st.one_of(
+    st.sampled_from((0.0, -0.0, 0.5, 1.0, 3.0)),
+    st.floats(0.0, 10.0, allow_nan=False),
+)
+EXAMPLES = settings(max_examples=300, deadline=None)
+
+
+@st.composite
+def inputs(draw, sigma=None):
+    """Unordered candidate rows for one query: (doc_id, mu, sigma, neutrality)."""
+    doc_ids = draw(st.lists(
+        st.text(alphabet="ab\x00", min_size=1, max_size=3), min_size=1, max_size=8, unique=True,
+    ))
+    mode = draw(st.sampled_from(("mixed", "protected", "non-protected")))
+    neutrality = {
+        "mixed": st.sampled_from((1.0, 0.0, 0.5)),
+        "protected": st.just(1.0),
+        "non-protected": st.sampled_from((0.0, 0.5, 0.99)),
+    }[mode]
+    mus = st.one_of(st.sampled_from(TIED_VALUES), st.floats(-1e3, 1e3, allow_nan=False))
+    sigmas = (
+        st.just(sigma) if sigma is not None
+        else st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0.0, 10.0, allow_nan=False))
+    )
+    return [(d, draw(mus), draw(sigmas), draw(neutrality)) for d in doc_ids]
+
+
+def query_of(items, with_sigma=True):
+    return assign_groups(build_query("q", [
+        ScoredCandidate(doc_id=d, mu=mu, sigma=s if with_sigma else None, neutrality=n)
+        for d, mu, s, n in items
+    ]))
+
+
+def hexed_rows(query):
+    return [(r.doc_id, r.mu.hex()) for r in rows(query)]
+
+
+def group_sequences(ranking, query):
+    protected = {r.doc_id: r.protected for r in rows(query)}
+    ids = ranking.doc_ids()
+    return [d for d in ids if protected[d]], [d for d in ids if not protected[d]]
+
+
+@EXAMPLES
+@given(inputs())
+def test_build_query_order_matches_the_scalar_sort(items):
+    query = query_of(items)
+    expected = oracles.canonical_order([Row(d, mu, s, n, n >= 1.0) for d, mu, s, n in items])
+    assert hexed_rows(query) == [(r.doc_id, r.mu.hex()) for r in expected]
+
+
+@EXAMPLES
+@given(inputs(), ALPHAS, ALPHAS)
+def test_adjust_scores_matches_the_scalar_loop_bit_for_bit(items, alpha_p, alpha_n):
+    query = query_of(items)
+    cfg = PufrConfig(alpha_protected=alpha_p, alpha_nonprotected=alpha_n)
+    expected = oracles.adjust(rows(query), alpha_p, alpha_n)
+    got = score_map(query, adjust_scores(query, cfg))
+    assert {d: s.hex() for d, s in got.items()} == {d: s.hex() for d, s in expected.items()}
+
+
+@EXAMPLES
+@given(inputs(), ALPHAS)
+def test_pufr_and_uniform_rankings_match_the_scalar_oracles(items, alpha):
+    query = query_of(items)
+    cfg = PufrConfig.symmetric(alpha)
+    r = rows(query)
+    expected = oracles.rank_by_score(r, oracles.adjust(r, alpha, alpha))
+    assert oracles.hexed(pufr_rerank(query, cfg).entries) == oracles.hexed(expected)
+    mean = compute_sigma_mean([query])
+    assert mean.hex() == oracles.sigma_mean([r]).hex()
+    expected = oracles.rank_by_score(r, oracles.adjust(r, alpha, alpha, sigma=mean))
+    assert oracles.hexed(uniform_rerank(query, mean, cfg).entries) == oracles.hexed(expected)
+
+
+@EXAMPLES
+@given(inputs(), st.data())
+def test_rank_by_score_matches_the_scalar_sort(items, data):
+    query = query_of(items)
+    scores = {
+        r.doc_id: data.draw(st.sampled_from(TIED_VALUES) | st.floats(-5.0, 5.0))
+        for r in rows(query)
+    }
+    expected = oracles.rank_by_score(rows(query), scores)
+    got = rank_by_score(query, score_column(query, scores))
+    assert oracles.hexed(got.entries) == oracles.hexed(expected)
+
+
+@EXAMPLES
+@given(inputs(), ALPHAS)
+def test_no_swap_within_a_group(items, alpha):
+    query = query_of(items)
+    cfg = PufrConfig.symmetric(alpha)
+    reference = group_sequences(unfair_rank(query), query)
+    assert group_sequences(pufr_rerank(query, cfg), query) == reference
+    assert group_sequences(uniform_rerank(query, 0.7, cfg), query) == reference
+
+
+@EXAMPLES
+@given(inputs(), st.sampled_from((0.0, -0.0)))
+def test_alpha_zero_returns_the_input_order_and_means(items, zero):
+    # Scores equal mu by value. Their zero signs follow IEEE addition and the
+    # clamp's tie rule (a protected -0.0 + 0.0 is 0.0), which the oracle test
+    # above checks bit for bit.
+    query = query_of(items)
+    ranking = pufr_rerank(query, PufrConfig.symmetric(zero))
+    assert ranking.doc_ids() == tuple(r.doc_id for r in rows(query))
+    assert [s for _, s in ranking.entries] == [r.mu for r in rows(query)]
+
+
+@EXAMPLES
+@given(st.floats(0.0, 10.0, allow_nan=False).flatmap(
+    lambda s: st.tuples(st.just(s), inputs(sigma=s))), ALPHAS, ALPHAS)
+def test_uniform_equals_pufr_under_constant_sigma(sigma_and_items, alpha_p, alpha_n):
+    sigma, items = sigma_and_items
+    cfg = PufrConfig(alpha_protected=alpha_p, alpha_nonprotected=alpha_n)
+    with_sigma = query_of(items)
+    bare = query_of(items, with_sigma=False)
+    assert oracles.hexed(uniform_rerank(bare, sigma, cfg).entries) == oracles.hexed(
+        pufr_rerank(with_sigma, cfg).entries
+    )
+
+
+def test_trailing_nul_breaks_a_tie_in_str_order():
+    query = query_of([("a\x00", 1.0, 0.0, 1.0), ("a", 1.0, 0.0, 0.0), ("b", -0.0, 0.0, 1.0),
+                      ("\x00", 0.0, 0.0, 0.0)])
+    assert [r.doc_id for r in rows(query)] == ["a", "a\x00", "\x00", "b"]
+    scores = {"a\x00": 1.0, "a": 1.0, "b": 0.0, "\x00": -0.0}
+    ranking = rank_by_score(query, score_column(query, scores))
+    assert oracles.hexed(ranking.entries) == [
+        ("a", "0x1.0000000000000p+0"), ("a\x00", "0x1.0000000000000p+0"),
+        ("\x00", "-0x0.0p+0"), ("b", "0x0.0p+0"),
+    ]
