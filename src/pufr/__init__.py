@@ -19,7 +19,6 @@ from .baselines import (
     unfair_rank,
 )
 from .core import (
-    GroupLabel,
     QueryCandidates,
     Ranking,
     ScoredCandidate,
@@ -72,7 +71,6 @@ from .uncertainty import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "GroupLabel",
     "ScoredCandidate",
     "QueryCandidates",
     "Ranking",

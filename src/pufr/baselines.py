@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .core import GroupLabel, QueryCandidates, Ranking, ScoredCandidate, rank_by_score
+from .core import QueryCandidates, Ranking, rank_by_score
 from .metrics import ideal_fairr_at_k
 
 DEFAULT_SIGNIFICANCE = 0.1
@@ -31,7 +31,7 @@ _BISECTION_STEPS = 64
 
 def unfair_rank(query: QueryCandidates) -> Ranking:
     """Order purely by predicted mean score; the no-intervention reference."""
-    return rank_by_score(query, {c.doc_id: c.mu for c in query.candidates})
+    return rank_by_score(query, query.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -102,43 +102,33 @@ def fastar_rerank(query: QueryCandidates, table: MTable) -> Ranking:
             f"quota table covers prefixes up to {len(table.required)} but query "
             f"{query.query_id!r} has {n} candidates"
         )
-    for c in query.candidates:
-        if c.group is None:
-            raise ValueError(
-                f"query {query.query_id!r}: candidate {c.doc_id!r} has no group label"
-            )
-    by_mu = sorted(query.candidates, key=lambda c: (-c.mu, c.original_rank))
-    protected = [c for c in by_mu if c.group is GroupLabel.PROTECTED]
-    others = [c for c in by_mu if c.group is GroupLabel.NON_PROTECTED]
+    protected = query.column("protected")
+    mu = query.mu.tolist()
+    protected_queue = np.flatnonzero(protected).tolist()
+    other_queue = np.flatnonzero(~protected).tolist()
 
-    out: list[ScoredCandidate] = []
+    out: list[int] = []
     p_idx = o_idx = 0
-    protected_so_far = 0
-    while p_idx < len(protected) and o_idx < len(others):
-        position = len(out) + 1
-        if protected_so_far < table.min_protected(position):
-            pick_protected = True
-        else:
-            pick_protected = protected[p_idx].mu >= others[o_idx].mu
-        if pick_protected:
-            out.append(protected[p_idx])
+    while p_idx < len(protected_queue) and o_idx < len(other_queue):
+        p, o = protected_queue[p_idx], other_queue[o_idx]
+        if p_idx < table.min_protected(len(out) + 1) or mu[p] >= mu[o]:
+            out.append(p)
             p_idx += 1
-            protected_so_far += 1
         else:
-            out.append(others[o_idx])
+            out.append(o)
             o_idx += 1
-    out.extend(protected[p_idx:])
-    out.extend(others[o_idx:])
-    return _positional_ranking(query.query_id, out)
+    out.extend(protected_queue[p_idx:])
+    out.extend(other_queue[o_idx:])
+    return _positional_ranking(query.query_id, [query.doc_ids[i] for i in out])
 
 
-def _positional_ranking(query_id: str, ordered: Sequence[ScoredCandidate]) -> Ranking:
+def _positional_ranking(query_id: str, doc_ids: Sequence[str]) -> Ranking:
     # Position-based methods produce an order, not scores; encode the
     # order with strictly decreasing synthetic scores n..1.
-    n = len(ordered)
+    n = len(doc_ids)
     return Ranking(
         query_id=query_id,
-        entries=tuple((c.doc_id, float(n - idx)) for idx, c in enumerate(ordered)),
+        entries=tuple((doc_id, float(n - idx)) for idx, doc_id in enumerate(doc_ids)),
     )
 
 
@@ -228,33 +218,26 @@ def constrained_rerank(
     supplied, mean scores min-shifted to be nonnegative within the window
     serve as the gain proxy.
     """
-    docs = query.by_original_rank()
-    depth = min(cfg.depth, len(docs))
-    window = list(docs[:depth])
-    tail = list(docs[depth:])
-    for c in window:
-        if c.neutrality is None:
-            raise ValueError(
-                f"query {query.query_id!r}: candidate {c.doc_id!r} has no neutrality score"
-            )
+    depth = min(cfg.depth, len(query))
+    window = query.doc_ids[:depth]
+    neut_vec = query.column("neutrality")[:depth]
     if gains is None:
-        base = min(c.mu for c in window)
-        gain_vec = np.array([c.mu - base for c in window])
+        base = min(query.mu[:depth].tolist())
+        gain_vec = query.mu[:depth] - base
     else:
-        missing = [c.doc_id for c in window if c.doc_id not in gains]
+        missing = [doc_id for doc_id in window if doc_id not in gains]
         if missing:
             raise ValueError(f"query {query.query_id!r}: no gain for docs {missing}")
-        gain_vec = np.array([float(gains[c.doc_id]) for c in window])
+        gain_vec = np.array([float(gains[doc_id]) for doc_id in window])
         if not np.isfinite(gain_vec).all():
             raise ValueError(f"query {query.query_id!r}: gains must be finite")
-    neut_vec = np.array([c.neutrality for c in window])
     positions = np.arange(depth)
     discounts = 1.0 / np.log2(positions + 2)
     exposures = 1.0 / (positions + 1)
     floor = cfg.alpha_fairness * ideal_fairr_at_k(query, depth)
 
     def finish(order: np.ndarray, feasible: bool, steps: list[BisectionStep]) -> ConstrainedResult:
-        ordered = [window[i] for i in order] + tail
+        ordered = [window[i] for i in order.tolist()] + list(query.doc_ids[depth:])
         return ConstrainedResult(
             ranking=_positional_ranking(query.query_id, ordered),
             feasible=feasible,
@@ -264,9 +247,7 @@ def constrained_rerank(
 
     # Gain-sorted window order solves the lambda = 0 subproblem with the
     # canonical tie-break; if it already meets the floor it is optimal.
-    gain_order = np.array(
-        sorted(range(depth), key=lambda i: (-gain_vec[i], window[i].original_rank))
-    )
+    gain_order = np.argsort(-gain_vec, kind="stable")
     f0 = _window_fairness(neut_vec, gain_order, exposures)
     steps = [
         BisectionStep(
@@ -296,9 +277,7 @@ def constrained_rerank(
     if not feasible_hi:
         # neutrality-descending is the provably fairest window order; if
         # even it misses the floor, no feasible permutation exists
-        fairest = np.array(
-            sorted(range(depth), key=lambda i: (-neut_vec[i], window[i].original_rank))
-        )
+        fairest = np.argsort(-neut_vec, kind="stable")
         if _window_fairness(neut_vec, fairest, exposures) < floor - _FEASIBILITY_TOL:
             return finish(order_hi, False, steps)
         # finite lam_max fell short of the fairest order (near-degenerate

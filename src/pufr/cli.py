@@ -59,6 +59,13 @@ def _cutoffs(text: str) -> tuple[int, ...]:
     return values
 
 
+def _run_tag(text: str) -> str:
+    try:
+        return fileio.check_run_tag(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pufr",
@@ -82,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--tag", default="pufr")
+    p.add_argument("--tag", type=_run_tag, default="pufr")
     p.add_argument("--output", required=True, help="output run file")
 
     p = sub.add_parser("sweep", help="trade-off sweep over an alpha grid")
@@ -112,7 +119,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--posterior", required=True)
     p.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tag", default="laplace")
+    p.add_argument("--tag", type=_run_tag, default="laplace")
     p.add_argument("--output", required=True, help="output run file")
     p.add_argument("--sigma-output", required=True, help="output sigma file")
 
@@ -128,7 +135,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relevance-correlation", type=float, default=0.7)
     p.add_argument("--bias-strength", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tag", default="synth")
+    p.add_argument("--tag", type=_run_tag, default="synth")
 
     p = sub.add_parser("ttest", help="paired t-test between two per-query CSVs")
     p.add_argument("--a", required=True, help="CSV of query_id,value")
@@ -137,15 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_run(path: str) -> list[QueryCandidates]:
-    corpus = fileio.parse_run_file(path)
-    if not corpus:
-        raise ValueError(f"{path}: no data lines")
-    return corpus
-
-
 def _load_corpus(args: argparse.Namespace) -> list[QueryCandidates]:
-    corpus = _read_run(args.run)
+    corpus = fileio.parse_run_file(args.run)
     if args.sigmas:
         corpus = fileio.attach_sigmas(corpus, fileio.parse_sigma_file(args.sigmas))
     elif REGISTRY[args.method].needs_sigma:
@@ -207,7 +207,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_intervals(args: argparse.Namespace) -> int:
-    corpus = fileio.attach_sigmas(_read_run(args.run), fileio.parse_sigma_file(args.sigmas))
+    corpus = fileio.attach_sigmas(
+        fileio.parse_run_file(args.run), fileio.parse_sigma_file(args.sigmas)
+    )
     Path(args.output).write_text(
         report_interval_analysis(corpus, args.alpha_grid), encoding="utf-8"
     )

@@ -1,25 +1,31 @@
 """Shared ranking domain types and canonical sorting.
 
-Candidates carry a predicted mean score ``mu``, an optional predictive
-standard deviation ``sigma``, an optional neutrality score (1 = fully
-neutral document), and a two-way group label. ``original_rank`` is the
-1-based position of a candidate when its query is sorted by ``mu``
-descending; it is assigned once at ingestion and then used as the
-deterministic tie-break for every sort downstream.
+A query is columnar. :class:`QueryCandidates` holds the doc ids as a tuple
+and, aligned with them, read-only float64 columns ``mu`` (predicted mean
+score), ``sigma`` (predictive standard deviation) and ``neutrality`` (1 =
+fully neutral document), plus a bool ``protected`` column for the two-way
+group label. ``sigma``, ``neutrality`` and ``protected`` are None until
+attached. The columns are stored in original-rank order: ``mu``
+descending, exact ties broken by doc id in ``str`` order, so index i is
+original rank i + 1, the deterministic tie-break of every sort downstream.
+The constructor validates every column once, vectorised.
+:class:`ScoredCandidate` is the row form that :func:`build_query` accepts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+import numpy as np
 
-class GroupLabel(Enum):
-    PROTECTED = "protected"
-    NON_PROTECTED = "non_protected"
+_COLUMN_NAMES = {
+    "sigma": "sigma values",
+    "neutrality": "neutrality scores",
+    "protected": "group labels",
+}
 
 
 def check_neutrality(value: float) -> float:
@@ -37,93 +43,127 @@ def check_protected_threshold(value: float) -> float:
 
 @dataclass(frozen=True)
 class ScoredCandidate:
-    """One query-document pair.
-
-    ``original_rank`` 0 marks a candidate whose rank has not been assigned
-    yet; :func:`build_query` replaces it with the canonical 1-based rank.
-    """
+    """One query-document pair in row form, for :func:`build_query`; the
+    values are checked when the query is built."""
 
     doc_id: str
     mu: float
     sigma: float | None = None
     neutrality: float | None = None
-    group: GroupLabel | None = None
-    original_rank: int = 0
 
     def __post_init__(self) -> None:
-        # normalize numpy scalars to builtin floats so repr-based file
-        # round trips stay stable
+        # normalize numpy scalars to builtin floats
         object.__setattr__(self, "mu", float(self.mu))
         if self.sigma is not None:
             object.__setattr__(self, "sigma", float(self.sigma))
         if self.neutrality is not None:
             object.__setattr__(self, "neutrality", float(self.neutrality))
-        object.__setattr__(self, "original_rank", int(self.original_rank))
-        if not math.isfinite(self.mu):
-            raise ValueError(f"candidate {self.doc_id!r}: mu must be finite, got {self.mu!r}")
-        if self.sigma is not None and not (math.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(
-                f"candidate {self.doc_id!r}: sigma must be finite and >= 0, got {self.sigma!r}"
-            )
-        if self.neutrality is not None:
-            try:
-                check_neutrality(self.neutrality)
-            except ValueError as exc:
-                raise ValueError(f"candidate {self.doc_id!r}: {exc}") from None
-        if self.original_rank < 0:
-            raise ValueError(f"candidate {self.doc_id!r}: original_rank must be >= 0")
 
 
-@dataclass(frozen=True)
+def _read_only(values: object, dtype: type, n: int, name: str, query_id: str) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    if column.shape != (n,):
+        raise ValueError(f"query {query_id!r}: {name} has shape {column.shape}, expected ({n},)")
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
 class QueryCandidates:
-    """A query id plus its candidate set; the unit of all per-query work.
+    """A query id plus its candidate columns; the unit of all per-query work.
 
     Neutrality lookups are built on first use and kept with the object;
-    that memo takes no part in equality, hashing or repr."""
+    that memo takes no part in repr."""
 
     query_id: str
-    candidates: tuple[ScoredCandidate, ...]
+    doc_ids: tuple[str, ...]
+    mu: np.ndarray
+    sigma: np.ndarray | None = None
+    neutrality: np.ndarray | None = None
+    protected: np.ndarray | None = None
     _neutrality: tuple[dict[str, float], tuple[float, ...]] | None = field(
-        default=None, init=False, compare=False, repr=False
+        default=None, init=False, repr=False
     )
 
     def __post_init__(self) -> None:
-        if not self.candidates:
+        doc_ids = tuple(self.doc_ids)
+        n = len(doc_ids)
+        if not n:
             raise ValueError(f"query {self.query_id!r}: candidate set is empty")
-        doc_ids = [c.doc_id for c in self.candidates]
-        if len(set(doc_ids)) != len(doc_ids):
+        if len(set(doc_ids)) != n:
             dupes = sorted({d for d in doc_ids if doc_ids.count(d) > 1})
             raise ValueError(f"query {self.query_id!r}: duplicate doc ids {dupes}")
-        ranks = sorted(c.original_rank for c in self.candidates)
-        if ranks != list(range(1, len(self.candidates) + 1)):
+        object.__setattr__(self, "doc_ids", doc_ids)
+        for name in ("mu", "sigma", "neutrality", "protected"):
+            values = getattr(self, name)
+            if values is not None:
+                dtype = bool if name == "protected" else np.float64
+                object.__setattr__(self, name, _read_only(values, dtype, n, name, self.query_id))
+        mu, sigma, neutrality = self.mu, self.sigma, self.neutrality
+        self._require(np.isfinite(mu), mu, "mu must be finite")
+        self._require(
+            np.concatenate(([True], mu[1:] <= mu[:-1])), mu,
+            "mu is above the mu of the candidate before it; columns must be in "
+            "original-rank order",
+        )
+        if sigma is not None:
+            self._require(np.isfinite(sigma) & (sigma >= 0.0), sigma,
+                          "sigma must be finite and >= 0")
+        if neutrality is not None:
+            self._require((neutrality >= 0.0) & (neutrality <= 1.0), neutrality,
+                          "neutrality score must lie in [0, 1]")
+
+    def _require(self, ok: np.ndarray, column: np.ndarray, what: str) -> None:
+        if not ok.all():
+            i = int(np.argmin(ok))
             raise ValueError(
-                f"query {self.query_id!r}: original ranks must be a permutation of "
-                f"1..{len(self.candidates)}, got {ranks}"
+                f"query {self.query_id!r}: candidate {self.doc_ids[i]!r}: {what}, "
+                f"got {float(column[i])!r}"
             )
 
+    @classmethod
+    def ranked(
+        cls,
+        query_id: str,
+        doc_ids: Sequence[str],
+        mu: Sequence[float] | np.ndarray,
+        sigma: Sequence[float] | np.ndarray | None = None,
+        neutrality: Sequence[float] | np.ndarray | None = None,
+    ) -> "QueryCandidates":
+        """Build a query from columns in any order, sorting them into
+        original-rank order. Doc ids are ordered by Python ``str``
+        comparison, since numpy string arrays drop trailing NULs."""
+        mu = np.asarray(mu, dtype=np.float64)
+        by_id = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.intp)
+        order = by_id[np.argsort(-mu[by_id], kind="stable")]
+
+        def arranged(values: object) -> np.ndarray | None:
+            return None if values is None else np.asarray(values, dtype=np.float64)[order]
+
+        return cls(
+            query_id=query_id,
+            doc_ids=tuple(doc_ids[i] for i in order.tolist()),
+            mu=mu[order],
+            sigma=arranged(sigma),
+            neutrality=arranged(neutrality),
+        )
+
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.doc_ids)
 
-    def by_original_rank(self) -> tuple[ScoredCandidate, ...]:
-        return tuple(sorted(self.candidates, key=lambda c: c.original_rank))
-
-    def candidate(self, doc_id: str) -> ScoredCandidate:
-        for c in self.candidates:
-            if c.doc_id == doc_id:
-                return c
-        raise KeyError(f"query {self.query_id!r} has no candidate {doc_id!r}")
+    def column(self, name: str) -> np.ndarray:
+        """The ``sigma``, ``neutrality`` or ``protected`` column; raises
+        ValueError when it has not been attached."""
+        values = getattr(self, name)
+        if values is None:
+            raise ValueError(f"query {self.query_id!r} has no {_COLUMN_NAMES[name]}")
+        return values
 
     def _neutrality_memo(self) -> tuple[dict[str, float], tuple[float, ...]]:
-        if self._neutrality is not None:
-            return self._neutrality
-        out: dict[str, float] = {}
-        for c in self.candidates:
-            if c.neutrality is None:
-                raise ValueError(
-                    f"query {self.query_id!r}: candidate {c.doc_id!r} has no neutrality score"
-                )
-            out[c.doc_id] = c.neutrality
-        object.__setattr__(self, "_neutrality", (out, tuple(sorted(out.values(), reverse=True))))
+        if self._neutrality is None:
+            values = self.column("neutrality").tolist()
+            memo = (dict(zip(self.doc_ids, values)), tuple(sorted(values, reverse=True)))
+            object.__setattr__(self, "_neutrality", memo)
         return self._neutrality
 
     def neutrality_by_doc(self) -> Mapping[str, float]:
@@ -151,52 +191,50 @@ class Ranking:
 
 
 def build_query(query_id: str, candidates: Sequence[ScoredCandidate]) -> QueryCandidates:
-    """Assemble a query, assigning canonical original ranks.
+    """Assemble a query from rows, in original-rank order (see
+    :meth:`QueryCandidates.ranked`). A ``sigma`` or ``neutrality`` column is
+    attached only when every row carries a value for it."""
 
-    Ranks follow ``mu`` descending; exact ``mu`` ties are broken by
-    lexicographic doc id so that the reference ordering is reproducible
-    regardless of input order. Candidates are stored in rank order.
-    """
-    ordered = sorted(candidates, key=lambda c: (-c.mu, c.doc_id))
-    ranked = tuple(replace(c, original_rank=i) for i, c in enumerate(ordered, start=1))
-    return QueryCandidates(query_id=query_id, candidates=ranked)
+    def column(name: str) -> list[float] | None:
+        values = [getattr(c, name) for c in candidates]
+        return None if None in values else values
+
+    return QueryCandidates.ranked(
+        query_id,
+        [c.doc_id for c in candidates],
+        [c.mu for c in candidates],
+        sigma=column("sigma"),
+        neutrality=column("neutrality"),
+    )
 
 
 def assign_groups(query: QueryCandidates, protected_threshold: float = 1.0) -> QueryCandidates:
     """Label candidates: protected iff neutrality >= threshold (default 1.0)."""
     check_protected_threshold(protected_threshold)
-    labelled = []
-    for c in query.candidates:
-        if c.neutrality is None:
-            raise ValueError(
-                f"query {query.query_id!r}: candidate {c.doc_id!r} has no neutrality score"
-            )
-        group = (
-            GroupLabel.PROTECTED
-            if c.neutrality >= protected_threshold
-            else GroupLabel.NON_PROTECTED
-        )
-        labelled.append(replace(c, group=group))
-    return QueryCandidates(query_id=query.query_id, candidates=tuple(labelled))
+    return replace(query, protected=query.column("neutrality") >= protected_threshold)
 
 
-def rank_by_score(query: QueryCandidates, scores: Mapping[str, float]) -> Ranking:
-    """Sort a query's candidates by an effective score map, descending.
+def rank_by_score(query: QueryCandidates, scores: np.ndarray) -> Ranking:
+    """Sort a query's candidates by effective scores aligned with its doc ids,
+    descending.
 
-    Ties fall back to ascending original rank, so re-ranking the same
-    input with the same scores is reproducible and stable.
+    Ties fall back to ascending original rank (a stable sort), so
+    re-ranking the same input with the same scores is reproducible.
     """
-    for c in query.candidates:
-        if c.doc_id not in scores:
-            raise ValueError(f"query {query.query_id!r}: no score for doc {c.doc_id!r}")
-        if not math.isfinite(scores[c.doc_id]):
-            raise ValueError(
-                f"query {query.query_id!r}: non-finite score for doc {c.doc_id!r}"
-            )
-    ordered = sorted(query.candidates, key=lambda c: (-scores[c.doc_id], c.original_rank))
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(query),):
+        raise ValueError(
+            f"query {query.query_id!r}: expected {len(query)} scores, got shape {scores.shape}"
+        )
+    finite = np.isfinite(scores)
+    if not finite.all():
+        doc_id = query.doc_ids[int(np.argmin(finite))]
+        raise ValueError(f"query {query.query_id!r}: non-finite score for doc {doc_id!r}")
+    order = np.argsort(-scores, kind="stable")
+    doc_ids = query.doc_ids
     return Ranking(
         query_id=query.query_id,
-        entries=tuple((c.doc_id, float(scores[c.doc_id])) for c in ordered),
+        entries=tuple(zip([doc_ids[i] for i in order.tolist()], scores[order].tolist())),
     )
 
 

@@ -15,7 +15,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -23,11 +22,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .core import QueryCandidates, Ranking, ScoredCandidate, build_query, check_neutrality
+from .core import QueryCandidates, Ranking, check_neutrality
 from .metrics import RelevanceJudgments
 from .uncertainty import LastLayerPosterior
-
-logger = logging.getLogger(__name__)
 
 
 def _data_lines(path: str | Path) -> Iterable[tuple[int, list[str]]]:
@@ -68,9 +65,10 @@ def parse_run_file(path: str | Path) -> list[QueryCandidates]:
     """Read a retrieval run into per-query candidates (mu filled, sigma absent).
 
     Original ranks are recomputed from the scores; the file's rank column
-    is validated to be a permutation of 1..n within each query.
+    is validated to be a permutation of 1..n within each query. A file with
+    no data lines is an error.
     """
-    rows: dict[str, list[tuple[str, float, int]]] = {}
+    rows: dict[str, tuple[list[str], list[float], list[tuple[int, int]]]] = {}
     seen: set[tuple[str, str]] = set()
     for lineno, fields in _data_lines(path):
         if len(fields) != 6:
@@ -86,24 +84,25 @@ def parse_run_file(path: str | Path) -> list[QueryCandidates]:
         if (query_id, doc_id) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate entry for ({query_id}, {doc_id})")
         seen.add((query_id, doc_id))
-        rows.setdefault(query_id, []).append((doc_id, score, rank, lineno))
+        doc_ids, scores, ranks = rows.setdefault(query_id, ([], [], []))
+        doc_ids.append(doc_id)
+        scores.append(score)
+        ranks.append((rank, lineno))
+    if not rows:
+        raise ValueError(f"{path}: no data lines")
 
     corpus = []
-    for query_id, entries in rows.items():
+    for query_id, (doc_ids, scores, ranks) in rows.items():
         # n distinct ranks within 1..n are a permutation of 1..n
         used: set[int] = set()
-        for _, _, rank, lineno in entries:
-            if rank in used or not 1 <= rank <= len(entries):
+        for rank, lineno in ranks:
+            if rank in used or not 1 <= rank <= len(ranks):
                 raise ValueError(
                     f"{path}:{lineno}: query {query_id!r}: rank {rank} is repeated or outside "
-                    f"1..{len(entries)}, so the rank column is not a permutation"
+                    f"1..{len(ranks)}, so the rank column is not a permutation"
                 )
             used.add(rank)
-        corpus.append(
-            build_query(query_id, [ScoredCandidate(doc_id=d, mu=s) for d, s, _, _ in entries])
-        )
-    if not corpus:
-        logger.warning("run file %s contains no data lines", path)
+        corpus.append(QueryCandidates.ranked(query_id, doc_ids, scores))
     return corpus
 
 
@@ -235,7 +234,7 @@ def parse_posterior_file(path: str | Path) -> LastLayerPosterior:
 def corpus_from_features(features: Mapping[str, Mapping[str, np.ndarray]]) -> list[QueryCandidates]:
     """Skeleton corpus from a feature file: scores to be filled in later."""
     return [
-        build_query(query_id, [ScoredCandidate(doc_id=d, mu=0.0) for d in per_query])
+        QueryCandidates.ranked(query_id, list(per_query), np.zeros(len(per_query)))
         for query_id, per_query in features.items()
     ]
 
@@ -246,13 +245,11 @@ def attach_sigmas(
     """Join sigma values onto a corpus; every pair must be covered."""
     joined = []
     for query in corpus:
-        candidates = []
-        for c in query.candidates:
-            key = (query.query_id, c.doc_id)
-            if key not in sigmas:
-                raise ValueError(f"missing sigma for ({query.query_id}, {c.doc_id})")
-            candidates.append(replace(c, sigma=sigmas[key]))
-        joined.append(QueryCandidates(query_id=query.query_id, candidates=tuple(candidates)))
+        try:
+            column = [sigmas[query.query_id, doc_id] for doc_id in query.doc_ids]
+        except KeyError as exc:
+            raise ValueError(f"missing sigma for ({query.query_id}, {exc.args[0][1]})") from None
+        joined.append(replace(query, sigma=column))
     return joined
 
 
@@ -262,18 +259,23 @@ def attach_neutrality(
     """Join neutrality scores onto a corpus; every ranked doc must be covered."""
     joined = []
     for query in corpus:
-        candidates = []
-        for c in query.candidates:
-            if c.doc_id not in neutrality:
-                raise ValueError(f"missing neutrality for ({query.query_id}, {c.doc_id})")
-            candidates.append(replace(c, neutrality=neutrality[c.doc_id]))
-        joined.append(QueryCandidates(query_id=query.query_id, candidates=tuple(candidates)))
+        try:
+            column = [neutrality[doc_id] for doc_id in query.doc_ids]
+        except KeyError as exc:
+            raise ValueError(f"missing neutrality for ({query.query_id}, {exc.args[0]})") from None
+        joined.append(replace(query, neutrality=column))
     return joined
 
 
-def write_run_file(path: str | Path, rankings: Iterable[Ranking], tag: str = "pufr") -> None:
+def check_run_tag(tag: str) -> str:
+    """A run tag is one whitespace-free field of the run file."""
     if tag.split() != [tag]:
         raise ValueError(f"run tag must be one field without whitespace, got {tag!r}")
+    return tag
+
+
+def write_run_file(path: str | Path, rankings: Iterable[Ranking], tag: str = "pufr") -> None:
+    check_run_tag(tag)
     lines = []
     for ranking in rankings:
         for rank, (doc_id, score) in enumerate(ranking.entries, start=1):
@@ -284,28 +286,20 @@ def write_run_file(path: str | Path, rankings: Iterable[Ranking], tag: str = "pu
 def write_sigma_file(path: str | Path, corpus: Sequence[QueryCandidates]) -> None:
     lines = []
     for query in corpus:
-        for c in query.by_original_rank():
-            if c.sigma is None:
-                raise ValueError(
-                    f"query {query.query_id!r}: candidate {c.doc_id!r} has no sigma"
-                )
-            lines.append(f"{query.query_id} {c.doc_id} {c.sigma!r}")
+        for doc_id, sigma in zip(query.doc_ids, query.column("sigma").tolist()):
+            lines.append(f"{query.query_id} {doc_id} {sigma!r}")
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
 def write_neutrality_file(path: str | Path, corpus: Sequence[QueryCandidates]) -> None:
     values: dict[str, float] = {}
     for query in corpus:
-        for c in query.by_original_rank():
-            if c.neutrality is None:
+        for doc_id, value in zip(query.doc_ids, query.column("neutrality").tolist()):
+            if doc_id in values and values[doc_id] != value:
                 raise ValueError(
-                    f"query {query.query_id!r}: candidate {c.doc_id!r} has no neutrality score"
+                    f"doc {doc_id!r} has conflicting neutrality scores across queries"
                 )
-            if c.doc_id in values and values[c.doc_id] != c.neutrality:
-                raise ValueError(
-                    f"doc {c.doc_id!r} has conflicting neutrality scores across queries"
-                )
-            values[c.doc_id] = c.neutrality
+            values[doc_id] = value
     lines = [f"{doc_id} {value!r}" for doc_id, value in values.items()]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 

@@ -173,13 +173,8 @@ def intersection_counts(query: QueryCandidates, alpha: float) -> list[int]:
     """
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be > 0, got {alpha!r}")
-    docs = query.by_original_rank()
-    missing = [c.doc_id for c in docs if c.sigma is None]
-    if missing:
-        raise ValueError(f"query {query.query_id!r}: candidate {missing[0]!r} has no sigma")
-    mu = np.array([c.mu for c in docs])
-    margin = alpha * np.array([c.sigma for c in docs])
-    lo, hi = mu - margin, mu + margin
+    margin = alpha * query.column("sigma")
+    lo, hi = query.mu - margin, query.mu + margin
     # i overlaps j unless lo_j > hi_i or hi_j < lo_i (never both), and
     # every interval overlaps itself
     starting_by_hi = np.searchsorted(np.sort(lo), hi, side="right")

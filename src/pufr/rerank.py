@@ -15,7 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import GroupLabel, QueryCandidates, Ranking, rank_by_score
+import numpy as np
+
+from .core import QueryCandidates, Ranking, rank_by_score
 
 
 @dataclass(frozen=True)
@@ -38,48 +40,40 @@ class PufrConfig:
         return cls(alpha_protected=alpha, alpha_nonprotected=alpha)
 
 
-def adjust_scores(query: QueryCandidates, cfg: PufrConfig) -> dict[str, float]:
-    """Compute adjusted scores for one query.
+def adjust_scores(query: QueryCandidates, cfg: PufrConfig) -> np.ndarray:
+    """Adjusted scores for one query, aligned with its doc ids.
 
     Protected docs are visited in decreasing mu (ties by original rank)
     and raised within their confidence margin, capped by the running
     minimum of previously adjusted protected scores; non-protected docs
     are visited in increasing mu and lowered, floored by the running
-    maximum from below. With alpha 0 the original means are returned
-    unchanged.
+    maximum from below. With alpha 0 the original means are returned.
     """
-    return _adjust(query, cfg, None)
+    return _adjust(query, cfg, query.column("sigma"))
 
 
-def _adjust(query: QueryCandidates, cfg: PufrConfig, sigma: float | None) -> dict[str, float]:
-    """:func:`adjust_scores`, with every sigma taken as ``sigma`` unless that is None."""
-    for c in query.candidates:
-        if c.group is None:
-            raise ValueError(
-                f"query {query.query_id!r}: candidate {c.doc_id!r} has no group label"
-            )
-        if sigma is None and c.sigma is None:
-            raise ValueError(
-                f"query {query.query_id!r}: candidate {c.doc_id!r} has no sigma"
-            )
-    by_mu_desc = sorted(query.candidates, key=lambda c: (-c.mu, c.original_rank))
-    adjusted: dict[str, float] = {}
-
-    running_min = math.inf
-    for c in by_mu_desc:
-        if c.group is GroupLabel.PROTECTED:
-            raw = c.mu + cfg.alpha_protected * (c.sigma if sigma is None else sigma)
-            running_min = min(running_min, raw)
-            adjusted[c.doc_id] = running_min
-
-    running_max = -math.inf
-    for c in reversed(by_mu_desc):
-        if c.group is GroupLabel.NON_PROTECTED:
-            raw = c.mu - cfg.alpha_nonprotected * (c.sigma if sigma is None else sigma)
-            running_max = max(running_max, raw)
-            adjusted[c.doc_id] = running_max
-
+def _adjust(query: QueryCandidates, cfg: PufrConfig, sigma: np.ndarray | float) -> np.ndarray:
+    """:func:`adjust_scores` with ``sigma`` per candidate, or one value for all."""
+    protected = query.column("protected")
+    raised = query.mu + cfg.alpha_protected * sigma
+    lowered = query.mu - cfg.alpha_nonprotected * sigma
+    adjusted = np.empty(len(query))
+    adjusted[protected] = _clamp(raised[protected], lowest=True)
+    adjusted[~protected] = _clamp(lowered[~protected][::-1], lowest=False)[::-1]
     return adjusted
+
+
+def _clamp(raw: np.ndarray, lowest: bool) -> np.ndarray:
+    """Running minimum (``lowest``) or maximum of ``raw``. Like Python's min
+    and max, and unlike numpy's accumulate, it keeps the earlier of two equal
+    values, so a tied zero keeps the sign seen first."""
+    if not raw.size:
+        return raw
+    best = (np.minimum if lowest else np.maximum).accumulate(raw)
+    improved = np.empty(raw.size, dtype=bool)
+    improved[0] = True
+    improved[1:] = raw[1:] < best[:-1] if lowest else raw[1:] > best[:-1]
+    return raw[np.maximum.accumulate(np.where(improved, np.arange(raw.size), 0))]
 
 
 def pufr_rerank(query: QueryCandidates, cfg: PufrConfig) -> Ranking:
@@ -89,19 +83,13 @@ def pufr_rerank(query: QueryCandidates, cfg: PufrConfig) -> Ranking:
 
 def compute_sigma_mean(corpus: Iterable[QueryCandidates]) -> float:
     """Arithmetic mean of sigma over every (query, candidate) pair."""
-    total = 0.0
-    count = 0
-    for query in corpus:
-        for c in query.candidates:
-            if c.sigma is None:
-                raise ValueError(
-                    f"query {query.query_id!r}: candidate {c.doc_id!r} has no sigma"
-                )
-            total += c.sigma
-            count += 1
-    if count == 0:
+    columns = [query.column("sigma") for query in corpus]
+    if not columns:
         raise ValueError("cannot compute a sigma mean over an empty corpus")
-    return total / count
+    # summed left to right from 0.0 as a loop would: np.sum's pairwise order
+    # changes the last bits, and with them every uniform score
+    total = np.add.accumulate(np.concatenate([[0.0], *columns]))[-1]
+    return float(total) / sum(len(column) for column in columns)
 
 
 def uniform_rerank(query: QueryCandidates, sigma_mean: float, cfg: PufrConfig) -> Ranking:

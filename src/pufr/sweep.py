@@ -178,10 +178,10 @@ def run_sweep(
     if not corpus:
         raise ValueError("corpus is empty")
     for query in corpus:
-        query.neutrality_by_doc()  # metrics need neutrality everywhere
+        query.column("neutrality")  # metrics need neutrality everywhere
     method = REGISTRY[cfg.method]
-    has_sigmas = all(c.sigma is not None for q in corpus for c in q.candidates)
-    has_groups = all(c.group is not None for q in corpus for c in q.candidates)
+    has_sigmas = all(q.sigma is not None for q in corpus)
+    has_groups = all(q.protected is not None for q in corpus)
     if method.needs_sigma and not has_sigmas:
         raise ValueError(f"method {cfg.method!r} needs sigma on every candidate")
     if method.needs_groups and not has_groups:

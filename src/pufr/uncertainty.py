@@ -196,16 +196,14 @@ def score_query(
     candidates, so per-candidate scores are comparable draws of the same
     model; original ranks are recomputed from the new means.
     """
-    for c in query.candidates:
-        if c.doc_id not in features:
-            raise ValueError(
-                f"query {query.query_id!r}: no feature vector for doc {c.doc_id!r}"
-            )
+    for doc_id in query.doc_ids:
+        if doc_id not in features:
+            raise ValueError(f"query {query.query_id!r}: no feature vector for doc {doc_id!r}")
     samples = sample_last_layers(
         posterior, replace(cfg, seed=derive_query_seed(cfg.seed, query.query_id))
     )
     rescored: list[ScoredCandidate] = []
-    for c in query.candidates:
-        dist = predictive_moments(samples, features[c.doc_id])
-        rescored.append(replace(c, mu=dist.mu, sigma=dist.sigma, original_rank=0))
+    for doc_id in query.doc_ids:
+        dist = predictive_moments(samples, features[doc_id])
+        rescored.append(ScoredCandidate(doc_id=doc_id, mu=dist.mu, sigma=dist.sigma))
     return build_query(query.query_id, rescored)

@@ -6,7 +6,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from pufr import GroupLabel, QueryCandidates, ScoredCandidate, assign_groups, build_query
+from pufr import QueryCandidates, ScoredCandidate, assign_groups, build_query
 
 
 def make_query(
@@ -46,8 +46,16 @@ def random_query(
     return make_query(mus, sigmas, neutralities, query_id=query_id)
 
 
-def groups_of(query: QueryCandidates) -> dict[str, GroupLabel]:
-    return {c.doc_id: c.group for c in query.candidates}
+def groups_of(query: QueryCandidates) -> dict[str, bool]:
+    """Doc id -> whether the doc is protected."""
+    return dict(zip(query.doc_ids, query.column("protected").tolist()))
+
+
+def query_key(query: QueryCandidates) -> tuple:
+    """Everything a query holds, floats as ``float.hex`` so that signed zeros differ."""
+    return query.query_id, [
+        tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows(query)
+    ]
 
 
 Row = namedtuple("Row", "doc_id mu sigma neutrality protected")
@@ -55,18 +63,23 @@ Row = namedtuple("Row", "doc_id mu sigma neutrality protected")
 
 def rows(query: QueryCandidates) -> list[Row]:
     """The query's candidates in original-rank order, as plain rows."""
+    n = len(query)
+
+    def column(values):
+        return [None] * n if values is None else values.tolist()
+
     return [
-        Row(c.doc_id, c.mu, c.sigma, c.neutrality,
-            None if c.group is None else c.group is GroupLabel.PROTECTED)
-        for c in query.by_original_rank()
+        Row(*row)
+        for row in zip(query.doc_ids, query.mu.tolist(), column(query.sigma),
+                       column(query.neutrality), column(query.protected))
     ]
 
 
 def score_map(query: QueryCandidates, scores) -> dict[str, float]:
     """A score result of ``adjust_scores`` as doc id -> score."""
-    return dict(scores)
+    return dict(zip(query.doc_ids, scores.tolist()))
 
 
 def score_column(query: QueryCandidates, mapping):
     """A doc id -> score mapping in the form ``rank_by_score`` takes."""
-    return dict(mapping)
+    return np.array([mapping[doc_id] for doc_id in query.doc_ids])

@@ -14,7 +14,6 @@ from scipy import stats
 
 from pufr import (
     ConstraintConfig,
-    GroupLabel,
     McConfig,
     PufrConfig,
     Ranking,
@@ -44,7 +43,7 @@ from pufr import (
 )
 from pufr import fileio
 
-from conftest import make_query
+from conftest import groups_of, make_query, rows
 
 
 def check(criterion: str, ok: bool, detail: str = "") -> None:
@@ -73,10 +72,10 @@ def random_corpus(rng, n_queries, max_docs=50):
 
 
 def group_sequences(ranking, query):
-    groups = {c.doc_id: c.group for c in query.candidates}
+    protected = groups_of(query)
     return (
-        [d for d in ranking.doc_ids() if groups[d] is GroupLabel.PROTECTED],
-        [d for d in ranking.doc_ids() if groups[d] is GroupLabel.NON_PROTECTED],
+        [d for d in ranking.doc_ids() if protected[d]],
+        [d for d in ranking.doc_ids() if not protected[d]],
     )
 
 
@@ -131,7 +130,7 @@ def test_criterion_2_intra_group_preservation(thousand_query_sweep):
 def test_criterion_3_fairness_monotonicity(thousand_query_sweep):
     corpus, rankings, _ = thousand_query_sweep
     sigma_mean = float(
-        np.mean([c.sigma for q in corpus for c in q.candidates])
+        np.mean([c.sigma for q in corpus for c in rows(q)])
     )
     violations = 0
     for idx, q in enumerate(corpus):
@@ -153,10 +152,10 @@ def test_criterion_3_fairness_monotonicity(thousand_query_sweep):
 
 
 def oracle_pufr_order(query, alpha):
-    by_mu = sorted(query.candidates, key=lambda c: (-c.mu, c.original_rank))
+    by_mu = sorted(rows(query), key=lambda c: -c.mu)  # stable: ties keep original rank
     adjusted = {}
-    protected = [c for c in by_mu if c.group is GroupLabel.PROTECTED]
-    others = [c for c in by_mu if c.group is GroupLabel.NON_PROTECTED]
+    protected = [c for c in by_mu if c.protected]
+    others = [c for c in by_mu if not c.protected]
     if protected:
         raw = np.array([c.mu + alpha * c.sigma for c in protected])
         for c, v in zip(protected, np.minimum.accumulate(raw)):
@@ -165,7 +164,7 @@ def oracle_pufr_order(query, alpha):
         raw = np.array([c.mu - alpha * c.sigma for c in others])
         for c, v in zip(others, np.maximum.accumulate(raw[::-1])[::-1]):
             adjusted[c.doc_id] = float(v)
-    ranks = {c.doc_id: c.original_rank for c in query.candidates}
+    ranks = {doc_id: rank for rank, doc_id in enumerate(query.doc_ids, start=1)}
     ordered = sorted(adjusted, key=lambda d: (-adjusted[d], ranks[d]))
     return tuple(ordered)
 
@@ -205,26 +204,26 @@ def test_criterion_4_brute_force_oracles():
         # prefix-quota method vs exhaustive feasible-utility-max search
         p = float(rng.choice([0.2, 0.5, 0.8]))
         table = compute_m_table(n, p, 0.1)
-        total_protected = sum(c.group is GroupLabel.PROTECTED for c in q.candidates)
+        total_protected = int(q.protected.sum())
 
         def feasible(groups_in_order):
             count = 0
             for k, g in enumerate(groups_in_order, start=1):
-                count += g is GroupLabel.PROTECTED
+                count += g
                 if count < min(table.required[k - 1], total_protected):
                     return False
             return True
 
         ranking = fastar_rerank(q, table)
-        groups = {c.doc_id: c.group for c in q.candidates}
-        mus = {c.doc_id: c.mu for c in q.candidates}
+        groups = groups_of(q)
+        mus = dict(zip(q.doc_ids, q.mu.tolist()))
         if not feasible([groups[d] for d in ranking.doc_ids()]):
             fastar_bad += 1
         else:
             best = max(
                 discounted_utility([c.mu for c in perm])
-                for perm in itertools.permutations(q.candidates)
-                if feasible([c.group for c in perm])
+                for perm in itertools.permutations(rows(q))
+                if feasible([c.protected for c in perm])
             )
             achieved = discounted_utility([mus[d] for d in ranking.doc_ids()])
             if abs(achieved - best) > 1e-9:
@@ -235,14 +234,14 @@ def test_criterion_4_brute_force_oracles():
         result = constrained_rerank(q, ConstraintConfig(alpha_fairness=alpha_fair, depth=n))
         if result.feasible:
             constrained_checked += 1
-            base = min(c.mu for c in q.candidates)
-            gains = {c.doc_id: c.mu - base for c in q.candidates}
-            neut = {c.doc_id: c.neutrality for c in q.candidates}
+            base = min(q.mu.tolist())
+            gains = {c.doc_id: c.mu - base for c in rows(q)}
+            neut = q.neutrality_by_doc()
             achieved = discounted_utility([gains[d] for d in result.ranking.doc_ids()])
             best = max(
                 (
                     discounted_utility([gains[c.doc_id] for c in perm])
-                    for perm in itertools.permutations(q.candidates)
+                    for perm in itertools.permutations(rows(q))
                     if exposure_fairness([neut[c.doc_id] for c in perm])
                     >= result.floor - 1e-9
                 ),

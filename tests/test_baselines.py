@@ -7,7 +7,6 @@ from scipy.stats import binom
 
 from pufr import (
     ConstraintConfig,
-    GroupLabel,
     MTable,
     ScoredCandidate,
     build_query,
@@ -18,7 +17,7 @@ from pufr import (
     unfair_rank,
 )
 
-from conftest import make_query, random_query
+from conftest import groups_of, make_query, random_query, rows
 
 
 def discounted_utility(gains_in_order):
@@ -96,7 +95,7 @@ class TestMTable:
 def fastar_feasible(order_groups, required, total_protected):
     count = 0
     for k, group in enumerate(order_groups, start=1):
-        count += group is GroupLabel.PROTECTED
+        count += group
         if count < min(required[k - 1], total_protected):
             return False
     return True
@@ -135,18 +134,16 @@ class TestFastarRerank:
             p = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
             table = compute_m_table(n, p, 0.1)
             ranking = fastar_rerank(q, table)
-            groups = {c.doc_id: c.group for c in q.candidates}
-            mus = {c.doc_id: c.mu for c in q.candidates}
-            total_protected = sum(
-                1 for c in q.candidates if c.group is GroupLabel.PROTECTED
-            )
+            groups = groups_of(q)
+            mus = dict(zip(q.doc_ids, q.mu.tolist()))
+            total_protected = int(q.protected.sum())
             out_groups = [groups[d] for d in ranking.doc_ids()]
             assert fastar_feasible(out_groups, table.required, total_protected)
             # exhaustive search over feasible permutations
             best = None
-            for perm in itertools.permutations(q.candidates):
+            for perm in itertools.permutations(rows(q)):
                 if not fastar_feasible(
-                    [c.group for c in perm], table.required, total_protected
+                    [c.protected for c in perm], table.required, total_protected
                 ):
                     continue
                 utility = discounted_utility([c.mu for c in perm])
@@ -188,7 +185,7 @@ class TestHungarianAssign:
 
 def brute_force_constrained(query, depth, floor):
     """Exhaustive search over window permutations: best feasible utility."""
-    window = query.by_original_rank()[:depth]
+    window = rows(query)[:depth]
     base = min(c.mu for c in window)
     best = None
     for perm in itertools.permutations(window):
@@ -226,7 +223,7 @@ class TestConstrainedRerank:
             if not result.feasible:
                 continue
             checked += 1
-            window = q.by_original_rank()[:depth]
+            window = rows(q)[:depth]
             base = min(c.mu for c in window)
             gains = {c.doc_id: c.mu - base for c in window}
             achieved = discounted_utility(
@@ -252,7 +249,7 @@ class TestConstrainedRerank:
         for i in range(40):
             q = random_query(rng, n_min=3, n_max=9, query_id=f"q{i}")
             depth = len(q)
-            window = q.by_original_rank()
+            window = rows(q)
             base = min(c.mu for c in window)
             gains = {c.doc_id: c.mu - base for c in window}
             neut = {c.doc_id: c.neutrality for c in window}
@@ -287,7 +284,7 @@ class TestConstrainedRerank:
         depth = 4
         result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.8, depth=depth))
         docs = result.ranking.doc_ids()
-        expected_tail = tuple(c.doc_id for c in q.by_original_rank()[depth:])
+        expected_tail = tuple(c.doc_id for c in rows(q)[depth:])
         assert docs[depth:] == expected_tail
         scores = [score for _, score in result.ranking.entries]
         assert scores == sorted(scores, reverse=True)

@@ -1,0 +1,56 @@
+"""The functions the benchmark traces exist in the program.
+
+``bench/workloads.py::EXPECTED_CALLS`` names each function a traced
+benchmark run must call, as ``layer.function``; ``bench/tracer.py`` wraps
+them from outside the program. This test reads both files, without running
+the benchmark, and checks that every name resolves to a function of its
+``pufr.<layer>`` module, so a refactor that renames or removes one fails
+here instead of only in the slower ``bench/smoke.py``.
+"""
+
+from __future__ import annotations
+
+import importlib
+import inspect
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def bench_module(name: str):
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+EXPECTED_CALLS = tuple(bench_module("workloads").EXPECTED_CALLS)
+TRACER = bench_module("tracer")
+
+
+def resolve(layer: str, attr: str, cls_name: str | None = None):
+    owner = importlib.import_module(f"pufr.{layer}")
+    if cls_name is not None:
+        owner = getattr(owner, cls_name)
+    return inspect.getattr_static(owner, attr, None)
+
+
+@pytest.mark.parametrize("name", EXPECTED_CALLS)
+def test_every_expected_call_is_a_function_of_its_layer(name):
+    if name in TRACER.METHODS:
+        layer, cls_name, method = TRACER.METHODS[name]
+        assert inspect.isfunction(resolve(layer, method, cls_name))
+        return
+    layer, attr = name.split(".")
+    fn = resolve(layer, attr)
+    assert inspect.isfunction(fn), f"pufr.{layer} has no function {attr!r}"
+    assert fn.__module__ == f"pufr.{layer}", f"{name} is imported, not defined, there"
+
+
+def test_the_candidate_counter_has_its_hook():
+    layer, cls_name, method = TRACER.CANDIDATE_INIT
+    assert inspect.isfunction(resolve(layer, method, cls_name))

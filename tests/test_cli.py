@@ -18,6 +18,8 @@ from pufr import fileio
 from pufr.baselines import DEFAULT_DEPTH
 from pufr.cli import main
 
+from conftest import rows
+
 
 @pytest.fixture()
 def fixture_dir(tmp_path):
@@ -196,8 +198,9 @@ class TestSharedValidation:
 
 
 class TestRunTag:
-    """A tag that is not one whitespace-free field is refused, and no run file
-    is written, since a reader could not split the lines back into 6 fields."""
+    """A tag that is not one whitespace-free field is refused while the
+    arguments are parsed, before any file is read or written, since a reader
+    could not split the lines back into 6 fields."""
 
     @pytest.mark.parametrize("tag", ["", "my tag"])
     def test_rerank(self, fixture_dir, tmp_path, capsys, tag):
@@ -227,8 +230,19 @@ class TestRunTag:
         out = tmp_path / "fix"
         assert main(["synth", "--output", str(out), "--queries", "2", "--candidates", "3",
                      "--tag", tag]) == 1
-        assert "tag" in capsys.readouterr().err
-        assert not (out / "fixture.run").exists()
+        assert "argument --tag: run tag must be one field" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rerank_reports_the_tag_before_a_missing_run(self, tmp_path, capsys):
+        out = tmp_path / "o.run"
+        assert main([
+            "rerank", "--neutrality", str(tmp_path / "absent"), "--method", "unfair",
+            "--tag", "a b", "--output", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert "argument --tag: run tag must be one field without whitespace, got 'a b'" in err
+        assert "required" not in err
+        assert not out.exists()
 
 
 class TestEmptyRunFile:
@@ -242,7 +256,7 @@ class TestEmptyRunFile:
 
     @pytest.mark.parametrize("method", ["pufr", "uniform", "unfair", "fastar", "constrained"])
     def test_rerank_rejects_it_naming_the_file(
-        self, fixture_dir, tmp_path, capsys, empty_run, method
+        self, fixture_dir, tmp_path, capsys, caplog, empty_run, method
     ):
         paths = fixture_paths(fixture_dir)
         out = tmp_path / "out.run"
@@ -251,7 +265,8 @@ class TestEmptyRunFile:
             "--neutrality", str(paths["neutrality"]), "--method", method,
             "--alpha", "0.5", "--output", str(out),
         ]) == 1
-        assert f"error: {empty_run}: no data lines\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {empty_run}: no data lines\n"
+        assert not caplog.records  # reported once, not also logged
         assert not out.exists()
 
     def test_sweep_rejects_it_naming_the_file(self, fixture_dir, tmp_path, capsys, empty_run):
@@ -261,7 +276,7 @@ class TestEmptyRunFile:
             "--neutrality", str(paths["neutrality"]), "--qrels", str(paths["qrels"]),
             "--method", "pufr", "--alpha-grid", "0,1", "--output", str(tmp_path / "o.csv"),
         ]) == 1
-        assert f"error: {empty_run}: no data lines\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {empty_run}: no data lines\n"
 
     def test_intervals_rejects_it_naming_the_file(self, fixture_dir, tmp_path, capsys, empty_run):
         paths = fixture_paths(fixture_dir)
@@ -269,7 +284,7 @@ class TestEmptyRunFile:
             "intervals", "--run", str(empty_run), "--sigmas", str(paths["sigma"]),
             "--output", str(tmp_path / "o.csv"),
         ]) == 1
-        assert f"error: {empty_run}: no data lines\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {empty_run}: no data lines\n"
 
 
 class TestSweepCommand:
@@ -366,7 +381,7 @@ class TestLaplaceCommand:
         posterior = fileio.parse_posterior_file(posterior_path)
         n = 6000
         for q in corpus:
-            for c in q.candidates:
+            for c in rows(q):
                 exact = analytic_predictive(posterior, feature_map[q.query_id][c.doc_id])
                 assert c.mu == pytest.approx(exact.mu, abs=5 * exact.sigma / np.sqrt(n))
                 assert c.sigma == pytest.approx(

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pufr import (
-    GroupLabel,
     QueryCandidates,
     ScoredCandidate,
     assign_groups,
@@ -10,23 +9,30 @@ from pufr import (
     rank_by_score,
 )
 
-from conftest import make_query
+from conftest import make_query, rows, score_column
 
 
 class TestScoredCandidate:
+    # rows are checked when build_query turns them into columns
+
     def test_rejects_negative_sigma(self):
-        with pytest.raises(ValueError, match="sigma"):
-            ScoredCandidate(doc_id="d", mu=1.0, sigma=-0.1)
+        with pytest.raises(ValueError, match="'d': sigma"):
+            build_query("q", [ScoredCandidate(doc_id="d", mu=1.0, sigma=-0.1)])
 
     def test_rejects_out_of_range_neutrality(self):
-        with pytest.raises(ValueError, match="neutrality"):
-            ScoredCandidate(doc_id="d", mu=1.0, neutrality=1.5)
-        with pytest.raises(ValueError, match="neutrality"):
-            ScoredCandidate(doc_id="d", mu=1.0, neutrality=-0.01)
+        with pytest.raises(ValueError, match="'d': neutrality"):
+            build_query("q", [ScoredCandidate(doc_id="d", mu=1.0, neutrality=1.5)])
+        with pytest.raises(ValueError, match="'d': neutrality"):
+            build_query("q", [ScoredCandidate(doc_id="d", mu=1.0, neutrality=-0.01)])
 
     def test_rejects_non_finite_mu(self):
-        with pytest.raises(ValueError, match="mu"):
-            ScoredCandidate(doc_id="d", mu=float("nan"))
+        with pytest.raises(ValueError, match="'d': mu"):
+            build_query("q", [ScoredCandidate(doc_id="d", mu=float("nan"))])
+
+    def test_names_the_first_bad_candidate(self):
+        with pytest.raises(ValueError, match="'b': sigma must be finite and >= 0, got -1.0"):
+            build_query("q", [ScoredCandidate(doc_id=d, mu=1.0, sigma=s)
+                              for d, s in (("a", 0.5), ("b", -1.0), ("c", -2.0))])
 
     def test_coerces_numpy_scalars(self):
         c = ScoredCandidate(doc_id="d", mu=np.float64(1.5), sigma=np.float64(0.5))
@@ -36,30 +42,33 @@ class TestScoredCandidate:
 class TestQueryCandidates:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
-            QueryCandidates(query_id="q", candidates=())
+            QueryCandidates(query_id="q", doc_ids=(), mu=[])
 
     def test_rejects_duplicate_doc_ids(self):
-        cands = (
-            ScoredCandidate(doc_id="d", mu=1.0, original_rank=1),
-            ScoredCandidate(doc_id="d", mu=0.5, original_rank=2),
-        )
         with pytest.raises(ValueError, match="duplicate"):
-            QueryCandidates(query_id="q", candidates=cands)
+            QueryCandidates(query_id="q", doc_ids=("d", "d"), mu=[1.0, 0.5])
 
-    def test_rejects_bad_rank_permutation(self):
-        cands = (
-            ScoredCandidate(doc_id="a", mu=1.0, original_rank=1),
-            ScoredCandidate(doc_id="b", mu=0.5, original_rank=3),
-        )
-        with pytest.raises(ValueError, match="permutation"):
-            QueryCandidates(query_id="q", candidates=cands)
+    def test_rejects_columns_out_of_rank_order(self):
+        with pytest.raises(ValueError, match="'b'.*original-rank order"):
+            QueryCandidates(query_id="q", doc_ids=("a", "b"), mu=[0.5, 1.0])
 
-    def test_neutrality_memo_leaves_equality_hash_and_repr_alone(self):
+    def test_rejects_a_column_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match=r"sigma has shape \(1,\), expected \(2,\)"):
+            QueryCandidates(query_id="q", doc_ids=("a", "b"), mu=[1.0, 0.5], sigma=[0.1])
+
+    def test_columns_are_read_only_copies(self):
+        mu = np.array([2.0, 1.0])
+        q = QueryCandidates(query_id="q", doc_ids=("a", "b"), mu=mu)
+        mu[0] = 5.0
+        assert q.mu.tolist() == [2.0, 1.0] and q.mu.dtype == np.float64
+        with pytest.raises(ValueError):
+            q.mu[0] = 3.0
+
+    def test_neutrality_memo_leaves_repr_alone(self):
         a = make_query([2.0, 1.0, 0.5], [0.1, 0.2, 0.3], [1.0, 0.25, 0.5])
         b = make_query([2.0, 1.0, 0.5], [0.1, 0.2, 0.3], [1.0, 0.25, 0.5])
         a.neutrality_by_doc()
-        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
-        assert len({a, b}) == 1
+        assert repr(a) == repr(b)
 
     def test_neutrality_by_doc_is_read_only(self):
         q = make_query([2.0, 1.0], [0.1, 0.2], [1.0, 0.25])
@@ -76,8 +85,15 @@ class TestQueryCandidates:
     def test_missing_neutrality_raises_on_every_call(self):
         q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0)])
         for _ in range(2):
-            with pytest.raises(ValueError, match="'d' has no neutrality"):
+            with pytest.raises(ValueError, match="'q' has no neutrality"):
                 q.neutrality_by_doc()
+
+    def test_a_column_is_attached_only_when_every_row_has_it(self):
+        q = build_query("q", [ScoredCandidate(doc_id="a", mu=1.0, sigma=0.5),
+                              ScoredCandidate(doc_id="b", mu=0.5)])
+        assert q.sigma is None
+        with pytest.raises(ValueError, match="'q' has no sigma"):
+            q.column("sigma")
 
 
 class TestBuildQuery:
@@ -90,8 +106,8 @@ class TestBuildQuery:
                 ScoredCandidate(doc_id="c", mu=2.0),
             ],
         )
-        ranks = {c.doc_id: c.original_rank for c in q.candidates}
-        assert ranks == {"b": 1, "c": 2, "a": 3}
+        assert q.doc_ids == ("b", "c", "a")
+        assert q.mu.tolist() == [3.0, 2.0, 1.0]
 
     def test_mu_ties_break_by_doc_id(self):
         q = build_query(
@@ -101,23 +117,22 @@ class TestBuildQuery:
                 ScoredCandidate(doc_id="a", mu=1.0),
             ],
         )
-        ranks = {c.doc_id: c.original_rank for c in q.candidates}
-        assert ranks == {"a": 1, "z": 2}
+        assert q.doc_ids == ("a", "z")
 
 
 class TestAssignGroups:
     def test_neutrality_one_is_protected_at_default_threshold(self):
         q = make_query([1.0], neutralities=[1.0])
-        assert q.candidates[0].group is GroupLabel.PROTECTED
+        assert q.protected.tolist() == [True]
 
     def test_neutrality_zero_is_not_protected(self):
         q = make_query([1.0], neutralities=[0.0])
-        assert q.candidates[0].group is GroupLabel.NON_PROTECTED
+        assert q.protected.tolist() == [False]
 
     def test_softer_threshold(self):
         q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0, neutrality=0.95)])
         q = assign_groups(q, protected_threshold=0.9)
-        assert q.candidates[0].group is GroupLabel.PROTECTED
+        assert q.protected.tolist() == [True]
 
     def test_partition_is_total(self):
         rng = np.random.default_rng(0)
@@ -132,9 +147,8 @@ class TestAssignGroups:
                 ],
             )
             q = assign_groups(q, protected_threshold=0.5)
-            protected = sum(c.group is GroupLabel.PROTECTED for c in q.candidates)
-            non = sum(c.group is GroupLabel.NON_PROTECTED for c in q.candidates)
-            assert protected + non == n
+            assert q.protected.dtype == bool and len(q.protected) == n
+            assert q.protected.tolist() == [v >= 0.5 for v in q.neutrality.tolist()]
 
     def test_missing_neutrality_is_an_error(self):
         q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0)])
@@ -152,28 +166,28 @@ class TestAssignGroups:
 class TestRankByScore:
     def test_two_distinct_scores(self):
         q = make_query([2.0, 1.0], doc_ids=["A", "B"])
-        ranking = rank_by_score(q, {"A": 2.0, "B": 1.0})
+        ranking = rank_by_score(q, np.array([2.0, 1.0]))
         assert ranking.doc_ids() == ("A", "B")
 
     def test_tie_falls_back_to_original_rank(self):
-        q = make_query([2.0, 1.0], doc_ids=["A", "B"])  # A has original_rank 1
-        ranking = rank_by_score(q, {"A": 1.0, "B": 1.0})
+        q = make_query([2.0, 1.0], doc_ids=["A", "B"])  # A has original rank 1
+        ranking = rank_by_score(q, np.array([1.0, 1.0]))
         assert ranking.doc_ids() == ("A", "B")
 
     def test_full_sort(self):
         q = make_query([1.0, 3.0, 2.0], doc_ids=["A", "B", "C"])
-        ranking = rank_by_score(q, {"A": 1.0, "B": 3.0, "C": 2.0})
+        ranking = rank_by_score(q, score_column(q, {"A": 1.0, "B": 3.0, "C": 2.0}))
         assert ranking.doc_ids() == ("B", "C", "A")
 
-    def test_missing_score_names_the_doc(self):
+    def test_score_count_must_match_the_query(self):
         q = make_query([1.0, 2.0], doc_ids=["A", "B"])
-        with pytest.raises(ValueError, match="'B'"):
-            rank_by_score(q, {"A": 1.0})
+        with pytest.raises(ValueError, match=r"expected 2 scores, got shape \(1,\)"):
+            rank_by_score(q, np.array([1.0]))
 
     def test_non_finite_score_rejected(self):
-        q = make_query([1.0], doc_ids=["A"])
-        with pytest.raises(ValueError, match="finite"):
-            rank_by_score(q, {"A": float("inf")})
+        q = make_query([2.0, 1.0], doc_ids=["A", "B"])
+        with pytest.raises(ValueError, match="non-finite score for doc 'B'"):
+            rank_by_score(q, np.array([1.0, float("inf")]))
 
     def test_idempotent_reranking(self):
         rng = np.random.default_rng(1)
@@ -181,24 +195,23 @@ class TestRankByScore:
             n = int(rng.integers(1, 15))
             q = make_query(rng.normal(size=n))
             scores = {f"d{i + 1}": float(rng.choice([0.0, 1.0, 2.0])) for i in range(n)}
-            first = rank_by_score(q, scores)
-            # feed the produced order back in as the candidate order
-            reordered = QueryCandidates(
-                query_id=q.query_id,
-                candidates=tuple(q.candidate(doc_id) for doc_id in first.doc_ids()),
+            first = rank_by_score(q, score_column(q, scores))
+            # the ranking read back as a query is a fixed point of the same scores
+            again = QueryCandidates(
+                query_id=q.query_id, doc_ids=first.doc_ids(), mu=[s for _, s in first.entries]
             )
-            assert rank_by_score(reordered, scores) == first
+            assert rank_by_score(again, score_column(again, scores)) == first
 
     def test_deterministic_under_input_permutation(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
             n = int(rng.integers(2, 12))
-            q = make_query(rng.normal(size=n))
-            scores = {f"d{i + 1}": float(rng.choice([0.5, 1.5])) for i in range(n)}
-            baseline = rank_by_score(q, scores)
+            mus = rng.normal(size=n)
+            doc_ids = [f"d{i + 1}" for i in range(n)]
+            q = make_query(mus, doc_ids=doc_ids)
+            scores = {d: float(rng.choice([0.5, 1.5])) for d in doc_ids}
+            baseline = rank_by_score(q, score_column(q, scores))
             perm = rng.permutation(n)
-            shuffled = QueryCandidates(
-                query_id=q.query_id,
-                candidates=tuple(q.candidates[i] for i in perm),
-            )
-            assert rank_by_score(shuffled, scores) == baseline
+            shuffled = make_query(mus[perm], doc_ids=[doc_ids[i] for i in perm])
+            assert rows(shuffled) == rows(q)
+            assert rank_by_score(shuffled, score_column(shuffled, scores)) == baseline

@@ -20,7 +20,7 @@ from pufr import (
     paired_t_test,
 )
 
-from conftest import make_query
+from conftest import make_query, rows
 
 
 def ranking_of(query_id, doc_ids):
@@ -51,7 +51,7 @@ def scalar_ndcg(ranking, grades, k):
 def scalar_intersection_counts(query, alpha):
     """O(n^2) oracle: compare every pair of closed intervals
     [mu - alpha*sigma, mu + alpha*sigma], in original-rank order."""
-    bounds = [(c.mu - alpha * c.sigma, c.mu + alpha * c.sigma) for c in query.by_original_rank()]
+    bounds = [(c.mu - alpha * c.sigma, c.mu + alpha * c.sigma) for c in rows(query)]
     counts = []
     for i, (lo_i, hi_i) in enumerate(bounds):
         counts.append(sum(
@@ -166,9 +166,7 @@ class TestNfairr:
             n = int(rng.integers(1, 10))
             neutralities = rng.random(n)
             q = make_query(rng.normal(size=n), neutralities=neutralities)
-            by_neutrality = sorted(
-                q.candidates, key=lambda c: (-c.neutrality, c.original_rank)
-            )
+            by_neutrality = sorted(rows(q), key=lambda c: -c.neutrality)  # stable
             ranking = ranking_of("q", [c.doc_id for c in by_neutrality])
             for k in range(1, n + 3):
                 if ideal_fairr_at_k(q, k) > 0:
@@ -191,7 +189,7 @@ class TestNfairr:
         for _ in range(40):
             n = int(rng.integers(1, 10))
             q = make_query(rng.normal(size=n), neutralities=rng.random(n))
-            order = list(rng.permutation([c.doc_id for c in q.candidates]))
+            order = list(rng.permutation(q.doc_ids))
             value = nfairr_at_k(ranking_of("q", order), q, int(rng.integers(1, 12)))
             assert 0.0 <= value <= 1.0 + 1e-12
 

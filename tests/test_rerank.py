@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pufr import (
-    GroupLabel,
     PufrConfig,
     adjust_scores,
     assign_groups,
@@ -16,16 +15,16 @@ from pufr import (
     ScoredCandidate,
 )
 
-from conftest import make_query, random_query
+from conftest import groups_of, make_query, random_query, rows, score_map
 
 
 def oracle_adjusted(query, cfg):
     """Independent formulation of the clamped adjustment: the protected
     scores are the prefix minimum of mu + alpha*sigma taken in mu-descending
     order, the non-protected ones the suffix maximum of mu - alpha*sigma."""
-    by_mu = sorted(query.candidates, key=lambda c: (-c.mu, c.original_rank))
-    protected = [c for c in by_mu if c.group is GroupLabel.PROTECTED]
-    others = [c for c in by_mu if c.group is GroupLabel.NON_PROTECTED]
+    by_mu = sorted(rows(query), key=lambda c: -c.mu)  # stable: ties keep original rank
+    protected = [c for c in by_mu if c.protected]
+    others = [c for c in by_mu if not c.protected]
     out = {}
     if protected:
         raw = np.array([c.mu + cfg.alpha_protected * c.sigma for c in protected])
@@ -39,9 +38,9 @@ def oracle_adjusted(query, cfg):
 
 
 def group_sequences(ranking, query):
-    groups = {c.doc_id: c.group for c in query.candidates}
-    protected = [d for d in ranking.doc_ids() if groups[d] is GroupLabel.PROTECTED]
-    others = [d for d in ranking.doc_ids() if groups[d] is GroupLabel.NON_PROTECTED]
+    groups = groups_of(query)
+    protected = [d for d in ranking.doc_ids() if groups[d]]
+    others = [d for d in ranking.doc_ids() if not groups[d]]
     return protected, others
 
 
@@ -49,7 +48,7 @@ class TestAdjustScores:
     def test_three_doc_hand_case(self):
         q = make_query([5.0, 3.0, 2.5], [0.2, 0.4, 0.6], [0.0, 0.0, 1.0],
                        doc_ids=["D1", "D2", "D3"])
-        adjusted = adjust_scores(q, PufrConfig.symmetric(1.0))
+        adjusted = score_map(q, adjust_scores(q, PufrConfig.symmetric(1.0)))
         assert adjusted["D1"] == pytest.approx(4.8, abs=1e-12)
         assert adjusted["D2"] == pytest.approx(2.6, abs=1e-12)
         assert adjusted["D3"] == pytest.approx(3.1, abs=1e-12)
@@ -59,12 +58,11 @@ class TestAdjustScores:
         for i in range(25):
             q = random_query(rng, query_id=f"q{i}")
             adjusted = adjust_scores(q, PufrConfig.symmetric(0.0))
-            for c in q.candidates:
-                assert adjusted[c.doc_id] == c.mu
+            assert adjusted.tolist() == q.mu.tolist()
 
     def test_protected_clamp_produces_tie_resolved_by_rank(self):
         q = make_query([4.0, 3.9], [0.1, 1.0], [1.0, 1.0], doc_ids=["P1", "P2"])
-        adjusted = adjust_scores(q, PufrConfig.symmetric(1.0))
+        adjusted = score_map(q, adjust_scores(q, PufrConfig.symmetric(1.0)))
         assert adjusted["P1"] == pytest.approx(4.1, abs=1e-12)
         assert adjusted["P2"] == pytest.approx(4.1, abs=1e-12)
         assert pufr_rerank(q, PufrConfig.symmetric(1.0)).doc_ids() == ("P1", "P2")
@@ -77,9 +75,9 @@ class TestAdjustScores:
     def test_missing_sigma_is_an_error(self):
         q = build_query(
             "q",
-            [ScoredCandidate(doc_id="d", mu=1.0, neutrality=1.0, group=GroupLabel.PROTECTED,
-                             original_rank=0)],
+            [ScoredCandidate(doc_id="d", mu=1.0, neutrality=1.0)],
         )
+        q = assign_groups(q)
         with pytest.raises(ValueError, match="sigma"):
             adjust_scores(q, PufrConfig.symmetric(1.0))
 
@@ -90,17 +88,17 @@ class TestAdjustScores:
         for i in range(150):
             q = random_query(rng, n_min=1, n_max=6, query_id=f"q{i}")
             for cfg in cfgs:
-                assert adjust_scores(q, cfg) == oracle_adjusted(q, cfg)
+                assert score_map(q, adjust_scores(q, cfg)) == oracle_adjusted(q, cfg)
 
     def test_adjustment_is_one_sided_and_bounded(self):
         rng = np.random.default_rng(41)
         for i in range(60):
             q = random_query(rng, query_id=f"q{i}")
             for alpha in (0.5, 1.0, 4.0):
-                adjusted = adjust_scores(q, PufrConfig.symmetric(alpha))
-                for c in q.candidates:
+                adjusted = score_map(q, adjust_scores(q, PufrConfig.symmetric(alpha)))
+                for c in rows(q):
                     delta = adjusted[c.doc_id] - c.mu
-                    if c.group is GroupLabel.PROTECTED:
+                    if c.protected:
                         assert -1e-9 <= delta <= alpha * c.sigma * (1 + 1e-12) + 1e-12
                     else:
                         assert -alpha * c.sigma * (1 + 1e-12) - 1e-12 <= delta <= 1e-9
@@ -110,10 +108,10 @@ class TestAdjustScores:
         grid = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
         for i in range(40):
             q = random_query(rng, query_id=f"q{i}")
-            per_alpha = [adjust_scores(q, PufrConfig.symmetric(a)) for a in grid]
-            for c in q.candidates:
+            per_alpha = [score_map(q, adjust_scores(q, PufrConfig.symmetric(a))) for a in grid]
+            for c in rows(q):
                 series = [adj[c.doc_id] for adj in per_alpha]
-                if c.group is GroupLabel.PROTECTED:
+                if c.protected:
                     assert all(a <= b for a, b in zip(series, series[1:]))
                 else:
                     assert all(a >= b for a, b in zip(series, series[1:]))
@@ -145,16 +143,16 @@ class TestPufrRerank:
         rng = np.random.default_rng(53)
         for i in range(25):
             q = random_query(rng, n_min=2, n_max=12, query_id=f"q{i}")
-            sigmas_positive = all(c.sigma > 0 for c in q.candidates)
+            sigmas_positive = bool((q.sigma > 0).all())
             if not sigmas_positive:
                 continue
             ranking = pufr_rerank(q, PufrConfig.symmetric(1e9))
-            groups = {c.doc_id: c.group for c in q.candidates}
+            groups = groups_of(q)
             labels = [groups[d] for d in ranking.doc_ids()]
             # every protected doc must come before every non-protected one
             seen_non = False
             for label in labels:
-                if label is GroupLabel.NON_PROTECTED:
+                if not label:
                     seen_non = True
                 else:
                     assert not seen_non
@@ -176,15 +174,15 @@ class TestPufrRerank:
         grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
         for i in range(30):
             q = random_query(rng, n_min=2, n_max=12, query_id=f"q{i}")
-            groups = {c.doc_id: c.group for c in q.candidates}
+            groups = groups_of(q)
             positions_per_alpha = []
             for alpha in grid:
                 ranking = pufr_rerank(q, PufrConfig.symmetric(alpha))
                 positions_per_alpha.append(
                     {d: pos for pos, d in enumerate(ranking.doc_ids())}
                 )
-            protected = [d for d, g in groups.items() if g is GroupLabel.PROTECTED]
-            others = [d for d, g in groups.items() if g is GroupLabel.NON_PROTECTED]
+            protected = [d for d, g in groups.items() if g]
+            others = [d for d, g in groups.items() if not g]
             for p in protected:
                 for o in others:
                     above = [pos[p] < pos[o] for pos in positions_per_alpha]
@@ -265,7 +263,7 @@ class TestUniformRerank:
         with_sigma = make_query(mus, [0.6] * 4, neutralities, doc_ids=["d0", "d1", "d2", "d3"])
         cfg = PufrConfig.symmetric(1.25)
         assert uniform_rerank(bare, 0.6, cfg) == pufr_rerank(with_sigma, cfg)
-        with pytest.raises(ValueError, match="'d0' has no sigma"):
+        with pytest.raises(ValueError, match="'q' has no sigma"):
             adjust_scores(bare, cfg)
 
     def test_negative_sigma_mean_rejected(self):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -84,17 +86,7 @@ class TestRunSweep:
 
     def test_missing_sigma_fails_before_any_work(self):
         corpus, judgments = biased_corpus(seed=9, n_queries=4)
-        run_path_corpus = [
-            q.__class__(
-                query_id=q.query_id,
-                candidates=tuple(
-                    type(c)(doc_id=c.doc_id, mu=c.mu, sigma=None, neutrality=c.neutrality,
-                            group=c.group, original_rank=c.original_rank)
-                    for c in q.candidates
-                ),
-            )
-            for q in corpus
-        ]
+        run_path_corpus = [dataclasses.replace(q, sigma=None) for q in corpus]
         with pytest.raises(ValueError, match="sigma"):
             run_sweep(run_path_corpus, judgments, SweepConfig("pufr", (1.0,)))
 

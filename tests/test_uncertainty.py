@@ -14,6 +14,8 @@ from pufr import (
     squared_error_gradients,
 )
 
+from conftest import query_key, rows
+
 
 def posterior(theta, fisher, damping=0.0):
     return LastLayerPosterior(
@@ -195,7 +197,7 @@ class TestScoreQuery:
         scored = score_query(
             post, self._query(["a"]), {"a": np.array([1.0])}, McConfig(n_samples=500, seed=0)
         )
-        c = scored.candidates[0]
+        (c,) = rows(scored)
         assert c.mu == pytest.approx(2.0, abs=1e-4)
         assert c.sigma == pytest.approx(0.0, abs=1e-4)
 
@@ -203,7 +205,7 @@ class TestScoreQuery:
         post = posterior([1.0, -1.0], [2.0, 2.0])
         features = {"a": np.array([0.5, 0.25]), "b": np.array([0.5, 0.25])}
         scored = score_query(post, self._query(["a", "b"]), features, McConfig(256, seed=1))
-        a, b = scored.candidate("a"), scored.candidate("b")
+        a, b = sorted(rows(scored), key=lambda c: c.doc_id)
         assert (a.mu, a.sigma) == (b.mu, b.sigma)
 
     def test_sigma_close_to_closed_form(self):
@@ -212,7 +214,7 @@ class TestScoreQuery:
         features = {f"d{i}": rng.normal(size=5) for i in range(6)}
         n = 4000
         scored = score_query(post, self._query(list(features)), features, McConfig(n, seed=2))
-        for c in scored.candidates:
+        for c in rows(scored):
             exact = analytic_predictive(post, features[c.doc_id])
             # sampling error of sigma is about sigma/sqrt(2N)
             assert abs(c.sigma - exact.sigma) <= 3.0 * exact.sigma / np.sqrt(2 * n)
@@ -222,8 +224,7 @@ class TestScoreQuery:
         post = posterior([1.0], [1e9])
         features = {"low": np.array([1.0]), "high": np.array([5.0])}
         scored = score_query(post, self._query(["low", "high"]), features, McConfig(64, seed=3))
-        assert scored.candidate("high").original_rank == 1
-        assert scored.candidate("low").original_rank == 2
+        assert scored.doc_ids == ("high", "low")
 
     def test_missing_feature_rejected(self):
         post = posterior([1.0], [1.0])
@@ -237,7 +238,7 @@ class TestScoreQuery:
         cfg = McConfig(128, seed=21)
         first = score_query(post, self._query(list(features)), features, cfg)
         second = score_query(post, self._query(list(features)), features, cfg)
-        assert first == second
+        assert query_key(first) == query_key(second)
 
 
 class TestMonteCarloConvergence:
