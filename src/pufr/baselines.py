@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -119,17 +119,14 @@ def fastar_rerank(query: QueryCandidates, table: MTable) -> Ranking:
             o_idx += 1
     out.extend(protected_queue[p_idx:])
     out.extend(other_queue[o_idx:])
-    return _positional_ranking(query.query_id, [query.doc_ids[i] for i in out])
+    return _positional_ranking(query, np.array(out, dtype=np.intp))
 
 
-def _positional_ranking(query_id: str, doc_ids: Sequence[str]) -> Ranking:
+def _positional_ranking(query: QueryCandidates, order: np.ndarray) -> Ranking:
     # Position-based methods produce an order, not scores; encode the
     # order with strictly decreasing synthetic scores n..1.
-    n = len(doc_ids)
-    return Ranking(
-        query_id=query_id,
-        entries=tuple((doc_id, float(n - idx)) for idx, doc_id in enumerate(doc_ids)),
-    )
+    n = len(order)
+    return Ranking(query, order, np.arange(n, 0, -1, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +141,6 @@ class ConstraintConfig:
 
     alpha_fairness: float
     depth: int = DEFAULT_DEPTH
-    exact_window: int = DEFAULT_EXACT_WINDOW
-    max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.alpha_fairness <= 1.0:
@@ -154,10 +149,6 @@ class ConstraintConfig:
             )
         if self.depth < 1:
             raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.exact_window < 0:
-            raise ValueError(f"exact_window must be >= 0, got {self.exact_window}")
-        if self.max_nodes < 1:
-            raise ValueError(f"max_nodes must be >= 1, got {self.max_nodes}")
 
 
 @dataclass(frozen=True)
@@ -237,9 +228,9 @@ def constrained_rerank(
     floor = cfg.alpha_fairness * ideal_fairr_at_k(query, depth)
 
     def finish(order: np.ndarray, feasible: bool, steps: list[BisectionStep]) -> ConstrainedResult:
-        ordered = [window[i] for i in order.tolist()] + list(query.doc_ids[depth:])
+        full_order = np.concatenate((order, np.arange(depth, len(query))))
         return ConstrainedResult(
-            ranking=_positional_ranking(query.query_id, ordered),
+            ranking=_positional_ranking(query, full_order),
             feasible=feasible,
             floor=floor,
             steps=tuple(steps),
@@ -305,10 +296,9 @@ def constrained_rerank(
     # Any feasible order satisfies U <= max_pi B_lam(pi) - lam*floor; when
     # that bound already meets the incumbent the bisection solution is
     # provably optimal, otherwise a bounded search closes the gap.
-    if depth <= cfg.exact_window and cert_total - cert_lam * floor > best_u + 1e-12:
+    if depth <= DEFAULT_EXACT_WINDOW and cert_total - cert_lam * floor > best_u + 1e-12:
         best_order = _close_gap(
-            gain_vec, neut_vec, discounts, exposures, floor, cert_lam,
-            best_u, best_order, cfg.max_nodes,
+            gain_vec, neut_vec, discounts, exposures, floor, cert_lam, best_u, best_order
         )
     return finish(best_order, True, steps)
 
@@ -322,7 +312,6 @@ def _close_gap(
     lam: float,
     incumbent_u: float,
     incumbent_order: np.ndarray,
-    max_nodes: int,
 ) -> np.ndarray:
     """Depth-first search over prefix assignments with Lagrangian pruning.
 
@@ -340,7 +329,7 @@ def _close_gap(
 
     def search(prefix: list[int], used: set[int], u_pre: float, f_pre: float, b_pre: float) -> None:
         nonlocal best_u, best_order, nodes
-        if nodes >= max_nodes:
+        if nodes >= DEFAULT_MAX_NODES:
             return
         nodes += 1
         k = len(prefix)

@@ -1,10 +1,10 @@
 """Command-line surface of the toolkit.
 
 Subcommands: ``rerank`` (one method, one alpha, emits a run file),
-``sweep`` (emits a trade-off CSV), ``intervals`` (per-rank interval
+``sweep`` (emits a trade-off CSV whose t/p columns hold the paired t-test
+against the reference method), ``intervals`` (per-rank interval
 intersection CSV), ``laplace`` (features + posterior to run and sigma
-files), ``synth`` (writes a full fixture corpus), and ``ttest`` (paired
-t-test between two per-query CSVs).
+files), and ``synth`` (writes a full fixture corpus).
 
 Exit codes: 0 on success; 1 on usage or parse errors, including a run
 file with no data lines; 2 when a re-ranking could not meet its fairness
@@ -20,8 +20,7 @@ from typing import Sequence
 
 from . import fileio
 from .baselines import DEFAULT_DEPTH, unfair_rank
-from .core import QueryCandidates, assign_groups
-from .metrics import paired_t_test
+from .core import QueryCandidates, assign_groups, check_protected_threshold
 from .sweep import (
     METHODS,
     REGISTRY,
@@ -66,6 +65,13 @@ def _run_tag(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _protected_threshold(text: str) -> float:
+    try:
+        return check_protected_threshold(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pufr",
@@ -79,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--neutrality", required=True, help="neutrality score file")
         p.add_argument(
             "--protected-threshold",
-            type=float,
+            type=_protected_threshold,
             default=1.0,
             help="neutrality at or above this value marks a doc protected (default 1.0)",
         )
@@ -136,10 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bias-strength", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tag", type=_run_tag, default="synth")
-
-    p = sub.add_parser("ttest", help="paired t-test between two per-query CSVs")
-    p.add_argument("--a", required=True, help="CSV of query_id,value")
-    p.add_argument("--b", required=True, help="CSV of query_id,value")
 
     return parser
 
@@ -217,6 +219,7 @@ def _cmd_intervals(args: argparse.Namespace) -> int:
 
 
 def _cmd_laplace(args: argparse.Namespace) -> int:
+    cfg = McConfig(n_samples=args.mc_samples, seed=args.seed)
     features = fileio.parse_features_file(args.features)
     if not features:
         raise ValueError(f"{args.features}: no feature rows")
@@ -227,7 +230,6 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
             f"{args.features} has feature dimension {feature_dim} but "
             f"{args.posterior} has posterior dimension {posterior.dim}"
         )
-    cfg = McConfig(n_samples=args.mc_samples, seed=args.seed)
     corpus = fileio.corpus_from_features(features)
     scored = [score_query(posterior, q, features[q.query_id], cfg) for q in corpus]
     fileio.write_run_file(args.output, [unfair_rank(q) for q in scored], tag=args.tag)
@@ -259,50 +261,12 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _read_per_query_csv(path: str) -> dict[str, float]:
-    values: dict[str, float] = {}
-    text = Path(path).read_text(encoding="utf-8")
-    data_lines = 0
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        data_lines += 1
-        parts = [p.strip() for p in stripped.split(",")]
-        if len(parts) != 2:
-            raise ValueError(f"{path}:{lineno}: expected 'query_id,value'")
-        try:
-            value = float(parts[1])
-        except ValueError:
-            if data_lines == 1:
-                continue  # header row
-            raise ValueError(f"{path}:{lineno}: value is not a number: {parts[1]!r}") from None
-        if parts[0] in values:
-            raise ValueError(f"{path}:{lineno}: duplicate query id {parts[0]!r}")
-        values[parts[0]] = value
-    if not values:
-        raise ValueError(f"{path}: no per-query values")
-    return values
-
-
-def _cmd_ttest(args: argparse.Namespace) -> int:
-    a = _read_per_query_csv(args.a)
-    b = _read_per_query_csv(args.b)
-    result = paired_t_test(a, b)
-    print(
-        f"t={result.t_statistic:.6g} df={result.degrees_of_freedom} "
-        f"p={result.p_value:.6g}"
-    )
-    return EXIT_OK
-
-
 _COMMANDS = {
     "rerank": _cmd_rerank,
     "sweep": _cmd_sweep,
     "intervals": _cmd_intervals,
     "laplace": _cmd_laplace,
     "synth": _cmd_synth,
-    "ttest": _cmd_ttest,
 }
 
 

@@ -10,14 +10,18 @@ descending, exact ties broken by doc id in ``str`` order, so index i is
 original rank i + 1, the deterministic tie-break of every sort downstream.
 The constructor validates every column once, vectorised.
 :class:`ScoredCandidate` is the row form that :func:`build_query` accepts.
+
+A :class:`Ranking` is an order over its query's columns: ``order[i]`` is
+the column index of the document at rank i + 1 and ``scores[i]`` its
+effective score, so metrics read the query's columns at ``order`` instead
+of looking documents up by id.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from types import MappingProxyType
-from typing import Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -70,10 +74,7 @@ def _read_only(values: object, dtype: type, n: int, name: str, query_id: str) ->
 
 @dataclass(frozen=True, eq=False)
 class QueryCandidates:
-    """A query id plus its candidate columns; the unit of all per-query work.
-
-    Neutrality lookups are built on first use and kept with the object;
-    that memo takes no part in repr."""
+    """A query id plus its candidate columns; the unit of all per-query work."""
 
     query_id: str
     doc_ids: tuple[str, ...]
@@ -81,9 +82,6 @@ class QueryCandidates:
     sigma: np.ndarray | None = None
     neutrality: np.ndarray | None = None
     protected: np.ndarray | None = None
-    _neutrality: tuple[dict[str, float], tuple[float, ...]] | None = field(
-        default=None, init=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         doc_ids = tuple(self.doc_ids)
@@ -159,35 +157,26 @@ class QueryCandidates:
             raise ValueError(f"query {self.query_id!r} has no {_COLUMN_NAMES[name]}")
         return values
 
-    def _neutrality_memo(self) -> tuple[dict[str, float], tuple[float, ...]]:
-        if self._neutrality is None:
-            values = self.column("neutrality").tolist()
-            memo = (dict(zip(self.doc_ids, values)), tuple(sorted(values, reverse=True)))
-            object.__setattr__(self, "_neutrality", memo)
-        return self._neutrality
 
-    def neutrality_by_doc(self) -> Mapping[str, float]:
-        """Read-only doc id -> neutrality score mapping."""
-        return MappingProxyType(self._neutrality_memo()[0])
-
-    def neutrality_descending(self) -> tuple[float, ...]:
-        """Every candidate's neutrality score, largest first."""
-        return self._neutrality_memo()[1]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ranking:
-    """An ordered result list: (doc_id, effective_score) sorted by score
-    descending, score ties resolved by ascending original rank."""
+    """An ordered result list over a query's columns: ``order`` holds column
+    indices by rank and ``scores`` the effective scores in that order, score
+    descending with ties resolved by ascending original rank."""
 
-    query_id: str
-    entries: tuple[tuple[str, float], ...]
+    query: QueryCandidates
+    order: np.ndarray
+    scores: np.ndarray
+
+    @property
+    def query_id(self) -> str:
+        return self.query.query_id
 
     def doc_ids(self) -> tuple[str, ...]:
-        return tuple(doc_id for doc_id, _ in self.entries)
+        return tuple(map(self.query.doc_ids.__getitem__, self.order.tolist()))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.order)
 
 
 def build_query(query_id: str, candidates: Sequence[ScoredCandidate]) -> QueryCandidates:
@@ -231,11 +220,7 @@ def rank_by_score(query: QueryCandidates, scores: np.ndarray) -> Ranking:
         doc_id = query.doc_ids[int(np.argmin(finite))]
         raise ValueError(f"query {query.query_id!r}: non-finite score for doc {doc_id!r}")
     order = np.argsort(-scores, kind="stable")
-    doc_ids = query.doc_ids
-    return Ranking(
-        query_id=query.query_id,
-        entries=tuple(zip([doc_ids[i] for i in order.tolist()], scores[order].tolist())),
-    )
+    return Ranking(query, order, scores[order])
 
 
 Corpus = Sequence[QueryCandidates]

@@ -278,7 +278,8 @@ def write_run_file(path: str | Path, rankings: Iterable[Ranking], tag: str = "pu
     check_run_tag(tag)
     lines = []
     for ranking in rankings:
-        for rank, (doc_id, score) in enumerate(ranking.entries, start=1):
+        entries = zip(ranking.doc_ids(), ranking.scores.tolist())
+        for rank, (doc_id, score) in enumerate(entries, start=1):
             lines.append(f"{ranking.query_id} Q0 {doc_id} {rank} {score!r} {tag}")
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 

@@ -91,24 +91,26 @@ def ndcg_at_k(ranking: Ranking, judgments: RelevanceJudgments, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
+    query_id, doc_ids = ranking.query_id, ranking.query.doc_ids
     dcg = 0.0
-    for position, (doc_id, _) in enumerate(ranking.entries[:k], start=1):
-        dcg += judgments.grade(ranking.query_id, doc_id) / _discount(position)
-    idcg = judgments.ideal_dcg(ranking.query_id, k)
+    for position, i in enumerate(ranking.order[:k].tolist(), start=1):
+        dcg += judgments.grade(query_id, doc_ids[i]) / _discount(position)
+    idcg = judgments.ideal_dcg(query_id, k)
     if idcg == 0.0:
         return 0.0
     return dcg / idcg
 
 
-def fairr_at_k(ranking: Ranking, neutrality: Mapping[str, float], k: int) -> float:
+def fairr_at_k(ranking: Ranking, k: int) -> float:
     """Rank-discounted neutrality mass of the top-k: sum of n_d / rank."""
     if k < 1:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
+    values = ranking.query.column("neutrality")[ranking.order[:k]].tolist()
+    # summed left to right from 0.0 and divided, not multiplied by 1/rank:
+    # np.sum's pairwise order or a reciprocal would change the last bits
     total = 0.0
-    for rank, (doc_id, _) in enumerate(ranking.entries[:k], start=1):
-        if doc_id not in neutrality:
-            raise ValueError(f"no neutrality score for ranked doc {doc_id!r}")
-        total += neutrality[doc_id] / rank
+    for rank, value in enumerate(values, start=1):
+        total += value / rank
     return total
 
 
@@ -120,17 +122,17 @@ def ideal_fairr_at_k(query: QueryCandidates, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
-    values = query.neutrality_descending()
-    return sum(value / rank for rank, value in enumerate(values[:k], start=1))
+    values = np.sort(query.column("neutrality"))[::-1][:k].tolist()
+    return sum(value / rank for rank, value in enumerate(values, start=1))
 
 
-def nfairr_at_k(ranking: Ranking, query: QueryCandidates, k: int) -> float:
+def nfairr_at_k(ranking: Ranking, k: int) -> float:
     """FaiRR@k normalized by the pool's ideal; 1 when the ideal is 0
     (an all-biased pool cannot be improved)."""
-    ideal = ideal_fairr_at_k(query, k)
+    ideal = ideal_fairr_at_k(ranking.query, k)
     if ideal == 0.0:
         return 1.0
-    return fairr_at_k(ranking, query.neutrality_by_doc(), k) / ideal
+    return fairr_at_k(ranking, k) / ideal
 
 
 def paired_t_test(a: Mapping[str, float], b: Mapping[str, float]) -> TTestResult:

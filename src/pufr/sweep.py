@@ -8,7 +8,7 @@ import math
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .baselines import (
     DEFAULT_DEPTH,
@@ -49,6 +49,8 @@ class Method:
         for alpha in alphas:
             if not math.isfinite(alpha):
                 raise ValueError(f"alpha values must be finite, got {alpha!r}")
+            if alpha < 0.0:
+                raise ValueError(f"alpha values must be >= 0, got {alpha!r}")
             if self.unit_alpha and not 0.0 <= alpha <= 1.0:
                 raise ValueError(f"method {self.name!r} needs alpha values in [0, 1]")
         if depth < 1:
@@ -126,16 +128,17 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class TradeoffRecord:
-    """One sweep row: metric means, mean per-query re-rank seconds, and
-    paired t-tests against the reference method per metric label."""
+    """One sweep row: metric means, mean per-query re-rank seconds, and the
+    paired t-test of nFaiRR at the smallest fairness cutoff against the
+    reference method (nan for a single-query corpus)."""
 
     method: str
     alpha: float
     ndcg: Mapping[int, float]
     nfairr: Mapping[int, float]
     mean_rerank_seconds: float
-    t_vs_reference: Mapping[str, float]
-    p_vs_reference: Mapping[str, float]
+    t_stat: float
+    p_value: float
 
 
 @dataclass(frozen=True)
@@ -144,22 +147,8 @@ class SweepResult:
     infeasible_queries: int
 
 
-def _evaluate(
-    rankings: Mapping[str, Ranking],
-    corpus: Sequence[QueryCandidates],
-    judgments: RelevanceJudgments,
-    cfg: SweepConfig,
-) -> dict[str, MetricReport]:
-    reports: dict[str, MetricReport] = {}
-    for k in cfg.cutoffs_utility:
-        reports[f"ndcg_cut_{k}"] = MetricReport.from_values(
-            {q.query_id: ndcg_at_k(rankings[q.query_id], judgments, k) for q in corpus}
-        )
-    for k in cfg.cutoffs_fairness:
-        reports[f"nfairr{k}"] = MetricReport.from_values(
-            {q.query_id: nfairr_at_k(rankings[q.query_id], q, k) for q in corpus}
-        )
-    return reports
+def _per_query(metric: Callable[[Ranking], float], rankings: Iterable[Ranking]) -> dict[str, float]:
+    return {ranking.query_id: metric(ranking) for ranking in rankings}
 
 
 def run_sweep(
@@ -171,9 +160,10 @@ def run_sweep(
 
     Per (method, alpha): every query is re-ranked (wall-clock timed per
     query, parsing and evaluation excluded), metrics are evaluated at the
-    configured cutoffs, and each metric is t-tested against the reference
-    method: the uncertainty-aware re-ranker at the same alpha where that
-    is possible, the plain score ordering otherwise.
+    configured cutoffs, and nFaiRR at the smallest fairness cutoff is
+    t-tested against the reference method: the uncertainty-aware re-ranker
+    at the same alpha where that is possible, the plain score ordering
+    otherwise.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -190,54 +180,50 @@ def run_sweep(
     alphas = (0.0,) if cfg.method == "unfair" else cfg.alpha_grid
     rerank_at = method.prepare(corpus, cfg.depth)
     pufr_reference_ok = cfg.method not in ("pufr", "unfair") and has_sigmas and has_groups
-
-    unfair_rankings = {q.query_id: unfair_rank(q) for q in corpus}
-    unfair_reports = _evaluate(unfair_rankings, corpus, judgments, cfg)
+    tested_k = min(cfg.cutoffs_fairness)
+    tested = partial(nfairr_at_k, k=tested_k)
+    unfair_reference = None if pufr_reference_ok else _per_query(tested, map(unfair_rank, corpus))
 
     records = []
     infeasible_total = 0
     for alpha in alphas:
         rerank = rerank_at(alpha)
-        rankings: dict[str, Ranking] = {}
+        rankings = []
         elapsed = 0.0
         for query in corpus:
             start = time.perf_counter()
             ranking, feasible = rerank(query)
             elapsed += time.perf_counter() - start
-            rankings[query.query_id] = ranking
+            rankings.append(ranking)
             if not feasible:
                 infeasible_total += 1
-        reports = _evaluate(rankings, corpus, judgments, cfg)
+        ndcg = {
+            k: _per_query(partial(ndcg_at_k, judgments=judgments, k=k), rankings)
+            for k in cfg.cutoffs_utility
+        }
+        nfairr = {k: _per_query(partial(nfairr_at_k, k=k), rankings) for k in cfg.cutoffs_fairness}
 
-        if pufr_reference_ok:
-            pcfg = PufrConfig.symmetric(alpha)
-            reference_rankings = {q.query_id: pufr_rerank(q, pcfg) for q in corpus}
-            reference_reports = _evaluate(reference_rankings, corpus, judgments, cfg)
+        if len(corpus) < 2:
+            # a paired test needs two measurements; single-query corpora
+            # report nan rather than a fabricated result
+            t_stat = p_value = math.nan
         else:
-            reference_reports = unfair_reports
-
-        t_stats = {}
-        p_values = {}
-        for label, report in reports.items():
-            if len(corpus) < 2:
-                # a paired test needs two measurements; single-query
-                # corpora report nan rather than a fabricated result
-                t_stats[label] = math.nan
-                p_values[label] = math.nan
-                continue
-            result = paired_t_test(report.per_query, reference_reports[label].per_query)
-            t_stats[label] = result.t_statistic
-            p_values[label] = result.p_value
+            reference = unfair_reference
+            if pufr_reference_ok:
+                pcfg = PufrConfig.symmetric(alpha)
+                reference = _per_query(tested, (pufr_rerank(q, pcfg) for q in corpus))
+            result = paired_t_test(nfairr[tested_k], reference)
+            t_stat, p_value = result.t_statistic, result.p_value
 
         records.append(
             TradeoffRecord(
                 method=cfg.method,
                 alpha=float(alpha),
-                ndcg={k: reports[f"ndcg_cut_{k}"].mean for k in cfg.cutoffs_utility},
-                nfairr={k: reports[f"nfairr{k}"].mean for k in cfg.cutoffs_fairness},
+                ndcg={k: MetricReport.from_values(v).mean for k, v in ndcg.items()},
+                nfairr={k: MetricReport.from_values(v).mean for k, v in nfairr.items()},
                 mean_rerank_seconds=elapsed / len(corpus),
-                t_vs_reference=t_stats,
-                p_vs_reference=p_values,
+                t_stat=t_stat,
+                p_value=p_value,
             )
         )
     return SweepResult(records=tuple(records), infeasible_queries=infeasible_total)
@@ -248,13 +234,11 @@ def _format(value: float) -> str:
 
 
 def records_to_csv(records: Sequence[TradeoffRecord]) -> str:
-    """Serialize sweep records; cutoff columns appear in ascending k order
-    and the t/p columns report the test for the smallest fairness cutoff."""
+    """Serialize sweep records; cutoff columns appear in ascending k order."""
     if not records:
         raise ValueError("no records to serialize")
     utility_cutoffs = sorted(records[0].ndcg)
     fairness_cutoffs = sorted(records[0].nfairr)
-    headline = f"nfairr{fairness_cutoffs[0]}"
     header = (
         ["method", "alpha"]
         + [f"ndcg_cut_{k}" for k in utility_cutoffs]
@@ -266,11 +250,7 @@ def records_to_csv(records: Sequence[TradeoffRecord]) -> str:
         row = [record.method, _format(record.alpha)]
         row += [_format(record.ndcg[k]) for k in utility_cutoffs]
         row += [_format(record.nfairr[k]) for k in fairness_cutoffs]
-        row += [
-            _format(record.mean_rerank_seconds),
-            _format(record.t_vs_reference[headline]),
-            _format(record.p_vs_reference[headline]),
-        ]
+        row += [_format(v) for v in (record.mean_rerank_seconds, record.t_stat, record.p_value)]
         lines.append(",".join(row))
     return "".join(line + "\n" for line in lines)
 

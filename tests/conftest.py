@@ -6,7 +6,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from pufr import QueryCandidates, ScoredCandidate, assign_groups, build_query
+from pufr import QueryCandidates, Ranking, ScoredCandidate, assign_groups, build_query
 
 
 def make_query(
@@ -83,3 +83,22 @@ def score_map(query: QueryCandidates, scores) -> dict[str, float]:
 def score_column(query: QueryCandidates, mapping):
     """A doc id -> score mapping in the form ``rank_by_score`` takes."""
     return np.array([mapping[doc_id] for doc_id in query.doc_ids])
+
+
+def ranking_of(query: QueryCandidates, doc_ids) -> Ranking:
+    """The ranking of ``query`` that lists ``doc_ids`` in order, scored n..1."""
+    column = {doc_id: i for i, doc_id in enumerate(query.doc_ids)}
+    order = np.array([column[doc_id] for doc_id in doc_ids], dtype=np.intp)
+    return Ranking(query, order, np.arange(len(order), 0, -1, dtype=np.float64))
+
+
+def ranked(query_id: str, doc_ids, neutralities=None) -> Ranking:
+    """A ranking of a query of exactly ``doc_ids``, in that order."""
+    query = make_query([0.0] * len(doc_ids), neutralities=neutralities,
+                       query_id=query_id, doc_ids=doc_ids)
+    return ranking_of(query, doc_ids)
+
+
+def ranking_key(ranking: Ranking) -> tuple:
+    """What a ranking holds, scores as ``float.hex`` so that signed zeros differ."""
+    return ranking.query_id, ranking.doc_ids(), [s.hex() for s in ranking.scores.tolist()]

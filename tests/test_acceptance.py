@@ -16,7 +16,6 @@ from pufr import (
     ConstraintConfig,
     McConfig,
     PufrConfig,
-    Ranking,
     RelevanceJudgments,
     ScoredCandidate,
     SweepConfig,
@@ -43,7 +42,7 @@ from pufr import (
 )
 from pufr import fileio
 
-from conftest import groups_of, make_query, rows
+from conftest import groups_of, make_query, ranked, ranking_of, rows
 
 
 def check(criterion: str, ok: bool, detail: str = "") -> None:
@@ -135,10 +134,10 @@ def test_criterion_3_fairness_monotonicity(thousand_query_sweep):
     violations = 0
     for idx, q in enumerate(corpus):
         pufr_values = [
-            nfairr_at_k(rankings[alpha][idx], q, 10) for alpha in ALPHA_SWEEP
+            nfairr_at_k(rankings[alpha][idx], 10) for alpha in ALPHA_SWEEP
         ]
         uniform_values = [
-            nfairr_at_k(uniform_rerank(q, sigma_mean, PufrConfig.symmetric(alpha)), q, 10)
+            nfairr_at_k(uniform_rerank(q, sigma_mean, PufrConfig.symmetric(alpha)), 10)
             for alpha in ALPHA_SWEEP
         ]
         for series in (pufr_values, uniform_values):
@@ -236,7 +235,7 @@ def test_criterion_4_brute_force_oracles():
             constrained_checked += 1
             base = min(q.mu.tolist())
             gains = {c.doc_id: c.mu - base for c in rows(q)}
-            neut = q.neutrality_by_doc()
+            neut = {c.doc_id: c.neutrality for c in rows(q)}
             achieved = discounted_utility([gains[d] for d in result.ranking.doc_ids()])
             best = max(
                 (
@@ -294,18 +293,18 @@ def test_criterion_5_laplace_convergence():
 
 
 def test_criterion_6_metric_fidelity():
-    ranking = Ranking("q", entries=(("a", 2.0), ("b", 1.0)))
+    ranking = ranked("q", ["a", "b"])
     swapped_judgments = RelevanceJudgments(grades={("q", "b"): 1})
     ndcg_ok = (
         ndcg_at_k(ranking, RelevanceJudgments(grades={("q", "a"): 1}), 2) == 1.0
         and abs(ndcg_at_k(ranking, swapped_judgments, 2) - 1.0 / math.log2(3)) < 1e-12
     )
     fairr_ok = (
-        abs(fairr_at_k(Ranking("q", (("a", 3.0), ("b", 2.0), ("c", 1.0))),
-                       {"a": 1.0, "b": 0.5, "c": 0.0}, 3) - 1.25) < 1e-12
+        abs(fairr_at_k(ranked("q", ["a", "b", "c"], neutralities=[1.0, 0.5, 0.0]), 3)
+            - 1.25) < 1e-12
     )
     q = make_query([3.0, 2.0, 1.0], neutralities=[0.0, 0.5, 1.0], doc_ids=["a", "b", "c"])
-    nfairr_value = nfairr_at_k(Ranking("q", (("a", 3.0), ("b", 2.0), ("c", 1.0))), q, 3)
+    nfairr_value = nfairr_at_k(ranking_of(q, ["a", "b", "c"]), 3)
     nfairr_ok = abs(nfairr_value - (0.25 + 1.0 / 3.0) / 1.25) < 1e-12
 
     a = {"q1": 1.0, "q2": 2.0, "q3": 3.0}

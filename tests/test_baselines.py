@@ -286,7 +286,7 @@ class TestConstrainedRerank:
         docs = result.ranking.doc_ids()
         expected_tail = tuple(c.doc_id for c in rows(q)[depth:])
         assert docs[depth:] == expected_tail
-        scores = [score for _, score in result.ranking.entries]
+        scores = result.ranking.scores.tolist()
         assert scores == sorted(scores, reverse=True)
         assert max(scores[depth:], default=-math.inf) < min(scores[:depth])
 

@@ -2,10 +2,12 @@
 
 ``bench/workloads.py::EXPECTED_CALLS`` names each function a traced
 benchmark run must call, as ``layer.function``; ``bench/tracer.py`` wraps
-them from outside the program. This test reads both files, without running
-the benchmark, and checks that every name resolves to a function of its
-``pufr.<layer>`` module, so a refactor that renames or removes one fails
-here instead of only in the slower ``bench/smoke.py``.
+them from outside the program, and its ``_HOOKS`` attach per-layer counters
+to some of them by the same names. This test reads both files, without
+running the benchmark, and checks that every name resolves to a function of
+its ``pufr.<layer>`` module, so a refactor that renames or removes one fails
+here instead of only in the slower ``bench/smoke.py``, or, for a hook
+target, instead of silently dropping its counter.
 """
 
 from __future__ import annotations
@@ -39,16 +41,25 @@ def resolve(layer: str, attr: str, cls_name: str | None = None):
     return inspect.getattr_static(owner, attr, None)
 
 
+def assert_defined_in_its_layer(name: str) -> None:
+    layer, attr = name.split(".")
+    fn = resolve(layer, attr)
+    assert inspect.isfunction(fn), f"pufr.{layer} has no function {attr!r}"
+    assert fn.__module__ == f"pufr.{layer}", f"{name} is imported, not defined, there"
+
+
 @pytest.mark.parametrize("name", EXPECTED_CALLS)
 def test_every_expected_call_is_a_function_of_its_layer(name):
     if name in TRACER.METHODS:
         layer, cls_name, method = TRACER.METHODS[name]
         assert inspect.isfunction(resolve(layer, method, cls_name))
         return
-    layer, attr = name.split(".")
-    fn = resolve(layer, attr)
-    assert inspect.isfunction(fn), f"pufr.{layer} has no function {attr!r}"
-    assert fn.__module__ == f"pufr.{layer}", f"{name} is imported, not defined, there"
+    assert_defined_in_its_layer(name)
+
+
+@pytest.mark.parametrize("name", tuple(TRACER._HOOKS))
+def test_every_hook_target_is_a_function_of_its_layer(name):
+    assert_defined_in_its_layer(name)
 
 
 def test_the_candidate_counter_has_its_hook():

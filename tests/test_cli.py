@@ -179,7 +179,8 @@ class TestSharedValidation:
         (["--depth", "0"], "0.5", "0.5", "depth must be >= 1, got 0"),
         ([], "nan", "nan", "alpha values must be finite, got nan"),
         ([], "inf", "0,inf", "alpha values must be finite, got inf"),
-    ], ids=["depth-3", "depth0", "alpha-nan", "alpha-inf"])
+        ([], "-1", "-1,0,1", "alpha values must be >= 0, got -1.0"),
+    ], ids=["depth-3", "depth0", "alpha-nan", "alpha-inf", "alpha-negative"])
     def test_rerank_and_sweep_reject_alike_before_reading(
         self, tmp_path, capsys, method, flags, rerank_alpha, grid, message
     ):
@@ -191,10 +192,27 @@ class TestSharedValidation:
                      "--output", str(tmp_path / "o.run")]) == 1
         rerank_err = capsys.readouterr().err
         assert main(["sweep", *corpus_args, "--qrels", str(tmp_path / "q"),
-                     "--alpha-grid", grid, "--output", str(tmp_path / "o.csv")]) == 1
+                     f"--alpha-grid={grid}", "--output", str(tmp_path / "o.csv")]) == 1
         sweep_err = capsys.readouterr().err
         assert rerank_err == sweep_err == f"error: {message}\n"
         assert not (tmp_path / "o.run").exists() and not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["rerank", "--method", "pufr", "--alpha", "1.0"],
+        ["sweep", "--method", "pufr", "--alpha-grid", "1.0", "--qrels", "missing.qrels"],
+    ], ids=["rerank", "sweep"])
+    def test_protected_threshold_is_checked_before_reading(self, tmp_path, capsys, command):
+        assert main([
+            *command, "--run", str(tmp_path / "missing.run"), "--sigmas", str(tmp_path / "s"),
+            "--neutrality", str(tmp_path / "n"), "--protected-threshold", "0",
+            "--output", str(tmp_path / "o"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(
+            "error: argument --protected-threshold: "
+            "protected threshold must lie in (0, 1], got 0.0\n"
+        )
+        assert "missing" not in err and not (tmp_path / "o").exists()
 
 
 class TestRunTag:
@@ -405,6 +423,15 @@ class TestLaplaceCommand:
             outputs.append((run_out.read_bytes(), sigma_out.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_mc_samples_are_checked_before_reading(self, tmp_path, capsys):
+        run_out, sigma_out = tmp_path / "o.run", tmp_path / "o.sigma"
+        assert main([
+            "laplace", "--features", str(tmp_path / "missing.features"),
+            "--posterior", str(tmp_path / "missing.posterior"), "--mc-samples", "1",
+            "--output", str(run_out), "--sigma-output", str(sigma_out),
+        ]) == 1
+        assert capsys.readouterr().err == "error: n_samples must be >= 2 for a sample variance\n"
+        assert not run_out.exists() and not sigma_out.exists()
 
     def test_dimension_mismatch_names_both_files_before_scoring(self, tmp_path, capsys):
         features_path, _ = write_laplace_inputs(tmp_path, 3, 3)
@@ -419,39 +446,6 @@ class TestLaplaceCommand:
             f"{posterior_path} has posterior dimension 2\n"
         )
         assert not run_out.exists() and not sigma_out.exists()
-
-
-class TestTTestCommand:
-    def test_compares_two_per_query_csvs(self, tmp_path, capsys):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        a.write_text("query,value\nq1,1.0\nq2,2.0\nq3,3.0\n")
-        b.write_text("query,value\nq1,0.0\nq2,0.0\nq3,0.0\n")
-        assert main(["ttest", "--a", str(a), "--b", str(b)]) == 0
-        out = capsys.readouterr().out
-        assert "df=2" in out
-        assert "p=0.074" in out
-
-    def test_header_after_a_comment_is_skipped(self, tmp_path, capsys):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        a.write_text("# nDCG@10 per query\nquery_id,value\nq1,1.0\nq2,2.0\nq3,3.0\n")
-        b.write_text("\n# baseline\nquery_id,value\nq1,0.0\nq2,0.0\nq3,0.0\n")
-        assert main(["ttest", "--a", str(a), "--b", str(b)]) == 0
-        assert "df=2" in capsys.readouterr().out
-
-    def test_non_number_after_the_header_cites_its_line(self, tmp_path, capsys):
-        a = tmp_path / "a.csv"
-        a.write_text("# comment\nquery_id,value\nq1,1.0\nq2,high\n")
-        assert main(["ttest", "--a", str(a), "--b", str(a)]) == 1
-        assert f"{a}:4: value is not a number: 'high'" in capsys.readouterr().err
-
-    def test_mismatched_queries_fail(self, tmp_path, capsys):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
-        a.write_text("q1,1.0\nq2,2.0\n")
-        b.write_text("q1,1.0\nq3,2.0\n")
-        assert main(["ttest", "--a", str(a), "--b", str(b)]) == 1
 
 
 class TestUsageErrors:

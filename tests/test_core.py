@@ -6,10 +6,13 @@ from pufr import (
     ScoredCandidate,
     assign_groups,
     build_query,
+    fairr_at_k,
+    ideal_fairr_at_k,
+    nfairr_at_k,
     rank_by_score,
 )
 
-from conftest import make_query, rows, score_column
+from conftest import make_query, ranking_key, rows, score_column
 
 
 class TestScoredCandidate:
@@ -64,29 +67,15 @@ class TestQueryCandidates:
         with pytest.raises(ValueError):
             q.mu[0] = 3.0
 
-    def test_neutrality_memo_leaves_repr_alone(self):
-        a = make_query([2.0, 1.0, 0.5], [0.1, 0.2, 0.3], [1.0, 0.25, 0.5])
-        b = make_query([2.0, 1.0, 0.5], [0.1, 0.2, 0.3], [1.0, 0.25, 0.5])
-        a.neutrality_by_doc()
-        assert repr(a) == repr(b)
-
-    def test_neutrality_by_doc_is_read_only(self):
-        q = make_query([2.0, 1.0], [0.1, 0.2], [1.0, 0.25])
-        neutrality = q.neutrality_by_doc()
-        assert dict(neutrality) == {"d1": 1.0, "d2": 0.25}
-        with pytest.raises(TypeError):
-            neutrality["d1"] = 0.0
-        assert q.neutrality_by_doc()["d1"] == 1.0
-
-    def test_neutrality_descending(self):
-        q = make_query([3.0, 2.0, 1.0, 0.0], [0.0] * 4, [0.25, 1.0, 0.0, 0.5])
-        assert q.neutrality_descending() == (1.0, 0.5, 0.25, 0.0)
-
     def test_missing_neutrality_raises_on_every_call(self):
         q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0)])
+        ranking = rank_by_score(q, q.mu)
         for _ in range(2):
-            with pytest.raises(ValueError, match="'q' has no neutrality"):
-                q.neutrality_by_doc()
+            for metric in (fairr_at_k, nfairr_at_k):
+                with pytest.raises(ValueError, match="'q' has no neutrality scores"):
+                    metric(ranking, 1)
+            with pytest.raises(ValueError, match="'q' has no neutrality scores"):
+                ideal_fairr_at_k(q, 1)
 
     def test_a_column_is_attached_only_when_every_row_has_it(self):
         q = build_query("q", [ScoredCandidate(doc_id="a", mu=1.0, sigma=0.5),
@@ -197,10 +186,9 @@ class TestRankByScore:
             scores = {f"d{i + 1}": float(rng.choice([0.0, 1.0, 2.0])) for i in range(n)}
             first = rank_by_score(q, score_column(q, scores))
             # the ranking read back as a query is a fixed point of the same scores
-            again = QueryCandidates(
-                query_id=q.query_id, doc_ids=first.doc_ids(), mu=[s for _, s in first.entries]
-            )
-            assert rank_by_score(again, score_column(again, scores)) == first
+            again = QueryCandidates(query_id=q.query_id, doc_ids=first.doc_ids(), mu=first.scores)
+            reranked = rank_by_score(again, score_column(again, scores))
+            assert ranking_key(reranked) == ranking_key(first)
 
     def test_deterministic_under_input_permutation(self):
         rng = np.random.default_rng(2)
@@ -214,4 +202,5 @@ class TestRankByScore:
             perm = rng.permutation(n)
             shuffled = make_query(mus[perm], doc_ids=[doc_ids[i] for i in perm])
             assert rows(shuffled) == rows(q)
-            assert rank_by_score(shuffled, score_column(shuffled, scores)) == baseline
+            reranked = rank_by_score(shuffled, score_column(shuffled, scores))
+            assert ranking_key(reranked) == ranking_key(baseline)

@@ -9,8 +9,9 @@ from scipy import stats
 
 from pufr import (
     MetricReport,
-    Ranking,
     RelevanceJudgments,
+    ScoredCandidate,
+    build_query,
     fairr_at_k,
     ideal_fairr_at_k,
     intersection_counts,
@@ -20,32 +21,14 @@ from pufr import (
     paired_t_test,
 )
 
-from conftest import make_query, rows
-
-
-def ranking_of(query_id, doc_ids):
-    n = len(doc_ids)
-    return Ranking(
-        query_id=query_id,
-        entries=tuple((d, float(n - i)) for i, d in enumerate(doc_ids)),
-    )
+import oracles
+from conftest import make_query, ranked, ranking_of, rows
 
 
 def judgments_of(query_id, grades_by_doc):
     return RelevanceJudgments(
         grades={(query_id, d): g for d, g in grades_by_doc.items()}
     )
-
-
-def scalar_ndcg(ranking, grades, k):
-    """nDCG@k straight from a (query, doc) -> grade dict, the ideal taken
-    from a full scan of the dict."""
-    dcg = 0.0
-    for position, (doc_id, _) in enumerate(ranking.entries[:k], start=1):
-        dcg += grades.get((ranking.query_id, doc_id), 0) / math.log2(position + 1)
-    ideal = sorted((g for (qid, _), g in grades.items() if qid == ranking.query_id), reverse=True)
-    idcg = sum(g / math.log2(position + 1) for position, g in enumerate(ideal[:k], start=1))
-    return 0.0 if idcg == 0.0 else dcg / idcg
 
 
 def scalar_intersection_counts(query, alpha):
@@ -64,19 +47,19 @@ def scalar_intersection_counts(query, alpha):
 
 class TestNdcg:
     def test_ideal_order_scores_one(self):
-        ranking = ranking_of("q", ["a", "b"])
+        ranking = ranked("q", ["a", "b"])
         judgments = judgments_of("q", {"a": 1, "b": 0})
         assert ndcg_at_k(ranking, judgments, 2) == 1.0
 
     def test_swapped_pair(self):
-        ranking = ranking_of("q", ["a", "b"])
+        ranking = ranked("q", ["a", "b"])
         judgments = judgments_of("q", {"a": 0, "b": 1})
         assert ndcg_at_k(ranking, judgments, 2) == pytest.approx(
             1.0 / math.log2(3), abs=1e-12
         )
 
     def test_no_positive_judgments_scores_zero(self):
-        ranking = ranking_of("q", ["a", "b"])
+        ranking = ranked("q", ["a", "b"])
         assert ndcg_at_k(ranking, RelevanceJudgments(grades={}), 2) == 0.0
 
     def test_matches_high_precision_reference(self):
@@ -87,7 +70,7 @@ class TestNdcg:
             doc_ids = [f"d{i}" for i in range(n)]
             grades = {d: int(rng.integers(0, 4)) for d in doc_ids}
             k = int(rng.integers(1, n + 2))
-            ranking = ranking_of("q", doc_ids)
+            ranking = ranked("q", doc_ids)
             judgments = judgments_of("q", grades)
             dcg = mpmath.mpf(0)
             for pos, d in enumerate(doc_ids[:k], start=1):
@@ -100,7 +83,7 @@ class TestNdcg:
 
     def test_ideal_uses_all_judged_docs_for_the_query(self):
         # a judged doc missing from the ranked list still raises the ideal
-        ranking = ranking_of("q", ["a"])
+        ranking = ranked("q", ["a"])
         judgments = judgments_of("q", {"a": 1, "unretrieved": 2})
         expected = (1.0 / math.log2(2)) / (2.0 / math.log2(2) + 1.0 / math.log2(3))
         assert ndcg_at_k(ranking, judgments, 5) == pytest.approx(expected, abs=1e-12)
@@ -112,34 +95,36 @@ class TestNdcg:
             doc_ids = [f"d{i}" for i in range(n)]
             order = list(rng.permutation(doc_ids))
             judgments = judgments_of("q", {d: int(rng.integers(0, 3)) for d in doc_ids})
-            value = ndcg_at_k(ranking_of("q", order), judgments, int(rng.integers(1, 12)))
+            value = ndcg_at_k(ranked("q", order), judgments, int(rng.integers(1, 12)))
             assert 0.0 <= value <= 1.0 + 1e-12
 
 
 class TestFairr:
     def test_hand_sum(self):
-        ranking = ranking_of("q", ["a", "b", "c"])
-        neutrality = {"a": 1.0, "b": 0.5, "c": 0.0}
-        assert fairr_at_k(ranking, neutrality, 3) == pytest.approx(1.25, abs=1e-12)
+        ranking = ranked("q", ["a", "b", "c"], neutralities=[1.0, 0.5, 0.0])
+        assert fairr_at_k(ranking, 3) == pytest.approx(1.25, abs=1e-12)
 
     def test_all_biased_pool_scores_zero(self):
-        ranking = ranking_of("q", ["a", "b"])
-        assert fairr_at_k(ranking, {"a": 0.0, "b": 0.0}, 2) == 0.0
+        ranking = ranked("q", ["a", "b"], neutralities=[0.0, 0.0])
+        assert fairr_at_k(ranking, 2) == 0.0
 
     def test_single_term(self):
-        ranking = ranking_of("q", ["a", "b"])
-        assert fairr_at_k(ranking, {"a": 0.7, "b": 1.0}, 1) == pytest.approx(0.7)
+        ranking = ranked("q", ["a", "b"], neutralities=[0.7, 1.0])
+        assert fairr_at_k(ranking, 1) == pytest.approx(0.7)
 
     def test_missing_neutrality_names_doc(self):
-        ranking = ranking_of("q", ["a", "b"])
-        with pytest.raises(ValueError, match="'b'"):
-            fairr_at_k(ranking, {"a": 0.5}, 2)
+        # a query without a neutrality column cannot be scored at all
+        q = build_query("q", [ScoredCandidate(doc_id="a", mu=1.0),
+                              ScoredCandidate(doc_id="b", mu=0.5)])
+        ranking = ranking_of(q, ["a", "b"])
+        for metric in (fairr_at_k, nfairr_at_k):
+            with pytest.raises(ValueError, match="'q' has no neutrality scores"):
+                metric(ranking, 2)
 
     def test_docs_beyond_k_are_ignored(self):
-        neutrality = {"a": 0.2, "b": 0.9, "c": 0.4, "d": 1.0}
-        short = fairr_at_k(ranking_of("q", ["a", "b"]), neutrality, 2)
-        long = fairr_at_k(ranking_of("q", ["a", "b", "c", "d"]), neutrality, 2)
-        assert short == long
+        short = ranked("q", ["a", "b"], neutralities=[0.2, 0.9])
+        long = ranked("q", ["a", "b", "c", "d"], neutralities=[0.2, 0.9, 0.4, 1.0])
+        assert fairr_at_k(short, 2) == fairr_at_k(long, 2)
 
 
 class TestIdealFairr:
@@ -158,6 +143,12 @@ class TestIdealFairr:
         q = make_query([1.0], neutralities=[0.3])
         assert ideal_fairr_at_k(q, 1) == pytest.approx(0.3)
 
+    def test_takes_neutralities_largest_first(self):
+        q = make_query([3.0, 2.0, 1.0, 0.0], [0.0] * 4, [0.25, 1.0, 0.0, 0.5])
+        for k in (1, 2, 3, 4, 5):
+            expected = sum(v / r for r, v in enumerate([1.0, 0.5, 0.25, 0.0][:k], start=1))
+            assert ideal_fairr_at_k(q, k) == expected
+
 
 class TestNfairr:
     def test_neutrality_descending_attains_one(self):
@@ -167,22 +158,21 @@ class TestNfairr:
             neutralities = rng.random(n)
             q = make_query(rng.normal(size=n), neutralities=neutralities)
             by_neutrality = sorted(rows(q), key=lambda c: -c.neutrality)  # stable
-            ranking = ranking_of("q", [c.doc_id for c in by_neutrality])
+            ranking = ranking_of(q, [c.doc_id for c in by_neutrality])
             for k in range(1, n + 3):
                 if ideal_fairr_at_k(q, k) > 0:
-                    assert nfairr_at_k(ranking, q, k) == pytest.approx(1.0, abs=1e-12)
+                    assert nfairr_at_k(ranking, k) == pytest.approx(1.0, abs=1e-12)
 
     def test_hand_case(self):
         q = make_query([3.0, 2.0, 1.0], neutralities=[0.0, 0.5, 1.0],
                        doc_ids=["a", "b", "c"])
-        ranking = ranking_of("q", ["a", "b", "c"])
-        assert nfairr_at_k(ranking, q, 3) == pytest.approx((0.25 + 1.0 / 3.0) / 1.25,
-                                                           abs=1e-12)
+        ranking = ranking_of(q, ["a", "b", "c"])
+        assert nfairr_at_k(ranking, 3) == pytest.approx((0.25 + 1.0 / 3.0) / 1.25, abs=1e-12)
 
     def test_zero_ideal_convention(self):
         q = make_query([2.0, 1.0], neutralities=[0.0, 0.0])
-        ranking = ranking_of("q", ["d1", "d2"])
-        assert nfairr_at_k(ranking, q, 2) == 1.0
+        ranking = ranking_of(q, ["d1", "d2"])
+        assert nfairr_at_k(ranking, 2) == 1.0
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(149)
@@ -190,7 +180,7 @@ class TestNfairr:
             n = int(rng.integers(1, 10))
             q = make_query(rng.normal(size=n), neutralities=rng.random(n))
             order = list(rng.permutation(q.doc_ids))
-            value = nfairr_at_k(ranking_of("q", order), q, int(rng.integers(1, 12)))
+            value = nfairr_at_k(ranking_of(q, order), int(rng.integers(1, 12)))
             assert 0.0 <= value <= 1.0 + 1e-12
 
 
@@ -379,15 +369,16 @@ class TestRelevanceJudgments:
         judgments = RelevanceJudgments(grades=grades)
         for qid in ("q0", "q2", "q3"):
             docs = [f"d{j}" for j in rng.permutation(150)]
-            ranking = ranking_of(qid, docs)
+            ranking = ranked(qid, docs)
             for k in (1, 10, 100):
+                expected = oracles.ndcg(qid, docs, grades, k)
                 # twice: the second call reads the memoized ideal DCG
-                assert ndcg_at_k(ranking, judgments, k) == scalar_ndcg(ranking, grades, k)
-                assert ndcg_at_k(ranking, judgments, k) == scalar_ndcg(ranking, grades, k)
+                assert ndcg_at_k(ranking, judgments, k) == expected
+                assert ndcg_at_k(ranking, judgments, k) == expected
 
     def test_query_without_judgments_scores_zero(self):
         judgments = judgments_of("q", {"a": 2})
-        ranking = ranking_of("other", ["a", "b"])
+        ranking = ranked("other", ["a", "b"])
         assert judgments.grades_for_query("other") == []
         for k in (1, 10, 100):
             assert ndcg_at_k(ranking, judgments, k) == 0.0
@@ -395,7 +386,7 @@ class TestRelevanceJudgments:
     def test_source_dict_is_snapshotted(self):
         source = {("q", "a"): 0, ("q", "b"): 3, ("q", "c"): 1}
         judgments = RelevanceJudgments(grades=source)
-        ranking = ranking_of("q", ["a", "b", "c"])
+        ranking = ranked("q", ["a", "b", "c"])
         before = ndcg_at_k(ranking, judgments, 2)
         source[("q", "a")] = 3
         source[("q", "z")] = 5
@@ -405,8 +396,8 @@ class TestRelevanceJudgments:
         assert judgments.grade("q", "z") == 0
         assert judgments.grades_for_query("q") == [0, 3, 1]
         assert ndcg_at_k(ranking, judgments, 2) == before
-        assert ndcg_at_k(ranking, judgments, 3) == scalar_ndcg(
-            ranking, {("q", "a"): 0, ("q", "b"): 3, ("q", "c"): 1}, 3
+        assert ndcg_at_k(ranking, judgments, 3) == oracles.ndcg(
+            "q", ranking.doc_ids(), {("q", "a"): 0, ("q", "b"): 3, ("q", "c"): 1}, 3
         )
 
 

@@ -1,5 +1,5 @@
-"""Property tests of the re-rankers over random queries, against the scalar
-oracles in ``oracles.py``.
+"""Property tests of the re-rankers and metrics over random queries, against
+the scalar oracles in ``oracles.py``.
 
 The strategies make exact ``mu`` ties, signed zeros, zero sigma, alpha 0
 and -0.0, one-group and one-document queries common. Scores are compared
@@ -15,16 +15,22 @@ import oracles
 from conftest import Row, rows, score_column, score_map
 from pufr import (
     PufrConfig,
+    RelevanceJudgments,
     ScoredCandidate,
     adjust_scores,
     assign_groups,
     build_query,
     compute_sigma_mean,
+    fairr_at_k,
+    ideal_fairr_at_k,
+    ndcg_at_k,
+    nfairr_at_k,
     pufr_rerank,
     rank_by_score,
     unfair_rank,
     uniform_rerank,
 )
+from pufr.sweep import METHODS, REGISTRY
 
 TIED_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5)
 ALPHAS = st.one_of(
@@ -65,6 +71,11 @@ def hexed_rows(query):
     return [(r.doc_id, r.mu.hex()) for r in rows(query)]
 
 
+def hexed(ranking):
+    """A ranking as (doc_id, score) entries, scores as ``float.hex``."""
+    return oracles.hexed(zip(ranking.doc_ids(), ranking.scores.tolist()))
+
+
 def group_sequences(ranking, query):
     protected = {r.doc_id: r.protected for r in rows(query)}
     ids = ranking.doc_ids()
@@ -96,11 +107,11 @@ def test_pufr_and_uniform_rankings_match_the_scalar_oracles(items, alpha):
     cfg = PufrConfig.symmetric(alpha)
     r = rows(query)
     expected = oracles.rank_by_score(r, oracles.adjust(r, alpha, alpha))
-    assert oracles.hexed(pufr_rerank(query, cfg).entries) == oracles.hexed(expected)
+    assert hexed(pufr_rerank(query, cfg)) == oracles.hexed(expected)
     mean = compute_sigma_mean([query])
     assert mean.hex() == oracles.sigma_mean([r]).hex()
     expected = oracles.rank_by_score(r, oracles.adjust(r, alpha, alpha, sigma=mean))
-    assert oracles.hexed(uniform_rerank(query, mean, cfg).entries) == oracles.hexed(expected)
+    assert hexed(uniform_rerank(query, mean, cfg)) == oracles.hexed(expected)
 
 
 @EXAMPLES
@@ -113,7 +124,7 @@ def test_rank_by_score_matches_the_scalar_sort(items, data):
     }
     expected = oracles.rank_by_score(rows(query), scores)
     got = rank_by_score(query, score_column(query, scores))
-    assert oracles.hexed(got.entries) == oracles.hexed(expected)
+    assert hexed(got) == oracles.hexed(expected)
 
 
 @EXAMPLES
@@ -135,7 +146,7 @@ def test_alpha_zero_returns_the_input_order_and_means(items, zero):
     query = query_of(items)
     ranking = pufr_rerank(query, PufrConfig.symmetric(zero))
     assert ranking.doc_ids() == tuple(r.doc_id for r in rows(query))
-    assert [s for _, s in ranking.entries] == [r.mu for r in rows(query)]
+    assert ranking.scores.tolist() == [r.mu for r in rows(query)]
 
 
 @EXAMPLES
@@ -146,9 +157,46 @@ def test_uniform_equals_pufr_under_constant_sigma(sigma_and_items, alpha_p, alph
     cfg = PufrConfig(alpha_protected=alpha_p, alpha_nonprotected=alpha_n)
     with_sigma = query_of(items)
     bare = query_of(items, with_sigma=False)
-    assert oracles.hexed(uniform_rerank(bare, sigma, cfg).entries) == oracles.hexed(
-        pufr_rerank(with_sigma, cfg).entries
-    )
+    assert hexed(uniform_rerank(bare, sigma, cfg)) == hexed(pufr_rerank(with_sigma, cfg))
+
+
+@st.composite
+def evaluated(draw):
+    """A query, its ranking by one of the methods, judgments and a cutoff.
+
+    Neutral pools are tied (with signed zeros), all zero or arbitrary, and
+    the cutoff runs past the pool size."""
+    pool = draw(st.sampled_from(("tied", "zero", "any")))
+    neutrality = {
+        "tied": st.sampled_from((0.0, -0.0, 0.5, 1.0)),
+        "zero": st.sampled_from((0.0, -0.0)),
+        "any": st.floats(0.0, 1.0),
+    }[pool]
+    items = [(d, mu, s, draw(neutrality)) for d, mu, s, _ in draw(inputs())]
+    query = query_of(items)
+    method = draw(st.sampled_from(METHODS))
+    alpha = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0))
+    depth = draw(st.integers(1, len(query) + 1))
+    ranking, _ = REGISTRY[method].prepare([query], depth)(alpha)(query)
+    grades = {
+        ("q", d): draw(st.integers(0, 3))
+        for d in [*query.doc_ids, "unretrieved"] if draw(st.booleans())
+    }
+    return query, ranking, grades, draw(st.integers(1, len(query) + 3))
+
+
+@EXAMPLES
+@given(evaluated())
+def test_metrics_match_the_scalar_oracles_bit_for_bit(case):
+    query, ranking, grades, k = case
+    neutrality = {r.doc_id: r.neutrality for r in rows(query)}
+    ranked = ranking.doc_ids()
+    assert fairr_at_k(ranking, k).hex() == oracles.fairr(ranked, neutrality, k).hex()
+    assert ideal_fairr_at_k(query, k).hex() == oracles.ideal_fairr(
+        neutrality.values(), k).hex()
+    assert nfairr_at_k(ranking, k).hex() == oracles.nfairr(ranked, neutrality, k).hex()
+    assert ndcg_at_k(ranking, RelevanceJudgments(grades), k).hex() == oracles.ndcg(
+        "q", ranked, grades, k).hex()
 
 
 def test_trailing_nul_breaks_a_tie_in_str_order():
@@ -157,7 +205,7 @@ def test_trailing_nul_breaks_a_tie_in_str_order():
     assert [r.doc_id for r in rows(query)] == ["a", "a\x00", "\x00", "b"]
     scores = {"a\x00": 1.0, "a": 1.0, "b": 0.0, "\x00": -0.0}
     ranking = rank_by_score(query, score_column(query, scores))
-    assert oracles.hexed(ranking.entries) == [
+    assert hexed(ranking) == [
         ("a", "0x1.0000000000000p+0"), ("a\x00", "0x1.0000000000000p+0"),
         ("\x00", "-0x0.0p+0"), ("b", "0x0.0p+0"),
     ]
