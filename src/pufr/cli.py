@@ -14,6 +14,7 @@ floor on some query (partial output is still written).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -21,6 +22,7 @@ from typing import Sequence
 from . import fileio
 from .baselines import DEFAULT_DEPTH, unfair_rank
 from .core import QueryCandidates, assign_groups, check_protected_threshold
+from .metrics import check_interval_alpha
 from .sweep import (
     METHODS,
     REGISTRY,
@@ -46,6 +48,23 @@ def _alpha_grid(text: str) -> tuple[float, ...]:
     if not values:
         raise argparse.ArgumentTypeError("alpha grid is empty")
     return values
+
+
+def _interval_alphas(text: str) -> tuple[float, ...]:
+    try:
+        return tuple(map(check_interval_alpha, _alpha_grid(text)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _finite(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _cutoffs(text: str) -> tuple[int, ...]:
@@ -108,7 +127,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
     p.add_argument(
         "--ndcg-floor",
-        type=float,
+        type=_finite,
         default=None,
         help="also report the best-fairness row whose utility meets this floor",
     )
@@ -117,7 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("intervals", help="per-rank median interval intersection counts")
     p.add_argument("--run", required=True)
     p.add_argument("--sigmas", required=True)
-    p.add_argument("--alpha-grid", type=_alpha_grid, default=(1.0, 2.0))
+    p.add_argument("--alpha-grid", type=_interval_alphas, default=(1.0, 2.0))
     p.add_argument("--output", required=True, help="output CSV")
 
     p = sub.add_parser("laplace", help="score queries from features and a posterior")

@@ -32,13 +32,6 @@ _COLUMN_NAMES = {
 }
 
 
-def check_neutrality(value: float) -> float:
-    """Validate a neutrality score; 1 means fully neutral, 0 fully biased."""
-    if not (math.isfinite(value) and 0.0 <= value <= 1.0):
-        raise ValueError(f"neutrality score must lie in [0, 1], got {value!r}")
-    return value
-
-
 def check_protected_threshold(value: float) -> float:
     if not (math.isfinite(value) and 0.0 < value <= 1.0):
         raise ValueError(f"protected threshold must lie in (0, 1], got {value!r}")

@@ -9,6 +9,11 @@ All formats are whitespace-separated with ``#`` comment lines allowed:
 - feature file:    ``query_id doc_id v1 ... vd``
 - posterior file:  ``theta d v1..vd`` / ``fisher d v1..vd`` / optional ``damping x``
 
+The run, sigma and neutrality files are parsed column-wise: each
+column of a query is converted and checked in one numpy call. Only when a
+check fails is the file walked line by line, so that the error names the
+first bad ``path:line`` in file order.
+
 Floats are written with ``repr`` so a write-parse-write cycle is
 byte-identical.
 """
@@ -18,11 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .core import QueryCandidates, Ranking, check_neutrality
+from .core import QueryCandidates, Ranking
 from .metrics import RelevanceJudgments
 from .uncertainty import LastLayerPosterior
 
@@ -30,10 +35,9 @@ from .uncertainty import LastLayerPosterior
 def _data_lines(path: str | Path) -> Iterable[tuple[int, list[str]]]:
     text = Path(path).read_text(encoding="utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        yield lineno, stripped.split()
+        fields = line.split()
+        if fields and not fields[0].startswith("#"):
+            yield lineno, fields
 
 
 def _parse_float(path: str | Path, lineno: int, token: str, what: str) -> float:
@@ -46,16 +50,23 @@ def _parse_float(path: str | Path, lineno: int, token: str, what: str) -> float:
     return value
 
 
-def _parse_floats(path: str | Path, lineno: int, tokens: list[str], what: str) -> np.ndarray:
-    """Parse a row of finite floats with one call. ``np.array`` accepts and
-    rejects the same tokens as ``float()``, with the same bits; only a row that
-    fails is walked token by token, so the error names its first bad value."""
+def _column(tokens: list[str], dtype: type) -> np.ndarray | None:
+    """Convert tokens in one call, or None when one is not a number.
+    ``np.array`` accepts and rejects the same tokens as ``int()`` and
+    ``float()``, with the same bits, but an integer of 20 digits
+    overflows int64."""
     try:
-        values = np.array(tokens, dtype=np.float64)
-        if np.isfinite(values).all():
-            return values
-    except ValueError:
-        pass
+        return np.array(tokens, dtype=dtype)
+    except (ValueError, OverflowError):
+        return None
+
+
+def _parse_floats(path: str | Path, lineno: int, tokens: list[str], what: str) -> np.ndarray:
+    """Parse a row of finite floats with one call; only a row that fails is
+    walked token by token, so the error names its first bad value."""
+    values = _column(tokens, np.float64)
+    if values is not None and np.isfinite(values).all():
+        return values
     return np.array(
         [_parse_float(path, lineno, t, f"{what} {j + 1}") for j, t in enumerate(tokens)]
     )
@@ -68,7 +79,37 @@ def parse_run_file(path: str | Path) -> list[QueryCandidates]:
     is validated to be a permutation of 1..n within each query. A file with
     no data lines is an error.
     """
-    rows: dict[str, tuple[list[str], list[float], list[tuple[int, int]]]] = {}
+    columns: dict[str, tuple[list[str], list[str], list[str]]] = {}
+    for _, fields in _data_lines(path):
+        if len(fields) != 6:
+            _run_file_error(path)
+        query_id, _, doc_id, rank, score, _ = fields
+        if query_id not in columns:
+            columns[query_id] = ([], [], [])
+        doc_ids, ranks, scores = columns[query_id]
+        doc_ids.append(doc_id)
+        ranks.append(rank)
+        scores.append(score)
+    if not columns:
+        _run_file_error(path)
+    corpus = []
+    for query_id, (doc_ids, rank_tokens, score_tokens) in columns.items():
+        n = len(doc_ids)
+        ranks, mu = _column(rank_tokens, np.int64), _column(score_tokens, np.float64)
+        if (
+            ranks is None or mu is None or not np.isfinite(mu).all()
+            or len(set(doc_ids)) != n or not np.array_equal(np.sort(ranks), np.arange(1, n + 1))
+        ):
+            _run_file_error(path)
+        corpus.append(QueryCandidates.ranked(query_id, doc_ids, mu))
+    return corpus
+
+
+def _run_file_error(path: str | Path) -> NoReturn:
+    """Walk a run file that failed a bulk check line by line and raise for
+    its first bad line in file order or, if every line is well formed, for
+    the first rank that breaks a query's permutation, queries in order."""
+    ranks: dict[str, list[tuple[int, int]]] = {}
     seen: set[tuple[str, str]] = set()
     for lineno, fields in _data_lines(path):
         if len(fields) != 6:
@@ -80,35 +121,53 @@ def parse_run_file(path: str | Path) -> list[QueryCandidates]:
             raise ValueError(
                 f"{path}:{lineno}: rank is not an integer: {rank_token!r}"
             ) from None
-        score = _parse_float(path, lineno, score_token, "score")
+        _parse_float(path, lineno, score_token, "score")
         if (query_id, doc_id) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate entry for ({query_id}, {doc_id})")
         seen.add((query_id, doc_id))
-        doc_ids, scores, ranks = rows.setdefault(query_id, ([], [], []))
-        doc_ids.append(doc_id)
-        scores.append(score)
-        ranks.append((rank, lineno))
-    if not rows:
+        ranks.setdefault(query_id, []).append((rank, lineno))
+    if not ranks:
         raise ValueError(f"{path}: no data lines")
-
-    corpus = []
-    for query_id, (doc_ids, scores, ranks) in rows.items():
+    for query_id, entries in ranks.items():
         # n distinct ranks within 1..n are a permutation of 1..n
         used: set[int] = set()
-        for rank, lineno in ranks:
-            if rank in used or not 1 <= rank <= len(ranks):
+        for rank, lineno in entries:
+            if rank in used or not 1 <= rank <= len(entries):
                 raise ValueError(
                     f"{path}:{lineno}: query {query_id!r}: rank {rank} is repeated or outside "
-                    f"1..{len(ranks)}, so the rank column is not a permutation"
+                    f"1..{len(entries)}, so the rank column is not a permutation"
                 )
             used.add(rank)
-        corpus.append(QueryCandidates.ranked(query_id, doc_ids, scores))
-    return corpus
+    raise RuntimeError(f"{path}: a bulk check failed but no line is at fault")
 
 
-def parse_sigma_file(path: str | Path) -> dict[tuple[str, str], float]:
-    """Read predictive standard deviations keyed by (query_id, doc_id)."""
-    sigmas: dict[tuple[str, str], float] = {}
+def parse_sigma_file(path: str | Path) -> dict[str, tuple[tuple[str, ...], np.ndarray]]:
+    """Read predictive standard deviations as ``{query_id: (doc_ids, sigmas)}``,
+    queries in order of first appearance and each query's pairs in file order."""
+    columns: dict[str, tuple[list[str], list[str]]] = {}
+    for _, fields in _data_lines(path):
+        if len(fields) != 3:
+            _sigma_file_error(path)
+        query_id, doc_id, sigma = fields
+        if query_id not in columns:
+            columns[query_id] = ([], [])
+        columns[query_id][0].append(doc_id)
+        columns[query_id][1].append(sigma)
+    parsed = {}
+    for query_id, (doc_ids, tokens) in columns.items():
+        sigmas = _column(tokens, np.float64)
+        if sigmas is None or not (
+            (np.isfinite(sigmas) & (sigmas >= 0.0)).all() and len(set(doc_ids)) == len(doc_ids)
+        ):
+            _sigma_file_error(path)
+        parsed[query_id] = (tuple(doc_ids), sigmas)
+    return parsed
+
+
+def _sigma_file_error(path: str | Path) -> NoReturn:
+    """Walk a sigma file that failed a bulk check line by line and raise
+    for its first bad line in file order."""
+    seen: set[tuple[str, str]] = set()
     for lineno, fields in _data_lines(path):
         if len(fields) != 3:
             raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
@@ -116,32 +175,54 @@ def parse_sigma_file(path: str | Path) -> dict[tuple[str, str], float]:
         sigma = _parse_float(path, lineno, sigma_token, "sigma")
         if sigma < 0.0:
             raise ValueError(f"{path}:{lineno}: sigma must be >= 0, got {sigma!r}")
-        if (query_id, doc_id) in sigmas:
+        if (query_id, doc_id) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate entry for ({query_id}, {doc_id})")
-        sigmas[(query_id, doc_id)] = sigma
-    return sigmas
+        seen.add((query_id, doc_id))
+    raise RuntimeError(f"{path}: a bulk check failed but no line is at fault")
 
 
 def parse_neutrality_file(path: str | Path) -> dict[str, float]:
     """Read per-document neutrality scores; repeated identical entries are
     tolerated, conflicting ones rejected."""
+    doc_ids: list[str] = []
+    tokens: list[str] = []
+    for _, fields in _data_lines(path):
+        if len(fields) != 2:
+            _neutrality_file_error(path)
+        doc_ids.append(fields[0])
+        tokens.append(fields[1])
+    values = _column(tokens, np.float64)
+    # the range check is false for nan too
+    if values is None or not ((values >= 0.0) & (values <= 1.0)).all():
+        _neutrality_file_error(path)
+    floats = values.tolist()
+    scores = dict(zip(doc_ids, floats))
+    # a repeated doc keeps its last value, so an earlier one that differs conflicts
+    if len(scores) != len(doc_ids) and list(map(scores.get, doc_ids)) != floats:
+        _neutrality_file_error(path)
+    return scores
+
+
+def _neutrality_file_error(path: str | Path) -> NoReturn:
+    """Walk a neutrality file that failed a bulk check line by line and
+    raise for its first bad line in file order."""
     scores: dict[str, float] = {}
     for lineno, fields in _data_lines(path):
         if len(fields) != 2:
             raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
         doc_id, value_token = fields
         value = _parse_float(path, lineno, value_token, "neutrality")
-        try:
-            check_neutrality(value)
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(
+                f"{path}:{lineno}: neutrality score must lie in [0, 1], got {value!r}"
+            )
         if doc_id in scores and scores[doc_id] != value:
             raise ValueError(
                 f"{path}:{lineno}: conflicting neutrality for {doc_id!r}: "
                 f"{scores[doc_id]!r} vs {value!r}"
             )
         scores[doc_id] = value
-    return scores
+    raise RuntimeError(f"{path}: a bulk check failed but no line is at fault")
 
 
 def parse_qrels(path: str | Path) -> RelevanceJudgments:
@@ -240,15 +321,21 @@ def corpus_from_features(features: Mapping[str, Mapping[str, np.ndarray]]) -> li
 
 
 def attach_sigmas(
-    corpus: Sequence[QueryCandidates], sigmas: Mapping[tuple[str, str], float]
+    corpus: Sequence[QueryCandidates],
+    sigmas: Mapping[str, tuple[tuple[str, ...], np.ndarray]],
 ) -> list[QueryCandidates]:
-    """Join sigma values onto a corpus; every pair must be covered."""
+    """Join sigma columns from :func:`parse_sigma_file` onto a corpus; every
+    pair must be covered. A column whose doc ids are the query's, as
+    :func:`write_sigma_file` writes them, is used as it is."""
     joined = []
     for query in corpus:
-        try:
-            column = [sigmas[query.query_id, doc_id] for doc_id in query.doc_ids]
-        except KeyError as exc:
-            raise ValueError(f"missing sigma for ({query.query_id}, {exc.args[0][1]})") from None
+        doc_ids, column = sigmas.get(query.query_id, ((), np.empty(0)))
+        if doc_ids != query.doc_ids:
+            by_doc = dict(zip(doc_ids, column.tolist()))
+            try:
+                column = [by_doc[doc_id] for doc_id in query.doc_ids]
+            except KeyError as exc:
+                raise ValueError(f"missing sigma for ({query.query_id}, {exc.args[0]})") from None
         joined.append(replace(query, sigma=column))
     return joined
 

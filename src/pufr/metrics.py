@@ -3,6 +3,7 @@ t-tests, and uncertainty-interval intersection counts."""
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -17,43 +18,43 @@ from .core import QueryCandidates, Ranking
 class RelevanceJudgments:
     """Graded relevance per (query, doc); missing pairs count as grade 0.
 
-    Construction takes a snapshot: ``grades`` is copied and indexed by
-    query, so later changes to the caller's mapping change neither
-    :meth:`grade` nor :func:`ndcg_at_k`. Ideal DCGs are kept once computed."""
+    Construction takes a snapshot: ``grades`` is copied and indexed as
+    query -> {doc_id: grade}, so later changes to the caller's mapping change
+    neither :meth:`grade` nor :func:`ndcg_at_k`. Ideal DCGs are kept too."""
 
     grades: Mapping[tuple[str, str], int]
-    _by_query: dict[str, list[int]] = field(init=False, compare=False, repr=False)
+    _by_query: dict[str, dict[str, int]] = field(init=False, compare=False, repr=False)
     _ideal_dcg: dict[tuple[str, int], float] = field(
         default_factory=dict, init=False, compare=False, repr=False
     )
 
     def __post_init__(self) -> None:
         grades = dict(self.grades)
-        by_query: dict[str, list[int]] = {}
+        by_query: dict[str, dict[str, int]] = {}
         for (query_id, doc_id), grade in grades.items():
             if grade < 0:
                 raise ValueError(
                     f"negative relevance grade {grade} for ({query_id!r}, {doc_id!r})"
                 )
-            by_query.setdefault(query_id, []).append(grade)
+            by_query.setdefault(query_id, {})[doc_id] = grade
         object.__setattr__(self, "grades", grades)
         object.__setattr__(self, "_by_query", by_query)
 
     def grade(self, query_id: str, doc_id: str) -> int:
-        return self.grades.get((query_id, doc_id), 0)
+        return self._by_query.get(query_id, {}).get(doc_id, 0)
 
     def grades_for_query(self, query_id: str) -> list[int]:
         """The query's judged grades, in ``grades`` order."""
-        return list(self._by_query.get(query_id, ()))
+        return list(self._by_query.get(query_id, {}).values())
 
     def ideal_dcg(self, query_id: str, k: int) -> float:
         """DCG@k of the query's judged grades sorted descending."""
         key = (query_id, k)
         if key not in self._ideal_dcg:
-            ideal_grades = sorted(self.grades_for_query(query_id), reverse=True)
+            ideal_grades = sorted(self.grades_for_query(query_id), reverse=True)[:k]
             self._ideal_dcg[key] = sum(
-                grade / _discount(position)
-                for position, grade in enumerate(ideal_grades[:k], start=1)
+                grade / discount
+                for grade, discount in zip(ideal_grades, _discounts(len(ideal_grades)))
             )
         return self._ideal_dcg[key]
 
@@ -79,8 +80,10 @@ class TTestResult:
     p_value: float
 
 
-def _discount(position: int) -> float:
-    return math.log2(position + 1)
+@functools.lru_cache(maxsize=64)
+def _discounts(n: int) -> tuple[float, ...]:
+    """The DCG discounts ``log2(position + 1)`` of positions 1..n."""
+    return tuple(math.log2(position + 1) for position in range(1, n + 1))
 
 
 def ndcg_at_k(ranking: Ranking, judgments: RelevanceJudgments, k: int) -> float:
@@ -92,9 +95,11 @@ def ndcg_at_k(ranking: Ranking, judgments: RelevanceJudgments, k: int) -> float:
     if k < 1:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
     query_id, doc_ids = ranking.query_id, ranking.query.doc_ids
+    grade = judgments._by_query.get(query_id, {}).get
+    top = ranking.order[:k].tolist()
     dcg = 0.0
-    for position, i in enumerate(ranking.order[:k].tolist(), start=1):
-        dcg += judgments.grade(query_id, doc_ids[i]) / _discount(position)
+    for i, discount in zip(top, _discounts(len(top))):
+        dcg += grade(doc_ids[i], 0) / discount
     idcg = judgments.ideal_dcg(query_id, k)
     if idcg == 0.0:
         return 0.0
@@ -165,6 +170,13 @@ def paired_t_test(a: Mapping[str, float], b: Mapping[str, float]) -> TTestResult
     return TTestResult(t_statistic=t, degrees_of_freedom=df, p_value=p)
 
 
+def check_interval_alpha(alpha: float) -> float:
+    """An interval width multiplier must be finite and > 0."""
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be > 0, got {alpha!r}")
+    return alpha
+
+
 def intersection_counts(query: QueryCandidates, alpha: float) -> list[int]:
     """Per rank position, how many other docs' score intervals
     [mu - alpha*sigma, mu + alpha*sigma] overlap that doc's interval.
@@ -173,8 +185,7 @@ def intersection_counts(query: QueryCandidates, alpha: float) -> list[int]:
     never counted against itself. Counted from the sorted endpoints in
     O(n log n).
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be > 0, got {alpha!r}")
+    check_interval_alpha(alpha)
     margin = alpha * query.column("sigma")
     lo, hi = query.mu - margin, query.mu + margin
     # i overlaps j unless lo_j > hi_i or hi_j < lo_i (never both), and

@@ -5,11 +5,20 @@ rankings became columnar. They work on plain rows (see ``conftest.rows``),
 doc ids, dicts keyed by doc id and Python floats, so their results are the
 bit-exact reference: Python's ``min`` and ``max`` keep the earlier of two
 equal values, sums run left to right, and doc ids compare in ``str`` order.
+
+The file parsers at the end are the line-by-line parsers the library used
+before it read the run, sigma and neutrality files column by column: one
+``int()`` or ``float()`` and one check per line, so an error names the
+first bad ``path:line`` in file order.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from pathlib import Path
+
+from pufr import QueryCandidates
 
 
 def canonical_order(rows):
@@ -92,3 +101,111 @@ def ndcg(query_id, ranked_doc_ids, grades, k):
     ideal = sorted((g for (qid, _), g in grades.items() if qid == query_id), reverse=True)
     idcg = sum(g / math.log2(position + 1) for position, g in enumerate(ideal[:k], start=1))
     return 0.0 if idcg == 0.0 else dcg / idcg
+
+
+def data_lines(path):
+    """(line number, fields) of each line that is neither blank nor a comment."""
+    text = Path(path).read_text(encoding="utf-8")
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        yield lineno, stripped.split()
+
+
+def parse_float(path, lineno, token, what):
+    try:
+        value = float(token)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: {what} is not a number: {token!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}:{lineno}: {what} must be finite, got {token!r}")
+    return value
+
+
+def parse_run_file(path):
+    """Per-query candidates, queries in order of first appearance."""
+    rows = {}
+    seen = set()
+    for lineno, fields in data_lines(path):
+        if len(fields) != 6:
+            raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
+        query_id, _, doc_id, rank_token, score_token, _ = fields
+        try:
+            rank = int(rank_token)
+        except ValueError:
+            raise ValueError(
+                f"{path}:{lineno}: rank is not an integer: {rank_token!r}"
+            ) from None
+        score = parse_float(path, lineno, score_token, "score")
+        if (query_id, doc_id) in seen:
+            raise ValueError(f"{path}:{lineno}: duplicate entry for ({query_id}, {doc_id})")
+        seen.add((query_id, doc_id))
+        doc_ids, scores, ranks = rows.setdefault(query_id, ([], [], []))
+        doc_ids.append(doc_id)
+        scores.append(score)
+        ranks.append((rank, lineno))
+    if not rows:
+        raise ValueError(f"{path}: no data lines")
+    corpus = []
+    for query_id, (doc_ids, scores, ranks) in rows.items():
+        used = set()
+        for rank, lineno in ranks:
+            if rank in used or not 1 <= rank <= len(ranks):
+                raise ValueError(
+                    f"{path}:{lineno}: query {query_id!r}: rank {rank} is repeated or outside "
+                    f"1..{len(ranks)}, so the rank column is not a permutation"
+                )
+            used.add(rank)
+        corpus.append(QueryCandidates.ranked(query_id, doc_ids, scores))
+    return corpus
+
+
+def parse_sigma_file(path):
+    """Sigma values keyed by (query_id, doc_id), in file order."""
+    sigmas = {}
+    for lineno, fields in data_lines(path):
+        if len(fields) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+        query_id, doc_id, sigma_token = fields
+        sigma = parse_float(path, lineno, sigma_token, "sigma")
+        if sigma < 0.0:
+            raise ValueError(f"{path}:{lineno}: sigma must be >= 0, got {sigma!r}")
+        if (query_id, doc_id) in sigmas:
+            raise ValueError(f"{path}:{lineno}: duplicate entry for ({query_id}, {doc_id})")
+        sigmas[(query_id, doc_id)] = sigma
+    return sigmas
+
+
+def attach_sigmas(corpus, sigmas):
+    """Join a (query_id, doc_id) -> sigma dict onto a corpus, pair by pair."""
+    joined = []
+    for query in corpus:
+        try:
+            column = [sigmas[query.query_id, doc_id] for doc_id in query.doc_ids]
+        except KeyError as exc:
+            raise ValueError(f"missing sigma for ({query.query_id}, {exc.args[0][1]})") from None
+        joined.append(replace(query, sigma=column))
+    return joined
+
+
+def parse_neutrality_file(path):
+    """Doc id -> neutrality; a repeated doc keeps its last value, and a
+    repeat with a different value is an error."""
+    scores = {}
+    for lineno, fields in data_lines(path):
+        if len(fields) != 2:
+            raise ValueError(f"{path}:{lineno}: expected 2 fields, got {len(fields)}")
+        doc_id, value_token = fields
+        value = parse_float(path, lineno, value_token, "neutrality")
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(
+                f"{path}:{lineno}: neutrality score must lie in [0, 1], got {value!r}"
+            )
+        if doc_id in scores and scores[doc_id] != value:
+            raise ValueError(
+                f"{path}:{lineno}: conflicting neutrality for {doc_id!r}: "
+                f"{scores[doc_id]!r} vs {value!r}"
+            )
+        scores[doc_id] = value
+    return scores

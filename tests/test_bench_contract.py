@@ -7,7 +7,9 @@ to some of them by the same names. This test reads both files, without
 running the benchmark, and checks that every name resolves to a function of
 its ``pufr.<layer>`` module, so a refactor that renames or removes one fails
 here instead of only in the slower ``bench/smoke.py``, or, for a hook
-target, instead of silently dropping its counter.
+target, instead of silently dropping its counter. The byte-counting hooks
+size the file named by a call's first positional argument, so every
+function they wrap must take ``path`` first.
 """
 
 from __future__ import annotations
@@ -60,6 +62,19 @@ def test_every_expected_call_is_a_function_of_its_layer(name):
 @pytest.mark.parametrize("name", tuple(TRACER._HOOKS))
 def test_every_hook_target_is_a_function_of_its_layer(name):
     assert_defined_in_its_layer(name)
+
+
+@pytest.mark.parametrize("name", sorted(
+    name for name, hook in TRACER._HOOKS.items()
+    if hook in (TRACER._bytes_read, TRACER._bytes_written)
+))
+def test_every_byte_counted_function_takes_the_path_first(name):
+    layer, attr = name.split(".")
+    first = next(iter(inspect.signature(resolve(layer, attr)).parameters.values()))
+    assert first.name == "path", f"{name} takes {first.name!r} first, not 'path'"
+    assert first.kind in (first.POSITIONAL_ONLY, first.POSITIONAL_OR_KEYWORD), (
+        f"{name} takes its path by keyword, so the tracer would count 0 bytes"
+    )
 
 
 def test_the_candidate_counter_has_its_hook():

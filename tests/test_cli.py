@@ -214,6 +214,35 @@ class TestSharedValidation:
         )
         assert "missing" not in err and not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("grid,message", [
+        ("0", "alpha must be > 0, got 0.0"),
+        ("1,-2", "alpha must be > 0, got -2.0"),
+        ("nan", "alpha must be > 0, got nan"),
+    ], ids=["zero", "negative", "nan"])
+    def test_interval_alphas_are_checked_before_reading(self, tmp_path, capsys, grid, message):
+        assert main([
+            "intervals", "--run", str(tmp_path / "missing.run"),
+            "--sigmas", str(tmp_path / "missing.sigma"), f"--alpha-grid={grid}",
+            "--output", str(tmp_path / "o.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --alpha-grid: {message}\n")
+        assert "missing" not in err and not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("floor", ["nan", "inf", "-inf"])
+    def test_ndcg_floor_must_be_finite_and_is_checked_before_reading(
+        self, tmp_path, capsys, floor
+    ):
+        assert main([
+            "sweep", "--method", "pufr", "--alpha-grid", "1.0",
+            "--run", str(tmp_path / "missing.run"), "--sigmas", str(tmp_path / "s"),
+            "--neutrality", str(tmp_path / "n"), "--qrels", str(tmp_path / "q"),
+            f"--ndcg-floor={floor}", "--output", str(tmp_path / "o.csv"),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.endswith(f"error: argument --ndcg-floor: must be finite, got {floor!r}\n")
+        assert "missing" not in err and not (tmp_path / "o.csv").exists()
+
 
 class TestRunTag:
     """A tag that is not one whitespace-free field is refused while the

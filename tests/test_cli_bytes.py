@@ -10,6 +10,7 @@ a wall-clock time.
 
 from __future__ import annotations
 
+import random
 from pathlib import Path
 
 import pytest
@@ -107,8 +108,29 @@ SWEEPS = (
 )
 
 
-def write_corpus(directory: Path) -> list[str]:
-    for name, text in (("run", RUN), ("sigma", SIGMA), ("neutrality", NEUTRALITY),
+def shuffled(text: str, seed: int) -> str:
+    """The lines of ``text`` in another order, with comment and blank lines.
+    Each query's first line keeps its place relative to the other queries'
+    first lines, since queries are written in order of first appearance;
+    every other line goes anywhere after its query's first line."""
+    rng = random.Random(seed)
+    lines, rest, first = [], [], set()
+    for line in text.splitlines():
+        query_id = line.split()[0]
+        (rest if query_id in first else lines).append(line)
+        first.add(query_id)
+    rng.shuffle(rest)
+    for line in rest:
+        query_id = line.split()[0]
+        start = next(i for i, kept in enumerate(lines) if kept.split()[0] == query_id)
+        lines.insert(rng.randrange(start + 1, len(lines) + 1), line)
+    for extra in ("# shuffled", "", "  # indented comment", "   "):
+        lines.insert(rng.randrange(len(lines) + 1), extra)
+    return "".join(line + "\n" for line in lines)
+
+
+def write_corpus(directory: Path, run: str = RUN, sigma: str = SIGMA) -> list[str]:
+    for name, text in (("run", run), ("sigma", sigma), ("neutrality", NEUTRALITY),
                        ("qrels", QRELS)):
         (directory / name).write_text(text, encoding="utf-8")
     return ["--run", str(directory / "run"), "--sigmas", str(directory / "sigma"),
@@ -127,9 +149,10 @@ def mask_time(csv: str) -> str:
 
 
 def run_command(directory: Path, kind: str, name: str, method: str, alpha: str,
-                extra: tuple[str, ...]) -> tuple[int, str]:
-    """Run one command on the corpus in ``directory``; returns (exit code, output text)."""
-    corpus = write_corpus(directory)
+                extra: tuple[str, ...], **files: str) -> tuple[int, str]:
+    """Run one command on the corpus in ``directory``, with the run and sigma
+    texts in ``files`` if given; returns (exit code, output text)."""
+    corpus = write_corpus(directory, **files)
     out = directory / name
     if kind == "rerank":
         argv = ["rerank", *corpus, "--method", method, "--alpha", alpha, "--tag", method]
@@ -149,6 +172,20 @@ CASES = [("rerank", *case) for case in RERANKS] + [("sweep", *case) for case in 
 def test_output_bytes_are_unchanged(tmp_path, capsys, kind, name, method, alpha, extra,
                                     exit_code):
     code, text = run_command(tmp_path, kind, name, method, alpha, extra)
+    assert code == exit_code, capsys.readouterr().err
+    suffix = ".run" if kind == "rerank" else ".csv"
+    assert text == (GOLDEN / (name + suffix)).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("kind,name,method,alpha,extra,exit_code", CASES,
+                         ids=[case[1] for case in CASES])
+def test_line_order_and_comments_do_not_change_the_bytes(tmp_path, capsys, kind, name, method,
+                                                          alpha, extra, exit_code):
+    # queries recur later in both files; the sigma lines of q2 and q3 stay in
+    # original-rank order and those of q1, q4 and q5 do not, so a sigma column
+    # is joined both as it is and by doc id
+    run, sigma = shuffled(RUN, 1), shuffled(SIGMA, 2)
+    code, text = run_command(tmp_path, kind, name, method, alpha, extra, run=run, sigma=sigma)
     assert code == exit_code, capsys.readouterr().err
     suffix = ".run" if kind == "rerank" else ".csv"
     assert text == (GOLDEN / (name + suffix)).read_text(encoding="utf-8")

@@ -16,6 +16,7 @@ from pufr import (
 )
 from pufr import fileio
 
+import oracles
 from conftest import query_key, rows
 
 
@@ -90,7 +91,10 @@ class TestParseSigmaFile:
     def test_basic(self, tmp_path):
         path = tmp_path / "sig"
         path.write_text("q1 d7 0.31\n")
-        assert fileio.parse_sigma_file(path) == {("q1", "d7"): 0.31}
+        ((query_id, (doc_ids, sigmas)),) = fileio.parse_sigma_file(path).items()
+        assert (query_id, doc_ids, sigmas.dtype, sigmas.tolist()) == (
+            "q1", ("d7",), np.float64, [0.31]
+        )
 
     def test_negative_sigma_rejected(self, tmp_path):
         path = tmp_path / "sig"
@@ -326,6 +330,168 @@ class TestBulkFloatParsing:
         with pytest.raises(ValueError) as info:
             fileio.parse_posterior_file(path)
         assert str(info.value) == f"{path}:2: fisher value 2 must be finite, got '1e400'"
+
+
+_ARABIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+_FULLWIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+# Spellings that int() reads as the rank itself, and rank tokens that repeat
+# a rank, lie outside 1..n or are not integers; 20 digits overflow numpy's int64.
+_RANK_SPELLINGS = [str, "+{}".format, "0{}".format, "0_{}".format,
+                   lambda r: str(r).translate(_ARABIC), lambda r: str(r).translate(_FULLWIDTH)]
+_BAD_RANKS = ["1", "2", "0", "-0", "5.", "1.0", "0x10", "1e3", "nan", "99999999999999999999",
+              "-99999999999999999999"]
+# Tied and signed-zero scores and odd spellings float() accepts; then ones it
+# rejects or reads as non-finite.
+_SCORES = ["0.0", "-0.0", "-0", "1.5", "1.5", "-2.0", "1_0", "+5", "5.",
+           "\u0661\u0660", "\uff11\uff12"]
+_BAD_SCORES = ["1e400", "-1e400", "nan", "inf", "0x10", "np.float64(0.5)", "high"]
+_COMMENTS = ["# comment", "", "   ", "\t# indented", "#"]
+_score_tokens = st.one_of(
+    st.sampled_from(_SCORES), st.floats(allow_nan=False, allow_infinity=False).map(repr)
+)
+
+
+def _file_text(draw, lines):
+    """The lines with comment and blank lines put in among them."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_COMMENTS)))
+    return "".join(line + "\n" for line in lines)
+
+
+def _run_entries(draw):
+    """Valid run entries of up to 3 queries, interleaved half of the time."""
+    entries = []
+    for q in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 5))
+        docs = draw(st.permutations([f"d{i}" for i in range(6)]))[:n]
+        ranks = draw(st.permutations(range(1, n + 1)))
+        for doc, rank in zip(docs, ranks):
+            rank_token = draw(st.sampled_from(_RANK_SPELLINGS))(rank)
+            entries.append([f"q{q}", "Q0", doc, rank_token, draw(_score_tokens), "t"])
+    return draw(st.permutations(entries)) if draw(st.booleans()) else entries
+
+
+def _corrupted(draw, entries, bad_fields):
+    """Up to two corruptions: a bad token in one of ``bad_fields`` (field
+    index -> tokens), a repeated entry, or a wrong field count."""
+    entries = [list(entry) for entry in entries]
+    for _ in range(draw(st.integers(0, 2 if entries else 0))):
+        i = draw(st.integers(0, len(entries) - 1))
+        kind = draw(st.sampled_from(["token", "repeat", "token", "fields"]))
+        if kind == "token":
+            field = draw(st.sampled_from(sorted(bad_fields)))
+            if field < len(entries[i]):  # an entry cut short may lack the field
+                entries[i][field] = draw(st.sampled_from(bad_fields[field]))
+        elif kind == "repeat":
+            entries.insert(draw(st.integers(0, len(entries))), list(entries[i]))
+        else:
+            entries[i] = entries[i][:-1] if draw(st.booleans()) else entries[i] + ["x"]
+    return entries
+
+
+def _outcomes(tmp, text, parse, oracle):
+    path = Path(tmp) / "file"
+    path.write_text(text, encoding="utf-8")
+    return outcome(parse, path), outcome(oracle, path)
+
+
+def _same_queries(got, want):
+    return list(map(query_key, got)) == list(map(query_key, want))
+
+
+class TestBulkColumnParsing:
+    """The column-wise run, sigma and neutrality parsers give the line-by-line
+    oracles' columns, bit for bit, and their error messages, word for word."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_run_file_matches_the_line_oracle(self, data):
+        entries = _corrupted(data.draw, _run_entries(data.draw), {3: _BAD_RANKS, 4: _BAD_SCORES})
+        text = _file_text(data.draw, (" ".join(entry) for entry in entries))
+        with tempfile.TemporaryDirectory() as tmp:
+            (kind, got), (want_kind, want) = _outcomes(
+                tmp, text, fileio.parse_run_file, oracles.parse_run_file
+            )
+        assert kind == want_kind
+        assert got == want if kind == "error" else _same_queries(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), order=st.sampled_from(["original rank", "run", "shuffled", "by doc"]))
+    def test_sigma_file_and_join_match_the_line_oracle(self, data, order):
+        with tempfile.TemporaryDirectory() as tmp:
+            run_path = Path(tmp) / "run"
+            run = _run_entries(data.draw)
+            run_path.write_text("".join(" ".join(e) + "\n" for e in run), encoding="utf-8")
+            corpus = oracles.parse_run_file(run_path)
+            # in original-rank order, as write_sigma_file writes, the join
+            # takes the columns as they are; in any other, it goes by doc id
+            pairs = [(q.query_id, d) for q in corpus for d in q.doc_ids]
+            if order == "run":
+                pairs = [(q, d) for q, _, d, _, _, _ in run]
+            elif order == "shuffled":
+                pairs = data.draw(st.permutations(pairs))
+            elif order == "by doc":
+                pairs = sorted(pairs, key=lambda pair: pair[1])
+            sigma = st.one_of(
+                st.sampled_from(["0.0", "-0.0", "0.25", "1_0", "+5", "5.", "\u0661"]),
+                st.floats(min_value=0.0, allow_infinity=False).map(repr),
+            )
+            entries = [[q, d, data.draw(sigma)] for q, d in pairs]
+            if data.draw(st.booleans()):
+                del entries[data.draw(st.integers(0, len(entries) - 1))]  # a missing pair
+            if data.draw(st.booleans()):
+                entries.append(["q0", "unranked", "0.5"])
+            entries = _corrupted(data.draw, entries, {2: ["-0.5", "-1e-300", "nan", "inf", "x"]})
+            (kind, got), (want_kind, want) = _outcomes(
+                tmp, _file_text(data.draw, (" ".join(e) for e in entries)),
+                fileio.parse_sigma_file, oracles.parse_sigma_file,
+            )
+        assert kind == want_kind
+        if kind == "error":
+            assert got == want
+            return
+        for query_id, (doc_ids, sigmas) in got.items():
+            assert sigmas.dtype == np.float64
+            assert doc_ids == tuple(d for q, d in want if q == query_id)
+            assert [s.hex() for s in sigmas.tolist()] == [
+                want[query_id, d].hex() for d in doc_ids
+            ]
+        assert sum(len(doc_ids) for doc_ids, _ in got.values()) == len(want)
+        (kind, joined), (want_kind, want_joined) = (
+            outcome(fileio.attach_sigmas, corpus, got),
+            outcome(oracles.attach_sigmas, corpus, want),
+        )
+        assert kind == want_kind
+        assert joined == want_joined if kind == "error" else _same_queries(joined, want_joined)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_neutrality_file_matches_the_line_oracle(self, data):
+        # equal values in several spellings, so that repeats are mostly equal
+        values = [["0.0", "-0.0", "0", "0_0"], ["1.0", "1", "\u0661", "+1.0"],
+                  ["0.5", "5e-1", ".5"], ["0.25", "2.5e-1"]]
+        spellings = {d: data.draw(st.sampled_from(values)) for d in ("a", "b", "c")}
+        entries = []
+        for d in data.draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=8)):
+            # one entry in eight may take another value: a conflict if d repeats
+            group = spellings[d] if data.draw(st.integers(0, 7)) else data.draw(
+                st.sampled_from(values))
+            entries.append([d, data.draw(st.sampled_from(group))])
+        bad = ["1.5", "-0.1", "0_5", "nan", "inf", "x", "np.float64(0.5)"]
+        entries = _corrupted(data.draw, entries, {1: bad})
+        with tempfile.TemporaryDirectory() as tmp:
+            (kind, got), (want_kind, want) = _outcomes(
+                tmp, _file_text(data.draw, (" ".join(e) for e in entries)),
+                fileio.parse_neutrality_file, oracles.parse_neutrality_file,
+            )
+        assert kind == want_kind
+        if kind == "error":
+            assert got == want
+        else:
+            assert [(d, v.hex()) for d, v in got.items()] == [
+                (d, v.hex()) for d, v in want.items()
+            ]
 
 
 def fixture_corpus(seed=0, n_queries=6, n_candidates=8):
