@@ -27,7 +27,6 @@ from .core import (
     rank_by_score,
 )
 from .metrics import (
-    MetricReport,
     RelevanceJudgments,
     TTestResult,
     fairr_at_k,
@@ -100,7 +99,6 @@ __all__ = [
     "constrained_rerank",
     "hungarian_assign",
     "RelevanceJudgments",
-    "MetricReport",
     "TTestResult",
     "ndcg_at_k",
     "fairr_at_k",

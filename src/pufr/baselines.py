@@ -6,9 +6,7 @@ small windows)."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -195,7 +193,6 @@ def _window_fairness(neutrality: np.ndarray, order: np.ndarray, exposures: np.nd
 def constrained_rerank(
     query: QueryCandidates,
     cfg: ConstraintConfig,
-    gains: Mapping[str, float] | None = None,
 ) -> ConstrainedResult:
     """Maximize windowed discounted gain subject to a FaiRR floor.
 
@@ -205,23 +202,12 @@ def constrained_rerank(
     original order. Each lambda-subproblem is the exact assignment with
     benefit gain/log2(pos+1) + lambda*neutrality/pos; lambda is bisected
     over [0, 1e6*max_gain]. Infeasible floors are flagged, not raised,
-    and the fairest solution found is returned. When gains are not
-    supplied, mean scores min-shifted to be nonnegative within the window
-    serve as the gain proxy.
+    and the fairest solution found is returned. The gains are the mean
+    scores min-shifted to be nonnegative within the window.
     """
     depth = min(cfg.depth, len(query))
-    window = query.doc_ids[:depth]
     neut_vec = query.column("neutrality")[:depth]
-    if gains is None:
-        base = min(query.mu[:depth].tolist())
-        gain_vec = query.mu[:depth] - base
-    else:
-        missing = [doc_id for doc_id in window if doc_id not in gains]
-        if missing:
-            raise ValueError(f"query {query.query_id!r}: no gain for docs {missing}")
-        gain_vec = np.array([float(gains[doc_id]) for doc_id in window])
-        if not np.isfinite(gain_vec).all():
-            raise ValueError(f"query {query.query_id!r}: gains must be finite")
+    gain_vec = query.mu[:depth] - min(query.mu[:depth].tolist())
     positions = np.arange(depth)
     discounts = 1.0 / np.log2(positions + 2)
     exposures = 1.0 / (positions + 1)

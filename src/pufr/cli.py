@@ -22,11 +22,11 @@ from typing import Sequence
 from . import fileio
 from .baselines import DEFAULT_DEPTH, unfair_rank
 from .core import QueryCandidates, assign_groups, check_protected_threshold
-from .metrics import check_interval_alpha
 from .sweep import (
     METHODS,
     REGISTRY,
     SweepConfig,
+    check_interval_alphas,
     records_to_csv,
     report_interval_analysis,
     run_sweep,
@@ -52,7 +52,7 @@ def _alpha_grid(text: str) -> tuple[float, ...]:
 
 def _interval_alphas(text: str) -> tuple[float, ...]:
     try:
-        return tuple(map(check_interval_alpha, _alpha_grid(text)))
+        return check_interval_alphas(_alpha_grid(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -249,8 +249,7 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
             f"{args.features} has feature dimension {feature_dim} but "
             f"{args.posterior} has posterior dimension {posterior.dim}"
         )
-    corpus = fileio.corpus_from_features(features)
-    scored = [score_query(posterior, q, features[q.query_id], cfg) for q in corpus]
+    scored = [score_query(posterior, docs, query_id, cfg) for query_id, docs in features.items()]
     fileio.write_run_file(args.output, [unfair_rank(q) for q in scored], tag=args.tag)
     fileio.write_sigma_file(args.sigma_output, scored)
     return EXIT_OK

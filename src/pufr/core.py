@@ -168,9 +168,6 @@ class Ranking:
     def doc_ids(self) -> tuple[str, ...]:
         return tuple(map(self.query.doc_ids.__getitem__, self.order.tolist()))
 
-    def __len__(self) -> int:
-        return len(self.order)
-
 
 def build_query(query_id: str, candidates: Sequence[ScoredCandidate]) -> QueryCandidates:
     """Assemble a query from rows, in original-rank order (see
@@ -214,6 +211,3 @@ def rank_by_score(query: QueryCandidates, scores: np.ndarray) -> Ranking:
         raise ValueError(f"query {query.query_id!r}: non-finite score for doc {doc_id!r}")
     order = np.argsort(-scores, kind="stable")
     return Ranking(query, order, scores[order])
-
-
-Corpus = Sequence[QueryCandidates]

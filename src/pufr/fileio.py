@@ -312,14 +312,6 @@ def parse_posterior_file(path: str | Path) -> LastLayerPosterior:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def corpus_from_features(features: Mapping[str, Mapping[str, np.ndarray]]) -> list[QueryCandidates]:
-    """Skeleton corpus from a feature file: scores to be filled in later."""
-    return [
-        QueryCandidates.ranked(query_id, list(per_query), np.zeros(len(per_query)))
-        for query_id, per_query in features.items()
-    ]
-
-
 def attach_sigmas(
     corpus: Sequence[QueryCandidates],
     sigmas: Mapping[str, tuple[tuple[str, ...], np.ndarray]],

@@ -60,20 +60,6 @@ class RelevanceJudgments:
 
 
 @dataclass(frozen=True)
-class MetricReport:
-    """Per-query metric values plus their arithmetic mean."""
-
-    per_query: Mapping[str, float]
-    mean: float
-
-    @classmethod
-    def from_values(cls, per_query: Mapping[str, float]) -> "MetricReport":
-        if not per_query:
-            raise ValueError("metric report needs at least one query")
-        return cls(per_query=dict(per_query), mean=sum(per_query.values()) / len(per_query))
-
-
-@dataclass(frozen=True)
 class TTestResult:
     t_statistic: float
     degrees_of_freedom: int

@@ -20,8 +20,8 @@ from .baselines import (
 )
 from .core import QueryCandidates, Ranking
 from .metrics import (
-    MetricReport,
     RelevanceJudgments,
+    check_interval_alpha,
     median_intersections,
     ndcg_at_k,
     nfairr_at_k,
@@ -219,8 +219,8 @@ def run_sweep(
             TradeoffRecord(
                 method=cfg.method,
                 alpha=float(alpha),
-                ndcg={k: MetricReport.from_values(v).mean for k, v in ndcg.items()},
-                nfairr={k: MetricReport.from_values(v).mean for k, v in nfairr.items()},
+                ndcg={k: sum(v.values()) / len(v) for k, v in ndcg.items()},
+                nfairr={k: sum(v.values()) / len(v) for k, v in nfairr.items()},
                 mean_rerank_seconds=elapsed / len(corpus),
                 t_stat=t_stat,
                 p_value=p_value,
@@ -274,16 +274,30 @@ def select_best_tradeoff(
     return best
 
 
+def _interval_column(alpha: float) -> str:
+    return f"median_swaps_alpha_{alpha:g}"
+
+
+def check_interval_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
+    """At least one alpha, each finite and > 0, no two under one column name."""
+    alphas = tuple(map(check_interval_alpha, alphas))
+    if not alphas:
+        raise ValueError("need at least one alpha")
+    names = [_interval_column(alpha) for alpha in alphas]
+    if len(set(names)) < len(names):
+        raise ValueError(f"alphas {alphas} repeat a column name: {', '.join(names)}")
+    return alphas
+
+
 def report_interval_analysis(
     corpus: Sequence[QueryCandidates], alphas: Sequence[float] = (1.0, 2.0)
 ) -> str:
     """CSV of per-rank median interval-intersection counts, one column
     group per interval width multiplier."""
-    if not alphas:
-        raise ValueError("need at least one alpha")
+    alphas = check_interval_alphas(alphas)
     columns = {alpha: median_intersections(corpus, alpha) for alpha in alphas}
     depth = max(len(col) for col in columns.values())
-    header = ["rank"] + [f"median_swaps_alpha_{alpha:g}" for alpha in alphas]
+    header = ["rank"] + [_interval_column(alpha) for alpha in alphas]
     lines = [",".join(header)]
     for idx in range(depth):
         row = [str(idx + 1)]

@@ -186,24 +186,22 @@ def derive_query_seed(seed: int, query_id: str) -> int:
 
 def score_query(
     posterior: LastLayerPosterior,
-    query: QueryCandidates,
     features: Mapping[str, np.ndarray],
+    query_id: str,
     cfg: McConfig,
 ) -> QueryCandidates:
-    """Fill (mu, sigma) for every candidate of one query.
+    """Score one query's ``{doc_id: feature vector}`` rows into (mu, sigma).
 
     One weight-sample set is drawn per query and shared across its
     candidates, so per-candidate scores are comparable draws of the same
-    model; original ranks are recomputed from the new means.
+    model; original ranks follow the new means.
     """
-    for doc_id in query.doc_ids:
-        if doc_id not in features:
-            raise ValueError(f"query {query.query_id!r}: no feature vector for doc {doc_id!r}")
+    # keep this argument order: bench/tracer.py reads len(args[1]) and args[3].n_samples
     samples = sample_last_layers(
-        posterior, replace(cfg, seed=derive_query_seed(cfg.seed, query.query_id))
+        posterior, replace(cfg, seed=derive_query_seed(cfg.seed, query_id))
     )
     rescored: list[ScoredCandidate] = []
-    for doc_id in query.doc_ids:
-        dist = predictive_moments(samples, features[doc_id])
+    for doc_id, feature in features.items():
+        dist = predictive_moments(samples, feature)
         rescored.append(ScoredCandidate(doc_id=doc_id, mu=dist.mu, sigma=dist.sigma))
-    return build_query(query.query_id, rescored)
+    return build_query(query_id, rescored)

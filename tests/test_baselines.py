@@ -290,20 +290,6 @@ class TestConstrainedRerank:
         assert scores == sorted(scores, reverse=True)
         assert max(scores[depth:], default=-math.inf) < min(scores[:depth])
 
-    def test_supplied_gains_are_used(self):
-        q = make_query([3.0, 2.0, 1.0], neutralities=[0.5, 0.5, 0.5],
-                       doc_ids=["A", "B", "C"])
-        gains = {"A": 0.0, "B": 1.0, "C": 2.0}
-        result = constrained_rerank(
-            q, ConstraintConfig(alpha_fairness=0.0, depth=3), gains=gains
-        )
-        assert result.ranking.doc_ids() == ("C", "B", "A")
-
-    def test_missing_gain_rejected(self):
-        q = make_query([3.0, 2.0], neutralities=[0.5, 0.5], doc_ids=["A", "B"])
-        with pytest.raises(ValueError, match="gain"):
-            constrained_rerank(q, ConstraintConfig(alpha_fairness=0.0, depth=2), gains={"A": 1.0})
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ConstraintConfig(alpha_fairness=1.5)

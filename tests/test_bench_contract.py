@@ -10,16 +10,25 @@ here instead of only in the slower ``bench/smoke.py``, or, for a hook
 target, instead of silently dropping its counter. The byte-counting hooks
 size the file named by a call's first positional argument, so every
 function they wrap must take ``path`` first.
+
+It also runs each workload's ``tiny`` fixture build and commands in-process
+under the benchmark's tracer, as a traced run does, and checks that every
+name expected on that workload is called, so a refactor that stops calling
+one fails in tier-1 too.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import inspect
+import io
 import sys
 from pathlib import Path
 
 import pytest
+
+import pufr.cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -32,7 +41,8 @@ def bench_module(name: str):
         sys.path.remove(str(BENCH))
 
 
-EXPECTED_CALLS = tuple(bench_module("workloads").EXPECTED_CALLS)
+WORKLOADS = bench_module("workloads")
+EXPECTED_CALLS = tuple(WORKLOADS.EXPECTED_CALLS)
 TRACER = bench_module("tracer")
 
 
@@ -80,3 +90,33 @@ def test_every_byte_counted_function_takes_the_path_first(name):
 def test_the_candidate_counter_has_its_hook():
     layer, cls_name, method = TRACER.CANDIDATE_INIT
     assert inspect.isfunction(resolve(layer, method, cls_name))
+
+
+def run_cli(argv) -> tuple[int, str, str]:
+    """``pufr.cli.main`` looked up at call time, so the traced binding runs."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = pufr.cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", tuple(WORKLOADS.WORKLOADS))
+def test_a_traced_tiny_run_calls_every_name_expected_on_its_workload(tmp_path, name):
+    workload = WORKLOADS.WORKLOADS[name]
+    seed = 3  # any seed; bench/smoke.py runs this one
+    expected = tuple(n for n, where in WORKLOADS.EXPECTED_CALLS.items() if name in where)
+    fixture, out = tmp_path / "fixture", tmp_path / "out"
+    out.mkdir()
+    tracer = TRACER.Tracer()
+    tracer.install(expected)
+    try:
+        workload.build_fixture(run_cli, fixture, seed, "tiny")
+        for command in workload.commands(fixture, out, seed, "tiny"):
+            code, _, err = run_cli(command.argv)
+            assert code == command.expected_exit, err
+    finally:
+        tracer.uninstall()
+    assert tracer.missing == []
+    assert [n for n in expected if n not in tracer.stats] == []
+    if name == "laplace-768":  # 2*N*d flops for each of 24 docs, d = 32, N = 1,000 samples
+        assert tracer.counters["uncertainty.mc_flops"] == 2 * 1000 * 32 * 24

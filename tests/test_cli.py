@@ -218,7 +218,13 @@ class TestSharedValidation:
         ("0", "alpha must be > 0, got 0.0"),
         ("1,-2", "alpha must be > 0, got -2.0"),
         ("nan", "alpha must be > 0, got nan"),
-    ], ids=["zero", "negative", "nan"])
+        ("1,1", "alphas (1.0, 1.0) repeat a column name: "
+                "median_swaps_alpha_1, median_swaps_alpha_1"),
+        ("1,1.0", "alphas (1.0, 1.0) repeat a column name: "
+                  "median_swaps_alpha_1, median_swaps_alpha_1"),
+        ("0.1234561,0.1234562", "alphas (0.1234561, 0.1234562) repeat a column name: "
+                                "median_swaps_alpha_0.123456, median_swaps_alpha_0.123456"),
+    ], ids=["zero", "negative", "nan", "repeated", "repeated-spelled-apart", "same-column"])
     def test_interval_alphas_are_checked_before_reading(self, tmp_path, capsys, grid, message):
         assert main([
             "intervals", "--run", str(tmp_path / "missing.run"),
@@ -373,6 +379,15 @@ class TestIntervalsCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "rank,median_swaps_alpha_1,median_swaps_alpha_2"
         assert len(lines) == 11  # 10 candidate positions
+
+    def test_a_grid_need_not_be_increasing(self, fixture_dir, tmp_path):
+        paths = fixture_paths(fixture_dir)
+        out = tmp_path / "intervals.csv"
+        assert main([
+            "intervals", "--run", str(paths["run"]), "--sigmas", str(paths["sigma"]),
+            "--alpha-grid", "2,1", "--output", str(out),
+        ]) == 0
+        assert out.read_text().splitlines()[0] == "rank,median_swaps_alpha_2,median_swaps_alpha_1"
 
 
 def write_laplace_inputs(directory, feature_dim, posterior_dim):

@@ -1,11 +1,12 @@
-"""Byte-level regression test of `pufr rerank` and `pufr sweep`.
+"""Byte-level regression test of `pufr rerank`, `pufr sweep` and `pufr laplace`.
 
 A small hand-written corpus holds the edge cases: exact ``mu`` ties,
 ``-0.0`` scores tied with ``0.0`` in either group, zero sigmas, a one-group
 query and a one-document query; alpha runs at 0 and -0.0 too. The expected
 files in ``golden/`` are the bytes the commands wrote before queries became
 columnar; sweep CSVs have their ``rerank_time_s`` column masked, since it is
-a wall-clock time.
+a wall-clock time. The laplace files are checked against bytes assembled
+per document from the sampling functions.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pufr import LastLayerPosterior, McConfig, predictive_moments, sample_last_layers
 from pufr.cli import main
+from pufr.uncertainty import derive_query_seed
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -189,3 +193,52 @@ def test_line_order_and_comments_do_not_change_the_bytes(tmp_path, capsys, kind,
     assert code == exit_code, capsys.readouterr().err
     suffix = ".run" if kind == "rerank" else ".csv"
     assert text == (GOLDEN / (name + suffix)).read_text(encoding="utf-8")
+
+
+# q2 recurs after q1, its docs are out of id order, and c and b have the same
+# feature row, so their means tie and the doc id breaks the tie
+FEATURES = """\
+q2 c 0.5 -1.0 2.0
+q2 a 0.25 0.5 -0.75
+q1 z 1.0 1.0 1.0
+q2 b 0.5 -1.0 2.0
+q1 y -2.0 0.0 0.5
+q2 d -1.5 0.75 0.0
+"""
+THETA = (0.5, -0.25, 1.0)
+FISHER = (2.0, 8.0, 4.0)
+
+
+def test_laplace_bytes_are_the_per_document_moments(tmp_path):
+    (tmp_path / "features").write_text(FEATURES, encoding="utf-8")
+    (tmp_path / "posterior").write_text(
+        f"theta 3 {' '.join(map(repr, THETA))}\nfisher 3 {' '.join(map(repr, FISHER))}\n",
+        encoding="utf-8",
+    )
+    seed, n_samples = 5, 200
+    assert main([
+        "laplace", "--features", str(tmp_path / "features"),
+        "--posterior", str(tmp_path / "posterior"), "--mc-samples", str(n_samples),
+        "--seed", str(seed), "--output", str(tmp_path / "run"),
+        "--sigma-output", str(tmp_path / "sigma"),
+    ]) == 0
+
+    features: dict[str, dict[str, np.ndarray]] = {}
+    for line in FEATURES.splitlines():
+        query_id, doc_id, *values = line.split()
+        features.setdefault(query_id, {})[doc_id] = np.array(values, dtype=float)
+    posterior = LastLayerPosterior(np.array(THETA), np.array(FISHER))
+    run, sigma = [], []
+    for query_id, docs in features.items():
+        samples = sample_last_layers(
+            posterior, McConfig(n_samples, seed=derive_query_seed(seed, query_id))
+        )
+        moments = {doc_id: predictive_moments(samples, h) for doc_id, h in docs.items()}
+        ordered = sorted(moments, key=lambda doc_id: (-moments[doc_id].mu, doc_id))
+        for rank, doc_id in enumerate(ordered, start=1):
+            run.append(f"{query_id} Q0 {doc_id} {rank} {moments[doc_id].mu!r} laplace\n")
+            sigma.append(f"{query_id} {doc_id} {moments[doc_id].sigma!r}\n")
+    scores = {line.split()[2]: line.split()[4] for line in run}
+    assert scores["b"] == scores["c"]
+    assert (tmp_path / "run").read_text(encoding="utf-8") == "".join(run)
+    assert (tmp_path / "sigma").read_text(encoding="utf-8") == "".join(sigma)

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from pufr import (
     RelevanceJudgments,
+    ScoredCandidate,
     SyntheticConfig,
     assign_groups,
+    build_query,
     generate_synthetic,
     unfair_rank,
 )
@@ -548,24 +550,13 @@ class TestRoundTrips:
                 assert c_orig.mu == c_back.mu
 
 
-class TestCorpusFromFeatures:
-    def test_skeleton_queries(self):
-        features = {"q1": {"a": np.array([1.0]), "b": np.array([2.0])}}
-        corpus = fileio.corpus_from_features(features)
-        assert len(corpus) == 1
-        assert set(corpus[0].doc_ids) == {"a", "b"}
-        assert all(c.mu == 0.0 and c.sigma is None for c in rows(corpus[0]))
-
-
 class TestWriters:
     def test_sigma_writer_requires_sigmas(self, tmp_path):
-        bare = fileio.corpus_from_features({"q": {"d": np.array([1.0])}})
+        bare = build_query("q", [ScoredCandidate(doc_id="d", mu=0.0)])
         with pytest.raises(ValueError, match="sigma"):
-            fileio.write_sigma_file(tmp_path / "sig", bare)
+            fileio.write_sigma_file(tmp_path / "sig", [bare])
 
     def test_conflicting_neutrality_across_queries_rejected(self, tmp_path):
-        from pufr import ScoredCandidate, build_query
-
         q1 = build_query("q1", [ScoredCandidate(doc_id="d", mu=1.0, neutrality=0.5)])
         q2 = build_query("q2", [ScoredCandidate(doc_id="d", mu=1.0, neutrality=0.6)])
         with pytest.raises(ValueError, match="conflicting"):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pufr import (
-    MetricReport,
     RelevanceJudgments,
     ScoredCandidate,
     build_query,
@@ -402,10 +401,6 @@ class TestRelevanceJudgments:
 
 
 class TestReportTypes:
-    def test_metric_report_mean(self):
-        report = MetricReport.from_values({"a": 0.2, "b": 0.4})
-        assert report.mean == pytest.approx(0.3)
-
     def test_negative_grade_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             RelevanceJudgments(grades={("q", "d"): -1})

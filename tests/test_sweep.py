@@ -196,6 +196,12 @@ class TestIntervalReport:
         for row in rows:
             assert row["median_swaps_alpha_2"] >= row["median_swaps_alpha_1"]
 
+    @pytest.mark.parametrize("alphas", [(1.0, 1.0), (1.0, 2.0, 1.0), (0.1234561, 0.1234562)])
+    def test_alphas_sharing_a_column_name_are_refused(self, alphas):
+        corpus = [make_query([0.0, 1.0], [0.5, 0.5])]
+        with pytest.raises(ValueError, match="repeat a column name"):
+            report_interval_analysis(corpus, alphas)
+
     def test_single_query_reproduces_intersection_counts(self):
         from pufr import intersection_counts
 

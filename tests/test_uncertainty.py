@@ -4,9 +4,7 @@ import pytest
 from pufr import (
     LastLayerPosterior,
     McConfig,
-    ScoredCandidate,
     analytic_predictive,
-    build_query,
     estimate_diagonal_fisher,
     predictive_moments,
     sample_last_layers,
@@ -188,15 +186,9 @@ class TestAnalyticPredictive:
 
 
 class TestScoreQuery:
-    @staticmethod
-    def _query(doc_ids):
-        return build_query("q7", [ScoredCandidate(doc_id=d, mu=0.0) for d in doc_ids])
-
     def test_near_deterministic_posterior(self):
         post = posterior([2.0], [1e12])
-        scored = score_query(
-            post, self._query(["a"]), {"a": np.array([1.0])}, McConfig(n_samples=500, seed=0)
-        )
+        scored = score_query(post, {"a": np.array([1.0])}, "q7", McConfig(n_samples=500, seed=0))
         (c,) = rows(scored)
         assert c.mu == pytest.approx(2.0, abs=1e-4)
         assert c.sigma == pytest.approx(0.0, abs=1e-4)
@@ -204,7 +196,7 @@ class TestScoreQuery:
     def test_identical_features_get_identical_moments(self):
         post = posterior([1.0, -1.0], [2.0, 2.0])
         features = {"a": np.array([0.5, 0.25]), "b": np.array([0.5, 0.25])}
-        scored = score_query(post, self._query(["a", "b"]), features, McConfig(256, seed=1))
+        scored = score_query(post, features, "q7", McConfig(256, seed=1))
         a, b = sorted(rows(scored), key=lambda c: c.doc_id)
         assert (a.mu, a.sigma) == (b.mu, b.sigma)
 
@@ -213,7 +205,7 @@ class TestScoreQuery:
         post = posterior(rng.normal(size=5), np.abs(rng.normal(size=5)) + 0.5)
         features = {f"d{i}": rng.normal(size=5) for i in range(6)}
         n = 4000
-        scored = score_query(post, self._query(list(features)), features, McConfig(n, seed=2))
+        scored = score_query(post, features, "q7", McConfig(n, seed=2))
         for c in rows(scored):
             exact = analytic_predictive(post, features[c.doc_id])
             # sampling error of sigma is about sigma/sqrt(2N)
@@ -223,21 +215,16 @@ class TestScoreQuery:
     def test_ranks_recomputed_from_new_means(self):
         post = posterior([1.0], [1e9])
         features = {"low": np.array([1.0]), "high": np.array([5.0])}
-        scored = score_query(post, self._query(["low", "high"]), features, McConfig(64, seed=3))
+        scored = score_query(post, features, "q7", McConfig(64, seed=3))
         assert scored.doc_ids == ("high", "low")
-
-    def test_missing_feature_rejected(self):
-        post = posterior([1.0], [1.0])
-        with pytest.raises(ValueError, match="feature"):
-            score_query(post, self._query(["a"]), {}, McConfig(16, seed=0))
 
     def test_result_is_reproducible(self):
         rng = np.random.default_rng(17)
         post = posterior(rng.normal(size=3), np.abs(rng.normal(size=3)) + 0.1)
         features = {f"d{i}": rng.normal(size=3) for i in range(4)}
         cfg = McConfig(128, seed=21)
-        first = score_query(post, self._query(list(features)), features, cfg)
-        second = score_query(post, self._query(list(features)), features, cfg)
+        first = score_query(post, features, "q7", cfg)
+        second = score_query(post, features, "q7", cfg)
         assert query_key(first) == query_key(second)
 
 
