@@ -355,12 +355,12 @@ def check_run_tag(tag: str) -> str:
 
 def write_run_file(path: str | Path, rankings: Iterable[Ranking], tag: str = "pufr") -> None:
     check_run_tag(tag)
-    lines = []
+    suffix, parts = f" {tag}\n", []
     for ranking in rankings:
-        entries = zip(ranking.doc_ids(), ranking.scores.tolist())
-        for rank, (doc_id, score) in enumerate(entries, start=1):
-            lines.append(f"{ranking.query_id} Q0 {doc_id} {rank} {score!r} {tag}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        prefix = f"{ranking.query_id} Q0 "
+        entries = enumerate(zip(ranking.doc_ids(), ranking.scores.tolist()), start=1)
+        parts += [f"{prefix}{doc_id} {rank} {score!r}{suffix}" for rank, (doc_id, score) in entries]
+    Path(path).write_text("".join(parts), encoding="utf-8")
 
 
 def write_sigma_file(path: str | Path, corpus: Sequence[QueryCandidates]) -> None:

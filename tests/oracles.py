@@ -10,6 +10,12 @@ The file parsers at the end are the line-by-line parsers the library used
 before it read the run, sigma and neutrality files column by column: one
 ``int()`` or ``float()`` and one check per line, so an error names the
 first bad ``path:line`` in file order.
+
+The Monte Carlo moments are those of the Laplace scorer before it scored a
+query's feature matrix in blocks: one matrix-vector product of all samples
+per document. Its bits depend on the BLAS thread count once the product is
+large enough to be split across threads (1,001 samples at d = 768), so a
+test that needs them exactly computes them with one thread.
 """
 
 from __future__ import annotations
@@ -18,7 +24,9 @@ import math
 from dataclasses import replace
 from pathlib import Path
 
-from pufr import QueryCandidates
+import numpy as np
+
+from pufr import PredictiveDistribution, QueryCandidates
 
 
 def canonical_order(rows):
@@ -101,6 +109,21 @@ def ndcg(query_id, ranked_doc_ids, grades, k):
     ideal = sorted((g for (qid, _), g in grades.items() if qid == query_id), reverse=True)
     idcg = sum(g / math.log2(position + 1) for position, g in enumerate(ideal[:k], start=1))
     return 0.0 if idcg == 0.0 else dcg / idcg
+
+
+def predictive_moments(samples, feature):
+    """Monte Carlo predictive mean and population standard deviation of one
+    document's linear score, with ``mu**2`` taken on a Python float."""
+    scores = samples @ feature
+    mu = float(np.mean(scores))
+    var = float(np.mean(scores**2) - mu**2)
+    return PredictiveDistribution(mu=mu, sigma=float(np.sqrt(max(var, 0.0))))
+
+
+def predictive_columns(samples, features):
+    """``predictive_moments`` of each row of ``features``, as (mu, sigma) columns."""
+    moments = [predictive_moments(samples, h) for h in features]
+    return np.array([m.mu for m in moments]), np.array([m.sigma for m in moments])
 
 
 def data_lines(path):

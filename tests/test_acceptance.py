@@ -277,8 +277,8 @@ def test_criterion_5_laplace_convergence():
             samples = sample_last_layers(
                 posterior, McConfig(n_samples=n, seed=int(rng.integers(1 << 31)))
             )
-            mc = predictive_moments(samples, feature)
-            rel_errors[n].append(abs(mc.sigma**2 - exact.sigma**2) / exact.sigma**2)
+            (mc_sigma,) = predictive_moments(samples, feature[None, :])[1].tolist()
+            rel_errors[n].append(abs(mc_sigma**2 - exact.sigma**2) / exact.sigma**2)
 
     worst_10k = max(rel_errors[10_000])
     worst_100k = max(rel_errors[100_000])

@@ -120,3 +120,5 @@ def test_a_traced_tiny_run_calls_every_name_expected_on_its_workload(tmp_path, n
     assert [n for n in expected if n not in tracer.stats] == []
     if name == "laplace-768":  # 2*N*d flops for each of 24 docs, d = 32, N = 1,000 samples
         assert tracer.counters["uncertainty.mc_flops"] == 2 * 1000 * 32 * 24
+        # one blocked pass per query (3 queries), not one call per document (24)
+        assert tracer.stats["uncertainty.predictive_moments"].calls == 3

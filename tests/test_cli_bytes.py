@@ -6,20 +6,27 @@ query and a one-document query; alpha runs at 0 and -0.0 too. The expected
 files in ``golden/`` are the bytes the commands wrote before queries became
 columnar; sweep CSVs have their ``rerank_time_s`` column masked, since it is
 a wall-clock time. The laplace files are checked against bytes assembled
-per document from the sampling functions.
+per document from the sampling functions, and against themselves written
+with one and with two BLAS threads.
 """
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pufr import LastLayerPosterior, McConfig, predictive_moments, sample_last_layers
+import pufr
+from pufr import LastLayerPosterior, McConfig, sample_last_layers
 from pufr.cli import main
 from pufr.uncertainty import derive_query_seed
+
+import oracles
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -233,7 +240,7 @@ def test_laplace_bytes_are_the_per_document_moments(tmp_path):
         samples = sample_last_layers(
             posterior, McConfig(n_samples, seed=derive_query_seed(seed, query_id))
         )
-        moments = {doc_id: predictive_moments(samples, h) for doc_id, h in docs.items()}
+        moments = {doc_id: oracles.predictive_moments(samples, h) for doc_id, h in docs.items()}
         ordered = sorted(moments, key=lambda doc_id: (-moments[doc_id].mu, doc_id))
         for rank, doc_id in enumerate(ordered, start=1):
             run.append(f"{query_id} Q0 {doc_id} {rank} {moments[doc_id].mu!r} laplace\n")
@@ -242,3 +249,37 @@ def test_laplace_bytes_are_the_per_document_moments(tmp_path):
     assert scores["b"] == scores["c"]
     assert (tmp_path / "run").read_text(encoding="utf-8") == "".join(run)
     assert (tmp_path / "sigma").read_text(encoding="utf-8") == "".join(sigma)
+
+
+def test_laplace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """One matrix-vector product over all 1,001 samples at d = 768 is split
+    across BLAS threads at a row where the 1-thread kernel does not split, so
+    scoring each document that way wrote other bits at 2 threads than at 1."""
+    rng = np.random.default_rng(0)
+    dim = 768
+    lines = [
+        f"q{q} q{q}-d{j} {' '.join(map(repr, rng.normal(size=dim).tolist()))}\n"
+        for q in range(3) for j in range(30)
+    ]
+    (tmp_path / "features").write_text("".join(lines), encoding="utf-8")
+    theta, fisher = rng.normal(size=dim), np.abs(rng.normal(size=dim)) + 0.5
+    (tmp_path / "posterior").write_text(
+        f"theta {dim} {' '.join(map(repr, theta.tolist()))}\n"
+        f"fisher {dim} {' '.join(map(repr, fisher.tolist()))}\n",
+        encoding="utf-8",
+    )
+    src = Path(pufr.__file__).resolve().parents[1]
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        out.mkdir()
+        subprocess.run(
+            [sys.executable, "-m", "pufr.cli", "laplace",
+             "--features", str(tmp_path / "features"),
+             "--posterior", str(tmp_path / "posterior"), "--mc-samples", "1001",
+             "--seed", "0", "--output", str(out / "run"), "--sigma-output", str(out / "sigma")],
+            env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src)),
+            check=True, timeout=300,
+        )
+        written.append(((out / "run").read_bytes(), (out / "sigma").read_bytes()))
+    assert written[0] == written[1]

@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pufr
 from pufr import (
     LastLayerPosterior,
     McConfig,
@@ -12,6 +19,7 @@ from pufr import (
     squared_error_gradients,
 )
 
+import oracles
 from conftest import query_key, rows
 
 
@@ -111,33 +119,96 @@ class TestSampleLastLayers:
 
 class TestPredictiveMoments:
     def test_two_sample_hand_case(self):
-        dist = predictive_moments(np.array([[1.0], [3.0]]), np.array([2.0]))
-        assert dist.mu == 4.0
-        assert dist.sigma == 2.0
+        mu, sigma = predictive_moments(np.array([[1.0], [3.0]]), np.array([[2.0]]))
+        assert mu.tolist() == [4.0]
+        assert sigma.tolist() == [2.0]
 
     def test_identical_samples_give_zero_sigma(self):
         samples = np.array([[3.0, 1.0]] * 8)
-        dist = predictive_moments(samples, np.array([2.0, 4.0]))
-        assert dist.sigma == 0.0
+        _, sigma = predictive_moments(samples, np.array([[2.0, 4.0]]))
+        assert sigma.tolist() == [0.0]
 
     def test_converges_to_closed_form(self):
         post = posterior([1.0, 1.0], [4.0, 4.0])
         feature = np.array([1.0, 2.0])
         samples = sample_last_layers(post, McConfig(n_samples=50_000, seed=7))
-        dist = predictive_moments(samples, feature)
+        (mu,), (sigma,) = (c.tolist() for c in predictive_moments(samples, feature[None, :]))
         exact = analytic_predictive(post, feature)
         assert exact.mu == 3.0
         assert exact.sigma**2 == pytest.approx(1.25, abs=1e-15)
-        assert dist.mu == pytest.approx(exact.mu, abs=0.02)
-        assert dist.sigma == pytest.approx(exact.sigma, rel=0.02)
+        assert mu == pytest.approx(exact.mu, abs=0.02)
+        assert sigma == pytest.approx(exact.sigma, rel=0.02)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            predictive_moments(np.ones((4, 3)), np.ones(2))
+            predictive_moments(np.ones((4, 3)), np.ones((1, 2)))
+        with pytest.raises(ValueError, match="dimension"):
+            predictive_moments(np.ones((4, 3)), np.ones(3))  # one row, not a matrix
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="2 samples"):
-            predictive_moments(np.ones((1, 2)), np.ones(2))
+            predictive_moments(np.ones((1, 2)), np.ones((1, 2)))
+
+    def test_mu_squared_is_a_python_float_power(self):
+        # with glibc, x * x exceeds x ** 2 (C pow) by one ulp for this x, so two
+        # equal samples keep that ulp as variance, where np.square(mu) gives 0
+        x = -0.8152692847334363
+        samples = np.array([[x], [x]])
+        mu, sigma = predictive_moments(samples, np.array([[1.0]]))
+        expected = oracles.predictive_moments(samples, np.array([1.0]))
+        assert (mu.tolist(), sigma.tolist()) == ([expected.mu], [expected.sigma])
+
+
+EDGE_SAMPLES = (2, 3, 127, 128, 129, 257, 1001)
+EDGE_DIMS = (1, 3, 33, 768)
+
+
+def edge_inputs(n_samples, dim):
+    """Samples and six feature rows: a repeated row and a zero row among them."""
+    rng = np.random.default_rng([n_samples, dim])
+    features = rng.normal(size=(6, dim))
+    features[3] = features[0]
+    features[4] = 0.0
+    return rng.normal(size=(n_samples, dim)), features
+
+
+ONE_THREAD_ORACLE = """
+import json
+from oracles import predictive_columns
+from test_uncertainty import EDGE_DIMS, EDGE_SAMPLES, edge_inputs
+print(json.dumps({
+    f"{n} {d}": [c.tobytes().hex() for c in predictive_columns(*edge_inputs(n, d))]
+    for n in EDGE_SAMPLES for d in EDGE_DIMS
+}))
+"""
+
+
+@pytest.fixture(scope="module")
+def one_thread_oracle():
+    """The scalar oracle's (mu, sigma) bytes per edge case, computed in a child
+    process with one BLAS thread, where its bits do not depend on threading."""
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        [str(tests), str(Path(pufr.__file__).resolve().parents[1])]
+    ))
+    child = subprocess.run(
+        [sys.executable, "-c", ONE_THREAD_ORACLE],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    )
+    return json.loads(child.stdout)
+
+
+class TestBlockEdges:
+    """The blocked moments equal the per-document oracle bit for bit at
+    sample counts around the 128-row block (129 and 257 leave a 1-row tail)."""
+
+    @pytest.mark.parametrize("dim", EDGE_DIMS)
+    @pytest.mark.parametrize("n_samples", EDGE_SAMPLES)
+    def test_bits_equal_the_per_document_oracle(self, one_thread_oracle, n_samples, dim):
+        mu, sigma = predictive_moments(*edge_inputs(n_samples, dim))
+        expected_mu, expected_sigma = one_thread_oracle[f"{n_samples} {dim}"]
+        assert mu.tobytes().hex() == expected_mu
+        assert sigma.tobytes().hex() == expected_sigma
 
 
 class TestAnalyticPredictive:
@@ -239,8 +310,8 @@ class TestMonteCarloConvergence:
             if exact.sigma == 0.0:
                 continue
             samples = sample_last_layers(post, McConfig(10_000, seed=int(rng.integers(1 << 31))))
-            mc = predictive_moments(samples, h)
-            assert abs(mc.sigma**2 - exact.sigma**2) / exact.sigma**2 < 0.05
+            (mc_sigma,) = predictive_moments(samples, h[None, :])[1].tolist()
+            assert abs(mc_sigma**2 - exact.sigma**2) / exact.sigma**2 < 0.05
 
 
 class TestPosteriorValidation:
