@@ -6,10 +6,9 @@ small windows)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import QueryCandidates, Ranking, rank_by_score
 from .metrics import ideal_fairr_at_k
@@ -163,14 +162,18 @@ class ConstrainedResult:
     feasible: bool
     floor: float
     steps: tuple[BisectionStep, ...]
+    nodes: int = 0  # gap-search nodes visited; 0 when the search did not run
+    exhausted: bool = False  # the node cap cut the search: not certified optimal
 
 
 def hungarian_assign(benefit: np.ndarray) -> np.ndarray:
     """Benefit-maximizing assignment of rows to columns.
 
     Returns ``positions`` with ``positions[i]`` the column assigned to
-    row i; exact optimum via linear sum assignment.
+    row i; exact optimum via linear sum assignment. scipy is imported
+    here, so only the constrained method loads ``scipy.optimize``.
     """
+    from scipy.optimize import linear_sum_assignment
     benefit = np.asarray(benefit, dtype=float)
     if benefit.ndim != 2 or benefit.shape[0] != benefit.shape[1]:
         raise ValueError(f"benefit matrix must be square, got shape {benefit.shape}")
@@ -282,11 +285,12 @@ def constrained_rerank(
     # Any feasible order satisfies U <= max_pi B_lam(pi) - lam*floor; when
     # that bound already meets the incumbent the bisection solution is
     # provably optimal, otherwise a bounded search closes the gap.
+    nodes, exhausted = 0, False
     if depth <= DEFAULT_EXACT_WINDOW and cert_total - cert_lam * floor > best_u + 1e-12:
-        best_order = _close_gap(
+        best_order, nodes, exhausted = _close_gap(
             gain_vec, neut_vec, discounts, exposures, floor, cert_lam, best_u, best_order
         )
-    return finish(best_order, True, steps)
+    return replace(finish(best_order, True, steps), nodes=nodes, exhausted=exhausted)
 
 
 def _close_gap(
@@ -298,24 +302,26 @@ def _close_gap(
     lam: float,
     incumbent_u: float,
     incumbent_order: np.ndarray,
-) -> np.ndarray:
+) -> tuple[np.ndarray, int, bool]:
     """Depth-first search over prefix assignments with Lagrangian pruning.
 
     Bounds each node by prefix benefit plus the exact assignment optimum
     of the remaining docs over the remaining positions (minus lam*floor),
-    which upper-bounds the utility of any feasible completion. The node
-    budget caps pathological instances; within it the returned order is
-    utility-optimal among feasible permutations.
+    which upper-bounds the utility of any feasible completion. Returns the
+    order, the nodes visited and whether the node budget cut the search;
+    within it the order is utility-optimal among feasible permutations.
     """
+    from scipy.optimize import linear_sum_assignment
     n = len(gains)
     benefit = np.outer(gains, discounts) + lam * np.outer(neutrality, exposures)
     best_u = incumbent_u
     best_order = np.array(incumbent_order)
-    nodes = 0
+    nodes, exhausted = 0, False
 
     def search(prefix: list[int], used: set[int], u_pre: float, f_pre: float, b_pre: float) -> None:
-        nonlocal best_u, best_order, nodes
+        nonlocal best_u, best_order, nodes, exhausted
         if nodes >= DEFAULT_MAX_NODES:
+            exhausted = True
             return
         nodes += 1
         k = len(prefix)
@@ -352,4 +358,4 @@ def _close_gap(
             used.remove(i)
 
     search([], set(), 0.0, 0.0, 0.0)
-    return best_order
+    return best_order, nodes, exhausted

@@ -4,7 +4,9 @@ Subcommands: ``rerank`` (one method, one alpha, emits a run file),
 ``sweep`` (emits a trade-off CSV whose t/p columns hold the paired t-test
 against the reference method), ``intervals`` (per-rank interval
 intersection CSV), ``laplace`` (features + posterior to run and sigma
-files), and ``synth`` (writes a full fixture corpus).
+files), and ``synth`` (writes a full fixture corpus). scipy is imported only
+where used: ``sweep`` (``scipy.special`` for the t-test's p-value) and the
+constrained method (``scipy.optimize``); no other command loads it.
 
 Exit codes: 0 on success; 1 on usage or parse errors, including a run
 file with no data lines; 2 when a re-ranking could not meet its fairness

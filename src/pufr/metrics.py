@@ -9,7 +9,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 import numpy as np
-from scipy import stats
 
 from .core import QueryCandidates, Ranking
 
@@ -130,7 +129,9 @@ def paired_t_test(a: Mapping[str, float], b: Mapping[str, float]) -> TTestResult
     """Two-tailed paired t-test over per-query values.
 
     Conventions for degenerate inputs: all differences zero gives
-    (t=0, p=1); zero variance with nonzero mean gives p=0.
+    (t=0, p=1); zero variance with nonzero mean gives p=0. ``stdtr`` is the
+    kernel of ``scipy.stats.t.sf`` (same bits) without importing scipy.stats:
+    only ``sweep`` loads scipy for it.
     """
     if set(a) != set(b):
         only_a = sorted(set(a) - set(b))
@@ -151,8 +152,9 @@ def paired_t_test(a: Mapping[str, float], b: Mapping[str, float]) -> TTestResult
         return TTestResult(
             t_statistic=math.copysign(math.inf, mean), degrees_of_freedom=df, p_value=0.0
         )
+    from scipy.special import stdtr
     t = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(stats.t.sf(abs(t), df))
+    p = 2.0 * float(stdtr(df, -abs(t)))
     return TTestResult(t_statistic=t, degrees_of_freedom=df, p_value=p)
 
 

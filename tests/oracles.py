@@ -16,6 +16,9 @@ query's feature matrix in blocks: one matrix-vector product of all samples
 per document. Its bits depend on the BLAS thread count once the product is
 large enough to be split across threads (1,001 samples at d = 768), so a
 test that needs them exactly computes them with one thread.
+
+The t-test p-value is the formula the library used before it called
+``scipy.special.stdtr`` directly, through ``scipy.stats``.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+from scipy import stats
 
 from pufr import PredictiveDistribution, QueryCandidates
 
@@ -109,6 +113,11 @@ def ndcg(query_id, ranked_doc_ids, grades, k):
     ideal = sorted((g for (qid, _), g in grades.items() if qid == query_id), reverse=True)
     idcg = sum(g / math.log2(position + 1) for position, g in enumerate(ideal[:k], start=1))
     return 0.0 if idcg == 0.0 else dcg / idcg
+
+
+def t_test_p_value(t, df):
+    """Two-tailed p-value of a t statistic with ``df`` degrees of freedom."""
+    return 2.0 * float(stats.t.sf(abs(t), df))
 
 
 def predictive_moments(samples, feature):

@@ -16,6 +16,8 @@ from pufr import (
     hungarian_assign,
     unfair_rank,
 )
+from pufr import baselines
+from pufr.baselines import DEFAULT_EXACT_WINDOW, DEFAULT_MAX_NODES
 
 from conftest import groups_of, make_query, random_query, rows
 
@@ -295,3 +297,50 @@ class TestConstrainedRerank:
             ConstraintConfig(alpha_fairness=1.5)
         with pytest.raises(ValueError):
             ConstraintConfig(alpha_fairness=0.5, depth=0)
+
+
+def gap_search_queries(seed=131, count=40):
+    """(query, config) pairs, windows of 6-9 docs at a 0.95 floor, on which
+    the bisection leaves a duality gap, so the bounded search runs."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        q = random_query(rng, n_min=6, n_max=9, query_id=f"q{i}")
+        cfg = ConstraintConfig(alpha_fairness=0.95, depth=len(q))
+        if constrained_rerank(q, cfg).nodes > 0:
+            cases.append((q, cfg))
+    assert len(cases) > 10
+    return cases
+
+
+class TestGapSearchReport:
+    def test_no_search_reports_zero_nodes(self):
+        rng = np.random.default_rng(137)
+        for i in range(10):
+            q = random_query(rng, n_min=3, n_max=9, query_id=f"q{i}")
+            result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.0, depth=len(q)))
+            assert (result.nodes, result.exhausted) == (0, False)
+        # a window deeper than DEFAULT_EXACT_WINDOW never runs the search
+        q = random_query(rng, n_min=DEFAULT_EXACT_WINDOW + 1, n_max=20, query_id="deep")
+        result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.95, depth=len(q)))
+        assert (result.nodes, result.exhausted) == (0, False)
+
+    def test_completed_search_is_not_exhausted(self):
+        for q, cfg in gap_search_queries():
+            result = constrained_rerank(q, cfg)
+            assert 0 < result.nodes < DEFAULT_MAX_NODES
+            assert not result.exhausted
+
+    def test_capped_search_says_so(self, monkeypatch):
+        for q, cfg in gap_search_queries():
+            monkeypatch.setattr(baselines, "DEFAULT_MAX_NODES", DEFAULT_MAX_NODES)
+            full = constrained_rerank(q, cfg)
+            # a cap the search just fits under does not cut it
+            monkeypatch.setattr(baselines, "DEFAULT_MAX_NODES", full.nodes)
+            fits = constrained_rerank(q, cfg)
+            assert (fits.nodes, fits.exhausted) == (full.nodes, False)
+            assert fits.ranking.doc_ids() == full.ranking.doc_ids()
+            monkeypatch.setattr(baselines, "DEFAULT_MAX_NODES", full.nodes - 1)
+            cut = constrained_rerank(q, cfg)
+            assert (cut.nodes, cut.exhausted) == (full.nodes - 1, True)
+            assert cut.feasible

@@ -52,6 +52,18 @@ class TestSynthCommand:
         assert len(corpus) == 12
         fileio.parse_qrels(paths["qrels"])
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-1", "seed must be a 64-bit unsigned integer, got -1"),
+        ("--seed", str(2**64), "seed must be a 64-bit unsigned integer"),
+        ("--score-loc", "nan", "score_loc must be finite, got nan"),
+        ("--score-loc", "inf", "score_loc must be finite, got inf"),
+    ])
+    def test_bad_config_names_the_field_before_writing(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "fix"
+        assert main(["synth", "--output", str(out), flag, value]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRerankCommand:
     @pytest.mark.parametrize("method,alpha", [

@@ -228,6 +228,33 @@ class TestPairedTTest:
             assert ours.t_statistic == pytest.approx(float(t_ref), rel=1e-9)
             assert ours.p_value == pytest.approx(float(p_ref), rel=1e-9)
 
+    def test_p_value_bits_equal_the_scipy_stats_oracle(self):
+        # 20,000 (t, df) pairs: |t| near 0, moderate, and in the 1e2-1e3
+        # tail where p underflows; df mostly 1-100, 300 pairs up to 10,000
+        rng = np.random.default_rng(163)
+        dfs = np.concatenate((
+            rng.integers(1, 101, 19_700),
+            np.exp(rng.uniform(np.log(101), np.log(10_000), 298)).astype(int),
+            [1, 10_000],
+        ))
+        scales = rng.choice([1e-6, 1.0, 1e2], size=dfs.size)
+        targets = rng.choice([-1.0, 1.0], size=dfs.size) * scales * rng.uniform(1.0, 10.0, dfs.size)
+        keys = [f"q{i:05d}" for i in range(10_001)]
+        mismatches, seen = [], []
+        for df, target in zip(dfs.tolist(), targets.tolist()):
+            n = df + 1
+            z = rng.standard_normal(n)
+            z = (z - z.mean()) / z.std(ddof=1) + target / math.sqrt(n)
+            result = paired_t_test(dict(zip(keys, z.tolist())), dict.fromkeys(keys[:n], 0.0))
+            assert result.degrees_of_freedom == df
+            seen.append((abs(result.t_statistic), result.p_value))
+            expected = oracles.t_test_p_value(result.t_statistic, df)
+            if result.p_value.hex() != expected.hex():
+                mismatches.append((result.t_statistic, df, result.p_value, expected))
+        assert mismatches == []
+        assert min(seen)[0] < 1e-5 and max(seen)[0] > 500.0
+        assert any(p == 0.0 for _, p in seen)
+
     def test_mismatched_query_sets_rejected(self):
         with pytest.raises(ValueError, match="differ"):
             paired_t_test({"a": 1.0, "b": 2.0}, {"a": 1.0, "c": 2.0})
