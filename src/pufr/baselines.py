@@ -99,16 +99,17 @@ def fastar_rerank(query: QueryCandidates, table: MTable) -> Ranking:
             f"quota table covers prefixes up to {len(table.required)} but query "
             f"{query.query_id!r} has {n} candidates"
         )
-    protected = query.column("protected")
+    protected, other = query.by_group()
     mu = query.mu.tolist()
-    protected_queue = np.flatnonzero(protected).tolist()
-    other_queue = np.flatnonzero(~protected).tolist()
+    protected_queue = protected.index.tolist()
+    other_queue = other.index[::-1].tolist()
+    required = table.required  # covers every prefix, checked above
 
     out: list[int] = []
     p_idx = o_idx = 0
     while p_idx < len(protected_queue) and o_idx < len(other_queue):
         p, o = protected_queue[p_idx], other_queue[o_idx]
-        if p_idx < table.min_protected(len(out) + 1) or mu[p] >= mu[o]:
+        if p_idx < required[len(out)] or mu[p] >= mu[o]:
             out.append(p)
             p_idx += 1
         else:

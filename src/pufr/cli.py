@@ -10,7 +10,8 @@ constrained method (``scipy.optimize``); no other command loads it.
 
 Exit codes: 0 on success; 1 on usage or parse errors, including a run
 file with no data lines; 2 when a re-ranking could not meet its fairness
-floor on some query (partial output is still written).
+floor on some query, or met it but the node cap cut the search that
+certifies it optimal (the output is still written).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 from typing import Sequence
 
@@ -184,11 +186,21 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     rerank = method.prepare(corpus, args.depth)(args.alpha)
     results = [rerank(q) for q in corpus]
     fileio.write_run_file(args.output, [ranking for ranking, _ in results], tag=args.tag)
-    infeasible = sum(not feasible for _, feasible in results)
+    problems = Counter(problem for _, problem in results)
+    return _warn(problems["infeasible"], problems["exhausted"], "queries")
+
+
+def _warn(infeasible: int, exhausted: int, unit: str) -> int:
+    """Report uncertified re-rankings on stderr; the exit code for them."""
     if infeasible:
-        print(f"warning: fairness floor infeasible for {infeasible} queries", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+        print(f"warning: fairness floor infeasible for {infeasible} {unit}", file=sys.stderr)
+    if exhausted:
+        print(
+            f"warning: node cap reached for {exhausted} {unit}: the fairness floor is met "
+            f"but the ranking is not certified optimal",
+            file=sys.stderr,
+        )
+    return EXIT_INFEASIBLE if infeasible or exhausted else EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -219,14 +231,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 f"alpha={best.alpha:g} nfairr{fc}={best.nfairr[fc]:.6f} "
                 f"ndcg_cut_{uc}={best.ndcg[uc]:.6f}"
             )
-    if result.infeasible_queries:
-        print(
-            f"warning: fairness floor infeasible for {result.infeasible_queries} "
-            f"query re-rankings",
-            file=sys.stderr,
-        )
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+    return _warn(result.infeasible_queries, result.exhausted_queries, "query re-rankings")
 
 
 def _cmd_intervals(args: argparse.Namespace) -> int:

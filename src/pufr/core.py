@@ -8,8 +8,13 @@ group label. ``sigma``, ``neutrality`` and ``protected`` are None until
 attached. The columns are stored in original-rank order: ``mu``
 descending, exact ties broken by doc id in ``str`` order, so index i is
 original rank i + 1, the deterministic tie-break of every sort downstream.
-The constructor validates every column once, vectorised.
-:class:`ScoredCandidate` is the row form that :func:`build_query` accepts.
+The constructor validates every column once, vectorised, and, once groups
+are labelled, gathers each group's indices, ``mu`` and ``sigma`` in the
+order the re-ranker clamps them (see :meth:`QueryCandidates.by_group`).
+Values that other layers derive from a query's columns are kept in its
+``memo``; both die with the query, and ``dataclasses.replace`` starts a new
+query with fresh ones. :class:`ScoredCandidate` is the row form that
+:func:`build_query` accepts.
 
 A :class:`Ranking` is an order over its query's columns: ``order[i]`` is
 the column index of the document at rank i + 1 and ``scores[i]`` its
@@ -20,8 +25,8 @@ of looking documents up by id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Sequence
+from dataclasses import dataclass, field, replace
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -65,6 +70,16 @@ def _read_only(values: object, dtype: type, n: int, name: str, query_id: str) ->
     return column
 
 
+class Group(NamedTuple):
+    """One group's candidates in the order the re-ranker clamps them: their
+    column indices, and ``mu`` and ``sigma`` (None when absent) at those
+    indices."""
+
+    index: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray | None
+
+
 @dataclass(frozen=True, eq=False)
 class QueryCandidates:
     """A query id plus its candidate columns; the unit of all per-query work."""
@@ -75,6 +90,9 @@ class QueryCandidates:
     sigma: np.ndarray | None = None
     neutrality: np.ndarray | None = None
     protected: np.ndarray | None = None
+    _groups: tuple[Group, Group] | None = field(default=None, init=False, repr=False)
+    # values other layers derive from the columns, keyed by whoever derives them
+    memo: dict[Any, Any] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         doc_ids = tuple(self.doc_ids)
@@ -103,6 +121,13 @@ class QueryCandidates:
         if neutrality is not None:
             self._require((neutrality >= 0.0) & (neutrality <= 1.0), neutrality,
                           "neutrality score must lie in [0, 1]")
+        if self.protected is not None:
+            # protected docs by decreasing mu, the others by increasing mu
+            indices = np.flatnonzero(self.protected), np.flatnonzero(~self.protected)[::-1]
+            object.__setattr__(self, "_groups", tuple(
+                Group(index, mu[index], None if sigma is None else sigma[index])
+                for index in indices
+            ))
 
     def _require(self, ok: np.ndarray, column: np.ndarray, what: str) -> None:
         if not ok.all():
@@ -149,6 +174,13 @@ class QueryCandidates:
         if values is None:
             raise ValueError(f"query {self.query_id!r} has no {_COLUMN_NAMES[name]}")
         return values
+
+    def by_group(self) -> tuple[Group, Group]:
+        """The protected candidates in original-rank order and the others in
+        reverse; raises ValueError when groups have not been assigned."""
+        if self._groups is None:
+            self.column("protected")
+        return self._groups
 
 
 @dataclass(frozen=True, eq=False)

@@ -32,12 +32,30 @@ from .metrics import RelevanceJudgments
 from .uncertainty import LastLayerPosterior
 
 
+_BLOCK_CHARS = 1 << 20
+
+
 def _data_lines(path: str | Path) -> Iterable[tuple[int, list[str]]]:
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        fields = line.split()
+    """(line number, fields) of each line that is neither blank nor a
+    comment. The file is read in blocks of about 1 MiB, so a large file is
+    never held whole; a block's unfinished last line is carried into the
+    next. Lines are split and numbered as ``str.splitlines`` does on the
+    whole text."""
+    lineno, carry = 0, ""
+    with open(path, encoding="utf-8") as fh:
+        while block := fh.read(_BLOCK_CHARS):
+            lines = (carry + block).splitlines(keepends=True)
+            # the last line is unfinished when it has no line break to drop
+            carry = lines.pop() if lines[-1].splitlines()[0] == lines[-1] else ""
+            for line in lines:
+                lineno += 1
+                fields = line.split()
+                if fields and not fields[0].startswith("#"):
+                    yield lineno, fields
+    if carry:
+        fields = carry.split()
         if fields and not fields[0].startswith("#"):
-            yield lineno, fields
+            yield lineno + 1, fields
 
 
 def _parse_float(path: str | Path, lineno: int, token: str, what: str) -> float:

@@ -13,19 +13,19 @@ import numpy as np
 from .core import QueryCandidates, Ranking
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelevanceJudgments:
     """Graded relevance per (query, doc); missing pairs count as grade 0.
 
     Construction takes a snapshot: ``grades`` is copied and indexed as
     query -> {doc_id: grade}, so later changes to the caller's mapping change
-    neither :meth:`grade` nor :func:`ndcg_at_k`. Ideal DCGs are kept too."""
+    neither :meth:`grade` nor :func:`ndcg_at_k`. Ideal DCGs are kept too.
+    Judgments compare by identity, like queries, so that a query's memo can
+    keep a gain column per judgments."""
 
     grades: Mapping[tuple[str, str], int]
-    _by_query: dict[str, dict[str, int]] = field(init=False, compare=False, repr=False)
-    _ideal_dcg: dict[tuple[str, int], float] = field(
-        default_factory=dict, init=False, compare=False, repr=False
-    )
+    _by_query: dict[str, dict[str, int]] = field(init=False, repr=False)
+    _ideal_dcg: dict[tuple[str, int], float] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         grades = dict(self.grades)
@@ -46,14 +46,24 @@ class RelevanceJudgments:
         """The query's judged grades, in ``grades`` order."""
         return list(self._by_query.get(query_id, {}).values())
 
+    def gains(self, query: QueryCandidates) -> np.ndarray:
+        """The query's grades as floats aligned with its doc ids, 0 where a
+        doc is unjudged; built once and kept in the query's memo under these
+        judgments, so two judgments never share one."""
+        column = query.memo.get(self)
+        if column is None:
+            grade = self._by_query.get(query.query_id, {}).get
+            column = np.array([grade(doc_id, 0) for doc_id in query.doc_ids], dtype=np.float64)
+            query.memo[self] = column
+        return column
+
     def ideal_dcg(self, query_id: str, k: int) -> float:
         """DCG@k of the query's judged grades sorted descending."""
         key = (query_id, k)
         if key not in self._ideal_dcg:
             ideal_grades = sorted(self.grades_for_query(query_id), reverse=True)[:k]
-            self._ideal_dcg[key] = sum(
-                grade / discount
-                for grade, discount in zip(ideal_grades, _discounts(len(ideal_grades)))
+            self._ideal_dcg[key] = sequential_sum(
+                np.array(ideal_grades, dtype=np.float64) / _discounts(len(ideal_grades))
             )
         return self._ideal_dcg[key]
 
@@ -65,55 +75,77 @@ class TTestResult:
     p_value: float
 
 
+def sequential_sum(terms: np.ndarray) -> float:
+    """The sum a loop ``total = 0.0; total += term`` gives, on any Python
+    version: builtin ``sum()`` of floats is compensated since Python 3.12 and
+    ``np.sum`` adds pairwise. ``np.add.accumulate`` adds one term at a time;
+    the final ``+ 0.0`` turns a sum of only -0.0 terms into the loop's 0.0."""
+    if not terms.size:
+        return 0.0
+    return float(np.add.accumulate(terms)[-1] + 0.0)
+
+
+def _shared(values: np.ndarray) -> np.ndarray:
+    """A cached array every caller gets: read-only, so none can change it."""
+    values.flags.writeable = False
+    return values
+
+
 @functools.lru_cache(maxsize=64)
-def _discounts(n: int) -> tuple[float, ...]:
-    """The DCG discounts ``log2(position + 1)`` of positions 1..n."""
-    return tuple(math.log2(position + 1) for position in range(1, n + 1))
+def _discounts(n: int) -> np.ndarray:
+    """The DCG discounts ``log2(position + 1)`` of positions 1..n, each from
+    ``math.log2``, whose bits ``np.log2`` need not match."""
+    return _shared(np.array([math.log2(position + 1) for position in range(1, n + 1)]))
+
+
+@functools.lru_cache(maxsize=64)
+def _ranks(n: int) -> np.ndarray:
+    """The ranks 1..n as floats."""
+    return _shared(np.arange(1, n + 1, dtype=np.float64))
 
 
 def ndcg_at_k(ranking: Ranking, judgments: RelevanceJudgments, k: int) -> float:
     """Normalized discounted cumulative gain at cutoff k (linear gains).
 
     The ideal ranking sorts the query's judged grades descending; when no
-    positive judgments exist the metric is 0 by convention.
+    positive judgments exist the metric is 0 by convention. Each gain is
+    divided by its discount and the terms are summed left to right.
     """
     if k < 1:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
-    query_id, doc_ids = ranking.query_id, ranking.query.doc_ids
-    grade = judgments._by_query.get(query_id, {}).get
-    top = ranking.order[:k].tolist()
-    dcg = 0.0
-    for i, discount in zip(top, _discounts(len(top))):
-        dcg += grade(doc_ids[i], 0) / discount
-    idcg = judgments.ideal_dcg(query_id, k)
+    idcg = judgments.ideal_dcg(ranking.query_id, k)
     if idcg == 0.0:
         return 0.0
-    return dcg / idcg
+    top = ranking.order[:k]
+    return sequential_sum(judgments.gains(ranking.query)[top] / _discounts(len(top))) / idcg
 
 
 def fairr_at_k(ranking: Ranking, k: int) -> float:
-    """Rank-discounted neutrality mass of the top-k: sum of n_d / rank."""
+    """Rank-discounted neutrality mass of the top-k: the sum of n_d / rank
+    over the first min(k, n) ranks. Each value is divided by its rank, not
+    multiplied by 1/rank, and the terms are summed left to right from 0.0,
+    which fixes the last bits."""
     if k < 1:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
-    values = ranking.query.column("neutrality")[ranking.order[:k]].tolist()
-    # summed left to right from 0.0 and divided, not multiplied by 1/rank:
-    # np.sum's pairwise order or a reciprocal would change the last bits
-    total = 0.0
-    for rank, value in enumerate(values, start=1):
-        total += value / rank
-    return total
+    values = ranking.query.column("neutrality")[ranking.order[:k]]
+    return sequential_sum(values / _ranks(len(values)))
 
 
 def ideal_fairr_at_k(query: QueryCandidates, k: int) -> float:
-    """Best FaiRR@k attainable from the query's candidate pool.
+    """Best FaiRR@k attainable from the query's candidate pool, kept in the
+    query's memo per k.
 
     Ordering candidates by neutrality descending maximizes the sum since
     1/rank is decreasing (rearrangement inequality).
     """
     if k < 1:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
-    values = np.sort(query.column("neutrality"))[::-1][:k].tolist()
-    return sum(value / rank for rank, value in enumerate(values, start=1))
+    key = ("ideal_fairr", k)
+    ideal = query.memo.get(key)
+    if ideal is None:
+        values = np.sort(query.column("neutrality"))[::-1][:k]
+        ideal = query.memo[key] = sequential_sum(values / _ranks(len(values)))
+    return ideal
 
 
 def nfairr_at_k(ranking: Ranking, k: int) -> float:
@@ -129,9 +161,10 @@ def paired_t_test(a: Mapping[str, float], b: Mapping[str, float]) -> TTestResult
     """Two-tailed paired t-test over per-query values.
 
     Conventions for degenerate inputs: all differences zero gives
-    (t=0, p=1); zero variance with nonzero mean gives p=0. ``stdtr`` is the
-    kernel of ``scipy.stats.t.sf`` (same bits) without importing scipy.stats:
-    only ``sweep`` loads scipy for it.
+    (t=0, p=1); zero variance with nonzero mean gives p=0. The mean and the
+    variance are sums taken left to right (:func:`sequential_sum`).
+    ``stdtr`` is the kernel of ``scipy.stats.t.sf`` (same bits) without
+    importing scipy.stats: only ``sweep`` loads scipy for it.
     """
     if set(a) != set(b):
         only_a = sorted(set(a) - set(b))
@@ -142,8 +175,9 @@ def paired_t_test(a: Mapping[str, float], b: Mapping[str, float]) -> TTestResult
     keys = sorted(a)
     diffs = [a[key] - b[key] for key in keys]
     n = len(diffs)
-    mean = sum(diffs) / n
-    var = sum((d - mean) ** 2 for d in diffs) / (n - 1)
+    mean = sequential_sum(np.array(diffs)) / n
+    # squared by Python's float power, whose bits np.square need not match
+    var = sequential_sum(np.array([(d - mean) ** 2 for d in diffs])) / (n - 1)
     sd = math.sqrt(var)
     df = n - 1
     if sd == 0.0:

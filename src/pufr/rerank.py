@@ -49,27 +49,31 @@ def adjust_scores(query: QueryCandidates, cfg: PufrConfig) -> np.ndarray:
     are visited in increasing mu and lowered, floored by the running
     maximum from below. With alpha 0 the original means are returned.
     """
-    return _adjust(query, cfg, query.column("sigma"))
+    query.column("sigma")  # raises when no sigma is attached
+    return _adjust(query, cfg, None)
 
 
-def _adjust(query: QueryCandidates, cfg: PufrConfig, sigma: np.ndarray | float) -> np.ndarray:
-    """:func:`adjust_scores` with ``sigma`` per candidate, or one value for all."""
-    protected = query.column("protected")
-    raised = query.mu + cfg.alpha_protected * sigma
-    lowered = query.mu - cfg.alpha_nonprotected * sigma
+def _adjust(query: QueryCandidates, cfg: PufrConfig, sigma_mean: float | None) -> np.ndarray:
+    """:func:`adjust_scores` with each group's own sigmas, or with
+    ``sigma_mean`` for every candidate."""
+    protected, other = query.by_group()
     adjusted = np.empty(len(query))
-    adjusted[protected] = _clamp(raised[protected], lowest=True)
-    adjusted[~protected] = _clamp(lowered[~protected][::-1], lowest=False)[::-1]
+    sigma = protected.sigma if sigma_mean is None else sigma_mean
+    adjusted[protected.index] = _clamp(protected.mu + cfg.alpha_protected * sigma, lowest=True)
+    sigma = other.sigma if sigma_mean is None else sigma_mean
+    adjusted[other.index] = _clamp(other.mu - cfg.alpha_nonprotected * sigma, lowest=False)
     return adjusted
 
 
 def _clamp(raw: np.ndarray, lowest: bool) -> np.ndarray:
-    """Running minimum (``lowest``) or maximum of ``raw``. Like Python's min
-    and max, and unlike numpy's accumulate, it keeps the earlier of two equal
-    values, so a tied zero keeps the sign seen first."""
-    if not raw.size:
-        return raw
+    """Running minimum (``lowest``) or maximum of ``raw``, keeping the earlier
+    of two equal values as Python's min and max do. Only 0.0 and -0.0
+    compare equal with different bits, so numpy's accumulate is the answer
+    when ``raw`` holds no zero; otherwise each position takes ``raw`` at the
+    index of its running best, so a tied zero keeps the sign seen first."""
     best = (np.minimum if lowest else np.maximum).accumulate(raw)
+    if np.count_nonzero(raw) == raw.size:
+        return best
     improved = np.empty(raw.size, dtype=bool)
     improved[0] = True
     improved[1:] = raw[1:] < best[:-1] if lowest else raw[1:] > best[:-1]

@@ -6,9 +6,12 @@ from __future__ import annotations
 
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .baselines import (
     DEFAULT_DEPTH,
@@ -26,10 +29,15 @@ from .metrics import (
     ndcg_at_k,
     nfairr_at_k,
     paired_t_test,
+    sequential_sum,
 )
 from .rerank import PufrConfig, compute_sigma_mean, pufr_rerank, uniform_rerank
 
-Reranker = Callable[[QueryCandidates], tuple[Ranking, bool]]
+# A re-ranker returns the ranking and what keeps it from being certified:
+# None, "infeasible" (the fairness floor was not met) or "exhausted" (the
+# node cap cut the optimality search, so the ranking meets the floor but is
+# not certified optimal). Only the constrained baseline reports either.
+Reranker = Callable[[QueryCandidates], tuple[Ranking, str | None]]
 RerankerAt = Callable[[float], Reranker]
 
 
@@ -58,12 +66,13 @@ class Method:
 
 
 def _feasible(rerank: Callable[..., Ranking], *args: object) -> Reranker:
-    return lambda q: (rerank(q, *args), True)
+    return lambda q: (rerank(q, *args), None)
 
 
-def _constrained(q: QueryCandidates, cfg: ConstraintConfig) -> tuple[Ranking, bool]:
+def _constrained(q: QueryCandidates, cfg: ConstraintConfig) -> tuple[Ranking, str | None]:
     result = constrained_rerank(q, cfg)
-    return result.ranking, result.feasible
+    problem = "infeasible" if not result.feasible else "exhausted" if result.exhausted else None
+    return result.ranking, problem
 
 
 # The prepare functions name the library functions in their bodies, so a
@@ -90,7 +99,6 @@ def _prepare_constrained(corpus: Sequence[QueryCandidates], depth: int) -> Reran
     return lambda alpha: partial(_constrained, cfg=ConstraintConfig(alpha, depth))
 
 
-# Only the constrained baseline can report a query infeasible.
 REGISTRY = {
     m.name: m
     for m in (
@@ -143,8 +151,12 @@ class TradeoffRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """The records, and how many (query, alpha) re-rankings missed their
+    fairness floor or were cut by the solver's node cap."""
+
     records: tuple[TradeoffRecord, ...]
     infeasible_queries: int
+    exhausted_queries: int
 
 
 def _per_query(metric: Callable[[Ranking], float], rankings: Iterable[Ranking]) -> dict[str, float]:
@@ -185,18 +197,18 @@ def run_sweep(
     unfair_reference = None if pufr_reference_ok else _per_query(tested, map(unfair_rank, corpus))
 
     records = []
-    infeasible_total = 0
+    problems: Counter[str] = Counter()
     for alpha in alphas:
         rerank = rerank_at(alpha)
         rankings = []
         elapsed = 0.0
         for query in corpus:
             start = time.perf_counter()
-            ranking, feasible = rerank(query)
+            ranking, problem = rerank(query)
             elapsed += time.perf_counter() - start
             rankings.append(ranking)
-            if not feasible:
-                infeasible_total += 1
+            if problem is not None:
+                problems[problem] += 1
         ndcg = {
             k: _per_query(partial(ndcg_at_k, judgments=judgments, k=k), rankings)
             for k in cfg.cutoffs_utility
@@ -219,14 +231,22 @@ def run_sweep(
             TradeoffRecord(
                 method=cfg.method,
                 alpha=float(alpha),
-                ndcg={k: sum(v.values()) / len(v) for k, v in ndcg.items()},
-                nfairr={k: sum(v.values()) / len(v) for k, v in nfairr.items()},
+                ndcg={k: _mean(v) for k, v in ndcg.items()},
+                nfairr={k: _mean(v) for k, v in nfairr.items()},
                 mean_rerank_seconds=elapsed / len(corpus),
                 t_stat=t_stat,
                 p_value=p_value,
             )
         )
-    return SweepResult(records=tuple(records), infeasible_queries=infeasible_total)
+    return SweepResult(
+        records=tuple(records),
+        infeasible_queries=problems["infeasible"],
+        exhausted_queries=problems["exhausted"],
+    )
+
+
+def _mean(per_query: Mapping[str, float]) -> float:
+    return sequential_sum(np.array(list(per_query.values()))) / len(per_query)
 
 
 def _format(value: float) -> str:

@@ -6,7 +6,15 @@ from collections import namedtuple
 
 import numpy as np
 
-from pufr import QueryCandidates, Ranking, ScoredCandidate, assign_groups, build_query
+from pufr import (
+    ConstraintConfig,
+    QueryCandidates,
+    Ranking,
+    ScoredCandidate,
+    assign_groups,
+    build_query,
+    constrained_rerank,
+)
 
 
 def make_query(
@@ -44,6 +52,20 @@ def random_query(
     protected = rng.random(n) < protected_fraction
     neutralities = np.where(protected, 1.0, rng.random(n) * 0.95)
     return make_query(mus, sigmas, neutralities, query_id=query_id)
+
+
+def gap_search_queries(seed=131, count=40):
+    """(query, config) pairs, windows of 6-9 docs at a 0.95 floor, on which
+    the bisection leaves a duality gap, so the bounded search runs."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        q = random_query(rng, n_min=6, n_max=9, query_id=f"q{i}")
+        cfg = ConstraintConfig(alpha_fairness=0.95, depth=len(q))
+        if constrained_rerank(q, cfg).nodes > 0:
+            cases.append((q, cfg))
+    assert len(cases) > 10
+    return cases
 
 
 def groups_of(query: QueryCandidates) -> dict[str, bool]:

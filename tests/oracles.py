@@ -4,7 +4,9 @@ These are the per-candidate loops the library used before queries and
 rankings became columnar. They work on plain rows (see ``conftest.rows``),
 doc ids, dicts keyed by doc id and Python floats, so their results are the
 bit-exact reference: Python's ``min`` and ``max`` keep the earlier of two
-equal values, sums run left to right, and doc ids compare in ``str`` order.
+equal values, sums run left to right from 0.0 in explicit loops (the
+builtin ``sum()`` of floats is compensated since Python 3.12), and doc ids
+compare in ``str`` order.
 
 The file parsers at the end are the line-by-line parsers the library used
 before it read the run, sigma and neutrality files column by column: one
@@ -93,9 +95,11 @@ def fairr(ranked_doc_ids, neutrality, k):
 
 
 def ideal_fairr(neutralities, k):
-    """FaiRR@k of the pool's neutralities taken largest first."""
-    values = sorted(neutralities, reverse=True)
-    return sum(value / rank for rank, value in enumerate(values[:k], start=1))
+    """FaiRR@k of the pool's neutralities taken largest first, left to right."""
+    total = 0.0
+    for rank, value in enumerate(sorted(neutralities, reverse=True)[:k], start=1):
+        total += value / rank
+    return total
 
 
 def nfairr(ranked_doc_ids, neutrality, k):
@@ -111,8 +115,19 @@ def ndcg(query_id, ranked_doc_ids, grades, k):
     for position, doc_id in enumerate(ranked_doc_ids[:k], start=1):
         dcg += grades.get((query_id, doc_id), 0) / math.log2(position + 1)
     ideal = sorted((g for (qid, _), g in grades.items() if qid == query_id), reverse=True)
-    idcg = sum(g / math.log2(position + 1) for position, g in enumerate(ideal[:k], start=1))
+    idcg = 0.0
+    for position, g in enumerate(ideal[:k], start=1):
+        idcg += g / math.log2(position + 1)
     return 0.0 if idcg == 0.0 else dcg / idcg
+
+
+def running_best(values, lowest):
+    """Running minimum (``lowest``) or maximum by Python's min and max, which
+    keep the earlier of two equal values."""
+    out = []
+    for value in values:
+        out.append(value if not out else (min if lowest else max)(out[-1], value))
+    return out
 
 
 def t_test_p_value(t, df):

@@ -19,7 +19,7 @@ from pufr import (
 from pufr import baselines
 from pufr.baselines import DEFAULT_EXACT_WINDOW, DEFAULT_MAX_NODES
 
-from conftest import groups_of, make_query, random_query, rows
+from conftest import gap_search_queries, groups_of, make_query, random_query, rows
 
 
 def discounted_utility(gains_in_order):
@@ -297,20 +297,6 @@ class TestConstrainedRerank:
             ConstraintConfig(alpha_fairness=1.5)
         with pytest.raises(ValueError):
             ConstraintConfig(alpha_fairness=0.5, depth=0)
-
-
-def gap_search_queries(seed=131, count=40):
-    """(query, config) pairs, windows of 6-9 docs at a 0.95 floor, on which
-    the bisection leaves a duality gap, so the bounded search runs."""
-    rng = np.random.default_rng(seed)
-    cases = []
-    for i in range(count):
-        q = random_query(rng, n_min=6, n_max=9, query_id=f"q{i}")
-        cfg = ConstraintConfig(alpha_fairness=0.95, depth=len(q))
-        if constrained_rerank(q, cfg).nodes > 0:
-            cases.append((q, cfg))
-    assert len(cases) > 10
-    return cases
 
 
 class TestGapSearchReport:

@@ -14,11 +14,11 @@ from pufr import (
     uniform_rerank,
     unfair_rank,
 )
-from pufr import fileio
+from pufr import baselines, fileio
 from pufr.baselines import DEFAULT_DEPTH
 from pufr.cli import main
 
-from conftest import rows
+from conftest import gap_search_queries, rows
 
 
 @pytest.fixture()
@@ -118,6 +118,34 @@ class TestRerankCommand:
         assert main(argv) == 2
         assert "infeasible" in capsys.readouterr().err
         assert out.exists()  # partial output still written
+
+    def test_capped_gap_search_warns_and_exits_2_with_output(self, tmp_path, capsys,
+                                                             monkeypatch):
+        query, cfg = gap_search_queries()[0]
+        run, neutrality, qrels = tmp_path / "run", tmp_path / "neu", tmp_path / "qrels"
+        fileio.write_run_file(run, [unfair_rank(query)])
+        fileio.write_neutrality_file(neutrality, [query])
+        qrels.write_text("")
+        corpus = ["--run", str(run), "--neutrality", str(neutrality), "--method", "constrained",
+                  "--depth", str(cfg.depth)]
+        commands = [
+            (["rerank", *corpus, "--alpha", "0.95", "--output", str(tmp_path / "out.run")],
+             "queries", tmp_path / "out.run"),
+            (["sweep", *corpus, "--qrels", str(qrels), "--alpha-grid", "0.95",
+              "--output", str(tmp_path / "out.csv")], "query re-rankings", tmp_path / "out.csv"),
+        ]
+        for argv, _, _ in commands:
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+        monkeypatch.setattr(baselines, "DEFAULT_MAX_NODES", 1)
+        for argv, unit, out in commands:
+            out.unlink()
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"warning: node cap reached for 1 {unit}: the fairness floor is met "
+                f"but the ranking is not certified optimal\n"
+            )
+            assert out.exists()
 
 
 def library_rankings(paths, method, alpha, depth=DEFAULT_DEPTH):

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from pufr import (
+    PufrConfig,
     QueryCandidates,
     ScoredCandidate,
+    adjust_scores,
     assign_groups,
     build_query,
     fairr_at_k,
@@ -12,7 +16,8 @@ from pufr import (
     rank_by_score,
 )
 
-from conftest import make_query, ranking_key, rows, score_column
+import oracles
+from conftest import make_query, ranking_key, rows, score_column, score_map
 
 
 class TestScoredCandidate:
@@ -143,6 +148,39 @@ class TestAssignGroups:
         q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0)])
         with pytest.raises(ValueError, match="neutrality"):
             assign_groups(q)
+
+    def test_regrouping_builds_fresh_group_columns(self):
+        base = build_query("q", [
+            ScoredCandidate(doc_id=d, mu=mu, sigma=s, neutrality=n)
+            for d, mu, s, n in (("a", 4.0, 0.5, 1.0), ("b", 3.0, 2.0, 0.6),
+                                ("c", 2.0, 1.0, 0.3), ("d", 1.0, 0.25, 1.0))
+        ])
+        strict = assign_groups(base, 1.0)
+        strict_groups = [group.index.tolist() for group in strict.by_group()]
+        soft = assign_groups(strict, 0.5)
+        # the non-protected docs are held in increasing mu
+        assert strict_groups == [[0, 3], [2, 1]]
+        assert [group.index.tolist() for group in soft.by_group()] == [[0, 1, 3], [2]]
+        assert [group.index.tolist() for group in strict.by_group()] == strict_groups
+        assert soft.by_group()[0].sigma.tolist() == [0.5, 2.0, 0.25]
+        cfg = PufrConfig.symmetric(1.0)
+        for query in (strict, soft, replace(soft, sigma=[0.0, 0.0, 3.0, 0.0])):
+            assert score_map(query, adjust_scores(query, cfg)) == oracles.adjust(
+                rows(query), 1.0, 1.0)
+
+    def test_a_replaced_query_has_a_fresh_memo(self):
+        q = make_query([3.0, 2.0, 1.0], neutralities=[0.0, 1.0, 1.0])
+        assert ideal_fairr_at_k(q, 2) == 1.0 + 1.0 / 2
+        assert q.memo
+        moved = replace(q, neutrality=[0.0, 0.0, 1.0])
+        assert moved.memo == {}
+        assert ideal_fairr_at_k(moved, 2) == 1.0
+        assert ideal_fairr_at_k(q, 2) == 1.0 + 1.0 / 2
+
+    def test_ungrouped_query_has_no_group_columns(self):
+        q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0, neutrality=1.0)])
+        with pytest.raises(ValueError, match="group labels"):
+            q.by_group()
 
     def test_threshold_range_validated(self):
         q = make_query([1.0], neutralities=[1.0])

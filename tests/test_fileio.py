@@ -1,6 +1,7 @@
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -494,6 +495,49 @@ class TestBulkColumnParsing:
             assert [(d, v.hex()) for d, v in got.items()] == [
                 (d, v.hex()) for d, v in want.items()
             ]
+
+
+# every line boundary str.splitlines knows; the reader opens files with
+# universal newlines, so "\r" and "\r\n" reach it as "\n"
+_LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                "\u2028", "\u2029"]
+
+
+class TestBlockReader:
+    """Reading in blocks splits and numbers lines as ``str.splitlines`` does
+    on the whole text, wherever a block ends."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lines=st.lists(st.sampled_from(["a b", "  c\td ", "#x y", "", " ", "\x1f", "é ü"]),
+                       max_size=8),
+        breaks=st.lists(st.sampled_from(_LINE_BREAKS), min_size=8, max_size=8),
+        last_break=st.booleans(),
+        block=st.integers(1, 9),
+    )
+    def test_lines_and_numbers_match_splitlines(self, lines, breaks, last_break, block):
+        text = "".join(line + brk for line, brk in zip(lines, breaks))
+        if lines and not last_break:
+            text = text[: -len(breaks[len(lines) - 1])]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file"
+            path.write_bytes(text.encode("utf-8"))
+            with mock.patch.object(fileio, "_BLOCK_CHARS", block):
+                got = list(fileio._data_lines(path))
+            assert got == list(oracles.data_lines(path))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), block=st.integers(1, 40))
+    def test_run_file_errors_cite_the_same_line_at_any_block_size(self, data, block):
+        entries = _corrupted(data.draw, _run_entries(data.draw), {3: _BAD_RANKS, 4: _BAD_SCORES})
+        text = _file_text(data.draw, (" ".join(entry) for entry in entries))
+        with tempfile.TemporaryDirectory() as tmp:
+            with mock.patch.object(fileio, "_BLOCK_CHARS", block):
+                (kind, got), (want_kind, want) = _outcomes(
+                    tmp, text, fileio.parse_run_file, oracles.parse_run_file
+                )
+        assert kind == want_kind
+        assert got == want if kind == "error" else _same_queries(got, want)
 
 
 def fixture_corpus(seed=0, n_queries=6, n_candidates=8):

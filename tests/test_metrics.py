@@ -19,6 +19,7 @@ from pufr import (
     nfairr_at_k,
     paired_t_test,
 )
+from pufr.metrics import sequential_sum
 
 import oracles
 from conftest import make_query, ranked, ranking_of, rows
@@ -60,6 +61,23 @@ class TestNdcg:
     def test_no_positive_judgments_scores_zero(self):
         ranking = ranked("q", ["a", "b"])
         assert ndcg_at_k(ranking, RelevanceJudgments(grades={}), 2) == 0.0
+
+    def test_empty_qrels_score_zero_at_every_cutoff(self):
+        ranking = ranked("q", ["a", "b", "c"])
+        empty = RelevanceJudgments(grades={})
+        for k in (1, 3, 4, 100):
+            assert ndcg_at_k(ranking, empty, k) == 0.0
+        assert empty.gains(ranking.query).tolist() == [0.0, 0.0, 0.0]
+
+    def test_cutoff_past_the_pool_counts_every_doc(self):
+        ranking = ranked("q", ["a", "b", "c"])
+        judgments = judgments_of("q", {"a": 0, "b": 2, "c": 1, "unretrieved": 3})
+        at_n = ndcg_at_k(ranking, judgments, 3)
+        assert at_n == oracles.ndcg("q", ["a", "b", "c"], judgments.grades, 3)
+        # the ideal already holds the unretrieved doc's grade, and the
+        # fourth ideal grade is 0, so the score stays past the pool
+        for k in (4, 5, 100):
+            assert ndcg_at_k(ranking, judgments, k) == at_n
 
     def test_matches_high_precision_reference(self):
         rng = np.random.default_rng(131)
@@ -119,6 +137,18 @@ class TestFairr:
         for metric in (fairr_at_k, nfairr_at_k):
             with pytest.raises(ValueError, match="'q' has no neutrality scores"):
                 metric(ranking, 2)
+
+    def test_cutoff_past_the_pool_counts_every_doc(self):
+        ranking = ranked("q", ["a", "b"], neutralities=[0.0, 1.0])
+        for k in (2, 3, 100):
+            assert fairr_at_k(ranking, k) == 0.5
+            assert ideal_fairr_at_k(ranking.query, k) == 1.0
+            assert nfairr_at_k(ranking, k) == 0.5
+
+    def test_all_negative_zero_terms_sum_to_positive_zero(self):
+        ranking = ranked("q", ["a", "b"], neutralities=[-0.0, -0.0])
+        assert fairr_at_k(ranking, 2).hex() == "0x0.0p+0"
+        assert ideal_fairr_at_k(ranking.query, 2).hex() == "0x0.0p+0"
 
     def test_docs_beyond_k_are_ignored(self):
         short = ranked("q", ["a", "b"], neutralities=[0.2, 0.9])
@@ -254,6 +284,13 @@ class TestPairedTTest:
         assert mismatches == []
         assert min(seen)[0] < 1e-5 and max(seen)[0] > 500.0
         assert any(p == 0.0 for _, p in seen)
+
+    def test_sums_run_left_to_right(self):
+        # a compensated sum (the builtin sum() of floats since Python 3.12)
+        # gives the differences a mean of 1/3; a loop gives 0.0
+        keys = ("q1", "q2", "q3")
+        result = paired_t_test(dict(zip(keys, (1e16, 1.0, -1e16))), dict.fromkeys(keys, 0.0))
+        assert (result.t_statistic, result.p_value) == (0.0, 1.0)
 
     def test_mismatched_query_sets_rejected(self):
         with pytest.raises(ValueError, match="differ"):
@@ -409,6 +446,15 @@ class TestRelevanceJudgments:
         for k in (1, 10, 100):
             assert ndcg_at_k(ranking, judgments, k) == 0.0
 
+    def test_two_judgments_of_one_query_keep_their_own_gains(self):
+        ranking = ranked("q", ["a", "b"])
+        first, second = judgments_of("q", {"a": 1}), judgments_of("q", {"b": 1})
+        for _ in range(2):
+            assert ndcg_at_k(ranking, first, 2) == 1.0
+            assert ndcg_at_k(ranking, second, 2) == 1.0 / math.log2(3)
+        assert first.gains(ranking.query).tolist() == [1.0, 0.0]
+        assert second.gains(ranking.query).tolist() == [0.0, 1.0]
+
     def test_source_dict_is_snapshotted(self):
         source = {("q", "a"): 0, ("q", "b"): 3, ("q", "c"): 1}
         judgments = RelevanceJudgments(grades=source)
@@ -425,6 +471,18 @@ class TestRelevanceJudgments:
         assert ndcg_at_k(ranking, judgments, 3) == oracles.ndcg(
             "q", ranking.doc_ids(), {("q", "a"): 0, ("q", "b"): 3, ("q", "c"): 1}, 3
         )
+
+
+class TestSequentialSum:
+    def test_adds_left_to_right_from_zero(self):
+        assert sequential_sum(np.array([1e16, 1.0, -1e16])) == 0.0
+        assert sequential_sum(np.array([1.0, 1e16, -1e16])) == 0.0
+        assert sequential_sum(np.array([1e16, -1e16, 1.0])) == 1.0
+
+    def test_signed_zeros_and_empty(self):
+        assert sequential_sum(np.array([-0.0, -0.0])).hex() == "0x0.0p+0"
+        assert sequential_sum(np.array([])) == 0.0
+        assert type(sequential_sum(np.array([0.5]))) is float
 
 
 class TestReportTypes:

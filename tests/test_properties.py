@@ -8,6 +8,7 @@ as ``float.hex`` so that 0.0 and -0.0 count as different.
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from pufr import (
     unfair_rank,
     uniform_rerank,
 )
+from pufr.rerank import _clamp
 from pufr.sweep import METHODS, REGISTRY
 
 TIED_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5)
@@ -209,3 +211,21 @@ def test_trailing_nul_breaks_a_tie_in_str_order():
         ("a", "0x1.0000000000000p+0"), ("a\x00", "0x1.0000000000000p+0"),
         ("\x00", "-0x0.0p+0"), ("b", "0x0.0p+0"),
     ]
+
+
+@EXAMPLES
+@given(
+    st.sampled_from((TIED_VALUES, (1.0, -1.0, 2.5))).flatmap(
+        lambda tied: st.lists(st.sampled_from(tied), max_size=12)
+    ) | st.lists(st.floats(-1e3, 1e3, allow_nan=False).filter(bool), max_size=12),
+    st.booleans(),
+)
+def test_clamp_keeps_the_first_of_equal_values_bit_for_bit(values, lowest):
+    # ±0.0 ties need the index path; zero-free inputs take numpy's accumulate
+    # as it is. An appended 0.0 sends the same prefix through the index path.
+    clamped = _clamp(np.array(values), lowest)
+    assert [v.hex() for v in clamped.tolist()] == [
+        v.hex() for v in oracles.running_best(values, lowest)
+    ]
+    via_index = _clamp(np.array([*values, 0.0]), lowest)[:-1]
+    assert clamped.tobytes() == via_index.tobytes()

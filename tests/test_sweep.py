@@ -19,7 +19,9 @@ from pufr import (
     unfair_rank,
 )
 
-from conftest import make_query
+from pufr import baselines
+
+from conftest import gap_search_queries, make_query
 
 
 def biased_corpus(seed=0, n_queries=30, n_candidates=15):
@@ -105,6 +107,16 @@ class TestRunSweep:
         cfg = SweepConfig(method="constrained", alpha_grid=(0.9,), depth=2)
         result = run_sweep([q1, q2], judgments, cfg)
         assert result.infeasible_queries == 1  # q1's neutral doc is outside the window
+
+    def test_constrained_sweep_reports_capped_searches(self, monkeypatch):
+        corpus = [query for query, _ in gap_search_queries()[:3]]
+        judgments = RelevanceJudgments(grades={})
+        cfg = SweepConfig(method="constrained", alpha_grid=(0.95,), depth=12)
+        full = run_sweep(corpus, judgments, cfg)
+        assert (full.infeasible_queries, full.exhausted_queries) == (0, 0)
+        monkeypatch.setattr(baselines, "DEFAULT_MAX_NODES", 1)
+        cut = run_sweep(corpus, judgments, cfg)
+        assert (cut.infeasible_queries, cut.exhausted_queries) == (0, 3)
 
     def test_fastar_alpha_range_validated(self):
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
