@@ -49,11 +49,6 @@ class MTable:
     significance: float
     required: tuple[int, ...]
 
-    def min_protected(self, k: int) -> int:
-        if not 1 <= k <= len(self.required):
-            raise ValueError(f"prefix length {k} outside table range 1..{len(self.required)}")
-        return self.required[k - 1]
-
 
 def compute_m_table(k_max: int, p: float, significance: float = DEFAULT_SIGNIFICANCE) -> MTable:
     """Quota table: required[k] = smallest m with BinomialCDF(m; k, p) >= significance.

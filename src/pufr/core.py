@@ -11,9 +11,11 @@ original rank i + 1, the deterministic tie-break of every sort downstream.
 The constructor validates every column once, vectorised, and, once groups
 are labelled, gathers each group's indices, ``mu`` and ``sigma`` in the
 order the re-ranker clamps them (see :meth:`QueryCandidates.by_group`).
-Values that other layers derive from a query's columns are kept in its
-``memo``; both die with the query, and ``dataclasses.replace`` starts a new
-query with fresh ones. :class:`ScoredCandidate` is the row form that
+:meth:`QueryCandidates.with_column` adds a column to a built query and
+checks only that column. Values that other layers derive from a query's
+columns are kept in its ``memo``; both die with the query, and
+``with_column`` and ``dataclasses.replace`` start a new query with fresh
+ones. :class:`ScoredCandidate` is the row form that
 :func:`build_query` accepts.
 
 A :class:`Ranking` is an order over its query's columns: ``order[i]`` is
@@ -24,12 +26,15 @@ of looking documents up by id.
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field, replace
+from collections import Counter
+from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
+_DTYPES = {"mu": np.float64, "sigma": np.float64, "neutrality": np.float64, "protected": bool}
 _COLUMN_NAMES = {
     "sigma": "sigma values",
     "neutrality": "neutrality scores",
@@ -100,32 +105,42 @@ class QueryCandidates:
         if not n:
             raise ValueError(f"query {self.query_id!r}: candidate set is empty")
         if len(set(doc_ids)) != n:
-            dupes = sorted({d for d in doc_ids if doc_ids.count(d) > 1})
+            dupes = sorted(d for d, count in Counter(doc_ids).items() if count > 1)
             raise ValueError(f"query {self.query_id!r}: duplicate doc ids {dupes}")
         object.__setattr__(self, "doc_ids", doc_ids)
-        for name in ("mu", "sigma", "neutrality", "protected"):
+        for name, dtype in _DTYPES.items():
             values = getattr(self, name)
             if values is not None:
-                dtype = bool if name == "protected" else np.float64
                 object.__setattr__(self, name, _read_only(values, dtype, n, name, self.query_id))
-        mu, sigma, neutrality = self.mu, self.sigma, self.neutrality
-        self._require(np.isfinite(mu), mu, "mu must be finite")
-        self._require(
-            np.concatenate(([True], mu[1:] <= mu[:-1])), mu,
-            "mu is above the mu of the candidate before it; columns must be in "
-            "original-rank order",
-        )
-        if sigma is not None:
-            self._require(np.isfinite(sigma) & (sigma >= 0.0), sigma,
+        for name in _DTYPES:
+            self._check(name)
+        self._gather_groups()
+
+    def _check(self, name: str) -> None:
+        """Check the values of one column, naming the first bad candidate."""
+        column = getattr(self, name)
+        if column is None:
+            return
+        if name == "mu":
+            self._require(np.isfinite(column), column, "mu must be finite")
+            self._require(
+                np.concatenate(([True], column[1:] <= column[:-1])), column,
+                "mu is above the mu of the candidate before it; columns must be in "
+                "original-rank order",
+            )
+        elif name == "sigma":
+            self._require(np.isfinite(column) & (column >= 0.0), column,
                           "sigma must be finite and >= 0")
-        if neutrality is not None:
-            self._require((neutrality >= 0.0) & (neutrality <= 1.0), neutrality,
+        elif name == "neutrality":
+            self._require((column >= 0.0) & (column <= 1.0), column,
                           "neutrality score must lie in [0, 1]")
+
+    def _gather_groups(self) -> None:
         if self.protected is not None:
             # protected docs by decreasing mu, the others by increasing mu
             indices = np.flatnonzero(self.protected), np.flatnonzero(~self.protected)[::-1]
             object.__setattr__(self, "_groups", tuple(
-                Group(index, mu[index], None if sigma is None else sigma[index])
+                Group(index, self.mu[index], None if self.sigma is None else self.sigma[index])
                 for index in indices
             ))
 
@@ -136,6 +151,20 @@ class QueryCandidates:
                 f"query {self.query_id!r}: candidate {self.doc_ids[i]!r}: {what}, "
                 f"got {float(column[i])!r}"
             )
+
+    def with_column(self, name: str, values: object) -> "QueryCandidates":
+        """This query with its ``sigma``, ``neutrality`` or ``protected``
+        column set to ``values``. Only the new column is checked: the doc
+        ids, ``mu`` and the other columns were checked when this query was
+        built. Like ``dataclasses.replace``, the result starts with a fresh
+        ``memo``."""
+        query = copy.copy(self)
+        object.__setattr__(query, "memo", {})
+        column = _read_only(values, _DTYPES[name], len(self), name, self.query_id)
+        object.__setattr__(query, name, column)
+        query._check(name)
+        query._gather_groups()
+        return query
 
     @classmethod
     def ranked(
@@ -148,21 +177,25 @@ class QueryCandidates:
     ) -> "QueryCandidates":
         """Build a query from columns in any order, sorting them into
         original-rank order. Doc ids are ordered by Python ``str``
-        comparison, since numpy string arrays drop trailing NULs."""
-        mu = np.asarray(mu, dtype=np.float64)
-        by_id = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.intp)
-        order = by_id[np.argsort(-mu[by_id], kind="stable")]
-
-        def arranged(values: object) -> np.ndarray | None:
-            return None if values is None else np.asarray(values, dtype=np.float64)[order]
-
-        return cls(
-            query_id=query_id,
-            doc_ids=tuple(doc_ids[i] for i in order.tolist()),
-            mu=mu[order],
-            sigma=arranged(sigma),
-            neutrality=arranged(neutrality),
+        comparison, since numpy string arrays drop trailing NULs; they are
+        compared only when ``mu`` has exact ties or is not finite, and the
+        columns are gathered only when they are not in order already."""
+        n = len(doc_ids)
+        mu, sigma, neutrality = (
+            None if values is None else _read_only(values, np.float64, n, name, query_id)
+            for name, values in (("mu", mu), ("sigma", sigma), ("neutrality", neutrality))
         )
+        order = np.argsort(-mu, kind="stable")
+        descending = mu[order]
+        if not (descending[1:] < descending[:-1]).all():
+            by_id = np.array(sorted(range(n), key=doc_ids.__getitem__), dtype=np.intp)
+            order = by_id[np.argsort(-mu[by_id], kind="stable")]
+        if not (order[1:] > order[:-1]).all():
+            doc_ids = tuple(map(doc_ids.__getitem__, order.tolist()))
+            mu, sigma, neutrality = (
+                None if column is None else column[order] for column in (mu, sigma, neutrality)
+            )
+        return cls(query_id, doc_ids, mu, sigma, neutrality)
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -222,7 +255,7 @@ def build_query(query_id: str, candidates: Sequence[ScoredCandidate]) -> QueryCa
 def assign_groups(query: QueryCandidates, protected_threshold: float = 1.0) -> QueryCandidates:
     """Label candidates: protected iff neutrality >= threshold (default 1.0)."""
     check_protected_threshold(protected_threshold)
-    return replace(query, protected=query.column("neutrality") >= protected_threshold)
+    return query.with_column("protected", query.column("neutrality") >= protected_threshold)
 
 
 def rank_by_score(query: QueryCandidates, scores: np.ndarray) -> Ranking:
@@ -238,7 +271,7 @@ def rank_by_score(query: QueryCandidates, scores: np.ndarray) -> Ranking:
             f"query {query.query_id!r}: expected {len(query)} scores, got shape {scores.shape}"
         )
     finite = np.isfinite(scores)
-    if not finite.all():
+    if np.count_nonzero(finite) != len(finite):
         doc_id = query.doc_ids[int(np.argmin(finite))]
         raise ValueError(f"query {query.query_id!r}: non-finite score for doc {doc_id!r}")
     order = np.argsort(-scores, kind="stable")

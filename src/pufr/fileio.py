@@ -9,10 +9,22 @@ All formats are whitespace-separated with ``#`` comment lines allowed:
 - feature file:    ``query_id doc_id v1 ... vd``
 - posterior file:  ``theta d v1..vd`` / ``fisher d v1..vd`` / optional ``damping x``
 
-The run, sigma and neutrality files are parsed column-wise: each
-column of a query is converted and checked in one numpy call. Only when a
-check fails is the file walked line by line, so that the error names the
-first bad ``path:line`` in file order.
+Every reader takes the file in blocks of whole lines of about 1 MiB
+(:func:`_blocks`), so a large file is never held whole. The run, sigma and
+neutrality parsers share one column reader, :func:`_columns`, which gives
+the fields of all data lines as one flat list, and reads a block in one of
+two ways:
+
+- a block that is ASCII, holds no ``#`` and no whitespace or control
+  character but space, tab and ``\n`` is split with one ``str.split()``,
+  and one vectorised pass over its bytes proves that every line holds
+  either no field or the file's number of fields;
+- any other block is split line by line, as ``str.splitlines`` splits
+  lines, and comment and blank lines are skipped.
+
+Each file column is then converted and checked with one numpy call, and
+cut into per-query slices. Only when a check fails is the file walked line
+by line, so that the error names the first bad ``path:line`` in file order.
 
 Floats are written with ``repr`` so a write-parse-write cycle is
 byte-identical.
@@ -21,9 +33,8 @@ byte-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from pathlib import Path
-from typing import Iterable, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
@@ -35,27 +46,94 @@ from .uncertainty import LastLayerPosterior
 _BLOCK_CHARS = 1 << 20
 
 
-def _data_lines(path: str | Path) -> Iterable[tuple[int, list[str]]]:
-    """(line number, fields) of each line that is neither blank nor a
-    comment. The file is read in blocks of about 1 MiB, so a large file is
-    never held whole; a block's unfinished last line is carried into the
-    next. Lines are split and numbered as ``str.splitlines`` does on the
-    whole text."""
-    lineno, carry = 0, ""
+# the line breaks of str.splitlines; universal newlines turn "\r" into "\n"
+_LINE_BREAKS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def _blocks(path: str | Path) -> Iterator[str]:
+    """The text of a file in blocks of about ``_BLOCK_CHARS`` characters, cut
+    after the last line break of each, so that every block but the last
+    ends with a line break and no line spans two blocks."""
+    carry = ""
     with open(path, encoding="utf-8") as fh:
         while block := fh.read(_BLOCK_CHARS):
-            lines = (carry + block).splitlines(keepends=True)
-            # the last line is unfinished when it has no line break to drop
-            carry = lines.pop() if lines[-1].splitlines()[0] == lines[-1] else ""
-            for line in lines:
-                lineno += 1
-                fields = line.split()
-                if fields and not fields[0].startswith("#"):
-                    yield lineno, fields
+            text = carry + block
+            cut = max(map(text.rfind, _LINE_BREAKS)) + 1
+            if cut:
+                yield text[:cut]
+            carry = text[cut:]
     if carry:
-        fields = carry.split()
-        if fields and not fields[0].startswith("#"):
-            yield lineno + 1, fields
+        yield carry
+
+
+def _data_lines(path: str | Path) -> Iterable[tuple[int, list[str]]]:
+    """(line number, fields) of each line that is neither blank nor a
+    comment. Lines are split and numbered as ``str.splitlines`` does on the
+    whole text."""
+    lineno = 0
+    for block in _blocks(path):
+        for line in block.splitlines():
+            lineno += 1
+            fields = line.split()
+            if fields and not fields[0].startswith("#"):
+                yield lineno, fields
+
+
+def _columns(path: str | Path, width: int) -> list[str] | None:
+    """The fields of every data line in file order, as one flat list, so that
+    field j of the lines is ``fields[j::width]``; None when a data line holds
+    another number of fields. See the module docstring for the two ways a
+    block is read."""
+    fields: list[str] = []
+    for block in _blocks(path):
+        if block.isascii() and "#" not in block:
+            codes = np.frombuffer(block.encode("ascii"), dtype=np.uint8)
+            newlines = np.flatnonzero(codes == 10)
+            # no control character but tabs and newlines, so the bytes up to
+            # 32 are exactly the whitespace str.split() splits on
+            if np.count_nonzero(codes < 32) == len(newlines) + np.count_nonzero(codes == 9):
+                if not _lines_hold(codes, newlines, width):
+                    return None
+                fields += block.split()
+                continue
+        for line in block.splitlines():
+            tokens = line.split()
+            if tokens and not tokens[0].startswith("#"):
+                if len(tokens) != width:
+                    return None
+                fields += tokens
+    return fields
+
+
+def _lines_hold(codes: np.ndarray, newlines: np.ndarray, width: int) -> bool:
+    """Whether every line of a block whose only whitespace is space, tab and
+    newline holds either no field or ``width`` fields: the field starts
+    before each newline, counted by a search, differ by 0 or ``width``."""
+    space = np.empty(len(codes) + 1, dtype=bool)
+    space[0] = True
+    np.less_equal(codes, 32, out=space[1:])
+    starts = np.flatnonzero(space[:-1] > space[1:])
+    per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=len(starts))
+    return bool(((per_line == 0) | (per_line == width)).all())
+
+
+def _rows_by_key(keys: list[str]) -> dict[str, slice | np.ndarray]:
+    """The rows of each distinct key, keys in order of first appearance: a
+    slice when the key's rows are contiguous, as they are when every key
+    comes in one run, and their positions otherwise."""
+    index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    codes = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+    ends = np.cumsum(np.bincount(codes)).tolist()
+    bounds = zip([0] + ends[:-1], ends)
+    if (codes[1:] >= codes[:-1]).all():
+        return dict(zip(index, (slice(start, end) for start, end in bounds)))
+    order = np.argsort(codes, kind="stable")
+    return dict(zip(index, (order[start:end] for start, end in bounds)))
+
+
+def _take(values: list[str], rows: slice | np.ndarray) -> list[str]:
+    """The values at ``rows``, a slice or row positions."""
+    return values[rows] if isinstance(rows, slice) else list(map(values.__getitem__, rows.tolist()))
 
 
 def _parse_float(path: str | Path, lineno: int, token: str, what: str) -> float:
@@ -97,29 +175,23 @@ def parse_run_file(path: str | Path) -> list[QueryCandidates]:
     is validated to be a permutation of 1..n within each query. A file with
     no data lines is an error.
     """
-    columns: dict[str, tuple[list[str], list[str], list[str]]] = {}
-    for _, fields in _data_lines(path):
-        if len(fields) != 6:
-            _run_file_error(path)
-        query_id, _, doc_id, rank, score, _ = fields
-        if query_id not in columns:
-            columns[query_id] = ([], [], [])
-        doc_ids, ranks, scores = columns[query_id]
-        doc_ids.append(doc_id)
-        ranks.append(rank)
-        scores.append(score)
-    if not columns:
+    fields = _columns(path, 6)
+    if not fields:
+        _run_file_error(path)
+    doc_ids = fields[2::6]
+    ranks, mu = _column(fields[3::6], np.int64), _column(fields[4::6], np.float64)
+    if ranks is None or mu is None:
         _run_file_error(path)
     corpus = []
-    for query_id, (doc_ids, rank_tokens, score_tokens) in columns.items():
-        n = len(doc_ids)
-        ranks, mu = _column(rank_tokens, np.int64), _column(score_tokens, np.float64)
-        if (
-            ranks is None or mu is None or not np.isfinite(mu).all()
-            or len(set(doc_ids)) != n or not np.array_equal(np.sort(ranks), np.arange(1, n + 1))
-        ):
+    for query_id, rows in _rows_by_key(fields[0::6]).items():
+        docs = _take(doc_ids, rows)
+        if not np.array_equal(np.sort(ranks[rows]), np.arange(1, len(docs) + 1)):
             _run_file_error(path)
-        corpus.append(QueryCandidates.ranked(query_id, doc_ids, mu))
+        try:
+            query = QueryCandidates.ranked(query_id, docs, mu[rows])
+        except ValueError:  # a repeated doc id or a score that is not finite
+            _run_file_error(path)
+        corpus.append(query)
     return corpus
 
 
@@ -162,23 +234,18 @@ def _run_file_error(path: str | Path) -> NoReturn:
 def parse_sigma_file(path: str | Path) -> dict[str, tuple[tuple[str, ...], np.ndarray]]:
     """Read predictive standard deviations as ``{query_id: (doc_ids, sigmas)}``,
     queries in order of first appearance and each query's pairs in file order."""
-    columns: dict[str, tuple[list[str], list[str]]] = {}
-    for _, fields in _data_lines(path):
-        if len(fields) != 3:
+    fields = _columns(path, 3)
+    if fields is None:
+        _sigma_file_error(path)
+    sigmas = _column(fields[2::3], np.float64)
+    if sigmas is None or not (np.isfinite(sigmas) & (sigmas >= 0.0)).all():
+        _sigma_file_error(path)
+    doc_ids, parsed = fields[1::3], {}
+    for query_id, rows in _rows_by_key(fields[0::3]).items():
+        docs = tuple(_take(doc_ids, rows))
+        if len(set(docs)) != len(docs):
             _sigma_file_error(path)
-        query_id, doc_id, sigma = fields
-        if query_id not in columns:
-            columns[query_id] = ([], [])
-        columns[query_id][0].append(doc_id)
-        columns[query_id][1].append(sigma)
-    parsed = {}
-    for query_id, (doc_ids, tokens) in columns.items():
-        sigmas = _column(tokens, np.float64)
-        if sigmas is None or not (
-            (np.isfinite(sigmas) & (sigmas >= 0.0)).all() and len(set(doc_ids)) == len(doc_ids)
-        ):
-            _sigma_file_error(path)
-        parsed[query_id] = (tuple(doc_ids), sigmas)
+        parsed[query_id] = (docs, sigmas[rows])
     return parsed
 
 
@@ -202,14 +269,11 @@ def _sigma_file_error(path: str | Path) -> NoReturn:
 def parse_neutrality_file(path: str | Path) -> dict[str, float]:
     """Read per-document neutrality scores; repeated identical entries are
     tolerated, conflicting ones rejected."""
-    doc_ids: list[str] = []
-    tokens: list[str] = []
-    for _, fields in _data_lines(path):
-        if len(fields) != 2:
-            _neutrality_file_error(path)
-        doc_ids.append(fields[0])
-        tokens.append(fields[1])
-    values = _column(tokens, np.float64)
+    fields = _columns(path, 2)
+    if fields is None:
+        _neutrality_file_error(path)
+    doc_ids = fields[0::2]
+    values = _column(fields[1::2], np.float64)
     # the range check is false for nan too
     if values is None or not ((values >= 0.0) & (values <= 1.0)).all():
         _neutrality_file_error(path)
@@ -343,10 +407,10 @@ def attach_sigmas(
         if doc_ids != query.doc_ids:
             by_doc = dict(zip(doc_ids, column.tolist()))
             try:
-                column = [by_doc[doc_id] for doc_id in query.doc_ids]
+                column = list(map(by_doc.__getitem__, query.doc_ids))
             except KeyError as exc:
                 raise ValueError(f"missing sigma for ({query.query_id}, {exc.args[0]})") from None
-        joined.append(replace(query, sigma=column))
+        joined.append(query.with_column("sigma", column))
     return joined
 
 
@@ -357,10 +421,10 @@ def attach_neutrality(
     joined = []
     for query in corpus:
         try:
-            column = [neutrality[doc_id] for doc_id in query.doc_ids]
+            column = list(map(neutrality.__getitem__, query.doc_ids))
         except KeyError as exc:
             raise ValueError(f"missing neutrality for ({query.query_id}, {exc.args[0]})") from None
-        joined.append(replace(query, neutrality=column))
+        joined.append(query.with_column("neutrality", column))
     return joined
 
 

@@ -47,7 +47,7 @@ class TestUnfairRank:
 class TestMTable:
     def test_half_proportion_at_k4(self):
         table = compute_m_table(4, p=0.5, significance=0.1)
-        assert table.min_protected(4) == 1
+        assert table.required[4 - 1] == 1
         assert binom.cdf(0, 4, 0.5) < 0.1 <= binom.cdf(1, 4, 0.5)
 
     def test_zero_proportion_requires_nothing(self):
@@ -56,7 +56,7 @@ class TestMTable:
 
     def test_half_proportion_at_k1(self):
         table = compute_m_table(1, p=0.5, significance=0.1)
-        assert table.min_protected(1) == 0
+        assert table.required[1 - 1] == 0
 
     def test_full_proportion_requires_everything(self):
         table = compute_m_table(5, p=1.0, significance=0.1)
@@ -70,7 +70,7 @@ class TestMTable:
             significance = float(rng.uniform(0.01, 0.5))
             table = compute_m_table(k_max, p, significance)
             for k in range(1, k_max + 1):
-                required = table.min_protected(k)
+                required = table.required[k - 1]
                 assert binom.cdf(required, k, p) >= significance - 1e-12
                 if required > 0:
                     assert binom.cdf(required - 1, k, p) < significance + 1e-12

@@ -1,4 +1,6 @@
+import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from pufr import (
 )
 
 import oracles
-from conftest import make_query, ranking_key, rows, score_column, score_map
+from conftest import (
+    make_query, query_key, random_query, ranking_key, rows, score_column, score_map,
+)
 
 
 class TestScoredCandidate:
@@ -56,6 +60,13 @@ class TestQueryCandidates:
         with pytest.raises(ValueError, match="duplicate"):
             QueryCandidates(query_id="q", doc_ids=("d", "d"), mu=[1.0, 0.5])
 
+    def test_names_each_duplicate_of_a_large_query_once(self):
+        doc_ids = [f"d{i}" for i in range(20_000)] + ["d7", "d19999", "d7", "d3"]
+        with pytest.raises(ValueError, match=re.escape(
+            "query 'q': duplicate doc ids ['d19999', 'd3', 'd7']"
+        ) + "$"):
+            QueryCandidates(query_id="q", doc_ids=doc_ids, mu=np.zeros(len(doc_ids)))
+
     def test_rejects_columns_out_of_rank_order(self):
         with pytest.raises(ValueError, match="'b'.*original-rank order"):
             QueryCandidates(query_id="q", doc_ids=("a", "b"), mu=[0.5, 1.0])
@@ -63,6 +74,15 @@ class TestQueryCandidates:
     def test_rejects_a_column_of_the_wrong_length(self):
         with pytest.raises(ValueError, match=r"sigma has shape \(1,\), expected \(2,\)"):
             QueryCandidates(query_id="q", doc_ids=("a", "b"), mu=[1.0, 0.5], sigma=[0.1])
+
+    @pytest.mark.parametrize("mu", [[2.0, 1.0], [1.0, 2.0]])
+    def test_ranked_rejects_a_column_of_the_wrong_length_in_any_order(self, mu):
+        for columns, message in (({"mu": mu + [0.5]}, r"mu has shape \(3,\)"),
+                                 ({"sigma": [0.1, 0.2, 0.3]}, r"sigma has shape \(3,\)"),
+                                 ({"neutrality": [0.5]}, r"neutrality has shape \(1,\)")):
+            columns = {"mu": mu, **columns}
+            with pytest.raises(ValueError, match=f"query 'q': {message}, expected \\(2,\\)"):
+                QueryCandidates.ranked("q", ["a", "b"], **columns)
 
     def test_columns_are_read_only_copies(self):
         mu = np.array([2.0, 1.0])
@@ -176,6 +196,35 @@ class TestAssignGroups:
         assert moved.memo == {}
         assert ideal_fairr_at_k(moved, 2) == 1.0
         assert ideal_fairr_at_k(q, 2) == 1.0 + 1.0 / 2
+
+    def test_with_column_matches_replace_without_rechecking_the_query(self):
+        rng = np.random.default_rng(7)
+        for _ in range(30):
+            q = random_query(rng)
+            n = len(q)
+            columns = {
+                "sigma": np.abs(rng.normal(0.5, 0.3, n)),
+                "neutrality": np.where(rng.random(n) < 0.5, 1.0, rng.random(n)),
+                "protected": rng.random(n) < 0.5,
+            }
+            for name, values in columns.items():
+                want = replace(q, **{name: values})
+                with mock.patch.object(QueryCandidates, "__post_init__",
+                                       side_effect=AssertionError("query checked again")):
+                    got = q.with_column(name, values)
+                assert query_key(got) == query_key(want) and got.memo == {}
+                assert [[column.tolist() for column in group] for group in got.by_group()] == [
+                    [column.tolist() for column in group] for group in want.by_group()
+                ]
+
+    def test_with_column_checks_the_new_column_as_the_constructor_does(self):
+        q = make_query([3.0, 2.0, 1.0], neutralities=[0.0, 1.0, 1.0])
+        for name, values in (("sigma", [0.1, -1.0, 0.2]), ("sigma", [0.1]),
+                             ("neutrality", [0.0, 1.5, 1.0]), ("protected", [True, False])):
+            with pytest.raises(ValueError) as want:
+                replace(q, **{name: values})
+            with pytest.raises(ValueError, match=re.escape(str(want.value)) + "$"):
+                q.with_column(name, values)
 
     def test_ungrouped_query_has_no_group_columns(self):
         q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0, neutrality=1.0)])

@@ -540,6 +540,138 @@ class TestBlockReader:
         assert got == want if kind == "error" else _same_queries(got, want)
 
 
+# separators inside a line: whitespace to str.split() but no line break
+_FIELD_SEPARATORS = [" ", " ", "\t", "  \t", "\x1f", "\xa0"]
+_IDS = ["d0", "d1", "d2", "d3", "d4", "d5", "dé", "ü", "д7", "d\x7f", "d\x00"]
+
+
+@st.composite
+def _laid_out(draw, entries):
+    """The entries as file text: fields joined by one of several separators,
+    lines by mostly "\n" and now and then another line break, comment and
+    blank lines put in, and the last break dropped half of the time."""
+    separators = st.sampled_from(_FIELD_SEPARATORS)
+    lines = [
+        draw(st.sampled_from(["", "", " ", "\t"]))
+        + "".join(entry[:1] + [draw(separators) + field for field in entry[1:]])
+        + draw(st.sampled_from(["", "", " ", "\t"]))
+        for entry in entries
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_COMMENTS)))
+    breaks = [draw(st.sampled_from(["\n"] * 10 + _LINE_BREAKS)) for _ in lines]
+    if breaks and draw(st.booleans()):
+        breaks[-1] = ""
+    return "".join(line + brk for line, brk in zip(lines, breaks))
+
+
+def _renamed(draw, entries, doc_field):
+    """The entries with their doc ids drawn from ``_IDS``, kept distinct within
+    a query, non-ASCII and control characters among them."""
+    names = draw(st.permutations(_IDS))
+    mapping = {f"d{i}": names[i] for i in range(6)}
+    return [e[:doc_field] + [mapping.get(e[doc_field], e[doc_field])] + e[doc_field + 1:]
+            for e in entries]
+
+
+class TestSharedColumnReader:
+    """The shared column reader, whichever way it reads each block, gives the
+    line-by-line oracles' results, bit for bit, and their error messages,
+    word for word: blocks are made small so that lines straddle blocks and
+    plain blocks, read with one split, sit next to blocks read line by line."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(data=st.data(), block=st.integers(1, 64),
+           kind=st.sampled_from(["run", "sigma", "neutrality"]))
+    def test_parsers_match_the_line_oracles_at_any_block_size(self, data, block, kind):
+        draw = data.draw
+        if kind == "run":
+            entries = _corrupted(draw, _renamed(draw, _run_entries(draw), 2),
+                                 {3: _BAD_RANKS, 4: _BAD_SCORES})
+            parse, oracle = fileio.parse_run_file, oracles.parse_run_file
+        elif kind == "sigma":
+            entries = [[q, d, draw(st.sampled_from(["0.5", "0", "-0.0", "1e-3", "\u0661"]))]
+                       for q, _, d, _, _, _ in _renamed(draw, _run_entries(draw), 2)]
+            entries = _corrupted(draw, entries, {2: ["-0.5", "nan", "inf", "x"]})
+            parse, oracle = fileio.parse_sigma_file, oracles.parse_sigma_file
+        else:
+            entries = [[draw(st.sampled_from(_IDS)), draw(st.sampled_from(["0.5", "1", "0"]))]
+                       for _ in range(draw(st.integers(0, 8)))]
+            entries = _corrupted(draw, entries, {1: ["1.5", "-0.1", "nan", "x"]})
+            parse, oracle = fileio.parse_neutrality_file, oracles.parse_neutrality_file
+        text = draw(_laid_out(entries))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file"
+            newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+            path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+            with mock.patch.object(fileio, "_BLOCK_CHARS", block):
+                kind_got, got = outcome(parse, path)
+            kind_want, want = outcome(oracle, path)
+        assert kind_got == kind_want
+        if kind_got == "error":
+            assert got == want
+        elif kind == "run":
+            assert _same_queries(got, want)
+        elif kind == "sigma":
+            assert {(q, d): s.hex() for q, (docs, sigmas) in got.items()
+                    for d, s in zip(docs, sigmas.tolist())} == {
+                pair: s.hex() for pair, s in want.items()}
+            assert [(q, d) for q, (docs, _) in got.items() for d in docs] == [
+                pair for q in got for pair in want if pair[0] == q]
+        else:
+            assert [(d, v.hex()) for d, v in got.items()] == [
+                (d, v.hex()) for d, v in want.items()]
+
+    def test_plain_and_line_split_blocks_meet_in_one_file(self, tmp_path):
+        plain = [f"q{i % 3} Q0 d{i} {i // 3 + 1} {-i}.5 t" for i in range(30)]
+        other = [f"q{i % 3}\tQ0 dé{i} {i // 3 + 1} {-i}.5 t" for i in range(30, 45)]
+        path = tmp_path / "run"
+        path.write_text("\n".join(plain + ["# a comment", "\x0b"] + other), encoding="utf-8")
+        with mock.patch.object(fileio, "_BLOCK_CHARS", 100), \
+                mock.patch.object(fileio, "_lines_hold", wraps=fileio._lines_hold) as plain_reads:
+            got = fileio.parse_run_file(path)
+        assert plain_reads.call_count >= 5
+        assert _same_queries(got, oracles.parse_run_file(path))
+        # the queries interleave, so each takes its rows by position
+        assert [len(q) for q in got] == [15, 15, 15]
+
+    @pytest.mark.parametrize("block", [7, 1 << 20])
+    @pytest.mark.parametrize("text, message", [
+        ("q1 Q0 a 1 2.0 t\nq1 Q0 b 2 1.0 t x\n", ":2: expected 6 fields, got 7"),
+        ("q1 Q0 a 1 2.0 t\n\nq1 Q0 b 2\n", ":3: expected 6 fields, got 4"),
+        ("q1 Q0 a 1 2.0 t\n# c\nq1 Q0 b 2 1.0\n", ":3: expected 6 fields, got 5"),
+        ("q1 Q0 a 1 2.0 t\nq2 Q0 a 1 1.0 t\nq1 Q0 a 2 0.5 t", ":3: duplicate entry for (q1, a)"),
+        ("q1 Q0 a 1 2.0 t\x0bq1 Q0 b 1 nan t\n", ":2: score must be finite, got 'nan'"),
+        ("q1 Q0 a 2 2.0 t\nq2 Q0 b 1 1.0 t\n",
+         ":1: query 'q1': rank 2 is repeated or outside 1..1, so the rank column is not a "
+         "permutation"),
+    ])
+    def test_a_malformed_run_file_names_its_line(self, tmp_path, block, text, message):
+        path = tmp_path / "run"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(fileio, "_BLOCK_CHARS", block):
+            with pytest.raises(ValueError, match=re.escape(f"{path}{message}") + "$"):
+                fileio.parse_run_file(path)
+
+    @pytest.mark.parametrize("block", [5, 1 << 20])
+    @pytest.mark.parametrize("parse, text, message", [
+        (fileio.parse_sigma_file, "q a 0.5\nq b\n", ":2: expected 3 fields, got 2"),
+        (fileio.parse_sigma_file, "q a 0.5\nq b -1\n", ":2: sigma must be >= 0, got -1.0"),
+        (fileio.parse_sigma_file, "q a 0.5\nr a 1\nq a 1\n", ":3: duplicate entry for (q, a)"),
+        (fileio.parse_neutrality_file, "a 0.5\nb 1 1\n", ":2: expected 2 fields, got 3"),
+        (fileio.parse_neutrality_file, "a 0.5\nb 1\na 0.25\n",
+         ":3: conflicting neutrality for 'a': 0.5 vs 0.25"),
+    ])
+    def test_a_malformed_sigma_or_neutrality_file_names_its_line(
+        self, tmp_path, block, parse, text, message
+    ):
+        path = tmp_path / "file"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(fileio, "_BLOCK_CHARS", block):
+            with pytest.raises(ValueError, match=re.escape(f"{path}{message}") + "$"):
+                parse(path)
+
+
 def fixture_corpus(seed=0, n_queries=6, n_candidates=8):
     cfg = SyntheticConfig(n_queries=n_queries, n_candidates=n_candidates, seed=seed)
     return generate_synthetic(cfg)

@@ -8,7 +8,11 @@ as ``float.hex`` so that 0.0 and -0.0 count as different.
 
 from __future__ import annotations
 
+import math
+import re
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +20,7 @@ import oracles
 from conftest import Row, rows, score_column, score_map
 from pufr import (
     PufrConfig,
+    QueryCandidates,
     RelevanceJudgments,
     ScoredCandidate,
     adjust_scores,
@@ -90,6 +95,42 @@ def test_build_query_order_matches_the_scalar_sort(items):
     query = query_of(items)
     expected = oracles.canonical_order([Row(d, mu, s, n, n >= 1.0) for d, mu, s, n in items])
     assert hexed_rows(query) == [(r.doc_id, r.mu.hex()) for r in expected]
+
+
+@EXAMPLES
+@given(inputs(), st.sampled_from(("canonical", "reversed", "shuffled")), st.data())
+def test_ranked_matches_the_canonical_order_from_any_input_order(items, arrangement, data):
+    # from the canonical order itself, ranked neither sorts by id nor gathers
+    items = [(d, mu, s, n, None) for d, mu, s, n in items]
+    if arrangement == "shuffled":
+        items = data.draw(st.permutations(items))
+    else:
+        items = oracles.canonical_order([Row(*item) for item in items])
+        items = items[::-1] if arrangement == "reversed" else items
+    doc_ids, mus, sigmas, neutralities, _ = zip(*items)
+    query = QueryCandidates.ranked("q", list(doc_ids), mus, sigmas, np.array(neutralities))
+    expected = oracles.canonical_order([Row(*item) for item in items])
+    assert [(r.doc_id, r.mu.hex(), r.sigma.hex(), r.neutrality.hex()) for r in rows(query)] == [
+        (r.doc_id, r.mu.hex(), r.sigma.hex(), r.neutrality.hex()) for r in expected
+    ]
+
+
+@EXAMPLES
+@given(inputs(), st.lists(st.sampled_from((math.nan, math.inf, -math.inf)), min_size=1,
+                          max_size=3), st.data())
+def test_ranked_names_the_first_non_finite_mu_in_rank_order(items, bad, data):
+    # nan sorts after every number, ties by doc id, and the check names the
+    # first candidate in that order whose mu is not finite
+    items = [(d, mu if i >= len(bad) else bad[i]) for i, (d, mu, _, _) in enumerate(items)]
+    items = data.draw(st.permutations(items))
+    order = sorted(items, key=lambda item: (True, 0.0, item[0]) if math.isnan(item[1])
+                   else (False, -item[1], item[0]))
+    doc_id, mu = next(item for item in order if not math.isfinite(item[1]))
+    doc_ids, mus = zip(*items)
+    with pytest.raises(ValueError, match=re.escape(
+        f"query 'q': candidate {doc_id!r}: mu must be finite, got {mu!r}"
+    )):
+        QueryCandidates.ranked("q", doc_ids, mus)
 
 
 @EXAMPLES
