@@ -250,7 +250,8 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
     if not features:
         raise ValueError(f"{args.features}: no feature rows")
     posterior = fileio.parse_posterior_file(args.posterior)
-    feature_dim = next(iter(next(iter(features.values())).values())).shape[0]
+    first_query = next(iter(features.values()))
+    feature_dim = len(next(iter(first_query.values())))
     if feature_dim != posterior.dim:
         raise ValueError(
             f"{args.features} has feature dimension {feature_dim} but "

@@ -23,8 +23,16 @@ two ways:
   lines, and comment and blank lines are skipped.
 
 Each file column is then converted and checked with one numpy call, and
-cut into per-query slices. Only when a check fails is the file walked line
-by line, so that the error names the first bad ``path:line`` in file order.
+cut into per-query slices.
+
+The feature parser converts each block into one ``(n, d)`` array instead.
+On a host that gives the process more than one CPU, a file larger than one
+block is split between the process, which converts the even blocks, and
+one forked helper, which converts the odd ones and sends them back through
+a pipe; see :func:`parse_features_file`.
+
+Only when a check fails is the file walked line by line, so that the error
+names the first bad ``path:line`` in file order.
 
 Floats are written with ``repr`` so a write-parse-write cycle is
 byte-identical.
@@ -33,6 +41,10 @@ byte-identical.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
@@ -332,9 +344,117 @@ def parse_qrels(path: str | Path) -> RelevanceJudgments:
 
 
 def parse_features_file(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
-    """Read last-layer input features per (query, doc); one common dimension."""
+    """Read last-layer input features per (query, doc); one common dimension.
+
+    Each block of the file (:func:`_blocks`) becomes the ``(query, doc)``
+    keys of its data lines and one ``(n, d)`` float array, converted in one
+    call (:func:`_feature_block`). When this process may run on more than
+    one CPU and the file is larger than one block, a forked helper converts
+    the odd blocks while this process converts the even ones, and sends its
+    parts back in one pickle; otherwise this process converts every block,
+    as it also does with the helper's blocks when the helper fails to send
+    them. The parts are merged in block order, so queries and docs keep
+    their order of first appearance, and each vector is a row of its
+    block's array. A failed check anywhere sends the file to
+    :func:`_features_file_error`, whose line walk names the first bad
+    ``path:line``.
+    """
+    parts = _feature_parts(path)
+    if any(part is None for part in parts):
+        _features_file_error(path)
     features: dict[str, dict[str, np.ndarray]] = {}
+    for keys, matrix in parts:
+        for (query_id, doc_id), row in zip(keys, matrix):
+            per_query = features.setdefault(query_id, {})
+            if doc_id in per_query:
+                _features_file_error(path)
+            per_query[doc_id] = row
+    if len({matrix.shape[1] for keys, matrix in parts if keys}) > 1:
+        _features_file_error(path)
+    return features
+
+
+_FeaturePart = tuple[list[tuple[str, str]], np.ndarray]
+
+
+def _feature_block(block: str) -> _FeaturePart | None:
+    """The (query, doc) keys of a block's data lines and their vectors as
+    one (n, d) array; None when a line holds fewer than 3 fields or another
+    number than the block's first data line, or a value is not a finite
+    number."""
+    keys: list[tuple[str, str]] = []
+    values: list[str] = []
+    dim = 0
+    for line in block.splitlines():
+        fields = line.split()
+        if not fields or fields[0].startswith("#"):
+            continue
+        dim = dim or len(fields) - 2
+        if len(fields) - 2 != dim or dim < 1:
+            return None
+        keys.append((fields[0], fields[1]))
+        values += fields[2:]
+    matrix = _column(values, np.float64)
+    if matrix is None or not np.isfinite(matrix).all():
+        return None
+    return keys, matrix.reshape(len(keys), dim)
+
+
+def _feature_parts(path: str | Path) -> list[_FeaturePart | None]:
+    """The :func:`_feature_block` part of every block of a feature file, in
+    block order, the odd blocks converted by a forked helper when that pays
+    (see :func:`parse_features_file`). The helper is always reaped; if this
+    process raises, the helper is killed first."""
+    if not (
+        hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and os.path.getsize(path) > _BLOCK_CHARS
+    ):
+        return list(map(_feature_block, _blocks(path)))
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _feature_helper(path, read_fd, write_fd)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            mine = list(map(_feature_block, islice(_blocks(path), 0, None, 2)))
+            try:
+                theirs = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the helper ended before it sent
+                theirs = None
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status != 0 or theirs is None:
+        theirs = list(map(_feature_block, islice(_blocks(path), 1, None, 2)))
+    parts: list[_FeaturePart | None] = [None] * (len(mine) + len(theirs))
+    parts[0::2], parts[1::2] = mine, theirs
+    return parts
+
+
+def _feature_helper(path: str | Path, read_fd: int, write_fd: int) -> NoReturn:
+    """The forked helper of :func:`_feature_parts`: convert the odd blocks,
+    send their parts through the pipe in one pickle and exit, never
+    returning into the caller's code."""
+    status = 1
+    try:
+        os.close(read_fd)
+        parts = list(map(_feature_block, islice(_blocks(path), 1, None, 2)))
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(parts, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _features_file_error(path: str | Path) -> NoReturn:
+    """Walk a feature file that failed a block check line by line and raise
+    for its first bad line in file order."""
     dim: int | None = None
+    seen: set[tuple[str, str]] = set()
     for lineno, fields in _data_lines(path):
         if len(fields) < 3:
             raise ValueError(f"{path}:{lineno}: expected at least 3 fields, got {len(fields)}")
@@ -346,11 +466,10 @@ def parse_features_file(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
             raise ValueError(
                 f"{path}:{lineno}: feature dimension {len(values)} differs from {dim}"
             )
-        per_query = features.setdefault(query_id, {})
-        if doc_id in per_query:
+        if (query_id, doc_id) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate entry for ({query_id}, {doc_id})")
-        per_query[doc_id] = values
-    return features
+        seen.add((query_id, doc_id))
+    raise RuntimeError(f"{path}: a block check failed but no line is at fault")
 
 
 def parse_posterior_file(path: str | Path) -> LastLayerPosterior:

@@ -9,9 +9,10 @@ builtin ``sum()`` of floats is compensated since Python 3.12), and doc ids
 compare in ``str`` order.
 
 The file parsers at the end are the line-by-line parsers the library used
-before it read the run, sigma and neutrality files column by column: one
-``int()`` or ``float()`` and one check per line, so an error names the
-first bad ``path:line`` in file order.
+before it read the run, sigma and neutrality files column by column, and
+the feature file block by block: one ``int()`` or ``float()`` and one check
+per line or per value, so an error names the first bad ``path:line`` in
+file order.
 
 The Monte Carlo moments are those of the Laplace scorer before it scored a
 query's feature matrix in blocks: one matrix-vector product of all samples
@@ -256,3 +257,34 @@ def parse_neutrality_file(path):
             )
         scores[doc_id] = value
     return scores
+
+
+def scalar_floats(path, lineno, tokens, what):
+    """Per-token oracle: one ``float()`` and one finiteness check per value,
+    citing ``path:line`` and the 1-based position of the first bad one."""
+    return np.array(
+        [parse_float(path, lineno, token, f"{what} {j + 1}") for j, token in enumerate(tokens)]
+    )
+
+
+def scalar_parse_features_file(path):
+    """The feature-file parser with the per-token loop: ``{query: {doc:
+    vector}}``, queries and docs in order of first appearance."""
+    features = {}
+    dim = None
+    for lineno, fields in data_lines(path):
+        if len(fields) < 3:
+            raise ValueError(f"{path}:{lineno}: expected at least 3 fields, got {len(fields)}")
+        query_id, doc_id = fields[0], fields[1]
+        values = scalar_floats(path, lineno, fields[2:], "feature value")
+        if dim is None:
+            dim = len(values)
+        elif len(values) != dim:
+            raise ValueError(
+                f"{path}:{lineno}: feature dimension {len(values)} differs from {dim}"
+            )
+        per_query = features.setdefault(query_id, {})
+        if doc_id in per_query:
+            raise ValueError(f"{path}:{lineno}: duplicate entry for ({query_id}, {doc_id})")
+        per_query[doc_id] = values
+    return features

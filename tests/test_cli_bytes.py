@@ -6,8 +6,10 @@ query and a one-document query; alpha runs at 0 and -0.0 too. The expected
 files in ``golden/`` are the bytes the commands wrote before queries became
 columnar; sweep CSVs have their ``rerank_time_s`` column masked, since it is
 a wall-clock time. The laplace files are checked against bytes assembled
-per document from the sampling functions, and against themselves written
-with one and with two BLAS threads.
+per document from the sampling functions, against themselves written with
+one and with two BLAS threads, and against themselves written from a
+feature file parsed in one block, in small blocks by two processes and in
+small blocks by one.
 """
 
 from __future__ import annotations
@@ -17,12 +19,14 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import pufr
 from pufr import LastLayerPosterior, McConfig, sample_last_layers
+from pufr import fileio
 from pufr.cli import main
 from pufr.uncertainty import derive_query_seed
 
@@ -283,3 +287,29 @@ def test_laplace_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         )
         written.append(((out / "run").read_bytes(), (out / "sigma").read_bytes()))
     assert written[0] == written[1]
+
+
+def test_laplace_bytes_do_not_depend_on_how_the_feature_file_is_split(tmp_path):
+    """One process over one block, this process and a forked helper over
+    blocks of 40 characters, and one process over those blocks on a host of
+    one CPU write the same bytes."""
+    (tmp_path / "features").write_text(FEATURES, encoding="utf-8")
+    (tmp_path / "posterior").write_text(
+        f"theta 3 {' '.join(map(repr, THETA))}\nfisher 3 {' '.join(map(repr, FISHER))}\n",
+        encoding="utf-8",
+    )
+    written = []
+    for block, cpus, forks in ((1 << 20, {0, 1}, 0), (40, {0, 1}, 1), (40, {0}, 0)):
+        out = tmp_path / f"{block}_{len(cpus)}"
+        out.mkdir()
+        with mock.patch.object(fileio, "_BLOCK_CHARS", block), \
+                mock.patch("os.sched_getaffinity", return_value=cpus, create=True), \
+                mock.patch("os.fork", wraps=os.fork) as fork:
+            assert main([
+                "laplace", "--features", str(tmp_path / "features"),
+                "--posterior", str(tmp_path / "posterior"), "--mc-samples", "200",
+                "--seed", "5", "--output", str(out / "run"), "--sigma-output", str(out / "sigma"),
+            ]) == 0
+        assert fork.call_count == forks
+        written.append(((out / "run").read_bytes(), (out / "sigma").read_bytes()))
+    assert written[1] == written[0] and written[2] == written[0]

@@ -1,3 +1,5 @@
+import contextlib
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -220,37 +222,6 @@ class TestParseFeaturesAndPosterior:
             fileio.parse_posterior_file(path)
 
 
-def scalar_floats(path, lineno, tokens, what):
-    """Per-token oracle: one ``float()`` and one finiteness check per value,
-    citing ``path:line`` and the 1-based position of the first bad one."""
-    return np.array(
-        [fileio._parse_float(path, lineno, token, f"{what} {j + 1}")
-         for j, token in enumerate(tokens)]
-    )
-
-
-def scalar_parse_features_file(path):
-    """The feature-file parser with the per-token loop, as the oracle."""
-    features = {}
-    dim = None
-    for lineno, fields in fileio._data_lines(path):
-        if len(fields) < 3:
-            raise ValueError(f"{path}:{lineno}: expected at least 3 fields, got {len(fields)}")
-        query_id, doc_id = fields[0], fields[1]
-        values = scalar_floats(path, lineno, fields[2:], "feature value")
-        if dim is None:
-            dim = len(values)
-        elif len(values) != dim:
-            raise ValueError(
-                f"{path}:{lineno}: feature dimension {len(values)} differs from {dim}"
-            )
-        per_query = features.setdefault(query_id, {})
-        if doc_id in per_query:
-            raise ValueError(f"{path}:{lineno}: duplicate entry for ({query_id}, {doc_id})")
-        per_query[doc_id] = values
-    return features
-
-
 def outcome(parse, *args):
     """What a parser returns, or the message it raises."""
     try:
@@ -292,7 +263,7 @@ class TestBulkFloatParsing:
                 encoding="utf-8",
             )
             kind, got = outcome(fileio.parse_features_file, path)
-            want_kind, want = outcome(scalar_parse_features_file, path)
+            want_kind, want = outcome(oracles.scalar_parse_features_file, path)
         assert kind == want_kind
         if kind == "error":
             assert got == want
@@ -313,7 +284,7 @@ class TestBulkFloatParsing:
                 encoding="utf-8",
             )
             kind, got = outcome(fileio.parse_posterior_file, path)
-            want_kind, want = outcome(scalar_floats, path, 1, row, "theta value")
+            want_kind, want = outcome(oracles.scalar_floats, path, 1, row, "theta value")
         assert kind == want_kind
         if kind == "error":
             assert got == want
@@ -333,6 +304,201 @@ class TestBulkFloatParsing:
         with pytest.raises(ValueError) as info:
             fileio.parse_posterior_file(path)
         assert str(info.value) == f"{path}:2: fisher value 2 must be finite, got '1e400'"
+
+
+def _feature_lines(seed, dim=3):
+    """Feature lines whose queries split across blocks and interleave: q0 in a
+    long run, then q1 and q2 in turn, then q0 again, with comment and blank
+    lines among them and a few values at the edges of what float() reads."""
+    rng = np.random.default_rng(seed)
+    keys = ([("q0", f"a{j:02d}") for j in range(14)]
+            + [(f"q{1 + j % 2}", f"b{j:02d}") for j in range(16)]
+            + [("q0", f"c{j:02d}") for j in range(6)])
+    edges = ["-0.0", "5e-324", "1_000", "١٢", "1e-300"]
+    lines = []
+    for i, (query_id, doc_id) in enumerate(keys):
+        values = [repr(v) for v in rng.normal(size=dim).tolist()]
+        if i % 5 == 2:
+            values[i % dim] = edges[i % len(edges)]
+        lines.append(f"{query_id} {doc_id} " + " ".join(values))
+        if i % 9 == 4:
+            lines.append(["# a comment", "", "  \t", "\t# indented"][i % 4])
+    return lines
+
+
+def _is_data(line):
+    return bool(line.split()) and not line.split()[0].startswith("#")
+
+
+def _write_lines(path, lines, newline="\n", final_newline=True):
+    text = newline.join(lines) + (newline if final_newline else "")
+    path.write_bytes(text.encode("utf-8"))
+
+
+def _block_of_line(path, lineno):
+    """The index of the block that holds the 1-based line ``lineno``."""
+    seen = 0
+    for index, block in enumerate(fileio._blocks(path)):
+        seen += len(block.splitlines())
+        if lineno <= seen:
+            return index
+    raise AssertionError(f"{path} has fewer than {lineno} lines")
+
+
+@contextlib.contextmanager
+def _two_processes(block, cpus=(0, 1)):
+    """Blocks of ``block`` characters and a host of ``len(cpus)`` CPUs; yields
+    the mock that counts forks."""
+    with mock.patch.object(fileio, "_BLOCK_CHARS", block), \
+            mock.patch("os.sched_getaffinity", return_value=set(cpus), create=True), \
+            mock.patch("os.fork", wraps=os.fork) as fork:
+        yield fork
+
+
+def _same_features(got, want):
+    return list(got) == list(want) and all(
+        list(got[query_id]) == list(per_query)
+        and all(same_bits(got[query_id][doc_id], vector) for doc_id, vector in per_query.items())
+        for query_id, per_query in want.items()
+    )
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a fault put on a data line, given its fields and the doc ids of the earlier
+# lines of its query: a token that is not a number, one value more, or the
+# first of those doc ids
+_FAULTS = {
+    "bad token": lambda fields, earlier: fields[:3] + ["0.5x"] + fields[4:],
+    "dimension": lambda fields, earlier: fields + ["1.0"],
+    "duplicate": lambda fields, earlier: fields[:1] + earlier[:1] + fields[2:],
+}
+
+
+def _faulted(path, lines, fault, parity, start=0):
+    """The lines with ``fault`` on the first data line from ``start`` on whose
+    block, once the fault is in, has the given parity (0: a block the caller
+    converts, 1: one the helper converts); and that line's number."""
+    for i in range(start, len(lines)):
+        if not _is_data(lines[i]):
+            continue
+        fields = lines[i].split()
+        earlier = [other.split()[1] for other in lines[:i]
+                   if _is_data(other) and other.split()[0] == fields[0]]
+        if fault == "duplicate" and not earlier:
+            continue
+        changed = lines[:i] + [" ".join(_FAULTS[fault](fields, earlier))] + lines[i + 1:]
+        _write_lines(path, changed)
+        if _block_of_line(path, i + 1) % 2 == parity:
+            return changed, i + 1
+    raise AssertionError(f"no line for {fault!r} in a block of parity {parity}")
+
+
+class TestTwoProcessFeatureParse:
+    """The feature file parsed by this process and a forked helper, block by
+    block, gives the per-token oracle's bits, order and error messages: blocks
+    are made small so that both processes convert several of them."""
+
+    @pytest.mark.parametrize("block", [40, 97, 300])
+    @pytest.mark.parametrize("newline, final_newline", [("\n", True), ("\r\n", False)])
+    def test_bits_and_order_match_the_oracle(self, tmp_path, block, newline, final_newline):
+        path = tmp_path / "feat"
+        _write_lines(path, _feature_lines(block), newline, final_newline)
+        with _two_processes(block) as fork:
+            assert len(list(fileio._blocks(path))) >= 4
+            got = fileio.parse_features_file(path)
+        assert fork.call_count == 1
+        want = oracles.scalar_parse_features_file(path)
+        assert _same_features(got, want)
+        assert [len(per_query) for per_query in got.values()] == [20, 8, 8]
+
+    @pytest.mark.parametrize("block", [40, 97, 300])
+    @pytest.mark.parametrize("parity", [0, 1], ids=["caller block", "helper block"])
+    @pytest.mark.parametrize("fault", sorted(_FAULTS))
+    def test_a_fault_in_either_process_is_the_oracles_error(self, tmp_path, block, parity, fault):
+        path = tmp_path / "feat"
+        with _two_processes(block) as fork:
+            _, lineno = _faulted(path, _feature_lines(7), fault, parity, start=3)
+            kind, got = outcome(fileio.parse_features_file, path)
+        assert fork.call_count == 1
+        assert (kind, got) == outcome(oracles.scalar_parse_features_file, path)
+        assert got.startswith(f"{path}:{lineno}: ")
+
+    @pytest.mark.parametrize("first", [0, 1], ids=["caller first", "helper first"])
+    def test_the_first_of_two_faults_in_file_order_is_named(self, tmp_path, first):
+        path = tmp_path / "feat"
+        with _two_processes(60):
+            lines, lineno = _faulted(path, _feature_lines(3), "bad token", first, start=2)
+            _faulted(path, lines, "dimension", 1 - first, start=lineno + 8)
+            assert _block_of_line(path, lineno) % 2 == first
+            kind, got = outcome(fileio.parse_features_file, path)
+        assert (kind, got) == outcome(oracles.scalar_parse_features_file, path)
+        assert got.startswith(f"{path}:{lineno}: ")
+
+    @pytest.mark.parametrize("cpus, one_block", [([0], False), ([0, 1], True)],
+                             ids=["one CPU", "one block"])
+    def test_one_cpu_or_a_file_of_one_block_pays_no_fork(self, tmp_path, cpus, one_block):
+        path = tmp_path / "feat"
+        _write_lines(path, _feature_lines(11))
+        with _two_processes(path.stat().st_size if one_block else 50, cpus) as fork:
+            got = fileio.parse_features_file(path)
+        assert fork.call_count == 0
+        assert _same_features(got, oracles.scalar_parse_features_file(path))
+
+
+class TestNoHelperOutlivesTheParse:
+    """Whatever happens, no child process is left once the parse returns or
+    raises."""
+
+    def test_after_a_success(self, tmp_path):
+        path = tmp_path / "feat"
+        _write_lines(path, _feature_lines(5))
+        _assert_no_child()
+        with _two_processes(64) as fork:
+            fileio.parse_features_file(path)
+        assert fork.call_count == 1
+        _assert_no_child()
+
+    def test_after_a_malformed_file(self, tmp_path):
+        path = tmp_path / "feat"
+        with _two_processes(64) as fork:
+            _faulted(path, _feature_lines(5), "bad token", 1)
+            with pytest.raises(ValueError, match="feature value 2 is not a number"):
+                fileio.parse_features_file(path)
+        assert fork.call_count == 1
+        _assert_no_child()
+
+    def test_after_a_helper_that_dies_before_it_sends(self, tmp_path):
+        path = tmp_path / "feat"
+        _write_lines(path, _feature_lines(5))
+        with _two_processes(64, cpus=[0]):
+            serial = fileio.parse_features_file(path)
+        with _two_processes(64) as fork, \
+                mock.patch.object(fileio, "_feature_helper", lambda *args: os._exit(1)):
+            got = fileio.parse_features_file(path)
+        assert fork.call_count == 1
+        assert _same_features(got, serial)
+        _assert_no_child()
+
+    def test_after_the_callers_own_block_parse_raises(self, tmp_path):
+        path = tmp_path / "feat"
+        _write_lines(path, _feature_lines(5))
+        caller, convert = os.getpid(), fileio._feature_block
+
+        def fails_in_the_caller(block):
+            if os.getpid() == caller:
+                raise RuntimeError("the caller failed")
+            return convert(block)
+
+        with _two_processes(64) as fork, \
+                mock.patch.object(fileio, "_feature_block", fails_in_the_caller):
+            with pytest.raises(RuntimeError, match="the caller failed"):
+                fileio.parse_features_file(path)
+        assert fork.call_count == 1
+        _assert_no_child()
 
 
 _ARABIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
