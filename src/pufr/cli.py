@@ -8,6 +8,10 @@ files), and ``synth`` (writes a full fixture corpus). scipy is imported only
 where used: ``sweep`` (``scipy.special`` for the t-test's p-value) and the
 constrained method (``scipy.optimize``); no other command loads it.
 
+``sweep``, ``laplace`` and ``synth`` pass the flags named after fields of
+``SweepConfig``, ``McConfig`` and ``SyntheticConfig`` to those types. Such a
+flag has no default: when it is not given, the field keeps the type's own.
+
 Exit codes: 0 on success; 1 on usage or parse errors, including a run
 file with no data lines; 2 when a re-ranking could not meet its fairness
 floor on some query, or met it but the node cap cut the search that
@@ -17,16 +21,20 @@ certifies it optimal (the output is still written).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from . import fileio
 from .baselines import DEFAULT_DEPTH, unfair_rank
-from .core import QueryCandidates, assign_groups, check_protected_threshold
+from .core import DEFAULT_PROTECTED_THRESHOLD, QueryCandidates, assign_groups
+from .core import check_protected_threshold
 from .sweep import (
+    DEFAULT_INTERVAL_ALPHAS,
     METHODS,
     REGISTRY,
     SweepConfig,
@@ -37,28 +45,44 @@ from .sweep import (
     select_best_tradeoff,
 )
 from .synth import SyntheticConfig, generate_synthetic
-from .uncertainty import DEFAULT_MC_SAMPLES, McConfig, score_query
+from .uncertainty import McConfig, score_query
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 
 
-def _alpha_grid(text: str) -> tuple[float, ...]:
-    try:
-        values = tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a list of numbers: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("alpha grid is empty")
-    return values
+def _checked(check: Callable, parse: Callable[[str], Any] = str) -> Callable[[str], Any]:
+    """An argparse type that parses a flag and passes it through a library
+    check, reporting the check's ``ValueError`` as the flag's usage error."""
+
+    def convert(text: str) -> Any:
+        try:
+            return check(parse(text))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return convert
 
 
-def _interval_alphas(text: str) -> tuple[float, ...]:
-    try:
-        return check_interval_alphas(_alpha_grid(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _numbers(parse: Callable[[str], Any], kind: str, name: str) -> Callable[[str], tuple]:
+    """An argparse type: a non-empty list of values split at commas or spaces."""
+
+    def convert(text: str) -> tuple:
+        try:
+            values = tuple(map(parse, text.replace(",", " ").split()))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a list of {kind}: {text!r}") from None
+        if not values:
+            raise argparse.ArgumentTypeError(f"{name} is empty")
+        return values
+
+    return convert
+
+
+_alpha_grid = _numbers(float, "numbers", "alpha grid")
+_cutoffs = _numbers(int, "integers", "cutoff list")
+_interval_alphas = _checked(check_interval_alphas, _alpha_grid)
 
 
 def _finite(text: str) -> float:
@@ -71,28 +95,11 @@ def _finite(text: str) -> float:
     return value
 
 
-def _cutoffs(text: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a list of integers: {text!r}") from None
-    if not values:
-        raise argparse.ArgumentTypeError("cutoff list is empty")
-    return values
-
-
-def _run_tag(text: str) -> str:
-    try:
-        return fileio.check_run_tag(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def _protected_threshold(text: str) -> float:
-    try:
-        return check_protected_threshold(float(text))
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _config(cls: Any, args: argparse.Namespace) -> Any:
+    """``cls`` built from the flags named after its fields; a flag that was not
+    given is absent from ``args``, so its field keeps the type's default."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    return cls(**{name: value for name, value in vars(args).items() if name in names})
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,67 +111,63 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_corpus_args(p: argparse.ArgumentParser) -> None:
         p.add_argument("--run", required=True, help="input run file")
-        p.add_argument("--sigmas", help="sigma file")
+        p.add_argument("--sigmas", default=None, help="sigma file")
         p.add_argument("--neutrality", required=True, help="neutrality score file")
         p.add_argument(
             "--protected-threshold",
-            type=_protected_threshold,
-            default=1.0,
-            help="neutrality at or above this value marks a doc protected (default 1.0)",
+            type=_checked(check_protected_threshold, float),
+            default=DEFAULT_PROTECTED_THRESHOLD,
+            help="neutrality at or above this value marks a doc protected (default %(default)s)",
         )
+
+    # a flag of these commands with no default of its own is a config field:
+    # absent from the parsed args unless given, so the config type's default holds
+    config_parser = partial(sub.add_parser, argument_default=argparse.SUPPRESS)
 
     p = sub.add_parser("rerank", help="re-rank a run with one method at one alpha")
     add_corpus_args(p)
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--tag", type=_run_tag, default="pufr")
+    p.add_argument("--tag", type=_checked(fileio.check_run_tag), default="pufr")
     p.add_argument("--output", required=True, help="output run file")
 
-    p = sub.add_parser("sweep", help="trade-off sweep over an alpha grid")
+    p = config_parser("sweep", help="trade-off sweep over an alpha grid")
     add_corpus_args(p)
     p.add_argument("--qrels", required=True)
     p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--alpha-grid", type=_alpha_grid, required=True)
-    p.add_argument("--cutoffs-utility", type=_cutoffs, default=(10, 100))
-    p.add_argument("--cutoffs-fairness", type=_cutoffs, default=(10, 50))
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
-    p.add_argument(
-        "--ndcg-floor",
-        type=_finite,
-        default=None,
-        help="also report the best-fairness row whose utility meets this floor",
-    )
+    p.add_argument("--cutoffs-utility", type=_cutoffs)
+    p.add_argument("--cutoffs-fairness", type=_cutoffs)
+    p.add_argument("--depth", type=int)
+    p.add_argument("--ndcg-floor", type=_finite, default=None,
+                   help="also report the best-fairness row whose utility meets this floor")
     p.add_argument("--output", required=True, help="output CSV")
 
     p = sub.add_parser("intervals", help="per-rank median interval intersection counts")
     p.add_argument("--run", required=True)
     p.add_argument("--sigmas", required=True)
-    p.add_argument("--alpha-grid", type=_interval_alphas, default=(1.0, 2.0))
+    p.add_argument("--alpha-grid", type=_interval_alphas, default=DEFAULT_INTERVAL_ALPHAS)
     p.add_argument("--output", required=True, help="output CSV")
 
-    p = sub.add_parser("laplace", help="score queries from features and a posterior")
+    p = config_parser("laplace", help="score queries from features and a posterior")
     p.add_argument("--features", required=True)
     p.add_argument("--posterior", required=True)
-    p.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tag", type=_run_tag, default="laplace")
+    p.add_argument("--mc-samples", type=int, dest="n_samples", metavar="MC_SAMPLES")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tag", type=_checked(fileio.check_run_tag), default="laplace")
     p.add_argument("--output", required=True, help="output run file")
     p.add_argument("--sigma-output", required=True, help="output sigma file")
 
-    p = sub.add_parser("synth", help="write a synthetic fixture corpus")
+    p = config_parser("synth", help="write a synthetic fixture corpus")
     p.add_argument("--output", required=True, help="output directory")
-    p.add_argument("--queries", type=int, default=50)
-    p.add_argument("--candidates", type=int, default=20)
-    p.add_argument("--score-loc", type=float, default=0.0)
-    p.add_argument("--score-spread", type=float, default=2.0)
-    p.add_argument("--sigma-loc", type=float, default=0.3)
-    p.add_argument("--sigma-spread", type=float, default=0.15)
-    p.add_argument("--protected-fraction", type=float, default=0.5)
-    p.add_argument("--relevance-correlation", type=float, default=0.7)
-    p.add_argument("--bias-strength", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tag", type=_run_tag, default="synth")
+    p.add_argument("--queries", type=int, dest="n_queries", metavar="QUERIES")
+    p.add_argument("--candidates", type=int, dest="n_candidates", metavar="CANDIDATES")
+    for flag in ("--score-loc", "--score-spread", "--sigma-loc", "--sigma-spread",
+                 "--protected-fraction", "--relevance-correlation", "--bias-strength"):
+        p.add_argument(flag, type=float)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--tag", type=_checked(fileio.check_run_tag), default="synth")
 
     return parser
 
@@ -204,25 +207,16 @@ def _warn(infeasible: int, exhausted: int, unit: str) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cfg = SweepConfig(
-        method=args.method,
-        alpha_grid=args.alpha_grid,
-        cutoffs_utility=args.cutoffs_utility,
-        cutoffs_fairness=args.cutoffs_fairness,
-        depth=args.depth,
-    )
+    cfg = _config(SweepConfig, args)
     corpus = _load_corpus(args)
     judgments = fileio.parse_qrels(args.qrels)
     result = run_sweep(corpus, judgments, cfg)
     Path(args.output).write_text(records_to_csv(result.records), encoding="utf-8")
     if args.ndcg_floor is not None:
+        uc, fc = max(cfg.cutoffs_utility), max(cfg.cutoffs_fairness)
         best = select_best_tradeoff(
-            result.records,
-            args.ndcg_floor,
-            utility_cutoff=max(args.cutoffs_utility),
-            fairness_cutoff=max(args.cutoffs_fairness),
+            result.records, args.ndcg_floor, utility_cutoff=uc, fairness_cutoff=fc
         )
-        uc, fc = max(args.cutoffs_utility), max(args.cutoffs_fairness)
         if best is None:
             print(f"no alpha meets ndcg_cut_{uc} >= {args.ndcg_floor}")
         else:
@@ -245,7 +239,7 @@ def _cmd_intervals(args: argparse.Namespace) -> int:
 
 
 def _cmd_laplace(args: argparse.Namespace) -> int:
-    cfg = McConfig(n_samples=args.mc_samples, seed=args.seed)
+    cfg = _config(McConfig, args)
     features = fileio.parse_features_file(args.features)
     if not features:
         raise ValueError(f"{args.features}: no feature rows")
@@ -264,18 +258,7 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    cfg = SyntheticConfig(
-        n_queries=args.queries,
-        n_candidates=args.candidates,
-        score_loc=args.score_loc,
-        score_spread=args.score_spread,
-        sigma_loc=args.sigma_loc,
-        sigma_spread=args.sigma_spread,
-        protected_fraction=args.protected_fraction,
-        relevance_correlation=args.relevance_correlation,
-        bias_strength=args.bias_strength,
-        seed=args.seed,
-    )
+    cfg = _config(SyntheticConfig, args)
     corpus, judgments = generate_synthetic(cfg)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)

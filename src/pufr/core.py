@@ -40,6 +40,7 @@ _COLUMN_NAMES = {
     "neutrality": "neutrality scores",
     "protected": "group labels",
 }
+DEFAULT_PROTECTED_THRESHOLD = 1.0
 
 
 def check_protected_threshold(value: float) -> float:
@@ -252,8 +253,10 @@ def build_query(query_id: str, candidates: Sequence[ScoredCandidate]) -> QueryCa
     )
 
 
-def assign_groups(query: QueryCandidates, protected_threshold: float = 1.0) -> QueryCandidates:
-    """Label candidates: protected iff neutrality >= threshold (default 1.0)."""
+def assign_groups(
+    query: QueryCandidates, protected_threshold: float = DEFAULT_PROTECTED_THRESHOLD
+) -> QueryCandidates:
+    """Label candidates: protected iff neutrality >= threshold."""
     check_protected_threshold(protected_threshold)
     return query.with_column("protected", query.column("neutrality") >= protected_threshold)
 

@@ -10,10 +10,10 @@ All formats are whitespace-separated with ``#`` comment lines allowed:
 - posterior file:  ``theta d v1..vd`` / ``fisher d v1..vd`` / optional ``damping x``
 
 Every reader takes the file in blocks of whole lines of about 1 MiB
-(:func:`_blocks`), so a large file is never held whole. The run, sigma and
-neutrality parsers share one column reader, :func:`_columns`, which gives
-the fields of all data lines as one flat list, and reads a block in one of
-two ways:
+(:func:`_blocks`), so a large file is never held whole; each block is read
+on to its next ``\n``. The run, sigma and neutrality parsers share one
+column reader, :func:`_columns`, which gives the fields of all data lines
+as one flat list, and reads a block in one of two ways:
 
 - a block that is ASCII, holds no ``#`` and no whitespace or control
   character but space, tab and ``\n`` is split with one ``str.split()``,
@@ -58,24 +58,14 @@ from .uncertainty import LastLayerPosterior
 _BLOCK_CHARS = 1 << 20
 
 
-# the line breaks of str.splitlines; universal newlines turn "\r" into "\n"
-_LINE_BREAKS = "\n\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
-
-
 def _blocks(path: str | Path) -> Iterator[str]:
-    """The text of a file in blocks of about ``_BLOCK_CHARS`` characters, cut
-    after the last line break of each, so that every block but the last
-    ends with a line break and no line spans two blocks."""
-    carry = ""
+    """The text of a file in blocks of ``_BLOCK_CHARS`` characters, each read
+    on to the end of its line. Universal newlines make every line end in
+    ``\n``, a ``str.splitlines`` break, so every block but the last ends
+    with one and the blocks split into the lines of the whole text."""
     with open(path, encoding="utf-8") as fh:
-        while block := fh.read(_BLOCK_CHARS):
-            text = carry + block
-            cut = max(map(text.rfind, _LINE_BREAKS)) + 1
-            if cut:
-                yield text[:cut]
-            carry = text[cut:]
-    if carry:
-        yield carry
+        while block := fh.read(_BLOCK_CHARS) + fh.readline():
+            yield block
 
 
 def _data_lines(path: str | Path) -> Iterable[tuple[int, list[str]]]:
@@ -170,11 +160,7 @@ def _column(tokens: list[str], dtype: type) -> np.ndarray | None:
 
 
 def _parse_floats(path: str | Path, lineno: int, tokens: list[str], what: str) -> np.ndarray:
-    """Parse a row of finite floats with one call; only a row that fails is
-    walked token by token, so the error names its first bad value."""
-    values = _column(tokens, np.float64)
-    if values is not None and np.isfinite(values).all():
-        return values
+    """Parse a row of finite floats; an error names the first bad value."""
     return np.array(
         [_parse_float(path, lineno, t, f"{what} {j + 1}") for j, t in enumerate(tokens)]
     )
@@ -351,13 +337,13 @@ def parse_features_file(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
     call (:func:`_feature_block`). When this process may run on more than
     one CPU and the file is larger than one block, a forked helper converts
     the odd blocks while this process converts the even ones, and sends its
-    parts back in one pickle; otherwise this process converts every block,
-    as it also does with the helper's blocks when the helper fails to send
-    them. The parts are merged in block order, so queries and docs keep
-    their order of first appearance, and each vector is a row of its
-    block's array. A failed check anywhere sends the file to
-    :func:`_features_file_error`, whose line walk names the first bad
-    ``path:line``.
+    parts back in one pickle; otherwise, and when the helper cannot be
+    started, this process converts every block, as it also does with the
+    helper's blocks when the helper fails to send them. The parts are merged
+    in block order, so queries and docs keep their order of first
+    appearance, and each vector is a row of its block's array. A failed
+    check anywhere sends the file to :func:`_features_file_error`, whose
+    line walk names the first bad ``path:line``.
     """
     parts = _feature_parts(path)
     if any(part is None for part in parts):
@@ -404,15 +390,22 @@ def _feature_parts(path: str | Path) -> list[_FeaturePart | None]:
     """The :func:`_feature_block` part of every block of a feature file, in
     block order, the odd blocks converted by a forked helper when that pays
     (see :func:`parse_features_file`). The helper is always reaped; if this
-    process raises, the helper is killed first."""
+    process raises, the helper is killed first. When no pipe or helper can be
+    made, this process converts every block, with no pipe end left open."""
     if not (
         hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) > 1
         and os.path.getsize(path) > _BLOCK_CHARS
     ):
         return list(map(_feature_block, _blocks(path)))
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    fds: tuple[int, ...] = ()
+    try:
+        fds = read_fd, write_fd = os.pipe()
+        pid = os.fork()
+    except OSError:  # out of processes or file descriptors
+        for fd in fds:
+            os.close(fd)
+        return list(map(_feature_block, _blocks(path)))
     if pid == 0:
         _feature_helper(path, read_fd, write_fd)
     os.close(write_fd)

@@ -18,6 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import QueryCandidates, Ranking, rank_by_score
+from .metrics import sequential_sum
 
 
 @dataclass(frozen=True)
@@ -90,10 +91,8 @@ def compute_sigma_mean(corpus: Iterable[QueryCandidates]) -> float:
     columns = [query.column("sigma") for query in corpus]
     if not columns:
         raise ValueError("cannot compute a sigma mean over an empty corpus")
-    # summed left to right from 0.0 as a loop would: np.sum's pairwise order
-    # changes the last bits, and with them every uniform score
-    total = np.add.accumulate(np.concatenate([[0.0], *columns]))[-1]
-    return float(total) / sum(len(column) for column in columns)
+    # np.sum's pairwise order would change the last bits of every uniform score
+    return sequential_sum(np.concatenate(columns)) / sum(len(column) for column in columns)
 
 
 def uniform_rerank(query: QueryCandidates, sigma_mean: float, cfg: PufrConfig) -> Ranking:

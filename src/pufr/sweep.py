@@ -40,6 +40,8 @@ from .rerank import PufrConfig, compute_sigma_mean, pufr_rerank, uniform_rerank
 Reranker = Callable[[QueryCandidates], tuple[Ranking, str | None]]
 RerankerAt = Callable[[float], Reranker]
 
+DEFAULT_INTERVAL_ALPHAS = (1.0, 2.0)
+
 
 @dataclass(frozen=True)
 class Method:
@@ -310,33 +312,14 @@ def check_interval_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
 
 
 def report_interval_analysis(
-    corpus: Sequence[QueryCandidates], alphas: Sequence[float] = (1.0, 2.0)
+    corpus: Sequence[QueryCandidates], alphas: Sequence[float] = DEFAULT_INTERVAL_ALPHAS
 ) -> str:
     """CSV of per-rank median interval-intersection counts, one column
-    group per interval width multiplier."""
+    group per interval width multiplier; every column has a row per rank
+    of the deepest query."""
     alphas = check_interval_alphas(alphas)
-    columns = {alpha: median_intersections(corpus, alpha) for alpha in alphas}
-    depth = max(len(col) for col in columns.values())
-    header = ["rank"] + [_interval_column(alpha) for alpha in alphas]
-    lines = [",".join(header)]
-    for idx in range(depth):
-        row = [str(idx + 1)]
-        for alpha in alphas:
-            col = columns[alpha]
-            row.append(str(col[idx]) if idx < len(col) else "")
-        lines.append(",".join(row))
+    columns = [median_intersections(corpus, alpha) for alpha in alphas]
+    lines = [",".join(["rank"] + [_interval_column(alpha) for alpha in alphas])]
+    for rank, counts in enumerate(zip(*columns), start=1):
+        lines.append(",".join(map(str, (rank, *counts))))
     return "".join(line + "\n" for line in lines)
-
-
-__all__ = [
-    "METHODS",
-    "Method",
-    "REGISTRY",
-    "SweepConfig",
-    "TradeoffRecord",
-    "SweepResult",
-    "run_sweep",
-    "records_to_csv",
-    "select_best_tradeoff",
-    "report_interval_analysis",
-]

@@ -20,7 +20,6 @@ import numpy as np
 from .core import QueryCandidates, ScoredCandidate, build_query
 
 DEFAULT_DAMPING = 1e-3
-DEFAULT_MC_SAMPLES = 1000
 _BLOCK_ROWS = 128  # samples scored per pass: 128 x 768 doubles stay in L2
 
 
@@ -59,7 +58,7 @@ class LastLayerPosterior:
 
 @dataclass(frozen=True)
 class McConfig:
-    n_samples: int = DEFAULT_MC_SAMPLES
+    n_samples: int = 1000
     seed: int = 0
 
     def __post_init__(self) -> None:

@@ -1,20 +1,29 @@
+import argparse
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pufr import (
     ConstraintConfig,
+    McConfig,
     PufrConfig,
+    SweepConfig,
+    SyntheticConfig,
     analytic_predictive,
     assign_groups,
     compute_m_table,
     compute_sigma_mean,
     constrained_rerank,
     fastar_rerank,
+    generate_synthetic,
+    nfairr_at_k,
+    paired_t_test,
     pufr_rerank,
     uniform_rerank,
     unfair_rank,
 )
-from pufr import baselines, fileio
+from pufr import baselines, cli, fileio
 from pufr.baselines import DEFAULT_DEPTH
 from pufr.cli import main
 
@@ -396,6 +405,35 @@ class TestSweepCommand:
         assert len(lines) == 4
         assert "best under" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("sigmas, pinned", [(True, (-1.366, 0.199)), (False, (1.466, 0.171))],
+                             ids=["pufr reference", "unfair reference"])
+    def test_fastar_is_t_tested_against_pufr_only_given_sigmas(self, tmp_path, sigmas, pinned):
+        """A fastar row's t_stat and p_value compare nFaiRR at the smallest
+        fairness cutoff with PUFR at the same alpha when --sigmas is given, and
+        with the unfair order when it is not; the CSV does not say which."""
+        config = SyntheticConfig(n_queries=12, n_candidates=10, seed=3)
+        fix, out = tmp_path / "fix", tmp_path / "sweep.csv"
+        assert main(["synth", "--output", str(fix), "--queries", "12", "--candidates", "10",
+                     "--seed", "3"]) == 0
+        paths = fixture_paths(fix)
+        assert main([
+            "sweep", "--run", str(paths["run"]), "--neutrality", str(paths["neutrality"]),
+            "--qrels", str(paths["qrels"]), "--method", "fastar", "--alpha-grid", "0.5",
+            *(["--sigmas", str(paths["sigma"])] if sigmas else []), "--output", str(out),
+        ]) == 0
+        header, row = out.read_text().splitlines()
+        got = dict(zip(header.split(","), row.split(",")))
+
+        corpus, _ = generate_synthetic(config)
+        table = compute_m_table(config.n_candidates, 0.5)
+        reference = (lambda q: pufr_rerank(q, PufrConfig.symmetric(0.5))) if sigmas else unfair_rank
+        want = paired_t_test(
+            {q.query_id: nfairr_at_k(fastar_rerank(q, table), 10) for q in corpus},
+            {q.query_id: nfairr_at_k(reference(q), 10) for q in corpus},
+        )
+        assert (got["t_stat"], got["p_value"]) == (repr(want.t_statistic), repr(want.p_value))
+        assert (round(want.t_statistic, 3), round(want.p_value, 3)) == pinned
+
     def test_bad_grid_is_a_usage_error(self, fixture_dir, tmp_path):
         paths = fixture_paths(fixture_dir)
         argv = [
@@ -530,6 +568,34 @@ class TestLaplaceCommand:
             f"{posterior_path} has posterior dimension 2\n"
         )
         assert not run_out.exists() and not sigma_out.exists()
+
+
+def _subcommand(name):
+    (subparsers,) = [action for action in cli._build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return subparsers.choices[name]
+
+
+class TestConfigFlags:
+    """The config types state their own defaults: the flags of `pufr synth`,
+    `sweep` and `laplace` named after a config field set none."""
+
+    @pytest.mark.parametrize("command, config", [
+        ("synth", SyntheticConfig), ("sweep", SweepConfig), ("laplace", McConfig),
+    ])
+    def test_flags_named_after_config_fields_carry_no_default(self, command, config):
+        fields = {field.name for field in dataclasses.fields(config)}
+        flags = [action for action in _subcommand(command)._actions if action.dest in fields]
+        assert {action.dest for action in flags} == fields
+        assert [action.option_strings for action in flags
+                if action.default is not argparse.SUPPRESS] == []
+
+    @pytest.mark.parametrize("command, usage", [
+        ("synth", "[--queries QUERIES]"), ("synth", "[--candidates CANDIDATES]"),
+        ("laplace", "[--mc-samples MC_SAMPLES]"),
+    ])
+    def test_flags_renamed_to_their_field_keep_their_usage_text(self, command, usage):
+        assert usage in _subcommand(command).format_usage()
 
 
 class TestUsageErrors:

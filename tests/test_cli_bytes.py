@@ -313,3 +313,18 @@ def test_laplace_bytes_do_not_depend_on_how_the_feature_file_is_split(tmp_path):
         assert fork.call_count == forks
         written.append(((out / "run").read_bytes(), (out / "sigma").read_bytes()))
     assert written[1] == written[0] and written[2] == written[0]
+
+
+def test_synth_without_config_flags_writes_the_default_config(tmp_path):
+    """`pufr synth` given no config flag writes what the library's writers
+    write for ``generate_synthetic(SyntheticConfig())``."""
+    assert main(["synth", "--output", str(tmp_path / "cli")]) == 0
+    corpus, judgments = pufr.generate_synthetic(pufr.SyntheticConfig())
+    lib = tmp_path / "lib"
+    lib.mkdir()
+    fileio.write_run_file(lib / "fixture.run", map(pufr.unfair_rank, corpus), tag="synth")
+    fileio.write_sigma_file(lib / "fixture.sigma", corpus)
+    fileio.write_neutrality_file(lib / "fixture.neutrality", corpus)
+    fileio.write_qrels(lib / "fixture.qrels", judgments)
+    for name in ("fixture.run", "fixture.sigma", "fixture.neutrality", "fixture.qrels"):
+        assert (tmp_path / "cli" / name).read_bytes() == (lib / name).read_bytes()

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import os
 import re
 import tempfile
@@ -483,6 +484,30 @@ class TestNoHelperOutlivesTheParse:
         assert _same_features(got, serial)
         _assert_no_child()
 
+    @pytest.mark.parametrize("failing", ["os.fork", "os.pipe"])
+    def test_when_no_helper_can_start_this_process_parses_alone(self, tmp_path, failing):
+        path = tmp_path / "feat"
+        _write_lines(path, _feature_lines(5))
+        unavailable = OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        opened, make_pipe = [], os.pipe
+
+        def pipe():
+            fds = make_pipe()
+            opened.extend(fds)
+            return fds
+
+        with _two_processes(64), \
+                mock.patch("os.pipe", pipe), \
+                mock.patch(failing, side_effect=unavailable) as fails:
+            got = fileio.parse_features_file(path)
+        assert fails.call_count == 1
+        for fd in opened:
+            with pytest.raises(OSError) as info:
+                os.fstat(fd)
+            assert info.value.errno == errno.EBADF
+        _assert_no_child()
+        assert _same_features(got, oracles.scalar_parse_features_file(path))
+
     def test_after_the_callers_own_block_parse_raises(self, tmp_path):
         path = tmp_path / "feat"
         _write_lines(path, _feature_lines(5))
@@ -691,6 +716,18 @@ class TestBlockReader:
             with mock.patch.object(fileio, "_BLOCK_CHARS", block):
                 got = list(fileio._data_lines(path))
             assert got == list(oracles.data_lines(path))
+
+    @pytest.mark.parametrize("block", range(1, 13))
+    def test_every_block_but_the_last_ends_with_a_newline(self, tmp_path, block):
+        path = tmp_path / "file"
+        text = "".join(f"{j}\t{j}{brk}" for j, brk in enumerate(_LINE_BREAKS * 3))
+        path.write_bytes((text + "tail").encode("utf-8"))
+        with mock.patch.object(fileio, "_BLOCK_CHARS", block):
+            blocks = list(fileio._blocks(path))
+        assert all(b.endswith("\n") for b in blocks[:-1])
+        assert blocks[-1].endswith("tail")
+        universal = text.replace("\r\n", "\n").replace("\r", "\n")
+        assert "".join(blocks) == universal + "tail"
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), block=st.integers(1, 40))
