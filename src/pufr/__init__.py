@@ -63,6 +63,7 @@ from .uncertainty import (
     estimate_diagonal_fisher,
     predictive_moments,
     sample_last_layers,
+    score_queries,
     score_query,
     squared_error_gradients,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "predictive_moments",
     "analytic_predictive",
     "score_query",
+    "score_queries",
     "unfair_rank",
     "MTable",
     "compute_m_table",

@@ -8,6 +8,11 @@ files), and ``synth`` (writes a full fixture corpus). scipy is imported only
 where used: ``sweep`` (``scipy.special`` for the t-test's p-value) and the
 constrained method (``scipy.optimize``); no other command loads it.
 
+``laplace`` parses the feature file in two processes, then scores the queries
+on two threads: a second thread draws the next query's Monte Carlo normals
+while this one scores the current query (``uncertainty.score_queries``). No
+thread is alive when the parse forks.
+
 ``sweep``, ``laplace`` and ``synth`` pass the flags named after fields of
 ``SweepConfig``, ``McConfig`` and ``SyntheticConfig`` to those types. Such a
 flag has no default: when it is not given, the field keeps the type's own.
@@ -45,7 +50,7 @@ from .sweep import (
     select_best_tradeoff,
 )
 from .synth import SyntheticConfig, generate_synthetic
-from .uncertainty import McConfig, score_query
+from .uncertainty import McConfig, score_queries
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -251,7 +256,7 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
             f"{args.features} has feature dimension {feature_dim} but "
             f"{args.posterior} has posterior dimension {posterior.dim}"
         )
-    scored = [score_query(posterior, docs, query_id, cfg) for query_id, docs in features.items()]
+    scored = score_queries(posterior, features, cfg)
     fileio.write_run_file(args.output, [unfair_rank(q) for q in scored], tag=args.tag)
     fileio.write_sigma_file(args.sigma_output, scored)
     return EXIT_OK

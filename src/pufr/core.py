@@ -49,6 +49,11 @@ def check_protected_threshold(value: float) -> float:
     return value
 
 
+def check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ScoredCandidate:
     """One query-document pair in row form, for :func:`build_query`; the

@@ -280,8 +280,9 @@ def records_to_csv(records: Sequence[TradeoffRecord]) -> str:
 def select_best_tradeoff(
     records: Sequence[TradeoffRecord],
     ndcg_floor: float,
-    utility_cutoff: int = 100,
-    fairness_cutoff: int = 50,
+    *,
+    utility_cutoff: int,
+    fairness_cutoff: int,
 ) -> TradeoffRecord | None:
     """Best fairness subject to a utility floor: among records with
     ndcg at the utility cutoff >= floor, the one maximizing nfairr at the

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QueryCandidates, ScoredCandidate, assign_groups, build_query
+from .core import QueryCandidates, ScoredCandidate, assign_groups, build_query, check_seed
 from .metrics import RelevanceJudgments
 
 _RELEVANT_LATENT_THRESHOLD = 1.0
@@ -36,8 +36,7 @@ class SyntheticConfig:
     def __post_init__(self) -> None:
         if self.n_queries < 1 or self.n_candidates < 1:
             raise ValueError("n_queries and n_candidates must be >= 1")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        check_seed(self.seed)
         if not math.isfinite(self.score_loc):
             raise ValueError(f"score_loc must be finite, got {self.score_loc!r}")
         if not 0.0 <= self.protected_fraction <= 1.0:

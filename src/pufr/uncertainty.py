@@ -7,17 +7,23 @@ posterior and scoring a query's feature matrix against them, in one pass
 over cache-sized blocks of samples, yields Monte Carlo estimates of the
 predictive mean and standard deviation per query-document pair; an exact
 closed form for the linear case is kept alongside as an oracle.
+
+``score_queries`` scores many queries on two cores: while this thread scores
+one, a second thread draws the next one's standard normals (numpy's fill and
+the matrix-vector products release the GIL). That thread runs only numpy,
+never a public ``pufr`` function, and has ended when ``score_queries`` returns.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import QueryCandidates, ScoredCandidate, build_query
+from .core import QueryCandidates, ScoredCandidate, build_query, check_seed
 
 DEFAULT_DAMPING = 1e-3
 _BLOCK_ROWS = 128  # samples scored per pass: 128 x 768 doubles stay in L2
@@ -64,8 +70,7 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2 for a sample variance")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -118,18 +123,32 @@ def squared_error_gradients(
     return residuals[:, None] * features
 
 
-def sample_last_layers(posterior: LastLayerPosterior, cfg: McConfig) -> np.ndarray:
+def _standard_normals(seed: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with ``default_rng(seed)``'s standard normals; the same
+    bits as ``standard_normal(out.shape)``."""
+    np.random.default_rng(seed).standard_normal(out=out)
+    return out
+
+
+def sample_last_layers(
+    posterior: LastLayerPosterior, cfg: McConfig, normals: np.ndarray | None = None
+) -> np.ndarray:
     """Draw ``cfg.n_samples`` weight vectors from the posterior.
 
     Returns an (N, d) array; fully reproducible from ``cfg.seed``. The draws
     equal ``rng.normal(loc=theta_map, scale=1/sqrt(fisher_diag), size=(N, d))``
     bit for bit: one standard-normal fill, scaled and shifted in place.
+    ``normals``, when given, is that fill already made from ``cfg.seed``; it is
+    scaled and shifted in place and returned.
     """
-    rng = np.random.default_rng(cfg.seed)
-    samples = rng.standard_normal((cfg.n_samples, posterior.dim))
-    samples *= 1.0 / np.sqrt(posterior.fisher_diag)
-    samples += posterior.theta_map
-    return samples
+    shape = (cfg.n_samples, posterior.dim)
+    if normals is None:
+        normals = _standard_normals(cfg.seed, np.empty(shape))
+    elif normals.shape != shape:
+        raise ValueError(f"normals have shape {normals.shape}, expected {shape}")
+    normals *= 1.0 / np.sqrt(posterior.fisher_diag)
+    normals += posterior.theta_map
+    return normals
 
 
 def predictive_moments(samples: np.ndarray, features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,19 +216,75 @@ def score_query(
     features: Mapping[str, np.ndarray],
     query_id: str,
     cfg: McConfig,
+    normals: np.ndarray | None = None,
 ) -> QueryCandidates:
     """Score one query's ``{doc_id: feature vector}`` rows into (mu, sigma).
 
     One weight-sample set is drawn per query and shared across its
     candidates, so per-candidate scores are comparable draws of the same
-    model; original ranks follow the new means.
+    model; original ranks follow the new means. ``normals``, when given, is
+    the query's standard-normal fill already made from its derived seed (see
+    ``score_queries``); it is overwritten by the samples.
     """
     # keep this argument order: bench/tracer.py reads len(args[1]) and args[3].n_samples
     samples = sample_last_layers(
-        posterior, replace(cfg, seed=derive_query_seed(cfg.seed, query_id))
+        posterior, replace(cfg, seed=derive_query_seed(cfg.seed, query_id)), normals
     )
     mu, sigma = predictive_moments(samples, np.array(list(features.values())))
     return build_query(query_id, [
         ScoredCandidate(doc_id=doc_id, mu=m, sigma=s)
         for doc_id, m, s in zip(features, mu.tolist(), sigma.tolist())
     ])
+
+
+class _Draw(threading.Thread):
+    """Fills ``out`` with ``seed``'s standard normals on a second thread,
+    started on construction."""
+
+    def __init__(self, seed: int, out: np.ndarray) -> None:
+        super().__init__(name="pufr-mc-draw")
+        self.seed, self.out = seed, out
+        self.error: BaseException | None = None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            _standard_normals(self.seed, self.out)
+        except BaseException as exc:  # re-raised by result() on the waiting thread
+            self.error = exc
+
+    def result(self) -> np.ndarray:
+        """Wait for the fill; ``out``, or what the fill raised."""
+        self.join()
+        if self.error is not None:
+            raise self.error
+        return self.out
+
+
+def score_queries(
+    posterior: LastLayerPosterior,
+    features: Mapping[str, Mapping[str, np.ndarray]],
+    cfg: McConfig,
+) -> list[QueryCandidates]:
+    """``score_query`` for each query of ``{query_id: {doc_id: feature vector}}``,
+    in order and with the same bits.
+
+    Two (N, d) buffers are allocated once. While this thread scores a query
+    from one of them, a second thread draws the next query's standard
+    normals into the other. That thread has finished when this returns or
+    raises.
+    """
+    seeds = [derive_query_seed(cfg.seed, query_id) for query_id in features]
+    buffers = [np.empty((cfg.n_samples, posterior.dim)) for _ in seeds[:2]]
+    scored = []
+    pending = _Draw(seeds[0], buffers[0]) if seeds else None
+    try:
+        for i, (query_id, docs) in enumerate(features.items()):
+            normals, pending = pending.result(), None
+            if i + 1 < len(seeds):
+                pending = _Draw(seeds[i + 1], buffers[(i + 1) % 2])
+            scored.append(score_query(posterior, docs, query_id, cfg, normals))
+    finally:
+        if pending is not None:  # scoring raised: the next draw is dropped once it ends
+            pending.join()
+    return scored

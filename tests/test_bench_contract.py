@@ -14,16 +14,20 @@ function they wrap must take ``path`` first.
 It also runs each workload's ``tiny`` fixture build and commands in-process
 under the benchmark's tracer, as a traced run does, and checks that every
 name expected on that workload is called, so a refactor that stops calling
-one fails in tier-1 too.
+one fails in tier-1 too. The tracer keeps one stack of open spans, so every
+traced call must run on the main thread: ``pufr laplace`` draws on a second
+thread, and a traced call there would garble every self time.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import importlib
 import inspect
 import io
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -122,3 +126,39 @@ def test_a_traced_tiny_run_calls_every_name_expected_on_its_workload(tmp_path, n
         assert tracer.counters["uncertainty.mc_flops"] == 2 * 1000 * 32 * 24
         # one blocked pass per query (3 queries), not one call per document (24)
         assert tracer.stats["uncertainty.predictive_moments"].calls == 3
+
+
+class ThreadRecordingTracer(TRACER.Tracer):
+    """The benchmark's tracer, also noting the thread of every traced call."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.threads: dict[str, set[int]] = {}
+
+    def _wrap(self, name, fn, hook):
+        traced = super()._wrap(name, fn, hook)
+
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            self.threads.setdefault(name, set()).add(threading.get_ident())
+            return traced(*args, **kwargs)
+
+        return recorded
+
+
+def test_every_traced_laplace_call_runs_on_the_main_thread(tmp_path):
+    workload = WORKLOADS.WORKLOADS["laplace-768"]
+    fixture, out = tmp_path / "fixture", tmp_path / "out"
+    out.mkdir()
+    tracer = ThreadRecordingTracer()
+    tracer.install()
+    try:
+        workload.build_fixture(run_cli, fixture, 3, "tiny")
+        for command in workload.commands(fixture, out, 3, "tiny"):
+            code, _, err = run_cli(command.argv)
+            assert code == command.expected_exit, err
+    finally:
+        tracer.uninstall()
+    assert tracer.stats["uncertainty.predictive_moments"].calls == 3
+    main = threading.main_thread().ident
+    assert {name: idents for name, idents in tracer.threads.items() if idents != {main}} == {}

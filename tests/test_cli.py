@@ -61,18 +61,6 @@ class TestSynthCommand:
         assert len(corpus) == 12
         fileio.parse_qrels(paths["qrels"])
 
-    @pytest.mark.parametrize("flag,value,message", [
-        ("--seed", "-1", "seed must be a 64-bit unsigned integer, got -1"),
-        ("--seed", str(2**64), "seed must be a 64-bit unsigned integer"),
-        ("--score-loc", "nan", "score_loc must be finite, got nan"),
-        ("--score-loc", "inf", "score_loc must be finite, got inf"),
-    ])
-    def test_bad_config_names_the_field_before_writing(self, tmp_path, capsys, flag, value, message):
-        out = tmp_path / "fix"
-        assert main(["synth", "--output", str(out), flag, value]) == 1
-        assert message in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestRerankCommand:
     @pytest.mark.parametrize("method,alpha", [
@@ -596,6 +584,28 @@ class TestConfigFlags:
     ])
     def test_flags_renamed_to_their_field_keep_their_usage_text(self, command, usage):
         assert usage in _subcommand(command).format_usage()
+
+    @pytest.mark.parametrize("command,flag,value,message", [
+        ("synth", "--seed", "-1", "seed must be a 64-bit unsigned integer, got -1"),
+        ("synth", "--seed", str(2**64), f"seed must be a 64-bit unsigned integer, got {2**64}"),
+        ("synth", "--score-loc", "nan", "score_loc must be finite, got nan"),
+        ("synth", "--score-loc", "inf", "score_loc must be finite, got inf"),
+        ("laplace", "--seed", "-4", "seed must be a 64-bit unsigned integer, got -4"),
+        ("laplace", "--seed", str(2**64), f"seed must be a 64-bit unsigned integer, got {2**64}"),
+    ])
+    def test_bad_config_names_the_field_before_writing(
+        self, tmp_path, capsys, command, flag, value, message
+    ):
+        outputs = {
+            "synth": ["--output", str(tmp_path / "fix")],
+            "laplace": ["--features", str(tmp_path / "missing.features"),
+                        "--posterior", str(tmp_path / "missing.posterior"),
+                        "--output", str(tmp_path / "o.run"),
+                        "--sigma-output", str(tmp_path / "o.sigma")],
+        }[command]
+        assert main([command, *outputs, flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestUsageErrors:

@@ -3,9 +3,11 @@
 scipy is loaded inside the two functions that use it: the t-test's p-value
 (``scipy.special``, reached by ``sweep``) and the constrained solver's
 assignments (``scipy.optimize``). Every other command, and a bare
-``import pufr.cli``, leaves scipy out of ``sys.modules``. The run-time
-checks run each command in a fresh interpreter; the source check fails with
-``file:line`` when a module-level third-party import comes back.
+``import pufr.cli``, leaves scipy out of ``sys.modules``, and with it
+``concurrent.futures`` (about 6 ms, mostly ``logging``): ``laplace`` draws on
+a second thread with plain ``threading``, which numpy loads anyway. The
+run-time checks run each command in a fresh interpreter; the source check
+fails with ``file:line`` when a module-level third-party import comes back.
 """
 
 from __future__ import annotations
@@ -27,13 +29,14 @@ CHILD = """
 import json, sys
 from pufr.cli import main
 code = main(sys.argv[1:]) if sys.argv[1:] else 0
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "scipy")]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.split(".")[0] in ("scipy", "concurrent"))]))
 """
 
 
-def scipy_loaded_by(*argv: str) -> set[str]:
-    """The scipy modules a fresh interpreter holds after ``pufr <argv>``,
-    which must exit 0."""
+def lazy_modules_loaded_by(*argv: str) -> set[str]:
+    """The scipy and ``concurrent`` modules a fresh interpreter holds after
+    ``pufr <argv>``, which must exit 0."""
     child = subprocess.run(
         [sys.executable, "-c", CHILD, *argv],
         env=dict(os.environ, PYTHONPATH=str(PACKAGE.parent)),
@@ -50,7 +53,7 @@ def fixture(tmp_path_factory):
     Laplace feature and posterior file, and a three-doc query whose fairness
     floor the gain order misses, so the constrained solver must assign."""
     root = tmp_path_factory.mktemp("imports")
-    assert scipy_loaded_by(
+    assert lazy_modules_loaded_by(
         "synth", "--output", str(root / "fix"), "--queries", "4", "--candidates", "8",
         "--seed", "5",
     ) == set()
@@ -72,14 +75,14 @@ def corpus_args(root: Path) -> list[str]:
 
 
 def test_bare_import_loads_no_scipy():
-    assert scipy_loaded_by() == set()
+    assert lazy_modules_loaded_by() == set()
 
 
 @pytest.mark.parametrize("method,alpha", [
     ("pufr", "1.0"), ("uniform", "1.0"), ("unfair", "0"), ("fastar", "0.7"),
 ])
 def test_rerank_loads_no_scipy(fixture, method, alpha):
-    assert scipy_loaded_by(
+    assert lazy_modules_loaded_by(
         "rerank", *corpus_args(fixture), "--method", method, "--alpha", alpha,
         "--output", str(fixture / f"{method}.run"),
     ) == set()
@@ -87,14 +90,14 @@ def test_rerank_loads_no_scipy(fixture, method, alpha):
 
 def test_intervals_loads_no_scipy(fixture):
     fix = fixture / "fix"
-    assert scipy_loaded_by(
+    assert lazy_modules_loaded_by(
         "intervals", "--run", str(fix / "fixture.run"), "--sigmas", str(fix / "fixture.sigma"),
         "--alpha-grid", "0.5,1", "--output", str(fixture / "intervals.csv"),
     ) == set()
 
 
 def test_laplace_loads_no_scipy(fixture):
-    assert scipy_loaded_by(
+    assert lazy_modules_loaded_by(
         "laplace", "--features", str(fixture / "features"),
         "--posterior", str(fixture / "posterior"), "--mc-samples", "50",
         "--output", str(fixture / "laplace.run"), "--sigma-output", str(fixture / "laplace.sigma"),
@@ -104,7 +107,7 @@ def test_laplace_loads_no_scipy(fixture):
 def test_sweep_loads_scipy_special_but_not_scipy_stats(fixture):
     # uniform is tested against PUFR at each alpha, so the differences are
     # not all zero and the p-value is computed
-    loaded = scipy_loaded_by(
+    loaded = lazy_modules_loaded_by(
         "sweep", *corpus_args(fixture), "--qrels", str(fixture / "fix" / "fixture.qrels"),
         "--method", "uniform", "--alpha-grid", "0.5,1", "--output", str(fixture / "sweep.csv"),
     )
@@ -114,7 +117,7 @@ def test_sweep_loads_scipy_special_but_not_scipy_stats(fixture):
 
 def test_constrained_rerank_loads_scipy_optimize(fixture):
     out = fixture / "constrained.run"
-    loaded = scipy_loaded_by(
+    loaded = lazy_modules_loaded_by(
         "rerank", "--run", str(fixture / "tilted.run"),
         "--neutrality", str(fixture / "tilted.neutrality"), "--method", "constrained",
         "--alpha", "0.9", "--depth", "3", "--output", str(out),

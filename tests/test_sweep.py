@@ -180,16 +180,21 @@ class TestSelectBest:
         corpus, judgments = biased_corpus(seed=23, n_queries=10)
         cfg = SweepConfig(method="pufr", alpha_grid=(0.0, 0.5, 1.0, 2.0, 4.0))
         records = run_sweep(corpus, judgments, cfg).records
-        floor = records[0].ndcg[100] - 0.01
-        best = select_best_tradeoff(records, floor)
+        uc, fc = max(cfg.cutoffs_utility), max(cfg.cutoffs_fairness)
+        floor = records[0].ndcg[uc] - 0.01
+        best = select_best_tradeoff(records, floor, utility_cutoff=uc, fairness_cutoff=fc)
         assert best is not None
-        eligible = [r for r in records if r.ndcg[100] >= floor]
-        assert best.nfairr[50] == max(r.nfairr[50] for r in eligible)
+        eligible = [r for r in records if r.ndcg[uc] >= floor]
+        assert best.nfairr[fc] == max(r.nfairr[fc] for r in eligible)
 
     def test_unreachable_floor_returns_none(self):
         corpus, judgments = biased_corpus(seed=25, n_queries=6)
-        records = run_sweep(corpus, judgments, SweepConfig("pufr", (0.0,))).records
-        assert select_best_tradeoff(records, 1.1) is None
+        cfg = SweepConfig("pufr", (0.0,))
+        records = run_sweep(corpus, judgments, cfg).records
+        assert select_best_tradeoff(
+            records, 1.1,
+            utility_cutoff=max(cfg.cutoffs_utility), fairness_cutoff=max(cfg.cutoffs_fairness),
+        ) is None
 
 
 class TestIntervalReport:

@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +17,11 @@ from pufr import (
     estimate_diagonal_fisher,
     predictive_moments,
     sample_last_layers,
+    score_queries,
     score_query,
     squared_error_gradients,
 )
+from pufr import uncertainty
 
 import oracles
 from conftest import query_key, rows
@@ -108,13 +112,23 @@ class TestSampleLastLayers:
                 loc=post.theta_map, scale=1.0 / np.sqrt(post.fisher_diag),
                 size=(n_samples, dim),
             )
-            got = sample_last_layers(post, McConfig(n_samples=n_samples, seed=seed))
+            cfg = McConfig(n_samples=n_samples, seed=seed)
+            got = sample_last_layers(post, cfg)
             assert got.shape == expected.shape and got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
+            # a ready standard-normal draw is scaled and shifted in place, to the same bits
+            ready = np.random.default_rng(seed).standard_normal((n_samples, dim))
+            assert sample_last_layers(post, cfg, ready) is ready
+            assert ready.tobytes() == expected.tobytes()
 
     def test_sample_count_validated(self):
         with pytest.raises(ValueError, match="n_samples"):
             McConfig(n_samples=1, seed=0)
+
+    def test_a_ready_draw_of_the_wrong_shape_is_rejected(self):
+        post = posterior([0.5, -1.5], [2.0, 3.0])
+        with pytest.raises(ValueError, match=r"shape \(50, 3\), expected \(50, 2\)"):
+            sample_last_layers(post, McConfig(n_samples=50, seed=7), np.zeros((50, 3)))
 
 
 class TestPredictiveMoments:
@@ -297,6 +311,85 @@ class TestScoreQuery:
         first = score_query(post, features, "q7", cfg)
         second = score_query(post, features, "q7", cfg)
         assert query_key(first) == query_key(second)
+
+
+def query_features(rng, n_queries, dim):
+    """Query ``q`` has ``q + 1`` docs, so the first query has one."""
+    return {
+        f"q{q}": {f"q{q}-d{i}": rng.normal(size=dim) for i in range(q + 1)}
+        for q in range(n_queries)
+    }
+
+
+class TestScoreQueries:
+    """The pipelined pass gives ``score_query``'s bits and leaves no thread."""
+
+    @pytest.mark.parametrize("n_queries", [1, 2, 5])  # buffers are reused from query 3
+    @pytest.mark.parametrize("n_samples", [2, 300])
+    def test_equals_score_query_per_query_bit_for_bit(self, n_queries, n_samples):
+        rng = np.random.default_rng(31 + n_queries)
+        post = posterior(rng.normal(size=7), rng.uniform(0.1, 5.0, size=7))
+        features = query_features(rng, n_queries, 7)
+        cfg = McConfig(n_samples=n_samples, seed=2**63 + n_queries)
+        expected = [score_query(post, docs, qid, cfg) for qid, docs in features.items()]
+        before = threading.active_count()
+        got = score_queries(post, features, cfg)
+        assert threading.active_count() == before
+        assert [query_key(q) for q in got] == [query_key(q) for q in expected]
+
+    def test_bits_hold_when_threads_switch_often(self):
+        rng = np.random.default_rng(53)
+        post = posterior(rng.normal(size=16), rng.uniform(0.1, 5.0, size=16))
+        features = query_features(rng, 8, 16)
+        cfg = McConfig(n_samples=257, seed=9)
+        expected = [query_key(score_query(post, docs, qid, cfg)) for qid, docs in features.items()]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [query_key(q) for q in score_queries(post, features, cfg)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_no_queries(self):
+        assert score_queries(posterior([1.0], [1.0]), {}, McConfig(8)) == []
+
+    def test_a_scoring_error_propagates_and_no_thread_outlives_it(self, monkeypatch):
+        rng = np.random.default_rng(43)
+        post = posterior(rng.normal(size=5), rng.uniform(0.1, 5.0, size=5))
+        original, calls = uncertainty.predictive_moments, []
+
+        def failing_on_query_2(samples, features):
+            calls.append(len(features))
+            if len(calls) == 2:  # the draw for query 3 is under way
+                raise RuntimeError("scoring failed")
+            return original(samples, features)
+
+        def slow_draw(seed, out):  # still drawing query 3 when query 2 fails
+            time.sleep(0.1)
+            return original_draw(seed, out)
+
+        original_draw = uncertainty._standard_normals
+        monkeypatch.setattr(uncertainty, "predictive_moments", failing_on_query_2)
+        monkeypatch.setattr(uncertainty, "_standard_normals", slow_draw)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="scoring failed"):
+            score_queries(post, query_features(rng, 5, 5), McConfig(100, seed=1))
+        assert len(calls) == 2
+        assert threading.active_count() == before
+
+    def test_a_draw_error_propagates(self, monkeypatch):
+        rng = np.random.default_rng(47)
+        post = posterior(rng.normal(size=5), rng.uniform(0.1, 5.0, size=5))
+
+        def failing(seed, out):
+            raise MemoryError("no room for normals")
+
+        monkeypatch.setattr(uncertainty, "_standard_normals", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="no room"):
+            score_queries(post, query_features(rng, 3, 5), McConfig(100, seed=1))
+        assert threading.active_count() == before
 
 
 class TestMonteCarloConvergence:
