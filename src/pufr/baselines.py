@@ -6,6 +6,8 @@ small windows)."""
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,7 +57,9 @@ def compute_m_table(k_max: int, p: float, significance: float = DEFAULT_SIGNIFIC
 
     The cumulative probabilities are accumulated iteratively from the
     binomial pmf recurrence, so the whole table costs O(k_max^2) at worst
-    and is computed once up front.
+    and is computed once up front. Where the first term ``(1 - p) ** k``
+    is no normal float, the recurrence would start from a rounded or zero
+    pmf, so those prefix lengths sum the pmf in logarithms instead.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -70,6 +74,9 @@ def compute_m_table(k_max: int, p: float, significance: float = DEFAULT_SIGNIFIC
             required.append(k)
             continue
         pmf = (1.0 - p) ** k
+        if pmf < sys.float_info.min:
+            required.append(_binomial_quantile(k, p, significance))
+            continue
         cdf = pmf
         m = 0
         while cdf < significance and m < k:
@@ -78,6 +85,18 @@ def compute_m_table(k_max: int, p: float, significance: float = DEFAULT_SIGNIFIC
             m += 1
         required.append(m)
     return MTable(p=p, significance=significance, required=tuple(required))
+
+
+def _binomial_quantile(k: int, p: float, significance: float) -> int:
+    """Smallest m with BinomialCDF(m; k, p) >= significance, for 0 < p < 1,
+    from the log pmf: the recurrence's factors are summed as logarithms and
+    the pmf is scaled by its largest term before the cumulative sum."""
+    m = np.arange(k, dtype=np.float64)
+    steps = math.log(p) - math.log1p(-p) + np.log((k - m) / (m + 1))
+    log_pmf = np.concatenate(([0.0], np.cumsum(steps))) + k * math.log1p(-p)
+    top = log_pmf.max()
+    cdf = np.cumsum(np.exp(log_pmf - top)) * math.exp(top)
+    return min(int(np.searchsorted(cdf, significance)), k)
 
 
 def fastar_rerank(query: QueryCandidates, table: MTable) -> Ranking:

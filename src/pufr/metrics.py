@@ -104,31 +104,57 @@ def _ranks(n: int) -> np.ndarray:
     return _shared(np.arange(1, n + 1, dtype=np.float64))
 
 
+def _at_cutoff(sums: np.ndarray, k: int) -> np.ndarray | float:
+    """Running sums from ``np.add.accumulate`` at cutoff k, the whole sum past
+    the end: the sum :func:`sequential_sum` gives of the first k terms, since
+    accumulate adds one term at a time, with its ``+ 0.0``. A float for one
+    ranking's sums, a column for stacked rows."""
+    i = min(k, sums.shape[-1]) - 1
+    return sums.item(i) + 0.0 if sums.ndim == 1 else sums[:, i] + 0.0
+
+
+def _fairr_sums(neutrality: np.ndarray) -> np.ndarray:
+    """Running FaiRR along the last axis of neutralities in rank order: each
+    value is divided by its rank, not multiplied by 1/rank, and the terms are
+    summed left to right from 0.0, which fixes the last bits."""
+    return np.add.accumulate(neutrality / _ranks(neutrality.shape[-1]), axis=-1)
+
+
+def _check_cutoff(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"cutoff k must be >= 1, got {k}")
+
+
 def ndcg_at_k(ranking: Ranking, judgments: RelevanceJudgments, k: int) -> float:
     """Normalized discounted cumulative gain at cutoff k (linear gains).
 
     The ideal ranking sorts the query's judged grades descending; when no
     positive judgments exist the metric is 0 by convention. Each gain is
-    divided by its discount and the terms are summed left to right.
+    divided by its discount and the terms are summed left to right, once
+    over the whole ranking per judgments: every cutoff reads the ranking's
+    memo.
     """
-    if k < 1:
-        raise ValueError(f"cutoff k must be >= 1, got {k}")
+    _check_cutoff(k)
     idcg = judgments.ideal_dcg(ranking.query_id, k)
     if idcg == 0.0:
         return 0.0
-    top = ranking.order[:k]
-    return sequential_sum(judgments.gains(ranking.query)[top] / _discounts(len(top))) / idcg
+    sums = ranking.memo.get(judgments)
+    if sums is None:
+        gains = judgments.gains(ranking.query)[ranking.order]
+        sums = ranking.memo[judgments] = np.add.accumulate(gains / _discounts(len(gains)))
+    return _at_cutoff(sums, k) / idcg
 
 
 def fairr_at_k(ranking: Ranking, k: int) -> float:
     """Rank-discounted neutrality mass of the top-k: the sum of n_d / rank
-    over the first min(k, n) ranks. Each value is divided by its rank, not
-    multiplied by 1/rank, and the terms are summed left to right from 0.0,
-    which fixes the last bits."""
-    if k < 1:
-        raise ValueError(f"cutoff k must be >= 1, got {k}")
-    values = ranking.query.column("neutrality")[ranking.order[:k]]
-    return sequential_sum(values / _ranks(len(values)))
+    over the first min(k, n) ranks (see :func:`_fairr_sums`), summed once over
+    the whole ranking: every cutoff reads the ranking's memo."""
+    _check_cutoff(k)
+    sums = ranking.memo.get("fairr")
+    if sums is None:
+        neutrality = ranking.query.column("neutrality")[ranking.order]
+        sums = ranking.memo["fairr"] = _fairr_sums(neutrality)
+    return _at_cutoff(sums, k)
 
 
 def ideal_fairr_at_k(query: QueryCandidates, k: int) -> float:
@@ -138,13 +164,12 @@ def ideal_fairr_at_k(query: QueryCandidates, k: int) -> float:
     Ordering candidates by neutrality descending maximizes the sum since
     1/rank is decreasing (rearrangement inequality).
     """
-    if k < 1:
-        raise ValueError(f"cutoff k must be >= 1, got {k}")
+    _check_cutoff(k)
     key = ("ideal_fairr", k)
     ideal = query.memo.get(key)
     if ideal is None:
-        values = np.sort(query.column("neutrality"))[::-1][:k]
-        ideal = query.memo[key] = sequential_sum(values / _ranks(len(values)))
+        values = np.sort(query.column("neutrality"))[::-1]
+        ideal = query.memo[key] = _at_cutoff(_fairr_sums(values), k)
     return ideal
 
 
@@ -155,6 +180,18 @@ def nfairr_at_k(ranking: Ranking, k: int) -> float:
     if ideal == 0.0:
         return 1.0
     return fairr_at_k(ranking, k) / ideal
+
+
+def nfairr_rows(
+    neutrality: np.ndarray, order: np.ndarray, ideal: np.ndarray, k: int
+) -> np.ndarray:
+    """:func:`nfairr_at_k` of equal-length queries stacked as rows: row i
+    ranks ``neutrality[i]`` by ``order[i]`` and has the ideal FaiRR@k
+    ``ideal[i]``. Same bits per row."""
+    _check_cutoff(k)
+    top = np.take_along_axis(neutrality, order[..., :k], axis=-1)
+    fairr = _at_cutoff(_fairr_sums(top), k)
+    return np.divide(fairr, ideal, out=np.ones_like(fairr), where=ideal != 0.0)
 
 
 def paired_t_test(a: Mapping[str, float], b: Mapping[str, float]) -> TTestResult:

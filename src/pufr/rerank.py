@@ -66,19 +66,34 @@ def _adjust(query: QueryCandidates, cfg: PufrConfig, sigma_mean: float | None) -
     return adjusted
 
 
+def adjust_stacked(
+    mu: np.ndarray, sigma: np.ndarray, protected: np.ndarray, alpha: float
+) -> np.ndarray:
+    """:func:`adjust_scores` at ``PufrConfig.symmetric(alpha)`` for queries of
+    one length stacked as rows of columns in original-rank order, with the
+    same bits per row. Each group is clamped along the row with the other
+    group's places held at the infinity that never wins the clamp."""
+    shift = alpha * sigma
+    up = _clamp(np.where(protected, mu + shift, np.inf), lowest=True)
+    down = _clamp(np.where(protected, -np.inf, mu - shift)[..., ::-1], lowest=False)[..., ::-1]
+    return np.where(protected, up, down)
+
+
 def _clamp(raw: np.ndarray, lowest: bool) -> np.ndarray:
-    """Running minimum (``lowest``) or maximum of ``raw``, keeping the earlier
-    of two equal values as Python's min and max do. Only 0.0 and -0.0
-    compare equal with different bits, so numpy's accumulate is the answer
-    when ``raw`` holds no zero; otherwise each position takes ``raw`` at the
-    index of its running best, so a tied zero keeps the sign seen first."""
-    best = (np.minimum if lowest else np.maximum).accumulate(raw)
+    """Running minimum (``lowest``) or maximum of ``raw`` along its last axis,
+    keeping the earlier of two equal values as Python's min and max do. Only
+    0.0 and -0.0 compare equal with different bits, so numpy's accumulate is
+    the answer when ``raw`` holds no zero; otherwise each position takes
+    ``raw`` at the index of its running best, so a tied zero keeps the sign
+    seen first."""
+    best = (np.minimum if lowest else np.maximum).accumulate(raw, axis=-1)
     if np.count_nonzero(raw) == raw.size:
         return best
-    improved = np.empty(raw.size, dtype=bool)
-    improved[0] = True
-    improved[1:] = raw[1:] < best[:-1] if lowest else raw[1:] > best[:-1]
-    return raw[np.maximum.accumulate(np.where(improved, np.arange(raw.size), 0))]
+    improved = np.empty(raw.shape, dtype=bool)
+    improved[..., 0] = True
+    improved[..., 1:] = raw[..., 1:] < best[..., :-1] if lowest else raw[..., 1:] > best[..., :-1]
+    at = np.maximum.accumulate(np.where(improved, np.arange(raw.shape[-1]), 0), axis=-1)
+    return np.take_along_axis(raw, at, axis=-1)
 
 
 def pufr_rerank(query: QueryCandidates, cfg: PufrConfig) -> Ranking:

@@ -25,13 +25,15 @@ from .core import QueryCandidates, Ranking
 from .metrics import (
     RelevanceJudgments,
     check_interval_alpha,
+    ideal_fairr_at_k,
     median_intersections,
     ndcg_at_k,
     nfairr_at_k,
+    nfairr_rows,
     paired_t_test,
     sequential_sum,
 )
-from .rerank import PufrConfig, compute_sigma_mean, pufr_rerank, uniform_rerank
+from .rerank import PufrConfig, adjust_stacked, compute_sigma_mean, pufr_rerank, uniform_rerank
 
 # A re-ranker returns the ranking and what keeps it from being certified:
 # None, "infeasible" (the fairness floor was not met) or "exhausted" (the
@@ -165,6 +167,38 @@ def _per_query(metric: Callable[[Ranking], float], rankings: Iterable[Ranking]) 
     return {ranking.query_id: metric(ranking) for ranking in rankings}
 
 
+class _PufrReference:
+    """nFaiRR@k of every query's PUFR ranking at any alpha, the same bits as
+    ``nfairr_at_k(pufr_rerank(query, PufrConfig.symmetric(alpha)), k)``, from
+    the corpus stacked once: one block of rows per query length. Each alpha
+    adjusts, orders and evaluates every block in one array pass."""
+
+    def __init__(self, corpus: Sequence[QueryCandidates], k: int) -> None:
+        self.corpus, self.k = corpus, k
+        by_length: dict[int, list[int]] = {}
+        for i, query in enumerate(corpus):
+            by_length.setdefault(len(query), []).append(i)
+        self.blocks = [
+            (rows, *(np.stack([getattr(corpus[i], name) for i in rows])
+                     for name in ("mu", "sigma", "protected", "neutrality")),
+             np.array([ideal_fairr_at_k(corpus[i], k) for i in rows]))
+            for rows in by_length.values()
+        ]
+
+    def __call__(self, alpha: float) -> dict[str, float]:
+        values = np.empty(len(self.corpus))
+        for rows, mu, sigma, protected, neutrality, ideal in self.blocks:
+            scores = adjust_stacked(mu, sigma, protected, alpha)
+            if not np.isfinite(scores).all():
+                # the per-query path names the first query and doc at fault
+                pcfg = PufrConfig.symmetric(alpha)
+                return _per_query(partial(nfairr_at_k, k=self.k),
+                                  (pufr_rerank(q, pcfg) for q in self.corpus))
+            order = np.argsort(-scores, axis=-1, kind="stable")
+            values[rows] = nfairr_rows(neutrality, order, ideal, self.k)
+        return dict(zip((q.query_id for q in self.corpus), values.tolist()))
+
+
 def run_sweep(
     corpus: Sequence[QueryCandidates],
     judgments: RelevanceJudgments,
@@ -195,8 +229,13 @@ def run_sweep(
     rerank_at = method.prepare(corpus, cfg.depth)
     pufr_reference_ok = cfg.method not in ("pufr", "unfair") and has_sigmas and has_groups
     tested_k = min(cfg.cutoffs_fairness)
-    tested = partial(nfairr_at_k, k=tested_k)
-    unfair_reference = None if pufr_reference_ok else _per_query(tested, map(unfair_rank, corpus))
+    if len(corpus) < 2:
+        reference_at = None
+    elif pufr_reference_ok:
+        reference_at = _PufrReference(corpus, tested_k)
+    else:
+        unfair_reference = _per_query(partial(nfairr_at_k, k=tested_k), map(unfair_rank, corpus))
+        reference_at = lambda alpha: unfair_reference
 
     records = []
     problems: Counter[str] = Counter()
@@ -217,16 +256,12 @@ def run_sweep(
         }
         nfairr = {k: _per_query(partial(nfairr_at_k, k=k), rankings) for k in cfg.cutoffs_fairness}
 
-        if len(corpus) < 2:
+        if reference_at is None:
             # a paired test needs two measurements; single-query corpora
             # report nan rather than a fabricated result
             t_stat = p_value = math.nan
         else:
-            reference = unfair_reference
-            if pufr_reference_ok:
-                pcfg = PufrConfig.symmetric(alpha)
-                reference = _per_query(tested, (pufr_rerank(q, pcfg) for q in corpus))
-            result = paired_t_test(nfairr[tested_k], reference)
+            result = paired_t_test(nfairr[tested_k], reference_at(alpha))
             t_stat, p_value = result.t_statistic, result.p_value
 
         records.append(

@@ -22,6 +22,9 @@ test that needs them exactly computes them with one thread.
 
 The t-test p-value is the formula the library used before it called
 ``scipy.special.stdtr`` directly, through ``scipy.stats``.
+
+The quota table is the binomial recurrence the library used before it
+summed the pmf in logarithms where the recurrence's first term underflows.
 """
 
 from __future__ import annotations
@@ -129,6 +132,27 @@ def running_best(values, lowest):
     for value in values:
         out.append(value if not out else (min if lowest else max)(out[-1], value))
     return out
+
+
+def m_table_required(k_max, p, significance):
+    """The FA*IR quota table by the binomial pmf recurrence alone, started at
+    ``(1 - p) ** k`` for every prefix length k. Once that first term is no
+    normal float the recurrence runs from a rounded or zero pmf, and from
+    k = 1,075 at p = 0.5 it asks for every document to be protected."""
+    required = []
+    for k in range(1, k_max + 1):
+        if p == 1.0:
+            required.append(k)
+            continue
+        pmf = (1.0 - p) ** k
+        cdf = pmf
+        m = 0
+        while cdf < significance and m < k:
+            pmf *= (p / (1.0 - p)) * (k - m) / (m + 1)
+            cdf += pmf
+            m += 1
+        required.append(m)
+    return tuple(required)
 
 
 def t_test_p_value(t, df):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from pufr import (
 from pufr import baselines
 from pufr.baselines import DEFAULT_EXACT_WINDOW, DEFAULT_MAX_NODES
 
+import oracles
 from conftest import gap_search_queries, groups_of, make_query, random_query, rows
 
 
@@ -75,6 +77,26 @@ class TestMTable:
                 if required > 0:
                     assert binom.cdf(required - 1, k, p) < significance + 1e-12
 
+    @pytest.mark.parametrize("p", np.linspace(0.0, 1.0, 41).tolist())
+    def test_equals_the_recurrence_wherever_its_first_term_is_normal(self, p):
+        # the bench grid and every golden file stay within k <= 500, p <= 0.75
+        old = oracles.m_table_required(500, p, 0.1)
+        normal = sum(p == 1.0 or (1.0 - p) ** k >= sys.float_info.min for k in range(1, 501))
+        assert normal == 500 or p > 0.75
+        assert compute_m_table(500, p, 0.1).required[:normal] == old[:normal]
+
+    @pytest.mark.parametrize("p", (0.3, 0.5, 0.55, 0.75, 0.9, 0.99, 0.999))
+    def test_matches_the_binomial_quantile_on_long_lists(self, p):
+        # (1 - p) ** k underflows from k = 1,075 at p = 0.5, 538 at 0.75, 324 at 0.9
+        k = np.arange(1, 2001)
+        required = np.array(compute_m_table(2000, p, 0.1).required)
+        assert (binom.cdf(required, k, p) >= 0.1 - 1e-12).all()
+        assert (binom.cdf(required - 1, k, p) < 0.1 + 1e-12).all()
+
+    def test_long_lists_no_longer_demand_every_document(self):
+        assert compute_m_table(1000, 0.75).required[599] == 436
+        assert oracles.m_table_required(1000, 0.75, 0.1)[599] == 600
+
     def test_required_monotone_in_k_with_unit_steps(self):
         for p in (0.2, 0.5, 0.8):
             req = compute_m_table(40, p, 0.1).required
@@ -115,6 +137,14 @@ class TestFastarRerank:
         q = make_query([2.0, 1.0], neutralities=[0.0, 1.0], doc_ids=["N", "P"])
         table = MTable(p=0.9, significance=0.1, required=(1, 1))
         assert fastar_rerank(q, table).doc_ids() == ("P", "N")
+
+    def test_a_long_list_meets_its_quota_and_no_more(self):
+        # every protected doc scores below every other: each prefix holds
+        # exactly its quota, which underflowed to "all" past 537 docs at p = 0.75
+        q = make_query(np.arange(1000.0, 0.0, -1.0), neutralities=[0.0] * 500 + [1.0] * 500)
+        table = compute_m_table(1000, 0.75)
+        prefix = np.cumsum(q.protected[fastar_rerank(q, table).order])
+        assert prefix[:600].tolist() == list(table.required[:600])
 
     def test_short_table_rejected(self):
         q = make_query([2.0, 1.0], neutralities=[0.0, 1.0])

@@ -162,3 +162,47 @@ def test_every_traced_laplace_call_runs_on_the_main_thread(tmp_path):
     assert tracer.stats["uncertainty.predictive_moments"].calls == 3
     main = threading.main_thread().ident
     assert {name: idents for name, idents in tracer.threads.items() if idents != {main}} == {}
+
+
+class CommandRecordingTracer(TRACER.Tracer):
+    """The benchmark's tracer, also counting each traced call under the
+    label of the command that made it."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.command = ""
+        self.calls_by_command: dict[str, dict[str, int]] = {}
+
+    def _wrap(self, name, fn, hook):
+        traced = super()._wrap(name, fn, hook)
+
+        @functools.wraps(fn)
+        def recorded(*args, **kwargs):
+            calls = self.calls_by_command.setdefault(name, {})
+            calls[self.command] = calls.get(self.command, 0) + 1
+            return traced(*args, **kwargs)
+
+        return recorded
+
+
+def test_only_the_pufr_sweep_reranks_each_query_with_pufr(tmp_path):
+    # the uniform and fastar rows t-test against PUFR at the same alpha,
+    # computed for the whole corpus at once, not by re-ranking every query
+    workload = WORKLOADS.WORKLOADS["shallow-sweep"]
+    queries, _ = workload.sizes["tiny"]
+    fixture, out = tmp_path / "fixture", tmp_path / "out"
+    out.mkdir()
+    tracer = CommandRecordingTracer()
+    tracer.install()
+    try:
+        workload.build_fixture(run_cli, fixture, 3, "tiny")
+        for command in workload.commands(fixture, out, 3, "tiny"):
+            tracer.command = command.label
+            code, _, err = run_cli(command.argv)
+            assert code == command.expected_exit, err
+    finally:
+        tracer.uninstall()
+    assert tracer.calls_by_command["rerank.pufr_rerank"] == {
+        "sweep-pufr": queries * len(WORKLOADS.SWEEP_GRID)
+    }
+    assert tracer.stats["rerank.pufr_rerank"].calls == 12 * 9

@@ -3,7 +3,9 @@ the scalar oracles in ``oracles.py``.
 
 The strategies make exact ``mu`` ties, signed zeros, zero sigma, alpha 0
 and -0.0, one-group and one-document queries common. Scores are compared
-as ``float.hex`` so that 0.0 and -0.0 count as different.
+as ``float.hex`` so that 0.0 and -0.0 count as different. Corpora mix
+query lengths, so that the sweep's stacked PUFR reference meets several
+blocks of equal-length queries and queries shorter than the cutoff.
 """
 
 from __future__ import annotations
@@ -36,8 +38,8 @@ from pufr import (
     unfair_rank,
     uniform_rerank,
 )
-from pufr.rerank import _clamp
-from pufr.sweep import METHODS, REGISTRY
+from pufr.rerank import _clamp, adjust_stacked
+from pufr.sweep import METHODS, REGISTRY, _PufrReference
 
 TIED_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5)
 ALPHAS = st.one_of(
@@ -270,3 +272,91 @@ def test_clamp_keeps_the_first_of_equal_values_bit_for_bit(values, lowest):
     ]
     via_index = _clamp(np.array([*values, 0.0]), lowest)[:-1]
     assert clamped.tobytes() == via_index.tobytes()
+
+
+@st.composite
+def corpora(draw, huge=False):
+    """Queries q0, q1, ... of 1-8 candidates each, some zero sigmas made -0.0;
+    with ``huge``, some ``mu`` and ``sigma`` near the float maximum, so that
+    ``mu ± alpha * sigma`` can overflow."""
+    corpus = []
+    for i, items in enumerate(draw(st.lists(inputs(), min_size=1, max_size=6))):
+        rows_ = []
+        for d, mu, s, n in items:
+            s = -0.0 if s == 0.0 and draw(st.booleans()) else s
+            if huge:
+                mu = draw(st.sampled_from((mu, 1.5e308, -1.5e308)))
+                s = draw(st.sampled_from((s, 1e308)))
+            rows_.append(ScoredCandidate(doc_id=d, mu=mu, sigma=s, neutrality=n))
+        corpus.append(assign_groups(build_query(f"q{i}", rows_)))
+    return corpus
+
+
+def by_length(corpus):
+    blocks = {}
+    for query in corpus:
+        blocks.setdefault(len(query), []).append(query)
+    return blocks.values()
+
+
+@EXAMPLES
+@given(corpora(), ALPHAS)
+def test_stacked_adjustment_is_adjust_scores_per_row_bit_for_bit(corpus, alpha):
+    for block in by_length(corpus):
+        stacked = adjust_stacked(*(np.stack([getattr(q, name) for q in block])
+                                   for name in ("mu", "sigma", "protected")), alpha)
+        expected = [adjust_scores(q, PufrConfig.symmetric(alpha)) for q in block]
+        assert stacked.tobytes() == np.stack(expected).tobytes()
+
+
+@EXAMPLES
+@given(st.lists(st.lists(st.sampled_from(TIED_VALUES) | st.floats(-1e3, 1e3), min_size=5,
+                         max_size=5), min_size=1, max_size=4),
+       st.booleans())
+def test_clamp_along_the_last_axis_clamps_each_row(values, lowest):
+    expected = np.stack([_clamp(np.array(row), lowest) for row in values])
+    assert _clamp(np.array(values), lowest).tobytes() == expected.tobytes()
+
+
+def reference_outcome(reference):
+    """A reference as query id -> nFaiRR hex, or the text of its ValueError."""
+    try:
+        return {query_id: value.hex() for query_id, value in reference().items()}
+    except ValueError as error:
+        return str(error)
+
+
+@EXAMPLES
+@given(corpora(), ALPHAS, st.integers(1, 10))
+def test_the_stacked_reference_is_pufr_then_nfairr_bit_for_bit(corpus, alpha, k):
+    expected = {
+        q.query_id: nfairr_at_k(pufr_rerank(q, PufrConfig.symmetric(alpha)), k).hex()
+        for q in corpus
+    }
+    assert reference_outcome(lambda: _PufrReference(corpus, k)(alpha)) == expected
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@EXAMPLES
+@given(corpora(huge=True), st.sampled_from((0.0, 1.0, 2.0, 1e300)), st.integers(1, 10))
+def test_an_overflowing_shift_raises_what_the_per_query_loop_raises(corpus, alpha, k):
+    def per_query():
+        cfg = PufrConfig.symmetric(alpha)
+        return {q.query_id: nfairr_at_k(pufr_rerank(q, cfg), k) for q in corpus}
+
+    expected = reference_outcome(per_query)
+    assert reference_outcome(lambda: _PufrReference(corpus, k)(alpha)) == expected
+
+
+@EXAMPLES
+@given(evaluated())
+def test_every_cutoff_of_one_ranking_matches_the_scalar_oracles(case):
+    # the first call fills the ranking's memo; the later cutoffs read it
+    query, ranking, grades, _ = case
+    neutrality = {r.doc_id: r.neutrality for r in rows(query)}
+    judgments = RelevanceJudgments(grades)
+    ranked = ranking.doc_ids()
+    for k in (len(query) + 2, 1, len(query), 3):
+        assert fairr_at_k(ranking, k).hex() == oracles.fairr(ranked, neutrality, k).hex()
+        assert ndcg_at_k(ranking, judgments, k).hex() == oracles.ndcg(
+            "q", ranked, grades, k).hex()

@@ -11,6 +11,7 @@ from pufr import (
     generate_synthetic,
     ndcg_at_k,
     nfairr_at_k,
+    paired_t_test,
     pufr_rerank,
     records_to_csv,
     report_interval_analysis,
@@ -99,6 +100,30 @@ class TestRunSweep:
         # paired test against the reference must be the degenerate (0, 1)
         assert record.t_stat == 0.0
         assert record.p_value == 1.0
+
+    def test_fastar_is_t_tested_against_pufr_rerank_at_each_alpha(self):
+        corpus, judgments = biased_corpus(seed=5, n_queries=9)
+        corpus = corpus + [make_query([1.0], [0.2], [1.0], query_id="one")]
+        records = run_sweep(corpus, judgments, SweepConfig("fastar", (0.0, 0.5, 1.0))).records
+        for record in records:
+            fastar = baselines.compute_m_table(15, record.alpha)
+            expected = paired_t_test(
+                {q.query_id: nfairr_at_k(baselines.fastar_rerank(q, fastar), 10) for q in corpus},
+                {q.query_id: nfairr_at_k(pufr_rerank(q, PufrConfig.symmetric(record.alpha)), 10)
+                 for q in corpus},
+            )
+            assert (record.t_stat, record.p_value) == (expected.t_statistic, expected.p_value)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_an_overflowing_pufr_reference_names_the_first_query_at_fault(self):
+        # the two-doc block comes first, but the corpus order decides
+        corpus = [
+            make_query([2.0, 1.0], [0.1, 0.1], [1.0, 0.0], query_id="a"),
+            make_query([1e308, 0.0, -1.0], [1.7e308, 0.1, 0.1], [1.0, 0.0, 1.0], query_id="b"),
+            make_query([1e308, 0.0], [1.7e308, 0.1], [1.0, 0.0], query_id="c"),
+        ]
+        with pytest.raises(ValueError, match="^query 'b': non-finite score for doc 'd1'$"):
+            run_sweep(corpus, RelevanceJudgments({}), SweepConfig("fastar", (1.0,)))
 
     def test_constrained_sweep_reports_infeasible_queries(self):
         q1 = make_query([3.0, 2.0, 1.0], [0.1] * 3, [0.0, 0.0, 1.0], query_id="q1")
