@@ -21,8 +21,7 @@ ones. :class:`ScoredCandidate` is the row form that
 A :class:`Ranking` is an order over its query's columns: ``order[i]`` is
 the column index of the document at rank i + 1 and ``scores[i]`` its
 effective score, so metrics read the query's columns at ``order`` instead
-of looking documents up by id, and keep what they derive from an order in
-the ranking's own ``memo``.
+of looking documents up by id.
 """
 
 from __future__ import annotations
@@ -227,18 +226,11 @@ class QueryCandidates:
 class Ranking:
     """An ordered result list over a query's columns: ``order`` holds column
     indices by rank and ``scores`` the effective scores in that order, score
-    descending with ties resolved by ascending original rank. Both arrays are
-    made read-only, so what the metrics keep in ``memo`` cannot go stale."""
+    descending with ties resolved by ascending original rank."""
 
     query: QueryCandidates
     order: np.ndarray
     scores: np.ndarray
-    # values the metrics derive from the order, keyed by whoever derives them
-    memo: dict[Any, Any] = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.order.flags.writeable = False
-        self.scores.flags.writeable = False
 
     @property
     def query_id(self) -> str:

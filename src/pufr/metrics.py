@@ -6,7 +6,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -91,17 +91,31 @@ def _shared(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@functools.lru_cache(maxsize=64)
-def _discounts(n: int) -> np.ndarray:
-    """The DCG discounts ``log2(position + 1)`` of positions 1..n, each from
-    ``math.log2``, whose bits ``np.log2`` need not match."""
-    return _shared(np.array([math.log2(position + 1) for position in range(1, n + 1)]))
+def _prefixes(make: Callable[[int], np.ndarray]) -> Callable[[int], np.ndarray]:
+    """A cached ``n -> make(n)`` for positions 1..n, answered with views of one
+    read-only array that grows at least twofold when a longer prefix is asked
+    for: rankings of any mix of lengths share it, and no length is evicted.
+    ``make`` computes every position alone, so a prefix has the same bits at
+    any table size."""
+    values = _shared(make(0))
+
+    @functools.lru_cache(maxsize=None)
+    def prefix(n: int) -> np.ndarray:
+        nonlocal values
+        if n > len(values):
+            values = _shared(make(max(n, 2 * len(values))))
+        return values[:n]
+
+    return prefix
 
 
-@functools.lru_cache(maxsize=64)
-def _ranks(n: int) -> np.ndarray:
-    """The ranks 1..n as floats."""
-    return _shared(np.arange(1, n + 1, dtype=np.float64))
+# The DCG discounts log2(position + 1), each from math.log2, whose bits
+# np.log2 need not match.
+_discounts = _prefixes(
+    lambda n: np.array([math.log2(position + 1) for position in range(1, n + 1)])
+)
+# The ranks as floats.
+_ranks = _prefixes(lambda n: np.arange(1, n + 1, dtype=np.float64))
 
 
 def _at_cutoff(sums: np.ndarray, k: int) -> np.ndarray | float:
@@ -130,31 +144,21 @@ def ndcg_at_k(ranking: Ranking, judgments: RelevanceJudgments, k: int) -> float:
 
     The ideal ranking sorts the query's judged grades descending; when no
     positive judgments exist the metric is 0 by convention. Each gain is
-    divided by its discount and the terms are summed left to right, once
-    over the whole ranking per judgments: every cutoff reads the ranking's
-    memo.
+    divided by its discount and the terms are summed left to right.
     """
     _check_cutoff(k)
     idcg = judgments.ideal_dcg(ranking.query_id, k)
     if idcg == 0.0:
         return 0.0
-    sums = ranking.memo.get(judgments)
-    if sums is None:
-        gains = judgments.gains(ranking.query)[ranking.order]
-        sums = ranking.memo[judgments] = np.add.accumulate(gains / _discounts(len(gains)))
-    return _at_cutoff(sums, k) / idcg
+    top = ranking.order[:k]
+    return sequential_sum(judgments.gains(ranking.query)[top] / _discounts(len(top))) / idcg
 
 
 def fairr_at_k(ranking: Ranking, k: int) -> float:
     """Rank-discounted neutrality mass of the top-k: the sum of n_d / rank
-    over the first min(k, n) ranks (see :func:`_fairr_sums`), summed once over
-    the whole ranking: every cutoff reads the ranking's memo."""
+    over the first min(k, n) ranks (see :func:`_fairr_sums`)."""
     _check_cutoff(k)
-    sums = ranking.memo.get("fairr")
-    if sums is None:
-        neutrality = ranking.query.column("neutrality")[ranking.order]
-        sums = ranking.memo["fairr"] = _fairr_sums(neutrality)
-    return _at_cutoff(sums, k)
+    return _at_cutoff(_fairr_sums(ranking.query.column("neutrality")[ranking.order[:k]]), k)
 
 
 def ideal_fairr_at_k(query: QueryCandidates, k: int) -> float:
@@ -168,7 +172,7 @@ def ideal_fairr_at_k(query: QueryCandidates, k: int) -> float:
     key = ("ideal_fairr", k)
     ideal = query.memo.get(key)
     if ideal is None:
-        values = np.sort(query.column("neutrality"))[::-1]
+        values = np.sort(query.column("neutrality"))[::-1][:k]
         ideal = query.memo[key] = _at_cutoff(_fairr_sums(values), k)
     return ideal
 

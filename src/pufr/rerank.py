@@ -58,25 +58,33 @@ def _adjust(query: QueryCandidates, cfg: PufrConfig, sigma_mean: float | None) -
     """:func:`adjust_scores` with each group's own sigmas, or with
     ``sigma_mean`` for every candidate."""
     protected, other = query.by_group()
+    up, down = adjust_groups(
+        protected.mu, protected.sigma if sigma_mean is None else sigma_mean,
+        other.mu, other.sigma if sigma_mean is None else sigma_mean, cfg,
+    )
     adjusted = np.empty(len(query))
-    sigma = protected.sigma if sigma_mean is None else sigma_mean
-    adjusted[protected.index] = _clamp(protected.mu + cfg.alpha_protected * sigma, lowest=True)
-    sigma = other.sigma if sigma_mean is None else sigma_mean
-    adjusted[other.index] = _clamp(other.mu - cfg.alpha_nonprotected * sigma, lowest=False)
+    adjusted[protected.index] = up
+    adjusted[other.index] = down
     return adjusted
 
 
-def adjust_stacked(
-    mu: np.ndarray, sigma: np.ndarray, protected: np.ndarray, alpha: float
-) -> np.ndarray:
-    """:func:`adjust_scores` at ``PufrConfig.symmetric(alpha)`` for queries of
-    one length stacked as rows of columns in original-rank order, with the
-    same bits per row. Each group is clamped along the row with the other
-    group's places held at the infinity that never wins the clamp."""
-    shift = alpha * sigma
-    up = _clamp(np.where(protected, mu + shift, np.inf), lowest=True)
-    down = _clamp(np.where(protected, -np.inf, mu - shift)[..., ::-1], lowest=False)[..., ::-1]
-    return np.where(protected, up, down)
+def adjust_groups(
+    up_mu: np.ndarray, up_sigma: np.ndarray | float,
+    down_mu: np.ndarray, down_sigma: np.ndarray | float, cfg: PufrConfig,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The adjusted scores of the two groups, each along its last axis in
+    the order it is clamped: the protected group (``up``) by decreasing mu,
+    raised by ``alpha_protected * sigma`` and capped by its running minimum;
+    the others (``down``) by increasing mu, lowered by
+    ``alpha_nonprotected * sigma`` and floored by its running maximum. A
+    sigma may be one value for every candidate. A place held at mu = +inf
+    (``up``) or -inf (``down``) with sigma 0 keeps that value and never wins
+    the clamp, so queries of one length can be stacked as rows with the
+    other group's places masked so."""
+    return (
+        _clamp(up_mu + cfg.alpha_protected * up_sigma, lowest=True),
+        _clamp(down_mu - cfg.alpha_nonprotected * down_sigma, lowest=False),
+    )
 
 
 def _clamp(raw: np.ndarray, lowest: bool) -> np.ndarray:

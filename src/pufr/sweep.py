@@ -33,7 +33,7 @@ from .metrics import (
     paired_t_test,
     sequential_sum,
 )
-from .rerank import PufrConfig, adjust_stacked, compute_sigma_mean, pufr_rerank, uniform_rerank
+from .rerank import PufrConfig, adjust_groups, compute_sigma_mean, pufr_rerank, uniform_rerank
 
 # A re-ranker returns the ranking and what keeps it from being certified:
 # None, "infeasible" (the fairness floor was not met) or "exhausted" (the
@@ -169,34 +169,38 @@ def _per_query(metric: Callable[[Ranking], float], rankings: Iterable[Ranking]) 
 
 class _PufrReference:
     """nFaiRR@k of every query's PUFR ranking at any alpha, the same bits as
-    ``nfairr_at_k(pufr_rerank(query, PufrConfig.symmetric(alpha)), k)``, from
-    the corpus stacked once: one block of rows per query length. Each alpha
-    adjusts, orders and evaluates every block in one array pass."""
+    ``nfairr_at_k(pufr_rerank(query, PufrConfig.symmetric(alpha)), k)``. When
+    every query has the same length, the corpus is stacked once as rows and
+    each alpha adjusts, orders and evaluates them in one array pass;
+    otherwise, or when a score is not finite, the queries are re-ranked one
+    by one, and the ValueError names the first query and doc at fault."""
 
     def __init__(self, corpus: Sequence[QueryCandidates], k: int) -> None:
         self.corpus, self.k = corpus, k
-        by_length: dict[int, list[int]] = {}
-        for i, query in enumerate(corpus):
-            by_length.setdefault(len(query), []).append(i)
-        self.blocks = [
-            (rows, *(np.stack([getattr(corpus[i], name) for i in rows])
-                     for name in ("mu", "sigma", "protected", "neutrality")),
-             np.array([ideal_fairr_at_k(corpus[i], k) for i in rows]))
-            for rows in by_length.values()
-        ]
+        self.stacked = len({len(query) for query in corpus}) == 1
+        if self.stacked:
+            mu, sigma, self.protected, self.neutrality = (
+                np.stack([getattr(query, name) for query in corpus])
+                for name in ("mu", "sigma", "protected", "neutrality")
+            )
+            # each group's rows in its clamp order, the other group's places
+            # masked (see rerank.adjust_groups): the others' rows run backwards
+            self.up = np.where(self.protected, mu, np.inf), np.where(self.protected, sigma, 0.0)
+            self.down = (np.where(self.protected, -np.inf, mu)[:, ::-1].copy(),
+                         np.where(self.protected, 0.0, sigma)[:, ::-1].copy())
+            self.ideal = np.array([ideal_fairr_at_k(query, k) for query in corpus])
 
     def __call__(self, alpha: float) -> dict[str, float]:
-        values = np.empty(len(self.corpus))
-        for rows, mu, sigma, protected, neutrality, ideal in self.blocks:
-            scores = adjust_stacked(mu, sigma, protected, alpha)
-            if not np.isfinite(scores).all():
-                # the per-query path names the first query and doc at fault
-                pcfg = PufrConfig.symmetric(alpha)
-                return _per_query(partial(nfairr_at_k, k=self.k),
-                                  (pufr_rerank(q, pcfg) for q in self.corpus))
-            order = np.argsort(-scores, axis=-1, kind="stable")
-            values[rows] = nfairr_rows(neutrality, order, ideal, self.k)
-        return dict(zip((q.query_id for q in self.corpus), values.tolist()))
+        pcfg = PufrConfig.symmetric(alpha)
+        if self.stacked:
+            raised, lowered = adjust_groups(*self.up, *self.down, pcfg)
+            scores = np.where(self.protected, raised, lowered[:, ::-1])
+            if np.isfinite(scores).all():
+                order = np.argsort(-scores, axis=-1, kind="stable")
+                values = nfairr_rows(self.neutrality, order, self.ideal, self.k)
+                return dict(zip((query.query_id for query in self.corpus), values.tolist()))
+        return _per_query(partial(nfairr_at_k, k=self.k),
+                          (pufr_rerank(query, pcfg) for query in self.corpus))
 
 
 def run_sweep(

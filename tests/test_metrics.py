@@ -19,7 +19,7 @@ from pufr import (
     nfairr_at_k,
     paired_t_test,
 )
-from pufr.metrics import sequential_sum
+from pufr.metrics import _discounts, _ranks, sequential_sum
 
 import oracles
 from conftest import make_query, ranked, ranking_of, rows
@@ -154,6 +154,17 @@ class TestFairr:
         short = ranked("q", ["a", "b"], neutralities=[0.2, 0.9])
         long = ranked("q", ["a", "b", "c", "d"], neutralities=[0.2, 0.9, 0.4, 1.0])
         assert fairr_at_k(short, 2) == fairr_at_k(long, 2)
+
+
+class TestTables:
+    def test_the_tables_give_every_length_the_bits_of_its_own_prefix(self):
+        # more lengths than any bounded cache holds, longest in the middle
+        for n in [*range(1, 80), 1000, *range(80, 200, 7), 3]:
+            discounts, ranks = _discounts(n), _ranks(n)
+            assert discounts.tobytes() == np.array(
+                [math.log2(position + 1) for position in range(1, n + 1)]).tobytes()
+            assert ranks.tobytes() == np.arange(1, n + 1, dtype=np.float64).tobytes()
+            assert not discounts.flags.writeable and not ranks.flags.writeable
 
 
 class TestIdealFairr:

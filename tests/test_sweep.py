@@ -20,7 +20,7 @@ from pufr import (
     unfair_rank,
 )
 
-from pufr import baselines
+from pufr import baselines, sweep
 
 from conftest import gap_search_queries, make_query
 
@@ -116,14 +116,30 @@ class TestRunSweep:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_an_overflowing_pufr_reference_names_the_first_query_at_fault(self):
-        # the two-doc block comes first, but the corpus order decides
+        # queries of one length share one stacked pass; c overflows too
         corpus = [
-            make_query([2.0, 1.0], [0.1, 0.1], [1.0, 0.0], query_id="a"),
+            make_query([2.0, 1.0, 0.5], [0.1, 0.1, 0.1], [1.0, 0.0, 1.0], query_id="a"),
             make_query([1e308, 0.0, -1.0], [1.7e308, 0.1, 0.1], [1.0, 0.0, 1.0], query_id="b"),
-            make_query([1e308, 0.0], [1.7e308, 0.1], [1.0, 0.0], query_id="c"),
+            make_query([1e308, 0.0, -1.0], [1.7e308, 0.1, 0.1], [1.0, 0.0, 0.0], query_id="c"),
         ]
         with pytest.raises(ValueError, match="^query 'b': non-finite score for doc 'd1'$"):
             run_sweep(corpus, RelevanceJudgments({}), SweepConfig("fastar", (1.0,)))
+
+    def test_the_stacked_pufr_reference_keeps_tied_scores_in_original_rank_order(
+        self, monkeypatch
+    ):
+        # whole mu and sigma 0.5 tie raised and lowered docs at alpha 1, and
+        # with 40 docs per query numpy's default sort is no longer stable
+        rng = np.random.default_rng(2)
+        corpus = [
+            make_query(sorted(rng.integers(0, 4, 40).astype(float).tolist(), reverse=True),
+                       [0.5] * 40, rng.choice([0.0, 0.5, 1.0], 40).tolist(), query_id=f"q{i}")
+            for i in range(8)
+        ]
+        cfg = PufrConfig.symmetric(1.0)
+        expected = {q.query_id: nfairr_at_k(pufr_rerank(q, cfg), 10) for q in corpus}
+        monkeypatch.setattr(sweep, "pufr_rerank", None)  # every value from the stacked pass
+        assert sweep._PufrReference(corpus, 10)(1.0) == expected
 
     def test_constrained_sweep_reports_infeasible_queries(self):
         q1 = make_query([3.0, 2.0, 1.0], [0.1] * 3, [0.0, 0.0, 1.0], query_id="q1")
