@@ -113,10 +113,7 @@ def fastar_rerank(query: QueryCandidates, table: MTable) -> Ranking:
             f"quota table covers prefixes up to {len(table.required)} but query "
             f"{query.query_id!r} has {n} candidates"
         )
-    protected, other = query.by_group()
-    mu = query.mu.tolist()
-    protected_queue = protected.index.tolist()
-    other_queue = other.index[::-1].tolist()
+    protected_queue, other_queue, mu = _fastar_queues(query)
     required = table.required  # covers every prefix, checked above
 
     out: list[int] = []
@@ -132,6 +129,19 @@ def fastar_rerank(query: QueryCandidates, table: MTable) -> Ranking:
     out.extend(protected_queue[p_idx:])
     out.extend(other_queue[o_idx:])
     return _positional_ranking(query, np.array(out, dtype=np.intp))
+
+
+def _fastar_queues(query: QueryCandidates) -> tuple[list[int], list[int], list[float]]:
+    """The protected and the other column indices, each by decreasing
+    ``mu``, and ``mu`` itself, as lists kept in the query's memo: every
+    quota of a sweep merges the same queues."""
+    queues = query.memo.get("fastar_queues")
+    if queues is None:
+        protected, other = query.by_group()
+        queues = query.memo["fastar_queues"] = (
+            protected.index.tolist(), other.index[::-1].tolist(), query.mu.tolist()
+        )
+    return queues
 
 
 def _positional_ranking(query: QueryCandidates, order: np.ndarray) -> Ranking:
@@ -258,8 +268,12 @@ def constrained_rerank(
     max_gain = float(gain_vec.max())
     lam_max = 1e6 * (max_gain if max_gain > 0.0 else 1.0)
 
+    # the two parts of every lambda-subproblem's benefit matrix
+    gain_part = np.outer(gain_vec, discounts)
+    fair_part = np.outer(neut_vec, exposures)
+
     def solve(lam: float) -> tuple[np.ndarray, float]:
-        benefit = np.outer(gain_vec, discounts) + lam * np.outer(neut_vec, exposures)
+        benefit = gain_part + lam * fair_part
         assigned = hungarian_assign(benefit)
         order = np.argsort(assigned)
         return order, float(benefit[np.arange(depth), assigned].sum())

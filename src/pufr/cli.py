@@ -13,6 +13,14 @@ on two threads: a second thread draws the next query's Monte Carlo normals
 while this one scores the current query (``uncertainty.score_queries``). No
 thread is alive when the parse forks.
 
+``rerank`` reads only the inputs its method uses (``sweep.Method``): the
+run file alone for ``unfair``; the run and neutrality files for
+``constrained``; those two plus group labels for ``fastar``; the run, sigma
+and neutrality files and group labels for ``pufr`` and ``uniform``. A file
+the method does not read is neither opened nor checked. ``sweep`` reads
+every file it is given, since its metrics need neutrality and a sigma file
+picks the PUFR t-test reference.
+
 ``sweep``, ``laplace`` and ``synth`` pass the flags named after fields of
 ``SweepConfig``, ``McConfig`` and ``SyntheticConfig`` to those types. Such a
 flag has no default: when it is not given, the field keeps the type's own.
@@ -177,20 +185,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_corpus(args: argparse.Namespace) -> list[QueryCandidates]:
+def _load_corpus(
+    args: argparse.Namespace, sigma: bool, neutrality: bool, groups: bool
+) -> list[QueryCandidates]:
+    """The run file joined with the sigma and neutrality files and labelled
+    with groups, as asked; a file not asked for is not opened."""
     corpus = fileio.parse_run_file(args.run)
-    if args.sigmas:
+    if sigma:
+        if not args.sigmas:
+            raise ValueError(f"method {args.method!r} needs --sigmas")
         corpus = fileio.attach_sigmas(corpus, fileio.parse_sigma_file(args.sigmas))
-    elif REGISTRY[args.method].needs_sigma:
-        raise ValueError(f"method {args.method!r} needs --sigmas")
-    corpus = fileio.attach_neutrality(corpus, fileio.parse_neutrality_file(args.neutrality))
-    return [assign_groups(q, args.protected_threshold) for q in corpus]
+    if neutrality:
+        corpus = fileio.attach_neutrality(corpus, fileio.parse_neutrality_file(args.neutrality))
+    if groups:
+        corpus = [assign_groups(q, args.protected_threshold) for q in corpus]
+    return corpus
 
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
     method = REGISTRY[args.method]
     method.check((args.alpha,), args.depth)
-    corpus = _load_corpus(args)
+    corpus = _load_corpus(args, method.needs_sigma, method.needs_neutrality, method.needs_groups)
     rerank = method.prepare(corpus, args.depth)(args.alpha)
     results = [rerank(q) for q in corpus]
     fileio.write_run_file(args.output, [ranking for ranking, _ in results], tag=args.tag)
@@ -213,7 +228,9 @@ def _warn(infeasible: int, exhausted: int, unit: str) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config(SweepConfig, args)
-    corpus = _load_corpus(args)
+    # the metrics need neutrality, and given sigmas pick the PUFR t-test reference
+    sigma = bool(args.sigmas) or REGISTRY[cfg.method].needs_sigma
+    corpus = _load_corpus(args, sigma, neutrality=True, groups=True)
     judgments = fileio.parse_qrels(args.qrels)
     result = run_sweep(corpus, judgments, cfg)
     Path(args.output).write_text(records_to_csv(result.records), encoding="utf-8")

@@ -35,7 +35,8 @@ Only when a check fails is the file walked line by line, so that the error
 names the first bad ``path:line`` in file order.
 
 Floats are written with ``repr`` so a write-parse-write cycle is
-byte-identical.
+byte-identical. The run, sigma and neutrality writers build each query's
+lines with one join over their interleaved fields (:func:`_joined_lines`).
 """
 
 from __future__ import annotations
@@ -549,33 +550,52 @@ def check_run_tag(tag: str) -> str:
 
 def write_run_file(path: str | Path, rankings: Iterable[Ranking], tag: str = "pufr") -> None:
     check_run_tag(tag)
-    suffix, parts = f" {tag}\n", []
+    suffix, ranks, texts = f" {tag}\n", [], []
     for ranking in rankings:
-        prefix = f"{ranking.query_id} Q0 "
-        entries = enumerate(zip(ranking.doc_ids(), ranking.scores.tolist()), start=1)
-        parts += [f"{prefix}{doc_id} {rank} {score!r}{suffix}" for rank, (doc_id, score) in entries]
-    Path(path).write_text("".join(parts), encoding="utf-8")
+        n = len(ranking.order)
+        # " {rank} " strings, built once per call up to the longest ranking
+        ranks += [f" {rank} " for rank in range(len(ranks) + 1, n + 1)]
+        texts.append(_joined_lines(
+            n, f"{ranking.query_id} Q0 ", ranking.doc_ids(), ranks[:n],
+            map(repr, ranking.scores.tolist()), suffix,
+        ))
+    Path(path).write_text("".join(texts), encoding="utf-8")
 
 
-def write_sigma_file(path: str | Path, corpus: Sequence[QueryCandidates]) -> None:
-    lines = []
-    for query in corpus:
-        for doc_id, sigma in zip(query.doc_ids, query.column("sigma").tolist()):
-            lines.append(f"{query.query_id} {doc_id} {sigma!r}")
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+def _joined_lines(n: int, *columns: str | Iterable[str]) -> str:
+    """``n`` lines, each the concatenation of one piece from every column, in
+    one join: a str column gives the same piece on every line, any other
+    column one piece per line."""
+    pieces: list[str] = [""] * (n * len(columns))
+    for j, column in enumerate(columns):
+        pieces[j :: len(columns)] = [column] * n if isinstance(column, str) else column
+    return "".join(pieces)
 
 
-def write_neutrality_file(path: str | Path, corpus: Sequence[QueryCandidates]) -> None:
+def write_sigma_file(path: str | Path, corpus: Iterable[QueryCandidates]) -> None:
+    texts = [
+        _joined_lines(
+            len(query), f"{query.query_id} ", query.doc_ids, " ",
+            map(repr, query.column("sigma").tolist()), "\n",
+        )
+        for query in corpus
+    ]
+    Path(path).write_text("".join(texts), encoding="utf-8")
+
+
+def write_neutrality_file(path: str | Path, corpus: Iterable[QueryCandidates]) -> None:
     values: dict[str, float] = {}
     for query in corpus:
-        for doc_id, value in zip(query.doc_ids, query.column("neutrality").tolist()):
-            if doc_id in values and values[doc_id] != value:
-                raise ValueError(
-                    f"doc {doc_id!r} has conflicting neutrality scores across queries"
-                )
-            values[doc_id] = value
-    lines = [f"{doc_id} {value!r}" for doc_id, value in values.items()]
-    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        scores = dict(zip(query.doc_ids, query.column("neutrality").tolist()))
+        if not values.keys().isdisjoint(scores):
+            for doc_id in query.doc_ids:
+                if doc_id in values and values[doc_id] != scores[doc_id]:
+                    raise ValueError(
+                        f"doc {doc_id!r} has conflicting neutrality scores across queries"
+                    )
+        values.update(scores)
+    text = _joined_lines(len(values), values.keys(), " ", map(repr, values.values()), "\n")
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def write_qrels(path: str | Path, judgments: RelevanceJudgments) -> None:

@@ -48,11 +48,17 @@ DEFAULT_INTERVAL_ALPHAS = (1.0, 2.0)
 @dataclass(frozen=True)
 class Method:
     """What a method needs from a corpus. ``prepare(corpus, depth)`` does the
-    corpus-wide work once and returns alpha -> per-query re-ranker."""
+    corpus-wide work once and returns alpha -> per-query re-ranker.
+
+    ``needs_sigma``, ``needs_neutrality`` and ``needs_groups`` name the
+    columns the re-ranker reads; group labels are drawn from neutrality, so
+    a method that needs groups needs neutrality too. `pufr rerank` opens
+    only the input files that give these columns."""
 
     name: str
     prepare: Callable[[Sequence[QueryCandidates], int], RerankerAt]
     needs_sigma: bool = False
+    needs_neutrality: bool = False
     needs_groups: bool = False
     unit_alpha: bool = False
 
@@ -106,11 +112,14 @@ def _prepare_constrained(corpus: Sequence[QueryCandidates], depth: int) -> Reran
 REGISTRY = {
     m.name: m
     for m in (
-        Method("pufr", _prepare_pufr, needs_sigma=True, needs_groups=True),
-        Method("uniform", _prepare_uniform, needs_sigma=True, needs_groups=True),
+        Method("pufr", _prepare_pufr, needs_sigma=True, needs_neutrality=True,
+               needs_groups=True),
+        Method("uniform", _prepare_uniform, needs_sigma=True, needs_neutrality=True,
+               needs_groups=True),
         Method("unfair", _prepare_unfair),
-        Method("fastar", _prepare_fastar, needs_groups=True, unit_alpha=True),
-        Method("constrained", _prepare_constrained, unit_alpha=True),
+        Method("fastar", _prepare_fastar, needs_neutrality=True, needs_groups=True,
+               unit_alpha=True),
+        Method("constrained", _prepare_constrained, needs_neutrality=True, unit_alpha=True),
     )
 }
 METHODS = tuple(REGISTRY)

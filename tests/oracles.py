@@ -20,6 +20,9 @@ per document. Its bits depend on the BLAS thread count once the product is
 large enough to be split across threads (1,001 samples at d = 768), so a
 test that needs them exactly computes them with one thread.
 
+The file writers at the end are those the library used before it built each
+query's text in one join: one f-string per line.
+
 The t-test p-value is the formula the library used before it called
 ``scipy.special.stdtr`` directly, through ``scipy.stats``.
 
@@ -312,3 +315,36 @@ def scalar_parse_features_file(path):
             raise ValueError(f"{path}:{lineno}: duplicate entry for ({query_id}, {doc_id})")
         per_query[doc_id] = values
     return features
+
+
+def write_run_file(path, rankings, tag="pufr"):
+    """The run writer with one f-string per line."""
+    suffix, parts = f" {tag}\n", []
+    for ranking in rankings:
+        prefix = f"{ranking.query_id} Q0 "
+        entries = enumerate(zip(ranking.doc_ids(), ranking.scores.tolist()), start=1)
+        parts += [f"{prefix}{doc_id} {rank} {score!r}{suffix}" for rank, (doc_id, score) in entries]
+    Path(path).write_text("".join(parts), encoding="utf-8")
+
+
+def write_sigma_file(path, corpus):
+    """The sigma writer with one f-string per line."""
+    lines = []
+    for query in corpus:
+        for doc_id, sigma in zip(query.doc_ids, query.column("sigma").tolist()):
+            lines.append(f"{query.query_id} {doc_id} {sigma!r}")
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def write_neutrality_file(path, corpus):
+    """The neutrality writer with one check and one f-string per document."""
+    values = {}
+    for query in corpus:
+        for doc_id, value in zip(query.doc_ids, query.column("neutrality").tolist()):
+            if doc_id in values and values[doc_id] != value:
+                raise ValueError(
+                    f"doc {doc_id!r} has conflicting neutrality scores across queries"
+                )
+            values[doc_id] = value
+    lines = [f"{doc_id} {value!r}" for doc_id, value in values.items()]
+    Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")

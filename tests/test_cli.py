@@ -206,6 +206,66 @@ class TestMethodParity:
         assert not (tmp_path / "o.run").exists() and not (tmp_path / "o.csv").exists()
 
 
+class TestRerankInputs:
+    """`pufr rerank` opens only the input files its method reads (``needs_sigma``,
+    ``needs_neutrality`` and ``needs_groups`` on the method registry); `pufr
+    sweep` reads every file it is given."""
+
+    @staticmethod
+    def rerank(paths, method, alpha, out):
+        return main([
+            "rerank", "--run", str(paths["run"]), "--sigmas", str(paths["sigma"]),
+            "--neutrality", str(paths["neutrality"]), "--method", method,
+            "--alpha", alpha, "--output", str(out),
+        ])
+
+    @pytest.mark.parametrize("method,alpha,unread", [
+        ("unfair", "0", ("sigma", "neutrality")),
+        ("constrained", "0.8", ("sigma",)),
+        ("fastar", "0.7", ("sigma",)),
+    ])
+    def test_a_file_the_method_does_not_read_may_be_missing(
+        self, fixture_dir, tmp_path, method, alpha, unread
+    ):
+        paths = fixture_paths(fixture_dir)
+        assert self.rerank(paths, method, alpha, tmp_path / "real.run") == 0
+        missing = {**paths, **{name: tmp_path / f"missing.{name}" for name in unread}}
+        assert self.rerank(missing, method, alpha, tmp_path / "missing.run") == 0
+        assert (tmp_path / "missing.run").read_bytes() == (tmp_path / "real.run").read_bytes()
+
+    def test_constrained_succeeds_with_a_malformed_sigma_file(self, fixture_dir, tmp_path):
+        paths = fixture_paths(fixture_dir)
+        bad = tmp_path / "bad.sigma"
+        bad.write_text("q1 d1 -1.0\nnot a sigma line at all\n")
+        assert self.rerank(paths, "constrained", "0.8", tmp_path / "real.run") == 0
+        assert self.rerank({**paths, "sigma": bad}, "constrained", "0.8",
+                           tmp_path / "bad.run") == 0
+        assert (tmp_path / "bad.run").read_bytes() == (tmp_path / "real.run").read_bytes()
+
+    @pytest.mark.parametrize("method,alpha", [("pufr", "1.0"), ("uniform", "1.0"),
+                                              ("fastar", "0.7"), ("constrained", "0.8")])
+    def test_a_malformed_neutrality_file_is_still_rejected(
+        self, fixture_dir, tmp_path, capsys, method, alpha
+    ):
+        bad = tmp_path / "bad.neutrality"
+        bad.write_text("d1 0.5\nd2 0.5 extra\n")
+        paths = {**fixture_paths(fixture_dir), "neutrality": bad}
+        assert self.rerank(paths, method, alpha, tmp_path / "o.run") == 1
+        assert capsys.readouterr().err == f"error: {bad}:2: expected 2 fields, got 3\n"
+        assert not (tmp_path / "o.run").exists()
+
+    def test_sweep_constrained_still_reads_sigmas(self, fixture_dir, tmp_path, capsys):
+        paths = fixture_paths(fixture_dir)
+        bad = tmp_path / "bad.sigma"
+        bad.write_text("q1 d1\n")
+        assert main([
+            "sweep", "--run", str(paths["run"]), "--sigmas", str(bad),
+            "--neutrality", str(paths["neutrality"]), "--qrels", str(paths["qrels"]),
+            "--method", "constrained", "--alpha-grid", "0.5", "--output", str(tmp_path / "o.csv"),
+        ]) == 1
+        assert capsys.readouterr().err == f"error: {bad}:1: expected 3 fields, got 2\n"
+
+
 class TestSharedValidation:
     """`pufr rerank` checks depth and alpha as `pufr sweep` does, before any file
     is read: the run file given here does not exist."""

@@ -1,17 +1,21 @@
 import contextlib
 import errno
+import math
 import os
 import re
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pufr import (
+    QueryCandidates,
+    Ranking,
     RelevanceJudgments,
     ScoredCandidate,
     SyntheticConfig,
@@ -954,3 +958,79 @@ class TestWriters:
         path = tmp_path / "qrels"
         fileio.write_qrels(path, judgments)
         assert fileio.parse_qrels(path).grades == judgments.grades
+
+
+# where repr changes notation (1e-4 and 1e16 and their neighbours below),
+# signed zeros, the smallest subnormal and normal, and the float maximum
+_EDGE_FLOATS = (
+    0.0, -0.0, 5e-324, 2.225073858507201e-308, sys.float_info.min, sys.float_info.max,
+    1e-4, math.nextafter(1e-4, 0.0), 1e16, math.nextafter(1e16, 0.0), 0.5, 1.0,
+)
+_finite = st.one_of(
+    st.sampled_from(_EDGE_FLOATS + tuple(-x for x in _EDGE_FLOATS)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_sigma = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(0.0, allow_infinity=False))
+_neutrality = st.one_of(st.sampled_from([x for x in _EDGE_FLOATS if x <= 1.0]), st.floats(0.0, 1.0))
+# a few ids recur across queries, so neutrality entries repeat and may conflict
+_id = st.one_of(
+    st.sampled_from(["d1", "d2", "é", "文書"]),
+    st.text(st.characters(blacklist_categories=("Cs", "Cc", "Z")), min_size=1, max_size=4),
+)
+
+
+@st.composite
+def _written_query(draw):
+    """A query's id, doc ids, ranking order and scores, sigmas and
+    neutrality scores, as plain values."""
+    doc_ids = draw(st.lists(_id, min_size=1, max_size=12, unique=True))
+    n = len(doc_ids)
+    return (
+        draw(_id), doc_ids,
+        draw(st.permutations(range(n))),
+        draw(st.lists(_finite, min_size=n, max_size=n)),
+        draw(st.lists(_sigma, min_size=n, max_size=n)),
+        draw(st.lists(_neutrality, min_size=n, max_size=n)),
+    )
+
+
+def _written(write, *args):
+    """The bytes a writer writes, or the text of the ValueError it raises."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "out"
+        try:
+            write(path, *args)
+        except ValueError as exc:
+            return str(exc)
+        return path.read_bytes()
+
+
+class TestWritersMatchPerLineOracles:
+    """The run, sigma and neutrality writers join each query's lines in one
+    call; their bytes, and their errors, are those of one f-string per line."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(queries=st.lists(_written_query(), max_size=5),
+           tag=st.sampled_from(["pufr", "t", "ünï"]))
+    # one-document queries between rankings that grow and shrink
+    @example(queries=[
+        ("q", ["a"], [0], [1e16], [5e-324], [-0.0]),
+        ("q2", ["a", "b", "c"], [2, 0, 1], [1e-4, -0.0, 9.999999999999999e-05],
+         [0.0, 1e16, 1.0], [-0.0, 0.5, 1.0]),
+        ("q3", ["x"], [0], [sys.float_info.max], [0.0], [1.0]),
+        ("q4", ["b", "x"], [1, 0], [5e-324, -sys.float_info.max], [1.0, 2.0], [0.5, 1.0]),
+    ], tag="t")
+    @example(queries=[], tag="pufr")
+    def test_bytes_equal_the_per_line_writers(self, queries, tag):
+        corpus, rankings = [], []
+        for query_id, doc_ids, order, scores, sigma, neutrality in queries:
+            query = QueryCandidates(query_id, doc_ids, np.zeros(len(doc_ids)), sigma, neutrality)
+            corpus.append(query)
+            rankings.append(Ranking(query, np.array(order, dtype=np.intp), np.array(scores)))
+        # the run writer takes any iterable, a one-shot iterator too
+        assert (_written(fileio.write_run_file, iter(rankings), tag)
+                == _written(oracles.write_run_file, iter(rankings), tag))
+        assert (_written(fileio.write_sigma_file, corpus)
+                == _written(oracles.write_sigma_file, corpus))
+        assert (_written(fileio.write_neutrality_file, corpus)
+                == _written(oracles.write_neutrality_file, corpus))
