@@ -1,8 +1,8 @@
 """Post-processing comparison methods: plain score ordering, prefix-quota
 re-ranking driven by a binomial quota table, and a windowed constrained
-utility maximizer solved by Lagrangian bisection over exact linear
-assignments (with bound-certified search to close the duality gap on
-small windows)."""
+utility maximizer that finds the Lagrangian breakpoint by a crossing
+search over exact linear assignments (with bound-certified search to
+close the duality gap on small windows)."""
 
 from __future__ import annotations
 
@@ -18,14 +18,15 @@ from .metrics import ideal_fairr_at_k
 DEFAULT_SIGNIFICANCE = 0.1
 DEFAULT_DEPTH = 50
 
-# Window sizes up to this run the bound-certified search after bisection,
-# guaranteeing the returned feasible solution is utility-optimal; larger
-# windows return the best bisection solution.
+# Window sizes up to this run the bound-certified search after the
+# crossing search, guaranteeing the returned feasible solution is
+# utility-optimal; larger windows return the crossing search's best
+# feasible solution.
 DEFAULT_EXACT_WINDOW = 12
 DEFAULT_MAX_NODES = 200_000
 
 _FEASIBILITY_TOL = 1e-9
-_BISECTION_STEPS = 64
+_MAX_CROSSING_SOLVES = 64
 
 
 def unfair_rank(query: QueryCandidates) -> Ranking:
@@ -175,6 +176,9 @@ class ConstraintConfig:
 
 @dataclass(frozen=True)
 class BisectionStep:
+    """One lambda subproblem solved: the gain order at lambda = 0 first,
+    then the assignment at lam_max, then each crossing, in visit order."""
+
     lam: float
     fairness: float
     utility: float
@@ -186,7 +190,10 @@ class ConstrainedResult:
     ranking: Ranking
     feasible: bool
     floor: float
-    steps: tuple[BisectionStep, ...]
+    steps: tuple[BisectionStep, ...]  # one per lambda subproblem solved, in visit order
+    # the certificate's bound on any feasible utility, minus this result's
+    # utility: 0.0 when proved optimal, nan when infeasible
+    gap: float
     nodes: int = 0  # gap-search nodes visited; 0 when the search did not run
     exhausted: bool = False  # the node cap cut the search: not certified optimal
 
@@ -228,10 +235,15 @@ def constrained_rerank(
     sum(gain / log2(pos+1)) subject to FaiRR@depth >= alpha_fairness times
     the pool's ideal FaiRR@depth; docs beyond the window keep their
     original order. Each lambda-subproblem is the exact assignment with
-    benefit gain/log2(pos+1) + lambda*neutrality/pos; lambda is bisected
-    over [0, 1e6*max_gain]. Infeasible floors are flagged, not raised,
-    and the fairest solution found is returned. The gains are the mean
-    scores min-shifted to be nonnegative within the window.
+    benefit gain/log2(pos+1) + lambda*neutrality/pos. The search brackets
+    the dual's breakpoint between the lambda = 0 gain order and the
+    lambda = 1e6*max_gain solution, and solves next where the two
+    bracketing orders' lines U + lambda*F cross, until a solve finds no
+    order above them (at most 64 crossings). The last solve's lambda and
+    benefit bound the utility of every feasible order; ``gap`` reports
+    that bound minus the returned utility. Infeasible floors are flagged,
+    not raised, and the fairest solution found is returned. The gains are
+    the mean scores min-shifted to be nonnegative within the window.
     """
     depth = min(cfg.depth, len(query))
     neut_vec = query.column("neutrality")[:depth]
@@ -241,29 +253,29 @@ def constrained_rerank(
     exposures = 1.0 / (positions + 1)
     floor = cfg.alpha_fairness * ideal_fairr_at_k(query, depth)
 
-    def finish(order: np.ndarray, feasible: bool, steps: list[BisectionStep]) -> ConstrainedResult:
+    def finish(
+        order: np.ndarray, feasible: bool, steps: list[BisectionStep], gap: float
+    ) -> ConstrainedResult:
         full_order = np.concatenate((order, np.arange(depth, len(query))))
         return ConstrainedResult(
             ranking=_positional_ranking(query, full_order),
             feasible=feasible,
             floor=floor,
             steps=tuple(steps),
+            gap=gap,
         )
+
+    def step(lam: float, order: np.ndarray) -> BisectionStep:
+        fairness = _window_fairness(neut_vec, order, exposures)
+        utility = _window_utility(gain_vec, order, discounts)
+        return BisectionStep(lam, fairness, utility, fairness >= floor - _FEASIBILITY_TOL)
 
     # Gain-sorted window order solves the lambda = 0 subproblem with the
     # canonical tie-break; if it already meets the floor it is optimal.
     gain_order = np.argsort(-gain_vec, kind="stable")
-    f0 = _window_fairness(neut_vec, gain_order, exposures)
-    steps = [
-        BisectionStep(
-            lam=0.0,
-            fairness=f0,
-            utility=_window_utility(gain_vec, gain_order, discounts),
-            feasible=f0 >= floor - _FEASIBILITY_TOL,
-        )
-    ]
+    steps = [step(0.0, gain_order)]
     if steps[0].feasible:
-        return finish(gain_order, True, steps)
+        return finish(gain_order, True, steps, 0.0)
 
     max_gain = float(gain_vec.max())
     lam_max = 1e6 * (max_gain if max_gain > 0.0 else 1.0)
@@ -279,53 +291,72 @@ def constrained_rerank(
         return order, float(benefit[np.arange(depth), assigned].sum())
 
     order_hi, total_hi = solve(lam_max)
-    f_hi = _window_fairness(neut_vec, order_hi, exposures)
-    u_hi = _window_utility(gain_vec, order_hi, discounts)
-    feasible_hi = f_hi >= floor - _FEASIBILITY_TOL
-    steps.append(BisectionStep(lam=lam_max, fairness=f_hi, utility=u_hi, feasible=feasible_hi))
-    if not feasible_hi:
+    steps.append(step(lam_max, order_hi))
+    if not steps[1].feasible:
         # neutrality-descending is the provably fairest window order; if
         # even it misses the floor, no feasible permutation exists
         fairest = np.argsort(-neut_vec, kind="stable")
         if _window_fairness(neut_vec, fairest, exposures) < floor - _FEASIBILITY_TOL:
-            return finish(order_hi, False, steps)
+            return finish(order_hi, False, steps, math.nan)
         # finite lam_max fell short of the fairest order (near-degenerate
         # neutrality gaps); fall back to it rather than flag infeasibility
-        return finish(fairest, True, steps)
+        gap = total_hi - lam_max * floor - _window_utility(gain_vec, fairest, discounts)
+        return finish(fairest, True, steps, gap)
 
-    best_u, best_order = u_hi, order_hi
-    cert_lam, cert_total = lam_max, total_hi
-    lo, hi = 0.0, lam_max
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        order, total = solve(mid)
-        fairness = _window_fairness(neut_vec, order, exposures)
-        utility = _window_utility(gain_vec, order, discounts)
-        feasible = fairness >= floor - _FEASIBILITY_TOL
-        steps.append(BisectionStep(lam=mid, fairness=fairness, utility=utility, feasible=feasible))
-        if feasible:
-            hi = mid
-            cert_lam, cert_total = mid, total
-            if utility > best_u:
-                best_u, best_order = utility, order
+    # Newton's cutting-plane search on the dual (Radzik 1992): lo is the
+    # last infeasible solve, hi the last feasible one, each as (step,
+    # benefit total, order). The next solve sits where their lines
+    # U + lam*F cross; the search stops once a solve finds no order above
+    # them by more than rounding (4 ulps: a relative tolerance hides true
+    # hull vertices on windows with near-equal gains), and that solve is
+    # the certificate. A crossing at a bracket end (or past it, by
+    # rounding) was already solved there, so that end certifies.
+    best_u, best_order = steps[1].utility, order_hi
+    lo = (steps[0], steps[0].utility, gain_order)
+    hi = cert = (steps[1], total_hi, order_hi)
+    for _ in range(_MAX_CROSSING_SOLVES):
+        a, b = lo[0], hi[0]
+        lam = (a.utility - b.utility) / (b.fairness - a.fairness)
+        if not a.lam < lam < b.lam:
+            cert = lo if lam <= a.lam else hi
+            break
+        order, total = solve(lam)
+        steps.append(step(lam, order))
+        new = steps[-1]
+        cert = (new, total, order)
+        if new.feasible and new.utility > best_u:
+            best_u, best_order = new.utility, order
+        line = a.utility + lam * a.fairness
+        if (
+            np.array_equal(order, lo[2])
+            or np.array_equal(order, hi[2])
+            or new.utility + lam * new.fairness <= line + 4 * math.ulp(line)
+        ):
+            break
+        if new.feasible:
+            hi = cert
         else:
-            lo = mid
+            lo = cert
+    cert_lam, cert_total = cert[0].lam, cert[1]
 
     # Any feasible order satisfies U <= max_pi B_lam(pi) - lam*floor; when
-    # that bound already meets the incumbent the bisection solution is
+    # that bound already meets the incumbent the search's solution is
     # provably optimal, otherwise a bounded search closes the gap.
+    bound = cert_total - cert_lam * floor
     nodes, exhausted = 0, False
-    if depth <= DEFAULT_EXACT_WINDOW and cert_total - cert_lam * floor > best_u + 1e-12:
+    if depth <= DEFAULT_EXACT_WINDOW and bound > best_u + 1e-12:
         best_order, nodes, exhausted = _close_gap(
-            gain_vec, neut_vec, discounts, exposures, floor, cert_lam, best_u, best_order
+            gain_part, fair_part, neut_vec, exposures, floor, cert_lam, best_u, best_order
         )
-    return replace(finish(best_order, True, steps), nodes=nodes, exhausted=exhausted)
+    proved = nodes > 0 and not exhausted  # the gap search ran to the end
+    gap = 0.0 if proved else bound - _window_utility(gain_vec, best_order, discounts)
+    return replace(finish(best_order, True, steps, gap), nodes=nodes, exhausted=exhausted)
 
 
 def _close_gap(
-    gains: np.ndarray,
+    gain_part: np.ndarray,
+    fair_part: np.ndarray,
     neutrality: np.ndarray,
-    discounts: np.ndarray,
     exposures: np.ndarray,
     floor: float,
     lam: float,
@@ -336,13 +367,15 @@ def _close_gap(
 
     Bounds each node by prefix benefit plus the exact assignment optimum
     of the remaining docs over the remaining positions (minus lam*floor),
-    which upper-bounds the utility of any feasible completion. Returns the
-    order, the nodes visited and whether the node budget cut the search;
-    within it the order is utility-optimal among feasible permutations.
+    which upper-bounds the utility of any feasible completion.
+    ``gain_part`` and ``fair_part`` are the outer products of gains and
+    neutrality with the discounts and exposures. Returns the order, the
+    nodes visited and whether the node budget cut the search; within it
+    the order is utility-optimal among feasible permutations.
     """
     from scipy.optimize import linear_sum_assignment
-    n = len(gains)
-    benefit = np.outer(gains, discounts) + lam * np.outer(neutrality, exposures)
+    n = len(neutrality)
+    benefit = gain_part + lam * fair_part
     best_u = incumbent_u
     best_order = np.array(incumbent_order)
     nodes, exhausted = 0, False
@@ -379,8 +412,8 @@ def _close_gap(
             search(
                 prefix,
                 used,
-                u_pre + gains[i] * discounts[k],
-                f_pre + neutrality[i] * exposures[k],
+                u_pre + gain_part[i, k],
+                f_pre + fair_part[i, k],
                 b_pre + benefit[i, k],
             )
             prefix.pop()

@@ -56,7 +56,7 @@ def random_query(
 
 def gap_search_queries(seed=131, count=40):
     """(query, config) pairs, windows of 6-9 docs at a 0.95 floor, on which
-    the bisection leaves a duality gap, so the bounded search runs."""
+    the crossing search leaves a duality gap, so the bounded search runs."""
     rng = np.random.default_rng(seed)
     cases = []
     for i in range(count):

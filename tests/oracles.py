@@ -28,6 +28,10 @@ The t-test p-value is the formula the library used before it called
 
 The quota table is the binomial recurrence the library used before it
 summed the pmf in logarithms where the recurrence's first term underflows.
+
+The constrained re-ranker is the one the library used before it searched
+for the Lagrangian breakpoint where the bracketing orders' lines cross: 64
+midpoint steps of lambda over [0, 1e6*max_gain], one assignment each.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from pufr import PredictiveDistribution, QueryCandidates
+from pufr import PredictiveDistribution, QueryCandidates, baselines
+from pufr.baselines import BisectionStep, ConstrainedResult
 
 
 def canonical_order(rows):
@@ -156,6 +161,85 @@ def m_table_required(k_max, p, significance):
             m += 1
         required.append(m)
     return tuple(required)
+
+
+def constrained_rerank_bisection(query, cfg):
+    """``baselines.constrained_rerank`` by 64 bisection steps of lambda. The
+    certificate is the last feasible step's, so ``gap`` is measured there."""
+    depth = min(cfg.depth, len(query))
+    neut_vec = query.column("neutrality")[:depth]
+    gain_vec = query.mu[:depth] - min(query.mu[:depth].tolist())
+    positions = np.arange(depth)
+    discounts = 1.0 / np.log2(positions + 2)
+    exposures = 1.0 / (positions + 1)
+    floor = cfg.alpha_fairness * baselines.ideal_fairr_at_k(query, depth)
+    tol = baselines._FEASIBILITY_TOL
+
+    def utility_of(order):
+        return baselines._window_utility(gain_vec, order, discounts)
+
+    def fairness_of(order):
+        return baselines._window_fairness(neut_vec, order, exposures)
+
+    def finish(order, feasible, steps, gap, nodes=0, exhausted=False):
+        full_order = np.concatenate((order, np.arange(depth, len(query))))
+        return ConstrainedResult(
+            ranking=baselines._positional_ranking(query, full_order), feasible=feasible,
+            floor=floor, steps=tuple(steps), gap=gap, nodes=nodes, exhausted=exhausted,
+        )
+
+    gain_order = np.argsort(-gain_vec, kind="stable")
+    f0 = fairness_of(gain_order)
+    steps = [BisectionStep(lam=0.0, fairness=f0, utility=utility_of(gain_order),
+                           feasible=f0 >= floor - tol)]
+    if steps[0].feasible:
+        return finish(gain_order, True, steps, 0.0)
+
+    max_gain = float(gain_vec.max())
+    lam_max = 1e6 * (max_gain if max_gain > 0.0 else 1.0)
+    gain_part = np.outer(gain_vec, discounts)
+    fair_part = np.outer(neut_vec, exposures)
+
+    def solve(lam):
+        benefit = gain_part + lam * fair_part
+        assigned = baselines.hungarian_assign(benefit)
+        return np.argsort(assigned), float(benefit[np.arange(depth), assigned].sum())
+
+    order_hi, total_hi = solve(lam_max)
+    f_hi, u_hi = fairness_of(order_hi), utility_of(order_hi)
+    steps.append(BisectionStep(lam=lam_max, fairness=f_hi, utility=u_hi,
+                               feasible=f_hi >= floor - tol))
+    if not steps[-1].feasible:
+        fairest = np.argsort(-neut_vec, kind="stable")
+        if fairness_of(fairest) < floor - tol:
+            return finish(order_hi, False, steps, math.nan)
+        return finish(fairest, True, steps, total_hi - lam_max * floor - utility_of(fairest))
+
+    best_u, best_order = u_hi, order_hi
+    cert_lam, cert_total = lam_max, total_hi
+    lo, hi = 0.0, lam_max
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        order, total = solve(mid)
+        fairness, utility = fairness_of(order), utility_of(order)
+        feasible = fairness >= floor - tol
+        steps.append(BisectionStep(lam=mid, fairness=fairness, utility=utility, feasible=feasible))
+        if feasible:
+            hi = mid
+            cert_lam, cert_total = mid, total
+            if utility > best_u:
+                best_u, best_order = utility, order
+        else:
+            lo = mid
+
+    bound = cert_total - cert_lam * floor
+    nodes, exhausted = 0, False
+    if depth <= baselines.DEFAULT_EXACT_WINDOW and bound > best_u + 1e-12:
+        best_order, nodes, exhausted = baselines._close_gap(
+            gain_part, fair_part, neut_vec, exposures, floor, cert_lam, best_u, best_order
+        )
+    gap = 0.0 if nodes and not exhausted else bound - utility_of(best_order)
+    return finish(best_order, True, steps, gap, nodes, exhausted)
 
 
 def t_test_p_value(t, df):

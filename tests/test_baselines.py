@@ -10,10 +10,12 @@ from pufr import (
     ConstraintConfig,
     MTable,
     ScoredCandidate,
+    SyntheticConfig,
     build_query,
     compute_m_table,
     constrained_rerank,
     fastar_rerank,
+    generate_synthetic,
     hungarian_assign,
     unfair_rank,
 )
@@ -327,6 +329,57 @@ class TestConstrainedRerank:
             ConstraintConfig(alpha_fairness=1.5)
         with pytest.raises(ValueError):
             ConstraintConfig(alpha_fairness=0.5, depth=0)
+
+
+class TestLagrangianGap:
+    def test_gap_is_the_certificate_bound_minus_the_utility(self):
+        rng = np.random.default_rng(139)
+        bounded = 0
+        for i in range(60):
+            q = random_query(rng, n_min=2, n_max=20, query_id=f"q{i}")
+            for alpha in (0.0, 0.5, 0.9, 0.95):
+                result = constrained_rerank(q, ConstraintConfig(alpha_fairness=alpha, depth=len(q)))
+                if not result.feasible:
+                    assert math.isnan(result.gap)
+                    continue
+                assert result.gap >= -1e-12
+                if len(result.steps) == 1 or (result.nodes and not result.exhausted):
+                    assert result.gap == 0.0
+                else:
+                    bounded += 1
+        assert bounded > 20
+
+    def test_a_crossing_on_a_bracket_end_certifies_there(self):
+        # with equal gains the fairest order loses no utility, so the first
+        # crossing is lambda = 0, whose gain order bounds the utility exactly
+        # (lam_max would bound it only up to the rounding of 1e6 * floor)
+        q = make_query([0.0, 0.0, 0.0], neutralities=[0.5, 0.5, 1.0])
+        result = constrained_rerank(q, ConstraintConfig(alpha_fairness=1.0, depth=3))
+        assert result.feasible
+        assert result.gap == 0.0
+
+    def test_completed_gap_search_closes_the_gap(self):
+        for q, cfg in gap_search_queries():
+            assert constrained_rerank(q, cfg).gap == 0.0
+
+    def test_the_deep_fixture_takes_few_assignment_solves(self, monkeypatch):
+        # 1,080 assignments at 64 bisection steps per window; 200 by crossings
+        corpus, _ = generate_synthetic(SyntheticConfig(n_queries=50, n_candidates=1000, seed=1))
+        calls = []
+        assign = baselines.hungarian_assign
+        monkeypatch.setattr(
+            baselines, "hungarian_assign", lambda benefit: calls.append(1) or assign(benefit)
+        )
+        infeasible = 0
+        for alpha in (0.5, 0.9):
+            cfg = ConstraintConfig(alpha_fairness=alpha, depth=50)
+            for q in corpus:
+                result = constrained_rerank(q, cfg)
+                infeasible += not result.feasible
+                assert result.feasible or math.isnan(result.gap)
+                assert not result.feasible or result.gap >= -1e-12
+        assert len(calls) <= 250
+        assert infeasible == 40
 
 
 class TestGapSearchReport:

@@ -17,12 +17,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import Row, rows, score_column, score_map
+from conftest import Row, make_query, rows, score_column, score_map
 from pufr import (
+    ConstraintConfig,
     PufrConfig,
     QueryCandidates,
     RelevanceJudgments,
@@ -31,6 +32,7 @@ from pufr import (
     assign_groups,
     build_query,
     compute_sigma_mean,
+    constrained_rerank,
     fairr_at_k,
     ideal_fairr_at_k,
     ndcg_at_k,
@@ -40,6 +42,7 @@ from pufr import (
     unfair_rank,
     uniform_rerank,
 )
+from pufr.baselines import DEFAULT_DEPTH, DEFAULT_EXACT_WINDOW
 from pufr.rerank import _clamp, adjust_groups
 from pufr import sweep
 from pufr.sweep import METHODS, REGISTRY, _PufrReference
@@ -372,3 +375,84 @@ def test_an_overflowing_shift_raises_what_the_per_query_loop_raises(corpus, alph
 
     expected = reference_outcome(per_query)
     assert reference_outcome(lambda: _PufrReference(corpus, k)(alpha)) == expected
+
+
+@st.composite
+def constrained_windows(draw):
+    """A query and a constraint on it. ``mu`` and neutrality are each
+    continuous, rounded or drawn from three values; or every ``mu`` is one
+    value. Windows hold one document, at most ``DEFAULT_EXACT_WINDOW``
+    (the gap search runs) or more."""
+    n = draw(st.one_of(
+        st.just(1),
+        st.integers(2, DEFAULT_EXACT_WINDOW),
+        st.integers(DEFAULT_EXACT_WINDOW + 1, 24),
+    ))
+    continuous = st.floats(-10.0, 10.0, allow_nan=False)
+    mu = draw(st.sampled_from((
+        continuous,
+        continuous.map(lambda v: round(v, 1)),
+        st.sampled_from((0.0, 1.0, 2.0)),
+        st.just(draw(continuous)),
+    )))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    neutrality = draw(st.sampled_from((
+        unit, unit.map(lambda v: round(v, 1)), st.sampled_from((0.0, 0.5, 1.0)),
+    )))
+    query = make_query(
+        draw(st.lists(mu, min_size=n, max_size=n)),
+        neutralities=draw(st.lists(neutrality, min_size=n, max_size=n)),
+    )
+    depth = draw(st.sampled_from((n, DEFAULT_DEPTH)) | st.integers(1, n))
+    alpha = draw(st.sampled_from((0.5, 0.9, 0.95, 1.0)) | unit)
+    return query, ConstraintConfig(alpha_fairness=alpha, depth=depth)
+
+
+def window_measures(result, depth):
+    """The window's utility and fairness as the solver defines them."""
+    query = result.ranking.query
+    window = result.ranking.order[:depth]
+    gains = query.mu - min(query.mu[:depth].tolist())
+    positions = np.arange(depth)
+    utility = float(np.sum(gains[window] / np.log2(positions + 2)))
+    fairness = float(np.sum(query.column("neutrality")[window] / (positions + 1)))
+    return utility, fairness
+
+
+@EXAMPLES
+@given(constrained_windows())
+# near-equal gains put a hull vertex 1e-13 (relative) above the line through
+# the bracket's orders: a relative stop tolerance of 1e-12 misses it
+@example((
+    make_query(
+        [2, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, -4.18585475e-09, -3],
+        neutralities=[0.5, 0, 0, 0, 0, 0.125, 0, 0, 0, 0, 0, 1, 0],
+        doc_ids=["d7", "d12", "d8", "d9", "d1", "d10", "d2", "d3", "d4", "d5", "d6", "d11", "d13"],
+    ),
+    ConstraintConfig(alpha_fairness=0.5, depth=13),
+))
+def test_the_crossing_search_keeps_what_the_bisection_found(case):
+    query, cfg = case
+    depth = min(cfg.depth, len(query))
+    result = constrained_rerank(query, cfg)
+    reference = oracles.constrained_rerank_bisection(query, cfg)
+    assert result.feasible == reference.feasible
+    if not result.feasible:
+        assert math.isnan(result.gap)
+        return
+    utility, fairness = window_measures(result, depth)
+    assert fairness >= result.floor - 1e-9
+    if fairness >= result.floor:
+        # The Lagrangian bound holds for orders that meet the floor exactly,
+        # not for those within the feasibility tolerance below it. It is
+        # lam * floor below the certificate's benefit total, so it rounds
+        # at the scale of lam.
+        assert result.gap >= -1e-12 * max(1.0, result.steps[-1].lam)
+    if result.exhausted or reference.exhausted:
+        return
+    ref_utility, ref_fairness = window_measures(reference, depth)
+    assert utility >= ref_utility - 1e-12
+    if result.ranking.order[:depth].tolist() != reference.ranking.order[:depth].tolist():
+        # another order is only allowed as a co-optimum of the oracle's
+        assert utility == pytest.approx(ref_utility, rel=1e-12, abs=1e-12)
+        assert fairness == pytest.approx(ref_fairness, rel=1e-12, abs=1e-12)
