@@ -252,6 +252,9 @@ def constrained_rerank(
     discounts = 1.0 / np.log2(positions + 2)
     exposures = 1.0 / (positions + 1)
     floor = cfg.alpha_fairness * ideal_fairr_at_k(query, depth)
+    # the least fairness that counts as feasible: every feasibility test,
+    # the Lagrangian bound and the gap search's prune use it
+    lowest = floor - _FEASIBILITY_TOL
 
     def finish(
         order: np.ndarray, feasible: bool, steps: list[BisectionStep], gap: float
@@ -268,7 +271,7 @@ def constrained_rerank(
     def step(lam: float, order: np.ndarray) -> BisectionStep:
         fairness = _window_fairness(neut_vec, order, exposures)
         utility = _window_utility(gain_vec, order, discounts)
-        return BisectionStep(lam, fairness, utility, fairness >= floor - _FEASIBILITY_TOL)
+        return BisectionStep(lam, fairness, utility, fairness >= lowest)
 
     # Gain-sorted window order solves the lambda = 0 subproblem with the
     # canonical tie-break; if it already meets the floor it is optimal.
@@ -296,11 +299,11 @@ def constrained_rerank(
         # neutrality-descending is the provably fairest window order; if
         # even it misses the floor, no feasible permutation exists
         fairest = np.argsort(-neut_vec, kind="stable")
-        if _window_fairness(neut_vec, fairest, exposures) < floor - _FEASIBILITY_TOL:
+        if _window_fairness(neut_vec, fairest, exposures) < lowest:
             return finish(order_hi, False, steps, math.nan)
         # finite lam_max fell short of the fairest order (near-degenerate
         # neutrality gaps); fall back to it rather than flag infeasibility
-        gap = total_hi - lam_max * floor - _window_utility(gain_vec, fairest, discounts)
+        gap = total_hi - lam_max * lowest - _window_utility(gain_vec, fairest, discounts)
         return finish(fairest, True, steps, gap)
 
     # Newton's cutting-plane search on the dual (Radzik 1992): lo is the
@@ -339,14 +342,14 @@ def constrained_rerank(
             lo = cert
     cert_lam, cert_total = cert[0].lam, cert[1]
 
-    # Any feasible order satisfies U <= max_pi B_lam(pi) - lam*floor; when
+    # Any feasible order satisfies U <= max_pi B_lam(pi) - lam*lowest; when
     # that bound already meets the incumbent the search's solution is
     # provably optimal, otherwise a bounded search closes the gap.
-    bound = cert_total - cert_lam * floor
+    bound = cert_total - cert_lam * lowest
     nodes, exhausted = 0, False
     if depth <= DEFAULT_EXACT_WINDOW and bound > best_u + 1e-12:
         best_order, nodes, exhausted = _close_gap(
-            gain_part, fair_part, neut_vec, exposures, floor, cert_lam, best_u, best_order
+            gain_part, fair_part, neut_vec, exposures, lowest, cert_lam, best_u, best_order
         )
     proved = nodes > 0 and not exhausted  # the gap search ran to the end
     gap = 0.0 if proved else bound - _window_utility(gain_vec, best_order, discounts)
@@ -358,7 +361,7 @@ def _close_gap(
     fair_part: np.ndarray,
     neutrality: np.ndarray,
     exposures: np.ndarray,
-    floor: float,
+    lowest: float,
     lam: float,
     incumbent_u: float,
     incumbent_order: np.ndarray,
@@ -366,8 +369,9 @@ def _close_gap(
     """Depth-first search over prefix assignments with Lagrangian pruning.
 
     Bounds each node by prefix benefit plus the exact assignment optimum
-    of the remaining docs over the remaining positions (minus lam*floor),
-    which upper-bounds the utility of any feasible completion.
+    of the remaining docs over the remaining positions (minus
+    lam*lowest), which upper-bounds the utility of any completion whose
+    fairness reaches ``lowest``, the least that counts as feasible.
     ``gain_part`` and ``fair_part`` are the outer products of gains and
     neutrality with the discounts and exposures. Returns the order, the
     nodes visited and whether the node budget cut the search; within it
@@ -388,7 +392,7 @@ def _close_gap(
         nodes += 1
         k = len(prefix)
         if k == n:
-            if f_pre >= floor - _FEASIBILITY_TOL and u_pre > best_u + 1e-12:
+            if f_pre >= lowest and u_pre > best_u + 1e-12:
                 best_u = u_pre
                 best_order = np.array(prefix)
             return
@@ -396,13 +400,13 @@ def _close_gap(
         # the fairest possible completion puts remaining docs in
         # neutrality order; prune if even that misses the floor
         rest_neut = np.sort(neutrality[rest])[::-1]
-        if f_pre + float(rest_neut @ exposures[k : k + len(rest)]) < floor - _FEASIBILITY_TOL:
+        if f_pre + float(rest_neut @ exposures[k : k + len(rest)]) < lowest:
             return
         sub = benefit[np.ix_(rest, np.arange(k, n))]
         # cheap column-max bound first, exact assignment bound only if needed
-        if b_pre + float(sub.max(axis=0).sum()) - lam * floor > best_u + 1e-12:
+        if b_pre + float(sub.max(axis=0).sum()) - lam * lowest > best_u + 1e-12:
             rows, cols = linear_sum_assignment(-sub)
-            if b_pre + float(sub[rows, cols].sum()) - lam * floor <= best_u + 1e-12:
+            if b_pre + float(sub[rows, cols].sum()) - lam * lowest <= best_u + 1e-12:
                 return
         else:
             return

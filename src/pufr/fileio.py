@@ -9,11 +9,11 @@ All formats are whitespace-separated with ``#`` comment lines allowed:
 - feature file:    ``query_id doc_id v1 ... vd``
 - posterior file:  ``theta d v1..vd`` / ``fisher d v1..vd`` / optional ``damping x``
 
-Every reader takes the file in blocks of whole lines of about 1 MiB
-(:func:`_blocks`), so a large file is never held whole; each block is read
-on to its next ``\n``. The run, sigma and neutrality parsers share one
-column reader, :func:`_columns`, which gives the fields of all data lines
-as one flat list, and reads a block in one of two ways:
+Every reader takes the file in blocks of whole lines of about 1 MiB, so
+a large file is never held whole; a text block (:func:`_blocks`) is read
+on to its next ``\n``. The run, sigma, neutrality and qrels parsers share
+one column reader, :func:`_columns`, which gives the fields of all data
+lines as one flat list, and reads a block in one of two ways:
 
 - a block that is ASCII, holds no ``#`` and no whitespace or control
   character but space, tab and ``\n`` is split with one ``str.split()``,
@@ -23,13 +23,18 @@ as one flat list, and reads a block in one of two ways:
   lines, and comment and blank lines are skipped.
 
 Each file column is then converted and checked with one numpy call, and
-cut into per-query slices.
+the rows are grouped by query into slices. The run parser checks the rank
+column and the original-rank order once over the whole file (see
+:func:`parse_run_file`); a qrels grade too large for int64 is read by the
+line walk.
 
-The feature parser converts each block into one ``(n, d)`` array instead.
-On a host that gives the process more than one CPU, a file larger than one
-block is split between the process, which converts the even blocks, and
-one forked helper, which converts the odd ones and sends them back through
-a pipe; see :func:`parse_features_file`.
+The feature parser cuts the file at byte offsets instead, each cut right
+after a ``\n`` (:func:`_cuts`), and converts each block into one
+``(n, d)`` array. On a host that gives the process more than one CPU, a
+file of more than one block is split between the process, which reads
+and converts the even blocks, and one forked helper, which reads and
+converts the odd ones and sends them back through a pipe; see
+:func:`parse_features_file`.
 
 Only when a check fails is the file walked line by line, so that the error
 names the first bad ``path:line`` in file order.
@@ -120,23 +125,22 @@ def _lines_hold(codes: np.ndarray, newlines: np.ndarray, width: int) -> bool:
     return bool(((per_line == 0) | (per_line == width)).all())
 
 
-def _rows_by_key(keys: list[str]) -> dict[str, slice | np.ndarray]:
-    """The rows of each distinct key, keys in order of first appearance: a
-    slice when the key's rows are contiguous, as they are when every key
-    comes in one run, and their positions otherwise."""
+def _grouped(keys: list[str]) -> tuple[list[str], list[int], np.ndarray | None]:
+    """The distinct keys in order of first appearance, and where each key's
+    rows end once the rows are grouped by key, each key's rows in file
+    order. The grouping order is None when every key's rows are contiguous
+    already, as they are when every key comes in one run, and otherwise the
+    row positions key by key (see :func:`_gathered`)."""
     index = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     codes = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
     ends = np.cumsum(np.bincount(codes)).tolist()
-    bounds = zip([0] + ends[:-1], ends)
-    if (codes[1:] >= codes[:-1]).all():
-        return dict(zip(index, (slice(start, end) for start, end in bounds)))
-    order = np.argsort(codes, kind="stable")
-    return dict(zip(index, (order[start:end] for start, end in bounds)))
+    order = None if (codes[1:] >= codes[:-1]).all() else np.argsort(codes, kind="stable")
+    return list(index), ends, order
 
 
-def _take(values: list[str], rows: slice | np.ndarray) -> list[str]:
-    """The values at ``rows``, a slice or row positions."""
-    return values[rows] if isinstance(rows, slice) else list(map(values.__getitem__, rows.tolist()))
+def _gathered(values: list[str], order: np.ndarray | None) -> list[str]:
+    """``values`` in a grouping order from :func:`_grouped`."""
+    return values if order is None else list(map(values.__getitem__, order.tolist()))
 
 
 def _parse_float(path: str | Path, lineno: int, token: str, what: str) -> float:
@@ -173,24 +177,47 @@ def parse_run_file(path: str | Path) -> list[QueryCandidates]:
     Original ranks are recomputed from the scores; the file's rank column
     is validated to be a permutation of 1..n within each query. A file with
     no data lines is an error.
+
+    Both checks run once over the whole file, rows grouped by query. Rank
+    tokens ``"1".."n"`` for every query, as :func:`write_run_file` writes
+    them, pass one list comparison; only other tokens are converted and
+    sorted per query. A query whose scores strictly fall from row to row is
+    built as it is; one with ties or rows out of order is sorted by
+    :meth:`QueryCandidates.ranked`.
     """
     fields = _columns(path, 6)
     if not fields:
         _run_file_error(path)
-    doc_ids = fields[2::6]
-    ranks, mu = _column(fields[3::6], np.int64), _column(fields[4::6], np.float64)
-    if ranks is None or mu is None:
+    mu = _column(fields[4::6], np.float64)
+    if mu is None:
         _run_file_error(path)
+    query_ids, ends, order = _grouped(fields[0::6])
+    doc_ids, rank_tokens = _gathered(fields[2::6], order), _gathered(fields[3::6], order)
+    if order is not None:
+        mu = mu[order]
+    starts = [0] + ends[:-1]
+    # each query's rank tokens as write_run_file writes them: "1".."n"
+    counting, expected = list(map(str, range(1, max(map(int.__sub__, ends, starts)) + 1))), []
+    for start, end in zip(starts, ends):
+        expected += counting[: end - start]
+    if rank_tokens != expected:
+        ranks = _column(rank_tokens, np.int64)
+        if ranks is None or not all(
+            np.array_equal(np.sort(ranks[start:end]), np.arange(1, end - start + 1))
+            for start, end in zip(starts, ends)
+        ):
+            _run_file_error(path)
+    falls = np.empty(len(mu), dtype=bool)
+    np.less(mu[1:], mu[:-1], out=falls[1:])
+    falls[starts] = True  # a query's first row follows no row of its own
+    unsorted = set(np.searchsorted(ends, np.flatnonzero(~falls), side="right").tolist())
     corpus = []
-    for query_id, rows in _rows_by_key(fields[0::6]).items():
-        docs = _take(doc_ids, rows)
-        if not np.array_equal(np.sort(ranks[rows]), np.arange(1, len(docs) + 1)):
-            _run_file_error(path)
-        try:
-            query = QueryCandidates.ranked(query_id, docs, mu[rows])
-        except ValueError:  # a repeated doc id or a score that is not finite
-            _run_file_error(path)
-        corpus.append(query)
+    try:  # a repeated doc id or a score that is not finite fails here
+        for i, (query_id, start, end) in enumerate(zip(query_ids, starts, ends)):
+            build = QueryCandidates.ranked if i in unsorted else QueryCandidates
+            corpus.append(build(query_id, doc_ids[start:end], mu[start:end]))
+    except ValueError:
+        _run_file_error(path)
     return corpus
 
 
@@ -239,12 +266,15 @@ def parse_sigma_file(path: str | Path) -> dict[str, tuple[tuple[str, ...], np.nd
     sigmas = _column(fields[2::3], np.float64)
     if sigmas is None or not (np.isfinite(sigmas) & (sigmas >= 0.0)).all():
         _sigma_file_error(path)
-    doc_ids, parsed = fields[1::3], {}
-    for query_id, rows in _rows_by_key(fields[0::3]).items():
-        docs = tuple(_take(doc_ids, rows))
+    query_ids, ends, order = _grouped(fields[0::3])
+    doc_ids, parsed = _gathered(fields[1::3], order), {}
+    if order is not None:
+        sigmas = sigmas[order]
+    for query_id, start, end in zip(query_ids, [0] + ends[:-1], ends):
+        docs = tuple(doc_ids[start:end])
         if len(set(docs)) != len(docs):
             _sigma_file_error(path)
-        parsed[query_id] = (docs, sigmas[rows])
+        parsed[query_id] = (docs, sigmas[start:end])
     return parsed
 
 
@@ -307,7 +337,23 @@ def _neutrality_file_error(path: str | Path) -> NoReturn:
 
 
 def parse_qrels(path: str | Path) -> RelevanceJudgments:
-    """Read graded relevance judgments; unknown doc ids are allowed."""
+    """Read graded relevance judgments; unknown doc ids are allowed.
+    Repeated identical judgments are tolerated, conflicting ones rejected."""
+    fields = _columns(path, 4)
+    column = None if fields is None else _column(fields[3::4], np.int64)
+    if column is None or (column < 0).any():
+        return _walked_qrels(path)
+    keys, grades = list(zip(fields[0::4], fields[2::4])), column.tolist()
+    judged = dict(zip(keys, grades))
+    # a repeated pair keeps its last grade, so an earlier one that differs conflicts
+    if len(judged) != len(keys) and list(map(judged.get, keys)) != grades:
+        return _walked_qrels(path)
+    return RelevanceJudgments(grades=judged)
+
+
+def _walked_qrels(path: str | Path) -> RelevanceJudgments:
+    """:func:`parse_qrels` line by line: it reads grades too large for int64
+    and raises for the first bad line in file order."""
     grades: dict[tuple[str, str], int] = {}
     for lineno, fields in _data_lines(path):
         if len(fields) != 4:
@@ -333,18 +379,20 @@ def parse_qrels(path: str | Path) -> RelevanceJudgments:
 def parse_features_file(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
     """Read last-layer input features per (query, doc); one common dimension.
 
-    Each block of the file (:func:`_blocks`) becomes the ``(query, doc)``
-    keys of its data lines and one ``(n, d)`` float array, converted in one
-    call (:func:`_feature_block`). When this process may run on more than
-    one CPU and the file is larger than one block, a forked helper converts
-    the odd blocks while this process converts the even ones, and sends its
-    parts back in one pickle; otherwise, and when the helper cannot be
-    started, this process converts every block, as it also does with the
-    helper's blocks when the helper fails to send them. The parts are merged
-    in block order, so queries and docs keep their order of first
-    appearance, and each vector is a row of its block's array. A failed
-    check anywhere sends the file to :func:`_features_file_error`, whose
-    line walk names the first bad ``path:line``.
+    The file is cut into blocks of about ``_BLOCK_CHARS`` bytes, each cut
+    right after a ``\n`` (:func:`_cuts`), and each block becomes the
+    ``(query, doc)`` keys of its data lines and one ``(n, d)`` float array,
+    converted in one call (:func:`_feature_block`). When this process may
+    run on more than one CPU and the file holds more than one block, a
+    forked helper reads and converts the odd blocks while this process
+    reads and converts the even ones, and sends its parts back in one
+    pickle; otherwise, and when the helper cannot be started, this process
+    converts every block, as it also does with the helper's blocks when the
+    helper fails to send them. The parts are merged in block order, so
+    queries and docs keep their order of first appearance, and each vector
+    is a row of its block's array. A failed check anywhere sends the file
+    to :func:`_features_file_error`, whose line walk names the first bad
+    ``path:line``.
     """
     parts = _feature_parts(path)
     if any(part is None for part in parts):
@@ -364,11 +412,46 @@ def parse_features_file(path: str | Path) -> dict[str, dict[str, np.ndarray]]:
 _FeaturePart = tuple[list[tuple[str, str]], np.ndarray]
 
 
+def _cuts(path: str | Path) -> list[int]:
+    """Byte offsets that cut a file into blocks of about ``_BLOCK_CHARS``
+    bytes: 0, each next cut right after the first ``\n`` at least
+    ``_BLOCK_CHARS`` bytes on, and the file size. A cut after ``\n`` falls
+    between UTF-8 characters and between lines, ``\r\n`` ones too."""
+    size = os.path.getsize(path)
+    cuts = [0]
+    with open(path, "rb") as fh:
+        while cuts[-1] < size:
+            fh.seek(cuts[-1] + _BLOCK_CHARS)
+            fh.readline()
+            cuts.append(min(fh.tell(), size))
+    return cuts
+
+
+def _feature_blocks(
+    path: str | Path, cuts: list[int], first: int, step: int
+) -> list[_FeaturePart | None]:
+    """The :func:`_feature_block` parts of blocks ``first``, ``first + step``,
+    ... of a file cut at ``cuts``, reading only those blocks; None for a
+    block that is not UTF-8. Each block's bytes are dropped once decoded."""
+    parts: list[_FeaturePart | None] = []
+    with open(path, "rb") as fh:
+        for start, end in islice(zip(cuts, cuts[1:]), first, None, step):
+            fh.seek(start)
+            try:
+                block = fh.read(end - start).decode("utf-8")
+            except UnicodeDecodeError:
+                parts.append(None)
+                continue
+            parts.append(_feature_block(block))
+    return parts
+
+
 def _feature_block(block: str) -> _FeaturePart | None:
     """The (query, doc) keys of a block's data lines and their vectors as
     one (n, d) array; None when a line holds fewer than 3 fields or another
     number than the block's first data line, or a value is not a finite
-    number."""
+    number. ``str.splitlines`` splits ``\r\n`` and ``\r`` as universal
+    newlines would."""
     keys: list[tuple[str, str]] = []
     values: list[str] = []
     dim = 0
@@ -390,15 +473,17 @@ def _feature_block(block: str) -> _FeaturePart | None:
 def _feature_parts(path: str | Path) -> list[_FeaturePart | None]:
     """The :func:`_feature_block` part of every block of a feature file, in
     block order, the odd blocks converted by a forked helper when that pays
-    (see :func:`parse_features_file`). The helper is always reaped; if this
-    process raises, the helper is killed first. When no pipe or helper can be
-    made, this process converts every block, with no pipe end left open."""
+    (see :func:`parse_features_file`). Each process reads only the blocks
+    it converts. The helper is always reaped; if this process raises, the
+    helper is killed first. When no pipe or helper can be made, this
+    process converts every block, with no pipe end left open."""
+    cuts = _cuts(path)
     if not (
         hasattr(os, "sched_getaffinity")
         and len(os.sched_getaffinity(0)) > 1
-        and os.path.getsize(path) > _BLOCK_CHARS
+        and len(cuts) > 2
     ):
-        return list(map(_feature_block, _blocks(path)))
+        return _feature_blocks(path, cuts, 0, 1)
     fds: tuple[int, ...] = ()
     try:
         fds = read_fd, write_fd = os.pipe()
@@ -406,13 +491,13 @@ def _feature_parts(path: str | Path) -> list[_FeaturePart | None]:
     except OSError:  # out of processes or file descriptors
         for fd in fds:
             os.close(fd)
-        return list(map(_feature_block, _blocks(path)))
+        return _feature_blocks(path, cuts, 0, 1)
     if pid == 0:
-        _feature_helper(path, read_fd, write_fd)
+        _feature_helper(path, cuts, read_fd, write_fd)
     os.close(write_fd)
     try:
         with os.fdopen(read_fd, "rb") as pipe:
-            mine = list(map(_feature_block, islice(_blocks(path), 0, None, 2)))
+            mine = _feature_blocks(path, cuts, 0, 2)
             try:
                 theirs = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):  # the helper ended before it sent
@@ -423,20 +508,20 @@ def _feature_parts(path: str | Path) -> list[_FeaturePart | None]:
     finally:
         _, status = os.waitpid(pid, 0)
     if status != 0 or theirs is None:
-        theirs = list(map(_feature_block, islice(_blocks(path), 1, None, 2)))
+        theirs = _feature_blocks(path, cuts, 1, 2)
     parts: list[_FeaturePart | None] = [None] * (len(mine) + len(theirs))
     parts[0::2], parts[1::2] = mine, theirs
     return parts
 
 
-def _feature_helper(path: str | Path, read_fd: int, write_fd: int) -> NoReturn:
+def _feature_helper(path: str | Path, cuts: list[int], read_fd: int, write_fd: int) -> NoReturn:
     """The forked helper of :func:`_feature_parts`: convert the odd blocks,
     send their parts through the pipe in one pickle and exit, never
     returning into the caller's code."""
     status = 1
     try:
         os.close(read_fd)
-        parts = list(map(_feature_block, islice(_blocks(path), 1, None, 2)))
+        parts = _feature_blocks(path, cuts, 1, 2)
         with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(parts, pipe, protocol=pickle.HIGHEST_PROTOCOL)
         status = 0
@@ -446,7 +531,11 @@ def _feature_helper(path: str | Path, read_fd: int, write_fd: int) -> NoReturn:
 
 def _features_file_error(path: str | Path) -> NoReturn:
     """Walk a feature file that failed a block check line by line and raise
-    for its first bad line in file order."""
+    for its first bad line in file order. A byte that is not UTF-8 anywhere
+    in the file is reported first, as reading the whole file as text
+    reports it."""
+    for _ in _blocks(path):
+        pass
     dim: int | None = None
     seen: set[tuple[str, str]] = set()
     for lineno, fields in _data_lines(path):

@@ -14,6 +14,11 @@ the feature file block by block: one ``int()`` or ``float()`` and one check
 per line or per value, so an error names the first bad ``path:line`` in
 file order.
 
+The per-query run parser is the one the library used before it checked
+the rank column and the original-rank order once over the whole file: the
+same column reader, then one rank sort and one ``QueryCandidates.ranked``
+per query.
+
 The Monte Carlo moments are those of the Laplace scorer before it scored a
 query's feature matrix in blocks: one matrix-vector product of all samples
 per document. Its bits depend on the BLAS thread count once the product is
@@ -31,7 +36,9 @@ summed the pmf in logarithms where the recurrence's first term underflows.
 
 The constrained re-ranker is the one the library used before it searched
 for the Lagrangian breakpoint where the bracketing orders' lines cross: 64
-midpoint steps of lambda over [0, 1e6*max_gain], one assignment each.
+midpoint steps of lambda over [0, 1e6*max_gain], one assignment each. It
+keeps the solver's feasibility rule, fairness at least ``floor -
+_FEASIBILITY_TOL``, in its steps, its bound and its gap search.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from pufr import PredictiveDistribution, QueryCandidates, baselines
+from pufr import PredictiveDistribution, QueryCandidates, baselines, fileio
 from pufr.baselines import BisectionStep, ConstrainedResult
 
 
@@ -173,7 +180,7 @@ def constrained_rerank_bisection(query, cfg):
     discounts = 1.0 / np.log2(positions + 2)
     exposures = 1.0 / (positions + 1)
     floor = cfg.alpha_fairness * baselines.ideal_fairr_at_k(query, depth)
-    tol = baselines._FEASIBILITY_TOL
+    lowest = floor - baselines._FEASIBILITY_TOL  # the least fairness that counts as feasible
 
     def utility_of(order):
         return baselines._window_utility(gain_vec, order, discounts)
@@ -191,7 +198,7 @@ def constrained_rerank_bisection(query, cfg):
     gain_order = np.argsort(-gain_vec, kind="stable")
     f0 = fairness_of(gain_order)
     steps = [BisectionStep(lam=0.0, fairness=f0, utility=utility_of(gain_order),
-                           feasible=f0 >= floor - tol)]
+                           feasible=f0 >= lowest)]
     if steps[0].feasible:
         return finish(gain_order, True, steps, 0.0)
 
@@ -208,12 +215,12 @@ def constrained_rerank_bisection(query, cfg):
     order_hi, total_hi = solve(lam_max)
     f_hi, u_hi = fairness_of(order_hi), utility_of(order_hi)
     steps.append(BisectionStep(lam=lam_max, fairness=f_hi, utility=u_hi,
-                               feasible=f_hi >= floor - tol))
+                               feasible=f_hi >= lowest))
     if not steps[-1].feasible:
         fairest = np.argsort(-neut_vec, kind="stable")
-        if fairness_of(fairest) < floor - tol:
+        if fairness_of(fairest) < lowest:
             return finish(order_hi, False, steps, math.nan)
-        return finish(fairest, True, steps, total_hi - lam_max * floor - utility_of(fairest))
+        return finish(fairest, True, steps, total_hi - lam_max * lowest - utility_of(fairest))
 
     best_u, best_order = u_hi, order_hi
     cert_lam, cert_total = lam_max, total_hi
@@ -222,7 +229,7 @@ def constrained_rerank_bisection(query, cfg):
         mid = 0.5 * (lo + hi)
         order, total = solve(mid)
         fairness, utility = fairness_of(order), utility_of(order)
-        feasible = fairness >= floor - tol
+        feasible = fairness >= lowest
         steps.append(BisectionStep(lam=mid, fairness=fairness, utility=utility, feasible=feasible))
         if feasible:
             hi = mid
@@ -232,11 +239,11 @@ def constrained_rerank_bisection(query, cfg):
         else:
             lo = mid
 
-    bound = cert_total - cert_lam * floor
+    bound = cert_total - cert_lam * lowest
     nodes, exhausted = 0, False
     if depth <= baselines.DEFAULT_EXACT_WINDOW and bound > best_u + 1e-12:
         best_order, nodes, exhausted = baselines._close_gap(
-            gain_part, fair_part, neut_vec, exposures, floor, cert_lam, best_u, best_order
+            gain_part, fair_part, neut_vec, exposures, lowest, cert_lam, best_u, best_order
         )
     gap = 0.0 if nodes and not exhausted else bound - utility_of(best_order)
     return finish(best_order, True, steps, gap, nodes, exhausted)
@@ -317,6 +324,32 @@ def parse_run_file(path):
                 )
             used.add(rank)
         corpus.append(QueryCandidates.ranked(query_id, doc_ids, scores))
+    return corpus
+
+
+def parse_run_file_per_query(path):
+    """The column reader's fields, then each query's rows in file order: one
+    rank sort and one ``QueryCandidates.ranked`` per query. Every failed
+    check goes to the library's line walk for its message."""
+    fields = fileio._columns(path, 6)
+    if not fields:
+        fileio._run_file_error(path)
+    ranks = fileio._column(fields[3::6], np.int64)
+    mu = fileio._column(fields[4::6], np.float64)
+    if ranks is None or mu is None:
+        fileio._run_file_error(path)
+    rows = {}
+    for row, query_id in enumerate(fields[0::6]):
+        rows.setdefault(query_id, []).append(row)
+    corpus = []
+    for query_id, positions in rows.items():
+        docs = [fields[6 * row + 2] for row in positions]
+        if sorted(ranks[positions].tolist()) != list(range(1, len(docs) + 1)):
+            fileio._run_file_error(path)
+        try:
+            corpus.append(QueryCandidates.ranked(query_id, docs, mu[positions]))
+        except ValueError:  # a repeated doc id or a score that is not finite
+            fileio._run_file_error(path)
     return corpus
 
 

@@ -358,6 +358,18 @@ class TestLagrangianGap:
         assert result.feasible
         assert result.gap == 0.0
 
+    def test_the_bound_covers_an_order_just_below_the_floor(self):
+        # the returned order's fairness is 1.7e-13 below the floor, within the
+        # feasibility tolerance; a bound taken at the floor itself, not at the
+        # least fairness counted feasible, read a gap of -1.04e-12
+        q = make_query([2] + [0] * 10 + [-1, -7], neutralities=[0] * 11 + [1e-12, 1])
+        result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.5, depth=13))
+        window = result.ranking.order[:13]
+        fairness = float(np.sum(q.column("neutrality")[window] / np.arange(1, 14)))
+        assert result.feasible
+        assert result.floor - 1e-9 <= fairness < result.floor
+        assert result.gap >= 0.0
+
     def test_completed_gap_search_closes_the_gap(self):
         for q, cfg in gap_search_queries():
             assert constrained_rerank(q, cfg).gap == 0.0

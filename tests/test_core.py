@@ -207,12 +207,16 @@ class TestAssignGroups:
                 "neutrality": np.where(rng.random(n) < 0.5, 1.0, rng.random(n)),
                 "protected": rng.random(n) < 0.5,
             }
+            q.memo["derived"] = True
+            before = query_key(q)
             for name, values in columns.items():
                 want = replace(q, **{name: values})
                 with mock.patch.object(QueryCandidates, "__post_init__",
                                        side_effect=AssertionError("query checked again")):
                     got = q.with_column(name, values)
                 assert query_key(got) == query_key(want) and got.memo == {}
+                # the source query keeps its columns and its memo
+                assert query_key(q) == before and q.memo == {"derived": True}
                 assert [[column.tolist() for column in group] for group in got.by_group()] == [
                     [column.tolist() for column in group] for group in want.by_group()
                 ]

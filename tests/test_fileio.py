@@ -171,6 +171,31 @@ class TestParseQrels:
         path.write_text("# nothing\n")
         assert fileio.parse_qrels(path).grades == {}
 
+    @pytest.mark.parametrize("block", [5, 1 << 20])
+    @pytest.mark.parametrize("text, walks", [
+        ("q1 0 a 1\nq1 0 b 0\nq2 0 a 3\nq1 0 a 1\n", False),  # a repeat, equal grades
+        ("q1 0 a 1\nq2 0 a 2\nq1 0 a 2\n", True),  # a repeat, conflicting grades
+        ("q1 0 a 1\nq1 0 b -1\n", True),  # a negative grade
+        ("q1 0 a 1\nq1 0 b 12345678901234567890\n", True),  # 20 digits overflow int64
+        ("q1 0 a 1\nq1 0 b 1.0\n", True),  # not an integer
+        ("q1 0 a 1\nq1 0 b\n", True),  # three fields
+        ("# c\nq1 0 a +1\n\n  # indented\nq2\t0\tb 0_2\nq1 0 c -0\n", False),
+    ])
+    def test_columns_give_the_line_walks_grades_and_messages(self, tmp_path, block, text, walks):
+        path = tmp_path / "qrels"
+        path.write_text(text, encoding="utf-8")
+        with mock.patch.object(fileio, "_BLOCK_CHARS", block), \
+                mock.patch.object(fileio, "_walked_qrels", wraps=fileio._walked_qrels) as walk:
+            kind, got = outcome(fileio.parse_qrels, path)
+        assert walk.call_count == walks
+        want_kind, want = outcome(fileio._walked_qrels, path)
+        assert kind == want_kind
+        if kind == "error":
+            assert got == want
+        else:
+            assert list(got.grades.items()) == list(want.grades.items())
+            assert all(type(grade) is int for grade in got.grades.values())
+
 
 class TestParseFeaturesAndPosterior:
     def test_features(self, tmp_path):
@@ -340,11 +365,17 @@ def _write_lines(path, lines, newline="\n", final_newline=True):
     path.write_bytes(text.encode("utf-8"))
 
 
+def _feature_file_blocks(path):
+    """The bytes of each block the feature parser cuts the file into."""
+    data, cuts = path.read_bytes(), fileio._cuts(path)
+    return [data[start:end] for start, end in zip(cuts, cuts[1:])]
+
+
 def _block_of_line(path, lineno):
-    """The index of the block that holds the 1-based line ``lineno``."""
+    """The index of the feature-file block that holds the 1-based line ``lineno``."""
     seen = 0
-    for index, block in enumerate(fileio._blocks(path)):
-        seen += len(block.splitlines())
+    for index, block in enumerate(_feature_file_blocks(path)):
+        seen += len(block.decode("utf-8").splitlines())
         if lineno <= seen:
             return index
     raise AssertionError(f"{path} has fewer than {lineno} lines")
@@ -413,7 +444,7 @@ class TestTwoProcessFeatureParse:
         path = tmp_path / "feat"
         _write_lines(path, _feature_lines(block), newline, final_newline)
         with _two_processes(block) as fork:
-            assert len(list(fileio._blocks(path))) >= 4
+            assert len(_feature_file_blocks(path)) >= 4
             got = fileio.parse_features_file(path)
         assert fork.call_count == 1
         want = oracles.scalar_parse_features_file(path)
@@ -452,6 +483,42 @@ class TestTwoProcessFeatureParse:
             got = fileio.parse_features_file(path)
         assert fork.call_count == 0
         assert _same_features(got, oracles.scalar_parse_features_file(path))
+
+    @pytest.mark.parametrize("helper", ["sends", "dies"])
+    def test_this_process_reads_only_the_blocks_it_converts(self, tmp_path, helper):
+        path = tmp_path / "feat"
+        _write_lines(path, _feature_lines(13), "\r\n")
+        caller, convert, read = os.getpid(), fileio._feature_block, []
+
+        def recording(block):
+            if os.getpid() == caller:
+                read.append(block)
+            return convert(block)
+
+        dies = mock.patch.object(fileio, "_feature_helper", lambda *args: os._exit(1))
+        with _two_processes(64) as fork, \
+                mock.patch.object(fileio, "_feature_block", recording), \
+                dies if helper == "dies" else contextlib.nullcontext():
+            got = fileio.parse_features_file(path)
+            blocks = _feature_file_blocks(path)
+        assert fork.call_count == 1 and len(blocks) >= 4
+        # the helper's blocks are read here only when the helper sent nothing
+        text = [block.decode("utf-8") for block in blocks]
+        assert read == text[0::2] + (text[1::2] if helper == "dies" else [])
+        assert _same_features(got, oracles.scalar_parse_features_file(path))
+
+    @pytest.mark.parametrize("block", [40, 1 << 20])
+    def test_a_byte_that_is_not_utf8_is_reported_before_any_bad_line(self, tmp_path, block):
+        path = tmp_path / "feat"
+        lines = _feature_lines(3)
+        lines[1] += " 1.0"  # a dimension fault before the bad byte
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8") + b"q0 d\xff 1.0 2.0 3.0\n")
+        with _two_processes(block):
+            with pytest.raises(UnicodeDecodeError) as want:
+                list(fileio._blocks(path))
+            with pytest.raises(UnicodeDecodeError) as got:
+                fileio.parse_features_file(path)
+        assert str(got.value) == str(want.value)
 
 
 class TestNoHelperOutlivesTheParse:
@@ -692,6 +759,76 @@ class TestBulkColumnParsing:
             ]
 
 
+# scores with exact ties among them, signed zeros included
+_TIED_SCORES = st.one_of(st.sampled_from([2.0, 1.5, 0.0, -0.0, -1.0]),
+                         st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _run_files(draw):
+    """Run-file text mostly as write_run_file writes it, each query in one
+    run of lines with rank tokens "1".."n" and scores that do not rise,
+    then changed in the ways the whole-file rank and order checks must
+    notice: respelled, swapped or broken rank tokens, lines moved or
+    shuffled so that queries split, a repeated line, tab-separated fields,
+    and comment and blank lines."""
+    entries = []
+    for q in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(1, 6))
+        scores = sorted(draw(st.lists(_TIED_SCORES, min_size=n, max_size=n)), reverse=True)
+        docs = draw(st.permutations([f"d{i}" for i in range(8)]))[:n]
+        entries += [[f"q{q}", "Q0", doc, str(rank), repr(score), "t"]
+                    for rank, (doc, score) in enumerate(zip(docs, scores), start=1)]
+    rows = st.integers(0, len(entries) - 1)
+    if draw(st.booleans()):
+        i = draw(rows)
+        entries[i][3] = draw(st.sampled_from(_RANK_SPELLINGS))(int(entries[i][3]))
+    if draw(st.booleans()):  # still a permutation when both rows share a query
+        i, j = draw(rows), draw(rows)
+        entries[i][3], entries[j][3] = entries[j][3], entries[i][3]
+    if draw(st.integers(0, 3)) == 0:
+        entries[draw(rows)][3] = draw(st.sampled_from(_BAD_RANKS))
+    if draw(st.booleans()):
+        entries.insert(draw(rows), entries.pop(draw(rows)))
+    if draw(st.integers(0, 3)) == 0:
+        entries = draw(st.permutations(entries))
+    if draw(st.integers(0, 7)) == 0:
+        entries.insert(draw(rows), list(entries[draw(rows)]))
+    separators = st.sampled_from([" ", " ", "\t"])
+    return _file_text(draw, (draw(separators).join(entry) for entry in entries))
+
+
+class TestWholeFileRunChecks:
+    """The run parser checks ranks and original-rank order once over the
+    whole file, and gives the per-query parser's and the line oracle's
+    corpus, bit for bit and in order, or their error, word for word."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=_run_files())
+    def test_run_file_matches_the_per_query_parser(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            got = _outcomes(tmp, text, fileio.parse_run_file, oracles.parse_run_file_per_query)
+            lines = _outcomes(tmp, text, fileio.parse_run_file, oracles.parse_run_file)
+        for (kind, result), (want_kind, want) in (got, lines):
+            assert kind == want_kind
+            assert result == want if kind == "error" else _same_queries(result, want)
+
+    def test_only_queries_out_of_order_are_sorted(self, tmp_path):
+        path = tmp_path / "run"
+        path.write_text(
+            "a Q0 x 1 2.0 t\na Q0 y 2 1.0 t\n"  # in order
+            "b Q0 x 1 1.0 t\nb Q0 y 2 1.0 t\n"  # tied
+            "c Q0 x 2 1.0 t\nc Q0 y 1 2.0 t\n"  # out of order
+            "d Q0 x 01 3.0 t\nd Q0 y +2 -3.0 t\n",  # respelled ranks
+            encoding="utf-8",
+        )
+        with mock.patch.object(QueryCandidates, "ranked", wraps=QueryCandidates.ranked) as ranked:
+            corpus = fileio.parse_run_file(path)
+        assert [call.args[0] for call in ranked.call_args_list] == ["b", "c"]
+        assert [q.doc_ids for q in corpus] == [("x", "y"), ("x", "y"), ("y", "x"), ("x", "y")]
+        assert _same_queries(corpus, oracles.parse_run_file(path))
+
+
 # every line boundary str.splitlines knows; the reader opens files with
 # universal newlines, so "\r" and "\r\n" reach it as "\n"
 _LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
@@ -745,6 +882,35 @@ class TestBlockReader:
                 )
         assert kind == want_kind
         assert got == want if kind == "error" else _same_queries(got, want)
+
+
+class TestFeatureFileCuts:
+    """The feature file is cut right after a ``\\n``, into blocks of at least
+    ``_BLOCK_CHARS`` bytes but the last, that each decode on their own and
+    together split into the lines of the whole text."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lines=st.lists(st.sampled_from(["q d 1.5", "é ü 2", "#x", "", " ", "文書 d 3"]),
+                       max_size=10),
+        breaks=st.lists(st.sampled_from(_LINE_BREAKS), min_size=10, max_size=10),
+        block=st.integers(1, 30),
+    )
+    def test_blocks_split_into_the_lines_of_the_file(self, lines, breaks, block):
+        text = "".join(line + brk for line, brk in zip(lines, breaks))
+        data = text.encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "feat"
+            path.write_bytes(data)
+            with mock.patch.object(fileio, "_BLOCK_CHARS", block):
+                cuts = fileio._cuts(path)
+        spans = list(zip(cuts, cuts[1:]))
+        assert cuts[0] == 0 and cuts[-1] == len(data)
+        assert all(start < end for start, end in spans)
+        assert all(data[end - 1:end] == b"\n" and end - start >= block
+                   for start, end in spans[:-1])
+        assert [line for start, end in spans
+                for line in data[start:end].decode("utf-8").splitlines()] == text.splitlines()
 
 
 # separators inside a line: whitespace to str.split() but no line break
