@@ -20,8 +20,10 @@ from .baselines import (
 )
 from .core import (
     QueryCandidates,
+    QueryStack,
     Ranking,
     ScoredCandidate,
+    StackedRanking,
     assign_groups,
     build_query,
     rank_by_score,
@@ -74,6 +76,8 @@ __all__ = [
     "ScoredCandidate",
     "QueryCandidates",
     "Ranking",
+    "QueryStack",
+    "StackedRanking",
     "build_query",
     "assign_groups",
     "rank_by_score",

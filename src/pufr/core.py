@@ -22,15 +22,17 @@ with fresh ones. :class:`ScoredCandidate` is the row form that
 A :class:`Ranking` is an order over its query's columns: ``order[i]`` is
 the column index of the document at rank i + 1 and ``scores[i]`` its
 effective score, so metrics read the query's columns at ``order`` instead
-of looking documents up by id.
+of looking documents up by id. A :class:`QueryStack` pads a corpus's
+queries to one length, and a :class:`StackedRanking` ranks every row of it.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Sequence
+from dataclasses import InitVar, dataclass, field
+from operator import itemgetter
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,8 +106,10 @@ class QueryCandidates:
     _groups: tuple[Group, Group] | None = field(default=None, init=False, repr=False)
     # values other layers derive from the columns, keyed by whoever derives them
     memo: dict[Any, Any] = field(default_factory=dict, init=False, repr=False)
+    # set by ranked() only: the columns are read-only float64 already, and in order
+    _ranked: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _ranked: bool) -> None:
         doc_ids = tuple(self.doc_ids)
         n = len(doc_ids)
         if not n:
@@ -116,26 +120,28 @@ class QueryCandidates:
         object.__setattr__(self, "doc_ids", doc_ids)
         for name, dtype in _DTYPES.items():
             values = getattr(self, name)
-            if values is not None:
+            if values is not None and not _ranked:
                 object.__setattr__(self, name, _read_only(values, dtype, n, name, self.query_id))
         for name in _DTYPES:
-            self._check(name)
+            self._check(name, _ranked)
         self._gather_groups()
 
-    def _check(self, name: str) -> None:
-        """Check the values of one column, naming the first bad candidate."""
+    def _check(self, name: str, ranked: bool = False) -> None:
+        """Check one column's values, naming the first bad candidate; a ``mu``
+        that :meth:`ranked` sorted is not checked for order again."""
         column = getattr(self, name)
         if column is None:
             return
         if name == "mu":
             self._require(np.isfinite(column), column, "mu must be finite")
-            in_order = column[1:] <= column[:-1]
-            if not in_order.all():
-                self._require(
-                    np.concatenate(([True], in_order)), column,
-                    "mu is above the mu of the candidate before it; columns must be in "
-                    "original-rank order",
-                )
+            if not ranked:
+                in_order = column[1:] <= column[:-1]
+                if not in_order.all():
+                    self._require(
+                        np.concatenate(([True], in_order)), column,
+                        "mu is above the mu of the candidate before it; columns must be in "
+                        "original-rank order",
+                    )
         elif name == "sigma":
             self._require(np.isfinite(column) & (column >= 0.0), column,
                           "sigma must be finite and >= 0")
@@ -186,23 +192,27 @@ class QueryCandidates:
         original-rank order. Doc ids are ordered by Python ``str``
         comparison, since numpy string arrays drop trailing NULs; they are
         compared only when ``mu`` has exact ties or is not finite, and the
-        columns are gathered only when they are not in order already."""
+        columns are gathered only when they are not in order already. Each
+        column is converted once and checked once, as the constructor would."""
         n = len(doc_ids)
-        mu, sigma, neutrality = (
-            None if values is None else _read_only(values, np.float64, n, name, query_id)
+        columns = {
+            name: None if values is None else _read_only(values, np.float64, n, name, query_id)
             for name, values in (("mu", mu), ("sigma", sigma), ("neutrality", neutrality))
-        )
-        order = np.argsort(-mu, kind="stable")
-        descending = mu[order]
-        if not (descending[1:] < descending[:-1]).all():
-            by_id = np.array(sorted(range(n), key=doc_ids.__getitem__), dtype=np.intp)
-            order = by_id[np.argsort(-mu[by_id], kind="stable")]
-        if not (order[1:] > order[:-1]).all():
-            doc_ids = tuple(map(doc_ids.__getitem__, order.tolist()))
-            mu, sigma, neutrality = (
-                None if column is None else column[order] for column in (mu, sigma, neutrality)
-            )
-        return cls(query_id, doc_ids, mu, sigma, neutrality)
+        }
+        mu = columns["mu"]
+        if not (mu[1:] < mu[:-1]).all():
+            order = np.argsort(-mu, kind="stable")
+            descending = mu[order]
+            if not (descending[1:] < descending[:-1]).all():
+                by_id = np.array(sorted(range(n), key=doc_ids.__getitem__), dtype=np.intp)
+                order = by_id[np.argsort(-mu[by_id], kind="stable")]
+            if not (order[1:] > order[:-1]).all():
+                doc_ids = itemgetter(*order.tolist())(doc_ids)  # n >= 2 here: a tuple
+                for name, column in columns.items():
+                    if column is not None:
+                        columns[name] = column = column[order]
+                        column.flags.writeable = False
+        return cls(query_id, doc_ids, _ranked=True, **columns)
 
     def __len__(self) -> int:
         return len(self.doc_ids)
@@ -239,6 +249,42 @@ class Ranking:
 
     def doc_ids(self) -> tuple[str, ...]:
         return tuple(map(self.query.doc_ids.__getitem__, self.order.tolist()))
+
+
+class QueryStack:
+    """A corpus as rows padded to its longest query: place j of row i is
+    column j of query i while j < len(query i), and a pad after it.
+    :meth:`padded` fills pads with 0.0 and :meth:`rankings` ranks them last,
+    in place order. Values derived from the rows are kept in ``memo``."""
+
+    def __init__(self, queries: Iterable[QueryCandidates]) -> None:
+        self.queries = tuple(queries)
+        lengths = np.array([len(query) for query in self.queries])
+        self.real = np.arange(lengths.max()) < lengths[:, None]  # False at pads
+        self.memo: dict[Any, Any] = {}
+
+    def padded(self, columns: Iterable[np.ndarray]) -> np.ndarray:
+        """One float column per query, in query order, as padded rows."""
+        rows = np.zeros(self.real.shape)
+        rows[self.real] = np.concatenate(list(columns))
+        return rows
+
+    def rankings(self, rankings: Iterable[Ranking]) -> "StackedRanking":
+        """One ranking per query, in query order, as one stacked ranking."""
+        rankings = list(rankings)
+        if [ranking.query for ranking in rankings] != list(self.queries):
+            raise ValueError("need one ranking of each stacked query, in order")
+        order = np.indices(self.real.shape)[1]
+        order[self.real] = np.concatenate([ranking.order for ranking in rankings])
+        return StackedRanking(self, order)
+
+
+class StackedRanking(NamedTuple):
+    """One ranking of each row of a :class:`QueryStack`: row i of ``order``
+    holds the places of row i by rank, its pads last."""
+
+    stack: QueryStack
+    order: np.ndarray
 
 
 def build_query(query_id: str, candidates: Sequence[ScoredCandidate]) -> QueryCandidates:

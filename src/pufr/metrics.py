@@ -1,16 +1,18 @@
 """Evaluation: nDCG@k, rank-discounted neutrality (FaiRR/nFaiRR), paired
-t-tests, and uncertainty-interval intersection counts."""
+t-tests, and uncertainty-interval intersection counts. The ranking metrics
+take one :class:`~pufr.core.Ranking`, or one ranking per query of a padded
+:class:`~pufr.core.QueryStack` and then give a column with the same bits."""
 
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .core import QueryCandidates, Ranking
+from .core import QueryCandidates, Ranking, StackedRanking
 
 
 @dataclass(frozen=True, eq=False)
@@ -19,13 +21,12 @@ class RelevanceJudgments:
 
     Construction takes a snapshot: ``grades`` is copied and indexed as
     query -> {doc_id: grade}, so later changes to the caller's mapping change
-    neither :meth:`grade` nor :func:`ndcg_at_k`. Ideal DCGs are kept too.
-    Judgments compare by identity, like queries, so that a query's memo can
-    keep a gain column per judgments."""
+    neither :meth:`grade` nor :func:`ndcg_at_k`. Judgments compare by
+    identity, like queries, so that a stack's memo can keep gains per
+    judgments."""
 
     grades: Mapping[tuple[str, str], int]
     _by_query: dict[str, dict[str, int]] = field(init=False, repr=False)
-    _ideal_dcg: dict[tuple[str, int], float] = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
         grades = dict(self.grades)
@@ -48,24 +49,16 @@ class RelevanceJudgments:
 
     def gains(self, query: QueryCandidates) -> np.ndarray:
         """The query's grades as floats aligned with its doc ids, 0 where a
-        doc is unjudged; built once and kept in the query's memo under these
-        judgments, so two judgments never share one."""
-        column = query.memo.get(self)
-        if column is None:
-            grade = self._by_query.get(query.query_id, {}).get
-            column = np.array([grade(doc_id, 0) for doc_id in query.doc_ids], dtype=np.float64)
-            query.memo[self] = column
-        return column
+        doc is unjudged."""
+        grade = self._by_query.get(query.query_id, {}).get
+        return np.array([grade(doc_id, 0) for doc_id in query.doc_ids], dtype=np.float64)
 
     def ideal_dcg(self, query_id: str, k: int) -> float:
         """DCG@k of the query's judged grades sorted descending."""
-        key = (query_id, k)
-        if key not in self._ideal_dcg:
-            ideal_grades = sorted(self.grades_for_query(query_id), reverse=True)[:k]
-            self._ideal_dcg[key] = sequential_sum(
-                np.array(ideal_grades, dtype=np.float64) / _discounts(len(ideal_grades))
-            )
-        return self._ideal_dcg[key]
+        ideal_grades = sorted(self.grades_for_query(query_id), reverse=True)[:k]
+        return sequential_sum(
+            np.array(ideal_grades, dtype=np.float64) / _discounts(len(ideal_grades))
+        )
 
 
 @dataclass(frozen=True)
@@ -139,26 +132,53 @@ def _check_cutoff(k: int) -> None:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
 
 
-def ndcg_at_k(ranking: Ranking, judgments: RelevanceJudgments, k: int) -> float:
+def _per_query(ranking: Ranking | StackedRanking, key: Hashable, value: Callable):
+    """``value`` of a ranking's query. For a stacked ranking: the values of
+    the stacked queries as a column, or as padded rows when they are
+    columns, built once and kept in the stack's memo under ``key``."""
+    if not isinstance(ranking, StackedRanking):
+        return value(ranking.query)
+    stack = ranking.stack
+    if key not in stack.memo:
+        values = [value(query) for query in stack.queries]
+        stack.memo[key] = stack.padded(values) if np.ndim(values[0]) else np.array(values)
+    return stack.memo[key]
+
+
+def _ratio(value, ideal, if_zero: float):
+    """``value / ideal``, or ``if_zero`` where the ideal is 0; float or column."""
+    if not isinstance(value, np.ndarray):
+        return value / ideal if ideal != 0.0 else if_zero
+    return np.divide(value, ideal, out=np.full_like(value, if_zero), where=ideal != 0.0)
+
+
+def ndcg_at_k(ranking: Ranking | StackedRanking, judgments: RelevanceJudgments,
+              k: int) -> float | np.ndarray:
     """Normalized discounted cumulative gain at cutoff k (linear gains).
 
     The ideal ranking sorts the query's judged grades descending; when no
     positive judgments exist the metric is 0 by convention. Each gain is
     divided by its discount and the terms are summed left to right.
+
+    A :class:`StackedRanking` gives a column, one value per stacked query,
+    with the bits of the per-query call: pads have gain 0.0 and every real
+    term is >= 0, so a pad adds +0.0 to a running sum.
     """
     _check_cutoff(k)
-    idcg = judgments.ideal_dcg(ranking.query_id, k)
-    if idcg == 0.0:
-        return 0.0
-    top = ranking.order[:k]
-    return sequential_sum(judgments.gains(ranking.query)[top] / _discounts(len(top))) / idcg
+    idcg = _per_query(ranking, (judgments, k), lambda query: judgments.ideal_dcg(query.query_id, k))
+    gains = _per_query(ranking, judgments, judgments.gains)
+    top = np.take_along_axis(gains, ranking.order[..., :k], axis=-1)
+    return _ratio(_at_cutoff(np.add.accumulate(top / _discounts(top.shape[-1]), axis=-1), k),
+                  idcg, 0.0)
 
 
-def fairr_at_k(ranking: Ranking, k: int) -> float:
+def fairr_at_k(ranking: Ranking | StackedRanking, k: int) -> float | np.ndarray:
     """Rank-discounted neutrality mass of the top-k: the sum of n_d / rank
-    over the first min(k, n) ranks (see :func:`_fairr_sums`)."""
+    over the first min(k, n) ranks (see :func:`_fairr_sums`); a column for a
+    stacked ranking, whose pads have neutrality 0.0."""
     _check_cutoff(k)
-    return _at_cutoff(_fairr_sums(ranking.query.column("neutrality")[ranking.order[:k]]), k)
+    neutrality = _per_query(ranking, "neutrality", lambda query: query.column("neutrality"))
+    return _at_cutoff(_fairr_sums(np.take_along_axis(neutrality, ranking.order[..., :k], -1)), k)
 
 
 def ideal_fairr_at_k(query: QueryCandidates, k: int) -> float:
@@ -177,25 +197,11 @@ def ideal_fairr_at_k(query: QueryCandidates, k: int) -> float:
     return ideal
 
 
-def nfairr_at_k(ranking: Ranking, k: int) -> float:
+def nfairr_at_k(ranking: Ranking | StackedRanking, k: int) -> float | np.ndarray:
     """FaiRR@k normalized by the pool's ideal; 1 when the ideal is 0
-    (an all-biased pool cannot be improved)."""
-    ideal = ideal_fairr_at_k(ranking.query, k)
-    if ideal == 0.0:
-        return 1.0
-    return fairr_at_k(ranking, k) / ideal
-
-
-def nfairr_rows(
-    neutrality: np.ndarray, order: np.ndarray, ideal: np.ndarray, k: int
-) -> np.ndarray:
-    """:func:`nfairr_at_k` of equal-length queries stacked as rows: row i
-    ranks ``neutrality[i]`` by ``order[i]`` and has the ideal FaiRR@k
-    ``ideal[i]``. Same bits per row."""
-    _check_cutoff(k)
-    top = np.take_along_axis(neutrality, order[..., :k], axis=-1)
-    fairr = _at_cutoff(_fairr_sums(top), k)
-    return np.divide(fairr, ideal, out=np.ones_like(fairr), where=ideal != 0.0)
+    (an all-biased pool cannot be improved); a column for a stacked ranking."""
+    ideal = _per_query(ranking, ("ideal_fairr", k), lambda query: ideal_fairr_at_k(query, k))
+    return _ratio(fairr_at_k(ranking, k), ideal, 1.0)
 
 
 def paired_t_test(a: Mapping[str, float], b: Mapping[str, float]) -> TTestResult:

@@ -1,6 +1,8 @@
 """Experiment harness: re-rank a corpus across a hyperparameter grid,
 evaluate utility and fairness at the configured cutoffs, time the
-re-ranking, and emit one CSV row per (method, alpha)."""
+re-ranking, and emit one CSV row per (method, alpha). Queries are
+re-ranked one by one, then evaluated together: one padded stack per
+corpus, one stacked metric call per (alpha, cutoff) (see :func:`run_sweep`)."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -21,15 +23,13 @@ from .baselines import (
     fastar_rerank,
     unfair_rank,
 )
-from .core import QueryCandidates, Ranking
+from .core import QueryCandidates, QueryStack, Ranking, StackedRanking
 from .metrics import (
     RelevanceJudgments,
     check_interval_alpha,
-    ideal_fairr_at_k,
     median_intersections,
     ndcg_at_k,
     nfairr_at_k,
-    nfairr_rows,
     paired_t_test,
     sequential_sum,
 )
@@ -172,32 +172,33 @@ class SweepResult:
     exhausted_queries: int
 
 
-def _per_query(metric: Callable[[Ranking], float], rankings: Iterable[Ranking]) -> dict[str, float]:
-    return {ranking.query_id: metric(ranking) for ranking in rankings}
+def _by_query(stack: QueryStack, values: np.ndarray) -> dict[str, float]:
+    """A stacked metric column as query id -> value, in stack order."""
+    return dict(zip((query.query_id for query in stack.queries), values.tolist()))
 
 
 class _PufrReference:
     """nFaiRR@k of every query's PUFR ranking at any alpha, the same bits as
     ``nfairr_at_k(pufr_rerank(query, PufrConfig.symmetric(alpha)), k)``. When
-    every query has the same length, the corpus is stacked once as rows and
-    each alpha adjusts, orders and evaluates them in one array pass;
-    otherwise, or when a score is not finite, the queries are re-ranked one
-    by one, and the ValueError names the first query and doc at fault."""
+    every query has the same length, each alpha adjusts and orders the
+    stack's rows in one array pass; otherwise, or when a score is not
+    finite, the queries are re-ranked one by one, and the ValueError names
+    the first query and doc at fault. One stacked ``nfairr_at_k`` call,
+    sharing the stack's memo with the sweep's, evaluates the rankings."""
 
-    def __init__(self, corpus: Sequence[QueryCandidates], k: int) -> None:
-        self.corpus, self.k = corpus, k
-        self.stacked = len({len(query) for query in corpus}) == 1
+    def __init__(self, stack: QueryStack, k: int) -> None:
+        self.stack, self.k = stack, k
+        self.stacked = bool(stack.real.all())
         if self.stacked:
-            mu, sigma, self.protected, self.neutrality = (
-                np.stack([getattr(query, name) for query in corpus])
-                for name in ("mu", "sigma", "protected", "neutrality")
+            mu, sigma, self.protected = (
+                np.stack([getattr(query, name) for query in stack.queries])
+                for name in ("mu", "sigma", "protected")
             )
             # each group's rows in its clamp order, the other group's places
             # masked (see rerank.adjust_groups): the others' rows run backwards
             self.up = np.where(self.protected, mu, np.inf), np.where(self.protected, sigma, 0.0)
             self.down = (np.where(self.protected, -np.inf, mu)[:, ::-1].copy(),
                          np.where(self.protected, 0.0, sigma)[:, ::-1].copy())
-            self.ideal = np.array([ideal_fairr_at_k(query, k) for query in corpus])
 
     def __call__(self, alpha: float) -> dict[str, float]:
         pcfg = PufrConfig.symmetric(alpha)
@@ -206,10 +207,9 @@ class _PufrReference:
             scores = np.where(self.protected, raised, lowered[:, ::-1])
             if np.isfinite(scores).all():
                 order = np.argsort(-scores, axis=-1, kind="stable")
-                values = nfairr_rows(self.neutrality, order, self.ideal, self.k)
-                return dict(zip((query.query_id for query in self.corpus), values.tolist()))
-        return _per_query(partial(nfairr_at_k, k=self.k),
-                          (pufr_rerank(query, pcfg) for query in self.corpus))
+                return _by_query(self.stack, nfairr_at_k(StackedRanking(self.stack, order), self.k))
+        ranked = self.stack.rankings(pufr_rerank(query, pcfg) for query in self.stack.queries)
+        return _by_query(self.stack, nfairr_at_k(ranked, self.k))
 
 
 def run_sweep(
@@ -225,6 +225,10 @@ def run_sweep(
     t-tested against the reference method: the uncertainty-aware re-ranker
     at the same alpha where that is possible, the plain score ordering
     otherwise.
+
+    The corpus is stacked once, padded to its longest query; each alpha's
+    rankings are stacked, pads last, and evaluated by one ``ndcg_at_k`` or
+    ``nfairr_at_k`` call per cutoff, with the per-query calls' bits.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -240,14 +244,16 @@ def run_sweep(
 
     alphas = (0.0,) if cfg.method == "unfair" else cfg.alpha_grid
     rerank_at = method.prepare(corpus, cfg.depth)
+    stack = QueryStack(corpus)
     pufr_reference_ok = cfg.method not in ("pufr", "unfair") and has_sigmas and has_groups
     tested_k = min(cfg.cutoffs_fairness)
     if len(corpus) < 2:
         reference_at = None
     elif pufr_reference_ok:
-        reference_at = _PufrReference(corpus, tested_k)
+        reference_at = _PufrReference(stack, tested_k)
     else:
-        unfair_reference = _per_query(partial(nfairr_at_k, k=tested_k), map(unfair_rank, corpus))
+        unfair = nfairr_at_k(stack.rankings(map(unfair_rank, corpus)), tested_k)
+        unfair_reference = _by_query(stack, unfair)
         reference_at = lambda alpha: unfair_reference
 
     records = []
@@ -263,11 +269,9 @@ def run_sweep(
             rankings.append(ranking)
             if problem is not None:
                 problems[problem] += 1
-        ndcg = {
-            k: _per_query(partial(ndcg_at_k, judgments=judgments, k=k), rankings)
-            for k in cfg.cutoffs_utility
-        }
-        nfairr = {k: _per_query(partial(nfairr_at_k, k=k), rankings) for k in cfg.cutoffs_fairness}
+        ranked = stack.rankings(rankings)
+        ndcg = {k: _by_query(stack, ndcg_at_k(ranked, judgments, k)) for k in cfg.cutoffs_utility}
+        nfairr = {k: _by_query(stack, nfairr_at_k(ranked, k)) for k in cfg.cutoffs_fairness}
 
         if reference_at is None:
             # a paired test needs two measurements; single-query corpora

@@ -124,3 +124,14 @@ def ranked(query_id: str, doc_ids, neutralities=None) -> Ranking:
 def ranking_key(ranking: Ranking) -> tuple:
     """What a ranking holds, scores as ``float.hex`` so that signed zeros differ."""
     return ranking.query_id, ranking.doc_ids(), [s.hex() for s in ranking.scores.tolist()]
+
+
+def sweep_key(result) -> tuple:
+    """A sweep's records with every float as ``float.hex`` and the re-rank
+    time left out, plus its problem counts."""
+    records = [
+        (r.method, r.alpha.hex(), {k: v.hex() for k, v in r.ndcg.items()},
+         {k: v.hex() for k, v in r.nfairr.items()}, r.t_stat.hex(), r.p_value.hex())
+        for r in result.records
+    ]
+    return records, result.infeasible_queries, result.exhausted_queries

@@ -17,7 +17,14 @@ file order.
 The per-query run parser is the one the library used before it checked
 the rank column and the original-rank order once over the whole file: the
 same column reader, then one rank sort and one ``QueryCandidates.ranked``
-per query.
+per query. Both run parsers here sort a query with ``ranked_in_two_passes``,
+the ``QueryCandidates.ranked`` that converted and checked the columns, then
+built the sorted query through the constructor, which did both again.
+
+The per-query sweep is ``run_sweep`` as it was before it evaluated each
+alpha's rankings in one stacked pass: one ``ndcg_at_k`` and one
+``nfairr_at_k`` call per ranking and cutoff, and a t-test reference
+re-ranked and evaluated query by query.
 
 The Monte Carlo moments are those of the Laplace scorer before it scored a
 query's feature matrix in blocks: one matrix-vector product of all samples
@@ -50,8 +57,23 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from pufr import PredictiveDistribution, QueryCandidates, baselines, fileio
+from pufr import (
+    PredictiveDistribution,
+    PufrConfig,
+    QueryCandidates,
+    SweepResult,
+    TradeoffRecord,
+    baselines,
+    fileio,
+    ndcg_at_k,
+    nfairr_at_k,
+    paired_t_test,
+    pufr_rerank,
+    unfair_rank,
+)
 from pufr.baselines import BisectionStep, ConstrainedResult
+from pufr.core import _read_only
+from pufr.sweep import REGISTRY
 
 
 def canonical_order(rows):
@@ -289,6 +311,27 @@ def parse_float(path, lineno, token, what):
     return value
 
 
+def ranked_in_two_passes(query_id, doc_ids, mu, sigma=None, neutrality=None):
+    """A query sorted into original-rank order: its columns converted and
+    ordered, then converted and checked again by the constructor."""
+    n = len(doc_ids)
+    mu, sigma, neutrality = (
+        None if values is None else _read_only(values, np.float64, n, name, query_id)
+        for name, values in (("mu", mu), ("sigma", sigma), ("neutrality", neutrality))
+    )
+    order = np.argsort(-mu, kind="stable")
+    descending = mu[order]
+    if not (descending[1:] < descending[:-1]).all():
+        by_id = np.array(sorted(range(n), key=doc_ids.__getitem__), dtype=np.intp)
+        order = by_id[np.argsort(-mu[by_id], kind="stable")]
+    if not (order[1:] > order[:-1]).all():
+        doc_ids = tuple(map(doc_ids.__getitem__, order.tolist()))
+        mu, sigma, neutrality = (
+            None if column is None else column[order] for column in (mu, sigma, neutrality)
+        )
+    return QueryCandidates(query_id, doc_ids, mu, sigma, neutrality)
+
+
 def parse_run_file(path):
     """Per-query candidates, queries in order of first appearance."""
     rows = {}
@@ -323,7 +366,7 @@ def parse_run_file(path):
                     f"1..{len(ranks)}, so the rank column is not a permutation"
                 )
             used.add(rank)
-        corpus.append(QueryCandidates.ranked(query_id, doc_ids, scores))
+        corpus.append(ranked_in_two_passes(query_id, doc_ids, scores))
     return corpus
 
 
@@ -347,7 +390,7 @@ def parse_run_file_per_query(path):
         if sorted(ranks[positions].tolist()) != list(range(1, len(docs) + 1)):
             fileio._run_file_error(path)
         try:
-            corpus.append(QueryCandidates.ranked(query_id, docs, mu[positions]))
+            corpus.append(ranked_in_two_passes(query_id, docs, mu[positions]))
         except ValueError:  # a repeated doc id or a score that is not finite
             fileio._run_file_error(path)
     return corpus
@@ -465,3 +508,57 @@ def write_neutrality_file(path, corpus):
             values[doc_id] = value
     lines = [f"{doc_id} {value!r}" for doc_id, value in values.items()]
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def _loop_mean(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values)
+
+
+def run_sweep_per_query(corpus, judgments, cfg):
+    """``run_sweep``'s records and counts, every ranking evaluated by its own
+    metric calls; ``mean_rerank_seconds`` is nan, since nothing is timed."""
+    alphas = (0.0,) if cfg.method == "unfair" else cfg.alpha_grid
+    rerank_at = REGISTRY[cfg.method].prepare(corpus, cfg.depth)
+    pufr_reference = cfg.method not in ("pufr", "unfair") and all(
+        q.sigma is not None and q.protected is not None for q in corpus
+    )
+    tested_k = min(cfg.cutoffs_fairness)
+
+    def per_query(metric, rankings):
+        return {ranking.query_id: metric(ranking) for ranking in rankings}
+
+    def reference(alpha):
+        if pufr_reference:
+            rankings = [pufr_rerank(q, PufrConfig.symmetric(alpha)) for q in corpus]
+        else:
+            rankings = [unfair_rank(q) for q in corpus]
+        return per_query(lambda ranking: nfairr_at_k(ranking, tested_k), rankings)
+
+    records, problems = [], {"infeasible": 0, "exhausted": 0}
+    for alpha in alphas:
+        rerank = rerank_at(alpha)
+        rankings = []
+        for query in corpus:
+            ranking, problem = rerank(query)
+            rankings.append(ranking)
+            if problem is not None:
+                problems[problem] += 1
+        ndcg = {k: per_query(lambda r: ndcg_at_k(r, judgments, k), rankings)
+                for k in cfg.cutoffs_utility}
+        nfairr = {k: per_query(lambda r: nfairr_at_k(r, k), rankings)
+                  for k in cfg.cutoffs_fairness}
+        if len(corpus) < 2:
+            t_stat = p_value = math.nan
+        else:
+            result = paired_t_test(nfairr[tested_k], reference(alpha))
+            t_stat, p_value = result.t_statistic, result.p_value
+        records.append(TradeoffRecord(
+            method=cfg.method, alpha=float(alpha),
+            ndcg={k: _loop_mean(list(v.values())) for k, v in ndcg.items()},
+            nfairr={k: _loop_mean(list(v.values())) for k, v in nfairr.items()},
+            mean_rerank_seconds=math.nan, t_stat=t_stat, p_value=p_value,
+        ))
+    return SweepResult(tuple(records), problems["infeasible"], problems["exhausted"])

@@ -1,9 +1,12 @@
+import math
 import re
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pufr import (
     PufrConfig,
@@ -295,3 +298,57 @@ class TestRankByScore:
             assert rows(shuffled) == rows(q)
             reranked = rank_by_score(shuffled, score_column(shuffled, scores))
             assert ranking_key(reranked) == ranking_key(baseline)
+
+
+_VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan, math.inf, -math.inf]) | st.floats(-3, 3)
+
+
+@st.composite
+def unsorted_columns(draw):
+    """Doc ids and columns in any order: exact and signed-zero ties, ids
+    repeated or differing only by a trailing NUL, values out of range or
+    not finite, and now and then a column of the wrong length."""
+    n = draw(st.integers(0, 7))
+
+    def column(values, optional=True):
+        size = draw(st.sampled_from([n] * 6 + [max(n - 1, 0), n + 1]))
+        drawn = draw(st.lists(values, min_size=size, max_size=size))
+        if optional and draw(st.booleans()):
+            return None
+        return np.array(drawn) if draw(st.booleans()) else drawn
+
+    ids = draw(st.lists(st.sampled_from(["a", "b", "a\x00", "c", "d", "e", "f", "g"]),
+                        min_size=n, max_size=n, unique=draw(st.integers(0, 3)) > 0))
+    return ids, column(_VALUES, optional=False), column(_VALUES), column(
+        st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, math.nan]))
+
+
+class TestRankedInOnePass:
+    """``QueryCandidates.ranked`` converts and checks each column once, and
+    builds the query, or raises the error, that converting and checking
+    twice built or raised."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(unsorted_columns())
+    def test_the_query_or_error_is_the_two_pass_one(self, columns):
+        def outcome(build):
+            try:
+                query = build("q", *columns)
+            except ValueError as error:
+                return str(error)
+            assert query.memo == {} and query.protected is None
+            for name in ("mu", "sigma", "neutrality"):
+                values = getattr(query, name)
+                assert values is None or (values.dtype == np.float64
+                                          and not values.flags.writeable)
+            return query_key(query)
+
+        want = outcome(oracles.ranked_in_two_passes)
+        assert outcome(QueryCandidates.ranked) == want
+
+    def test_a_sorted_column_is_not_the_callers_array(self):
+        mu, sigma = np.array([1.0, 3.0, 2.0]), np.array([0.1, 0.2, 0.3])
+        query = QueryCandidates.ranked("q", ["a", "b", "c"], mu, sigma)
+        mu[:], sigma[:] = 0.0, 0.0
+        assert query.doc_ids == ("b", "c", "a")
+        assert query.mu.tolist() == [3.0, 2.0, 1.0] and query.sigma.tolist() == [0.2, 0.3, 0.1]

@@ -828,6 +828,31 @@ class TestWholeFileRunChecks:
         assert [q.doc_ids for q in corpus] == [("x", "y"), ("x", "y"), ("y", "x"), ("x", "y")]
         assert _same_queries(corpus, oracles.parse_run_file(path))
 
+    @pytest.mark.parametrize("fault", [None, "repeated doc", "nan", "-inf"])
+    def test_shuffled_lines_with_tied_scores_load_as_before(self, tmp_path, fault):
+        # every query of two or more docs has exact ties and its lines out
+        # of order, so each is sorted by QueryCandidates.ranked
+        rng = np.random.default_rng(17)
+        lines = []
+        for q in range(30):
+            n = int(rng.integers(1, 25))
+            scores = rng.choice(["2.5", "1.0", "1.0", "0.0", "-0.0", "-3"], n)
+            ranks = rng.permutation(n) + 1
+            lines += [[f"q{q}", "Q0", f"d{j}", str(rank), score, "t"]
+                      for j, (rank, score) in enumerate(zip(ranks, scores))]
+        lines = [lines[i] for i in rng.permutation(len(lines))]
+        if fault == "repeated doc":
+            twin = next(i for i, line in enumerate(lines[:-1]) if line[0] == lines[-1][0])
+            lines[-1][2] = lines[twin][2]
+        elif fault is not None:
+            lines[len(lines) // 2][4] = fault
+        path = tmp_path / "run"
+        path.write_text("".join(" ".join(line) + "\n" for line in lines), encoding="utf-8")
+        (kind, got), (want_kind, want) = outcome(fileio.parse_run_file, path), outcome(
+            oracles.parse_run_file, path)
+        assert kind == want_kind == ("ok" if fault is None else "error")
+        assert got == want if kind == "error" else _same_queries(got, want)
+
 
 # every line boundary str.splitlines knows; the reader opens files with
 # universal newlines, so "\r" and "\r\n" reach it as "\n"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from pufr import (
+    QueryStack,
     RelevanceJudgments,
     ScoredCandidate,
     build_query,
@@ -18,6 +19,7 @@ from pufr import (
     ndcg_at_k,
     nfairr_at_k,
     paired_t_test,
+    rank_by_score,
 )
 from pufr.metrics import _discounts, _ranks, sequential_sum
 
@@ -446,9 +448,10 @@ class TestRelevanceJudgments:
             ranking = ranked(qid, docs)
             for k in (1, 10, 100):
                 expected = oracles.ndcg(qid, docs, grades, k)
-                # twice: the second call reads the memoized ideal DCG
                 assert ndcg_at_k(ranking, judgments, k) == expected
-                assert ndcg_at_k(ranking, judgments, k) == expected
+                stacked = QueryStack([ranking.query]).rankings([ranking])
+                for _ in range(2):  # the second call reads the stack's memo
+                    assert ndcg_at_k(stacked, judgments, k).tolist() == [expected]
 
     def test_query_without_judgments_scores_zero(self):
         judgments = judgments_of("q", {"a": 2})
@@ -500,3 +503,62 @@ class TestReportTypes:
     def test_negative_grade_rejected(self):
         with pytest.raises(ValueError, match="negative"):
             RelevanceJudgments(grades={("q", "d"): -1})
+
+
+_TIES = st.sampled_from([0.0, -0.0, 1.0, 2.5])
+
+
+@st.composite
+def ragged_rankings(draw):
+    """Rankings of 1-6 queries of 1-8 docs each, and judgments of some of
+    their docs: scores and ``mu`` with exact ties, neutralities with -0.0,
+    queries of one group or with no neutral mass, grades of 0 only."""
+    rankings, grades = [], {}
+    for i in range(draw(st.integers(1, 6))):
+        n = draw(st.integers(1, 8))
+        neutrality = draw(st.sampled_from([
+            st.sampled_from([0.0, -0.0]),  # the ideal FaiRR is 0
+            st.just(1.0),  # every doc protected
+            st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0.0, 1.0),
+        ]))
+        docs = [f"d{j}" for j in range(n)]
+        query = make_query(draw(st.lists(_TIES | st.floats(-5, 5), min_size=n, max_size=n)),
+                           neutralities=draw(st.lists(neutrality, min_size=n, max_size=n)),
+                           query_id=f"q{i}", doc_ids=docs)
+        scores = draw(st.lists(_TIES, min_size=n, max_size=n))
+        rankings.append(rank_by_score(query, np.array(scores)))
+        grade = draw(st.sampled_from([st.just(0), st.integers(0, 3)]))  # idcg 0 or not
+        for doc in docs:
+            if draw(st.booleans()):  # else unjudged
+                grades[(query.query_id, doc)] = draw(grade)
+    return rankings, RelevanceJudgments(grades)
+
+
+class TestStackedRankings:
+    """A stacked ranking of padded ragged rows gives, per row, the bits of
+    the per-query call."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ragged_rankings(), st.integers(1, 10))
+    def test_each_row_is_the_per_query_value_bit_for_bit(self, data, k):
+        rankings, judgments = data
+        stacked = QueryStack(ranking.query for ranking in rankings).rankings(rankings)
+        for metric in (lambda r: ndcg_at_k(r, judgments, k), lambda r: nfairr_at_k(r, k),
+                       lambda r: fairr_at_k(r, k)):
+            for _ in range(2):  # the second call reads the stack's memo
+                assert [v.hex() for v in metric(stacked).tolist()] == [
+                    metric(ranking).hex() for ranking in rankings]
+
+    def test_pads_rank_last_in_place_order(self):
+        short = make_query([1.0], neutralities=[1.0], query_id="s")
+        long = make_query([3.0, 2.0, 1.0], neutralities=[0.0, 0.5, 1.0], query_id="l")
+        rankings = [rank_by_score(short, [0.0]), rank_by_score(long, [0.0, 1.0, 2.0])]
+        stack = QueryStack([short, long])
+        assert stack.rankings(rankings).order.tolist() == [[0, 1, 2], [2, 1, 0]]
+        assert stack.padded([short.neutrality, long.neutrality]).tolist() == [
+            [1.0, 0.0, 0.0], [0.0, 0.5, 1.0]]
+
+    def test_rankings_must_be_of_the_stacked_queries_in_order(self):
+        a, b = make_query([1.0], query_id="a"), make_query([1.0], query_id="b")
+        with pytest.raises(ValueError, match="one ranking of each stacked query"):
+            QueryStack([a, b]).rankings([rank_by_score(b, [0.0]), rank_by_score(a, [0.0])])

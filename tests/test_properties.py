@@ -21,13 +21,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import Row, make_query, rows, score_column, score_map
+from conftest import Row, make_query, rows, score_column, score_map, sweep_key
 from pufr import (
     ConstraintConfig,
     PufrConfig,
     QueryCandidates,
+    QueryStack,
     RelevanceJudgments,
     ScoredCandidate,
+    SweepConfig,
     adjust_scores,
     assign_groups,
     build_query,
@@ -39,6 +41,7 @@ from pufr import (
     nfairr_at_k,
     pufr_rerank,
     rank_by_score,
+    run_sweep,
     unfair_rank,
     uniform_rerank,
 )
@@ -359,7 +362,7 @@ def test_the_reference_is_pufr_then_nfairr_bit_for_bit(corpus, alpha, k):
         q.query_id: nfairr_at_k(pufr_rerank(q, PufrConfig.symmetric(alpha)), k).hex()
         for q in corpus
     }
-    reference = _PufrReference(corpus, k)
+    reference = _PufrReference(QueryStack(corpus), k)
     # queries of one length are never re-ranked one by one: the scores are finite
     with mock.patch.object(sweep, "pufr_rerank", None if reference.stacked else pufr_rerank):
         assert reference_outcome(lambda: reference(alpha)) == expected
@@ -374,7 +377,21 @@ def test_an_overflowing_shift_raises_what_the_per_query_loop_raises(corpus, alph
         return {q.query_id: nfairr_at_k(pufr_rerank(q, cfg), k) for q in corpus}
 
     expected = reference_outcome(per_query)
-    assert reference_outcome(lambda: _PufrReference(corpus, k)(alpha)) == expected
+    assert reference_outcome(lambda: _PufrReference(QueryStack(corpus), k)(alpha)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(corpora(), st.sampled_from(METHODS), st.data())
+def test_the_sweep_gives_the_per_query_sweeps_records(corpus, method, data):
+    judgments = RelevanceJudgments({
+        (q.query_id, doc): data.draw(st.integers(0, 3))
+        for q in corpus for doc in q.doc_ids if data.draw(st.booleans())
+    })
+    grid = data.draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=1, max_size=3))
+    cfg = SweepConfig(method, tuple(sorted(set(grid))), cutoffs_utility=(1, 3, 10),
+                      cutoffs_fairness=(2, 5), depth=data.draw(st.integers(1, 8)))
+    assert sweep_key(run_sweep(corpus, judgments, cfg)) == sweep_key(
+        oracles.run_sweep_per_query(corpus, judgments, cfg))
 
 
 @st.composite

@@ -1,10 +1,12 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from pufr import (
     PufrConfig,
+    QueryStack,
     RelevanceJudgments,
     SweepConfig,
     SyntheticConfig,
@@ -22,7 +24,8 @@ from pufr import (
 
 from pufr import baselines, sweep
 
-from conftest import gap_search_queries, make_query
+import oracles
+from conftest import gap_search_queries, make_query, sweep_key
 
 
 def biased_corpus(seed=0, n_queries=30, n_candidates=15):
@@ -139,7 +142,7 @@ class TestRunSweep:
         cfg = PufrConfig.symmetric(1.0)
         expected = {q.query_id: nfairr_at_k(pufr_rerank(q, cfg), 10) for q in corpus}
         monkeypatch.setattr(sweep, "pufr_rerank", None)  # every value from the stacked pass
-        assert sweep._PufrReference(corpus, 10)(1.0) == expected
+        assert sweep._PufrReference(QueryStack(corpus), 10)(1.0) == expected
 
     def test_constrained_sweep_reports_infeasible_queries(self):
         q1 = make_query([3.0, 2.0, 1.0], [0.1] * 3, [0.0, 0.0, 1.0], query_id="q1")
@@ -267,3 +270,84 @@ class TestIntervalReport:
         text = report_interval_analysis([q], alphas=(1.0,))
         _, rows = parse_csv(text)
         assert [int(r["median_swaps_alpha_1"]) for r in rows] == intersection_counts(q, 1.0)
+
+
+def ragged_corpus(seed=3, longest=12):
+    """One query of each length 1..longest, in shuffled order: some with tied
+    ``mu``, some of one group only, neutralities with -0.0, and about 40% of
+    the docs unjudged."""
+    rng = np.random.default_rng(seed)
+    corpus, grades = [], {}
+    for n in rng.permutation(np.arange(1, longest + 1)).tolist():
+        mu = rng.choice([0.0, 1.0, 2.5], n) if n % 3 == 0 else rng.normal(0.0, 2.0, n)
+        neutrality = (np.ones(n) if n % 4 == 1  # protected only
+                      else rng.choice([0.0, -0.0, 0.5], n) if n % 4 == 2  # unprotected only
+                      else rng.choice([0.0, -0.0, 0.3, 1.0], n))
+        query = make_query(mu, np.abs(rng.normal(0.5, 0.3, n)), neutrality, query_id=f"r{n}")
+        corpus.append(query)
+        grades.update(((query.query_id, doc), int(rng.integers(0, 4)))
+                      for doc in query.doc_ids if rng.random() < 0.6)
+    return corpus, RelevanceJudgments(grades)
+
+
+def golden_corpus(tmp_path):
+    """The hand-written corpus behind the golden sweep CSVs, loaded as `pufr sweep` loads it."""
+    from pufr import assign_groups, fileio
+    from test_cli_bytes import write_corpus
+
+    write_corpus(tmp_path)
+    corpus = fileio.attach_neutrality(
+        fileio.attach_sigmas(fileio.parse_run_file(tmp_path / "run"),
+                             fileio.parse_sigma_file(tmp_path / "sigma")),
+        fileio.parse_neutrality_file(tmp_path / "neutrality"),
+    )
+    return [assign_groups(q) for q in corpus], fileio.parse_qrels(tmp_path / "qrels")
+
+
+CORPORA = {
+    "ragged": lambda tmp_path: ragged_corpus(),
+    "one-length": lambda tmp_path: biased_corpus(seed=29, n_queries=12),
+    "golden": golden_corpus,
+    "one-query": lambda tmp_path: ragged_corpus(seed=5, longest=1),
+}
+GRIDS = {
+    "pufr": (0.0, 0.5, 1.0, 4.0),
+    "uniform": (0.0, 0.5, 1.0, 4.0),
+    "unfair": (0.0,),
+    "fastar": (0.0, 0.5, 0.9),
+    "constrained": (0.5, 0.95),
+}
+
+
+class TestStackedEvaluation:
+    """Each alpha's rankings are evaluated in one stacked pass per cutoff,
+    with the records of evaluating them one by one."""
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    @pytest.mark.parametrize("method", sweep.METHODS)
+    def test_records_match_the_per_query_sweep(self, tmp_path, corpus, method):
+        corpus, judgments = CORPORA[corpus](tmp_path)
+        cfg = SweepConfig(method, GRIDS[method], cutoffs_utility=(1, 5, 10),
+                          cutoffs_fairness=(3, 10, 50), depth=4)
+        assert sweep_key(run_sweep(corpus, judgments, cfg)) == sweep_key(
+            oracles.run_sweep_per_query(corpus, judgments, cfg))
+
+    @pytest.mark.parametrize("corpus", ["ragged", "one-length"])
+    @pytest.mark.parametrize("method", sweep.METHODS)
+    def test_each_metric_is_called_once_per_alpha_and_cutoff(
+        self, tmp_path, monkeypatch, corpus, method
+    ):
+        calls = Counter()
+        for name in ("ndcg_at_k", "nfairr_at_k"):
+            def counted(*args, _name=name, _metric=getattr(sweep, name), **kwargs):
+                calls[_name] += 1
+                return _metric(*args, **kwargs)
+
+            monkeypatch.setattr(sweep, name, counted)
+        corpus, judgments = CORPORA[corpus](tmp_path)
+        cfg = SweepConfig(method, GRIDS[method], cutoffs_utility=(1, 5, 10),
+                          cutoffs_fairness=(3, 10), depth=4)
+        alphas = len(run_sweep(corpus, judgments, cfg).records)
+        # the PUFR reference is evaluated per alpha, the unfair one once
+        references = 1 if method in ("pufr", "unfair") else alphas
+        assert calls == {"ndcg_at_k": 3 * alphas, "nfairr_at_k": 2 * alphas + references}
