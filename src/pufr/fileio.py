@@ -24,9 +24,10 @@ lines as one flat list, and reads a block in one of two ways:
 
 Each file column is then converted and checked with one numpy call, and
 the rows are grouped by query into slices. The run parser checks the rank
-column and the original-rank order once over the whole file (see
-:func:`parse_run_file`); a qrels grade too large for int64 is read by the
-line walk.
+column once over the whole file and builds each query with
+:meth:`~pufr.core.QueryCandidates.ranked`, which puts it in original-rank
+order (see :func:`parse_run_file`); a qrels grade too large for int64 is
+read by the line walk.
 
 The feature parser cuts the file at byte offsets instead, each cut right
 after a ``\n`` (:func:`_cuts`), and converts each block into one
@@ -181,9 +182,9 @@ def parse_run_file(path: str | Path) -> list[QueryCandidates]:
     Both checks run once over the whole file, rows grouped by query. Rank
     tokens ``"1".."n"`` for every query, as :func:`write_run_file` writes
     them, pass one list comparison; only other tokens are converted and
-    sorted per query. A query whose scores strictly fall from row to row is
-    built as it is; one with ties or rows out of order is sorted by
-    :meth:`QueryCandidates.ranked`.
+    sorted per query. Every query is built by :meth:`QueryCandidates.ranked`,
+    which sorts only a query whose scores do not strictly fall from row to
+    row.
     """
     fields = _columns(path, 6)
     if not fields:
@@ -207,15 +208,10 @@ def parse_run_file(path: str | Path) -> list[QueryCandidates]:
             for start, end in zip(starts, ends)
         ):
             _run_file_error(path)
-    falls = np.empty(len(mu), dtype=bool)
-    np.less(mu[1:], mu[:-1], out=falls[1:])
-    falls[starts] = True  # a query's first row follows no row of its own
-    unsorted = set(np.searchsorted(ends, np.flatnonzero(~falls), side="right").tolist())
     corpus = []
     try:  # a repeated doc id or a score that is not finite fails here
-        for i, (query_id, start, end) in enumerate(zip(query_ids, starts, ends)):
-            build = QueryCandidates.ranked if i in unsorted else QueryCandidates
-            corpus.append(build(query_id, doc_ids[start:end], mu[start:end]))
+        for query_id, start, end in zip(query_ids, starts, ends):
+            corpus.append(QueryCandidates.ranked(query_id, doc_ids[start:end], mu[start:end]))
     except ValueError:
         _run_file_error(path)
     return corpus

@@ -84,31 +84,17 @@ def _shared(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _prefixes(make: Callable[[int], np.ndarray]) -> Callable[[int], np.ndarray]:
-    """A cached ``n -> make(n)`` for positions 1..n, answered with views of one
-    read-only array that grows at least twofold when a longer prefix is asked
-    for: rankings of any mix of lengths share it, and no length is evicted.
-    ``make`` computes every position alone, so a prefix has the same bits at
-    any table size."""
-    values = _shared(make(0))
-
-    @functools.lru_cache(maxsize=None)
-    def prefix(n: int) -> np.ndarray:
-        nonlocal values
-        if n > len(values):
-            values = _shared(make(max(n, 2 * len(values))))
-        return values[:n]
-
-    return prefix
+@functools.lru_cache(maxsize=None)
+def _discounts(n: int) -> np.ndarray:
+    """The DCG discounts log2(position + 1) of positions 1..n, each from
+    math.log2, whose bits np.log2 need not match."""
+    return _shared(np.array([math.log2(position + 1) for position in range(1, n + 1)]))
 
 
-# The DCG discounts log2(position + 1), each from math.log2, whose bits
-# np.log2 need not match.
-_discounts = _prefixes(
-    lambda n: np.array([math.log2(position + 1) for position in range(1, n + 1)])
-)
-# The ranks as floats.
-_ranks = _prefixes(lambda n: np.arange(1, n + 1, dtype=np.float64))
+@functools.lru_cache(maxsize=None)
+def _ranks(n: int) -> np.ndarray:
+    """The ranks 1..n as floats."""
+    return _shared(np.arange(1, n + 1, dtype=np.float64))
 
 
 def _at_cutoff(sums: np.ndarray, k: int) -> np.ndarray | float:

@@ -79,8 +79,8 @@ def adjust_groups(
     ``alpha_nonprotected * sigma`` and floored by its running maximum. A
     sigma may be one value for every candidate. A place held at mu = +inf
     (``up``) or -inf (``down``) with sigma 0 keeps that value and never wins
-    the clamp, so queries of one length can be stacked as rows with the
-    other group's places masked so."""
+    the clamp, so queries of any lengths can be stacked as padded rows, with
+    the other group's places and the pads masked so."""
     return (
         _clamp(up_mu + cfg.alpha_protected * up_sigma, lowest=True),
         _clamp(down_mu - cfg.alpha_nonprotected * down_sigma, lowest=False),

@@ -2,7 +2,9 @@
 evaluate utility and fairness at the configured cutoffs, time the
 re-ranking, and emit one CSV row per (method, alpha). Queries are
 re-ranked one by one, then evaluated together: one padded stack per
-corpus, one stacked metric call per (alpha, cutoff) (see :func:`run_sweep`)."""
+corpus, of queries of any lengths, one stacked metric call per (alpha,
+cutoff), and one array pass per alpha for the PUFR reference of the
+t-test (see :func:`run_sweep`)."""
 
 from __future__ import annotations
 
@@ -179,37 +181,39 @@ def _by_query(stack: QueryStack, values: np.ndarray) -> dict[str, float]:
 
 class _PufrReference:
     """nFaiRR@k of every query's PUFR ranking at any alpha, the same bits as
-    ``nfairr_at_k(pufr_rerank(query, PufrConfig.symmetric(alpha)), k)``. When
-    every query has the same length, each alpha adjusts and orders the
-    stack's rows in one array pass; otherwise, or when a score is not
-    finite, the queries are re-ranked one by one, and the ValueError names
-    the first query and doc at fault. One stacked ``nfairr_at_k`` call,
-    sharing the stack's memo with the sweep's, evaluates the rankings."""
+    ``nfairr_at_k(pufr_rerank(query, PufrConfig.symmetric(alpha)), k)``. Each
+    alpha adjusts and orders the stack's rows in one array pass, every pad a
+    non-protected place at mu = -inf with sigma 0, which never wins a clamp
+    and sorts last in place order, as :meth:`QueryStack.rankings` ranks pads.
+    When a real place's score is not finite, the queries are re-ranked one by
+    one only to raise the ValueError that names the first query and doc at
+    fault. One stacked ``nfairr_at_k`` call, sharing the stack's memo with
+    the sweep's, evaluates the rankings."""
 
     def __init__(self, stack: QueryStack, k: int) -> None:
         self.stack, self.k = stack, k
-        self.stacked = bool(stack.real.all())
-        if self.stacked:
-            mu, sigma, self.protected = (
-                np.stack([getattr(query, name) for query in stack.queries])
-                for name in ("mu", "sigma", "protected")
-            )
-            # each group's rows in its clamp order, the other group's places
-            # masked (see rerank.adjust_groups): the others' rows run backwards
-            self.up = np.where(self.protected, mu, np.inf), np.where(self.protected, sigma, 0.0)
-            self.down = (np.where(self.protected, -np.inf, mu)[:, ::-1].copy(),
-                         np.where(self.protected, 0.0, sigma)[:, ::-1].copy())
+        mu, sigma, protected = (
+            stack.padded(getattr(query, name) for query in stack.queries)
+            for name in ("mu", "sigma", "protected")
+        )
+        mu = np.where(stack.real, mu, -np.inf)
+        self.protected = protected.astype(bool)
+        # each group's rows in its clamp order, the other group's places
+        # masked (see rerank.adjust_groups): the others' rows run backwards
+        self.up = np.where(self.protected, mu, np.inf), np.where(self.protected, sigma, 0.0)
+        self.down = (np.where(self.protected, -np.inf, mu)[:, ::-1].copy(),
+                     np.where(self.protected, 0.0, sigma)[:, ::-1].copy())
 
     def __call__(self, alpha: float) -> dict[str, float]:
         pcfg = PufrConfig.symmetric(alpha)
-        if self.stacked:
-            raised, lowered = adjust_groups(*self.up, *self.down, pcfg)
-            scores = np.where(self.protected, raised, lowered[:, ::-1])
-            if np.isfinite(scores).all():
-                order = np.argsort(-scores, axis=-1, kind="stable")
-                return _by_query(self.stack, nfairr_at_k(StackedRanking(self.stack, order), self.k))
-        ranked = self.stack.rankings(pufr_rerank(query, pcfg) for query in self.stack.queries)
-        return _by_query(self.stack, nfairr_at_k(ranked, self.k))
+        raised, lowered = adjust_groups(*self.up, *self.down, pcfg)
+        scores = np.where(self.protected, raised, lowered[:, ::-1])
+        if np.count_nonzero(np.isfinite(scores)) != np.count_nonzero(self.stack.real):  # pads: -inf
+            for query in self.stack.queries:
+                pufr_rerank(query, pcfg)
+            raise RuntimeError("a stacked PUFR score is not finite but no query is at fault")
+        order = np.argsort(-scores, axis=-1, kind="stable")
+        return _by_query(self.stack, nfairr_at_k(StackedRanking(self.stack, order), self.k))
 
 
 def run_sweep(
@@ -228,7 +232,9 @@ def run_sweep(
 
     The corpus is stacked once, padded to its longest query; each alpha's
     rankings are stacked, pads last, and evaluated by one ``ndcg_at_k`` or
-    ``nfairr_at_k`` call per cutoff, with the per-query calls' bits.
+    ``nfairr_at_k`` call per cutoff, with the per-query calls' bits. The
+    PUFR reference ranks the padded rows itself (see :class:`_PufrReference`).
+    Per-query values are keyed by query id, so a repeated id is an error.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -241,6 +247,9 @@ def run_sweep(
         raise ValueError(f"method {cfg.method!r} needs sigma on every candidate")
     if method.needs_groups and not has_groups:
         raise ValueError(f"method {cfg.method!r} needs group labels on every candidate")
+    repeated = [query_id for query_id, n in Counter(q.query_id for q in corpus).items() if n > 1]
+    if repeated:
+        raise ValueError(f"query id {repeated[0]!r} is repeated in the corpus")
 
     alphas = (0.0,) if cfg.method == "unfair" else cfg.alpha_grid
     rerank_at = method.prepare(corpus, cfg.depth)

@@ -5,8 +5,7 @@ The strategies make exact ``mu`` ties, signed zeros, zero sigma, alpha 0
 and -0.0, one-group and one-document queries common. Scores are compared
 as ``float.hex`` so that 0.0 and -0.0 count as different. Corpora share
 one query length or mix several, so that the sweep's PUFR reference meets
-both its stacked rows and its per-query loop, and queries shorter than the
-cutoff.
+padded rows, and queries shorter than the cutoff.
 """
 
 from __future__ import annotations
@@ -355,7 +354,26 @@ def reference_outcome(reference):
         return str(error)
 
 
+# mixed lengths: one doc, one group of each kind, all-zero sigma of both
+# signs, and exact mu ties within and across groups
+MIXED_LENGTHS = [
+    make_query([1.0], [0.5], [1.0], query_id="one-doc"),
+    make_query([2.0, 1.0, 0.5], [0.3, 0.1, 0.0], [1.0] * 3, query_id="protected-only"),
+    make_query([1.0, 0.5, 0.2, 0.1, -0.0, 0.0], [0.0, -0.0, -0.0, 0.0, 0.0, -0.0],
+               [1.0, 0.0, 1.0, 0.5, 0.0, 1.0], query_id="zero-sigma"),
+    make_query([2.0, 1.0], [0.3, 0.2], [0.0, 0.5], query_id="others-only"),
+    make_query([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, -1.0], [0.5, 0.5, 0.25, 0.5, 0.0, 0.5, 0.5],
+               [1.0, 0.0, 1.0, 0.0, 0.5, 1.0, 0.0], query_id="ties",
+               doc_ids=["b", "a", "c", "d", "e", "f", "g"]),
+]
+
+
 @EXAMPLES
+@example(MIXED_LENGTHS, 1.0, 3)
+@example(MIXED_LENGTHS, 0.0, 10)
+@example(MIXED_LENGTHS, -0.0, 1)
+@example(MIXED_LENGTHS[::-1], 2.0, 2)
+@example(MIXED_LENGTHS[:2], 0.5, 7)
 @given(corpora(), ALPHAS, st.integers(1, 10))
 def test_the_reference_is_pufr_then_nfairr_bit_for_bit(corpus, alpha, k):
     expected = {
@@ -363,8 +381,8 @@ def test_the_reference_is_pufr_then_nfairr_bit_for_bit(corpus, alpha, k):
         for q in corpus
     }
     reference = _PufrReference(QueryStack(corpus), k)
-    # queries of one length are never re-ranked one by one: the scores are finite
-    with mock.patch.object(sweep, "pufr_rerank", None if reference.stacked else pufr_rerank):
+    # the scores are finite, so no query is re-ranked one by one, whatever the lengths
+    with mock.patch.object(sweep, "pufr_rerank", None):
         assert reference_outcome(lambda: reference(alpha)) == expected
 
 

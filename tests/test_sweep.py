@@ -119,7 +119,7 @@ class TestRunSweep:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_an_overflowing_pufr_reference_names_the_first_query_at_fault(self):
-        # queries of one length share one stacked pass; c overflows too
+        # the stacked pass finds a score that is not finite; c overflows too
         corpus = [
             make_query([2.0, 1.0, 0.5], [0.1, 0.1, 0.1], [1.0, 0.0, 1.0], query_id="a"),
             make_query([1e308, 0.0, -1.0], [1.7e308, 0.1, 0.1], [1.0, 0.0, 1.0], query_id="b"),
@@ -127,6 +127,16 @@ class TestRunSweep:
         ]
         with pytest.raises(ValueError, match="^query 'b': non-finite score for doc 'd1'$"):
             run_sweep(corpus, RelevanceJudgments({}), SweepConfig("fastar", (1.0,)))
+
+    def test_a_repeated_query_id_is_rejected(self):
+        # per-query values are keyed by id: the second q would overwrite the
+        # first and the mean would divide by two queries, not three
+        corpus = [make_query([2.0, 1.0], neutralities=[1.0, 0.0], query_id="q"),
+                  make_query([2.0, 1.0], neutralities=[0.0, 1.0], query_id="q"),
+                  make_query([2.0, 1.0], neutralities=[1.0, 0.0], query_id="r")]
+        cfg = SweepConfig(method="unfair", alpha_grid=(0.0,), cutoffs_fairness=(1,))
+        with pytest.raises(ValueError, match="^query id 'q' is repeated in the corpus$"):
+            run_sweep(corpus, RelevanceJudgments({}), cfg)
 
     def test_the_stacked_pufr_reference_keeps_tied_scores_in_original_rank_order(
         self, monkeypatch
