@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import QueryCandidates, Ranking, rank_by_score
+from .core import QueryCandidates, QueryStack, Ranking, StackedRanking, rank_by_score
 from .metrics import ideal_fairr_at_k
 
 DEFAULT_SIGNIFICANCE = 0.1
@@ -29,9 +29,10 @@ _FEASIBILITY_TOL = 1e-9
 _MAX_CROSSING_SOLVES = 64
 
 
-def unfair_rank(query: QueryCandidates) -> Ranking:
-    """Order purely by predicted mean score; the no-intervention reference."""
-    return rank_by_score(query, query.mu)
+def unfair_rank(query: QueryCandidates | QueryStack) -> Ranking | StackedRanking:
+    """Order purely by predicted mean score; the no-intervention reference.
+    A stack is ranked in one pass, as :func:`~pufr.core.rank_by_score` ranks one."""
+    return rank_by_score(query, query.column("mu"))
 
 
 # ---------------------------------------------------------------------------

@@ -37,14 +37,13 @@ import argparse
 import dataclasses
 import math
 import sys
-from collections import Counter
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import fileio
 from .baselines import DEFAULT_DEPTH, unfair_rank
-from .core import DEFAULT_PROTECTED_THRESHOLD, QueryCandidates, assign_groups
+from .core import DEFAULT_PROTECTED_THRESHOLD, QueryCandidates, QueryStack, assign_groups
 from .core import check_protected_threshold
 from .sweep import (
     DEFAULT_INTERVAL_ALPHAS,
@@ -206,10 +205,8 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     method = REGISTRY[args.method]
     method.check((args.alpha,), args.depth)
     corpus = _load_corpus(args, method.needs_sigma, method.needs_neutrality, method.needs_groups)
-    rerank = method.prepare(corpus, args.depth)(args.alpha)
-    results = [rerank(q) for q in corpus]
-    fileio.write_run_file(args.output, [ranking for ranking, _ in results], tag=args.tag)
-    problems = Counter(problem for _, problem in results)
+    ranked, problems = method.prepare(corpus, args.depth)(args.alpha)(QueryStack(corpus))
+    fileio.write_run_file(args.output, ranked.rows(), tag=args.tag)
     return _warn(problems["infeasible"], problems["exhausted"], "queries")
 
 

@@ -23,7 +23,9 @@ A :class:`Ranking` is an order over its query's columns: ``order[i]`` is
 the column index of the document at rank i + 1 and ``scores[i]`` its
 effective score, so metrics read the query's columns at ``order`` instead
 of looking documents up by id. A :class:`QueryStack` pads a corpus's
-queries to one length, and a :class:`StackedRanking` ranks every row of it.
+queries to one length, and a :class:`StackedRanking` ranks every row of it:
+:func:`rank_by_score` takes a query and its scores, or a stack and padded
+rows of scores.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import math
 from collections import Counter
 from dataclasses import InitVar, dataclass, field
 from operator import itemgetter
-from typing import Any, Iterable, NamedTuple, Sequence
+from typing import Any, Iterable, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 
@@ -218,8 +220,8 @@ class QueryCandidates:
         return len(self.doc_ids)
 
     def column(self, name: str) -> np.ndarray:
-        """The ``sigma``, ``neutrality`` or ``protected`` column; raises
-        ValueError when it has not been attached."""
+        """The ``mu``, ``sigma``, ``neutrality`` or ``protected`` column;
+        raises ValueError when it has not been attached."""
         values = getattr(self, name)
         if values is None:
             raise ValueError(f"query {self.query_id!r} has no {_COLUMN_NAMES[name]}")
@@ -251,22 +253,43 @@ class Ranking:
         return tuple(map(self.query.doc_ids.__getitem__, self.order.tolist()))
 
 
+# What a pad holds in each padded column (:meth:`QueryStack.column`): a
+# non-protected place at mu = -inf with sigma 0 never wins a re-ranker's
+# clamp, and neutrality 0.0 adds +0.0 to every running sum.
+_PADS = {"mu": -math.inf, "sigma": 0.0, "neutrality": 0.0, "protected": False}
+
+
 class QueryStack:
     """A corpus as rows padded to its longest query: place j of row i is
     column j of query i while j < len(query i), and a pad after it.
-    :meth:`padded` fills pads with 0.0 and :meth:`rankings` ranks them last,
-    in place order. Values derived from the rows are kept in ``memo``."""
+    :meth:`padded` fills pads with 0.0 unless told otherwise, and
+    :meth:`column` as ``_PADS`` says; :func:`rank_by_score` and
+    :meth:`rankings` rank pads last, in place order. Values derived from
+    the rows are kept in ``memo``."""
 
     def __init__(self, queries: Iterable[QueryCandidates]) -> None:
         self.queries = tuple(queries)
+        self.query_ids = tuple(query.query_id for query in self.queries)
         lengths = np.array([len(query) for query in self.queries])
         self.real = np.arange(lengths.max()) < lengths[:, None]  # False at pads
         self.memo: dict[Any, Any] = {}
 
-    def padded(self, columns: Iterable[np.ndarray]) -> np.ndarray:
-        """One float column per query, in query order, as padded rows."""
-        rows = np.zeros(self.real.shape)
+    def padded(self, columns: Iterable[np.ndarray], pad: float | bool = 0.0) -> np.ndarray:
+        """One column per query, in query order, as padded rows."""
+        rows = np.full(self.real.shape, pad)
         rows[self.real] = np.concatenate(list(columns))
+        return rows
+
+    def column(self, name: str) -> np.ndarray:
+        """:meth:`QueryCandidates.column` of every query as read-only padded
+        rows, kept in ``memo``; raises the first query's ValueError when a
+        query has no such column."""
+        key = ("column", name)
+        rows = self.memo.get(key)
+        if rows is None:
+            rows = self.padded((query.column(name) for query in self.queries), _PADS[name])
+            rows.flags.writeable = False
+            self.memo[key] = rows
         return rows
 
     def rankings(self, rankings: Iterable[Ranking]) -> "StackedRanking":
@@ -276,15 +299,24 @@ class QueryStack:
             raise ValueError("need one ranking of each stacked query, in order")
         order = np.indices(self.real.shape)[1]
         order[self.real] = np.concatenate([ranking.order for ranking in rankings])
-        return StackedRanking(self, order)
+        return StackedRanking(self, order, self.padded((r.scores for r in rankings), -math.inf))
 
 
 class StackedRanking(NamedTuple):
     """One ranking of each row of a :class:`QueryStack`: row i of ``order``
-    holds the places of row i by rank, its pads last."""
+    holds the places of row i by rank, its pads last, and row i of
+    ``scores`` their effective scores, -inf at pads."""
 
     stack: QueryStack
     order: np.ndarray
+    scores: np.ndarray
+
+    def rows(self) -> list[Ranking]:
+        """The ranking of each stacked query, in stack order."""
+        return [
+            Ranking(query, self.order[i, :len(query)], self.scores[i, :len(query)])
+            for i, query in enumerate(self.stack.queries)
+        ]
 
 
 def build_query(query_id: str, candidates: Sequence[ScoredCandidate]) -> QueryCandidates:
@@ -313,21 +345,47 @@ def assign_groups(
     return query.with_column("protected", query.column("neutrality") >= protected_threshold)
 
 
-def rank_by_score(query: QueryCandidates, scores: np.ndarray) -> Ranking:
+def rank_by_score(
+    query: QueryCandidates | QueryStack, scores: np.ndarray
+) -> Ranking | StackedRanking:
     """Sort a query's candidates by effective scores aligned with its doc ids,
     descending.
 
     Ties fall back to ascending original rank (a stable sort), so
     re-ranking the same input with the same scores is reproducible.
+
+    A :class:`QueryStack` takes scores as padded rows and gives a
+    :class:`StackedRanking`, each row ordered as the per-query call orders
+    its query and its pads last in place order, whatever their scores. Only
+    real places must be finite; the error names the first query and doc at
+    fault, as the per-query calls would.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    if isinstance(query, QueryStack):
+        return _rank_rows(query, scores)
     if scores.shape != (len(query),):
         raise ValueError(
             f"query {query.query_id!r}: expected {len(query)} scores, got shape {scores.shape}"
         )
     finite = np.isfinite(scores)
     if np.count_nonzero(finite) != len(finite):
-        doc_id = query.doc_ids[int(np.argmin(finite))]
-        raise ValueError(f"query {query.query_id!r}: non-finite score for doc {doc_id!r}")
+        _raise_non_finite(query, int(np.argmin(finite)))
     order = np.argsort(-scores, kind="stable")
     return Ranking(query, order, scores[order])
+
+
+def _rank_rows(stack: QueryStack, scores: np.ndarray) -> StackedRanking:
+    if scores.shape != stack.real.shape:
+        raise ValueError(f"expected scores of shape {stack.real.shape}, got shape {scores.shape}")
+    at_fault = stack.real & ~np.isfinite(scores)
+    if at_fault.any():
+        i, j = np.unravel_index(np.argmax(at_fault), at_fault.shape)
+        _raise_non_finite(stack.queries[i], int(j))
+    # pads sort last; negating twice gives back each real score's bits
+    keys = np.where(stack.real, -scores, np.inf)
+    order = np.argsort(keys, axis=-1, kind="stable")
+    return StackedRanking(stack, order, -np.take_along_axis(keys, order, axis=-1))
+
+
+def _raise_non_finite(query: QueryCandidates, i: int) -> NoReturn:
+    raise ValueError(f"query {query.query_id!r}: non-finite score for doc {query.doc_ids[i]!r}")

@@ -53,13 +53,6 @@ class RelevanceJudgments:
         grade = self._by_query.get(query.query_id, {}).get
         return np.array([grade(doc_id, 0) for doc_id in query.doc_ids], dtype=np.float64)
 
-    def ideal_dcg(self, query_id: str, k: int) -> float:
-        """DCG@k of the query's judged grades sorted descending."""
-        ideal_grades = sorted(self.grades_for_query(query_id), reverse=True)[:k]
-        return sequential_sum(
-            np.array(ideal_grades, dtype=np.float64) / _discounts(len(ideal_grades))
-        )
-
 
 @dataclass(frozen=True)
 class TTestResult:
@@ -138,6 +131,18 @@ def _ratio(value, ideal, if_zero: float):
     return np.divide(value, ideal, out=np.full_like(value, if_zero), where=ideal != 0.0)
 
 
+def _ideal_dcg(query: QueryCandidates, judgments: RelevanceJudgments, k: int) -> float:
+    """DCG@k of the query's judged grades sorted descending. The grades are
+    fetched and sorted, and their running DCG taken, once per judgments and
+    kept in the query's memo; each cutoff reads it (see :func:`_at_cutoff`)."""
+    key = ("ideal_dcg", judgments)
+    sums = query.memo.get(key)
+    if sums is None:
+        grades = np.sort(np.array(judgments.grades_for_query(query.query_id), dtype=np.float64))
+        sums = query.memo[key] = np.add.accumulate(grades[::-1] / _discounts(len(grades)))
+    return _at_cutoff(sums, k) if sums.size else 0.0
+
+
 def ndcg_at_k(ranking: Ranking | StackedRanking, judgments: RelevanceJudgments,
               k: int) -> float | np.ndarray:
     """Normalized discounted cumulative gain at cutoff k (linear gains).
@@ -151,7 +156,7 @@ def ndcg_at_k(ranking: Ranking | StackedRanking, judgments: RelevanceJudgments,
     term is >= 0, so a pad adds +0.0 to a running sum.
     """
     _check_cutoff(k)
-    idcg = _per_query(ranking, (judgments, k), lambda query: judgments.ideal_dcg(query.query_id, k))
+    idcg = _per_query(ranking, (judgments, k), lambda query: _ideal_dcg(query, judgments, k))
     gains = _per_query(ranking, judgments, judgments.gains)
     top = np.take_along_axis(gains, ranking.order[..., :k], axis=-1)
     return _ratio(_at_cutoff(np.add.accumulate(top / _discounts(top.shape[-1]), axis=-1), k),

@@ -7,6 +7,11 @@ lowest adjusted score of any higher-ranked protected document, and each
 non-protected document is floored by the highest adjusted score of any
 lower-ranked one. A uniform variant replaces per-document sigma with the
 corpus mean, which serves as the constant-shift ablation.
+
+:func:`adjust_scores`, :func:`pufr_rerank` and :func:`uniform_rerank`
+take one query, or a :class:`~pufr.core.QueryStack` and then adjust and
+rank every query in one array pass, with the bits of the per-query calls:
+the re-rankers give a :class:`~pufr.core.StackedRanking`.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import QueryCandidates, Ranking, rank_by_score
+from .core import QueryCandidates, QueryStack, Ranking, StackedRanking, rank_by_score
 from .metrics import sequential_sum
 
 
@@ -41,8 +46,9 @@ class PufrConfig:
         return cls(alpha_protected=alpha, alpha_nonprotected=alpha)
 
 
-def adjust_scores(query: QueryCandidates, cfg: PufrConfig) -> np.ndarray:
-    """Adjusted scores for one query, aligned with its doc ids.
+def adjust_scores(query: QueryCandidates | QueryStack, cfg: PufrConfig) -> np.ndarray:
+    """Adjusted scores for one query, aligned with its doc ids, or for a
+    stack as padded rows, -inf at pads.
 
     Protected docs are visited in decreasing mu (ties by original rank)
     and raised within their confidence margin, capped by the running
@@ -54,9 +60,15 @@ def adjust_scores(query: QueryCandidates, cfg: PufrConfig) -> np.ndarray:
     return _adjust(query, cfg, None)
 
 
-def _adjust(query: QueryCandidates, cfg: PufrConfig, sigma_mean: float | None) -> np.ndarray:
+def _adjust(
+    query: QueryCandidates | QueryStack, cfg: PufrConfig, sigma_mean: float | None
+) -> np.ndarray:
     """:func:`adjust_scores` with each group's own sigmas, or with
     ``sigma_mean`` for every candidate."""
+    if isinstance(query, QueryStack):
+        protected, up, down = _masked_rows(query, sigma_mean)
+        raised, lowered = adjust_groups(*up, *down, cfg)
+        return np.where(protected, raised, lowered[:, ::-1])
     protected, other = query.by_group()
     up, down = adjust_groups(
         protected.mu, protected.sigma if sigma_mean is None else sigma_mean,
@@ -66,6 +78,27 @@ def _adjust(query: QueryCandidates, cfg: PufrConfig, sigma_mean: float | None) -
     adjusted[protected.index] = up
     adjusted[other.index] = down
     return adjusted
+
+
+def _masked_rows(stack: QueryStack, sigma_mean: float | None) -> tuple[np.ndarray, tuple, tuple]:
+    """The stack's group labels and each group's ``(mu, sigma)`` rows for
+    :func:`adjust_groups`, kept in the stack's memo. Each group's rows hold
+    the other group's places masked (see :func:`adjust_groups`); the pads
+    are non-protected places at mu = -inf with sigma 0, and the others'
+    rows run backwards, in their clamp order."""
+    # by bits: 0.0 and -0.0 shift a zero mu to different bits
+    key = ("masked rows", None if sigma_mean is None else sigma_mean.hex())
+    if key not in stack.memo:
+        protected, mu = stack.column("protected"), stack.column("mu")
+        sigma = stack.column("sigma") if sigma_mean is None else np.where(
+            stack.real, sigma_mean, 0.0)
+        stack.memo[key] = protected, (
+            np.where(protected, mu, np.inf), np.where(protected, sigma, 0.0),
+        ), (
+            np.where(protected, -np.inf, mu)[:, ::-1].copy(),
+            np.where(protected, 0.0, sigma)[:, ::-1].copy(),
+        )
+    return stack.memo[key]
 
 
 def adjust_groups(
@@ -104,8 +137,10 @@ def _clamp(raw: np.ndarray, lowest: bool) -> np.ndarray:
     return np.take_along_axis(raw, at, axis=-1)
 
 
-def pufr_rerank(query: QueryCandidates, cfg: PufrConfig) -> Ranking:
-    """Re-rank one query by its adjusted scores."""
+def pufr_rerank(
+    query: QueryCandidates | QueryStack, cfg: PufrConfig
+) -> Ranking | StackedRanking:
+    """Re-rank one query, or every query of a stack, by its adjusted scores."""
     return rank_by_score(query, adjust_scores(query, cfg))
 
 
@@ -118,11 +153,14 @@ def compute_sigma_mean(corpus: Iterable[QueryCandidates]) -> float:
     return sequential_sum(np.concatenate(columns)) / sum(len(column) for column in columns)
 
 
-def uniform_rerank(query: QueryCandidates, sigma_mean: float, cfg: PufrConfig) -> Ranking:
+def uniform_rerank(
+    query: QueryCandidates | QueryStack, sigma_mean: float, cfg: PufrConfig
+) -> Ranking | StackedRanking:
     """Constant-shift ablation: every sigma replaced by the corpus mean.
 
     Same adjustment and clamping pipeline as :func:`pufr_rerank`, so with
-    per-document sigmas all equal to ``sigma_mean`` the two coincide.
+    per-document sigmas all equal to ``sigma_mean`` the two coincide; a
+    stack's pads keep sigma 0.
     """
     if not (math.isfinite(sigma_mean) and sigma_mean >= 0.0):
         raise ValueError(f"sigma_mean must be finite and >= 0, got {sigma_mean!r}")

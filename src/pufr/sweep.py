@@ -1,10 +1,11 @@
 """Experiment harness: re-rank a corpus across a hyperparameter grid,
 evaluate utility and fairness at the configured cutoffs, time the
-re-ranking, and emit one CSV row per (method, alpha). Queries are
-re-ranked one by one, then evaluated together: one padded stack per
-corpus, of queries of any lengths, one stacked metric call per (alpha,
-cutoff), and one array pass per alpha for the PUFR reference of the
-t-test (see :func:`run_sweep`)."""
+re-ranking, and emit one CSV row per (method, alpha). The corpus is
+stacked once, padded to its longest query, and each alpha is one timed
+re-ranker call on the stack and one stacked metric call per cutoff. PUFR,
+its uniform ablation and the plain score ordering rank the whole stack in
+one array pass; the quota and constrained baselines re-rank query by query
+inside that call (see :func:`run_sweep`)."""
 
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import numpy as np
 from .baselines import (
     DEFAULT_DEPTH,
     ConstraintConfig,
+    MTable,
     compute_m_table,
     constrained_rerank,
     fastar_rerank,
@@ -35,13 +37,14 @@ from .metrics import (
     paired_t_test,
     sequential_sum,
 )
-from .rerank import PufrConfig, adjust_groups, compute_sigma_mean, pufr_rerank, uniform_rerank
+from .rerank import PufrConfig, compute_sigma_mean, pufr_rerank, uniform_rerank
 
-# A re-ranker returns the ranking and what keeps it from being certified:
-# None, "infeasible" (the fairness floor was not met) or "exhausted" (the
-# node cap cut the optimality search, so the ranking meets the floor but is
-# not certified optimal). Only the constrained baseline reports either.
-Reranker = Callable[[QueryCandidates], tuple[Ranking, str | None]]
+# A re-ranker ranks every query of a stack and counts the queries whose
+# ranking is not certified: "infeasible" (the fairness floor was not met)
+# or "exhausted" (the node cap cut the optimality search, so the ranking
+# meets the floor but is not certified optimal). Only the constrained
+# baseline counts either.
+Reranker = Callable[[QueryStack], tuple[StackedRanking, Counter[str]]]
 RerankerAt = Callable[[float], Reranker]
 
 DEFAULT_INTERVAL_ALPHAS = (1.0, 2.0)
@@ -50,7 +53,8 @@ DEFAULT_INTERVAL_ALPHAS = (1.0, 2.0)
 @dataclass(frozen=True)
 class Method:
     """What a method needs from a corpus. ``prepare(corpus, depth)`` does the
-    corpus-wide work once and returns alpha -> per-query re-ranker.
+    corpus-wide work once and returns alpha -> re-ranker of the stacked
+    corpus.
 
     ``needs_sigma``, ``needs_neutrality`` and ``needs_groups`` name the
     columns the re-ranker reads; group labels are drawn from neutrality, so
@@ -77,8 +81,28 @@ class Method:
             raise ValueError(f"depth must be >= 1, got {depth}")
 
 
-def _feasible(rerank: Callable[..., Ranking], *args: object) -> Reranker:
-    return lambda q: (rerank(q, *args), None)
+def _feasible(rerank: Callable[..., StackedRanking], *args: object) -> Reranker:
+    return lambda stack: (rerank(stack, *args), Counter())
+
+
+def _query_by_query(rerank: Callable[[QueryCandidates], tuple[Ranking, str | None]]) -> Reranker:
+    """A re-ranker from one that takes a query and gives its ranking and
+    what keeps it from being certified (None when nothing does)."""
+
+    def run(stack: QueryStack) -> tuple[StackedRanking, Counter[str]]:
+        rankings, problems = [], Counter()
+        for query in stack.queries:
+            ranking, problem = rerank(query)
+            rankings.append(ranking)
+            if problem is not None:
+                problems[problem] += 1
+        return stack.rankings(rankings), problems
+
+    return run
+
+
+def _fastar(q: QueryCandidates, table: MTable) -> tuple[Ranking, None]:
+    return fastar_rerank(q, table), None
 
 
 def _constrained(q: QueryCandidates, cfg: ConstraintConfig) -> tuple[Ranking, str | None]:
@@ -104,11 +128,11 @@ def _prepare_unfair(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt
 
 def _prepare_fastar(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
     max_len = max(len(q) for q in corpus)
-    return lambda alpha: _feasible(fastar_rerank, compute_m_table(max_len, alpha))
+    return lambda alpha: _query_by_query(partial(_fastar, table=compute_m_table(max_len, alpha)))
 
 
 def _prepare_constrained(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
-    return lambda alpha: partial(_constrained, cfg=ConstraintConfig(alpha, depth))
+    return lambda alpha: _query_by_query(partial(_constrained, cfg=ConstraintConfig(alpha, depth)))
 
 
 REGISTRY = {
@@ -151,9 +175,12 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class TradeoffRecord:
-    """One sweep row: metric means, mean per-query re-rank seconds, and the
+    """One sweep row: metric means, re-rank seconds per query, and the
     paired t-test of nFaiRR at the smallest fairness cutoff against the
-    reference method (nan for a single-query corpus)."""
+    reference method (nan for a single-query corpus). The seconds
+    (``rerank_time_s`` in the CSV) are one timed re-ranker call on the
+    whole stacked corpus divided by the number of queries, for every
+    method."""
 
     method: str
     alpha: float
@@ -176,44 +203,7 @@ class SweepResult:
 
 def _by_query(stack: QueryStack, values: np.ndarray) -> dict[str, float]:
     """A stacked metric column as query id -> value, in stack order."""
-    return dict(zip((query.query_id for query in stack.queries), values.tolist()))
-
-
-class _PufrReference:
-    """nFaiRR@k of every query's PUFR ranking at any alpha, the same bits as
-    ``nfairr_at_k(pufr_rerank(query, PufrConfig.symmetric(alpha)), k)``. Each
-    alpha adjusts and orders the stack's rows in one array pass, every pad a
-    non-protected place at mu = -inf with sigma 0, which never wins a clamp
-    and sorts last in place order, as :meth:`QueryStack.rankings` ranks pads.
-    When a real place's score is not finite, the queries are re-ranked one by
-    one only to raise the ValueError that names the first query and doc at
-    fault. One stacked ``nfairr_at_k`` call, sharing the stack's memo with
-    the sweep's, evaluates the rankings."""
-
-    def __init__(self, stack: QueryStack, k: int) -> None:
-        self.stack, self.k = stack, k
-        mu, sigma, protected = (
-            stack.padded(getattr(query, name) for query in stack.queries)
-            for name in ("mu", "sigma", "protected")
-        )
-        mu = np.where(stack.real, mu, -np.inf)
-        self.protected = protected.astype(bool)
-        # each group's rows in its clamp order, the other group's places
-        # masked (see rerank.adjust_groups): the others' rows run backwards
-        self.up = np.where(self.protected, mu, np.inf), np.where(self.protected, sigma, 0.0)
-        self.down = (np.where(self.protected, -np.inf, mu)[:, ::-1].copy(),
-                     np.where(self.protected, 0.0, sigma)[:, ::-1].copy())
-
-    def __call__(self, alpha: float) -> dict[str, float]:
-        pcfg = PufrConfig.symmetric(alpha)
-        raised, lowered = adjust_groups(*self.up, *self.down, pcfg)
-        scores = np.where(self.protected, raised, lowered[:, ::-1])
-        if np.count_nonzero(np.isfinite(scores)) != np.count_nonzero(self.stack.real):  # pads: -inf
-            for query in self.stack.queries:
-                pufr_rerank(query, pcfg)
-            raise RuntimeError("a stacked PUFR score is not finite but no query is at fault")
-        order = np.argsort(-scores, axis=-1, kind="stable")
-        return _by_query(self.stack, nfairr_at_k(StackedRanking(self.stack, order), self.k))
+    return dict(zip(stack.query_ids, values.tolist()))
 
 
 def run_sweep(
@@ -223,18 +213,15 @@ def run_sweep(
 ) -> SweepResult:
     """Run one method over its alpha grid.
 
-    Per (method, alpha): every query is re-ranked (wall-clock timed per
-    query, parsing and evaluation excluded), metrics are evaluated at the
-    configured cutoffs, and nFaiRR at the smallest fairness cutoff is
-    t-tested against the reference method: the uncertainty-aware re-ranker
-    at the same alpha where that is possible, the plain score ordering
-    otherwise.
-
-    The corpus is stacked once, padded to its longest query; each alpha's
-    rankings are stacked, pads last, and evaluated by one ``ndcg_at_k`` or
-    ``nfairr_at_k`` call per cutoff, with the per-query calls' bits. The
-    PUFR reference ranks the padded rows itself (see :class:`_PufrReference`).
-    Per-query values are keyed by query id, so a repeated id is an error.
+    The corpus is stacked once, padded to its longest query. Per (method,
+    alpha): one re-ranker call ranks the stack (wall-clock timed, parsing
+    and evaluation excluded), one ``ndcg_at_k`` or ``nfairr_at_k`` call per
+    cutoff evaluates it with the per-query calls' bits, and nFaiRR at the
+    smallest fairness cutoff is t-tested against the reference method: the
+    uncertainty-aware re-ranker at the same alpha where that is possible,
+    the plain score ordering otherwise. Both references rank the stack in
+    one call too. Per-query values are keyed by query id, so a repeated id
+    is an error.
     """
     if not corpus:
         raise ValueError("corpus is empty")
@@ -254,31 +241,28 @@ def run_sweep(
     alphas = (0.0,) if cfg.method == "unfair" else cfg.alpha_grid
     rerank_at = method.prepare(corpus, cfg.depth)
     stack = QueryStack(corpus)
-    pufr_reference_ok = cfg.method not in ("pufr", "unfair") and has_sigmas and has_groups
     tested_k = min(cfg.cutoffs_fairness)
+
+    def nfairr_by_query(ranked: StackedRanking) -> dict[str, float]:
+        return _by_query(stack, nfairr_at_k(ranked, tested_k))
+
     if len(corpus) < 2:
         reference_at = None
-    elif pufr_reference_ok:
-        reference_at = _PufrReference(stack, tested_k)
+    elif cfg.method not in ("pufr", "unfair") and has_sigmas and has_groups:
+        reference_at = lambda alpha: nfairr_by_query(
+            pufr_rerank(stack, PufrConfig.symmetric(alpha)))
     else:
-        unfair = nfairr_at_k(stack.rankings(map(unfair_rank, corpus)), tested_k)
-        unfair_reference = _by_query(stack, unfair)
+        unfair_reference = nfairr_by_query(unfair_rank(stack))
         reference_at = lambda alpha: unfair_reference
 
     records = []
     problems: Counter[str] = Counter()
     for alpha in alphas:
         rerank = rerank_at(alpha)
-        rankings = []
-        elapsed = 0.0
-        for query in corpus:
-            start = time.perf_counter()
-            ranking, problem = rerank(query)
-            elapsed += time.perf_counter() - start
-            rankings.append(ranking)
-            if problem is not None:
-                problems[problem] += 1
-        ranked = stack.rankings(rankings)
+        start = time.perf_counter()
+        ranked, counts = rerank(stack)
+        elapsed = time.perf_counter() - start
+        problems.update(counts)
         ndcg = {k: _by_query(stack, ndcg_at_k(ranked, judgments, k)) for k in cfg.cutoffs_utility}
         nfairr = {k: _by_query(stack, nfairr_at_k(ranked, k)) for k in cfg.cutoffs_fairness}
 

@@ -21,10 +21,10 @@ per query. Both run parsers here sort a query with ``ranked_in_two_passes``,
 the ``QueryCandidates.ranked`` that converted and checked the columns, then
 built the sorted query through the constructor, which did both again.
 
-The per-query sweep is ``run_sweep`` as it was before it evaluated each
-alpha's rankings in one stacked pass: one ``ndcg_at_k`` and one
-``nfairr_at_k`` call per ranking and cutoff, and a t-test reference
-re-ranked and evaluated query by query.
+The per-query sweep is ``run_sweep`` as it was before it ranked and
+evaluated each alpha's stack in one pass: every query re-ranked by its own
+call, one ``ndcg_at_k`` and one ``nfairr_at_k`` call per ranking and
+cutoff, and a t-test reference re-ranked and evaluated query by query.
 
 The Monte Carlo moments are those of the Laplace scorer before it scored a
 query's feature matrix in blocks: one matrix-vector product of all samples
@@ -58,22 +58,24 @@ import numpy as np
 from scipy import stats
 
 from pufr import (
+    ConstraintConfig,
     PredictiveDistribution,
     PufrConfig,
     QueryCandidates,
     SweepResult,
     TradeoffRecord,
     baselines,
+    compute_sigma_mean,
     fileio,
     ndcg_at_k,
     nfairr_at_k,
     paired_t_test,
     pufr_rerank,
     unfair_rank,
+    uniform_rerank,
 )
 from pufr.baselines import BisectionStep, ConstrainedResult
 from pufr.core import _read_only
-from pufr.sweep import REGISTRY
 
 
 def canonical_order(rows):
@@ -517,11 +519,35 @@ def _loop_mean(values):
     return total / len(values)
 
 
+def per_query_reranker(corpus, cfg, alpha):
+    """The sweep method's re-ranker of one query at ``alpha``: query ->
+    (ranking, None or what keeps the ranking from being certified)."""
+    pufr_cfg = PufrConfig.symmetric(alpha)
+    if cfg.method == "pufr":
+        return lambda query: (pufr_rerank(query, pufr_cfg), None)
+    if cfg.method == "uniform":
+        sigma_mean = compute_sigma_mean(corpus)
+        return lambda query: (uniform_rerank(query, sigma_mean, pufr_cfg), None)
+    if cfg.method == "unfair":
+        return lambda query: (unfair_rank(query), None)
+    if cfg.method == "fastar":
+        table = baselines.compute_m_table(max(len(query) for query in corpus), alpha)
+        return lambda query: (baselines.fastar_rerank(query, table), None)
+
+    def constrained(query):
+        result = baselines.constrained_rerank(query, ConstraintConfig(alpha, cfg.depth))
+        if not result.feasible:
+            return result.ranking, "infeasible"
+        return result.ranking, "exhausted" if result.exhausted else None
+
+    return constrained
+
+
 def run_sweep_per_query(corpus, judgments, cfg):
-    """``run_sweep``'s records and counts, every ranking evaluated by its own
-    metric calls; ``mean_rerank_seconds`` is nan, since nothing is timed."""
+    """``run_sweep``'s records and counts, every query re-ranked by its own
+    call and every ranking evaluated by its own metric calls;
+    ``mean_rerank_seconds`` is nan, since nothing is timed."""
     alphas = (0.0,) if cfg.method == "unfair" else cfg.alpha_grid
-    rerank_at = REGISTRY[cfg.method].prepare(corpus, cfg.depth)
     pufr_reference = cfg.method not in ("pufr", "unfair") and all(
         q.sigma is not None and q.protected is not None for q in corpus
     )
@@ -539,7 +565,7 @@ def run_sweep_per_query(corpus, judgments, cfg):
 
     records, problems = [], {"infeasible": 0, "exhausted": 0}
     for alpha in alphas:
-        rerank = rerank_at(alpha)
+        rerank = per_query_reranker(corpus, cfg, alpha)
         rankings = []
         for query in corpus:
             ranking, problem = rerank(query)

@@ -185,9 +185,9 @@ class CommandRecordingTracer(TRACER.Tracer):
         return recorded
 
 
-def test_only_the_pufr_sweep_reranks_each_query_with_pufr(tmp_path):
-    # the uniform and fastar rows t-test against PUFR at the same alpha,
-    # computed for the whole corpus at once, not by re-ranking every query
+def test_each_sweep_reranks_the_whole_stack_once_per_alpha(tmp_path):
+    # the pufr rows re-rank with PUFR, and the uniform and fastar rows
+    # t-test against PUFR at the same alpha: each call ranks every query
     workload = WORKLOADS.WORKLOADS["shallow-sweep"]
     queries, _ = workload.sizes["tiny"]
     fixture, out = tmp_path / "fixture", tmp_path / "out"
@@ -202,7 +202,11 @@ def test_only_the_pufr_sweep_reranks_each_query_with_pufr(tmp_path):
             assert code == command.expected_exit, err
     finally:
         tracer.uninstall()
+    sweep_grid, quota_grid = len(WORKLOADS.SWEEP_GRID), len(WORKLOADS.QUOTA_GRID)
     assert tracer.calls_by_command["rerank.pufr_rerank"] == {
-        "sweep-pufr": queries * len(WORKLOADS.SWEEP_GRID)
+        "sweep-pufr": sweep_grid, "sweep-uniform": sweep_grid, "sweep-fastar": quota_grid,
     }
-    assert tracer.stats["rerank.pufr_rerank"].calls == 12 * 9
+    assert tracer.calls_by_command["rerank.uniform_rerank"] == {"sweep-uniform": sweep_grid}
+    assert tracer.calls_by_command["baselines.fastar_rerank"] == {
+        "sweep-fastar": queries * quota_grid,
+    }

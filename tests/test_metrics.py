@@ -558,6 +558,18 @@ class TestStackedRankings:
         assert stack.padded([short.neutrality, long.neutrality]).tolist() == [
             [1.0, 0.0, 0.0], [0.0, 0.5, 1.0]]
 
+    def test_a_stack_ranks_padded_scores_whatever_its_pads_hold(self):
+        short = make_query([1.0], neutralities=[1.0], query_id="s")
+        long = make_query([3.0, 2.0, 1.0], neutralities=[0.0, 0.5, 1.0], query_id="l")
+        stack = QueryStack([short, long])
+        ranked = rank_by_score(stack, [[0.0, np.nan, 5.0], [0.0, 1.0, 2.0]])
+        assert ranked.order.tolist() == [[0, 1, 2], [2, 1, 0]]
+        assert ranked.scores.tolist() == [[0.0, -np.inf, -np.inf], [2.0, 1.0, 0.0]]
+        assert [(r.query_id, r.order.tolist(), r.scores.tolist()) for r in ranked.rows()] == [
+            ("s", [0], [0.0]), ("l", [2, 1, 0], [2.0, 1.0, 0.0])]
+        with pytest.raises(ValueError, match=r"^expected scores of shape \(2, 3\), got "):
+            rank_by_score(stack, [[0.0, 1.0], [0.0, 1.0]])
+
     def test_rankings_must_be_of_the_stacked_queries_in_order(self):
         a, b = make_query([1.0], query_id="a"), make_query([1.0], query_id="b")
         with pytest.raises(ValueError, match="one ranking of each stacked query"):

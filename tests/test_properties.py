@@ -4,15 +4,14 @@ the scalar oracles in ``oracles.py``.
 The strategies make exact ``mu`` ties, signed zeros, zero sigma, alpha 0
 and -0.0, one-group and one-document queries common. Scores are compared
 as ``float.hex`` so that 0.0 and -0.0 count as different. Corpora share
-one query length or mix several, so that the sweep's PUFR reference meets
-padded rows, and queries shorter than the cutoff.
+one query length or mix several, so that the stack forms of the re-rankers
+meet padded rows, and queries shorter than the cutoff.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,8 +25,10 @@ from pufr import (
     PufrConfig,
     QueryCandidates,
     QueryStack,
+    Ranking,
     RelevanceJudgments,
     ScoredCandidate,
+    StackedRanking,
     SweepConfig,
     adjust_scores,
     assign_groups,
@@ -46,8 +47,7 @@ from pufr import (
 )
 from pufr.baselines import DEFAULT_DEPTH, DEFAULT_EXACT_WINDOW
 from pufr.rerank import _clamp, adjust_groups
-from pufr import sweep
-from pufr.sweep import METHODS, REGISTRY, _PufrReference
+from pufr.sweep import METHODS, REGISTRY
 
 TIED_VALUES = (0.0, -0.0, 1.0, -1.0, 2.5)
 ALPHAS = st.one_of(
@@ -232,7 +232,8 @@ def evaluated(draw):
     method = draw(st.sampled_from(METHODS))
     alpha = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0))
     depth = draw(st.integers(1, len(query) + 1))
-    ranking, _ = REGISTRY[method].prepare([query], depth)(alpha)(query)
+    ranked, _ = REGISTRY[method].prepare([query], depth)(alpha)(QueryStack([query]))
+    (ranking,) = ranked.rows()
     grades = {
         ("q", d): draw(st.integers(0, 3))
         for d in [*query.doc_ids, "unretrieved"] if draw(st.booleans())
@@ -368,6 +369,13 @@ MIXED_LENGTHS = [
 ]
 
 
+def stacked_reference(corpus, alpha, k):
+    """The sweep's PUFR reference: nFaiRR@k of the stack's PUFR ranking, by query id."""
+    stack = QueryStack(corpus)
+    values = nfairr_at_k(pufr_rerank(stack, PufrConfig.symmetric(alpha)), k)
+    return dict(zip(stack.query_ids, values.tolist()))
+
+
 @EXAMPLES
 @example(MIXED_LENGTHS, 1.0, 3)
 @example(MIXED_LENGTHS, 0.0, 10)
@@ -380,10 +388,7 @@ def test_the_reference_is_pufr_then_nfairr_bit_for_bit(corpus, alpha, k):
         q.query_id: nfairr_at_k(pufr_rerank(q, PufrConfig.symmetric(alpha)), k).hex()
         for q in corpus
     }
-    reference = _PufrReference(QueryStack(corpus), k)
-    # the scores are finite, so no query is re-ranked one by one, whatever the lengths
-    with mock.patch.object(sweep, "pufr_rerank", None):
-        assert reference_outcome(lambda: reference(alpha)) == expected
+    assert reference_outcome(lambda: stacked_reference(corpus, alpha, k)) == expected
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -395,7 +400,92 @@ def test_an_overflowing_shift_raises_what_the_per_query_loop_raises(corpus, alph
         return {q.query_id: nfairr_at_k(pufr_rerank(q, cfg), k) for q in corpus}
 
     expected = reference_outcome(per_query)
-    assert reference_outcome(lambda: _PufrReference(QueryStack(corpus), k)(alpha)) == expected
+    assert reference_outcome(lambda: stacked_reference(corpus, alpha, k)) == expected
+
+
+def hexes(values):
+    return [value.hex() for value in values.tolist()]
+
+
+def shifted(query, alpha, pad):
+    """``mu + alpha * sigma`` of a query, or of a stack as padded rows with
+    ``pad`` at the pads."""
+    if isinstance(query, QueryStack):
+        return query.padded([shifted(q, alpha, pad) for q in query.queries], pad)
+    return query.mu + alpha * query.sigma
+
+
+# each stack form, called as f(query or stack, cfg, sigma mean, pad)
+STACK_FORMS = {
+    "adjust_scores": lambda query, cfg, mean, pad: adjust_scores(query, cfg),
+    "pufr_rerank": lambda query, cfg, mean, pad: pufr_rerank(query, cfg),
+    "uniform_rerank": lambda query, cfg, mean, pad: uniform_rerank(query, mean, cfg),
+    "rank_by_score": lambda query, cfg, mean, pad: rank_by_score(
+        query, shifted(query, cfg.alpha_protected, pad)),
+    "unfair_rank": lambda query, cfg, mean, pad: unfair_rank(query),
+}
+
+
+def stacked_rows(stack, result):
+    """A stack form's result as its per-query rows, hexed, after checking
+    its pads: -inf scores and, in a ranking, the last ranks in place order."""
+    rows = []
+    for i, query in enumerate(stack.queries):
+        n = len(query)
+        if isinstance(result, StackedRanking):
+            assert result.order[i, n:].tolist() == list(range(n, stack.real.shape[1]))
+            assert (result.scores[i, n:] == -np.inf).all()
+            rows.append((result.order[i, :n].tolist(), hexes(result.scores[i, :n])))
+        else:
+            assert (result[i, n:] == -np.inf).all()
+            rows.append(hexes(result[i, :n]))
+    return rows
+
+
+def per_query_row(result):
+    if isinstance(result, Ranking):
+        return result.order.tolist(), hexes(result.scores)
+    return hexes(result)
+
+
+def outcome(call):
+    """What ``call`` returns, or the text of its ValueError."""
+    try:
+        return call()
+    except ValueError as error:
+        return str(error)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@EXAMPLES
+@example(MIXED_LENGTHS, 1.0, 1.0, "pufr_rerank", 0.0)
+@example(MIXED_LENGTHS, 0.0, 2.0, "uniform_rerank", 0.0)
+@example(MIXED_LENGTHS, -0.0, 0.5, "adjust_scores", 0.0)
+@example(MIXED_LENGTHS[::-1], 0.5, 0.0, "rank_by_score", math.nan)
+@example(MIXED_LENGTHS, 0.0, 0.0, "unfair_rank", 0.0)
+@given(st.one_of(corpora(), corpora(huge=True)), ALPHAS, ALPHAS,
+       st.sampled_from(tuple(STACK_FORMS)),
+       st.sampled_from((0.0, -0.0, 1e308, math.inf, -math.inf, math.nan)))
+def test_each_stack_form_gives_the_per_query_calls_bits(corpus, alpha_p, alpha_n, form, pad):
+    # pads are non-protected places at mu = -inf with sigma 0; the scores
+    # given for them, even when not finite, neither rank them nor raise
+    cfg = PufrConfig(alpha_protected=alpha_p, alpha_nonprotected=alpha_n)
+    mean = compute_sigma_mean(corpus)  # inf when huge: both forms then raise
+    call = STACK_FORMS[form]
+    expected = outcome(lambda: [per_query_row(call(q, cfg, mean, pad)) for q in corpus])
+    stack = QueryStack(corpus)
+    assert outcome(lambda: stacked_rows(stack, call(stack, cfg, mean, pad))) == expected
+
+
+def test_a_stack_ranked_again_with_another_sigma_mean_gives_its_bits():
+    # -0.0 + 0.0 is 0.0 but -0.0 + -0.0 is -0.0: the stack's memo of masked
+    # rows must not hand one sigma mean's rows to the other
+    query = make_query([-0.0, -1.0], [0.0, 0.0], [1.0, 0.0])
+    stack = QueryStack([query])
+    cfg = PufrConfig.symmetric(1.0)
+    for mean in (0.0, -0.0, 0.5, 0.0):
+        assert hexes(uniform_rerank(stack, mean, cfg).scores[0]) == hexes(
+            uniform_rerank(query, mean, cfg).scores)
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -138,9 +139,7 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="^query id 'q' is repeated in the corpus$"):
             run_sweep(corpus, RelevanceJudgments({}), cfg)
 
-    def test_the_stacked_pufr_reference_keeps_tied_scores_in_original_rank_order(
-        self, monkeypatch
-    ):
+    def test_the_stacked_pufr_reference_keeps_tied_scores_in_original_rank_order(self):
         # whole mu and sigma 0.5 tie raised and lowered docs at alpha 1, and
         # with 40 docs per query numpy's default sort is no longer stable
         rng = np.random.default_rng(2)
@@ -150,9 +149,11 @@ class TestRunSweep:
             for i in range(8)
         ]
         cfg = PufrConfig.symmetric(1.0)
-        expected = {q.query_id: nfairr_at_k(pufr_rerank(q, cfg), 10) for q in corpus}
-        monkeypatch.setattr(sweep, "pufr_rerank", None)  # every value from the stacked pass
-        assert sweep._PufrReference(QueryStack(corpus), 10)(1.0) == expected
+        expected = [pufr_rerank(q, cfg) for q in corpus]
+        stack = QueryStack(corpus)
+        ranked = pufr_rerank(stack, cfg)
+        assert ranked.order.tolist() == [ranking.order.tolist() for ranking in expected]
+        assert nfairr_at_k(ranked, 10).tolist() == [nfairr_at_k(r, 10) for r in expected]
 
     def test_constrained_sweep_reports_infeasible_queries(self):
         q1 = make_query([3.0, 2.0, 1.0], [0.1] * 3, [0.0, 0.0, 1.0], query_id="q1")
@@ -180,12 +181,29 @@ class TestRunSweep:
         with pytest.raises(ValueError, match="increasing"):
             SweepConfig(method="pufr", alpha_grid=(1.0, 1.0))
 
-    def test_timing_is_nonnegative(self):
+    @pytest.mark.parametrize("method", sweep.METHODS)
+    def test_timing_is_finite_and_positive(self, method):
         corpus, judgments = biased_corpus(seed=13, n_queries=5)
-        for method in ("pufr", "uniform", "unfair", "fastar"):
-            grid = (0.5,) if method != "fastar" else (0.5,)
-            record = run_sweep(corpus, judgments, SweepConfig(method, grid)).records[0]
-            assert record.mean_rerank_seconds >= 0.0
+        record = run_sweep(corpus, judgments, SweepConfig(method, (0.5,), depth=5)).records[0]
+        assert math.isfinite(record.mean_rerank_seconds) and record.mean_rerank_seconds > 0.0
+
+    @pytest.mark.parametrize("method", ["pufr", "uniform"])
+    def test_a_stacked_method_calls_its_reranker_once_per_alpha(self, monkeypatch, method):
+        calls = Counter()
+        for name in ("pufr_rerank", "uniform_rerank", "unfair_rank"):
+            def counted(*args, _name=name, _rerank=getattr(sweep, name), **kwargs):
+                calls[_name] += 1
+                return _rerank(*args, **kwargs)
+
+            monkeypatch.setattr(sweep, name, counted)
+        corpus, judgments = biased_corpus(seed=13, n_queries=5)
+        grid = (0.0, 0.5, 1.0)
+        run_sweep(corpus, judgments, SweepConfig(method, grid))
+        # the t-test reference ranks the stack too: PUFR's per alpha, the plain order once
+        if method == "pufr":
+            assert calls == {"pufr_rerank": len(grid), "unfair_rank": 1}
+        else:
+            assert calls == {"uniform_rerank": len(grid), "pufr_rerank": len(grid)}
 
 
 class TestCsv:
