@@ -46,12 +46,23 @@ class MTable:
 
     ``required[k-1]`` is the smallest number of protected docs any top-k
     prefix may contain, derived from a binomial quantile test at the
-    given significance.
+    given significance. It lies in 0..k and does not decrease with k, as
+    :func:`fastar_rerank` needs; a table that breaks either rule is
+    rejected.
     """
 
     p: float
     significance: float
     required: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        required = np.asarray(self.required, dtype=np.int64)
+        least = np.concatenate(([0], required))[:-1]  # no quota below the one before
+        bad = (required < least) | (required > np.arange(1, len(required) + 1))
+        if bad.any():
+            k = int(np.argmax(bad)) + 1
+            raise ValueError(f"quota table requires {required[k - 1]} protected docs in the "
+                             f"top {k}; it must lie in {least[k - 1]}..{k}")
 
 
 def compute_m_table(k_max: int, p: float, significance: float = DEFAULT_SIGNIFICANCE) -> MTable:
@@ -101,49 +112,73 @@ def _binomial_quantile(k: int, p: float, significance: float) -> int:
     return min(int(np.searchsorted(cdf, significance)), k)
 
 
-def fastar_rerank(query: QueryCandidates, table: MTable) -> Ranking:
+def fastar_rerank(
+    query: QueryCandidates | QueryStack, table: MTable
+) -> Ranking | StackedRanking:
     """Greedy merge of the two score-sorted group queues under the quota.
 
     At each output position the better-scored queue head is emitted
     unless that would leave the prefix short of its protected quota, in
     which case the protected head is forced; exact score ties also go to
     the protected head. Once either queue runs dry the other is drained.
+    A stack is merged row by row in one pass, its pads last; the ranking
+    of a query is its one-row case. Scores are positions: n..1 down a
+    query's ranking.
+
+    The merge has a closed form. Each queue keeps column (original-rank)
+    order, so the j-th protected document P_j (from 0) is preceded by c_j
+    others, where c_j is the first c >= c_(j-1) at which the greedy emits
+    P_j: its score wins (c >= c0_j, the number of others strictly above
+    P_j's tie block), its quota forces it (j + c >= D_j, the first
+    position whose ``required`` count exceeds j: the count is read at
+    position j + c and the table does not decrease, so it exceeds j
+    exactly from D_j on), or the others run out (c0_j never exceeds their
+    number). So c_j = max(c_(j-1), min(c0_j, D_j - j)), one running
+    maximum per row, and a stable sort of merge keys 2 * c_j for P_j and
+    2 * i + 1 for the i-th other puts every document where the greedy does.
     """
-    n = len(query)
-    if len(table.required) < n:
+    stack = query if isinstance(query, QueryStack) else QueryStack([query])
+    required = np.asarray(table.required)
+    too_long = np.flatnonzero(stack.lengths > len(required))
+    if too_long.size:
+        longest = stack.queries[too_long[0]]
         raise ValueError(
-            f"quota table covers prefixes up to {len(table.required)} but query "
-            f"{query.query_id!r} has {n} candidates"
+            f"quota table covers prefixes up to {len(required)} but query "
+            f"{longest.query_id!r} has {len(longest)} candidates"
         )
-    protected_queue, other_queue, mu = _fastar_queues(query)
-    required = table.required  # covers every prefix, checked above
-
-    out: list[int] = []
-    p_idx = o_idx = 0
-    while p_idx < len(protected_queue) and o_idx < len(other_queue):
-        p, o = protected_queue[p_idx], other_queue[o_idx]
-        if p_idx < required[len(out)] or mu[p] >= mu[o]:
-            out.append(p)
-            p_idx += 1
-        else:
-            out.append(o)
-            o_idx += 1
-    out.extend(protected_queue[p_idx:])
-    out.extend(other_queue[o_idx:])
-    return _positional_ranking(query, np.array(out, dtype=np.intp))
+    protected, j, c0, other_keys, scores = _fastar_places(stack)
+    c = np.maximum.accumulate(
+        np.where(protected, np.minimum(c0, np.searchsorted(required, j, side="right") - j), 0),
+        axis=-1,
+    )
+    order = np.argsort(np.where(protected, 2 * c, other_keys), axis=-1, kind="stable")
+    ranked = StackedRanking(stack, order, scores)
+    return ranked if isinstance(query, QueryStack) else ranked.rows()[0]
 
 
-def _fastar_queues(query: QueryCandidates) -> tuple[list[int], list[int], list[float]]:
-    """The protected and the other column indices, each by decreasing
-    ``mu``, and ``mu`` itself, as lists kept in the query's memo: every
-    quota of a sweep merges the same queues."""
-    queues = query.memo.get("fastar_queues")
-    if queues is None:
-        protected, other = query.by_group()
-        queues = query.memo["fastar_queues"] = (
-            protected.index.tolist(), other.index[::-1].tolist(), query.mu.tolist()
+def _fastar_places(stack: QueryStack) -> tuple[np.ndarray, ...]:
+    """What every quota of a sweep merges, kept in the stack's memo: the
+    group labels, each protected place's j and c0_j (see
+    :func:`fastar_rerank`), the merge key of each other place (pads after
+    every real place) and the positional scores, -inf at pads."""
+    places = stack.memo.get("fastar places")
+    if places is None:
+        protected, mu, real = stack.column("protected"), stack.column("mu"), stack.real
+        others = real & ~protected
+        j = np.cumsum(protected, axis=-1) - protected
+        i = np.cumsum(others, axis=-1) - others
+        width = real.shape[1]
+        # the first place of each place's tie block: mu does not increase along a row
+        new_block = np.ones(real.shape, dtype=bool)
+        new_block[:, 1:] = mu[:, 1:] != mu[:, :-1]
+        block = np.maximum.accumulate(np.where(new_block, np.arange(width), 0), axis=-1)
+        scores = np.where(real, stack.lengths[:, None] - np.arange(width), -np.inf)
+        scores.flags.writeable = False  # every quota's ranking shares it
+        places = stack.memo["fastar places"] = (
+            protected, j, np.take_along_axis(i, block, axis=-1),
+            np.where(others, 2 * i + 1, 2 * width + 1), scores,
         )
-    return queues
+    return places
 
 
 def _positional_ranking(query: QueryCandidates, order: np.ndarray) -> Ranking:

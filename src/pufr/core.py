@@ -264,14 +264,17 @@ class QueryStack:
     column j of query i while j < len(query i), and a pad after it.
     :meth:`padded` fills pads with 0.0 unless told otherwise, and
     :meth:`column` as ``_PADS`` says; :func:`rank_by_score` and
-    :meth:`rankings` rank pads last, in place order. Values derived from
-    the rows are kept in ``memo``."""
+    :meth:`rankings` rank pads last, in place order. ``lengths`` holds each
+    query's length. Values derived from the rows are kept in ``memo``. A
+    stack needs at least one query."""
 
     def __init__(self, queries: Iterable[QueryCandidates]) -> None:
         self.queries = tuple(queries)
+        if not self.queries:
+            raise ValueError("cannot stack an empty corpus")
         self.query_ids = tuple(query.query_id for query in self.queries)
-        lengths = np.array([len(query) for query in self.queries])
-        self.real = np.arange(lengths.max()) < lengths[:, None]  # False at pads
+        self.lengths = np.array([len(query) for query in self.queries])
+        self.real = np.arange(self.lengths.max()) < self.lengths[:, None]  # False at pads
         self.memo: dict[Any, Any] = {}
 
     def padded(self, columns: Iterable[np.ndarray], pad: float | bool = 0.0) -> np.ndarray:

@@ -12,7 +12,7 @@ from typing import Callable, Hashable, Iterable, Mapping
 
 import numpy as np
 
-from .core import QueryCandidates, Ranking, StackedRanking
+from .core import QueryCandidates, QueryStack, Ranking, StackedRanking
 
 
 @dataclass(frozen=True, eq=False)
@@ -172,27 +172,30 @@ def fairr_at_k(ranking: Ranking | StackedRanking, k: int) -> float | np.ndarray:
     return _at_cutoff(_fairr_sums(np.take_along_axis(neutrality, ranking.order[..., :k], -1)), k)
 
 
-def ideal_fairr_at_k(query: QueryCandidates, k: int) -> float:
-    """Best FaiRR@k attainable from the query's candidate pool, kept in the
-    query's memo per k.
+def ideal_fairr_at_k(query: QueryCandidates | QueryStack, k: int) -> float | np.ndarray:
+    """Best FaiRR@k attainable from the query's candidate pool; a column,
+    one value per query, for a stack.
 
     Ordering candidates by neutrality descending maximizes the sum since
-    1/rank is decreasing (rearrangement inequality).
+    1/rank is decreasing (rearrangement inequality). The neutralities are
+    sorted, and their running FaiRR taken, once per query or stack and kept
+    in its memo; each cutoff reads it (see :func:`_at_cutoff`). A stack's
+    pads sort after every positive neutrality and add +0.0, so each row has
+    the per-query bits.
     """
     _check_cutoff(k)
-    key = ("ideal_fairr", k)
-    ideal = query.memo.get(key)
-    if ideal is None:
-        values = np.sort(query.column("neutrality"))[::-1][:k]
-        ideal = query.memo[key] = _at_cutoff(_fairr_sums(values), k)
-    return ideal
+    sums = query.memo.get("ideal_fairr")
+    if sums is None:
+        sums = query.memo["ideal_fairr"] = _fairr_sums(
+            np.sort(query.column("neutrality"), axis=-1)[..., ::-1])
+    return _at_cutoff(sums, k)
 
 
 def nfairr_at_k(ranking: Ranking | StackedRanking, k: int) -> float | np.ndarray:
     """FaiRR@k normalized by the pool's ideal; 1 when the ideal is 0
     (an all-biased pool cannot be improved); a column for a stacked ranking."""
-    ideal = _per_query(ranking, ("ideal_fairr", k), lambda query: ideal_fairr_at_k(query, k))
-    return _ratio(fairr_at_k(ranking, k), ideal, 1.0)
+    pool = ranking.stack if isinstance(ranking, StackedRanking) else ranking.query
+    return _ratio(fairr_at_k(ranking, k), ideal_fairr_at_k(pool, k), 1.0)
 
 
 def paired_t_test(a: Mapping[str, float], b: Mapping[str, float]) -> TTestResult:
@@ -237,22 +240,37 @@ def check_interval_alpha(alpha: float) -> float:
     return alpha
 
 
-def intersection_counts(query: QueryCandidates, alpha: float) -> list[int]:
+def intersection_counts(
+    query: QueryCandidates | QueryStack, alpha: float
+) -> list[int] | np.ndarray:
     """Per rank position, how many other docs' score intervals
-    [mu - alpha*sigma, mu + alpha*sigma] overlap that doc's interval.
+    [mu - alpha*sigma, mu + alpha*sigma] overlap that doc's interval; for a
+    stack, one row per query, 0 at pads.
 
     Overlap is closed-interval (touching endpoints count); a document is
-    never counted against itself. Counted from the sorted endpoints in
-    O(n log n).
+    never counted against itself. Doc i overlaps doc j unless lo_j > hi_i or
+    hi_j < lo_i (never both), and every interval overlaps itself, so its
+    count is the number of lower ends at or below hi_i, less the upper ends
+    below lo_i, less 1. Both are read from one stable sort of each row's
+    lower ends followed by its upper ends: an equal lower end sorts before
+    an upper end, and NaN pads sort after every real end.
     """
     check_interval_alpha(alpha)
-    margin = alpha * query.column("sigma")
-    lo, hi = query.mu - margin, query.mu + margin
-    # i overlaps j unless lo_j > hi_i or hi_j < lo_i (never both), and
-    # every interval overlaps itself
-    starting_by_hi = np.searchsorted(np.sort(lo), hi, side="right")
-    ending_before_lo = np.searchsorted(np.sort(hi), lo, side="left")
-    return (starting_by_hi - ending_before_lo - 1).tolist()
+    stack = query if isinstance(query, QueryStack) else QueryStack([query])
+    real = stack.real
+    mu, margin = stack.column("mu"), alpha * stack.column("sigma")
+    n = real.shape[1]
+    ends = np.concatenate((np.where(real, mu - margin, np.nan),
+                           np.where(real, mu + margin, np.nan)), axis=-1)
+    order = np.argsort(ends, axis=-1, kind="stable")
+    lower = order < n
+    lower_before = np.cumsum(lower, axis=-1) - lower
+    # an upper end adds the lower ends before it, a lower end takes away the upper ones
+    counted = np.empty_like(order)
+    np.put_along_axis(counted, order,
+                      np.where(lower, lower_before - np.arange(2 * n), lower_before), axis=-1)
+    counts = np.where(real, counted[:, :n] + counted[:, n:] - 1, 0)
+    return counts if isinstance(query, QueryStack) else counts[0].tolist()
 
 
 def median_intersections(corpus: Iterable[QueryCandidates], alpha: float) -> list[int]:
@@ -260,14 +278,14 @@ def median_intersections(corpus: Iterable[QueryCandidates], alpha: float) -> lis
 
     Only queries deep enough to populate a rank contribute to its median;
     even-sized samples take the lower-mid element so the output stays
-    integer-valued.
+    integer-valued. The corpus is stacked and counted in one pass, and each
+    rank's counts sorted in one column sort, pads last.
     """
-    per_query = [intersection_counts(query, alpha) for query in corpus]
-    if not per_query:
+    queries = tuple(corpus)
+    if not queries:
         raise ValueError("corpus is empty")
-    max_depth = max(len(counts) for counts in per_query)
-    medians = []
-    for rank_idx in range(max_depth):
-        values = sorted(counts[rank_idx] for counts in per_query if len(counts) > rank_idx)
-        medians.append(values[(len(values) - 1) // 2])
-    return medians
+    stack = QueryStack(queries)
+    counts = intersection_counts(stack, alpha)
+    ranked = np.sort(np.where(stack.real, counts, np.iinfo(counts.dtype).max), axis=0)
+    populated = np.count_nonzero(stack.real, axis=0)
+    return ranked[(populated - 1) // 2, np.arange(len(populated))].tolist()

@@ -3,9 +3,10 @@ evaluate utility and fairness at the configured cutoffs, time the
 re-ranking, and emit one CSV row per (method, alpha). The corpus is
 stacked once, padded to its longest query, and each alpha is one timed
 re-ranker call on the stack and one stacked metric call per cutoff. PUFR,
-its uniform ablation and the plain score ordering rank the whole stack in
-one array pass; the quota and constrained baselines re-rank query by query
-inside that call (see :func:`run_sweep`)."""
+its uniform ablation, the quota baseline and the plain score ordering rank
+the whole stack in one array pass; the constrained baseline re-ranks query
+by query inside that call (see :func:`run_sweep`). The interval analysis
+counts each width multiplier's overlaps over the whole stack in one pass."""
 
 from __future__ import annotations
 
@@ -13,7 +14,6 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -21,13 +21,12 @@ import numpy as np
 from .baselines import (
     DEFAULT_DEPTH,
     ConstraintConfig,
-    MTable,
     compute_m_table,
     constrained_rerank,
     fastar_rerank,
     unfair_rank,
 )
-from .core import QueryCandidates, QueryStack, Ranking, StackedRanking
+from .core import QueryCandidates, QueryStack, StackedRanking
 from .metrics import (
     RelevanceJudgments,
     check_interval_alpha,
@@ -85,30 +84,22 @@ def _feasible(rerank: Callable[..., StackedRanking], *args: object) -> Reranker:
     return lambda stack: (rerank(stack, *args), Counter())
 
 
-def _query_by_query(rerank: Callable[[QueryCandidates], tuple[Ranking, str | None]]) -> Reranker:
-    """A re-ranker from one that takes a query and gives its ranking and
-    what keeps it from being certified (None when nothing does)."""
+def _constrained(cfg: ConstraintConfig) -> Reranker:
+    """The constrained baseline, query by query: its window solver works on
+    one query at a time."""
 
     def run(stack: QueryStack) -> tuple[StackedRanking, Counter[str]]:
         rankings, problems = [], Counter()
         for query in stack.queries:
-            ranking, problem = rerank(query)
-            rankings.append(ranking)
-            if problem is not None:
-                problems[problem] += 1
+            result = constrained_rerank(query, cfg)
+            rankings.append(result.ranking)
+            if not result.feasible:
+                problems["infeasible"] += 1
+            elif result.exhausted:
+                problems["exhausted"] += 1
         return stack.rankings(rankings), problems
 
     return run
-
-
-def _fastar(q: QueryCandidates, table: MTable) -> tuple[Ranking, None]:
-    return fastar_rerank(q, table), None
-
-
-def _constrained(q: QueryCandidates, cfg: ConstraintConfig) -> tuple[Ranking, str | None]:
-    result = constrained_rerank(q, cfg)
-    problem = "infeasible" if not result.feasible else "exhausted" if result.exhausted else None
-    return result.ranking, problem
 
 
 # The prepare functions name the library functions in their bodies, so a
@@ -128,11 +119,11 @@ def _prepare_unfair(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt
 
 def _prepare_fastar(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
     max_len = max(len(q) for q in corpus)
-    return lambda alpha: _query_by_query(partial(_fastar, table=compute_m_table(max_len, alpha)))
+    return lambda alpha: _feasible(fastar_rerank, compute_m_table(max_len, alpha))
 
 
 def _prepare_constrained(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
-    return lambda alpha: _query_by_query(partial(_constrained, cfg=ConstraintConfig(alpha, depth)))
+    return lambda alpha: _constrained(ConstraintConfig(alpha, depth))
 
 
 REGISTRY = {

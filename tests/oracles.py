@@ -40,6 +40,14 @@ The t-test p-value is the formula the library used before it called
 
 The quota table is the binomial recurrence the library used before it
 summed the pmf in logarithms where the recurrence's first term underflows.
+The quota re-ranker is the greedy merge of the two group queues, one
+output position at a time, that the library ran query by query before it
+merged a whole stack in closed form.
+
+The interval overlaps compare every pair of closed intervals of a query,
+and their medians sort each rank's counts across the queries deep enough
+to reach it, as the library did query by query and rank by rank before it
+counted and sorted a stack in one pass.
 
 The constrained re-ranker is the one the library used before it searched
 for the Lagrangian breakpoint where the bracketing orders' lines cross: 64
@@ -62,6 +70,7 @@ from pufr import (
     PredictiveDistribution,
     PufrConfig,
     QueryCandidates,
+    Ranking,
     SweepResult,
     TradeoffRecord,
     baselines,
@@ -192,6 +201,62 @@ def m_table_required(k_max, p, significance):
             m += 1
         required.append(m)
     return tuple(required)
+
+
+def fastar_greedy(query, table):
+    """``baselines.fastar_rerank`` of one query as the greedy merge: at each
+    position the protected head goes first when the prefix is short of its
+    quota or its ``mu`` is at least the other head's; once either queue is
+    empty the other is drained. Scores are n..1 down the ranking."""
+    required = table.required
+    if len(required) < len(query):
+        raise ValueError(
+            f"quota table covers prefixes up to {len(required)} but query "
+            f"{query.query_id!r} has {len(query)} candidates"
+        )
+    protected_queue = [i for i in range(len(query)) if query.protected[i]]
+    other_queue = [i for i in range(len(query)) if not query.protected[i]]
+    mu = query.mu.tolist()
+    out = []
+    p_idx = o_idx = 0
+    while p_idx < len(protected_queue) and o_idx < len(other_queue):
+        p, o = protected_queue[p_idx], other_queue[o_idx]
+        if p_idx < required[len(out)] or mu[p] >= mu[o]:
+            out.append(p)
+            p_idx += 1
+        else:
+            out.append(o)
+            o_idx += 1
+    out.extend(protected_queue[p_idx:])
+    out.extend(other_queue[o_idx:])
+    return Ranking(query, np.array(out, dtype=np.intp),
+                   np.arange(len(out), 0, -1, dtype=np.float64))
+
+
+def intersection_counts(query, alpha):
+    """O(n^2) interval overlaps: compare every pair of closed intervals
+    [mu - alpha*sigma, mu + alpha*sigma], in original-rank order."""
+    bounds = [(mu - alpha * sigma, mu + alpha * sigma)
+              for mu, sigma in zip(query.mu.tolist(), query.sigma.tolist())]
+    counts = []
+    for i, (lo_i, hi_i) in enumerate(bounds):
+        counts.append(sum(
+            1
+            for j, (lo_j, hi_j) in enumerate(bounds)
+            if j != i and max(lo_i, lo_j) <= min(hi_i, hi_j)
+        ))
+    return counts
+
+
+def median_intersections(corpus, alpha):
+    """Per rank, the lower-mid of the overlap counts of the queries that
+    reach it, sorted rank by rank."""
+    per_query = [intersection_counts(query, alpha) for query in corpus]
+    medians = []
+    for rank_idx in range(max(len(counts) for counts in per_query)):
+        values = sorted(counts[rank_idx] for counts in per_query if len(counts) > rank_idx)
+        medians.append(values[(len(values) - 1) // 2])
+    return medians
 
 
 def constrained_rerank_bisection(query, cfg):
@@ -532,7 +597,7 @@ def per_query_reranker(corpus, cfg, alpha):
         return lambda query: (unfair_rank(query), None)
     if cfg.method == "fastar":
         table = baselines.compute_m_table(max(len(query) for query in corpus), alpha)
-        return lambda query: (baselines.fastar_rerank(query, table), None)
+        return lambda query: (fastar_greedy(query, table), None)
 
     def constrained(query):
         result = baselines.constrained_rerank(query, ConstraintConfig(alpha, cfg.depth))

@@ -9,6 +9,7 @@ from scipy.stats import binom
 from pufr import (
     ConstraintConfig,
     MTable,
+    QueryStack,
     ScoredCandidate,
     SyntheticConfig,
     build_query,
@@ -109,6 +110,28 @@ class TestMTable:
         for a, b in zip(tables, tables[1:]):
             assert all(x <= y for x, y in zip(a, b))
 
+    @pytest.mark.parametrize("p", (0.05, 0.3, 0.5, 0.75, 0.9, 0.99, 0.999))
+    @pytest.mark.parametrize("significance", (0.01, 0.1, 0.5, 0.9))
+    def test_every_table_lies_in_range_and_never_decreases(self, p, significance):
+        # past k = 323 at p = 0.9 (103 at 0.999) the quota comes from the
+        # log-space sum: the constructor's checks hold on both sides
+        table = compute_m_table(1100, p, significance)
+        required = np.array(table.required)
+        assert (np.diff(required) >= 0).all()
+        assert ((0 <= required) & (required <= np.arange(1, 1101))).all()
+        assert p < 0.5 or (1.0 - p) ** 1100 < sys.float_info.min
+
+    @pytest.mark.parametrize("required, message", [
+        ((0, 1, 0), "requires 0 protected docs in the top 3; it must lie in 1..3"),
+        ((0, 3), "requires 3 protected docs in the top 2; it must lie in 0..2"),
+        ((-1,), "requires -1 protected docs in the top 1; it must lie in 0..1"),
+        ((1, 2, 2, 1), "requires 1 protected docs in the top 4; it must lie in 2..4"),
+        ((0, -1, 0), "requires -1 protected docs in the top 2; it must lie in 0..2"),
+    ])
+    def test_a_table_out_of_range_or_decreasing_is_refused(self, required, message):
+        with pytest.raises(ValueError, match=f"^quota table {message}$"):
+            MTable(p=0.5, significance=0.1, required=required)
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             compute_m_table(0, 0.5, 0.1)
@@ -147,6 +170,24 @@ class TestFastarRerank:
         table = compute_m_table(1000, 0.75)
         prefix = np.cumsum(q.protected[fastar_rerank(q, table).order])
         assert prefix[:600].tolist() == list(table.required[:600])
+
+    def test_a_long_ragged_stack_is_the_greedy_merge(self):
+        # rows longer than numpy's insertion-sort cutoff, with many protected
+        # docs sharing a merge key: only a stable sort keeps them in order
+        rng = np.random.default_rng(101)
+        corpus = []
+        for i in range(12):
+            q = random_query(rng, n_min=20, n_max=300, query_id=f"q{i}",
+                             protected_fraction=float(rng.choice([0.1, 0.5, 0.9])))
+            corpus.append(make_query(np.round(q.mu), q.sigma, q.neutrality, query_id=f"q{i}"))
+        stack = QueryStack(corpus)
+        for p in (0.0, 0.3, 0.6, 0.9, 1.0):
+            table = compute_m_table(300, p)
+            ranked = fastar_rerank(stack, table)
+            for query, ranking in zip(corpus, ranked.rows()):
+                expected = oracles.fastar_greedy(query, table)
+                assert ranking.order.tolist() == expected.order.tolist()
+                assert ranking.scores.tolist() == expected.scores.tolist()
 
     def test_short_table_rejected(self):
         q = make_query([2.0, 1.0], neutralities=[0.0, 1.0])

@@ -187,9 +187,9 @@ class CommandRecordingTracer(TRACER.Tracer):
 
 def test_each_sweep_reranks_the_whole_stack_once_per_alpha(tmp_path):
     # the pufr rows re-rank with PUFR, and the uniform and fastar rows
-    # t-test against PUFR at the same alpha: each call ranks every query
+    # t-test against PUFR at the same alpha: each call ranks every query;
+    # the interval report counts every query's overlaps in one call per alpha
     workload = WORKLOADS.WORKLOADS["shallow-sweep"]
-    queries, _ = workload.sizes["tiny"]
     fixture, out = tmp_path / "fixture", tmp_path / "out"
     out.mkdir()
     tracer = CommandRecordingTracer()
@@ -207,6 +207,7 @@ def test_each_sweep_reranks_the_whole_stack_once_per_alpha(tmp_path):
         "sweep-pufr": sweep_grid, "sweep-uniform": sweep_grid, "sweep-fastar": quota_grid,
     }
     assert tracer.calls_by_command["rerank.uniform_rerank"] == {"sweep-uniform": sweep_grid}
-    assert tracer.calls_by_command["baselines.fastar_rerank"] == {
-        "sweep-fastar": queries * quota_grid,
+    assert tracer.calls_by_command["baselines.fastar_rerank"] == {"sweep-fastar": quota_grid}
+    assert tracer.calls_by_command["metrics.intersection_counts"] == {
+        "intervals": len(WORKLOADS.INTERVAL_ALPHAS),
     }

@@ -33,20 +33,6 @@ def judgments_of(query_id, grades_by_doc):
     )
 
 
-def scalar_intersection_counts(query, alpha):
-    """O(n^2) oracle: compare every pair of closed intervals
-    [mu - alpha*sigma, mu + alpha*sigma], in original-rank order."""
-    bounds = [(c.mu - alpha * c.sigma, c.mu + alpha * c.sigma) for c in rows(query)]
-    counts = []
-    for i, (lo_i, hi_i) in enumerate(bounds):
-        counts.append(sum(
-            1
-            for j, (lo_j, hi_j) in enumerate(bounds)
-            if j != i and max(lo_i, lo_j) <= min(hi_i, hi_j)
-        ))
-    return counts
-
-
 class TestNdcg:
     def test_ideal_order_scores_one(self):
         ranking = ranked("q", ["a", "b"])
@@ -332,7 +318,7 @@ class TestIntersectionCounts:
         for _ in range(25):
             n = int(rng.integers(1, 12))
             q = make_query(rng.normal(size=n), np.abs(rng.normal(size=n)))
-            assert intersection_counts(q, 2.0) == scalar_intersection_counts(q, 2.0)
+            assert intersection_counts(q, 2.0) == oracles.intersection_counts(q, 2.0)
 
     def test_touching_endpoints_count(self):
         # [-1, 1] and [1, 3] share only the point 1
@@ -371,7 +357,7 @@ class TestIntersectionCounts:
     )
     def test_matches_scalar_oracle(self, pairs, alpha):
         q = make_query([mu for mu, _ in pairs], [sigma for _, sigma in pairs])
-        assert intersection_counts(q, alpha) == scalar_intersection_counts(q, alpha)
+        assert intersection_counts(q, alpha) == oracles.intersection_counts(q, alpha)
 
     def test_alpha_must_be_positive(self):
         q = make_query([1.0], [0.5])
@@ -409,8 +395,16 @@ class TestMedianIntersections:
         assert medians[1] == 2 and medians[2] == 2
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            median_intersections([], 1.0)
+        # refused before stacking, with its own text, even from an iterator
+        for corpus in ([], iter(())):
+            with pytest.raises(ValueError, match="^corpus is empty$"):
+                median_intersections(corpus, 1.0)
+
+    def test_a_stack_gives_one_row_per_query_and_zero_at_pads(self):
+        short = make_query([0.0], [1.0], query_id="s")
+        long = make_query([0.0, 1.0, 5.0], [1.0, 1.0, 0.1], query_id="l")
+        counts = intersection_counts(QueryStack([short, long]), 1.0)
+        assert counts.tolist() == [[0, 0, 0], intersection_counts(long, 1.0)]
 
 
 class TestRelevanceJudgments:
@@ -569,6 +563,10 @@ class TestStackedRankings:
             ("s", [0], [0.0]), ("l", [2, 1, 0], [2.0, 1.0, 0.0])]
         with pytest.raises(ValueError, match=r"^expected scores of shape \(2, 3\), got "):
             rank_by_score(stack, [[0.0, 1.0], [0.0, 1.0]])
+
+    def test_an_empty_corpus_cannot_be_stacked(self):
+        with pytest.raises(ValueError, match="^cannot stack an empty corpus$"):
+            QueryStack([])
 
     def test_rankings_must_be_of_the_stacked_queries_in_order(self):
         a, b = make_query([1.0], query_id="a"), make_query([1.0], query_id="b")

@@ -23,6 +23,7 @@ from conftest import Row, make_query, rows, score_column, score_map, sweep_key
 from pufr import (
     ConstraintConfig,
     PufrConfig,
+    MTable,
     QueryCandidates,
     QueryStack,
     Ranking,
@@ -34,10 +35,14 @@ from pufr import (
     assign_groups,
     build_query,
     compute_sigma_mean,
+    compute_m_table,
     constrained_rerank,
     fairr_at_k,
+    fastar_rerank,
     ideal_fairr_at_k,
     ndcg_at_k,
+    intersection_counts,
+    median_intersections,
     nfairr_at_k,
     pufr_rerank,
     rank_by_score,
@@ -286,17 +291,21 @@ def test_clamp_keeps_the_first_of_equal_values_bit_for_bit(values, lowest):
 
 
 @st.composite
-def corpora(draw, huge=False):
+def corpora(draw, huge=False, any_neutrality=False):
     """Queries q0, q1, ... of 1-8 candidates each, half the time all of one
-    length, some zero sigmas made -0.0; with ``huge``, some ``mu`` and
-    ``sigma`` near the float maximum, so that ``mu ± alpha * sigma`` can
-    overflow."""
+    length, some zero sigmas and neutralities made -0.0; with ``huge``, some
+    ``mu`` and ``sigma`` near the float maximum, so that
+    ``mu ± alpha * sigma`` can overflow; with ``any_neutrality``, some
+    neutralities drawn from all of [0, 1]."""
     size = draw(st.one_of(st.none(), st.integers(1, 8)))
     corpus = []
     for i, items in enumerate(draw(st.lists(inputs(size=size), min_size=1, max_size=6))):
         rows_ = []
         for d, mu, s, n in items:
             s = -0.0 if s == 0.0 and draw(st.booleans()) else s
+            if any_neutrality and draw(st.booleans()):
+                n = draw(st.floats(0.0, 1.0))
+            n = -0.0 if n == 0.0 and draw(st.booleans()) else n
             if huge:
                 mu = draw(st.sampled_from((mu, 1.5e308, -1.5e308)))
                 s = draw(st.sampled_from((s, 1e308)))
@@ -580,3 +589,71 @@ def test_the_crossing_search_keeps_what_the_bisection_found(case):
         # another order is only allowed as a co-optimum of the oracle's
         assert utility == pytest.approx(ref_utility, rel=1e-12, abs=1e-12)
         assert fairness == pytest.approx(ref_fairness, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def quota_tables(draw, unit_steps=False):
+    """A quota table for prefixes 1..L, L from 1 to 9 (so it may not cover
+    every query of a corpus): ``compute_m_table`` at some p, or any table
+    that does not decrease, whose quota may jump by more than one (by at
+    most one with ``unit_steps``), capped at k for the top k."""
+    length = draw(st.integers(1, 9))
+    if draw(st.booleans()):
+        p = draw(st.sampled_from((0.0, 0.25, 0.5, 0.75, 1.0)) | st.floats(0.0, 1.0))
+        return compute_m_table(length, p, draw(st.sampled_from((0.05, 0.1, 0.5))))
+    jumps = draw(st.lists(st.integers(0, 1 if unit_steps else 3),
+                          min_size=length, max_size=length))
+    required = np.minimum(np.cumsum(jumps), np.arange(1, length + 1))
+    return MTable(p=0.5, significance=0.1, required=tuple(required.tolist()))
+
+
+@EXAMPLES
+@example(MIXED_LENGTHS, MTable(0.5, 0.1, (0, 2, 2, 3, 3, 5, 5)))
+@example(MIXED_LENGTHS, MTable(1.0, 0.1, tuple(range(1, 8))))
+@example(MIXED_LENGTHS, MTable(0.0, 0.1, (0,) * 6))
+@given(corpora(), quota_tables())
+def test_the_stacked_quota_merge_is_the_greedy_merge(corpus, table):
+    expected = outcome(lambda: [per_query_row(oracles.fastar_greedy(q, table)) for q in corpus])
+    assert outcome(lambda: [per_query_row(fastar_rerank(q, table)) for q in corpus]) == expected
+    stack = QueryStack(corpus)
+    assert outcome(lambda: stacked_rows(stack, fastar_rerank(stack, table))) == expected
+
+
+@EXAMPLES
+@given(corpora(), quota_tables(unit_steps=True))
+def test_every_prefix_meets_its_quota_while_protected_docs_remain(corpus, table):
+    corpus = [q for q in corpus if len(q) <= len(table.required)] or [make_query([0.0], [0.0])]
+    ranked = fastar_rerank(QueryStack(corpus), table)
+    for ranking in ranked.rows():
+        protected = ranking.query.protected
+        held = np.cumsum(protected[ranking.order])
+        quota = np.minimum(table.required[:len(held)], np.count_nonzero(protected))
+        assert (held >= quota).all()
+
+
+INTERVAL_ALPHAS = st.sampled_from((0.25, 1.0, 2.0, 10.0)) | st.floats(1e-3, 10.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@EXAMPLES
+@example(MIXED_LENGTHS, 1.0)
+@given(st.one_of(corpora(), corpora(huge=True)), INTERVAL_ALPHAS)
+def test_stacked_overlap_counts_and_medians_are_the_per_query_ones(corpus, alpha):
+    expected = [oracles.intersection_counts(q, alpha) for q in corpus]
+    assert [intersection_counts(q, alpha) for q in corpus] == expected
+    stack = QueryStack(corpus)
+    rows_ = intersection_counts(stack, alpha)
+    assert [rows_[i, :len(q)].tolist() for i, q in enumerate(corpus)] == expected
+    assert (rows_[~stack.real] == 0).all()
+    assert median_intersections(corpus, alpha) == oracles.median_intersections(corpus, alpha)
+
+
+@EXAMPLES
+@example(MIXED_LENGTHS, (1, 3, 10))
+@given(corpora(any_neutrality=True), st.lists(st.integers(1, 10), min_size=1, max_size=3))
+def test_stacked_ideal_fairr_has_the_per_query_bits(corpus, cutoffs):
+    stack = QueryStack(corpus)
+    for k in cutoffs:  # every cutoff reads the sums the first one kept
+        expected = [oracles.ideal_fairr(q.neutrality.tolist(), k).hex() for q in corpus]
+        assert [ideal_fairr_at_k(q, k).hex() for q in corpus] == expected
+        assert hexes(ideal_fairr_at_k(stack, k)) == expected

@@ -291,6 +291,10 @@ class TestIntervalReport:
         with pytest.raises(ValueError, match="repeat a column name"):
             report_interval_analysis(corpus, alphas)
 
+    def test_an_empty_corpus_is_refused_before_it_is_stacked(self):
+        with pytest.raises(ValueError, match="^corpus is empty$"):
+            report_interval_analysis([])
+
     def test_single_query_reproduces_intersection_counts(self):
         from pufr import intersection_counts
 
