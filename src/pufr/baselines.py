@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import QueryCandidates, QueryStack, Ranking, StackedRanking, rank_by_score
+from .core import QueryCandidates, QueryStack, Ranking, StackedRanking, rank_by_score, stacked
 from .metrics import ideal_fairr_at_k
 
 DEFAULT_SIGNIFICANCE = 0.1
@@ -31,7 +31,7 @@ _MAX_CROSSING_SOLVES = 64
 
 def unfair_rank(query: QueryCandidates | QueryStack) -> Ranking | StackedRanking:
     """Order purely by predicted mean score; the no-intervention reference.
-    A stack is ranked in one pass, as :func:`~pufr.core.rank_by_score` ranks one."""
+    A stack is ranked in one pass; a query is its one-row case."""
     return rank_by_score(query, query.column("mu"))
 
 
@@ -137,7 +137,7 @@ def fastar_rerank(
     maximum per row, and a stable sort of merge keys 2 * c_j for P_j and
     2 * i + 1 for the i-th other puts every document where the greedy does.
     """
-    stack = query if isinstance(query, QueryStack) else QueryStack([query])
+    stack = stacked(query)
     required = np.asarray(table.required)
     too_long = np.flatnonzero(stack.lengths > len(required))
     if too_long.size:
@@ -153,7 +153,7 @@ def fastar_rerank(
     )
     order = np.argsort(np.where(protected, 2 * c, other_keys), axis=-1, kind="stable")
     ranked = StackedRanking(stack, order, scores)
-    return ranked if isinstance(query, QueryStack) else ranked.rows()[0]
+    return ranked if stack is query else ranked.rows()[0]
 
 
 def _fastar_places(stack: QueryStack) -> tuple[np.ndarray, ...]:

@@ -271,7 +271,7 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
             f"{args.posterior} has posterior dimension {posterior.dim}"
         )
     scored = score_queries(posterior, features, cfg)
-    fileio.write_run_file(args.output, [unfair_rank(q) for q in scored], tag=args.tag)
+    fileio.write_run_file(args.output, unfair_rank(QueryStack(scored)).rows(), tag=args.tag)
     fileio.write_sigma_file(args.sigma_output, scored)
     return EXIT_OK
 
@@ -281,7 +281,8 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     corpus, judgments = generate_synthetic(cfg)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    fileio.write_run_file(out / "fixture.run", [unfair_rank(q) for q in corpus], tag=args.tag)
+    fileio.write_run_file(out / "fixture.run", unfair_rank(QueryStack(corpus)).rows(),
+                          tag=args.tag)
     fileio.write_sigma_file(out / "fixture.sigma", corpus)
     fileio.write_neutrality_file(out / "fixture.neutrality", corpus)
     fileio.write_qrels(out / "fixture.qrels", judgments)

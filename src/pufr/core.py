@@ -8,33 +8,31 @@ group label. ``sigma``, ``neutrality`` and ``protected`` are None until
 attached. The columns are stored in original-rank order: ``mu``
 descending, exact ties broken by doc id in ``str`` order, so index i is
 original rank i + 1, the deterministic tie-break of every sort downstream.
-The constructor validates every column once, vectorised, and, once groups
-are labelled, gathers each group's indices, ``mu`` and ``sigma`` in the
-order the re-ranker clamps them (see :meth:`QueryCandidates.by_group`).
+The constructor validates every column once, vectorised.
 :meth:`QueryCandidates.with_column` adds a column to a built query and
 checks only that column; it copies the query's fields directly, since
-``copy.copy`` costs about a quarter of the call. Values that other layers
-derive from a query's columns are kept in its ``memo``; both die with the
-query, and ``with_column`` and ``dataclasses.replace`` start a new query
-with fresh ones. :class:`ScoredCandidate` is the row form that
-:func:`build_query` accepts.
+``copy.copy`` costs about a quarter of the call. :class:`ScoredCandidate`
+is the row form that :func:`build_query` accepts.
 
 A :class:`Ranking` is an order over its query's columns: ``order[i]`` is
 the column index of the document at rank i + 1 and ``scores[i]`` its
 effective score, so metrics read the query's columns at ``order`` instead
 of looking documents up by id. A :class:`QueryStack` pads a corpus's
-queries to one length, and a :class:`StackedRanking` ranks every row of it:
-:func:`rank_by_score` takes a query and its scores, or a stack and padded
-rows of scores.
+queries to one length, and a :class:`StackedRanking` ranks every row of it.
+
+A function that ranks, re-ranks or evaluates a stack has one body, over
+the stack: a query or a ranking passed to it becomes a one-row stack or
+stacked ranking through :func:`stacked`, and the function gives back row 0
+of its result, as a ``Ranking``, a float, a 1-D array or a list.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from operator import itemgetter
-from typing import Any, Iterable, NamedTuple, NoReturn, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,16 +83,6 @@ def _read_only(values: object, dtype: type, n: int, name: str, query_id: str) ->
     return column
 
 
-class Group(NamedTuple):
-    """One group's candidates in the order the re-ranker clamps them: their
-    column indices, and ``mu`` and ``sigma`` (None when absent) at those
-    indices."""
-
-    index: np.ndarray
-    mu: np.ndarray
-    sigma: np.ndarray | None
-
-
 @dataclass(frozen=True, eq=False)
 class QueryCandidates:
     """A query id plus its candidate columns; the unit of all per-query work."""
@@ -105,9 +93,6 @@ class QueryCandidates:
     sigma: np.ndarray | None = None
     neutrality: np.ndarray | None = None
     protected: np.ndarray | None = None
-    _groups: tuple[Group, Group] | None = field(default=None, init=False, repr=False)
-    # values other layers derive from the columns, keyed by whoever derives them
-    memo: dict[Any, Any] = field(default_factory=dict, init=False, repr=False)
     # set by ranked() only: the columns are read-only float64 already, and in order
     _ranked: InitVar[bool] = False
 
@@ -126,7 +111,6 @@ class QueryCandidates:
                 object.__setattr__(self, name, _read_only(values, dtype, n, name, self.query_id))
         for name in _DTYPES:
             self._check(name, _ranked)
-        self._gather_groups()
 
     def _check(self, name: str, ranked: bool = False) -> None:
         """Check one column's values, naming the first bad candidate; a ``mu``
@@ -151,15 +135,6 @@ class QueryCandidates:
             self._require((column >= 0.0) & (column <= 1.0), column,
                           "neutrality score must lie in [0, 1]")
 
-    def _gather_groups(self) -> None:
-        if self.protected is not None:
-            # protected docs by decreasing mu, the others by increasing mu
-            indices = np.flatnonzero(self.protected), np.flatnonzero(~self.protected)[::-1]
-            object.__setattr__(self, "_groups", tuple(
-                Group(index, self.mu[index], None if self.sigma is None else self.sigma[index])
-                for index in indices
-            ))
-
     def _require(self, ok: np.ndarray, column: np.ndarray, what: str) -> None:
         if not ok.all():
             i = int(np.argmin(ok))
@@ -172,13 +147,11 @@ class QueryCandidates:
         """This query with its ``sigma``, ``neutrality`` or ``protected``
         column set to ``values``. Only the new column is checked: the doc
         ids, ``mu`` and the other columns were checked when this query was
-        built. Like ``dataclasses.replace``, the result starts with a fresh
-        ``memo``."""
+        built."""
         column = _read_only(values, _DTYPES[name], len(self), name, self.query_id)
         query = object.__new__(type(self))
-        query.__dict__.update(self.__dict__, memo={}, **{name: column})
+        query.__dict__.update(self.__dict__, **{name: column})
         query._check(name)
-        query._gather_groups()
         return query
 
     @classmethod
@@ -226,13 +199,6 @@ class QueryCandidates:
         if values is None:
             raise ValueError(f"query {self.query_id!r} has no {_COLUMN_NAMES[name]}")
         return values
-
-    def by_group(self) -> tuple[Group, Group]:
-        """The protected candidates in original-rank order and the others in
-        reverse; raises ValueError when groups have not been assigned."""
-        if self._groups is None:
-            self.column("protected")
-        return self._groups
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,6 +288,20 @@ class StackedRanking(NamedTuple):
         ]
 
 
+def stacked(
+    value: QueryCandidates | Ranking | QueryStack | StackedRanking,
+) -> QueryStack | StackedRanking:
+    """A query as a one-row :class:`QueryStack`, a ranking as a one-row
+    :class:`StackedRanking` of it, and a stack or a stacked ranking as it
+    is. A function that takes either form runs its one body on what this
+    gives, and where that is not what it was given, hands back row 0."""
+    if isinstance(value, QueryCandidates):
+        return QueryStack([value])
+    if isinstance(value, Ranking):
+        return StackedRanking(QueryStack([value.query]), value.order[None], value.scores[None])
+    return value
+
+
 def build_query(query_id: str, candidates: Sequence[ScoredCandidate]) -> QueryCandidates:
     """Assemble a query from rows, in original-rank order (see
     :meth:`QueryCandidates.ranked`). A ``sigma`` or ``neutrality`` column is
@@ -351,44 +331,32 @@ def assign_groups(
 def rank_by_score(
     query: QueryCandidates | QueryStack, scores: np.ndarray
 ) -> Ranking | StackedRanking:
-    """Sort a query's candidates by effective scores aligned with its doc ids,
-    descending.
+    """Sort a stack's rows by effective scores given as padded rows,
+    descending, or a query's candidates by scores aligned with its doc ids.
 
     Ties fall back to ascending original rank (a stable sort), so
-    re-ranking the same input with the same scores is reproducible.
-
-    A :class:`QueryStack` takes scores as padded rows and gives a
-    :class:`StackedRanking`, each row ordered as the per-query call orders
-    its query and its pads last in place order, whatever their scores. Only
-    real places must be finite; the error names the first query and doc at
-    fault, as the per-query calls would.
+    re-ranking the same input with the same scores is reproducible. Pads
+    rank last, in place order, whatever their scores. Only real places
+    must be finite; the error names the first query and doc at fault.
     """
+    stack = stacked(query)
     scores = np.asarray(scores, dtype=np.float64)
-    if isinstance(query, QueryStack):
-        return _rank_rows(query, scores)
-    if scores.shape != (len(query),):
-        raise ValueError(
-            f"query {query.query_id!r}: expected {len(query)} scores, got shape {scores.shape}"
-        )
-    finite = np.isfinite(scores)
-    if np.count_nonzero(finite) != len(finite):
-        _raise_non_finite(query, int(np.argmin(finite)))
-    order = np.argsort(-scores, kind="stable")
-    return Ranking(query, order, scores[order])
-
-
-def _rank_rows(stack: QueryStack, scores: np.ndarray) -> StackedRanking:
+    if stack is not query:
+        if scores.shape != (len(query),):
+            raise ValueError(
+                f"query {query.query_id!r}: expected {len(query)} scores, got shape {scores.shape}"
+            )
+        scores = scores[None]
     if scores.shape != stack.real.shape:
         raise ValueError(f"expected scores of shape {stack.real.shape}, got shape {scores.shape}")
     at_fault = stack.real & ~np.isfinite(scores)
     if at_fault.any():
         i, j = np.unravel_index(np.argmax(at_fault), at_fault.shape)
-        _raise_non_finite(stack.queries[i], int(j))
+        faulty = stack.queries[i]
+        raise ValueError(
+            f"query {faulty.query_id!r}: non-finite score for doc {faulty.doc_ids[j]!r}")
     # pads sort last; negating twice gives back each real score's bits
     keys = np.where(stack.real, -scores, np.inf)
     order = np.argsort(keys, axis=-1, kind="stable")
-    return StackedRanking(stack, order, -np.take_along_axis(keys, order, axis=-1))
-
-
-def _raise_non_finite(query: QueryCandidates, i: int) -> NoReturn:
-    raise ValueError(f"query {query.query_id!r}: non-finite score for doc {query.doc_ids[i]!r}")
+    ranked = StackedRanking(stack, order, -np.take_along_axis(keys, order, axis=-1))
+    return ranked if stack is query else ranked.rows()[0]

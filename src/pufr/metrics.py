@@ -1,18 +1,22 @@
 """Evaluation: nDCG@k, rank-discounted neutrality (FaiRR/nFaiRR), paired
 t-tests, and uncertainty-interval intersection counts. The ranking metrics
-take one :class:`~pufr.core.Ranking`, or one ranking per query of a padded
-:class:`~pufr.core.QueryStack` and then give a column with the same bits."""
+evaluate every row of a :class:`~pufr.core.StackedRanking` (or of a
+:class:`~pufr.core.QueryStack`) and give a column, one value per stacked
+query; a :class:`~pufr.core.Ranking` or a query is the one-row case and
+gives a float (see :func:`~pufr.core.stacked`). Pads have gain and
+neutrality 0.0 and every real term is >= 0, so a pad adds +0.0 to a
+running sum and each row has the bits it has alone."""
 
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Hashable, Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .core import QueryCandidates, QueryStack, Ranking, StackedRanking
+from .core import QueryCandidates, QueryStack, Ranking, StackedRanking, stacked
 
 
 @dataclass(frozen=True, eq=False)
@@ -22,8 +26,7 @@ class RelevanceJudgments:
     Construction takes a snapshot: ``grades`` is copied and indexed as
     query -> {doc_id: grade}, so later changes to the caller's mapping change
     neither :meth:`grade` nor :func:`ndcg_at_k`. Judgments compare by
-    identity, like queries, so that a stack's memo can keep gains per
-    judgments."""
+    identity, so that a stack's memo can keep gains per judgments."""
 
     grades: Mapping[tuple[str, str], int]
     _by_query: dict[str, dict[str, int]] = field(init=False, repr=False)
@@ -90,13 +93,12 @@ def _ranks(n: int) -> np.ndarray:
     return _shared(np.arange(1, n + 1, dtype=np.float64))
 
 
-def _at_cutoff(sums: np.ndarray, k: int) -> np.ndarray | float:
-    """Running sums from ``np.add.accumulate`` at cutoff k, the whole sum past
-    the end: the sum :func:`sequential_sum` gives of the first k terms, since
-    accumulate adds one term at a time, with its ``+ 0.0``. A float for one
-    ranking's sums, a column for stacked rows."""
-    i = min(k, sums.shape[-1]) - 1
-    return sums.item(i) + 0.0 if sums.ndim == 1 else sums[:, i] + 0.0
+def _at_cutoff(sums: np.ndarray, k: int) -> np.ndarray:
+    """Running sums along stacked rows, from ``np.add.accumulate``, at cutoff
+    k as a column, the whole sum past the end: the sum :func:`sequential_sum`
+    gives of each row's first k terms, since accumulate adds one term at a
+    time, with its ``+ 0.0``."""
+    return sums[:, min(k, sums.shape[-1]) - 1] + 0.0
 
 
 def _fairr_sums(neutrality: np.ndarray) -> np.ndarray:
@@ -111,36 +113,30 @@ def _check_cutoff(k: int) -> None:
         raise ValueError(f"cutoff k must be >= 1, got {k}")
 
 
-def _per_query(ranking: Ranking | StackedRanking, key: Hashable, value: Callable):
-    """``value`` of a ranking's query. For a stacked ranking: the values of
-    the stacked queries as a column, or as padded rows when they are
-    columns, built once and kept in the stack's memo under ``key``."""
-    if not isinstance(ranking, StackedRanking):
-        return value(ranking.query)
-    stack = ranking.stack
-    if key not in stack.memo:
-        values = [value(query) for query in stack.queries]
-        stack.memo[key] = stack.padded(values) if np.ndim(values[0]) else np.array(values)
-    return stack.memo[key]
-
-
-def _ratio(value, ideal, if_zero: float):
-    """``value / ideal``, or ``if_zero`` where the ideal is 0; float or column."""
-    if not isinstance(value, np.ndarray):
-        return value / ideal if ideal != 0.0 else if_zero
+def _ratio(value: np.ndarray, ideal: np.ndarray, if_zero: float) -> np.ndarray:
+    """``value / ideal``, or ``if_zero`` where the ideal is 0."""
     return np.divide(value, ideal, out=np.full_like(value, if_zero), where=ideal != 0.0)
 
 
-def _ideal_dcg(query: QueryCandidates, judgments: RelevanceJudgments, k: int) -> float:
-    """DCG@k of the query's judged grades sorted descending. The grades are
-    fetched and sorted, and their running DCG taken, once per judgments and
-    kept in the query's memo; each cutoff reads it (see :func:`_at_cutoff`)."""
-    key = ("ideal_dcg", judgments)
-    sums = query.memo.get(key)
-    if sums is None:
-        grades = np.sort(np.array(judgments.grades_for_query(query.query_id), dtype=np.float64))
-        sums = query.memo[key] = np.add.accumulate(grades[::-1] / _discounts(len(grades)))
-    return _at_cutoff(sums, k) if sums.size else 0.0
+def _judged(stack: QueryStack, judgments: RelevanceJudgments) -> tuple[np.ndarray, np.ndarray]:
+    """Each stacked query's gains as padded rows (0.0 where a doc is
+    unjudged), and the running DCG of its judged grades sorted descending,
+    as rows padded with grade 0.0 to the most grades any query has. Both are
+    built once per judgments and kept in the stack's memo; each cutoff reads
+    them (see :func:`_at_cutoff`)."""
+    judged = stack.memo.get(judgments)
+    if judged is None:
+        grades = [judgments.grades_for_query(query_id) for query_id in stack.query_ids]
+        counts = np.array([len(row) for row in grades])
+        width = max(1, int(counts.max()))
+        ideal = np.zeros((len(grades), width))
+        ideal[np.arange(width) < counts[:, None]] = [grade for row in grades for grade in row]
+        ideal = np.sort(ideal, axis=-1)[:, ::-1]
+        judged = stack.memo[judgments] = (
+            stack.padded(judgments.gains(query) for query in stack.queries),
+            np.add.accumulate(ideal / _discounts(width), axis=-1),
+        )
+    return judged
 
 
 def ndcg_at_k(ranking: Ranking | StackedRanking, judgments: RelevanceJudgments,
@@ -150,52 +146,51 @@ def ndcg_at_k(ranking: Ranking | StackedRanking, judgments: RelevanceJudgments,
     The ideal ranking sorts the query's judged grades descending; when no
     positive judgments exist the metric is 0 by convention. Each gain is
     divided by its discount and the terms are summed left to right.
-
-    A :class:`StackedRanking` gives a column, one value per stacked query,
-    with the bits of the per-query call: pads have gain 0.0 and every real
-    term is >= 0, so a pad adds +0.0 to a running sum.
     """
     _check_cutoff(k)
-    idcg = _per_query(ranking, (judgments, k), lambda query: _ideal_dcg(query, judgments, k))
-    gains = _per_query(ranking, judgments, judgments.gains)
-    top = np.take_along_axis(gains, ranking.order[..., :k], axis=-1)
-    return _ratio(_at_cutoff(np.add.accumulate(top / _discounts(top.shape[-1]), axis=-1), k),
-                  idcg, 0.0)
+    ranked = stacked(ranking)
+    gains, ideal = _judged(ranked.stack, judgments)
+    top = np.take_along_axis(gains, ranked.order[:, :k], axis=-1)
+    values = _ratio(_at_cutoff(np.add.accumulate(top / _discounts(top.shape[-1]), axis=-1), k),
+                    _at_cutoff(ideal, k), 0.0)
+    return values if ranked is ranking else values.item(0)
 
 
 def fairr_at_k(ranking: Ranking | StackedRanking, k: int) -> float | np.ndarray:
     """Rank-discounted neutrality mass of the top-k: the sum of n_d / rank
-    over the first min(k, n) ranks (see :func:`_fairr_sums`); a column for a
-    stacked ranking, whose pads have neutrality 0.0."""
+    over the first min(k, n) ranks (see :func:`_fairr_sums`)."""
     _check_cutoff(k)
-    neutrality = _per_query(ranking, "neutrality", lambda query: query.column("neutrality"))
-    return _at_cutoff(_fairr_sums(np.take_along_axis(neutrality, ranking.order[..., :k], -1)), k)
+    ranked = stacked(ranking)
+    neutrality = ranked.stack.column("neutrality")
+    values = _at_cutoff(_fairr_sums(np.take_along_axis(neutrality, ranked.order[:, :k], -1)), k)
+    return values if ranked is ranking else values.item(0)
 
 
 def ideal_fairr_at_k(query: QueryCandidates | QueryStack, k: int) -> float | np.ndarray:
-    """Best FaiRR@k attainable from the query's candidate pool; a column,
-    one value per query, for a stack.
+    """Best FaiRR@k attainable from the query's candidate pool.
 
     Ordering candidates by neutrality descending maximizes the sum since
     1/rank is decreasing (rearrangement inequality). The neutralities are
-    sorted, and their running FaiRR taken, once per query or stack and kept
-    in its memo; each cutoff reads it (see :func:`_at_cutoff`). A stack's
-    pads sort after every positive neutrality and add +0.0, so each row has
-    the per-query bits.
+    sorted, and their running FaiRR taken, once per stack and kept in its
+    memo; each cutoff reads it (see :func:`_at_cutoff`). Pads sort after
+    every positive neutrality.
     """
     _check_cutoff(k)
-    sums = query.memo.get("ideal_fairr")
+    stack = stacked(query)
+    sums = stack.memo.get("ideal_fairr")
     if sums is None:
-        sums = query.memo["ideal_fairr"] = _fairr_sums(
-            np.sort(query.column("neutrality"), axis=-1)[..., ::-1])
-    return _at_cutoff(sums, k)
+        sums = stack.memo["ideal_fairr"] = _fairr_sums(
+            np.sort(stack.column("neutrality"), axis=-1)[:, ::-1])
+    values = _at_cutoff(sums, k)
+    return values if stack is query else values.item(0)
 
 
 def nfairr_at_k(ranking: Ranking | StackedRanking, k: int) -> float | np.ndarray:
     """FaiRR@k normalized by the pool's ideal; 1 when the ideal is 0
-    (an all-biased pool cannot be improved); a column for a stacked ranking."""
-    pool = ranking.stack if isinstance(ranking, StackedRanking) else ranking.query
-    return _ratio(fairr_at_k(ranking, k), ideal_fairr_at_k(pool, k), 1.0)
+    (an all-biased pool cannot be improved)."""
+    ranked = stacked(ranking)
+    values = _ratio(fairr_at_k(ranked, k), ideal_fairr_at_k(ranked.stack, k), 1.0)
+    return values if ranked is ranking else values.item(0)
 
 
 def paired_t_test(a: Mapping[str, float], b: Mapping[str, float]) -> TTestResult:
@@ -244,8 +239,8 @@ def intersection_counts(
     query: QueryCandidates | QueryStack, alpha: float
 ) -> list[int] | np.ndarray:
     """Per rank position, how many other docs' score intervals
-    [mu - alpha*sigma, mu + alpha*sigma] overlap that doc's interval; for a
-    stack, one row per query, 0 at pads.
+    [mu - alpha*sigma, mu + alpha*sigma] overlap that doc's interval: for a
+    stack, one row per query, 0 at pads; for a query, a list.
 
     Overlap is closed-interval (touching endpoints count); a document is
     never counted against itself. Doc i overlaps doc j unless lo_j > hi_i or
@@ -256,7 +251,7 @@ def intersection_counts(
     an upper end, and NaN pads sort after every real end.
     """
     check_interval_alpha(alpha)
-    stack = query if isinstance(query, QueryStack) else QueryStack([query])
+    stack = stacked(query)
     real = stack.real
     mu, margin = stack.column("mu"), alpha * stack.column("sigma")
     n = real.shape[1]
@@ -270,21 +265,18 @@ def intersection_counts(
     np.put_along_axis(counted, order,
                       np.where(lower, lower_before - np.arange(2 * n), lower_before), axis=-1)
     counts = np.where(real, counted[:, :n] + counted[:, n:] - 1, 0)
-    return counts if isinstance(query, QueryStack) else counts[0].tolist()
+    return counts if stack is query else counts[0].tolist()
 
 
-def median_intersections(corpus: Iterable[QueryCandidates], alpha: float) -> list[int]:
-    """Median of intersection counts per rank position across queries.
+def median_intersections(stack: QueryStack, alpha: float) -> list[int]:
+    """Median of intersection counts per rank position across the stacked
+    queries.
 
     Only queries deep enough to populate a rank contribute to its median;
     even-sized samples take the lower-mid element so the output stays
-    integer-valued. The corpus is stacked and counted in one pass, and each
-    rank's counts sorted in one column sort, pads last.
+    integer-valued. The stack is counted in one pass, and each rank's
+    counts sorted in one column sort, pads last.
     """
-    queries = tuple(corpus)
-    if not queries:
-        raise ValueError("corpus is empty")
-    stack = QueryStack(queries)
     counts = intersection_counts(stack, alpha)
     ranked = np.sort(np.where(stack.real, counts, np.iinfo(counts.dtype).max), axis=0)
     populated = np.count_nonzero(stack.real, axis=0)

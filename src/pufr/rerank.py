@@ -9,9 +9,8 @@ lower-ranked one. A uniform variant replaces per-document sigma with the
 corpus mean, which serves as the constant-shift ablation.
 
 :func:`adjust_scores`, :func:`pufr_rerank` and :func:`uniform_rerank`
-take one query, or a :class:`~pufr.core.QueryStack` and then adjust and
-rank every query in one array pass, with the bits of the per-query calls:
-the re-rankers give a :class:`~pufr.core.StackedRanking`.
+adjust and rank every query of a :class:`~pufr.core.QueryStack` in one
+array pass; a query is the one-row case (see :func:`~pufr.core.stacked`).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .core import QueryCandidates, QueryStack, Ranking, StackedRanking, rank_by_score
+from .core import QueryCandidates, QueryStack, Ranking, StackedRanking, rank_by_score, stacked
 from .metrics import sequential_sum
 
 
@@ -65,19 +64,11 @@ def _adjust(
 ) -> np.ndarray:
     """:func:`adjust_scores` with each group's own sigmas, or with
     ``sigma_mean`` for every candidate."""
-    if isinstance(query, QueryStack):
-        protected, up, down = _masked_rows(query, sigma_mean)
-        raised, lowered = adjust_groups(*up, *down, cfg)
-        return np.where(protected, raised, lowered[:, ::-1])
-    protected, other = query.by_group()
-    up, down = adjust_groups(
-        protected.mu, protected.sigma if sigma_mean is None else sigma_mean,
-        other.mu, other.sigma if sigma_mean is None else sigma_mean, cfg,
-    )
-    adjusted = np.empty(len(query))
-    adjusted[protected.index] = up
-    adjusted[other.index] = down
-    return adjusted
+    stack = stacked(query)
+    protected, up, down = _masked_rows(stack, sigma_mean)
+    raised, lowered = adjust_groups(*up, *down, cfg)
+    adjusted = np.where(protected, raised, lowered[:, ::-1])
+    return adjusted if stack is query else adjusted[0]
 
 
 def _masked_rows(stack: QueryStack, sigma_mean: float | None) -> tuple[np.ndarray, tuple, tuple]:

@@ -207,8 +207,8 @@ def run_sweep(
     The corpus is stacked once, padded to its longest query. Per (method,
     alpha): one re-ranker call ranks the stack (wall-clock timed, parsing
     and evaluation excluded), one ``ndcg_at_k`` or ``nfairr_at_k`` call per
-    cutoff evaluates it with the per-query calls' bits, and nFaiRR at the
-    smallest fairness cutoff is t-tested against the reference method: the
+    cutoff evaluates it, each row with the bits it has alone, and nFaiRR at
+    the smallest fairness cutoff is t-tested against the reference method: the
     uncertainty-aware re-ranker at the same alpha where that is possible,
     the plain score ordering otherwise. Both references rank the stack in
     one call too. Per-query values are keyed by query id, so a repeated id
@@ -353,9 +353,12 @@ def report_interval_analysis(
 ) -> str:
     """CSV of per-rank median interval-intersection counts, one column
     group per interval width multiplier; every column has a row per rank
-    of the deepest query."""
+    of the deepest query. The corpus is stacked once for every alpha."""
     alphas = check_interval_alphas(alphas)
-    columns = [median_intersections(corpus, alpha) for alpha in alphas]
+    if not corpus:
+        raise ValueError("corpus is empty")
+    stack = QueryStack(corpus)
+    columns = [median_intersections(stack, alpha) for alpha in alphas]
     lines = [",".join(["rank"] + [_interval_column(alpha) for alpha in alphas])]
     for rank, counts in enumerate(zip(*columns), start=1):
         lines.append(",".join(map(str, (rank, *counts))))

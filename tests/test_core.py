@@ -11,14 +11,21 @@ from hypothesis import strategies as st
 from pufr import (
     PufrConfig,
     QueryCandidates,
+    QueryStack,
     ScoredCandidate,
     adjust_scores,
     assign_groups,
     build_query,
+    compute_m_table,
     fairr_at_k,
+    fastar_rerank,
     ideal_fairr_at_k,
+    intersection_counts,
     nfairr_at_k,
+    pufr_rerank,
     rank_by_score,
+    unfair_rank,
+    uniform_rerank,
 )
 
 import oracles
@@ -179,29 +186,24 @@ class TestAssignGroups:
                                 ("c", 2.0, 1.0, 0.3), ("d", 1.0, 0.25, 1.0))
         ])
         strict = assign_groups(base, 1.0)
-        strict_groups = [group.index.tolist() for group in strict.by_group()]
         soft = assign_groups(strict, 0.5)
-        # the non-protected docs are held in increasing mu
-        assert strict_groups == [[0, 3], [2, 1]]
-        assert [group.index.tolist() for group in soft.by_group()] == [[0, 1, 3], [2]]
-        assert [group.index.tolist() for group in strict.by_group()] == strict_groups
-        assert soft.by_group()[0].sigma.tolist() == [0.5, 2.0, 0.25]
+        assert soft.protected.tolist() == [True, True, False, True]
+        assert strict.protected.tolist() == [True, False, False, True]
         cfg = PufrConfig.symmetric(1.0)
         for query in (strict, soft, replace(soft, sigma=[0.0, 0.0, 3.0, 0.0])):
             assert score_map(query, adjust_scores(query, cfg)) == oracles.adjust(
                 rows(query), 1.0, 1.0)
 
-    def test_a_replaced_query_has_a_fresh_memo(self):
+    def test_a_replaced_query_gets_its_own_ideal_fairr(self):
         q = make_query([3.0, 2.0, 1.0], neutralities=[0.0, 1.0, 1.0])
         assert ideal_fairr_at_k(q, 2) == 1.0 + 1.0 / 2
-        assert q.memo
         moved = replace(q, neutrality=[0.0, 0.0, 1.0])
-        assert moved.memo == {}
         assert ideal_fairr_at_k(moved, 2) == 1.0
         assert ideal_fairr_at_k(q, 2) == 1.0 + 1.0 / 2
 
     def test_with_column_matches_replace_without_rechecking_the_query(self):
         rng = np.random.default_rng(7)
+        cfg = PufrConfig.symmetric(1.5)
         for _ in range(30):
             q = random_query(rng)
             n = len(q)
@@ -210,19 +212,16 @@ class TestAssignGroups:
                 "neutrality": np.where(rng.random(n) < 0.5, 1.0, rng.random(n)),
                 "protected": rng.random(n) < 0.5,
             }
-            q.memo["derived"] = True
             before = query_key(q)
             for name, values in columns.items():
                 want = replace(q, **{name: values})
                 with mock.patch.object(QueryCandidates, "__post_init__",
                                        side_effect=AssertionError("query checked again")):
                     got = q.with_column(name, values)
-                assert query_key(got) == query_key(want) and got.memo == {}
-                # the source query keeps its columns and its memo
-                assert query_key(q) == before and q.memo == {"derived": True}
-                assert [[column.tolist() for column in group] for group in got.by_group()] == [
-                    [column.tolist() for column in group] for group in want.by_group()
-                ]
+                assert query_key(got) == query_key(want)
+                # the source query keeps its columns
+                assert query_key(q) == before
+                assert adjust_scores(got, cfg).tobytes() == adjust_scores(want, cfg).tobytes()
 
     def test_with_column_checks_the_new_column_as_the_constructor_does(self):
         q = make_query([3.0, 2.0, 1.0], neutralities=[0.0, 1.0, 1.0])
@@ -234,9 +233,9 @@ class TestAssignGroups:
                 q.with_column(name, values)
 
     def test_ungrouped_query_has_no_group_columns(self):
-        q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0, neutrality=1.0)])
+        q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0, sigma=0.5, neutrality=1.0)])
         with pytest.raises(ValueError, match="group labels"):
-            q.by_group()
+            adjust_scores(q, PufrConfig.symmetric(1.0))
 
     def test_threshold_range_validated(self):
         q = make_query([1.0], neutralities=[1.0])
@@ -300,6 +299,72 @@ class TestRankByScore:
             assert ranking_key(reranked) == ranking_key(baseline)
 
 
+def _query_lacking(column):
+    """Query 'q' of docs 'a' (mu 2, protected) and 'b' (mu 1) with every
+    column but ``column``; group labels need neutrality, so a query without
+    neutrality has neither."""
+    values = {"sigma": [0.5, 0.25], "neutrality": [1.0, 0.0]}
+    values.pop(column, None)
+    query = QueryCandidates.ranked("q", ["a", "b"], [2.0, 1.0], **values)
+    return query if column in ("protected", "neutrality") else assign_groups(query)
+
+
+_CFG = PufrConfig.symmetric(1.0)
+
+# (call, the column its query lacks, the error text); each call takes a query
+# or a stack, and a query's error names it in either form
+_ONE_ROW_ERRORS = {
+    "adjust_scores/sigma": (lambda x: adjust_scores(x, _CFG), "sigma",
+                            "query 'q' has no sigma values"),
+    "adjust_scores/groups": (lambda x: adjust_scores(x, _CFG), "protected",
+                             "query 'q' has no group labels"),
+    "pufr_rerank/sigma": (lambda x: pufr_rerank(x, _CFG), "sigma",
+                          "query 'q' has no sigma values"),
+    "pufr_rerank/groups": (lambda x: pufr_rerank(x, _CFG), "protected",
+                           "query 'q' has no group labels"),
+    "uniform_rerank/groups": (lambda x: uniform_rerank(x, 0.5, _CFG), "protected",
+                              "query 'q' has no group labels"),
+    "fastar_rerank/groups": (lambda x: fastar_rerank(x, compute_m_table(3, 0.5)), "protected",
+                             "query 'q' has no group labels"),
+    "intersection_counts/sigma": (lambda x: intersection_counts(x, 1.0), "sigma",
+                                  "query 'q' has no sigma values"),
+    "fairr_at_k/neutrality": (lambda x: fairr_at_k(unfair_rank(x), 2), "neutrality",
+                              "query 'q' has no neutrality scores"),
+    "nfairr_at_k/neutrality": (lambda x: nfairr_at_k(unfair_rank(x), 2), "neutrality",
+                               "query 'q' has no neutrality scores"),
+    "ideal_fairr_at_k/neutrality": (lambda x: ideal_fairr_at_k(x, 2), "neutrality",
+                                    "query 'q' has no neutrality scores"),
+    "rank_by_score/non-finite": (
+        lambda x: rank_by_score(x, np.where(x.column("mu") == 1.0, np.inf, x.column("mu"))),
+        None, "query 'q': non-finite score for doc 'b'"),
+}
+
+
+class TestOneRowErrors:
+    """A query is ranked and evaluated as a one-row stack, and each error
+    keeps the text it had when queries had their own code path; a padded
+    stack raises the same text for the query at fault."""
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["query", "stack"])
+    @pytest.mark.parametrize("case", list(_ONE_ROW_ERRORS))
+    def test_the_error_names_the_query(self, case, stacked):
+        call, column, text = _ONE_ROW_ERRORS[case]
+        query = _query_lacking(column)
+        if stacked:  # a complete query of three docs before it
+            query = QueryStack([make_query([3.0, 2.0, 0.5], [0.1] * 3, [1.0, 0.0, 0.0],
+                                           query_id="p"), query])
+        with pytest.raises(ValueError, match="^" + re.escape(text) + "$"):
+            call(query)
+
+    def test_a_query_given_the_wrong_number_of_scores(self):
+        with pytest.raises(ValueError,
+                           match=r"^query 'q': expected 2 scores, got shape \(3,\)$"):
+            rank_by_score(_query_lacking(None), np.zeros(3))
+        with pytest.raises(ValueError,
+                           match=r"^query 'q': expected 2 scores, got shape \(1, 2\)$"):
+            rank_by_score(_query_lacking(None), np.zeros((1, 2)))
+
+
 _VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan, math.inf, -math.inf]) | st.floats(-3, 3)
 
 
@@ -336,7 +401,7 @@ class TestRankedInOnePass:
                 query = build("q", *columns)
             except ValueError as error:
                 return str(error)
-            assert query.memo == {} and query.protected is None
+            assert query.protected is None
             for name in ("mu", "sigma", "neutrality"):
                 values = getattr(query, name)
                 assert values is None or (values.dtype == np.float64

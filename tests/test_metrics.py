@@ -368,7 +368,7 @@ class TestIntersectionCounts:
 class TestMedianIntersections:
     def test_single_query_is_its_own_median(self):
         q = make_query([0.0, 1.0, 5.0], [1.0, 1.0, 0.1])
-        assert median_intersections([q], 1.0) == intersection_counts(q, 1.0)
+        assert median_intersections(QueryStack([q]), 1.0) == intersection_counts(q, 1.0)
 
     def test_odd_median(self):
         queries = [
@@ -376,29 +376,30 @@ class TestMedianIntersections:
             make_query([0.0, 1.0, 2.0], [1.0, 1.0, 1.0], query_id="b"),  # counts [2, 2, 2]
             make_query([0.0, 0.1, 0.2, 0.3, 0.4], [9.0] * 5, query_id="c"),  # [4, ...]
         ]
-        assert median_intersections(queries, 1.0)[0] == 2
+        assert median_intersections(QueryStack(queries), 1.0)[0] == 2
 
     def test_even_count_takes_lower_mid(self):
         queries = [
             make_query([0.0, 1.0], [1.0, 1.0], query_id="a"),   # counts [1, 1]
             make_query([0.0, 1.0, 2.0, 3.0], [9.0] * 4, query_id="b"),  # counts [3, ...]
         ]
-        assert median_intersections(queries, 1.0)[0] == 1
+        assert median_intersections(QueryStack(queries), 1.0)[0] == 1
 
     def test_deeper_ranks_use_only_populated_queries(self):
         queries = [
             make_query([0.0], [0.1], query_id="a"),
             make_query([0.0, 0.5, 1.0], [2.0] * 3, query_id="b"),
         ]
-        medians = median_intersections(queries, 1.0)
+        medians = median_intersections(QueryStack(queries), 1.0)
         assert len(medians) == 3
         assert medians[1] == 2 and medians[2] == 2
 
     def test_empty_corpus_rejected(self):
-        # refused before stacking, with its own text, even from an iterator
+        # medians are taken over a stack, and an empty corpus is no stack,
+        # even from an iterator
         for corpus in ([], iter(())):
-            with pytest.raises(ValueError, match="^corpus is empty$"):
-                median_intersections(corpus, 1.0)
+            with pytest.raises(ValueError, match="^cannot stack an empty corpus$"):
+                median_intersections(QueryStack(corpus), 1.0)
 
     def test_a_stack_gives_one_row_per_query_and_zero_at_pads(self):
         short = make_query([0.0], [1.0], query_id="s")

@@ -432,6 +432,8 @@ STACK_FORMS = {
     "rank_by_score": lambda query, cfg, mean, pad: rank_by_score(
         query, shifted(query, cfg.alpha_protected, pad)),
     "unfair_rank": lambda query, cfg, mean, pad: unfair_rank(query),
+    "fastar_rerank": lambda query, cfg, mean, pad: fastar_rerank(
+        query, compute_m_table(8, min(cfg.alpha_protected, 1.0))),
 }
 
 
@@ -472,18 +474,95 @@ def outcome(call):
 @example(MIXED_LENGTHS, -0.0, 0.5, "adjust_scores", 0.0)
 @example(MIXED_LENGTHS[::-1], 0.5, 0.0, "rank_by_score", math.nan)
 @example(MIXED_LENGTHS, 0.0, 0.0, "unfair_rank", 0.0)
+@example(MIXED_LENGTHS, 0.5, 0.0, "fastar_rerank", 0.0)
 @given(st.one_of(corpora(), corpora(huge=True)), ALPHAS, ALPHAS,
        st.sampled_from(tuple(STACK_FORMS)),
        st.sampled_from((0.0, -0.0, 1e308, math.inf, -math.inf, math.nan)))
-def test_each_stack_form_gives_the_per_query_calls_bits(corpus, alpha_p, alpha_n, form, pad):
-    # pads are non-protected places at mu = -inf with sigma 0; the scores
-    # given for them, even when not finite, neither rank them nor raise
+def test_a_rows_bits_depend_on_neither_the_other_rows_nor_the_pads(
+    corpus, alpha_p, alpha_n, form, pad
+):
+    # A query is a one-row stack, so its call gives that stack's row. In a
+    # padded stack of several queries each row gives the same bits: pads are
+    # non-protected places at mu = -inf with sigma 0, and the scores given
+    # for them, even when not finite, neither rank them nor raise.
     cfg = PufrConfig(alpha_protected=alpha_p, alpha_nonprotected=alpha_n)
-    mean = compute_sigma_mean(corpus)  # inf when huge: both forms then raise
+    mean = compute_sigma_mean(corpus)  # inf when huge: every form then raises
     call = STACK_FORMS[form]
-    expected = outcome(lambda: [per_query_row(call(q, cfg, mean, pad)) for q in corpus])
+    one_row = outcome(lambda: [
+        stacked_rows(stack, call(stack, cfg, mean, pad))[0]
+        for stack in (QueryStack([q]) for q in corpus)
+    ])
+    assert outcome(lambda: [per_query_row(call(q, cfg, mean, pad)) for q in corpus]) == one_row
     stack = QueryStack(corpus)
-    assert outcome(lambda: stacked_rows(stack, call(stack, cfg, mean, pad))) == expected
+    assert outcome(lambda: stacked_rows(stack, call(stack, cfg, mean, pad))) == one_row
+
+
+@EXAMPLES
+@example(MIXED_LENGTHS, 1.0, [[9.0] * 7] * 5)
+@given(corpora(), ALPHAS, st.lists(st.lists(st.sampled_from(TIED_VALUES) | st.floats(-5, 5),
+                                            min_size=8, max_size=8), min_size=6, max_size=6))
+def test_each_stack_form_matches_its_scalar_oracle_row_by_row(corpus, alpha, scores):
+    stack = QueryStack(corpus)
+    cfg = PufrConfig.symmetric(alpha)
+    mean = compute_sigma_mean(corpus)
+    scores = np.array([row[:stack.real.shape[1]] for row in scores[:len(corpus)]])
+    adjusted = adjust_scores(stack, cfg)
+    # each ranker's stacked ranking, and its scores of row i for the oracle
+    rankers = {
+        "pufr": (pufr_rerank(stack, cfg), lambda i, r: oracles.adjust(r, alpha, alpha)),
+        "uniform": (uniform_rerank(stack, mean, cfg),
+                    lambda i, r: oracles.adjust(r, alpha, alpha, sigma=mean)),
+        "unfair": (unfair_rank(stack), lambda i, r: {row.doc_id: row.mu for row in r}),
+        "scores": (rank_by_score(stack, scores),
+                   lambda i, r: dict(zip((row.doc_id for row in r), scores[i].tolist()))),
+    }
+    for i, query in enumerate(corpus):
+        r = rows(query)
+        want = oracles.adjust(r, alpha, alpha)
+        assert hexes(adjusted[i, :len(query)]) == [want[d].hex() for d in query.doc_ids]
+        for name, (ranked, oracle_scores) in rankers.items():
+            assert hexed(ranked.rows()[i]) == oracles.hexed(
+                oracles.rank_by_score(r, oracle_scores(i, r))), name
+
+
+@st.composite
+def judged_corpora(draw):
+    """A corpus and judgments of it: per query none, some of its candidates,
+    or its candidates and more unretrieved docs than it has candidates, so
+    that some queries have more judged grades than candidates; the grades
+    are all 0 (the ideal DCG is 0) or 0-3."""
+    corpus = draw(corpora(any_neutrality=True))
+    grades = {}
+    for query in corpus:
+        mode = draw(st.sampled_from(("none", "some", "more")))
+        grade = draw(st.sampled_from((st.just(0), st.integers(0, 3))))
+        judged = [d for d in query.doc_ids if mode == "more" or draw(st.booleans())]
+        if mode == "more":
+            judged += [f"unretrieved{j}" for j in range(len(query) + draw(st.integers(1, 4)))]
+        for doc in judged if mode != "none" else ():
+            grades[(query.query_id, doc)] = draw(grade)
+    return corpus, grades
+
+
+@EXAMPLES
+@example((MIXED_LENGTHS, {("zero-sigma", d): 1 for d in ("a", "b", "c", "d", "e", "f", "g")}
+          | {("ties", "b"): 2, ("one-doc", "d1"): 0}), 1.0, (1, 3, 10))
+@given(judged_corpora(), ALPHAS, st.lists(st.integers(1, 20), min_size=1, max_size=3))
+def test_the_padded_ideal_dcg_and_the_stacked_metrics_match_the_scalar_oracles(
+    case, alpha, cutoffs
+):
+    corpus, grades = case
+    judgments = RelevanceJudgments(grades)
+    ranked = pufr_rerank(QueryStack(corpus), PufrConfig.symmetric(alpha))
+    rankings = ranked.rows()
+    neutrality = [dict(zip(q.doc_ids, q.neutrality.tolist())) for q in corpus]
+    for k in cutoffs:  # every cutoff reads the sums the first one kept
+        expected = [oracles.ndcg(r.query_id, r.doc_ids(), grades, k).hex() for r in rankings]
+        assert hexes(ndcg_at_k(ranked, judgments, k)) == expected
+        assert [ndcg_at_k(r, judgments, k).hex() for r in rankings] == expected
+        for metric, oracle in ((fairr_at_k, oracles.fairr), (nfairr_at_k, oracles.nfairr)):
+            assert hexes(metric(ranked, k)) == [
+                oracle(r.doc_ids(), n, k).hex() for r, n in zip(rankings, neutrality)]
 
 
 def test_a_stack_ranked_again_with_another_sigma_mean_gives_its_bits():
@@ -645,7 +724,7 @@ def test_stacked_overlap_counts_and_medians_are_the_per_query_ones(corpus, alpha
     rows_ = intersection_counts(stack, alpha)
     assert [rows_[i, :len(q)].tolist() for i, q in enumerate(corpus)] == expected
     assert (rows_[~stack.real] == 0).all()
-    assert median_intersections(corpus, alpha) == oracles.median_intersections(corpus, alpha)
+    assert median_intersections(stack, alpha) == oracles.median_intersections(corpus, alpha)
 
 
 @EXAMPLES
