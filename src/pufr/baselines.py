@@ -141,10 +141,10 @@ def fastar_rerank(
     required = np.asarray(table.required)
     too_long = np.flatnonzero(stack.lengths > len(required))
     if too_long.size:
-        longest = stack.queries[too_long[0]]
+        i = too_long[0]
         raise ValueError(
             f"quota table covers prefixes up to {len(required)} but query "
-            f"{longest.query_id!r} has {len(longest)} candidates"
+            f"{stack.query_ids[i]!r} has {stack.lengths[i]} candidates"
         )
     protected, j, c0, other_keys, scores = _fastar_places(stack)
     c = np.maximum.accumulate(
@@ -287,7 +287,7 @@ def constrained_rerank(
     positions = np.arange(depth)
     discounts = 1.0 / np.log2(positions + 2)
     exposures = 1.0 / (positions + 1)
-    floor = cfg.alpha_fairness * ideal_fairr_at_k(query, depth)
+    floor = cfg.alpha_fairness * _pool_ideal_fairr(query, cfg.depth)
     # the least fairness that counts as feasible: every feasibility test,
     # the Lagrangian bound and the gap search's prune use it
     lowest = floor - _FEASIBILITY_TOL
@@ -390,6 +390,20 @@ def constrained_rerank(
     proved = nodes > 0 and not exhausted  # the gap search ran to the end
     gap = 0.0 if proved else bound - _window_utility(gain_vec, best_order, discounts)
     return replace(finish(best_order, True, steps, gap), nodes=nodes, exhausted=exhausted)
+
+
+def _pool_ideal_fairr(query: QueryCandidates, depth: int) -> float:
+    """The query's ideal FaiRR@depth; a row of a stack reads it from one
+    ``ideal_fairr_at_k(stack, depth)`` column kept in the stack's memo, with
+    the bits the row has alone (pads add +0.0)."""
+    row = getattr(query, "_row", None)  # (weak ref to the stack, row) on a stack's row view
+    stack = row and row[0]()
+    if stack is None:
+        return ideal_fairr_at_k(query, depth)
+    key = ("ideal fairr column", depth)
+    if key not in stack.memo:
+        stack.memo[key] = ideal_fairr_at_k(stack, depth).tolist()
+    return stack.memo[key][row[1]]
 
 
 def _close_gap(

@@ -43,7 +43,7 @@ from typing import Any, Callable, Sequence
 
 from . import fileio
 from .baselines import DEFAULT_DEPTH, unfair_rank
-from .core import DEFAULT_PROTECTED_THRESHOLD, QueryCandidates, QueryStack, assign_groups
+from .core import DEFAULT_PROTECTED_THRESHOLD, QueryStack, assign_groups
 from .core import check_protected_threshold
 from .sweep import (
     DEFAULT_INTERVAL_ALPHAS,
@@ -186,9 +186,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_corpus(
     args: argparse.Namespace, sigma: bool, neutrality: bool, groups: bool
-) -> list[QueryCandidates]:
-    """The run file joined with the sigma and neutrality files and labelled
-    with groups, as asked; a file not asked for is not opened."""
+) -> QueryStack:
+    """The run file as a stack, joined with the sigma and neutrality files
+    and labelled with groups, as asked; a file not asked for is not opened."""
     corpus = fileio.parse_run_file(args.run)
     if sigma:
         if not args.sigmas:
@@ -197,7 +197,7 @@ def _load_corpus(
     if neutrality:
         corpus = fileio.attach_neutrality(corpus, fileio.parse_neutrality_file(args.neutrality))
     if groups:
-        corpus = [assign_groups(q, args.protected_threshold) for q in corpus]
+        corpus = assign_groups(corpus, args.protected_threshold)
     return corpus
 
 
@@ -205,7 +205,7 @@ def _cmd_rerank(args: argparse.Namespace) -> int:
     method = REGISTRY[args.method]
     method.check((args.alpha,), args.depth)
     corpus = _load_corpus(args, method.needs_sigma, method.needs_neutrality, method.needs_groups)
-    ranked, problems = method.prepare(corpus, args.depth)(args.alpha)(QueryStack(corpus))
+    ranked, problems = method.prepare(corpus, args.depth)(args.alpha)(corpus)
     fileio.write_run_file(args.output, ranked.rows(), tag=args.tag)
     return _warn(problems["infeasible"], problems["exhausted"], "queries")
 

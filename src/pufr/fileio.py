@@ -23,10 +23,10 @@ lines as one flat list, and reads a block in one of two ways:
   lines, and comment and blank lines are skipped.
 
 Each file column is then converted and checked with one numpy call, and
-the rows are grouped by query into slices. The run parser checks the rank
-column once over the whole file and builds each query with
-:meth:`~pufr.core.QueryCandidates.ranked`, which puts it in original-rank
-order (see :func:`parse_run_file`); a qrels grade too large for int64 is
+the rows are grouped by query. The run parser gives the grouped columns to
+:meth:`~pufr.core.QueryStack.ranked` (see :func:`parse_run_file`), and the
+joins add a flat column to that stack, so no per-query object is built
+between the parsers and the corpus. A qrels grade too large for int64 is
 read by the line walk.
 
 The feature parser cuts the file at byte offsets instead, each cut right
@@ -51,13 +51,14 @@ import math
 import os
 import pickle
 import signal
+from bisect import bisect_right
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
 
 import numpy as np
 
-from .core import QueryCandidates, Ranking
+from .core import QueryCandidates, QueryStack, Ranking
 from .metrics import RelevanceJudgments
 from .uncertainty import LastLayerPosterior
 
@@ -172,8 +173,9 @@ def _parse_floats(path: str | Path, lineno: int, tokens: list[str], what: str) -
     )
 
 
-def parse_run_file(path: str | Path) -> list[QueryCandidates]:
-    """Read a retrieval run into per-query candidates (mu filled, sigma absent).
+def parse_run_file(path: str | Path) -> QueryStack:
+    """Read a retrieval run into a stack of queries, ``mu`` filled, queries in
+    order of first appearance.
 
     Original ranks are recomputed from the scores; the file's rank column
     is validated to be a permutation of 1..n within each query. A file with
@@ -182,9 +184,9 @@ def parse_run_file(path: str | Path) -> list[QueryCandidates]:
     Both checks run once over the whole file, rows grouped by query. Rank
     tokens ``"1".."n"`` for every query, as :func:`write_run_file` writes
     them, pass one list comparison; only other tokens are converted and
-    sorted per query. Every query is built by :meth:`QueryCandidates.ranked`,
-    which sorts only a query whose scores do not strictly fall from row to
-    row.
+    sorted per query. :meth:`QueryStack.ranked` then puts every query in
+    original-rank order, sorting only when some query's scores do not
+    strictly fall from row to row, and checks the doc ids and scores once.
     """
     fields = _columns(path, 6)
     if not fields:
@@ -197,10 +199,11 @@ def parse_run_file(path: str | Path) -> list[QueryCandidates]:
     if order is not None:
         mu = mu[order]
     starts = [0] + ends[:-1]
+    lengths = list(map(int.__sub__, ends, starts))
     # each query's rank tokens as write_run_file writes them: "1".."n"
-    counting, expected = list(map(str, range(1, max(map(int.__sub__, ends, starts)) + 1))), []
-    for start, end in zip(starts, ends):
-        expected += counting[: end - start]
+    counting, expected = list(map(str, range(1, max(lengths) + 1))), []
+    for n in lengths:
+        expected += counting[:n]
     if rank_tokens != expected:
         ranks = _column(rank_tokens, np.int64)
         if ranks is None or not all(
@@ -208,13 +211,10 @@ def parse_run_file(path: str | Path) -> list[QueryCandidates]:
             for start, end in zip(starts, ends)
         ):
             _run_file_error(path)
-    corpus = []
     try:  # a repeated doc id or a score that is not finite fails here
-        for query_id, start, end in zip(query_ids, starts, ends):
-            corpus.append(QueryCandidates.ranked(query_id, doc_ids[start:end], mu[start:end]))
+        return QueryStack.ranked(query_ids, lengths, doc_ids, {"mu": mu})
     except ValueError:
         _run_file_error(path)
-    return corpus
 
 
 def _run_file_error(path: str | Path) -> NoReturn:
@@ -263,15 +263,19 @@ def parse_sigma_file(path: str | Path) -> dict[str, tuple[tuple[str, ...], np.nd
     if sigmas is None or not (np.isfinite(sigmas) & (sigmas >= 0.0)).all():
         _sigma_file_error(path)
     query_ids, ends, order = _grouped(fields[0::3])
-    doc_ids, parsed = _gathered(fields[1::3], order), {}
+    doc_ids = tuple(_gathered(fields[1::3], order))
     if order is not None:
         sigmas = sigmas[order]
-    for query_id, start, end in zip(query_ids, [0] + ends[:-1], ends):
-        docs = tuple(doc_ids[start:end])
-        if len(set(docs)) != len(docs):
-            _sigma_file_error(path)
-        parsed[query_id] = (docs, sigmas[start:end])
-    return parsed
+    bounds = [0] + ends
+    # doc ids distinct over the whole file are distinct in every query
+    if len(set(doc_ids)) != len(doc_ids) and any(
+        len(set(doc_ids[start:end])) != end - start for start, end in zip(bounds, ends)
+    ):
+        _sigma_file_error(path)
+    return {
+        query_id: (doc_ids[start:end], sigmas[start:end])
+        for query_id, start, end in zip(query_ids, bounds, ends)
+    }
 
 
 def _sigma_file_error(path: str | Path) -> NoReturn:
@@ -593,37 +597,35 @@ def parse_posterior_file(path: str | Path) -> LastLayerPosterior:
 
 
 def attach_sigmas(
-    corpus: Sequence[QueryCandidates],
-    sigmas: Mapping[str, tuple[tuple[str, ...], np.ndarray]],
-) -> list[QueryCandidates]:
-    """Join sigma columns from :func:`parse_sigma_file` onto a corpus; every
-    pair must be covered. A column whose doc ids are the query's, as
-    :func:`write_sigma_file` writes them, is used as it is."""
-    joined = []
-    for query in corpus:
-        doc_ids, column = sigmas.get(query.query_id, ((), np.empty(0)))
-        if doc_ids != query.doc_ids:
+    corpus: QueryStack, sigmas: Mapping[str, tuple[tuple[str, ...], np.ndarray]]
+) -> QueryStack:
+    """Join sigma columns from :func:`parse_sigma_file` onto a stack; every
+    pair must be covered. A query's column whose doc ids are the query's,
+    as :func:`write_sigma_file` writes them, is used as it is."""
+    columns = []
+    for query_id, start, end in zip(corpus.query_ids, corpus.bounds, corpus.bounds[1:]):
+        doc_ids, column = sigmas.get(query_id, ((), np.empty(0)))
+        ranked = corpus.doc_ids[start:end]
+        if doc_ids != ranked:
             by_doc = dict(zip(doc_ids, column.tolist()))
             try:
-                column = list(map(by_doc.__getitem__, query.doc_ids))
+                column = list(map(by_doc.__getitem__, ranked))
             except KeyError as exc:
-                raise ValueError(f"missing sigma for ({query.query_id}, {exc.args[0]})") from None
-        joined.append(query.with_column("sigma", column))
-    return joined
+                raise ValueError(f"missing sigma for ({query_id}, {exc.args[0]})") from None
+        columns.append(column)
+    return corpus.with_column("sigma", np.concatenate(columns))
 
 
-def attach_neutrality(
-    corpus: Sequence[QueryCandidates], neutrality: Mapping[str, float]
-) -> list[QueryCandidates]:
-    """Join neutrality scores onto a corpus; every ranked doc must be covered."""
-    joined = []
-    for query in corpus:
-        try:
-            column = list(map(neutrality.__getitem__, query.doc_ids))
-        except KeyError as exc:
-            raise ValueError(f"missing neutrality for ({query.query_id}, {exc.args[0]})") from None
-        joined.append(query.with_column("neutrality", column))
-    return joined
+def attach_neutrality(corpus: QueryStack, neutrality: Mapping[str, float]) -> QueryStack:
+    """Join neutrality scores onto a stack; every ranked doc must be covered."""
+    try:
+        column = list(map(neutrality.__getitem__, corpus.doc_ids))
+    except KeyError as exc:
+        # the first place of the missing doc is the first place missing
+        doc_id = exc.args[0]
+        i = bisect_right(corpus.bounds, corpus.doc_ids.index(doc_id)) - 1
+        raise ValueError(f"missing neutrality for ({corpus.query_ids[i]}, {doc_id})") from None
+    return corpus.with_column("neutrality", column)
 
 
 def check_run_tag(tag: str) -> str:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Mapping
 
 import numpy as np
@@ -50,11 +51,15 @@ class RelevanceJudgments:
         """The query's judged grades, in ``grades`` order."""
         return list(self._by_query.get(query_id, {}).values())
 
-    def gains(self, query: QueryCandidates) -> np.ndarray:
-        """The query's grades as floats aligned with its doc ids, 0 where a
-        doc is unjudged."""
-        grade = self._by_query.get(query.query_id, {}).get
-        return np.array([grade(doc_id, 0) for doc_id in query.doc_ids], dtype=np.float64)
+    def gains(self, query: QueryCandidates | QueryStack) -> np.ndarray:
+        """The grades of a stack's places as one flat float column, 0 where
+        a doc is unjudged; of a query, aligned with its doc ids."""
+        stack = stacked(query)
+        bounds = stack.bounds
+        return np.array(list(chain.from_iterable(
+            map(self._by_query.get(query_id, {}).get, stack.doc_ids[start:end], repeat(0))
+            for query_id, start, end in zip(stack.query_ids, bounds, bounds[1:])
+        )), dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -133,7 +138,7 @@ def _judged(stack: QueryStack, judgments: RelevanceJudgments) -> tuple[np.ndarra
         ideal[np.arange(width) < counts[:, None]] = [grade for row in grades for grade in row]
         ideal = np.sort(ideal, axis=-1)[:, ::-1]
         judged = stack.memo[judgments] = (
-            stack.padded(judgments.gains(query) for query in stack.queries),
+            stack.padded(judgments.gains(stack)),
             np.add.accumulate(ideal / _discounts(width), axis=-1),
         )
     return judged

@@ -22,6 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .core import QueryCandidates, QueryStack, Ranking, StackedRanking, rank_by_score, stacked
+from .core import as_stack
 from .metrics import sequential_sum
 
 
@@ -135,13 +136,11 @@ def pufr_rerank(
     return rank_by_score(query, adjust_scores(query, cfg))
 
 
-def compute_sigma_mean(corpus: Iterable[QueryCandidates]) -> float:
+def compute_sigma_mean(corpus: Iterable[QueryCandidates] | QueryStack) -> float:
     """Arithmetic mean of sigma over every (query, candidate) pair."""
-    columns = [query.column("sigma") for query in corpus]
-    if not columns:
-        raise ValueError("cannot compute a sigma mean over an empty corpus")
+    sigma = as_stack(corpus, "cannot compute a sigma mean over an empty corpus").flat("sigma")
     # np.sum's pairwise order would change the last bits of every uniform score
-    return sequential_sum(np.concatenate(columns)) / sum(len(column) for column in columns)
+    return sequential_sum(sigma) / len(sigma)
 
 
 def uniform_rerank(

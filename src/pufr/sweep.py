@@ -1,7 +1,7 @@
 """Experiment harness: re-rank a corpus across a hyperparameter grid,
 evaluate utility and fairness at the configured cutoffs, time the
-re-ranking, and emit one CSV row per (method, alpha). The corpus is
-stacked once, padded to its longest query, and each alpha is one timed
+re-ranking, and emit one CSV row per (method, alpha). The corpus is one
+stack, read as rows padded to its longest query, and each alpha is one timed
 re-ranker call on the stack and one stacked metric call per cutoff. PUFR,
 its uniform ablation, the quota baseline and the plain score ordering rank
 the whole stack in one array pass; the constrained baseline re-ranks query
@@ -26,7 +26,7 @@ from .baselines import (
     fastar_rerank,
     unfair_rank,
 )
-from .core import QueryCandidates, QueryStack, StackedRanking
+from .core import QueryCandidates, QueryStack, StackedRanking, as_stack
 from .metrics import (
     RelevanceJudgments,
     check_interval_alpha,
@@ -51,9 +51,8 @@ DEFAULT_INTERVAL_ALPHAS = (1.0, 2.0)
 
 @dataclass(frozen=True)
 class Method:
-    """What a method needs from a corpus. ``prepare(corpus, depth)`` does the
-    corpus-wide work once and returns alpha -> re-ranker of the stacked
-    corpus.
+    """What a method needs from a corpus. ``prepare(stack, depth)`` does the
+    corpus-wide work once and returns alpha -> re-ranker of the stack.
 
     ``needs_sigma``, ``needs_neutrality`` and ``needs_groups`` name the
     columns the re-ranker reads; group labels are drawn from neutrality, so
@@ -61,7 +60,7 @@ class Method:
     only the input files that give these columns."""
 
     name: str
-    prepare: Callable[[Sequence[QueryCandidates], int], RerankerAt]
+    prepare: Callable[[QueryStack, int], RerankerAt]
     needs_sigma: bool = False
     needs_neutrality: bool = False
     needs_groups: bool = False
@@ -85,12 +84,12 @@ def _feasible(rerank: Callable[..., StackedRanking], *args: object) -> Reranker:
 
 
 def _constrained(cfg: ConstraintConfig) -> Reranker:
-    """The constrained baseline, query by query: its window solver works on
-    one query at a time."""
+    """The constrained baseline, row by row: its window solver works on one
+    query at a time, and reads its floor from one column of the stack."""
 
     def run(stack: QueryStack) -> tuple[StackedRanking, Counter[str]]:
         rankings, problems = [], Counter()
-        for query in stack.queries:
+        for query in stack:
             result = constrained_rerank(query, cfg)
             rankings.append(result.ranking)
             if not result.feasible:
@@ -104,25 +103,25 @@ def _constrained(cfg: ConstraintConfig) -> Reranker:
 
 # The prepare functions name the library functions in their bodies, so a
 # caller that rebinds those module globals (as bench/tracer.py does) sees every call.
-def _prepare_pufr(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
+def _prepare_pufr(stack: QueryStack, depth: int) -> RerankerAt:
     return lambda alpha: _feasible(pufr_rerank, PufrConfig.symmetric(alpha))
 
 
-def _prepare_uniform(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
-    sigma_mean = compute_sigma_mean(corpus)
+def _prepare_uniform(stack: QueryStack, depth: int) -> RerankerAt:
+    sigma_mean = compute_sigma_mean(stack)
     return lambda alpha: _feasible(uniform_rerank, sigma_mean, PufrConfig.symmetric(alpha))
 
 
-def _prepare_unfair(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
+def _prepare_unfair(stack: QueryStack, depth: int) -> RerankerAt:
     return lambda alpha: _feasible(unfair_rank)
 
 
-def _prepare_fastar(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
-    max_len = max(len(q) for q in corpus)
+def _prepare_fastar(stack: QueryStack, depth: int) -> RerankerAt:
+    max_len = int(stack.lengths.max())
     return lambda alpha: _feasible(fastar_rerank, compute_m_table(max_len, alpha))
 
 
-def _prepare_constrained(corpus: Sequence[QueryCandidates], depth: int) -> RerankerAt:
+def _prepare_constrained(stack: QueryStack, depth: int) -> RerankerAt:
     return lambda alpha: _constrained(ConstraintConfig(alpha, depth))
 
 
@@ -198,13 +197,13 @@ def _by_query(stack: QueryStack, values: np.ndarray) -> dict[str, float]:
 
 
 def run_sweep(
-    corpus: Sequence[QueryCandidates],
+    corpus: Sequence[QueryCandidates] | QueryStack,
     judgments: RelevanceJudgments,
     cfg: SweepConfig,
 ) -> SweepResult:
     """Run one method over its alpha grid.
 
-    The corpus is stacked once, padded to its longest query. Per (method,
+    The corpus is one stack (queries given are stacked once). Per (method,
     alpha): one re-ranker call ranks the stack (wall-clock timed, parsing
     and evaluation excluded), one ``ndcg_at_k`` or ``nfairr_at_k`` call per
     cutoff evaluates it, each row with the bits it has alone, and nFaiRR at
@@ -214,30 +213,26 @@ def run_sweep(
     one call too. Per-query values are keyed by query id, so a repeated id
     is an error.
     """
-    if not corpus:
-        raise ValueError("corpus is empty")
-    for query in corpus:
-        query.column("neutrality")  # metrics need neutrality everywhere
+    stack = as_stack(corpus, "corpus is empty")
+    stack.flat("neutrality")  # metrics need neutrality everywhere
     method = REGISTRY[cfg.method]
-    has_sigmas = all(q.sigma is not None for q in corpus)
-    has_groups = all(q.protected is not None for q in corpus)
+    has_sigmas, has_groups = stack.has("sigma"), stack.has("protected")
     if method.needs_sigma and not has_sigmas:
         raise ValueError(f"method {cfg.method!r} needs sigma on every candidate")
     if method.needs_groups and not has_groups:
         raise ValueError(f"method {cfg.method!r} needs group labels on every candidate")
-    repeated = [query_id for query_id, n in Counter(q.query_id for q in corpus).items() if n > 1]
+    repeated = [query_id for query_id, n in Counter(stack.query_ids).items() if n > 1]
     if repeated:
         raise ValueError(f"query id {repeated[0]!r} is repeated in the corpus")
 
     alphas = (0.0,) if cfg.method == "unfair" else cfg.alpha_grid
-    rerank_at = method.prepare(corpus, cfg.depth)
-    stack = QueryStack(corpus)
+    rerank_at = method.prepare(stack, cfg.depth)
     tested_k = min(cfg.cutoffs_fairness)
 
     def nfairr_by_query(ranked: StackedRanking) -> dict[str, float]:
         return _by_query(stack, nfairr_at_k(ranked, tested_k))
 
-    if len(corpus) < 2:
+    if len(stack) < 2:
         reference_at = None
     elif cfg.method not in ("pufr", "unfair") and has_sigmas and has_groups:
         reference_at = lambda alpha: nfairr_by_query(
@@ -271,7 +266,7 @@ def run_sweep(
                 alpha=float(alpha),
                 ndcg={k: _mean(v) for k, v in ndcg.items()},
                 nfairr={k: _mean(v) for k, v in nfairr.items()},
-                mean_rerank_seconds=elapsed / len(corpus),
+                mean_rerank_seconds=elapsed / len(stack),
                 t_stat=t_stat,
                 p_value=p_value,
             )
@@ -349,15 +344,14 @@ def check_interval_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
 
 
 def report_interval_analysis(
-    corpus: Sequence[QueryCandidates], alphas: Sequence[float] = DEFAULT_INTERVAL_ALPHAS
+    corpus: Sequence[QueryCandidates] | QueryStack,
+    alphas: Sequence[float] = DEFAULT_INTERVAL_ALPHAS,
 ) -> str:
     """CSV of per-rank median interval-intersection counts, one column
     group per interval width multiplier; every column has a row per rank
-    of the deepest query. The corpus is stacked once for every alpha."""
+    of the deepest query. The corpus is one stack for every alpha."""
     alphas = check_interval_alphas(alphas)
-    if not corpus:
-        raise ValueError("corpus is empty")
-    stack = QueryStack(corpus)
+    stack = as_stack(corpus, "corpus is empty")
     columns = [median_intersections(stack, alpha) for alpha in alphas]
     lines = [",".join(["rank"] + [_interval_column(alpha) for alpha in alphas])]
     for rank, counts in enumerate(zip(*columns), start=1):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QueryCandidates, ScoredCandidate, assign_groups, build_query, check_seed
+from .core import QueryCandidates, QueryStack, ScoredCandidate, assign_groups, build_query
+from .core import check_seed
 from .metrics import RelevanceJudgments
 
 _RELEVANT_LATENT_THRESHOLD = 1.0
@@ -88,9 +89,8 @@ def generate_synthetic(
             )
             for j in range(n)
         ]
-        query = assign_groups(build_query(query_id, candidates))
-        corpus.append(query)
+        corpus.append(build_query(query_id, candidates))
         for j in range(n):
             if latent[j] > _RELEVANT_LATENT_THRESHOLD:
                 grades[(query_id, f"{query_id}-d{j:03d}")] = 1
-    return corpus, RelevanceJudgments(grades=grades)
+    return list(assign_groups(QueryStack(corpus))), RelevanceJudgments(grades=grades)

@@ -6,15 +6,8 @@ from collections import namedtuple
 
 import numpy as np
 
-from pufr import (
-    ConstraintConfig,
-    QueryCandidates,
-    Ranking,
-    ScoredCandidate,
-    assign_groups,
-    build_query,
-    constrained_rerank,
-)
+from pufr.baselines import ConstraintConfig, constrained_rerank
+from pufr.core import QueryCandidates, Ranking, ScoredCandidate, assign_groups, build_query
 
 
 def make_query(

@@ -65,26 +65,13 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from pufr import (
-    ConstraintConfig,
-    PredictiveDistribution,
-    PufrConfig,
-    QueryCandidates,
-    Ranking,
-    SweepResult,
-    TradeoffRecord,
-    baselines,
-    compute_sigma_mean,
-    fileio,
-    ndcg_at_k,
-    nfairr_at_k,
-    paired_t_test,
-    pufr_rerank,
-    unfair_rank,
-    uniform_rerank,
-)
-from pufr.baselines import BisectionStep, ConstrainedResult
-from pufr.core import _read_only
+from pufr import baselines, fileio
+from pufr.baselines import BisectionStep, ConstrainedResult, ConstraintConfig, unfair_rank
+from pufr.core import QueryCandidates, QueryStack, Ranking, _read_only
+from pufr.metrics import ndcg_at_k, nfairr_at_k, paired_t_test
+from pufr.rerank import PufrConfig, compute_sigma_mean, pufr_rerank, uniform_rerank
+from pufr.sweep import SweepResult, TradeoffRecord
+from pufr.uncertainty import PredictiveDistribution
 
 
 def canonical_order(rows):
@@ -383,7 +370,7 @@ def ranked_in_two_passes(query_id, doc_ids, mu, sigma=None, neutrality=None):
     ordered, then converted and checked again by the constructor."""
     n = len(doc_ids)
     mu, sigma, neutrality = (
-        None if values is None else _read_only(values, np.float64, n, name, query_id)
+        None if values is None else _read_only(values, np.float64, n, name, f"query {query_id!r}")
         for name, values in (("mu", mu), ("sigma", sigma), ("neutrality", neutrality))
     )
     order = np.argsort(-mu, kind="stable")
@@ -489,6 +476,32 @@ def attach_sigmas(corpus, sigmas):
             raise ValueError(f"missing sigma for ({query.query_id}, {exc.args[0][1]})") from None
         joined.append(replace(query, sigma=column))
     return joined
+
+
+def attach_neutrality(corpus, neutrality):
+    """Join a doc id -> neutrality dict onto a corpus, query by query."""
+    joined = []
+    for query in corpus:
+        try:
+            column = [neutrality[doc_id] for doc_id in query.doc_ids]
+        except KeyError as exc:
+            raise ValueError(f"missing neutrality for ({query.query_id}, {exc.args[0]})") from None
+        joined.append(replace(query, neutrality=column))
+    return joined
+
+
+def load_per_query(run, sigmas=None, neutrality=None, protected_threshold=1.0):
+    """A corpus loaded as the loaders once built it, query by query: each
+    query sorted into original-rank order on its own, its sigma, neutrality
+    and group columns attached one query at a time, each through the
+    constructor's checks, and the queries stacked at the end."""
+    corpus = parse_run_file_per_query(run)
+    if sigmas is not None:
+        corpus = attach_sigmas(corpus, parse_sigma_file(sigmas))
+    if neutrality is not None:
+        corpus = attach_neutrality(corpus, parse_neutrality_file(neutrality))
+        corpus = [replace(q, protected=q.neutrality >= protected_threshold) for q in corpus]
+    return QueryStack(corpus)
 
 
 def parse_neutrality_file(path):

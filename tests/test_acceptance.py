@@ -12,34 +12,19 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from pufr import (
+from pufr.baselines import (
     ConstraintConfig,
-    McConfig,
-    PufrConfig,
-    RelevanceJudgments,
-    ScoredCandidate,
-    SweepConfig,
-    SyntheticConfig,
-    analytic_predictive,
-    assign_groups,
-    build_query,
-    constrained_rerank,
     compute_m_table,
-    fairr_at_k,
+    constrained_rerank,
     fastar_rerank,
-    generate_synthetic,
-    ndcg_at_k,
-    nfairr_at_k,
-    paired_t_test,
-    predictive_moments,
-    pufr_rerank,
-    records_to_csv,
-    report_interval_analysis,
-    run_sweep,
-    sample_last_layers,
     unfair_rank,
-    uniform_rerank,
 )
+from pufr.core import ScoredCandidate, assign_groups, build_query
+from pufr.metrics import RelevanceJudgments, fairr_at_k, ndcg_at_k, nfairr_at_k, paired_t_test
+from pufr.rerank import PufrConfig, pufr_rerank, uniform_rerank
+from pufr.sweep import SweepConfig, records_to_csv, report_interval_analysis, run_sweep
+from pufr.synth import SyntheticConfig, generate_synthetic
+from pufr.uncertainty import McConfig, analytic_predictive, predictive_moments, sample_last_layers
 from pufr import fileio
 
 from conftest import groups_of, make_query, ranked, ranking_of, rows
@@ -260,7 +245,7 @@ def test_criterion_5_laplace_convergence():
     rng = np.random.default_rng(205)
     sample_sizes = (1000, 3162, 10_000, 31_623, 100_000)
     rel_errors = {n: [] for n in sample_sizes}
-    from pufr import LastLayerPosterior
+    from pufr.uncertainty import LastLayerPosterior
 
     for i in range(100):
         d = int(rng.integers(1, 17))

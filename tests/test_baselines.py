@@ -6,22 +6,22 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from pufr import (
+from pufr import baselines
+from pufr.baselines import (
+    DEFAULT_EXACT_WINDOW,
+    DEFAULT_MAX_NODES,
     ConstraintConfig,
     MTable,
-    QueryStack,
-    ScoredCandidate,
-    SyntheticConfig,
-    build_query,
     compute_m_table,
     constrained_rerank,
     fastar_rerank,
-    generate_synthetic,
     hungarian_assign,
     unfair_rank,
 )
-from pufr import baselines
-from pufr.baselines import DEFAULT_EXACT_WINDOW, DEFAULT_MAX_NODES
+from pufr.core import QueryCandidates, QueryStack, ScoredCandidate, assign_groups, build_query
+from pufr.metrics import RelevanceJudgments
+from pufr.sweep import SweepConfig, run_sweep
+from pufr.synth import SyntheticConfig, generate_synthetic
 
 import oracles
 from conftest import gap_search_queries, groups_of, make_query, random_query, rows
@@ -370,6 +370,40 @@ class TestConstrainedRerank:
             ConstraintConfig(alpha_fairness=1.5)
         with pytest.raises(ValueError):
             ConstraintConfig(alpha_fairness=0.5, depth=0)
+
+
+class TestFloorsFromTheStack:
+    """A row of a stack reads its fairness floor from one ideal FaiRR column
+    of the stack per depth, with the bits the query has on its own."""
+
+    @staticmethod
+    def ragged_stack():
+        rng = np.random.default_rng(23)
+        queries = [random_query(rng, n_min=1, n_max=14, query_id=f"q{i}") for i in range(15)]
+        return assign_groups(QueryStack(queries))  # rows are views of this stack
+
+    @pytest.mark.parametrize("depth", [1, 3, 8, 14, 50])
+    def test_a_row_gets_the_result_of_the_query_alone(self, depth):
+        for alpha in (0.5, 0.9, 1.0):
+            cfg = ConstraintConfig(alpha, depth)
+            for row in self.ragged_stack():
+                alone = QueryCandidates(row.query_id, row.doc_ids, row.mu, row.sigma,
+                                        row.neutrality, row.protected)
+                got, want = (
+                    (r.floor.hex(), r.ranking.doc_ids(), r.feasible, r.gap.hex(), r.nodes,
+                     [(s.lam.hex(), s.fairness.hex(), s.utility.hex()) for s in r.steps])
+                    for r in (constrained_rerank(row, cfg), constrained_rerank(alone, cfg)))
+                assert got == want
+
+    def test_a_sweep_takes_one_ideal_column_per_stack(self, monkeypatch):
+        stack = self.ragged_stack()
+        columns = []
+        ideal = baselines.ideal_fairr_at_k
+        monkeypatch.setattr(baselines, "ideal_fairr_at_k",
+                            lambda query, k: columns.append(query) or ideal(query, k))
+        cfg = SweepConfig("constrained", (0.5, 0.9, 1.0), depth=6)
+        run_sweep(stack, RelevanceJudgments({}), cfg)
+        assert columns == [stack]
 
 
 class TestLagrangianGap:

@@ -1,31 +1,26 @@
 import argparse
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from pufr import (
+from pufr import baselines, cli, fileio
+from pufr.baselines import (
+    DEFAULT_DEPTH,
     ConstraintConfig,
-    McConfig,
-    PufrConfig,
-    SweepConfig,
-    SyntheticConfig,
-    analytic_predictive,
-    assign_groups,
     compute_m_table,
-    compute_sigma_mean,
     constrained_rerank,
     fastar_rerank,
-    generate_synthetic,
-    nfairr_at_k,
-    paired_t_test,
-    pufr_rerank,
-    uniform_rerank,
     unfair_rank,
 )
-from pufr import baselines, cli, fileio
-from pufr.baselines import DEFAULT_DEPTH
 from pufr.cli import main
+from pufr.core import QueryCandidates, QueryStack, assign_groups
+from pufr.metrics import nfairr_at_k, paired_t_test
+from pufr.rerank import PufrConfig, compute_sigma_mean, pufr_rerank, uniform_rerank
+from pufr.sweep import SweepConfig
+from pufr.synth import SyntheticConfig, generate_synthetic
+from pufr.uncertainty import McConfig, analytic_predictive
 
 from conftest import gap_search_queries, rows
 
@@ -60,6 +55,59 @@ class TestSynthCommand:
         )
         assert len(corpus) == 12
         fileio.parse_qrels(paths["qrels"])
+
+
+class TestLoadBuildsNoQueries:
+    """The commands load the corpus straight into one stack: no query is
+    sorted, built or given a column on its own while they load it."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(QueryCandidates, "ranked",
+                            classmethod(counting("ranked", QueryCandidates.ranked.__func__)))
+        for name, owner in (("with_column", QueryCandidates), ("__post_init__", QueryCandidates),
+                            ("row", QueryStack)):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        return calls
+
+    @pytest.mark.parametrize("command", ["pufr", "uniform", "fastar", "unfair", "intervals"])
+    def test_sweeps_and_intervals_build_no_query(self, fixture_dir, tmp_path, calls, command):
+        paths = fixture_paths(fixture_dir)
+        if command == "intervals":
+            argv = ["intervals", "--run", paths["run"], "--sigmas", paths["sigma"]]
+        else:
+            argv = ["sweep", "--run", paths["run"], "--sigmas", paths["sigma"],
+                    "--neutrality", paths["neutrality"], "--qrels", paths["qrels"],
+                    "--method", command, "--alpha-grid", "0,0.5,1"]
+        assert main([*map(str, argv), "--output", str(tmp_path / "out")]) == 0
+        assert calls == {}
+
+    @pytest.mark.parametrize("method", ["pufr", "uniform", "fastar", "unfair", "constrained"])
+    def test_rerank_loads_without_building_a_query(self, fixture_dir, tmp_path, monkeypatch,
+                                                   calls, method):
+        paths = fixture_paths(fixture_dir)
+        loaded, load = [], cli._load_corpus
+
+        def loading(*args):
+            corpus = load(*args)
+            loaded.append(dict(calls))
+            return corpus
+
+        monkeypatch.setattr(cli, "_load_corpus", loading)
+        assert main(["rerank", "--run", str(paths["run"]), "--sigmas", str(paths["sigma"]),
+                     "--neutrality", str(paths["neutrality"]), "--method", method,
+                     "--alpha", "0.5", "--output", str(tmp_path / "out")]) in (0, 2)
+        assert loaded == [{}]
+        # after the load, the run writer and the constrained window read row views
+        assert set(calls) <= {"row"}
 
 
 class TestRerankCommand:

@@ -25,10 +25,11 @@ import numpy as np
 import pytest
 
 import pufr
-from pufr import LastLayerPosterior, McConfig, sample_last_layers
 from pufr import fileio
+from pufr.baselines import unfair_rank
 from pufr.cli import main
-from pufr.uncertainty import derive_query_seed
+from pufr.synth import SyntheticConfig, generate_synthetic
+from pufr.uncertainty import LastLayerPosterior, McConfig, derive_query_seed, sample_last_layers
 
 import oracles
 
@@ -319,10 +320,10 @@ def test_synth_without_config_flags_writes_the_default_config(tmp_path):
     """`pufr synth` given no config flag writes what the library's writers
     write for ``generate_synthetic(SyntheticConfig())``."""
     assert main(["synth", "--output", str(tmp_path / "cli")]) == 0
-    corpus, judgments = pufr.generate_synthetic(pufr.SyntheticConfig())
+    corpus, judgments = generate_synthetic(SyntheticConfig())
     lib = tmp_path / "lib"
     lib.mkdir()
-    fileio.write_run_file(lib / "fixture.run", map(pufr.unfair_rank, corpus), tag="synth")
+    fileio.write_run_file(lib / "fixture.run", map(unfair_rank, corpus), tag="synth")
     fileio.write_sigma_file(lib / "fixture.sigma", corpus)
     fileio.write_neutrality_file(lib / "fixture.neutrality", corpus)
     fileio.write_qrels(lib / "fixture.qrels", judgments)

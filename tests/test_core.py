@@ -8,25 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pufr import (
-    PufrConfig,
+from pufr.baselines import compute_m_table, fastar_rerank, unfair_rank
+from pufr.core import (
     QueryCandidates,
     QueryStack,
     ScoredCandidate,
-    adjust_scores,
     assign_groups,
     build_query,
-    compute_m_table,
-    fairr_at_k,
-    fastar_rerank,
-    ideal_fairr_at_k,
-    intersection_counts,
-    nfairr_at_k,
-    pufr_rerank,
     rank_by_score,
-    unfair_rank,
-    uniform_rerank,
 )
+from pufr.metrics import fairr_at_k, ideal_fairr_at_k, intersection_counts, nfairr_at_k
+from pufr.rerank import PufrConfig, adjust_scores, pufr_rerank, uniform_rerank
 
 import oracles
 from conftest import (

@@ -13,17 +13,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pufr import (
+from pufr.baselines import unfair_rank
+from pufr.core import (
     QueryCandidates,
+    QueryStack,
     Ranking,
-    RelevanceJudgments,
     ScoredCandidate,
-    SyntheticConfig,
     assign_groups,
     build_query,
-    generate_synthetic,
-    unfair_rank,
 )
+from pufr.metrics import RelevanceJudgments
+from pufr.synth import SyntheticConfig, generate_synthetic
 from pufr import fileio
 
 import oracles
@@ -724,7 +724,7 @@ class TestBulkColumnParsing:
             ]
         assert sum(len(doc_ids) for doc_ids, _ in got.values()) == len(want)
         (kind, joined), (want_kind, want_joined) = (
-            outcome(fileio.attach_sigmas, corpus, got),
+            outcome(fileio.attach_sigmas, QueryStack(corpus), got),
             outcome(oracles.attach_sigmas, corpus, want),
         )
         assert kind == want_kind
@@ -850,6 +850,119 @@ class TestWholeFileRunChecks:
             oracles.parse_run_file, path)
         assert kind == want_kind == ("ok" if fault is None else "error")
         assert got == want if kind == "error" else _same_queries(got, want)
+
+
+# doc ids whose Python str order is not their order in a numpy string
+# array, which drops trailing NULs, nor their byte order
+_ASCII_IDS = ["a", "b", "B", "d10", "d9"]
+_LOAD_IDS = _ASCII_IDS + ["a\x00", "\u00e9"]
+
+
+@st.composite
+def _corpus_texts(draw):
+    """Run, sigma and neutrality file texts of a ragged corpus: one-doc
+    queries among longer ones, docs in more than one query, exact score
+    ties, run rows out of score order and split between queries, sigma rows
+    in another order, and now and then a sigma pair or a neutrality score
+    missing."""
+    ids = draw(st.sampled_from([_ASCII_IDS, _LOAD_IDS]))
+    run, pairs = [], []
+    for q in range(draw(st.integers(1, 5))):
+        docs = draw(st.permutations(ids))[:draw(st.integers(1, len(ids)))]
+        ranks = draw(st.permutations(range(1, len(docs) + 1)))
+        run += [f"q{q} Q0 {doc} {rank} {draw(_TIED_SCORES)!r} t" for doc, rank in zip(docs, ranks)]
+        pairs += [(f"q{q}", doc) for doc in docs]
+    sigma = [f"{q} {d} {draw(st.sampled_from(['0.0', '-0.0', '0.5', '2']))}"
+             for q, d in draw(st.permutations(pairs))]
+    neutrality = [f"{d} {draw(st.sampled_from(['0', '-0.0', '0.5', '1']))}" for d in ids]
+    for rows in (sigma, neutrality):
+        if draw(st.integers(0, 5)) == 0:
+            del rows[draw(st.integers(0, len(rows) - 1))]
+    return ["".join(line + "\n" for line in rows)
+            for rows in (draw(st.permutations(run)), sigma, neutrality)]
+
+
+def _stack_key(stack):
+    """Everything a stack holds, floats by their bits, and each row view."""
+    return (stack.query_ids, stack.lengths.tolist(), stack.doc_ids,
+            [stack.column(name).tobytes() for name in ("mu", "sigma", "neutrality", "protected")],
+            list(map(query_key, stack)))
+
+
+class TestStackedLoad:
+    """The loaders build the corpus as one stack, from flat columns, and give
+    the stack the per-query load gave: each query sorted on its own, its
+    columns attached one query at a time, then stacked; or its error."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(texts=_corpus_texts(), threshold=st.sampled_from([1.0, 0.5]))
+    def test_the_stack_is_the_per_query_load_bit_for_bit(self, texts, threshold):
+        def load(run, sigma, neutrality):
+            corpus = fileio.parse_run_file(run)
+            corpus = fileio.attach_sigmas(corpus, fileio.parse_sigma_file(sigma))
+            corpus = fileio.attach_neutrality(corpus, fileio.parse_neutrality_file(neutrality))
+            return assign_groups(corpus, threshold)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            paths = [Path(tmp) / name for name in ("run", "sigma", "neutrality")]
+            for path, text in zip(paths, texts):
+                path.write_text(text, encoding="utf-8")
+            (kind, got), (want_kind, want) = outcome(load, *paths), outcome(
+                oracles.load_per_query, *paths, threshold)
+        assert kind == want_kind
+        assert got == want if kind == "error" else _stack_key(got) == _stack_key(want)
+
+    # run rows out of score order: q2 holds d (5.0), c; q1 holds y (3.0), z, x
+    _RUN = "q2 Q0 c 2 1.0 t\nq1 Q0 x 3 0.5 t\nq1 Q0 y 1 3.0 t\nq1 Q0 z 2 2.0 t\nq2 Q0 d 1 5.0 t\n"
+
+    @pytest.mark.parametrize("missing, message", [
+        ({("q1", "x"), ("q1", "z")}, "missing sigma for (q1, z)"),
+        ({("q1", "x"), ("q1", "z"), ("q2", "c")}, "missing sigma for (q2, c)"),
+        ({("q1", "y"), ("q2", "d")}, "missing sigma for (q2, d)"),
+        ({("q2", "c"), ("q2", "d"), ("q1", "x"), ("q1", "y"), ("q1", "z")},
+         "missing sigma for (q2, d)"),
+    ])
+    def test_a_missing_sigma_names_the_first_pair_in_corpus_and_rank_order(
+            self, tmp_path, missing, message):
+        run, sigma = tmp_path / "run", tmp_path / "sigma"
+        run.write_text(self._RUN, encoding="utf-8")
+        pairs = [("q1", d) for d in "xyz"] + [("q2", d) for d in "cd"]
+        sigma.write_text("".join(f"{q} {d} 0.5\n" for q, d in pairs if (q, d) not in missing))
+        for load in (lambda: fileio.attach_sigmas(fileio.parse_run_file(run),
+                                                  fileio.parse_sigma_file(sigma)),
+                     lambda: oracles.load_per_query(run, sigma)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load()
+
+    @pytest.mark.parametrize("missing, message", [
+        ("xz", "missing neutrality for (q1, z)"),
+        ("cxz", "missing neutrality for (q2, c)"),
+        ("dy", "missing neutrality for (q2, d)"),
+        ("y", "missing neutrality for (q1, y)"),
+    ])
+    def test_a_missing_neutrality_names_the_first_pair_in_corpus_and_rank_order(
+            self, tmp_path, missing, message):
+        run, neutrality = tmp_path / "run", tmp_path / "neutrality"
+        run.write_text(self._RUN, encoding="utf-8")
+        neutrality.write_text("".join(f"{d} 1.0\n" for d in "xyzcd" if d not in missing))
+        for load in (lambda: fileio.attach_neutrality(fileio.parse_run_file(run),
+                                                      fileio.parse_neutrality_file(neutrality)),
+                     lambda: oracles.load_per_query(run, neutrality=neutrality)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                load()
+
+    def test_a_doc_in_two_queries_missing_neutrality_names_its_first_query(self, tmp_path):
+        run, neutrality = tmp_path / "run", tmp_path / "neutrality"
+        run.write_text("q1 Q0 a 1 2.0 t\nq2 Q0 b 1 2.0 t\nq2 Q0 a 2 1.0 t\nq1 Q0 b 2 1.0 t\n")
+        neutrality.write_text("a 0.5\n")
+        with pytest.raises(ValueError, match=r"^missing neutrality for \(q1, b\)$"):
+            fileio.attach_neutrality(fileio.parse_run_file(run),
+                                     fileio.parse_neutrality_file(neutrality))
+
+    def test_an_empty_corpus_cannot_be_stacked(self):
+        for queries in ([], iter(())):
+            with pytest.raises(ValueError, match="^cannot stack an empty corpus$"):
+                QueryStack(queries)
 
 
 # every line boundary str.splitlines knows; the reader opens files with

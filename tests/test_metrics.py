@@ -7,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from pufr import (
-    QueryStack,
+from pufr.core import QueryStack, ScoredCandidate, build_query, rank_by_score
+from pufr.metrics import (
     RelevanceJudgments,
-    ScoredCandidate,
-    build_query,
     fairr_at_k,
     ideal_fairr_at_k,
     intersection_counts,
@@ -19,7 +17,6 @@ from pufr import (
     ndcg_at_k,
     nfairr_at_k,
     paired_t_test,
-    rank_by_score,
 )
 from pufr.metrics import _discounts, _ranks, sequential_sum
 
@@ -550,7 +547,7 @@ class TestStackedRankings:
         rankings = [rank_by_score(short, [0.0]), rank_by_score(long, [0.0, 1.0, 2.0])]
         stack = QueryStack([short, long])
         assert stack.rankings(rankings).order.tolist() == [[0, 1, 2], [2, 1, 0]]
-        assert stack.padded([short.neutrality, long.neutrality]).tolist() == [
+        assert stack.padded(np.concatenate([short.neutrality, long.neutrality])).tolist() == [
             [1.0, 0.0, 0.0], [0.0, 0.5, 1.0]]
 
     def test_a_stack_ranks_padded_scores_whatever_its_pads_hold(self):

@@ -20,36 +20,35 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import Row, make_query, rows, score_column, score_map, sweep_key
-from pufr import (
+from pufr.baselines import (
     ConstraintConfig,
-    PufrConfig,
     MTable,
+    compute_m_table,
+    constrained_rerank,
+    fastar_rerank,
+    unfair_rank,
+)
+from pufr.core import (
     QueryCandidates,
     QueryStack,
     Ranking,
-    RelevanceJudgments,
     ScoredCandidate,
     StackedRanking,
-    SweepConfig,
-    adjust_scores,
     assign_groups,
     build_query,
-    compute_sigma_mean,
-    compute_m_table,
-    constrained_rerank,
+    rank_by_score,
+)
+from pufr.metrics import (
+    RelevanceJudgments,
     fairr_at_k,
-    fastar_rerank,
     ideal_fairr_at_k,
-    ndcg_at_k,
     intersection_counts,
     median_intersections,
+    ndcg_at_k,
     nfairr_at_k,
-    pufr_rerank,
-    rank_by_score,
-    run_sweep,
-    unfair_rank,
-    uniform_rerank,
 )
+from pufr.rerank import PufrConfig, adjust_scores, compute_sigma_mean, pufr_rerank, uniform_rerank
+from pufr.sweep import SweepConfig, run_sweep
 from pufr.baselines import DEFAULT_DEPTH, DEFAULT_EXACT_WINDOW
 from pufr.rerank import _clamp, adjust_groups
 from pufr.sweep import METHODS, REGISTRY
@@ -237,7 +236,8 @@ def evaluated(draw):
     method = draw(st.sampled_from(METHODS))
     alpha = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0))
     depth = draw(st.integers(1, len(query) + 1))
-    ranked, _ = REGISTRY[method].prepare([query], depth)(alpha)(QueryStack([query]))
+    stack = QueryStack([query])
+    ranked, _ = REGISTRY[method].prepare(stack, depth)(alpha)(stack)
     (ranking,) = ranked.rows()
     grades = {
         ("q", d): draw(st.integers(0, 3))
@@ -420,7 +420,7 @@ def shifted(query, alpha, pad):
     """``mu + alpha * sigma`` of a query, or of a stack as padded rows with
     ``pad`` at the pads."""
     if isinstance(query, QueryStack):
-        return query.padded([shifted(q, alpha, pad) for q in query.queries], pad)
+        return query.padded(np.concatenate([shifted(q, alpha, pad) for q in query]), pad)
     return query.mu + alpha * query.sigma
 
 
@@ -441,7 +441,7 @@ def stacked_rows(stack, result):
     """A stack form's result as its per-query rows, hexed, after checking
     its pads: -inf scores and, in a ranking, the last ranks in place order."""
     rows = []
-    for i, query in enumerate(stack.queries):
+    for i, query in enumerate(stack):
         n = len(query)
         if isinstance(result, StackedRanking):
             assert result.order[i, n:].tolist() == list(range(n, stack.real.shape[1]))

@@ -1,19 +1,10 @@
 import numpy as np
 import pytest
 
-from pufr import (
-    PufrConfig,
-    adjust_scores,
-    assign_groups,
-    build_query,
-    compute_sigma_mean,
-    fairr_at_k,
-    pufr_rerank,
-    rank_by_score,
-    unfair_rank,
-    uniform_rerank,
-    ScoredCandidate,
-)
+from pufr.baselines import unfair_rank
+from pufr.core import ScoredCandidate, assign_groups, build_query, rank_by_score
+from pufr.metrics import fairr_at_k
+from pufr.rerank import PufrConfig, adjust_scores, compute_sigma_mean, pufr_rerank, uniform_rerank
 
 from conftest import groups_of, make_query, random_query, ranking_key, rows, score_map
 

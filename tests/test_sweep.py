@@ -5,23 +5,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from pufr import (
-    PufrConfig,
-    QueryStack,
-    RelevanceJudgments,
+from pufr.baselines import unfair_rank
+from pufr.core import QueryStack
+from pufr.metrics import RelevanceJudgments, ndcg_at_k, nfairr_at_k, paired_t_test
+from pufr.rerank import PufrConfig, pufr_rerank
+from pufr.sweep import (
     SweepConfig,
-    SyntheticConfig,
-    generate_synthetic,
-    ndcg_at_k,
-    nfairr_at_k,
-    paired_t_test,
-    pufr_rerank,
     records_to_csv,
     report_interval_analysis,
     run_sweep,
     select_best_tradeoff,
-    unfair_rank,
 )
+from pufr.synth import SyntheticConfig, generate_synthetic
 
 from pufr import baselines, sweep
 
@@ -296,7 +291,7 @@ class TestIntervalReport:
             report_interval_analysis([])
 
     def test_single_query_reproduces_intersection_counts(self):
-        from pufr import intersection_counts
+        from pufr.metrics import intersection_counts
 
         q = make_query([0.0, 0.4, 3.0], [0.5, 0.5, 0.1], query_id="q1")
         text = report_interval_analysis([q], alphas=(1.0,))
@@ -324,7 +319,8 @@ def ragged_corpus(seed=3, longest=12):
 
 def golden_corpus(tmp_path):
     """The hand-written corpus behind the golden sweep CSVs, loaded as `pufr sweep` loads it."""
-    from pufr import assign_groups, fileio
+    from pufr.core import assign_groups
+    from pufr import fileio
     from test_cli_bytes import write_corpus
 
     write_corpus(tmp_path)

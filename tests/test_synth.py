@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pufr import SyntheticConfig, generate_synthetic
+from pufr.synth import SyntheticConfig, generate_synthetic
 
 from conftest import query_key, rows
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pufr
-from pufr import (
+from pufr.uncertainty import (
     LastLayerPosterior,
     McConfig,
     analytic_predictive,
