@@ -13,13 +13,15 @@ on two threads: a second thread draws the next query's Monte Carlo normals
 while this one scores the current query (``uncertainty.score_queries``). No
 thread is alive when the parse forks.
 
-``rerank`` reads only the inputs its method uses (``sweep.Method``): the
-run file alone for ``unfair``; the run and neutrality files for
-``constrained``; those two plus group labels for ``fastar``; the run, sigma
-and neutrality files and group labels for ``pufr`` and ``uniform``. A file
-the method does not read is neither opened nor checked. ``sweep`` reads
-every file it is given, since its metrics need neutrality and a sigma file
-picks the PUFR t-test reference.
+``rerank``, ``sweep`` and ``intervals`` load one stack with
+``fileio.load_corpus``. ``rerank`` reads only the inputs its method uses
+(``sweep.Method``): the run file alone for ``unfair``; the run and
+neutrality files for ``constrained``; those two plus group labels for
+``fastar``; the run, sigma and neutrality files and group labels for
+``pufr`` and ``uniform``. A file the method does not read is neither opened
+nor checked. ``sweep`` reads every file it is given, since its metrics need
+neutrality and a sigma file picks the PUFR t-test reference. A missing
+``--sigmas`` is refused before any file is read.
 
 ``sweep``, ``laplace`` and ``synth`` pass the flags named after fields of
 ``SweepConfig``, ``McConfig`` and ``SyntheticConfig`` to those types. Such a
@@ -43,12 +45,12 @@ from typing import Any, Callable, Sequence
 
 from . import fileio
 from .baselines import DEFAULT_DEPTH, unfair_rank
-from .core import DEFAULT_PROTECTED_THRESHOLD, QueryStack, assign_groups
-from .core import check_protected_threshold
+from .core import DEFAULT_PROTECTED_THRESHOLD, QueryStack, check_protected_threshold
 from .sweep import (
     DEFAULT_INTERVAL_ALPHAS,
     METHODS,
     REGISTRY,
+    Method,
     SweepConfig,
     check_interval_alphas,
     records_to_csv,
@@ -184,29 +186,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_corpus(
-    args: argparse.Namespace, sigma: bool, neutrality: bool, groups: bool
-) -> QueryStack:
-    """The run file as a stack, joined with the sigma and neutrality files
-    and labelled with groups, as asked; a file not asked for is not opened."""
-    corpus = fileio.parse_run_file(args.run)
-    if sigma:
-        if not args.sigmas:
-            raise ValueError(f"method {args.method!r} needs --sigmas")
-        corpus = fileio.attach_sigmas(corpus, fileio.parse_sigma_file(args.sigmas))
-    if neutrality:
-        corpus = fileio.attach_neutrality(corpus, fileio.parse_neutrality_file(args.neutrality))
-    if groups:
-        corpus = assign_groups(corpus, args.protected_threshold)
-    return corpus
+def _check_sigmas(args: argparse.Namespace, method: Method) -> None:
+    """A method that needs sigmas is refused without --sigmas before any file is read."""
+    if method.needs_sigma and not args.sigmas:
+        raise ValueError(f"method {method.name!r} needs --sigmas")
 
 
 def _cmd_rerank(args: argparse.Namespace) -> int:
     method = REGISTRY[args.method]
     method.check((args.alpha,), args.depth)
-    corpus = _load_corpus(args, method.needs_sigma, method.needs_neutrality, method.needs_groups)
+    _check_sigmas(args, method)
+    corpus = fileio.load_corpus(
+        args.run,
+        args.sigmas if method.needs_sigma else None,
+        args.neutrality if method.needs_neutrality else None,
+        args.protected_threshold if method.needs_groups else None,
+    )
     ranked, problems = method.prepare(corpus, args.depth)(args.alpha)(corpus)
-    fileio.write_run_file(args.output, ranked.rows(), tag=args.tag)
+    fileio.write_run_file(args.output, ranked, tag=args.tag)
     return _warn(problems["infeasible"], problems["exhausted"], "queries")
 
 
@@ -225,9 +222,11 @@ def _warn(infeasible: int, exhausted: int, unit: str) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _config(SweepConfig, args)
+    _check_sigmas(args, REGISTRY[cfg.method])
     # the metrics need neutrality, and given sigmas pick the PUFR t-test reference
-    sigma = bool(args.sigmas) or REGISTRY[cfg.method].needs_sigma
-    corpus = _load_corpus(args, sigma, neutrality=True, groups=True)
+    corpus = fileio.load_corpus(
+        args.run, args.sigmas or None, args.neutrality, args.protected_threshold
+    )
     judgments = fileio.parse_qrels(args.qrels)
     result = run_sweep(corpus, judgments, cfg)
     Path(args.output).write_text(records_to_csv(result.records), encoding="utf-8")
@@ -248,9 +247,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_intervals(args: argparse.Namespace) -> int:
-    corpus = fileio.attach_sigmas(
-        fileio.parse_run_file(args.run), fileio.parse_sigma_file(args.sigmas)
-    )
+    corpus = fileio.load_corpus(args.run, args.sigmas)
     Path(args.output).write_text(
         report_interval_analysis(corpus, args.alpha_grid), encoding="utf-8"
     )
@@ -270,8 +267,8 @@ def _cmd_laplace(args: argparse.Namespace) -> int:
             f"{args.features} has feature dimension {feature_dim} but "
             f"{args.posterior} has posterior dimension {posterior.dim}"
         )
-    scored = score_queries(posterior, features, cfg)
-    fileio.write_run_file(args.output, unfair_rank(QueryStack(scored)).rows(), tag=args.tag)
+    scored = QueryStack(score_queries(posterior, features, cfg))
+    fileio.write_run_file(args.output, unfair_rank(scored), tag=args.tag)
     fileio.write_sigma_file(args.sigma_output, scored)
     return EXIT_OK
 
@@ -281,8 +278,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     corpus, judgments = generate_synthetic(cfg)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    fileio.write_run_file(out / "fixture.run", unfair_rank(QueryStack(corpus)).rows(),
-                          tag=args.tag)
+    fileio.write_run_file(out / "fixture.run", unfair_rank(corpus), tag=args.tag)
     fileio.write_sigma_file(out / "fixture.sigma", corpus)
     fileio.write_neutrality_file(out / "fixture.neutrality", corpus)
     fileio.write_qrels(out / "fixture.qrels", judgments)

@@ -22,6 +22,9 @@ the column index of the document at rank i + 1 and ``scores[i]`` its
 effective score, so metrics read the query's columns at ``order`` instead
 of looking documents up by id. The work on a stack reads it as rows padded
 to its longest query, and a :class:`StackedRanking` ranks every row of it.
+From the loaders to the writers a corpus is a stack; a ``Ranking`` is built
+only by the one-row calls below and by the constrained baseline's window
+solver, whose rankings :meth:`QueryStack.rankings` stacks.
 
 A function that ranks, re-ranks, labels or evaluates a stack has one body,
 over the stack: a query or a ranking passed to it becomes a one-row stack
@@ -221,8 +224,9 @@ class QueryStack:
     ``bounds[i]:bounds[i + 1]`` and ``lengths[i]`` long. A stack needs at
     least one query, and is a sequence of its rows: :meth:`row` i is query
     i as a view of the columns, built on first use and kept, so that it is
-    the same object on every call. ``QueryStack(queries)`` keeps the queries
-    as its rows; the loaders build a stack with :meth:`ranked`.
+    the same object on every call, and a slice is a stack of those rows.
+    ``QueryStack(queries)`` keeps the queries as its rows; the loaders build
+    a stack with :meth:`ranked`.
 
     The work on a corpus reads it as rows padded to its longest query: place
     j of row i is place j of query i while j < ``lengths[i]``, and a pad after
@@ -296,7 +300,10 @@ class QueryStack:
     def __len__(self) -> int:
         return len(self.query_ids)
 
-    def __getitem__(self, i: int) -> QueryCandidates:
+    def __getitem__(self, i: int | slice) -> "QueryCandidates | QueryStack":
+        """Row i, or a slice's rows as a stack that keeps them as its rows."""
+        if isinstance(i, slice):
+            return QueryStack(map(self.row, range(len(self))[i]))
         return self.row(range(len(self))[i])
 
     def row(self, i: int) -> QueryCandidates:
@@ -386,17 +393,6 @@ def stacked(
     if isinstance(value, Ranking):
         return StackedRanking(QueryStack([value.query]), value.order[None], value.scores[None])
     return value
-
-
-def as_stack(corpus: Iterable[QueryCandidates] | QueryStack, empty: str) -> QueryStack:
-    """A corpus as a stack: a stack as it is, and queries stacked; the
-    ValueError ``empty`` when there are no queries."""
-    if isinstance(corpus, QueryStack):
-        return corpus
-    queries = tuple(corpus)
-    if not queries:
-        raise ValueError(empty)
-    return QueryStack(queries)
 
 
 def build_query(query_id: str, candidates: Sequence[ScoredCandidate]) -> QueryCandidates:

@@ -26,8 +26,8 @@ Each file column is then converted and checked with one numpy call, and
 the rows are grouped by query. The run parser gives the grouped columns to
 :meth:`~pufr.core.QueryStack.ranked` (see :func:`parse_run_file`), and the
 joins add a flat column to that stack, so no per-query object is built
-between the parsers and the corpus. A qrels grade too large for int64 is
-read by the line walk.
+between the parsers and the corpus (:func:`load_corpus`). A qrels grade
+too large for int64 is read by the line walk.
 
 The feature parser cuts the file at byte offsets instead, each cut right
 after a ``\n`` (:func:`_cuts`), and converts each block into one
@@ -41,8 +41,10 @@ Only when a check fails is the file walked line by line, so that the error
 names the first bad ``path:line`` in file order.
 
 Floats are written with ``repr`` so a write-parse-write cycle is
-byte-identical. The run, sigma and neutrality writers build each query's
-lines with one join over their interleaved fields (:func:`_joined_lines`).
+byte-identical. The writers read a stack, the run writer a stacked ranking,
+and build each row's lines with one join over their interleaved fields
+(:func:`_joined_lines`); row i of a ranking is read at ``[i, :n]``, so no
+pad is written.
 """
 
 from __future__ import annotations
@@ -54,11 +56,11 @@ import signal
 from bisect import bisect_right
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NoReturn, Sequence
+from typing import Iterable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
-from .core import QueryCandidates, QueryStack, Ranking
+from .core import QueryStack, StackedRanking, assign_groups
 from .metrics import RelevanceJudgments
 from .uncertainty import LastLayerPosterior
 
@@ -628,6 +630,22 @@ def attach_neutrality(corpus: QueryStack, neutrality: Mapping[str, float]) -> Qu
     return corpus.with_column("neutrality", column)
 
 
+def load_corpus(run: str | Path, sigmas: str | Path | None = None,
+                neutrality: str | Path | None = None,
+                protected_threshold: float | None = None) -> QueryStack:
+    """The run file as a stack, joined with the sigma and neutrality files
+    given, and given a threshold, labelled with groups; a file that is not
+    given is not opened."""
+    corpus = parse_run_file(run)
+    if sigmas is not None:
+        corpus = attach_sigmas(corpus, parse_sigma_file(sigmas))
+    if neutrality is not None:
+        corpus = attach_neutrality(corpus, parse_neutrality_file(neutrality))
+    if protected_threshold is not None:
+        corpus = assign_groups(corpus, protected_threshold)
+    return corpus
+
+
 def check_run_tag(tag: str) -> str:
     """A run tag is one whitespace-free field of the run file."""
     if tag.split() != [tag]:
@@ -635,16 +653,16 @@ def check_run_tag(tag: str) -> str:
     return tag
 
 
-def write_run_file(path: str | Path, rankings: Iterable[Ranking], tag: str = "pufr") -> None:
+def write_run_file(path: str | Path, ranked: StackedRanking, tag: str = "pufr") -> None:
     check_run_tag(tag)
-    suffix, ranks, texts = f" {tag}\n", [], []
-    for ranking in rankings:
-        n = len(ranking.order)
-        # " {rank} " strings, built once per call up to the longest ranking
-        ranks += [f" {rank} " for rank in range(len(ranks) + 1, n + 1)]
+    stack = ranked.stack
+    suffix, ranks = f" {tag}\n", [f" {rank} " for rank in range(1, stack.real.shape[1] + 1)]
+    bounds, texts = stack.bounds, []
+    for i, (query_id, start, end) in enumerate(zip(stack.query_ids, bounds, bounds[1:])):
+        n, doc_ids = end - start, stack.doc_ids[start:end]
         texts.append(_joined_lines(
-            n, f"{ranking.query_id} Q0 ", ranking.doc_ids(), ranks[:n],
-            map(repr, ranking.scores.tolist()), suffix,
+            n, f"{query_id} Q0 ", map(doc_ids.__getitem__, ranked.order[i, :n].tolist()),
+            ranks[:n], map(repr, ranked.scores[i, :n].tolist()), suffix,
         ))
     Path(path).write_text("".join(texts), encoding="utf-8")
 
@@ -659,28 +677,27 @@ def _joined_lines(n: int, *columns: str | Iterable[str]) -> str:
     return "".join(pieces)
 
 
-def write_sigma_file(path: str | Path, corpus: Iterable[QueryCandidates]) -> None:
+def write_sigma_file(path: str | Path, stack: QueryStack) -> None:
+    sigmas = list(map(repr, stack.flat("sigma").tolist()))
     texts = [
-        _joined_lines(
-            len(query), f"{query.query_id} ", query.doc_ids, " ",
-            map(repr, query.column("sigma").tolist()), "\n",
-        )
-        for query in corpus
+        _joined_lines(end - start, f"{query_id} ", stack.doc_ids[start:end], " ",
+                      sigmas[start:end], "\n")
+        for query_id, start, end in zip(stack.query_ids, stack.bounds, stack.bounds[1:])
     ]
     Path(path).write_text("".join(texts), encoding="utf-8")
 
 
-def write_neutrality_file(path: str | Path, corpus: Iterable[QueryCandidates]) -> None:
-    values: dict[str, float] = {}
-    for query in corpus:
-        scores = dict(zip(query.doc_ids, query.column("neutrality").tolist()))
-        if not values.keys().isdisjoint(scores):
-            for doc_id in query.doc_ids:
-                if doc_id in values and values[doc_id] != scores[doc_id]:
-                    raise ValueError(
-                        f"doc {doc_id!r} has conflicting neutrality scores across queries"
-                    )
-        values.update(scores)
+def write_neutrality_file(path: str | Path, stack: QueryStack) -> None:
+    doc_ids, floats = stack.doc_ids, stack.flat("neutrality").tolist()
+    values = dict(zip(doc_ids, floats))
+    # a repeated doc keeps its last value, so an earlier one that differs conflicts
+    if len(values) != len(doc_ids) and list(map(values.get, doc_ids)) != floats:
+        seen: dict[str, float] = {}
+        for doc_id, value in zip(doc_ids, floats):
+            if seen.setdefault(doc_id, value) != value:
+                raise ValueError(
+                    f"doc {doc_id!r} has conflicting neutrality scores across queries"
+                )
     text = _joined_lines(len(values), values.keys(), " ", map(repr, values.values()), "\n")
     Path(path).write_text(text, encoding="utf-8")
 

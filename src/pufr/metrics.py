@@ -26,7 +26,7 @@ class RelevanceJudgments:
 
     Construction takes a snapshot: ``grades`` is copied and indexed as
     query -> {doc_id: grade}, so later changes to the caller's mapping change
-    neither :meth:`grade` nor :func:`ndcg_at_k`. Judgments compare by
+    neither ``grades`` nor :func:`ndcg_at_k`. Judgments compare by
     identity, so that a stack's memo can keep gains per judgments."""
 
     grades: Mapping[tuple[str, str], int]
@@ -43,9 +43,6 @@ class RelevanceJudgments:
             by_query.setdefault(query_id, {})[doc_id] = grade
         object.__setattr__(self, "grades", grades)
         object.__setattr__(self, "_by_query", by_query)
-
-    def grade(self, query_id: str, doc_id: str) -> int:
-        return self._by_query.get(query_id, {}).get(doc_id, 0)
 
     def grades_for_query(self, query_id: str) -> list[int]:
         """The query's judged grades, in ``grades`` order."""

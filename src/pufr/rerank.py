@@ -11,18 +11,17 @@ corpus mean, which serves as the constant-shift ablation.
 :func:`adjust_scores`, :func:`pufr_rerank` and :func:`uniform_rerank`
 adjust and rank every query of a :class:`~pufr.core.QueryStack` in one
 array pass; a query is the one-row case (see :func:`~pufr.core.stacked`).
+:func:`compute_sigma_mean` takes the corpus as a stack only.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .core import QueryCandidates, QueryStack, Ranking, StackedRanking, rank_by_score, stacked
-from .core import as_stack
 from .metrics import sequential_sum
 
 
@@ -136,9 +135,9 @@ def pufr_rerank(
     return rank_by_score(query, adjust_scores(query, cfg))
 
 
-def compute_sigma_mean(corpus: Iterable[QueryCandidates] | QueryStack) -> float:
+def compute_sigma_mean(stack: QueryStack) -> float:
     """Arithmetic mean of sigma over every (query, candidate) pair."""
-    sigma = as_stack(corpus, "cannot compute a sigma mean over an empty corpus").flat("sigma")
+    sigma = stack.flat("sigma")
     # np.sum's pairwise order would change the last bits of every uniform score
     return sequential_sum(sigma) / len(sigma)
 

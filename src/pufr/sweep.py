@@ -1,7 +1,9 @@
 """Experiment harness: re-rank a corpus across a hyperparameter grid,
 evaluate utility and fairness at the configured cutoffs, time the
-re-ranking, and emit one CSV row per (method, alpha). The corpus is one
-stack, read as rows padded to its longest query, and each alpha is one timed
+re-ranking, and emit one CSV row per (method, alpha). :func:`run_sweep` and
+:func:`report_interval_analysis` take the corpus as one
+:class:`~pufr.core.QueryStack`, read as rows padded to its longest query,
+never a list of queries. Each alpha is one timed
 re-ranker call on the stack and one stacked metric call per cutoff. PUFR,
 its uniform ablation, the quota baseline and the plain score ordering rank
 the whole stack in one array pass; the constrained baseline re-ranks query
@@ -26,7 +28,7 @@ from .baselines import (
     fastar_rerank,
     unfair_rank,
 )
-from .core import QueryCandidates, QueryStack, StackedRanking, as_stack
+from .core import QueryStack, StackedRanking
 from .metrics import (
     RelevanceJudgments,
     check_interval_alpha,
@@ -196,24 +198,18 @@ def _by_query(stack: QueryStack, values: np.ndarray) -> dict[str, float]:
     return dict(zip(stack.query_ids, values.tolist()))
 
 
-def run_sweep(
-    corpus: Sequence[QueryCandidates] | QueryStack,
-    judgments: RelevanceJudgments,
-    cfg: SweepConfig,
-) -> SweepResult:
+def run_sweep(stack: QueryStack, judgments: RelevanceJudgments, cfg: SweepConfig) -> SweepResult:
     """Run one method over its alpha grid.
 
-    The corpus is one stack (queries given are stacked once). Per (method,
-    alpha): one re-ranker call ranks the stack (wall-clock timed, parsing
-    and evaluation excluded), one ``ndcg_at_k`` or ``nfairr_at_k`` call per
-    cutoff evaluates it, each row with the bits it has alone, and nFaiRR at
-    the smallest fairness cutoff is t-tested against the reference method: the
-    uncertainty-aware re-ranker at the same alpha where that is possible,
-    the plain score ordering otherwise. Both references rank the stack in
-    one call too. Per-query values are keyed by query id, so a repeated id
-    is an error.
+    Per (method, alpha): one re-ranker call ranks the stack (wall-clock
+    timed, parsing and evaluation excluded), one ``ndcg_at_k`` or
+    ``nfairr_at_k`` call per cutoff evaluates it, each row with the bits it
+    has alone, and nFaiRR at the smallest fairness cutoff is t-tested
+    against the reference method: the uncertainty-aware re-ranker at the
+    same alpha where that is possible, the plain score ordering otherwise.
+    Both references rank the stack in one call too. Per-query values are
+    keyed by query id, so a repeated id is an error.
     """
-    stack = as_stack(corpus, "corpus is empty")
     stack.flat("neutrality")  # metrics need neutrality everywhere
     method = REGISTRY[cfg.method]
     has_sigmas, has_groups = stack.has("sigma"), stack.has("protected")
@@ -344,14 +340,12 @@ def check_interval_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
 
 
 def report_interval_analysis(
-    corpus: Sequence[QueryCandidates] | QueryStack,
-    alphas: Sequence[float] = DEFAULT_INTERVAL_ALPHAS,
+    stack: QueryStack, alphas: Sequence[float] = DEFAULT_INTERVAL_ALPHAS
 ) -> str:
     """CSV of per-rank median interval-intersection counts, one column
     group per interval width multiplier; every column has a row per rank
     of the deepest query. The corpus is one stack for every alpha."""
     alphas = check_interval_alphas(alphas)
-    stack = as_stack(corpus, "corpus is empty")
     columns = [median_intersections(stack, alpha) for alpha in alphas]
     lines = [",".join(["rank"] + [_interval_column(alpha) for alpha in alphas])]
     for rank, counts in enumerate(zip(*columns), start=1):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QueryCandidates, QueryStack, ScoredCandidate, assign_groups, build_query
+from .core import QueryStack, ScoredCandidate, assign_groups, build_query
 from .core import check_seed
 from .metrics import RelevanceJudgments
 
@@ -54,10 +54,8 @@ class SyntheticConfig:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
 
-def generate_synthetic(
-    cfg: SyntheticConfig,
-) -> tuple[list[QueryCandidates], RelevanceJudgments]:
-    """Generate a fully populated corpus plus matching judgments.
+def generate_synthetic(cfg: SyntheticConfig) -> tuple[QueryStack, RelevanceJudgments]:
+    """Generate a fully populated corpus, as one stack, plus matching judgments.
 
     Reproducible from the seed; groups are pre-assigned with the default
     protected threshold of 1.
@@ -93,4 +91,4 @@ def generate_synthetic(
         for j in range(n):
             if latent[j] > _RELEVANT_LATENT_THRESHOLD:
                 grades[(query_id, f"{query_id}-d{j:03d}")] = 1
-    return list(assign_groups(QueryStack(corpus))), RelevanceJudgments(grades=grades)
+    return assign_groups(QueryStack(corpus)), RelevanceJudgments(grades=grades)

@@ -604,7 +604,7 @@ def per_query_reranker(corpus, cfg, alpha):
     if cfg.method == "pufr":
         return lambda query: (pufr_rerank(query, pufr_cfg), None)
     if cfg.method == "uniform":
-        sigma_mean = compute_sigma_mean(corpus)
+        sigma_mean = compute_sigma_mean(QueryStack(corpus))
         return lambda query: (uniform_rerank(query, sigma_mean, pufr_cfg), None)
     if cfg.method == "unfair":
         return lambda query: (unfair_rank(query), None)

@@ -19,7 +19,7 @@ from pufr.baselines import (
     fastar_rerank,
     unfair_rank,
 )
-from pufr.core import ScoredCandidate, assign_groups, build_query
+from pufr.core import QueryStack, ScoredCandidate, assign_groups, build_query
 from pufr.metrics import RelevanceJudgments, fairr_at_k, ndcg_at_k, nfairr_at_k, paired_t_test
 from pufr.rerank import PufrConfig, pufr_rerank, uniform_rerank
 from pufr.sweep import SweepConfig, records_to_csv, report_interval_analysis, run_sweep
@@ -313,7 +313,7 @@ def test_criterion_7_interval_analysis_shape():
         mus = [10.0 - 0.3 * r + float(rng.normal(0, 0.02)) for r in range(n)]
         sigmas = [0.15 + 0.06 * r for r in range(n)]
         corpus.append(make_query(mus, sigmas, query_id=f"q{i}"))
-    text = report_interval_analysis(corpus, alphas=(1.0, 2.0))
+    text = report_interval_analysis(QueryStack(corpus), alphas=(1.0, 2.0))
     lines = text.strip().splitlines()
     assert lines[0] == "rank,median_swaps_alpha_1,median_swaps_alpha_2"
     narrow, wide = [], []
@@ -389,7 +389,7 @@ def informative_sigma_fixture(seed=209, n_queries=80, n_docs=30):
         for j in range(n_docs):
             if latent[j] > 0.8:
                 grades[(query_id, f"{query_id}-d{j:02d}")] = 1
-    return corpus, RelevanceJudgments(grades=grades)
+    return QueryStack(corpus), RelevanceJudgments(grades=grades)
 
 
 def pufr_frontier(rows, x):
@@ -502,7 +502,7 @@ def test_criterion_10_parser_round_trip(tmp_path):
         corpus, judgments = generate_synthetic(cfg)
         paths = {name: tmp_path / f"{name}_{trial}" for name in
                  ("run", "sigma", "neutrality", "qrels")}
-        fileio.write_run_file(paths["run"], [unfair_rank(q) for q in corpus])
+        fileio.write_run_file(paths["run"], unfair_rank(corpus))
         fileio.write_sigma_file(paths["sigma"], corpus)
         fileio.write_neutrality_file(paths["neutrality"], corpus)
         fileio.write_qrels(paths["qrels"], judgments)
@@ -514,7 +514,7 @@ def test_criterion_10_parser_round_trip(tmp_path):
             parsed, fileio.parse_neutrality_file(paths["neutrality"])
         )
         judgments_back = fileio.parse_qrels(paths["qrels"])
-        fileio.write_run_file(paths["run"], [unfair_rank(q) for q in parsed])
+        fileio.write_run_file(paths["run"], unfair_rank(parsed))
         fileio.write_sigma_file(paths["sigma"], parsed)
         fileio.write_neutrality_file(paths["neutrality"], parsed)
         fileio.write_qrels(paths["qrels"], judgments_back)

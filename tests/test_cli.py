@@ -94,20 +94,21 @@ class TestLoadBuildsNoQueries:
     def test_rerank_loads_without_building_a_query(self, fixture_dir, tmp_path, monkeypatch,
                                                    calls, method):
         paths = fixture_paths(fixture_dir)
-        loaded, load = [], cli._load_corpus
+        loaded, load = [], fileio.load_corpus
 
         def loading(*args):
             corpus = load(*args)
             loaded.append(dict(calls))
             return corpus
 
-        monkeypatch.setattr(cli, "_load_corpus", loading)
+        monkeypatch.setattr(fileio, "load_corpus", loading)
         assert main(["rerank", "--run", str(paths["run"]), "--sigmas", str(paths["sigma"]),
                      "--neutrality", str(paths["neutrality"]), "--method", method,
                      "--alpha", "0.5", "--output", str(tmp_path / "out")]) in (0, 2)
         assert loaded == [{}]
-        # after the load, the run writer and the constrained window read row views
-        assert set(calls) <= {"row"}
+        # after the load, only the constrained window reads row views: the
+        # others re-rank and write from the stack
+        assert set(calls) <= ({"row"} if method == "constrained" else set())
 
 
 class TestRerankCommand:
@@ -135,6 +136,19 @@ class TestRerankCommand:
         ]
         assert main(argv) == 1
         assert "sigmas" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,method", [("rerank", "pufr"), ("sweep", "uniform")])
+    def test_missing_sigmas_is_refused_before_any_file_is_read(self, tmp_path, capsys, command,
+                                                               method):
+        absent = str(tmp_path / "absent")
+        argv = [command, "--run", absent, "--neutrality", absent, "--method", method]
+        if command == "rerank":
+            argv += ["--alpha", "1.0"]
+        else:
+            argv += ["--qrels", absent, "--alpha-grid", "1.0"]
+        assert main([*argv, "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: method {method!r} needs --sigmas\n"
+        assert not (tmp_path / "out").exists()
 
     def test_alpha_zero_pufr_reproduces_the_input_order(self, fixture_dir, tmp_path):
         paths = fixture_paths(fixture_dir)
@@ -168,8 +182,8 @@ class TestRerankCommand:
                                                              monkeypatch):
         query, cfg = gap_search_queries()[0]
         run, neutrality, qrels = tmp_path / "run", tmp_path / "neu", tmp_path / "qrels"
-        fileio.write_run_file(run, [unfair_rank(query)])
-        fileio.write_neutrality_file(neutrality, [query])
+        fileio.write_run_file(run, unfair_rank(QueryStack([query])))
+        fileio.write_neutrality_file(neutrality, QueryStack([query]))
         qrels.write_text("")
         corpus = ["--run", str(run), "--neutrality", str(neutrality), "--method", "constrained",
                   "--depth", str(cfg.depth)]
@@ -194,24 +208,26 @@ class TestRerankCommand:
 
 
 def library_rankings(paths, method, alpha, depth=DEFAULT_DEPTH):
-    """Rankings of every query by the library calls, without the CLI."""
+    """Rankings of every query by the library calls, without the CLI, as
+    one stacked ranking."""
     corpus = fileio.parse_run_file(paths["run"])
     corpus = fileio.attach_sigmas(corpus, fileio.parse_sigma_file(paths["sigma"]))
     corpus = fileio.attach_neutrality(corpus, fileio.parse_neutrality_file(paths["neutrality"]))
-    corpus = [assign_groups(q, 1.0) for q in corpus]
+    corpus = QueryStack([assign_groups(q, 1.0) for q in corpus])
     if method == "unfair":
-        return [unfair_rank(q) for q in corpus]
+        return corpus.rankings([unfair_rank(q) for q in corpus])
     if method == "pufr":
-        return [pufr_rerank(q, PufrConfig.symmetric(alpha)) for q in corpus]
+        return corpus.rankings([pufr_rerank(q, PufrConfig.symmetric(alpha)) for q in corpus])
     if method == "uniform":
         sigma_mean = compute_sigma_mean(corpus)
-        return [uniform_rerank(q, sigma_mean, PufrConfig.symmetric(alpha)) for q in corpus]
+        return corpus.rankings(
+            [uniform_rerank(q, sigma_mean, PufrConfig.symmetric(alpha)) for q in corpus])
     if method == "fastar":
         table = compute_m_table(max(len(q) for q in corpus), alpha)
-        return [fastar_rerank(q, table) for q in corpus]
+        return corpus.rankings([fastar_rerank(q, table) for q in corpus])
     assert method == "constrained"
     ccfg = ConstraintConfig(alpha_fairness=alpha, depth=depth)
-    return [constrained_rerank(q, ccfg).ranking for q in corpus]
+    return corpus.rankings([constrained_rerank(q, ccfg).ranking for q in corpus])
 
 
 class TestMethodParity:

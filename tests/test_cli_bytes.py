@@ -323,7 +323,7 @@ def test_synth_without_config_flags_writes_the_default_config(tmp_path):
     corpus, judgments = generate_synthetic(SyntheticConfig())
     lib = tmp_path / "lib"
     lib.mkdir()
-    fileio.write_run_file(lib / "fixture.run", map(unfair_rank, corpus), tag="synth")
+    fileio.write_run_file(lib / "fixture.run", unfair_rank(corpus), tag="synth")
     fileio.write_sigma_file(lib / "fixture.sigma", corpus)
     fileio.write_neutrality_file(lib / "fixture.neutrality", corpus)
     fileio.write_qrels(lib / "fixture.qrels", judgments)

@@ -409,3 +409,31 @@ class TestRankedInOnePass:
         mu[:], sigma[:] = 0.0, 0.0
         assert query.doc_ids == ("b", "c", "a")
         assert query.mu.tolist() == [3.0, 2.0, 1.0] and query.sigma.tolist() == [0.2, 0.3, 0.1]
+
+
+class TestStackIndexing:
+    """A stack is a sequence of its rows: an int gives a row, a slice a
+    stack that keeps those rows as its own."""
+
+    def stack(self):
+        return QueryStack([make_query([2.0, 1.0], query_id="a"), make_query([1.0], query_id="b"),
+                           make_query([3.0, 2.0, 1.0], query_id="c")])
+
+    @pytest.mark.parametrize("cut", [slice(None, 2), slice(1, None), slice(None, None, -2)])
+    def test_a_slice_is_a_stack_of_those_rows(self, cut):
+        stack = self.stack()
+        rows = list(stack)[cut]
+        part = stack[cut]
+        assert isinstance(part, QueryStack)
+        assert all(mine is theirs for mine, theirs in zip(part, rows)) and len(part) == len(rows)
+        assert part.query_ids == tuple(q.query_id for q in rows)
+        assert part.column("mu").tobytes() == QueryStack(rows).column("mu").tobytes()
+
+    def test_an_empty_slice_cannot_be_stacked(self):
+        with pytest.raises(ValueError, match="^cannot stack an empty corpus$"):
+            self.stack()[3:]
+
+    @pytest.mark.parametrize("i", [3, -4])
+    def test_an_int_out_of_range_is_an_index_error(self, i):
+        with pytest.raises(IndexError):
+            self.stack()[i]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pufr.baselines import unfair_rank
+from pufr.baselines import compute_m_table, fastar_rerank, unfair_rank
 from pufr.core import (
     QueryCandidates,
     QueryStack,
@@ -21,13 +21,15 @@ from pufr.core import (
     ScoredCandidate,
     assign_groups,
     build_query,
+    rank_by_score,
 )
 from pufr.metrics import RelevanceJudgments
+from pufr.sweep import REGISTRY
 from pufr.synth import SyntheticConfig, generate_synthetic
 from pufr import fileio
 
 import oracles
-from conftest import query_key, rows
+from conftest import make_query, query_key, rows
 
 
 class TestParseRunFile:
@@ -156,9 +158,9 @@ class TestParseQrels:
         path = tmp_path / "qrels"
         path.write_text("q1 0 d7 1\nq1 0 d8 0\n")
         judgments = fileio.parse_qrels(path)
-        assert judgments.grade("q1", "d7") == 1
-        assert judgments.grade("q1", "d8") == 0
-        assert judgments.grade("q1", "unknown") == 0
+        assert judgments.grades.get(("q1", "d7"), 0) == 1
+        assert judgments.grades.get(("q1", "d8"), 0) == 0
+        assert judgments.grades.get(("q1", "unknown"), 0) == 0
 
     def test_negative_grade_rejected(self, tmp_path):
         path = tmp_path / "qrels"
@@ -897,18 +899,12 @@ class TestStackedLoad:
     @settings(max_examples=300, deadline=None)
     @given(texts=_corpus_texts(), threshold=st.sampled_from([1.0, 0.5]))
     def test_the_stack_is_the_per_query_load_bit_for_bit(self, texts, threshold):
-        def load(run, sigma, neutrality):
-            corpus = fileio.parse_run_file(run)
-            corpus = fileio.attach_sigmas(corpus, fileio.parse_sigma_file(sigma))
-            corpus = fileio.attach_neutrality(corpus, fileio.parse_neutrality_file(neutrality))
-            return assign_groups(corpus, threshold)
-
         with tempfile.TemporaryDirectory() as tmp:
             paths = [Path(tmp) / name for name in ("run", "sigma", "neutrality")]
             for path, text in zip(paths, texts):
                 path.write_text(text, encoding="utf-8")
-            (kind, got), (want_kind, want) = outcome(load, *paths), outcome(
-                oracles.load_per_query, *paths, threshold)
+            (kind, got), (want_kind, want) = (outcome(fileio.load_corpus, *paths, threshold),
+                                              outcome(oracles.load_per_query, *paths, threshold))
         assert kind == want_kind
         assert got == want if kind == "error" else _stack_key(got) == _stack_key(want)
 
@@ -1190,7 +1186,7 @@ class TestRoundTrips:
     def test_corpus_round_trip_is_field_identical(self, tmp_path):
         corpus, _ = fixture_corpus()
         run, sig, neu = tmp_path / "run", tmp_path / "sig", tmp_path / "neu"
-        fileio.write_run_file(run, [unfair_rank(q) for q in corpus], tag="t")
+        fileio.write_run_file(run, unfair_rank(corpus), tag="t")
         fileio.write_sigma_file(sig, corpus)
         fileio.write_neutrality_file(neu, corpus)
         parsed = fileio.parse_run_file(run)
@@ -1205,7 +1201,7 @@ class TestRoundTrips:
             corpus, judgments = fixture_corpus(seed=int(rng.integers(1 << 30)))
             paths = {name: tmp_path / f"{name}{trial}" for name in
                      ("run", "sig", "neu", "qrels")}
-            fileio.write_run_file(paths["run"], [unfair_rank(q) for q in corpus])
+            fileio.write_run_file(paths["run"], unfair_rank(corpus))
             fileio.write_sigma_file(paths["sig"], corpus)
             fileio.write_neutrality_file(paths["neu"], corpus)
             fileio.write_qrels(paths["qrels"], judgments)
@@ -1217,7 +1213,7 @@ class TestRoundTrips:
                 parsed, fileio.parse_neutrality_file(paths["neu"])
             )
             judgments2 = fileio.parse_qrels(paths["qrels"])
-            fileio.write_run_file(paths["run"], [unfair_rank(q) for q in parsed])
+            fileio.write_run_file(paths["run"], unfair_rank(parsed))
             fileio.write_sigma_file(paths["sig"], parsed)
             fileio.write_neutrality_file(paths["neu"], parsed)
             fileio.write_qrels(paths["qrels"], judgments2)
@@ -1227,7 +1223,7 @@ class TestRoundTrips:
     def test_write_run_then_parse_preserves_scores_exactly(self, tmp_path):
         corpus, _ = fixture_corpus(seed=5)
         path = tmp_path / "run"
-        fileio.write_run_file(path, [unfair_rank(q) for q in corpus])
+        fileio.write_run_file(path, unfair_rank(corpus))
         parsed = fileio.parse_run_file(path)
         for orig, back in zip(corpus, parsed):
             for c_orig, c_back in zip(rows(orig), rows(back)):
@@ -1239,20 +1235,20 @@ class TestWriters:
     def test_sigma_writer_requires_sigmas(self, tmp_path):
         bare = build_query("q", [ScoredCandidate(doc_id="d", mu=0.0)])
         with pytest.raises(ValueError, match="sigma"):
-            fileio.write_sigma_file(tmp_path / "sig", [bare])
+            fileio.write_sigma_file(tmp_path / "sig", QueryStack([bare]))
 
     def test_conflicting_neutrality_across_queries_rejected(self, tmp_path):
         q1 = build_query("q1", [ScoredCandidate(doc_id="d", mu=1.0, neutrality=0.5)])
         q2 = build_query("q2", [ScoredCandidate(doc_id="d", mu=1.0, neutrality=0.6)])
         with pytest.raises(ValueError, match="conflicting"):
-            fileio.write_neutrality_file(tmp_path / "neu", [q1, q2])
+            fileio.write_neutrality_file(tmp_path / "neu", QueryStack([q1, q2]))
 
     @pytest.mark.parametrize("tag", ["", "my tag", "tab\there", "trailing\n", "nbsp\u00a0"])
     def test_run_writer_rejects_a_tag_that_is_not_one_field(self, tmp_path, tag):
         corpus, _ = fixture_corpus()
         path = tmp_path / "run"
         with pytest.raises(ValueError, match="tag"):
-            fileio.write_run_file(path, [unfair_rank(q) for q in corpus], tag=tag)
+            fileio.write_run_file(path, unfair_rank(corpus), tag=tag)
         assert not path.exists()
 
     def test_qrels_round_trip(self, tmp_path):
@@ -1308,11 +1304,12 @@ def _written(write, *args):
 
 
 class TestWritersMatchPerLineOracles:
-    """The run, sigma and neutrality writers join each query's lines in one
-    call; their bytes, and their errors, are those of one f-string per line."""
+    """The run, sigma and neutrality writers read a stack or a stacked
+    ranking and join each query's lines in one call; their bytes, and their
+    errors, are those of one f-string per line, and no pad is written."""
 
     @settings(max_examples=300, deadline=None)
-    @given(queries=st.lists(_written_query(), max_size=5),
+    @given(queries=st.lists(_written_query(), min_size=1, max_size=5),
            tag=st.sampled_from(["pufr", "t", "ünï"]))
     # one-document queries between rankings that grow and shrink
     @example(queries=[
@@ -1322,17 +1319,70 @@ class TestWritersMatchPerLineOracles:
         ("q3", ["x"], [0], [sys.float_info.max], [0.0], [1.0]),
         ("q4", ["b", "x"], [1, 0], [5e-324, -sys.float_info.max], [1.0, 2.0], [0.5, 1.0]),
     ], tag="t")
-    @example(queries=[], tag="pufr")
     def test_bytes_equal_the_per_line_writers(self, queries, tag):
         corpus, rankings = [], []
         for query_id, doc_ids, order, scores, sigma, neutrality in queries:
             query = QueryCandidates(query_id, doc_ids, np.zeros(len(doc_ids)), sigma, neutrality)
             corpus.append(query)
             rankings.append(Ranking(query, np.array(order, dtype=np.intp), np.array(scores)))
-        # the run writer takes any iterable, a one-shot iterator too
-        assert (_written(fileio.write_run_file, iter(rankings), tag)
-                == _written(oracles.write_run_file, iter(rankings), tag))
-        assert (_written(fileio.write_sigma_file, corpus)
+        stack = QueryStack(corpus)
+        assert (_written(fileio.write_run_file, stack.rankings(rankings), tag)
+                == _written(oracles.write_run_file, rankings, tag))
+        assert (_written(fileio.write_sigma_file, stack)
                 == _written(oracles.write_sigma_file, corpus))
-        assert (_written(fileio.write_neutrality_file, corpus)
+        assert (_written(fileio.write_neutrality_file, stack)
                 == _written(oracles.write_neutrality_file, corpus))
+
+    @staticmethod
+    def ragged_stack(seed):
+        """One query of each length 1..9 in shuffled order, some with tied
+        ``mu``, drawing docs from a shared pool with one neutrality per doc."""
+        rng = np.random.default_rng(seed)
+        pool = [f"d{j}" for j in range(12)]
+        neutrality = dict(zip(pool, rng.choice([0.0, -0.0, 0.3, 1.0], len(pool)).tolist()))
+        corpus = []
+        for n in rng.permutation(np.arange(1, 10)).tolist():
+            docs = rng.choice(pool, n, replace=False).tolist()
+            mu = rng.choice([0.0, 1.0, 2.5], n) if n % 3 == 0 else rng.normal(0.0, 2.0, n)
+            corpus.append(make_query(mu, np.abs(rng.normal(0.5, 0.3, n)),
+                                     [neutrality[d] for d in docs], query_id=f"q{n}",
+                                     doc_ids=docs))
+        return QueryStack(corpus)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("method", ["rank_by_score", "fastar", "constrained"])
+    def test_a_ragged_stacks_rankings_are_written_as_their_rows(self, seed, method):
+        stack = self.ragged_stack(seed)
+        if method == "rank_by_score":
+            # a pad's score may be anything, nan too: it ranks last at -inf
+            scores = np.random.default_rng(seed).choice([-0.0, 0.0, 1.5, 2.0], stack.real.shape)
+            ranked = rank_by_score(stack, np.where(stack.real, scores, np.nan))
+        elif method == "fastar":
+            ranked = fastar_rerank(stack, compute_m_table(int(stack.lengths.max()), 0.7))
+        else:
+            ranked, _ = REGISTRY["constrained"].prepare(stack, 5)(0.8)(stack)
+        written = _written(fileio.write_run_file, ranked, "t")
+        assert written == _written(oracles.write_run_file, ranked.rows(), "t")
+        places = [tuple(line.split()[0:3:2]) for line in written.decode().splitlines()]
+        assert sorted(places) == sorted(
+            (query_id, doc_id) for query, query_id in zip(stack, stack.query_ids)
+            for doc_id in query.doc_ids)
+        assert (_written(fileio.write_sigma_file, stack)
+                == _written(oracles.write_sigma_file, stack))
+        assert (_written(fileio.write_neutrality_file, stack)
+                == _written(oracles.write_neutrality_file, stack))
+
+    @pytest.mark.parametrize("values", [(0.5, 0.5, 0.7), (0.5, 0.7, 0.7)])
+    def test_a_conflict_in_three_queries_names_the_doc_the_oracle_names(self, values):
+        # b conflicts too: first in place order, but only in the last query,
+        # where it ranks below d
+        stack = QueryStack(
+            build_query(f"q{i}", [ScoredCandidate("a", 1.0, neutrality=0.0),
+                                  ScoredCandidate("b", 0.1 if i == 2 else 2.0,
+                                                  neutrality=0.3 if i == 2 else 0.2),
+                                  ScoredCandidate("d", 0.5, neutrality=value)])
+            for i, value in enumerate(values)
+        )
+        message = "doc 'd' has conflicting neutrality scores across queries"
+        assert _written(fileio.write_neutrality_file, stack) == message
+        assert _written(oracles.write_neutrality_file, stack) == message

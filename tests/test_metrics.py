@@ -469,9 +469,9 @@ class TestRelevanceJudgments:
         source[("q", "a")] = 3
         source[("q", "z")] = 5
         del source[("q", "b")]
-        assert judgments.grade("q", "a") == 0
-        assert judgments.grade("q", "b") == 3
-        assert judgments.grade("q", "z") == 0
+        assert judgments.grades.get(("q", "a"), 0) == 0
+        assert judgments.grades.get(("q", "b"), 0) == 3
+        assert judgments.grades.get(("q", "z"), 0) == 0
         assert judgments.grades_for_query("q") == [0, 3, 1]
         assert ndcg_at_k(ranking, judgments, 2) == before
         assert ndcg_at_k(ranking, judgments, 3) == oracles.ndcg(

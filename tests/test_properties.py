@@ -167,7 +167,7 @@ def test_pufr_and_uniform_rankings_match_the_scalar_oracles(items, alpha):
     r = rows(query)
     expected = oracles.rank_by_score(r, oracles.adjust(r, alpha, alpha))
     assert hexed(pufr_rerank(query, cfg)) == oracles.hexed(expected)
-    mean = compute_sigma_mean([query])
+    mean = compute_sigma_mean(QueryStack([query]))
     assert mean.hex() == oracles.sigma_mean([r]).hex()
     expected = oracles.rank_by_score(r, oracles.adjust(r, alpha, alpha, sigma=mean))
     assert hexed(uniform_rerank(query, mean, cfg)) == oracles.hexed(expected)
@@ -327,7 +327,7 @@ def test_stacked_groups_with_masked_places_adjust_each_row_bit_for_bit(
     corpus, alpha_p, alpha_n, uniform
 ):
     cfg = PufrConfig(alpha_protected=alpha_p, alpha_nonprotected=alpha_n)
-    mean = compute_sigma_mean(corpus)
+    mean = compute_sigma_mean(QueryStack(corpus))
     for block in by_length(corpus):
         mu, sigma, protected = (np.stack([getattr(q, name) for q in block])
                                 for name in ("mu", "sigma", "protected"))
@@ -486,7 +486,7 @@ def test_a_rows_bits_depend_on_neither_the_other_rows_nor_the_pads(
     # non-protected places at mu = -inf with sigma 0, and the scores given
     # for them, even when not finite, neither rank them nor raise.
     cfg = PufrConfig(alpha_protected=alpha_p, alpha_nonprotected=alpha_n)
-    mean = compute_sigma_mean(corpus)  # inf when huge: every form then raises
+    mean = compute_sigma_mean(QueryStack(corpus))  # inf when huge: every form then raises
     call = STACK_FORMS[form]
     one_row = outcome(lambda: [
         stacked_rows(stack, call(stack, cfg, mean, pad))[0]
@@ -504,7 +504,7 @@ def test_a_rows_bits_depend_on_neither_the_other_rows_nor_the_pads(
 def test_each_stack_form_matches_its_scalar_oracle_row_by_row(corpus, alpha, scores):
     stack = QueryStack(corpus)
     cfg = PufrConfig.symmetric(alpha)
-    mean = compute_sigma_mean(corpus)
+    mean = compute_sigma_mean(QueryStack(corpus))
     scores = np.array([row[:stack.real.shape[1]] for row in scores[:len(corpus)]])
     adjusted = adjust_scores(stack, cfg)
     # each ranker's stacked ranking, and its scores of row i for the oracle
@@ -586,7 +586,7 @@ def test_the_sweep_gives_the_per_query_sweeps_records(corpus, method, data):
     grid = data.draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=1, max_size=3))
     cfg = SweepConfig(method, tuple(sorted(set(grid))), cutoffs_utility=(1, 3, 10),
                       cutoffs_fairness=(2, 5), depth=data.draw(st.integers(1, 8)))
-    assert sweep_key(run_sweep(corpus, judgments, cfg)) == sweep_key(
+    assert sweep_key(run_sweep(QueryStack(corpus), judgments, cfg)) == sweep_key(
         oracles.run_sweep_per_query(corpus, judgments, cfg))
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pufr.baselines import unfair_rank
-from pufr.core import ScoredCandidate, assign_groups, build_query, rank_by_score
+from pufr.core import QueryStack, ScoredCandidate, assign_groups, build_query, rank_by_score
 from pufr.metrics import fairr_at_k
 from pufr.rerank import PufrConfig, adjust_scores, compute_sigma_mean, pufr_rerank, uniform_rerank
 
@@ -191,26 +191,23 @@ class TestPufrRerank:
 
 class TestSigmaMean:
     def test_two_element_mean(self):
-        corpus = [make_query([1.0], [1.0], query_id="a"), make_query([1.0], [3.0], query_id="b")]
+        corpus = QueryStack([make_query([1.0], [1.0], query_id="a"),
+                             make_query([1.0], [3.0], query_id="b")])
         assert compute_sigma_mean(corpus) == 2.0
 
     def test_constant_sigma(self):
-        corpus = [make_query([1.0, 2.0], [0.7, 0.7])]
+        corpus = QueryStack([make_query([1.0, 2.0], [0.7, 0.7])])
         assert compute_sigma_mean(corpus) == pytest.approx(0.7)
 
     def test_mean_over_all_pairs(self):
-        corpus = [make_query([1.0, 2.0], [0.0, 0.0], query_id="a"),
-                  make_query([1.0], [6.0], query_id="b")]
+        corpus = QueryStack([make_query([1.0, 2.0], [0.0, 0.0], query_id="a"),
+                             make_query([1.0], [6.0], query_id="b")])
         assert compute_sigma_mean(corpus) == 2.0
-
-    def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError, match="empty"):
-            compute_sigma_mean([])
 
     def test_missing_sigma_rejected(self):
         q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0)])
         with pytest.raises(ValueError, match="sigma"):
-            compute_sigma_mean([q])
+            compute_sigma_mean(QueryStack([q]))
 
 
 class TestUniformRerank:

@@ -88,7 +88,7 @@ class TestRunSweep:
 
     def test_missing_sigma_fails_before_any_work(self):
         corpus, judgments = biased_corpus(seed=9, n_queries=4)
-        run_path_corpus = [dataclasses.replace(q, sigma=None) for q in corpus]
+        run_path_corpus = QueryStack([dataclasses.replace(q, sigma=None) for q in corpus])
         with pytest.raises(ValueError, match="sigma"):
             run_sweep(run_path_corpus, judgments, SweepConfig("pufr", (1.0,)))
 
@@ -102,7 +102,7 @@ class TestRunSweep:
 
     def test_fastar_is_t_tested_against_pufr_rerank_at_each_alpha(self):
         corpus, judgments = biased_corpus(seed=5, n_queries=9)
-        corpus = corpus + [make_query([1.0], [0.2], [1.0], query_id="one")]
+        corpus = QueryStack([*corpus, make_query([1.0], [0.2], [1.0], query_id="one")])
         records = run_sweep(corpus, judgments, SweepConfig("fastar", (0.0, 0.5, 1.0))).records
         for record in records:
             fastar = baselines.compute_m_table(15, record.alpha)
@@ -122,7 +122,7 @@ class TestRunSweep:
             make_query([1e308, 0.0, -1.0], [1.7e308, 0.1, 0.1], [1.0, 0.0, 0.0], query_id="c"),
         ]
         with pytest.raises(ValueError, match="^query 'b': non-finite score for doc 'd1'$"):
-            run_sweep(corpus, RelevanceJudgments({}), SweepConfig("fastar", (1.0,)))
+            run_sweep(QueryStack(corpus), RelevanceJudgments({}), SweepConfig("fastar", (1.0,)))
 
     def test_a_repeated_query_id_is_rejected(self):
         # per-query values are keyed by id: the second q would overwrite the
@@ -132,7 +132,7 @@ class TestRunSweep:
                   make_query([2.0, 1.0], neutralities=[1.0, 0.0], query_id="r")]
         cfg = SweepConfig(method="unfair", alpha_grid=(0.0,), cutoffs_fairness=(1,))
         with pytest.raises(ValueError, match="^query id 'q' is repeated in the corpus$"):
-            run_sweep(corpus, RelevanceJudgments({}), cfg)
+            run_sweep(QueryStack(corpus), RelevanceJudgments({}), cfg)
 
     def test_the_stacked_pufr_reference_keeps_tied_scores_in_original_rank_order(self):
         # whole mu and sigma 0.5 tie raised and lowered docs at alpha 1, and
@@ -155,11 +155,11 @@ class TestRunSweep:
         q2 = make_query([3.0, 2.0, 1.0], [0.1] * 3, [1.0, 0.0, 0.0], query_id="q2")
         judgments = RelevanceJudgments(grades={})
         cfg = SweepConfig(method="constrained", alpha_grid=(0.9,), depth=2)
-        result = run_sweep([q1, q2], judgments, cfg)
+        result = run_sweep(QueryStack([q1, q2]), judgments, cfg)
         assert result.infeasible_queries == 1  # q1's neutral doc is outside the window
 
     def test_constrained_sweep_reports_capped_searches(self, monkeypatch):
-        corpus = [query for query, _ in gap_search_queries()[:3]]
+        corpus = QueryStack([query for query, _ in gap_search_queries()[:3]])
         judgments = RelevanceJudgments(grades={})
         cfg = SweepConfig(method="constrained", alpha_grid=(0.95,), depth=12)
         full = run_sweep(corpus, judgments, cfg)
@@ -266,7 +266,7 @@ class TestSelectBest:
 
 class TestIntervalReport:
     def test_disjoint_corpus_gives_all_zero_table(self):
-        corpus = [make_query([0.0, 100.0, 200.0], [0.1] * 3, query_id="q1")]
+        corpus = QueryStack([make_query([0.0, 100.0, 200.0], [0.1] * 3, query_id="q1")])
         text = report_interval_analysis(corpus, alphas=(1.0, 2.0))
         lines = text.strip().splitlines()
         assert lines[0] == "rank,median_swaps_alpha_1,median_swaps_alpha_2"
@@ -282,19 +282,15 @@ class TestIntervalReport:
 
     @pytest.mark.parametrize("alphas", [(1.0, 1.0), (1.0, 2.0, 1.0), (0.1234561, 0.1234562)])
     def test_alphas_sharing_a_column_name_are_refused(self, alphas):
-        corpus = [make_query([0.0, 1.0], [0.5, 0.5])]
+        corpus = QueryStack([make_query([0.0, 1.0], [0.5, 0.5])])
         with pytest.raises(ValueError, match="repeat a column name"):
             report_interval_analysis(corpus, alphas)
-
-    def test_an_empty_corpus_is_refused_before_it_is_stacked(self):
-        with pytest.raises(ValueError, match="^corpus is empty$"):
-            report_interval_analysis([])
 
     def test_single_query_reproduces_intersection_counts(self):
         from pufr.metrics import intersection_counts
 
         q = make_query([0.0, 0.4, 3.0], [0.5, 0.5, 0.1], query_id="q1")
-        text = report_interval_analysis([q], alphas=(1.0,))
+        text = report_interval_analysis(QueryStack([q]), alphas=(1.0,))
         _, rows = parse_csv(text)
         assert [int(r["median_swaps_alpha_1"]) for r in rows] == intersection_counts(q, 1.0)
 
@@ -314,7 +310,7 @@ def ragged_corpus(seed=3, longest=12):
         corpus.append(query)
         grades.update(((query.query_id, doc), int(rng.integers(0, 4)))
                       for doc in query.doc_ids if rng.random() < 0.6)
-    return corpus, RelevanceJudgments(grades)
+    return QueryStack(corpus), RelevanceJudgments(grades)
 
 
 def golden_corpus(tmp_path):
@@ -329,7 +325,7 @@ def golden_corpus(tmp_path):
                              fileio.parse_sigma_file(tmp_path / "sigma")),
         fileio.parse_neutrality_file(tmp_path / "neutrality"),
     )
-    return [assign_groups(q) for q in corpus], fileio.parse_qrels(tmp_path / "qrels")
+    return QueryStack([assign_groups(q) for q in corpus]), fileio.parse_qrels(tmp_path / "qrels")
 
 
 CORPORA = {
