@@ -16,9 +16,10 @@ one column reader, :func:`_columns`, which gives the fields of all data
 lines as one flat list, and reads a block in one of two ways:
 
 - a block that is ASCII, holds no ``#`` and no whitespace or control
-  character but space, tab and ``\n`` is split with one ``str.split()``,
-  and one vectorised pass over its bytes proves that every line holds
-  either no field or the file's number of fields;
+  character but space, tab and ``\n`` is split with one ``str.split()``;
+  one pass over its bytes flags each field start, a byte above 32 after
+  one up to 32, and one segmented sum counts them from each line's first
+  byte: a line must hold no field or the file's number of fields;
 - any other block is split line by line, as ``str.splitlines`` splits
   lines, and comment and blank lines are skipped.
 
@@ -119,13 +120,12 @@ def _columns(path: str | Path, width: int) -> list[str] | None:
 
 def _lines_hold(codes: np.ndarray, newlines: np.ndarray, width: int) -> bool:
     """Whether every line of a block whose only whitespace is space, tab and
-    newline holds either no field or ``width`` fields: the field starts
-    before each newline, counted by a search, differ by 0 or ``width``."""
-    space = np.empty(len(codes) + 1, dtype=bool)
-    space[0] = True
-    np.less_equal(codes, 32, out=space[1:])
-    starts = np.flatnonzero(space[:-1] > space[1:])
-    per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=len(starts))
+    newline holds either no field or ``width`` fields: the field starts, a
+    byte above 32 after one up to 32, summed from each line's first byte."""
+    starts = codes > 32
+    starts[1:] &= codes[:-1] <= 32
+    firsts = np.concatenate(([0], newlines + 1))
+    per_line = np.add.reduceat(starts, firsts[firsts < len(codes)], dtype=np.intp)
     return bool(((per_line == 0) | (per_line == width)).all())
 
 

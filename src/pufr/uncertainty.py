@@ -156,8 +156,10 @@ def predictive_moments(samples: np.ndarray, features: np.ndarray) -> tuple[np.nd
 
     ``features`` holds one query's documents as (n, d) rows; returns the ``mu``
     and ``sigma`` columns. Each cache-sized block of samples scores every row
-    by a matrix-vector product, keeping the bits of ``samples @ h``, which a
-    matrix-matrix product or a 1-row block (another BLAS kernel) would not; a
+    in one batched call, a stack of matrix-vector products (gemv), one per
+    row, keeping the bits of ``samples @ h``. A matrix-matrix product (GEMM)
+    runs several times faster but sums in another order, and so would change
+    every recorded sigma; a 1-row block, another BLAS kernel, would too, so a
     1-row tail joins the block before it. The variance is the population form
     (divide by N); rounding below zero is clipped before the square root.
     """
@@ -174,8 +176,7 @@ def predictive_moments(samples: np.ndarray, features: np.ndarray) -> tuple[np.nd
     scores = np.empty((features.shape[0], samples.shape[0]))
     bounds = [*range(0, samples.shape[0] - 1, _BLOCK_ROWS), samples.shape[0]]
     for a, b in zip(bounds, bounds[1:]):
-        for h, out in zip(features, scores[:, a:b]):
-            np.matmul(samples[a:b], h, out=out)
+        np.matmul(samples[a:b], features[:, :, None], out=scores[:, a:b, None])
     mu = scores.mean(axis=1)
     # mu**2 on Python floats (pow), as taken per document; np.square differs by an ulp
     var = (scores**2).mean(axis=1) - [m**2 for m in mu.tolist()]

@@ -32,6 +32,14 @@ per document. Its bits depend on the BLAS thread count once the product is
 large enough to be split across threads (1,001 samples at d = 768), so a
 test that needs them exactly computes them with one thread.
 
+The batched moments are those of the Laplace scorer before it scored each
+sample block against every document in one call: the same blocks, one
+matrix-vector product per document and block.
+
+The line check is the one the column reader used before it summed each
+line's field starts from the line's first byte: every field start found,
+then counted before each newline by a search.
+
 The file writers at the end are those the library used before it built each
 query's text in one join: one f-string per line.
 
@@ -65,7 +73,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats
 
-from pufr import baselines, fileio
+from pufr import baselines, fileio, uncertainty
 from pufr.baselines import BisectionStep, ConstrainedResult, ConstraintConfig, unfair_rank
 from pufr.core import QueryCandidates, QueryStack, Ranking, _read_only
 from pufr.metrics import ndcg_at_k, nfairr_at_k, paired_t_test
@@ -343,6 +351,29 @@ def predictive_columns(samples, features):
     """``predictive_moments`` of each row of ``features``, as (mu, sigma) columns."""
     moments = [predictive_moments(samples, h) for h in features]
     return np.array([m.mu for m in moments]), np.array([m.sigma for m in moments])
+
+
+def predictive_moments_per_doc(samples, features):
+    """The blocked (mu, sigma) columns, each block scored document by document."""
+    scores = np.empty((features.shape[0], samples.shape[0]))
+    bounds = [*range(0, samples.shape[0] - 1, uncertainty._BLOCK_ROWS), samples.shape[0]]
+    for a, b in zip(bounds, bounds[1:]):
+        for h, out in zip(features, scores[:, a:b]):
+            np.matmul(samples[a:b], h, out=out)
+    mu = scores.mean(axis=1)
+    var = (scores**2).mean(axis=1) - [m**2 for m in mu.tolist()]
+    return mu, np.sqrt(np.maximum(var, 0.0))
+
+
+def lines_hold(codes, newlines, width):
+    """Whether every line of a block of ASCII bytes, whose only whitespace is
+    space, tab and newline, holds no field or ``width`` fields."""
+    space = np.empty(len(codes) + 1, dtype=bool)
+    space[0] = True
+    np.less_equal(codes, 32, out=space[1:])
+    starts = np.flatnonzero(space[:-1] > space[1:])
+    per_line = np.diff(np.searchsorted(starts, newlines), prepend=0, append=len(starts))
+    return bool(((per_line == 0) | (per_line == width)).all())
 
 
 def data_lines(path):

@@ -955,6 +955,98 @@ class TestStackedLoad:
             fileio.attach_neutrality(fileio.parse_run_file(run),
                                      fileio.parse_neutrality_file(neutrality))
 
+    @settings(max_examples=200, deadline=None)
+    @given(texts=_corpus_texts(), data=st.data())
+    def test_the_sigma_join_in_any_row_order_is_the_per_query_load(self, texts, data):
+        """A sigma file in the stack's place order and the same rows in
+        another order give the per-query load's stack, bit for bit."""
+        with tempfile.TemporaryDirectory() as tmp:
+            run, placed, moved = (Path(tmp) / name for name in ("run", "placed", "moved"))
+            run.write_text(texts[0], encoding="utf-8")
+            corpus = fileio.parse_run_file(run)
+            lines = [f"{q.query_id} {d} {data.draw(st.sampled_from(['0.0', '-0.0', '0.5', '2']))}\n"
+                     for q in corpus for d in q.doc_ids]
+            placed.write_text("".join(lines), encoding="utf-8")
+            moved.write_text("".join(data.draw(st.permutations(lines))), encoding="utf-8")
+            stacks = [fileio.attach_sigmas(corpus, fileio.parse_sigma_file(sigma))
+                      for sigma in (placed, moved)]
+            want = oracles.load_per_query(run, placed)
+        for got in stacks:
+            assert (got.flat("sigma").tobytes(), list(map(query_key, got))) == (
+                want.flat("sigma").tobytes(), list(map(query_key, want)))
+
+    # run rows in score order, so that the places are the rows in file order
+    _PLACED = ("q1 Q0 y 1 3.0 t\nq1 Q0 z 2 2.0 t\nq1 Q0 x 3 0.5 t\n"
+               "q2 Q0 d 1 5.0 t\nq2 Q0 c 2 1.0 t\n")
+    _PAIRS = "q1 y 0.5\nq1 z 0.25\nq1 x 1.0\nq2 d 0.0\nq2 c 2.0\n"
+
+    @pytest.mark.parametrize("run, sigma, message", [
+        (_PLACED, _PAIRS, None),
+        (_PLACED, "".join(reversed(_PAIRS.splitlines(True))), None),
+        (_PLACED, _PAIRS.replace("q1 z 0.25\n", ""), "missing sigma for (q1, z)"),
+        (_PLACED, _PAIRS.replace("q2 c", "q1 c"), "missing sigma for (q2, c)"),
+        (_PLACED, _PAIRS + "q1 z 0.25\n", "{path}:6: duplicate entry for (q1, z)"),
+        (_PLACED, _PAIRS + "q1 w 0.5\n", None),
+        (_PLACED, _PAIRS + "q3 y 0.5\n", None),
+        (_PLACED, "q3 y 0.5\n" + _PAIRS, None),
+        (_PLACED, _PAIRS.replace("0.25", "-0.25"), "{path}:2: sigma must be >= 0, got -0.25"),
+        (_PLACED, _PAIRS.replace("0.25", "nan"), "{path}:2: sigma must be finite, got 'nan'"),
+        (_PLACED, _PAIRS.replace("2.0", "-1") + "q1 y 1\n",
+         "{path}:5: sigma must be >= 0, got -1.0"),
+        (_PLACED, _PAIRS.replace("1.0", "x") + "q1 y 1\n",
+         "{path}:3: sigma is not a number: 'x'"),
+        (_PLACED, "q1 y 1\n" + _PAIRS.replace("2.0", "-1"),
+         "{path}:2: duplicate entry for (q1, y)"),
+        (_RUN, _PAIRS, None),
+        (_RUN, "q2 c 0.5\nq1 x 0.5\nq1 y 0.5\nq1 z 0.5\nq2 d 0.5\n", None),
+        (_PLACED.replace(" c ", " y "), _PAIRS.replace("q2 c", "q2 y"), None),
+        (_PLACED.replace(" c ", " y "), _PAIRS.replace("q2 c", "q2 y").replace("q1 y 0.5\n", ""),
+         "missing sigma for (q1, y)"),
+        (_PLACED.replace(" c ", " y "), "q1 y 0.5\nq2 d 0\nq1 z 0.25\nq2 y 2\nq1 x 1\n", None),
+    ], ids=["places", "reversed", "missing pair", "pair in another query", "repeated pair",
+            "extra pair", "extra query last", "extra query first", "negative", "nan",
+            "negative before repeat", "not a number before repeat", "repeat before negative",
+            "run out of score order", "run order", "doc in two queries",
+            "doc in two queries missing", "doc in two queries interleaved"])
+    def test_the_sigma_join_gives_the_per_query_loads_stack_or_error(
+            self, tmp_path, run, sigma, message):
+        run_path, sigma_path = tmp_path / "run", tmp_path / "sigma"
+        run_path.write_text(run, encoding="utf-8")
+        sigma_path.write_text(sigma, encoding="utf-8")
+        (kind, got), (want_kind, want) = (outcome(fileio.load_corpus, run_path, sigma_path),
+                                          outcome(oracles.load_per_query, run_path, sigma_path))
+        assert (kind, want_kind) == (("ok", "ok") if message is None else ("error", "error"))
+        if message is None:
+            assert (got.flat("sigma").tobytes(), list(map(query_key, got))) == (
+                want.flat("sigma").tobytes(), list(map(query_key, want)))
+        else:
+            assert got == want == message.format(path=sigma_path)
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["distinct docs", "shared docs"])
+    @pytest.mark.parametrize("shuffled", [False, True], ids=["places", "shuffled"])
+    def test_a_load_groups_the_run_and_the_sigma_rows_once_each(
+            self, tmp_path, shared, shuffled):
+        """The join takes the sigma file's grouping from its parser, so a
+        load groups two files' rows, whatever order the sigma rows are in
+        and whether doc ids repeat across queries."""
+        corpus, _ = fixture_corpus(seed=3, n_queries=7, n_candidates=9)
+        run, sigma = tmp_path / "run", tmp_path / "sigma"
+        fileio.write_run_file(run, unfair_rank(corpus))
+        fileio.write_sigma_file(sigma, corpus)
+        for path in (run, sigma) if shared else ():
+            # q3-d004 becomes d004, a doc id of every query
+            path.write_text(re.sub(r"\S+-(d\d{3}) ", r"\1 ", path.read_text()))
+        if shuffled:
+            lines = sigma.read_text().splitlines(True)
+            sigma.write_text("".join(np.random.default_rng(0).permutation(lines)))
+        with mock.patch.object(fileio, "_grouped", wraps=fileio._grouped) as grouped:
+            loaded = fileio.load_corpus(run, sigma)
+        assert grouped.call_count == 2
+        want = oracles.load_per_query(run, sigma)
+        assert (loaded.flat("sigma").tobytes(), list(map(query_key, loaded))) == (
+            want.flat("sigma").tobytes(), list(map(query_key, want)))
+        assert len(set(loaded.doc_ids)) == (9 if shared else 63)
+
     def test_an_empty_corpus_cannot_be_stacked(self):
         for queries in ([], iter(())):
             with pytest.raises(ValueError, match="^cannot stack an empty corpus$"):
@@ -1126,6 +1218,36 @@ class TestSharedColumnReader:
         else:
             assert [(d, v.hex()) for d, v in got.items()] == [
                 (d, v.hex()) for d, v in want.items()]
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), width=st.integers(1, 7), block=st.integers(1, 40),
+           final_newline=st.booleans())
+    def test_the_line_check_accepts_the_blocks_the_search_accepted(
+            self, data, width, block, final_newline):
+        """The field starts summed per line accept and reject the same plain
+        blocks as the field starts counted before each newline by a search:
+        blank lines, lines of only blanks, runs of spaces and tabs, blanks
+        before and after the fields, and blocks cut anywhere in the file."""
+        blanks = st.sampled_from(["", "", " ", "\t", "  ", " \t ", "\t\t"])
+        lines = []
+        for _ in range(data.draw(st.integers(0, 12))):
+            n = data.draw(st.one_of(st.sampled_from([0, width, width]), st.integers(0, 9)))
+            fields = [data.draw(st.sampled_from(["a", "1.5", "d\x7f", "!", "-0.0"]))
+                      for _ in range(n)]
+            lines.append(data.draw(blanks) + "".join(
+                fields[:1] + [data.draw(blanks.filter(bool)) + f for f in fields[1:]]
+            ) + data.draw(blanks))
+        text = "\n".join(lines) + ("\n" if final_newline else "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "file"
+            path.write_text(text, encoding="ascii")
+            with mock.patch.object(fileio, "_BLOCK_CHARS", block):
+                blocks = list(fileio._blocks(path))
+        for piece in blocks:
+            codes = np.frombuffer(piece.encode("ascii"), dtype=np.uint8)
+            newlines = np.flatnonzero(codes == 10)
+            assert fileio._lines_hold(codes, newlines, width) == oracles.lines_hold(
+                codes, newlines, width)
 
     def test_plain_and_line_split_blocks_meet_in_one_file(self, tmp_path):
         plain = [f"q{i % 3} Q0 d{i} {i // 3 + 1} {-i}.5 t" for i in range(30)]

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pufr
 from pufr.uncertainty import (
@@ -223,6 +225,26 @@ class TestBlockEdges:
         expected_mu, expected_sigma = one_thread_oracle[f"{n_samples} {dim}"]
         assert mu.tobytes().hex() == expected_mu
         assert sigma.tobytes().hex() == expected_sigma
+
+
+class TestBatchedScoring:
+    """Scoring a sample block against every document in one batched call
+    gives the bits of one matrix-vector product per document and block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n_samples=st.one_of(st.sampled_from([2, 3, 128, 129, 256, 257]), st.integers(2, 400)),
+        dim=st.one_of(st.sampled_from([1, 2, 768]), st.integers(1, 64)),
+        n_docs=st.integers(1, 7),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_equal_the_per_document_loop(self, n_samples, dim, n_docs, seed):
+        rng = np.random.default_rng(seed)
+        samples, features = rng.normal(size=(n_samples, dim)), rng.normal(size=(n_docs, dim))
+        mu, sigma = predictive_moments(samples, features)
+        want_mu, want_sigma = oracles.predictive_moments_per_doc(samples, features)
+        assert mu.tobytes() == want_mu.tobytes()
+        assert sigma.tobytes() == want_sigma.tobytes()
 
 
 class TestAnalyticPredictive:
