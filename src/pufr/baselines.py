@@ -2,7 +2,12 @@
 re-ranking driven by a binomial quota table, and a windowed constrained
 utility maximizer that finds the Lagrangian breakpoint by a crossing
 search over exact linear assignments (with bound-certified search to
-close the duality gap on small windows)."""
+close the duality gap on small windows).
+
+The plain ordering and the quota merge rank every row of a
+:class:`~pufr.core.QueryStack` in one array pass. The constrained solver
+works on one query, a one-row stack, and gives a one-row
+:class:`~pufr.core.StackedRanking`."""
 
 from __future__ import annotations
 
@@ -12,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import QueryCandidates, QueryStack, Ranking, StackedRanking, rank_by_score, stacked
+from .core import QueryStack, StackedRanking, rank_by_score
 from .metrics import ideal_fairr_at_k
 
 DEFAULT_SIGNIFICANCE = 0.1
@@ -29,10 +34,9 @@ _FEASIBILITY_TOL = 1e-9
 _MAX_CROSSING_SOLVES = 64
 
 
-def unfair_rank(query: QueryCandidates | QueryStack) -> Ranking | StackedRanking:
-    """Order purely by predicted mean score; the no-intervention reference.
-    A stack is ranked in one pass; a query is its one-row case."""
-    return rank_by_score(query, query.column("mu"))
+def unfair_rank(stack: QueryStack) -> StackedRanking:
+    """Order purely by predicted mean score; the no-intervention reference."""
+    return rank_by_score(stack, stack.column("mu"))
 
 
 # ---------------------------------------------------------------------------
@@ -112,18 +116,15 @@ def _binomial_quantile(k: int, p: float, significance: float) -> int:
     return min(int(np.searchsorted(cdf, significance)), k)
 
 
-def fastar_rerank(
-    query: QueryCandidates | QueryStack, table: MTable
-) -> Ranking | StackedRanking:
+def fastar_rerank(stack: QueryStack, table: MTable) -> StackedRanking:
     """Greedy merge of the two score-sorted group queues under the quota.
 
     At each output position the better-scored queue head is emitted
     unless that would leave the prefix short of its protected quota, in
     which case the protected head is forced; exact score ties also go to
     the protected head. Once either queue runs dry the other is drained.
-    A stack is merged row by row in one pass, its pads last; the ranking
-    of a query is its one-row case. Scores are positions: n..1 down a
-    query's ranking.
+    A stack is merged row by row in one pass, its pads last. Scores are
+    positions: n..1 down a query's ranking.
 
     The merge has a closed form. Each queue keeps column (original-rank)
     order, so the j-th protected document P_j (from 0) is preceded by c_j
@@ -137,7 +138,6 @@ def fastar_rerank(
     maximum per row, and a stable sort of merge keys 2 * c_j for P_j and
     2 * i + 1 for the i-th other puts every document where the greedy does.
     """
-    stack = stacked(query)
     required = np.asarray(table.required)
     too_long = np.flatnonzero(stack.lengths > len(required))
     if too_long.size:
@@ -152,8 +152,7 @@ def fastar_rerank(
         axis=-1,
     )
     order = np.argsort(np.where(protected, 2 * c, other_keys), axis=-1, kind="stable")
-    ranked = StackedRanking(stack, order, scores)
-    return ranked if stack is query else ranked.rows()[0]
+    return StackedRanking(stack, order, scores)
 
 
 def _fastar_places(stack: QueryStack) -> tuple[np.ndarray, ...]:
@@ -181,11 +180,11 @@ def _fastar_places(stack: QueryStack) -> tuple[np.ndarray, ...]:
     return places
 
 
-def _positional_ranking(query: QueryCandidates, order: np.ndarray) -> Ranking:
+def _positional_ranking(query: QueryStack, order: np.ndarray) -> StackedRanking:
     # Position-based methods produce an order, not scores; encode the
     # order with strictly decreasing synthetic scores n..1.
     n = len(order)
-    return Ranking(query, order, np.arange(n, 0, -1, dtype=np.float64))
+    return StackedRanking(query, order[None], np.arange(n, 0, -1, dtype=np.float64)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +222,7 @@ class BisectionStep:
 
 @dataclass(frozen=True)
 class ConstrainedResult:
-    ranking: Ranking
+    ranking: StackedRanking  # of the one query
     feasible: bool
     floor: float
     steps: tuple[BisectionStep, ...]  # one per lambda subproblem solved, in visit order
@@ -261,10 +260,7 @@ def _window_fairness(neutrality: np.ndarray, order: np.ndarray, exposures: np.nd
     return float(np.sum(neutrality[order] * exposures))
 
 
-def constrained_rerank(
-    query: QueryCandidates,
-    cfg: ConstraintConfig,
-) -> ConstrainedResult:
+def constrained_rerank(query: QueryStack, cfg: ConstraintConfig) -> ConstrainedResult:
     """Maximize windowed discounted gain subject to a FaiRR floor.
 
     The top-``depth`` docs (by mean score) are re-permuted to maximize
@@ -280,14 +276,19 @@ def constrained_rerank(
     that bound minus the returned utility. Infeasible floors are flagged,
     not raised, and the fairest solution found is returned. The gains are
     the mean scores min-shifted to be nonnegative within the window.
+    ``query`` is a one-row stack, such as a row of a corpus; its ideal
+    FaiRR is kept in its memo, so a row kept by its stack (see
+    :meth:`~pufr.core.QueryStack.row`) computes it once for every floor.
     """
-    depth = min(cfg.depth, len(query))
-    neut_vec = query.column("neutrality")[:depth]
-    gain_vec = query.mu[:depth] - min(query.mu[:depth].tolist())
+    n = len(query.doc_ids)
+    depth = min(cfg.depth, n)
+    neut_vec = query.flat("neutrality")[:depth]
+    mu = query.flat("mu")[:depth]
+    gain_vec = mu - min(mu.tolist())
     positions = np.arange(depth)
     discounts = 1.0 / np.log2(positions + 2)
     exposures = 1.0 / (positions + 1)
-    floor = cfg.alpha_fairness * _pool_ideal_fairr(query, cfg.depth)
+    floor = cfg.alpha_fairness * ideal_fairr_at_k(query, cfg.depth).item()
     # the least fairness that counts as feasible: every feasibility test,
     # the Lagrangian bound and the gap search's prune use it
     lowest = floor - _FEASIBILITY_TOL
@@ -295,7 +296,7 @@ def constrained_rerank(
     def finish(
         order: np.ndarray, feasible: bool, steps: list[BisectionStep], gap: float
     ) -> ConstrainedResult:
-        full_order = np.concatenate((order, np.arange(depth, len(query))))
+        full_order = np.concatenate((order, np.arange(depth, n)))
         return ConstrainedResult(
             ranking=_positional_ranking(query, full_order),
             feasible=feasible,
@@ -390,20 +391,6 @@ def constrained_rerank(
     proved = nodes > 0 and not exhausted  # the gap search ran to the end
     gap = 0.0 if proved else bound - _window_utility(gain_vec, best_order, discounts)
     return replace(finish(best_order, True, steps, gap), nodes=nodes, exhausted=exhausted)
-
-
-def _pool_ideal_fairr(query: QueryCandidates, depth: int) -> float:
-    """The query's ideal FaiRR@depth; a row of a stack reads it from one
-    ``ideal_fairr_at_k(stack, depth)`` column kept in the stack's memo, with
-    the bits the row has alone (pads add +0.0)."""
-    row = getattr(query, "_row", None)  # (weak ref to the stack, row) on a stack's row view
-    stack = row and row[0]()
-    if stack is None:
-        return ideal_fairr_at_k(query, depth)
-    key = ("ideal fairr column", depth)
-    if key not in stack.memo:
-        stack.memo[key] = ideal_fairr_at_k(stack, depth).tolist()
-    return stack.memo[key][row[1]]
 
 
 def _close_gap(

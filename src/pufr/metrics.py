@@ -2,10 +2,9 @@
 t-tests, and uncertainty-interval intersection counts. The ranking metrics
 evaluate every row of a :class:`~pufr.core.StackedRanking` (or of a
 :class:`~pufr.core.QueryStack`) and give a column, one value per stacked
-query; a :class:`~pufr.core.Ranking` or a query is the one-row case and
-gives a float (see :func:`~pufr.core.stacked`). Pads have gain and
-neutrality 0.0 and every real term is >= 0, so a pad adds +0.0 to a
-running sum and each row has the bits it has alone."""
+query, a single query's as a one-row stack. Pads have gain and neutrality
+0.0 and every real term is >= 0, so a pad adds +0.0 to a running sum and
+each row has the bits it has alone."""
 
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .core import QueryCandidates, QueryStack, Ranking, StackedRanking, stacked
+from .core import QueryStack, StackedRanking
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,10 +47,9 @@ class RelevanceJudgments:
         """The query's judged grades, in ``grades`` order."""
         return list(self._by_query.get(query_id, {}).values())
 
-    def gains(self, query: QueryCandidates | QueryStack) -> np.ndarray:
+    def gains(self, stack: QueryStack) -> np.ndarray:
         """The grades of a stack's places as one flat float column, 0 where
-        a doc is unjudged; of a query, aligned with its doc ids."""
-        stack = stacked(query)
+        a doc is unjudged."""
         bounds = stack.bounds
         return np.array(list(chain.from_iterable(
             map(self._by_query.get(query_id, {}).get, stack.doc_ids[start:end], repeat(0))
@@ -141,8 +139,7 @@ def _judged(stack: QueryStack, judgments: RelevanceJudgments) -> tuple[np.ndarra
     return judged
 
 
-def ndcg_at_k(ranking: Ranking | StackedRanking, judgments: RelevanceJudgments,
-              k: int) -> float | np.ndarray:
+def ndcg_at_k(ranked: StackedRanking, judgments: RelevanceJudgments, k: int) -> np.ndarray:
     """Normalized discounted cumulative gain at cutoff k (linear gains).
 
     The ideal ranking sorts the query's judged grades descending; when no
@@ -150,25 +147,21 @@ def ndcg_at_k(ranking: Ranking | StackedRanking, judgments: RelevanceJudgments,
     divided by its discount and the terms are summed left to right.
     """
     _check_cutoff(k)
-    ranked = stacked(ranking)
     gains, ideal = _judged(ranked.stack, judgments)
     top = np.take_along_axis(gains, ranked.order[:, :k], axis=-1)
-    values = _ratio(_at_cutoff(np.add.accumulate(top / _discounts(top.shape[-1]), axis=-1), k),
-                    _at_cutoff(ideal, k), 0.0)
-    return values if ranked is ranking else values.item(0)
+    return _ratio(_at_cutoff(np.add.accumulate(top / _discounts(top.shape[-1]), axis=-1), k),
+                  _at_cutoff(ideal, k), 0.0)
 
 
-def fairr_at_k(ranking: Ranking | StackedRanking, k: int) -> float | np.ndarray:
+def fairr_at_k(ranked: StackedRanking, k: int) -> np.ndarray:
     """Rank-discounted neutrality mass of the top-k: the sum of n_d / rank
     over the first min(k, n) ranks (see :func:`_fairr_sums`)."""
     _check_cutoff(k)
-    ranked = stacked(ranking)
     neutrality = ranked.stack.column("neutrality")
-    values = _at_cutoff(_fairr_sums(np.take_along_axis(neutrality, ranked.order[:, :k], -1)), k)
-    return values if ranked is ranking else values.item(0)
+    return _at_cutoff(_fairr_sums(np.take_along_axis(neutrality, ranked.order[:, :k], -1)), k)
 
 
-def ideal_fairr_at_k(query: QueryCandidates | QueryStack, k: int) -> float | np.ndarray:
+def ideal_fairr_at_k(stack: QueryStack, k: int) -> np.ndarray:
     """Best FaiRR@k attainable from the query's candidate pool.
 
     Ordering candidates by neutrality descending maximizes the sum since
@@ -178,21 +171,17 @@ def ideal_fairr_at_k(query: QueryCandidates | QueryStack, k: int) -> float | np.
     every positive neutrality.
     """
     _check_cutoff(k)
-    stack = stacked(query)
     sums = stack.memo.get("ideal_fairr")
     if sums is None:
         sums = stack.memo["ideal_fairr"] = _fairr_sums(
             np.sort(stack.column("neutrality"), axis=-1)[:, ::-1])
-    values = _at_cutoff(sums, k)
-    return values if stack is query else values.item(0)
+    return _at_cutoff(sums, k)
 
 
-def nfairr_at_k(ranking: Ranking | StackedRanking, k: int) -> float | np.ndarray:
+def nfairr_at_k(ranked: StackedRanking, k: int) -> np.ndarray:
     """FaiRR@k normalized by the pool's ideal; 1 when the ideal is 0
     (an all-biased pool cannot be improved)."""
-    ranked = stacked(ranking)
-    values = _ratio(fairr_at_k(ranked, k), ideal_fairr_at_k(ranked.stack, k), 1.0)
-    return values if ranked is ranking else values.item(0)
+    return _ratio(fairr_at_k(ranked, k), ideal_fairr_at_k(ranked.stack, k), 1.0)
 
 
 def paired_t_test(a: Mapping[str, float], b: Mapping[str, float]) -> TTestResult:
@@ -237,12 +226,10 @@ def check_interval_alpha(alpha: float) -> float:
     return alpha
 
 
-def intersection_counts(
-    query: QueryCandidates | QueryStack, alpha: float
-) -> list[int] | np.ndarray:
+def intersection_counts(stack: QueryStack, alpha: float) -> np.ndarray:
     """Per rank position, how many other docs' score intervals
-    [mu - alpha*sigma, mu + alpha*sigma] overlap that doc's interval: for a
-    stack, one row per query, 0 at pads; for a query, a list.
+    [mu - alpha*sigma, mu + alpha*sigma] overlap that doc's interval: one
+    row per query, 0 at pads.
 
     Overlap is closed-interval (touching endpoints count); a document is
     never counted against itself. Doc i overlaps doc j unless lo_j > hi_i or
@@ -253,7 +240,6 @@ def intersection_counts(
     an upper end, and NaN pads sort after every real end.
     """
     check_interval_alpha(alpha)
-    stack = stacked(query)
     real = stack.real
     mu, margin = stack.column("mu"), alpha * stack.column("sigma")
     n = real.shape[1]
@@ -266,8 +252,7 @@ def intersection_counts(
     counted = np.empty_like(order)
     np.put_along_axis(counted, order,
                       np.where(lower, lower_before - np.arange(2 * n), lower_before), axis=-1)
-    counts = np.where(real, counted[:, :n] + counted[:, n:] - 1, 0)
-    return counts if stack is query else counts[0].tolist()
+    return np.where(real, counted[:, :n] + counted[:, n:] - 1, 0)
 
 
 def median_intersections(stack: QueryStack, alpha: float) -> list[int]:

@@ -10,8 +10,8 @@ corpus mean, which serves as the constant-shift ablation.
 
 :func:`adjust_scores`, :func:`pufr_rerank` and :func:`uniform_rerank`
 adjust and rank every query of a :class:`~pufr.core.QueryStack` in one
-array pass; a query is the one-row case (see :func:`~pufr.core.stacked`).
-:func:`compute_sigma_mean` takes the corpus as a stack only.
+array pass, a single query as a one-row stack; :func:`compute_sigma_mean`
+averages over the whole stack.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import QueryCandidates, QueryStack, Ranking, StackedRanking, rank_by_score, stacked
+from .core import QueryStack, StackedRanking, rank_by_score
 from .metrics import sequential_sum
 
 
@@ -45,9 +45,8 @@ class PufrConfig:
         return cls(alpha_protected=alpha, alpha_nonprotected=alpha)
 
 
-def adjust_scores(query: QueryCandidates | QueryStack, cfg: PufrConfig) -> np.ndarray:
-    """Adjusted scores for one query, aligned with its doc ids, or for a
-    stack as padded rows, -inf at pads.
+def adjust_scores(stack: QueryStack, cfg: PufrConfig) -> np.ndarray:
+    """Adjusted scores of a stack as padded rows, -inf at pads.
 
     Protected docs are visited in decreasing mu (ties by original rank)
     and raised within their confidence margin, capped by the running
@@ -55,20 +54,16 @@ def adjust_scores(query: QueryCandidates | QueryStack, cfg: PufrConfig) -> np.nd
     are visited in increasing mu and lowered, floored by the running
     maximum from below. With alpha 0 the original means are returned.
     """
-    query.column("sigma")  # raises when no sigma is attached
-    return _adjust(query, cfg, None)
+    stack.column("sigma")  # raises when no sigma is attached
+    return _adjust(stack, cfg, None)
 
 
-def _adjust(
-    query: QueryCandidates | QueryStack, cfg: PufrConfig, sigma_mean: float | None
-) -> np.ndarray:
+def _adjust(stack: QueryStack, cfg: PufrConfig, sigma_mean: float | None) -> np.ndarray:
     """:func:`adjust_scores` with each group's own sigmas, or with
     ``sigma_mean`` for every candidate."""
-    stack = stacked(query)
     protected, up, down = _masked_rows(stack, sigma_mean)
     raised, lowered = adjust_groups(*up, *down, cfg)
-    adjusted = np.where(protected, raised, lowered[:, ::-1])
-    return adjusted if stack is query else adjusted[0]
+    return np.where(protected, raised, lowered[:, ::-1])
 
 
 def _masked_rows(stack: QueryStack, sigma_mean: float | None) -> tuple[np.ndarray, tuple, tuple]:
@@ -93,15 +88,15 @@ def _masked_rows(stack: QueryStack, sigma_mean: float | None) -> tuple[np.ndarra
 
 
 def adjust_groups(
-    up_mu: np.ndarray, up_sigma: np.ndarray | float,
-    down_mu: np.ndarray, down_sigma: np.ndarray | float, cfg: PufrConfig,
+    up_mu: np.ndarray, up_sigma: np.ndarray,
+    down_mu: np.ndarray, down_sigma: np.ndarray, cfg: PufrConfig,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The adjusted scores of the two groups, each along its last axis in
     the order it is clamped: the protected group (``up``) by decreasing mu,
     raised by ``alpha_protected * sigma`` and capped by its running minimum;
     the others (``down``) by increasing mu, lowered by
     ``alpha_nonprotected * sigma`` and floored by its running maximum. A
-    sigma may be one value for every candidate. A place held at mu = +inf
+    place held at mu = +inf
     (``up``) or -inf (``down``) with sigma 0 keeps that value and never wins
     the clamp, so queries of any lengths can be stacked as padded rows, with
     the other group's places and the pads masked so."""
@@ -128,11 +123,9 @@ def _clamp(raw: np.ndarray, lowest: bool) -> np.ndarray:
     return np.take_along_axis(raw, at, axis=-1)
 
 
-def pufr_rerank(
-    query: QueryCandidates | QueryStack, cfg: PufrConfig
-) -> Ranking | StackedRanking:
-    """Re-rank one query, or every query of a stack, by its adjusted scores."""
-    return rank_by_score(query, adjust_scores(query, cfg))
+def pufr_rerank(stack: QueryStack, cfg: PufrConfig) -> StackedRanking:
+    """Re-rank every query of a stack by its adjusted scores."""
+    return rank_by_score(stack, adjust_scores(stack, cfg))
 
 
 def compute_sigma_mean(stack: QueryStack) -> float:
@@ -142,9 +135,7 @@ def compute_sigma_mean(stack: QueryStack) -> float:
     return sequential_sum(sigma) / len(sigma)
 
 
-def uniform_rerank(
-    query: QueryCandidates | QueryStack, sigma_mean: float, cfg: PufrConfig
-) -> Ranking | StackedRanking:
+def uniform_rerank(stack: QueryStack, sigma_mean: float, cfg: PufrConfig) -> StackedRanking:
     """Constant-shift ablation: every sigma replaced by the corpus mean.
 
     Same adjustment and clamping pipeline as :func:`pufr_rerank`, so with
@@ -153,4 +144,4 @@ def uniform_rerank(
     """
     if not (math.isfinite(sigma_mean) and sigma_mean >= 0.0):
         raise ValueError(f"sigma_mean must be finite and >= 0, got {sigma_mean!r}")
-    return rank_by_score(query, _adjust(query, cfg, float(sigma_mean)))
+    return rank_by_score(stack, _adjust(stack, cfg, float(sigma_mean)))

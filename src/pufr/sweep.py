@@ -2,13 +2,13 @@
 evaluate utility and fairness at the configured cutoffs, time the
 re-ranking, and emit one CSV row per (method, alpha). :func:`run_sweep` and
 :func:`report_interval_analysis` take the corpus as one
-:class:`~pufr.core.QueryStack`, read as rows padded to its longest query,
-never a list of queries. Each alpha is one timed
-re-ranker call on the stack and one stacked metric call per cutoff. PUFR,
-its uniform ablation, the quota baseline and the plain score ordering rank
-the whole stack in one array pass; the constrained baseline re-ranks query
-by query inside that call (see :func:`run_sweep`). The interval analysis
-counts each width multiplier's overlaps over the whole stack in one pass."""
+:class:`~pufr.core.QueryStack`, read as rows padded to its longest query.
+Each alpha is one timed re-ranker call on the stack and one stacked metric
+call per cutoff. PUFR, its uniform ablation, the quota baseline and the
+plain score ordering rank the whole stack in one array pass; the
+constrained baseline re-ranks row by row inside that call and writes each
+row's one-row ranking into the padded order. The interval analysis counts
+each width multiplier's overlaps over the whole stack in one pass."""
 
 from __future__ import annotations
 
@@ -87,18 +87,21 @@ def _feasible(rerank: Callable[..., StackedRanking], *args: object) -> Reranker:
 
 def _constrained(cfg: ConstraintConfig) -> Reranker:
     """The constrained baseline, row by row: its window solver works on one
-    query at a time, and reads its floor from one column of the stack."""
+    query, a row of the stack, at a time. Pads keep their places, last."""
 
     def run(stack: QueryStack) -> tuple[StackedRanking, Counter[str]]:
-        rankings, problems = [], Counter()
-        for query in stack:
+        order = np.indices(stack.real.shape)[1]
+        scores = np.full(stack.real.shape, -math.inf)
+        problems: Counter[str] = Counter()
+        for i, query in enumerate(stack):
             result = constrained_rerank(query, cfg)
-            rankings.append(result.ranking)
+            n = query.lengths[0]
+            order[i, :n], scores[i, :n] = result.ranking.order[0], result.ranking.scores[0]
             if not result.feasible:
                 problems["infeasible"] += 1
             elif result.exhausted:
                 problems["exhausted"] += 1
-        return stack.rankings(rankings), problems
+        return StackedRanking(stack, order, scores), problems
 
     return run
 

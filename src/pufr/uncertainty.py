@@ -5,8 +5,8 @@ centred at its weights, with a diagonal-Fisher precision estimated from
 per-example log-likelihood gradients. Sampling weight vectors from that
 posterior and scoring a query's feature matrix against them, in one pass
 over cache-sized blocks of samples, yields Monte Carlo estimates of the
-predictive mean and standard deviation per query-document pair; an exact
-closed form for the linear case is kept alongside as an oracle.
+predictive mean and standard deviation per query-document pair. The tests
+check them against the exact closed form of the linear case.
 
 ``score_queries`` scores many queries on two cores: while this thread scores
 one, a second thread draws the next one's standard normals (numpy's fill and
@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import QueryCandidates, ScoredCandidate, build_query, check_seed
+from .core import QueryStack, ScoredCandidate, build_query, check_seed
 
 DEFAULT_DAMPING = 1e-3
 _BLOCK_ROWS = 128  # samples scored per pass: 128 x 768 doubles stay in L2
@@ -71,16 +71,6 @@ class McConfig:
         if self.n_samples < 2:
             raise ValueError("n_samples must be >= 2 for a sample variance")
         check_seed(self.seed)
-
-
-@dataclass(frozen=True)
-class PredictiveDistribution:
-    mu: float
-    sigma: float
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.mu) and np.isfinite(self.sigma) and self.sigma >= 0.0):
-            raise ValueError(f"invalid predictive moments ({self.mu!r}, {self.sigma!r})")
 
 
 def estimate_diagonal_fisher(
@@ -183,25 +173,6 @@ def predictive_moments(samples: np.ndarray, features: np.ndarray) -> tuple[np.nd
     return mu, np.sqrt(np.maximum(var, 0.0))
 
 
-def analytic_predictive(
-    posterior: LastLayerPosterior, feature: np.ndarray
-) -> PredictiveDistribution:
-    """Exact predictive moments for the linear-Gaussian case.
-
-    mu = theta.h and var = sum_j h_j^2 / fisher_j; used as the oracle the
-    Monte Carlo path is validated against.
-    """
-    feature = np.asarray(feature, dtype=float)
-    if feature.ndim != 1 or feature.shape[0] != posterior.dim:
-        raise ValueError(
-            f"feature dimension {feature.shape} does not match posterior dimension "
-            f"{posterior.dim}"
-        )
-    mu = float(posterior.theta_map @ feature)
-    var = float(np.sum(feature**2 / posterior.fisher_diag))
-    return PredictiveDistribution(mu=mu, sigma=float(np.sqrt(var)))
-
-
 def derive_query_seed(seed: int, query_id: str) -> int:
     """Stable per-query seed: base seed XOR a digest of the query id.
 
@@ -218,12 +189,13 @@ def score_query(
     query_id: str,
     cfg: McConfig,
     normals: np.ndarray | None = None,
-) -> QueryCandidates:
+) -> QueryStack:
     """Score one query's ``{doc_id: feature vector}`` rows into (mu, sigma).
 
     One weight-sample set is drawn per query and shared across its
     candidates, so per-candidate scores are comparable draws of the same
-    model; original ranks follow the new means. ``normals``, when given, is
+    model; the query is a one-row stack, and original ranks follow the new
+    means. ``normals``, when given, is
     the query's standard-normal fill already made from its derived seed (see
     ``score_queries``); it is overwritten by the samples.
     """
@@ -266,7 +238,7 @@ def score_queries(
     posterior: LastLayerPosterior,
     features: Mapping[str, Mapping[str, np.ndarray]],
     cfg: McConfig,
-) -> list[QueryCandidates]:
+) -> list[QueryStack]:
     """``score_query`` for each query of ``{query_id: {doc_id: feature vector}}``,
     in order and with the same bits.
 

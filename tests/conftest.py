@@ -7,7 +7,7 @@ from collections import namedtuple
 import numpy as np
 
 from pufr.baselines import ConstraintConfig, constrained_rerank
-from pufr.core import QueryCandidates, Ranking, ScoredCandidate, assign_groups, build_query
+from pufr.core import QueryStack, ScoredCandidate, StackedRanking, assign_groups, build_query
 
 
 def make_query(
@@ -16,8 +16,9 @@ def make_query(
     neutralities=None,
     query_id: str = "q",
     doc_ids=None,
-) -> QueryCandidates:
-    """Compact query builder; groups are assigned from neutrality == 1."""
+) -> QueryStack:
+    """Compact query builder, a one-row stack; groups are assigned from
+    neutrality == 1."""
     n = len(mus)
     sigmas = sigmas if sigmas is not None else [0.0] * n
     neutralities = neutralities if neutralities is not None else [0.0] * n
@@ -38,7 +39,7 @@ def random_query(
     n_max: int = 12,
     query_id: str = "q",
     protected_fraction: float = 0.5,
-) -> QueryCandidates:
+) -> QueryStack:
     n = int(rng.integers(n_min, n_max + 1))
     mus = rng.normal(0.0, 2.0, n)
     sigmas = np.abs(rng.normal(0.5, 0.3, n))
@@ -54,69 +55,78 @@ def gap_search_queries(seed=131, count=40):
     cases = []
     for i in range(count):
         q = random_query(rng, n_min=6, n_max=9, query_id=f"q{i}")
-        cfg = ConstraintConfig(alpha_fairness=0.95, depth=len(q))
+        cfg = ConstraintConfig(alpha_fairness=0.95, depth=len(q.doc_ids))
         if constrained_rerank(q, cfg).nodes > 0:
             cases.append((q, cfg))
     assert len(cases) > 10
     return cases
 
 
-def groups_of(query: QueryCandidates) -> dict[str, bool]:
+def groups_of(query: QueryStack) -> dict[str, bool]:
     """Doc id -> whether the doc is protected."""
-    return dict(zip(query.doc_ids, query.column("protected").tolist()))
+    return dict(zip(query.doc_ids, query.flat("protected").tolist()))
 
 
-def query_key(query: QueryCandidates) -> tuple:
-    """Everything a query holds, floats as ``float.hex`` so that signed zeros differ."""
-    return query.query_id, [
-        tuple(v.hex() if isinstance(v, float) else v for v in row) for row in rows(query)
-    ]
+def query_key(query: QueryStack) -> tuple:
+    """Everything a stack holds, floats as ``float.hex`` so that signed zeros differ."""
+    return query.query_ids, query.lengths.tolist(), rows_key(rows(query))
+
+
+def rows_key(plain_rows) -> list[tuple]:
+    """Plain rows with floats as ``float.hex``."""
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row) for row in plain_rows]
 
 
 Row = namedtuple("Row", "doc_id mu sigma neutrality protected")
 
 
-def rows(query: QueryCandidates) -> list[Row]:
-    """The query's candidates in original-rank order, as plain rows."""
-    n = len(query)
+def rows(query: QueryStack) -> list[Row]:
+    """The stack's candidates, query after query in original-rank order, as plain rows."""
 
-    def column(values):
-        return [None] * n if values is None else values.tolist()
+    def values(name):
+        return query.flat(name).tolist() if query.has(name) else [None] * len(query.doc_ids)
 
-    return [
-        Row(*row)
-        for row in zip(query.doc_ids, query.mu.tolist(), column(query.sigma),
-                       column(query.neutrality), column(query.protected))
-    ]
+    return [Row(*row) for row in zip(query.doc_ids, *map(values, Row._fields[1:]))]
 
 
-def score_map(query: QueryCandidates, scores) -> dict[str, float]:
-    """A score result of ``adjust_scores`` as doc id -> score."""
-    return dict(zip(query.doc_ids, scores.tolist()))
+def score_map(query: QueryStack, scores) -> dict[str, float]:
+    """A score result of ``adjust_scores`` (padded rows) as doc id -> score."""
+    return dict(zip(query.doc_ids, scores[query.real].tolist()))
 
 
-def score_column(query: QueryCandidates, mapping):
-    """A doc id -> score mapping in the form ``rank_by_score`` takes."""
-    return np.array([mapping[doc_id] for doc_id in query.doc_ids])
+def score_column(query: QueryStack, mapping):
+    """A doc id -> score mapping as the padded rows ``rank_by_score`` takes."""
+    return query.padded(np.array([mapping[doc_id] for doc_id in query.doc_ids]))
 
 
-def ranking_of(query: QueryCandidates, doc_ids) -> Ranking:
-    """The ranking of ``query`` that lists ``doc_ids`` in order, scored n..1."""
-    column = {doc_id: i for i, doc_id in enumerate(query.doc_ids)}
-    order = np.array([column[doc_id] for doc_id in doc_ids], dtype=np.intp)
-    return Ranking(query, order, np.arange(len(order), 0, -1, dtype=np.float64))
+def ranking_of(query: QueryStack, doc_ids) -> StackedRanking:
+    """The ranking of a one-row ``query`` that lists ``doc_ids`` in order, scored n..1."""
+    place = {doc_id: i for i, doc_id in enumerate(query.doc_ids)}
+    order = np.array([[place[doc_id] for doc_id in doc_ids]], dtype=np.intp)
+    return StackedRanking(query, order, np.arange(len(doc_ids), 0, -1, dtype=np.float64)[None])
 
 
-def ranked(query_id: str, doc_ids, neutralities=None) -> Ranking:
+def ranked(query_id: str, doc_ids, neutralities=None) -> StackedRanking:
     """A ranking of a query of exactly ``doc_ids``, in that order."""
     query = make_query([0.0] * len(doc_ids), neutralities=neutralities,
                        query_id=query_id, doc_ids=doc_ids)
     return ranking_of(query, doc_ids)
 
 
-def ranking_key(ranking: Ranking) -> tuple:
-    """What a ranking holds, scores as ``float.hex`` so that signed zeros differ."""
-    return ranking.query_id, ranking.doc_ids(), [s.hex() for s in ranking.scores.tolist()]
+def ranked_ids(ranking: StackedRanking, i: int = 0) -> tuple[str, ...]:
+    """The doc ids of row i of a stacked ranking, in rank order."""
+    stack = ranking.stack
+    doc_ids = stack.doc_ids[stack.bounds[i]:stack.bounds[i + 1]]
+    return tuple(doc_ids[j] for j in ranking.order[i, :len(doc_ids)].tolist())
+
+
+def ranking_key(ranking: StackedRanking) -> list[tuple]:
+    """What each row of a ranking holds, scores as ``float.hex`` so that
+    signed zeros differ; pads are left out."""
+    stack = ranking.stack
+    return [(query_id, ranked_ids(ranking, i),
+             [s.hex() for s in ranking.scores[i, :stack.lengths[i]].tolist()])
+            for i, query_id in enumerate(stack.query_ids)]
 
 
 def sweep_key(result) -> tuple:
@@ -128,3 +138,15 @@ def sweep_key(result) -> tuple:
         for r in result.records
     ]
     return records, result.infeasible_queries, result.exhausted_queries
+
+
+def stacked_rankings(rankings) -> StackedRanking:
+    """One-row rankings, in order, as one ranking of the stack of their
+    queries: pads last, in place order, at score -inf."""
+    stack = QueryStack(ranking.stack for ranking in rankings)
+    order = np.indices(stack.real.shape)[1]
+    scores = np.full(stack.real.shape, -np.inf)
+    for i, ranking in enumerate(rankings):
+        n = ranking.order.shape[1]
+        order[i, :n], scores[i, :n] = ranking.order[0], ranking.scores[0]
+    return StackedRanking(stack, order, scores)

@@ -16,15 +16,21 @@ file order.
 
 The per-query run parser is the one the library used before it checked
 the rank column and the original-rank order once over the whole file: the
-same column reader, then one rank sort and one ``QueryCandidates.ranked``
-per query. Both run parsers here sort a query with ``ranked_in_two_passes``,
-the ``QueryCandidates.ranked`` that converted and checked the columns, then
-built the sorted query through the constructor, which did both again.
+same column reader, then one rank sort and one query built per query. Both
+run parsers here sort a query with ``ranked_in_two_passes``: its columns
+converted and put in original-rank order here, by a sort of their own, then
+handed in that order to ``QueryStack.ranked``, which converts nothing and
+checks them again.
 
 The per-query sweep is ``run_sweep`` as it was before it ranked and
 evaluated each alpha's stack in one pass: every query re-ranked by its own
 call, one ``ndcg_at_k`` and one ``nfairr_at_k`` call per ranking and
 cutoff, and a t-test reference re-ranked and evaluated query by query.
+
+The analytic predictive is the exact closed form of the linear-Gaussian
+case, one document at a time: one dot product ``theta @ h`` and one sum of
+``h**2 / fisher``. The library has no analytic path yet; the Monte Carlo
+moments are checked to converge to this one.
 
 The Monte Carlo moments are those of the Laplace scorer before it scored a
 query's feature matrix in blocks: one matrix-vector product of all samples
@@ -67,7 +73,6 @@ _FEASIBILITY_TOL``, in its steps, its bound and its gap search.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -75,11 +80,10 @@ from scipy import stats
 
 from pufr import baselines, fileio, uncertainty
 from pufr.baselines import BisectionStep, ConstrainedResult, ConstraintConfig, unfair_rank
-from pufr.core import QueryCandidates, QueryStack, Ranking, _read_only
+from pufr.core import QueryStack, StackedRanking, _read_only
 from pufr.metrics import ndcg_at_k, nfairr_at_k, paired_t_test
 from pufr.rerank import PufrConfig, compute_sigma_mean, pufr_rerank, uniform_rerank
 from pufr.sweep import SweepResult, TradeoffRecord
-from pufr.uncertainty import PredictiveDistribution
 
 
 def canonical_order(rows):
@@ -203,15 +207,16 @@ def fastar_greedy(query, table):
     position the protected head goes first when the prefix is short of its
     quota or its ``mu`` is at least the other head's; once either queue is
     empty the other is drained. Scores are n..1 down the ranking."""
-    required = table.required
-    if len(required) < len(query):
+    required, n = table.required, len(query.doc_ids)
+    if len(required) < n:
         raise ValueError(
             f"quota table covers prefixes up to {len(required)} but query "
-            f"{query.query_id!r} has {len(query)} candidates"
+            f"{query.query_ids[0]!r} has {n} candidates"
         )
-    protected_queue = [i for i in range(len(query)) if query.protected[i]]
-    other_queue = [i for i in range(len(query)) if not query.protected[i]]
-    mu = query.mu.tolist()
+    protected = query.flat("protected").tolist()
+    protected_queue = [i for i in range(n) if protected[i]]
+    other_queue = [i for i in range(n) if not protected[i]]
+    mu = query.flat("mu").tolist()
     out = []
     p_idx = o_idx = 0
     while p_idx < len(protected_queue) and o_idx < len(other_queue):
@@ -224,15 +229,15 @@ def fastar_greedy(query, table):
             o_idx += 1
     out.extend(protected_queue[p_idx:])
     out.extend(other_queue[o_idx:])
-    return Ranking(query, np.array(out, dtype=np.intp),
-                   np.arange(len(out), 0, -1, dtype=np.float64))
+    return StackedRanking(query, np.array([out], dtype=np.intp),
+                          np.arange(len(out), 0, -1, dtype=np.float64)[None])
 
 
 def intersection_counts(query, alpha):
     """O(n^2) interval overlaps: compare every pair of closed intervals
     [mu - alpha*sigma, mu + alpha*sigma], in original-rank order."""
     bounds = [(mu - alpha * sigma, mu + alpha * sigma)
-              for mu, sigma in zip(query.mu.tolist(), query.sigma.tolist())]
+              for mu, sigma in zip(query.flat("mu").tolist(), query.flat("sigma").tolist())]
     counts = []
     for i, (lo_i, hi_i) in enumerate(bounds):
         counts.append(sum(
@@ -257,13 +262,15 @@ def median_intersections(corpus, alpha):
 def constrained_rerank_bisection(query, cfg):
     """``baselines.constrained_rerank`` by 64 bisection steps of lambda. The
     certificate is the last feasible step's, so ``gap`` is measured there."""
-    depth = min(cfg.depth, len(query))
-    neut_vec = query.column("neutrality")[:depth]
-    gain_vec = query.mu[:depth] - min(query.mu[:depth].tolist())
+    n = len(query.doc_ids)
+    depth = min(cfg.depth, n)
+    neut_vec = query.flat("neutrality")[:depth]
+    mu = query.flat("mu")[:depth]
+    gain_vec = mu - min(mu.tolist())
     positions = np.arange(depth)
     discounts = 1.0 / np.log2(positions + 2)
     exposures = 1.0 / (positions + 1)
-    floor = cfg.alpha_fairness * baselines.ideal_fairr_at_k(query, depth)
+    floor = cfg.alpha_fairness * baselines.ideal_fairr_at_k(query, depth).item()
     lowest = floor - baselines._FEASIBILITY_TOL  # the least fairness that counts as feasible
 
     def utility_of(order):
@@ -273,7 +280,7 @@ def constrained_rerank_bisection(query, cfg):
         return baselines._window_fairness(neut_vec, order, exposures)
 
     def finish(order, feasible, steps, gap, nodes=0, exhausted=False):
-        full_order = np.concatenate((order, np.arange(depth, len(query))))
+        full_order = np.concatenate((order, np.arange(depth, n)))
         return ConstrainedResult(
             ranking=baselines._positional_ranking(query, full_order), feasible=feasible,
             floor=floor, steps=tuple(steps), gap=gap, nodes=nodes, exhausted=exhausted,
@@ -344,13 +351,21 @@ def predictive_moments(samples, feature):
     scores = samples @ feature
     mu = float(np.mean(scores))
     var = float(np.mean(scores**2) - mu**2)
-    return PredictiveDistribution(mu=mu, sigma=float(np.sqrt(max(var, 0.0))))
+    return mu, float(np.sqrt(max(var, 0.0)))
 
 
 def predictive_columns(samples, features):
     """``predictive_moments`` of each row of ``features``, as (mu, sigma) columns."""
-    moments = [predictive_moments(samples, h) for h in features]
-    return np.array([m.mu for m in moments]), np.array([m.sigma for m in moments])
+    mu, sigma = zip(*(predictive_moments(samples, h) for h in features))
+    return np.array(mu), np.array(sigma)
+
+
+def analytic_predictive(posterior, h):
+    """The exact predictive (mu, sigma) of one feature vector ``h`` in the
+    linear-Gaussian case, as floats: mu = theta.h and var = sum_j h_j^2 /
+    fisher_j, which the Monte Carlo moments converge to."""
+    h = np.asarray(h, dtype=float)
+    return float(posterior.theta_map @ h), float(np.sqrt(np.sum(h**2 / posterior.fisher_diag)))
 
 
 def predictive_moments_per_doc(samples, features):
@@ -397,8 +412,8 @@ def parse_float(path, lineno, token, what):
 
 
 def ranked_in_two_passes(query_id, doc_ids, mu, sigma=None, neutrality=None):
-    """A query sorted into original-rank order: its columns converted and
-    ordered, then converted and checked again by the constructor."""
+    """A query sorted into original-rank order, as a one-row stack: its
+    columns converted and ordered here, then checked by ``QueryStack.ranked``."""
     n = len(doc_ids)
     mu, sigma, neutrality = (
         None if values is None else _read_only(values, np.float64, n, name, f"query {query_id!r}")
@@ -414,7 +429,8 @@ def ranked_in_two_passes(query_id, doc_ids, mu, sigma=None, neutrality=None):
         mu, sigma, neutrality = (
             None if column is None else column[order] for column in (mu, sigma, neutrality)
         )
-    return QueryCandidates(query_id, doc_ids, mu, sigma, neutrality)
+    return QueryStack.ranked((query_id,), (n,), doc_ids,
+                             {"mu": mu, "sigma": sigma, "neutrality": neutrality})
 
 
 def parse_run_file(path):
@@ -457,7 +473,7 @@ def parse_run_file(path):
 
 def parse_run_file_per_query(path):
     """The column reader's fields, then each query's rows in file order: one
-    rank sort and one ``QueryCandidates.ranked`` per query. Every failed
+    rank sort and one ``ranked_in_two_passes`` per query. Every failed
     check goes to the library's line walk for its message."""
     fields = fileio._columns(path, 6)
     if not fields:
@@ -502,10 +518,11 @@ def attach_sigmas(corpus, sigmas):
     joined = []
     for query in corpus:
         try:
-            column = [sigmas[query.query_id, doc_id] for doc_id in query.doc_ids]
+            column = [sigmas[query.query_ids[0], doc_id] for doc_id in query.doc_ids]
         except KeyError as exc:
-            raise ValueError(f"missing sigma for ({query.query_id}, {exc.args[0][1]})") from None
-        joined.append(replace(query, sigma=column))
+            raise ValueError(
+                f"missing sigma for ({query.query_ids[0]}, {exc.args[0][1]})") from None
+        joined.append(query.with_column("sigma", column))
     return joined
 
 
@@ -516,22 +533,24 @@ def attach_neutrality(corpus, neutrality):
         try:
             column = [neutrality[doc_id] for doc_id in query.doc_ids]
         except KeyError as exc:
-            raise ValueError(f"missing neutrality for ({query.query_id}, {exc.args[0]})") from None
-        joined.append(replace(query, neutrality=column))
+            raise ValueError(
+                f"missing neutrality for ({query.query_ids[0]}, {exc.args[0]})") from None
+        joined.append(query.with_column("neutrality", column))
     return joined
 
 
 def load_per_query(run, sigmas=None, neutrality=None, protected_threshold=1.0):
     """A corpus loaded as the loaders once built it, query by query: each
     query sorted into original-rank order on its own, its sigma, neutrality
-    and group columns attached one query at a time, each through the
-    constructor's checks, and the queries stacked at the end."""
+    and group columns attached one query at a time, each through its own
+    ``with_column`` check, and the queries stacked at the end."""
     corpus = parse_run_file_per_query(run)
     if sigmas is not None:
         corpus = attach_sigmas(corpus, parse_sigma_file(sigmas))
     if neutrality is not None:
         corpus = attach_neutrality(corpus, parse_neutrality_file(neutrality))
-        corpus = [replace(q, protected=q.neutrality >= protected_threshold) for q in corpus]
+        corpus = [q.with_column("protected", q.flat("neutrality") >= protected_threshold)
+                  for q in corpus]
     return QueryStack(corpus)
 
 
@@ -588,13 +607,15 @@ def scalar_parse_features_file(path):
     return features
 
 
-def write_run_file(path, rankings, tag="pufr"):
+def write_run_file(path, ranked, tag="pufr"):
     """The run writer with one f-string per line."""
-    suffix, parts = f" {tag}\n", []
-    for ranking in rankings:
-        prefix = f"{ranking.query_id} Q0 "
-        entries = enumerate(zip(ranking.doc_ids(), ranking.scores.tolist()), start=1)
-        parts += [f"{prefix}{doc_id} {rank} {score!r}{suffix}" for rank, (doc_id, score) in entries]
+    suffix, parts, stack = f" {tag}\n", [], ranked.stack
+    for i, (query_id, start, end) in enumerate(zip(stack.query_ids, stack.bounds,
+                                                   stack.bounds[1:])):
+        places, scores = ranked.order[i, :end - start], ranked.scores[i, :end - start]
+        entries = enumerate(zip(places.tolist(), scores.tolist()), start=1)
+        parts += [f"{query_id} Q0 {stack.doc_ids[start + place]} {rank} {score!r}{suffix}"
+                  for rank, (place, score) in entries]
     Path(path).write_text("".join(parts), encoding="utf-8")
 
 
@@ -602,8 +623,8 @@ def write_sigma_file(path, corpus):
     """The sigma writer with one f-string per line."""
     lines = []
     for query in corpus:
-        for doc_id, sigma in zip(query.doc_ids, query.column("sigma").tolist()):
-            lines.append(f"{query.query_id} {doc_id} {sigma!r}")
+        for doc_id, sigma in zip(query.doc_ids, query.flat("sigma").tolist()):
+            lines.append(f"{query.query_ids[0]} {doc_id} {sigma!r}")
     Path(path).write_text("".join(line + "\n" for line in lines), encoding="utf-8")
 
 
@@ -611,7 +632,7 @@ def write_neutrality_file(path, corpus):
     """The neutrality writer with one check and one f-string per document."""
     values = {}
     for query in corpus:
-        for doc_id, value in zip(query.doc_ids, query.column("neutrality").tolist()):
+        for doc_id, value in zip(query.doc_ids, query.flat("neutrality").tolist()):
             if doc_id in values and values[doc_id] != value:
                 raise ValueError(
                     f"doc {doc_id!r} has conflicting neutrality scores across queries"
@@ -640,7 +661,7 @@ def per_query_reranker(corpus, cfg, alpha):
     if cfg.method == "unfair":
         return lambda query: (unfair_rank(query), None)
     if cfg.method == "fastar":
-        table = baselines.compute_m_table(max(len(query) for query in corpus), alpha)
+        table = baselines.compute_m_table(max(len(query.doc_ids) for query in corpus), alpha)
         return lambda query: (fastar_greedy(query, table), None)
 
     def constrained(query):
@@ -658,12 +679,12 @@ def run_sweep_per_query(corpus, judgments, cfg):
     ``mean_rerank_seconds`` is nan, since nothing is timed."""
     alphas = (0.0,) if cfg.method == "unfair" else cfg.alpha_grid
     pufr_reference = cfg.method not in ("pufr", "unfair") and all(
-        q.sigma is not None and q.protected is not None for q in corpus
+        q.has("sigma") and q.has("protected") for q in corpus
     )
     tested_k = min(cfg.cutoffs_fairness)
 
     def per_query(metric, rankings):
-        return {ranking.query_id: metric(ranking) for ranking in rankings}
+        return {ranking.stack.query_ids[0]: metric(ranking).item() for ranking in rankings}
 
     def reference(alpha):
         if pufr_reference:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import binom
 
-from pufr import baselines
+from pufr import baselines, metrics
 from pufr.baselines import (
     DEFAULT_EXACT_WINDOW,
     DEFAULT_MAX_NODES,
@@ -18,13 +18,13 @@ from pufr.baselines import (
     hungarian_assign,
     unfair_rank,
 )
-from pufr.core import QueryCandidates, QueryStack, ScoredCandidate, assign_groups, build_query
+from pufr.core import QueryStack, ScoredCandidate, assign_groups, build_query
 from pufr.metrics import RelevanceJudgments
 from pufr.sweep import SweepConfig, run_sweep
 from pufr.synth import SyntheticConfig, generate_synthetic
 
 import oracles
-from conftest import gap_search_queries, groups_of, make_query, random_query, rows
+from conftest import gap_search_queries, groups_of, make_query, random_query, ranked_ids, rows
 
 
 def discounted_utility(gains_in_order):
@@ -38,15 +38,15 @@ def exposure_fairness(neutralities_in_order):
 class TestUnfairRank:
     def test_sorts_by_mu(self):
         q = make_query([1.0, 3.0, 2.0], doc_ids=["A", "B", "C"])
-        assert unfair_rank(q).doc_ids() == ("B", "C", "A")
+        assert ranked_ids(unfair_rank(q)) == ("B", "C", "A")
 
     def test_single_doc(self):
         q = make_query([0.5], doc_ids=["only"])
-        assert unfair_rank(q).doc_ids() == ("only",)
+        assert ranked_ids(unfair_rank(q)) == ("only",)
 
     def test_equal_mu_keeps_original_rank_order(self):
         q = make_query([1.0, 1.0], doc_ids=["b", "a"])  # 'a' wins the ingestion tie-break
-        assert unfair_rank(q).doc_ids() == ("a", "b")
+        assert ranked_ids(unfair_rank(q)) == ("a", "b")
 
 
 class TestMTable:
@@ -156,19 +156,19 @@ class TestFastarRerank:
         table = MTable(p=0.0, significance=0.1, required=(0,) * 30)
         for i in range(20):
             q = random_query(rng, n_min=1, n_max=20, query_id=f"q{i}")
-            assert fastar_rerank(q, table).doc_ids() == unfair_rank(q).doc_ids()
+            assert ranked_ids(fastar_rerank(q, table)) == ranked_ids(unfair_rank(q))
 
     def test_quota_forces_protected_doc_first(self):
         q = make_query([2.0, 1.0], neutralities=[0.0, 1.0], doc_ids=["N", "P"])
         table = MTable(p=0.9, significance=0.1, required=(1, 1))
-        assert fastar_rerank(q, table).doc_ids() == ("P", "N")
+        assert ranked_ids(fastar_rerank(q, table)) == ("P", "N")
 
     def test_a_long_list_meets_its_quota_and_no_more(self):
         # every protected doc scores below every other: each prefix holds
         # exactly its quota, which underflowed to "all" past 537 docs at p = 0.75
         q = make_query(np.arange(1000.0, 0.0, -1.0), neutralities=[0.0] * 500 + [1.0] * 500)
         table = compute_m_table(1000, 0.75)
-        prefix = np.cumsum(q.protected[fastar_rerank(q, table).order])
+        prefix = np.cumsum(q.flat("protected")[fastar_rerank(q, table).order[0]])
         assert prefix[:600].tolist() == list(table.required[:600])
 
     def test_a_long_ragged_stack_is_the_greedy_merge(self):
@@ -179,15 +179,17 @@ class TestFastarRerank:
         for i in range(12):
             q = random_query(rng, n_min=20, n_max=300, query_id=f"q{i}",
                              protected_fraction=float(rng.choice([0.1, 0.5, 0.9])))
-            corpus.append(make_query(np.round(q.mu), q.sigma, q.neutrality, query_id=f"q{i}"))
+            corpus.append(make_query(np.round(q.flat("mu")), q.flat("sigma"), q.flat("neutrality"),
+                                     query_id=f"q{i}"))
         stack = QueryStack(corpus)
         for p in (0.0, 0.3, 0.6, 0.9, 1.0):
             table = compute_m_table(300, p)
             ranked = fastar_rerank(stack, table)
-            for query, ranking in zip(corpus, ranked.rows()):
+            for i, query in enumerate(corpus):
                 expected = oracles.fastar_greedy(query, table)
-                assert ranking.order.tolist() == expected.order.tolist()
-                assert ranking.scores.tolist() == expected.scores.tolist()
+                n = len(query.doc_ids)
+                assert ranked.order[i, :n].tolist() == expected.order[0].tolist()
+                assert ranked.scores[i, :n].tolist() == expected.scores[0].tolist()
 
     def test_short_table_rejected(self):
         q = make_query([2.0, 1.0], neutralities=[0.0, 1.0])
@@ -199,20 +201,20 @@ class TestFastarRerank:
         # more protected demanded than exist: protected go as early as possible
         q = make_query([5.0, 4.0, 3.0], neutralities=[0.0, 0.0, 1.0], doc_ids=["N1", "N2", "P"])
         table = MTable(p=1.0, significance=0.1, required=(1, 2, 3))
-        assert fastar_rerank(q, table).doc_ids() == ("P", "N1", "N2")
+        assert ranked_ids(fastar_rerank(q, table)) == ("P", "N1", "N2")
 
     def test_satisfies_quota_and_maximizes_utility(self):
         rng = np.random.default_rng(97)
         for i in range(150):
             q = random_query(rng, n_min=2, n_max=6, query_id=f"q{i}")
-            n = len(q)
+            n = len(q.doc_ids)
             p = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
             table = compute_m_table(n, p, 0.1)
             ranking = fastar_rerank(q, table)
             groups = groups_of(q)
-            mus = dict(zip(q.doc_ids, q.mu.tolist()))
-            total_protected = int(q.protected.sum())
-            out_groups = [groups[d] for d in ranking.doc_ids()]
+            mus = dict(zip(q.doc_ids, q.flat("mu").tolist()))
+            total_protected = int(q.flat("protected").sum())
+            out_groups = [groups[d] for d in ranked_ids(ranking)]
             assert fastar_feasible(out_groups, table.required, total_protected)
             # exhaustive search over feasible permutations
             best = None
@@ -223,7 +225,7 @@ class TestFastarRerank:
                     continue
                 utility = discounted_utility([c.mu for c in perm])
                 best = utility if best is None else max(best, utility)
-            achieved = discounted_utility([mus[d] for d in ranking.doc_ids()])
+            achieved = discounted_utility([mus[d] for d in ranked_ids(ranking)])
             assert achieved == pytest.approx(best, abs=1e-9)
 
 
@@ -278,21 +280,21 @@ class TestConstrainedRerank:
             q = random_query(rng, n_min=2, n_max=10, query_id=f"q{i}")
             result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.0, depth=10))
             assert result.feasible
-            assert result.ranking.doc_ids() == unfair_rank(q).doc_ids()
+            assert ranked_ids(result.ranking) == ranked_ids(unfair_rank(q))
 
     def test_high_floor_forces_neutral_doc_first(self):
         q = make_query([3.0, 2.0, 1.0], neutralities=[0.0, 0.0, 1.0],
                        doc_ids=["A", "B", "C"])
         result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.9, depth=3))
         assert result.feasible
-        assert result.ranking.doc_ids() == ("C", "A", "B")
+        assert ranked_ids(result.ranking) == ("C", "A", "B")
 
     def test_matches_brute_force_when_feasible(self):
         rng = np.random.default_rng(107)
         checked = 0
         for i in range(150):
             q = random_query(rng, n_min=3, n_max=7, query_id=f"q{i}")
-            depth = len(q)
+            depth = len(q.doc_ids)
             alpha = float(rng.choice([0.3, 0.6, 0.8, 0.9, 0.95, 1.0]))
             result = constrained_rerank(q, ConstraintConfig(alpha_fairness=alpha, depth=depth))
             if not result.feasible:
@@ -302,7 +304,7 @@ class TestConstrainedRerank:
             base = min(c.mu for c in window)
             gains = {c.doc_id: c.mu - base for c in window}
             achieved = discounted_utility(
-                [gains[d] for d in result.ranking.doc_ids()[:depth]]
+                [gains[d] for d in ranked_ids(result.ranking)[:depth]]
             )
             best = brute_force_constrained(q, depth, result.floor)
             assert best is not None
@@ -317,23 +319,23 @@ class TestConstrainedRerank:
         result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.9, depth=2))
         assert not result.feasible
         # tail docs keep their original order after the window
-        assert result.ranking.doc_ids()[2] == "C"
+        assert ranked_ids(result.ranking)[2] == "C"
 
     def test_never_beats_unfair_utility_and_never_undercuts_its_fairness(self):
         rng = np.random.default_rng(109)
         for i in range(40):
             q = random_query(rng, n_min=3, n_max=9, query_id=f"q{i}")
-            depth = len(q)
+            depth = len(q.doc_ids)
             window = rows(q)
             base = min(c.mu for c in window)
             gains = {c.doc_id: c.mu - base for c in window}
             neut = {c.doc_id: c.neutrality for c in window}
-            unfair_docs = unfair_rank(q).doc_ids()
+            unfair_docs = ranked_ids(unfair_rank(q))
             unfair_utility = discounted_utility([gains[d] for d in unfair_docs])
             unfair_fairness = exposure_fairness([neut[d] for d in unfair_docs])
             for alpha in (0.5, 0.9):
                 result = constrained_rerank(q, ConstraintConfig(alpha_fairness=alpha, depth=depth))
-                docs = result.ranking.doc_ids()
+                docs = ranked_ids(result.ranking)
                 utility = discounted_utility([gains[d] for d in docs])
                 fairness = exposure_fairness([neut[d] for d in docs])
                 assert utility <= unfair_utility + 1e-9
@@ -347,7 +349,7 @@ class TestConstrainedRerank:
         for i in range(25):
             q = random_query(rng, n_min=4, n_max=10, query_id=f"q{i}")
             result = constrained_rerank(
-                q, ConstraintConfig(alpha_fairness=0.9, depth=len(q))
+                q, ConstraintConfig(alpha_fairness=0.9, depth=len(q.doc_ids))
             )
             path = sorted(result.steps, key=lambda s: s.lam)
             for a, b in zip(path, path[1:]):
@@ -358,10 +360,10 @@ class TestConstrainedRerank:
         q = random_query(rng, n_min=8, n_max=12, query_id="q")
         depth = 4
         result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.8, depth=depth))
-        docs = result.ranking.doc_ids()
+        docs = ranked_ids(result.ranking)
         expected_tail = tuple(c.doc_id for c in rows(q)[depth:])
         assert docs[depth:] == expected_tail
-        scores = result.ranking.scores.tolist()
+        scores = result.ranking.scores[0].tolist()
         assert scores == sorted(scores, reverse=True)
         assert max(scores[depth:], default=-math.inf) < min(scores[:depth])
 
@@ -373,8 +375,8 @@ class TestConstrainedRerank:
 
 
 class TestFloorsFromTheStack:
-    """A row of a stack reads its fairness floor from one ideal FaiRR column
-    of the stack per depth, with the bits the query has on its own."""
+    """A row of a stack reads its fairness floor from its own ideal FaiRR,
+    with the bits the query has on its own, and keeps it for every floor."""
 
     @staticmethod
     def ragged_stack():
@@ -387,23 +389,31 @@ class TestFloorsFromTheStack:
         for alpha in (0.5, 0.9, 1.0):
             cfg = ConstraintConfig(alpha, depth)
             for row in self.ragged_stack():
-                alone = QueryCandidates(row.query_id, row.doc_ids, row.mu, row.sigma,
-                                        row.neutrality, row.protected)
+                alone = assign_groups(QueryStack.ranked(
+                    row.query_ids, row.lengths, row.doc_ids,
+                    {name: row.flat(name).copy() for name in ("mu", "sigma", "neutrality")}))
                 got, want = (
-                    (r.floor.hex(), r.ranking.doc_ids(), r.feasible, r.gap.hex(), r.nodes,
+                    (r.floor.hex(), ranked_ids(r.ranking), r.feasible, r.gap.hex(), r.nodes,
                      [(s.lam.hex(), s.fairness.hex(), s.utility.hex()) for s in r.steps])
                     for r in (constrained_rerank(row, cfg), constrained_rerank(alone, cfg)))
                 assert got == want
 
-    def test_a_sweep_takes_one_ideal_column_per_stack(self, monkeypatch):
+    def test_a_sweep_floors_every_alpha_from_the_rows_the_stack_keeps(self, monkeypatch):
         stack = self.ragged_stack()
-        columns = []
-        ideal = baselines.ideal_fairr_at_k
+        floored, sorted_rows = [], []
+        ideal, sums = baselines.ideal_fairr_at_k, metrics._fairr_sums
         monkeypatch.setattr(baselines, "ideal_fairr_at_k",
-                            lambda query, k: columns.append(query) or ideal(query, k))
+                            lambda query, k: floored.append(query) or ideal(query, k))
+        monkeypatch.setattr(metrics, "_fairr_sums",
+                            lambda values: sorted_rows.append(len(values)) or sums(values))
         cfg = SweepConfig("constrained", (0.5, 0.9, 1.0), depth=6)
         run_sweep(stack, RelevanceJudgments({}), cfg)
-        assert columns == [stack]
+        rows = list(stack)
+        assert len(floored) == 3 * len(rows)
+        assert all(query is row for query, row in zip(floored, rows * 3))
+        # each row's ideal neutrality order is sorted once, not once per alpha;
+        # the metrics sort the stack's (one block of 15 rows) once more
+        assert sorted_rows.count(1) == len(rows)
 
 
 class TestLagrangianGap:
@@ -413,7 +423,7 @@ class TestLagrangianGap:
         for i in range(60):
             q = random_query(rng, n_min=2, n_max=20, query_id=f"q{i}")
             for alpha in (0.0, 0.5, 0.9, 0.95):
-                result = constrained_rerank(q, ConstraintConfig(alpha_fairness=alpha, depth=len(q)))
+                result = constrained_rerank(q, ConstraintConfig(alpha_fairness=alpha, depth=len(q.doc_ids)))
                 if not result.feasible:
                     assert math.isnan(result.gap)
                     continue
@@ -439,8 +449,8 @@ class TestLagrangianGap:
         # least fairness counted feasible, read a gap of -1.04e-12
         q = make_query([2] + [0] * 10 + [-1, -7], neutralities=[0] * 11 + [1e-12, 1])
         result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.5, depth=13))
-        window = result.ranking.order[:13]
-        fairness = float(np.sum(q.column("neutrality")[window] / np.arange(1, 14)))
+        window = result.ranking.order[0, :13]
+        fairness = float(np.sum(q.flat("neutrality")[window] / np.arange(1, 14)))
         assert result.feasible
         assert result.floor - 1e-9 <= fairness < result.floor
         assert result.gap >= 0.0
@@ -474,12 +484,20 @@ class TestGapSearchReport:
         rng = np.random.default_rng(137)
         for i in range(10):
             q = random_query(rng, n_min=3, n_max=9, query_id=f"q{i}")
-            result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.0, depth=len(q)))
+            result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.0, depth=len(q.doc_ids)))
             assert (result.nodes, result.exhausted) == (0, False)
         # a window deeper than DEFAULT_EXACT_WINDOW never runs the search
         q = random_query(rng, n_min=DEFAULT_EXACT_WINDOW + 1, n_max=20, query_id="deep")
-        result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.95, depth=len(q)))
+        result = constrained_rerank(q, ConstraintConfig(alpha_fairness=0.95, depth=len(q.doc_ids)))
         assert (result.nodes, result.exhausted) == (0, False)
+
+    def test_the_gap_search_cases_rerank_whole_windows_of_6_to_9_docs(self):
+        # the depth counts candidates: len() of a query counts its one row
+        cases = gap_search_queries()
+        for q, cfg in cases:
+            assert len(q) == 1 and 6 <= len(q.doc_ids) <= 9 and cfg.depth == len(q.doc_ids)
+            assert constrained_rerank(q, cfg).nodes > 0
+        assert {cfg.depth for _, cfg in cases} == {6, 7, 8, 9}
 
     def test_completed_search_is_not_exhausted(self):
         for q, cfg in gap_search_queries():
@@ -495,7 +513,7 @@ class TestGapSearchReport:
             monkeypatch.setattr(baselines, "DEFAULT_MAX_NODES", full.nodes)
             fits = constrained_rerank(q, cfg)
             assert (fits.nodes, fits.exhausted) == (full.nodes, False)
-            assert fits.ranking.doc_ids() == full.ranking.doc_ids()
+            assert ranked_ids(fits.ranking) == ranked_ids(full.ranking)
             monkeypatch.setattr(baselines, "DEFAULT_MAX_NODES", full.nodes - 1)
             cut = constrained_rerank(q, cfg)
             assert (cut.nodes, cut.exhausted) == (full.nodes - 1, True)

@@ -246,10 +246,11 @@ def test_laplace_bytes_are_the_per_document_moments(tmp_path):
             posterior, McConfig(n_samples, seed=derive_query_seed(seed, query_id))
         )
         moments = {doc_id: oracles.predictive_moments(samples, h) for doc_id, h in docs.items()}
-        ordered = sorted(moments, key=lambda doc_id: (-moments[doc_id].mu, doc_id))
+        ordered = sorted(moments, key=lambda doc_id: (-moments[doc_id][0], doc_id))
         for rank, doc_id in enumerate(ordered, start=1):
-            run.append(f"{query_id} Q0 {doc_id} {rank} {moments[doc_id].mu!r} laplace\n")
-            sigma.append(f"{query_id} {doc_id} {moments[doc_id].sigma!r}\n")
+            mu, sd = moments[doc_id]
+            run.append(f"{query_id} Q0 {doc_id} {rank} {mu!r} laplace\n")
+            sigma.append(f"{query_id} {doc_id} {sd!r}\n")
     scores = {line.split()[2]: line.split()[4] for line in run}
     assert scores["b"] == scores["c"]
     assert (tmp_path / "run").read_text(encoding="utf-8") == "".join(run)

@@ -1,6 +1,6 @@
 import math
 import re
-from dataclasses import replace
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from pufr.baselines import compute_m_table, fastar_rerank, unfair_rank
 from pufr.core import (
-    QueryCandidates,
     QueryStack,
     ScoredCandidate,
     assign_groups,
@@ -22,7 +21,8 @@ from pufr.rerank import PufrConfig, adjust_scores, pufr_rerank, uniform_rerank
 
 import oracles
 from conftest import (
-    make_query, query_key, random_query, ranking_key, rows, score_column, score_map,
+    make_query, query_key, random_query, ranked_ids, ranking_key, rows, rows_key, score_column,
+    score_map,
 )
 
 
@@ -53,29 +53,24 @@ class TestScoredCandidate:
         assert type(c.mu) is float and type(c.sigma) is float
 
 
-class TestQueryCandidates:
+class TestQueryChecks:
+    # a query is checked once, when its stack is built or a column is attached
+
     def test_rejects_empty(self):
-        with pytest.raises(ValueError, match="empty"):
-            QueryCandidates(query_id="q", doc_ids=(), mu=[])
+        with pytest.raises(ValueError, match="^query 'q': candidate set is empty$"):
+            build_query("q", [])
 
     def test_rejects_duplicate_doc_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
-            QueryCandidates(query_id="q", doc_ids=("d", "d"), mu=[1.0, 0.5])
+            build_query("q", [ScoredCandidate(doc_id="d", mu=1.0),
+                              ScoredCandidate(doc_id="d", mu=0.5)])
 
     def test_names_each_duplicate_of_a_large_query_once(self):
         doc_ids = [f"d{i}" for i in range(20_000)] + ["d7", "d19999", "d7", "d3"]
         with pytest.raises(ValueError, match=re.escape(
             "query 'q': duplicate doc ids ['d19999', 'd3', 'd7']"
         ) + "$"):
-            QueryCandidates(query_id="q", doc_ids=doc_ids, mu=np.zeros(len(doc_ids)))
-
-    def test_rejects_columns_out_of_rank_order(self):
-        with pytest.raises(ValueError, match="'b'.*original-rank order"):
-            QueryCandidates(query_id="q", doc_ids=("a", "b"), mu=[0.5, 1.0])
-
-    def test_rejects_a_column_of_the_wrong_length(self):
-        with pytest.raises(ValueError, match=r"sigma has shape \(1,\), expected \(2,\)"):
-            QueryCandidates(query_id="q", doc_ids=("a", "b"), mu=[1.0, 0.5], sigma=[0.1])
+            QueryStack.ranked(["q"], [len(doc_ids)], doc_ids, {"mu": np.zeros(len(doc_ids))})
 
     @pytest.mark.parametrize("mu", [[2.0, 1.0], [1.0, 2.0]])
     def test_ranked_rejects_a_column_of_the_wrong_length_in_any_order(self, mu):
@@ -83,20 +78,30 @@ class TestQueryCandidates:
                                  ({"sigma": [0.1, 0.2, 0.3]}, r"sigma has shape \(3,\)"),
                                  ({"neutrality": [0.5]}, r"neutrality has shape \(1,\)")):
             columns = {"mu": mu, **columns}
-            with pytest.raises(ValueError, match=f"query 'q': {message}, expected \\(2,\\)"):
-                QueryCandidates.ranked("q", ["a", "b"], **columns)
+            with pytest.raises(ValueError, match=f"^query 'q': {message}, expected \\(2,\\)$"):
+                QueryStack.ranked(["q"], [2], ["a", "b"], columns)
+
+    def test_a_column_of_the_wrong_length_names_the_stack(self):
+        with pytest.raises(ValueError,
+                           match=r"^stack: sigma has shape \(1,\), expected \(2,\)$"):
+            QueryStack.ranked(["q", "r"], [1, 1], ["a", "b"], {"mu": [1.0, 2.0], "sigma": [0.5]})
 
     def test_columns_are_read_only_copies(self):
-        mu = np.array([2.0, 1.0])
-        q = QueryCandidates(query_id="q", doc_ids=("a", "b"), mu=mu)
-        mu[0] = 5.0
-        assert q.mu.tolist() == [2.0, 1.0] and q.mu.dtype == np.float64
-        with pytest.raises(ValueError):
-            q.mu[0] = 3.0
+        # mu already falls, so no sort copies it; sigma is a list
+        mu, neutrality = np.array([2.0, 1.0]), np.array([1.0, 0.0])
+        q = QueryStack.ranked(["q"], [2], ("a", "b"), {"mu": mu, "sigma": [0.5, 0.25]})
+        q = q.with_column("neutrality", neutrality)
+        mu[0], neutrality[0] = 5.0, 0.5  # the caller's arrays stay writeable
+        assert q.flat("mu").tolist() == [2.0, 1.0] and q.flat("sigma").tolist() == [0.5, 0.25]
+        assert q.flat("neutrality").tolist() == [1.0, 0.0]
+        for name in ("mu", "sigma", "neutrality"):
+            assert q.flat(name).dtype == np.float64
+            with pytest.raises(ValueError):
+                q.flat(name)[0] = 3.0
 
     def test_missing_neutrality_raises_on_every_call(self):
         q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0)])
-        ranking = rank_by_score(q, q.mu)
+        ranking = rank_by_score(q, q.column("mu"))
         for _ in range(2):
             for metric in (fairr_at_k, nfairr_at_k):
                 with pytest.raises(ValueError, match="'q' has no neutrality scores"):
@@ -107,7 +112,7 @@ class TestQueryCandidates:
     def test_a_column_is_attached_only_when_every_row_has_it(self):
         q = build_query("q", [ScoredCandidate(doc_id="a", mu=1.0, sigma=0.5),
                               ScoredCandidate(doc_id="b", mu=0.5)])
-        assert q.sigma is None
+        assert not q.has("sigma")
         with pytest.raises(ValueError, match="'q' has no sigma"):
             q.column("sigma")
 
@@ -123,7 +128,7 @@ class TestBuildQuery:
             ],
         )
         assert q.doc_ids == ("b", "c", "a")
-        assert q.mu.tolist() == [3.0, 2.0, 1.0]
+        assert q.flat("mu").tolist() == [3.0, 2.0, 1.0]
 
     def test_mu_ties_break_by_doc_id(self):
         q = build_query(
@@ -139,16 +144,16 @@ class TestBuildQuery:
 class TestAssignGroups:
     def test_neutrality_one_is_protected_at_default_threshold(self):
         q = make_query([1.0], neutralities=[1.0])
-        assert q.protected.tolist() == [True]
+        assert q.flat("protected").tolist() == [True]
 
     def test_neutrality_zero_is_not_protected(self):
         q = make_query([1.0], neutralities=[0.0])
-        assert q.protected.tolist() == [False]
+        assert q.flat("protected").tolist() == [False]
 
     def test_softer_threshold(self):
         q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0, neutrality=0.95)])
         q = assign_groups(q, protected_threshold=0.9)
-        assert q.protected.tolist() == [True]
+        assert q.flat("protected").tolist() == [True]
 
     def test_partition_is_total(self):
         rng = np.random.default_rng(0)
@@ -163,8 +168,9 @@ class TestAssignGroups:
                 ],
             )
             q = assign_groups(q, protected_threshold=0.5)
-            assert q.protected.dtype == bool and len(q.protected) == n
-            assert q.protected.tolist() == [v >= 0.5 for v in q.neutrality.tolist()]
+            protected = q.flat("protected")
+            assert protected.dtype == bool and len(protected) == n
+            assert protected.tolist() == [v >= 0.5 for v in q.flat("neutrality").tolist()]
 
     def test_missing_neutrality_is_an_error(self):
         q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0)])
@@ -179,26 +185,25 @@ class TestAssignGroups:
         ])
         strict = assign_groups(base, 1.0)
         soft = assign_groups(strict, 0.5)
-        assert soft.protected.tolist() == [True, True, False, True]
-        assert strict.protected.tolist() == [True, False, False, True]
+        assert soft.flat("protected").tolist() == [True, True, False, True]
+        assert strict.flat("protected").tolist() == [True, False, False, True]
         cfg = PufrConfig.symmetric(1.0)
-        for query in (strict, soft, replace(soft, sigma=[0.0, 0.0, 3.0, 0.0])):
+        for query in (strict, soft, soft.with_column("sigma", [0.0, 0.0, 3.0, 0.0])):
             assert score_map(query, adjust_scores(query, cfg)) == oracles.adjust(
                 rows(query), 1.0, 1.0)
 
-    def test_a_replaced_query_gets_its_own_ideal_fairr(self):
+    def test_a_query_with_a_new_column_gets_its_own_ideal_fairr(self):
         q = make_query([3.0, 2.0, 1.0], neutralities=[0.0, 1.0, 1.0])
-        assert ideal_fairr_at_k(q, 2) == 1.0 + 1.0 / 2
-        moved = replace(q, neutrality=[0.0, 0.0, 1.0])
-        assert ideal_fairr_at_k(moved, 2) == 1.0
-        assert ideal_fairr_at_k(q, 2) == 1.0 + 1.0 / 2
+        assert ideal_fairr_at_k(q, 2).tolist() == [1.0 + 1.0 / 2]
+        moved = q.with_column("neutrality", [0.0, 0.0, 1.0])
+        assert ideal_fairr_at_k(moved, 2).tolist() == [1.0]
+        assert ideal_fairr_at_k(q, 2).tolist() == [1.0 + 1.0 / 2]
 
-    def test_with_column_matches_replace_without_rechecking_the_query(self):
+    def test_with_column_sets_one_column_without_rechecking_the_query(self):
         rng = np.random.default_rng(7)
-        cfg = PufrConfig.symmetric(1.5)
         for _ in range(30):
             q = random_query(rng)
-            n = len(q)
+            n = len(q.doc_ids)
             columns = {
                 "sigma": np.abs(rng.normal(0.5, 0.3, n)),
                 "neutrality": np.where(rng.random(n) < 0.5, 1.0, rng.random(n)),
@@ -206,22 +211,27 @@ class TestAssignGroups:
             }
             before = query_key(q)
             for name, values in columns.items():
-                want = replace(q, **{name: values})
-                with mock.patch.object(QueryCandidates, "__post_init__",
-                                       side_effect=AssertionError("query checked again")):
+                with mock.patch("pufr.core._check_ids",
+                                side_effect=AssertionError("query checked again")):
                     got = q.with_column(name, values)
-                assert query_key(got) == query_key(want)
+                want = [row._replace(**{name: value})
+                        for row, value in zip(rows(q), values.tolist())]
+                assert rows_key(rows(got)) == rows_key(want)
                 # the source query keeps its columns
                 assert query_key(q) == before
-                assert adjust_scores(got, cfg).tobytes() == adjust_scores(want, cfg).tobytes()
+                assert score_map(got, adjust_scores(got, PufrConfig.symmetric(1.5))) == (
+                    oracles.adjust(want, 1.5, 1.5))
 
-    def test_with_column_checks_the_new_column_as_the_constructor_does(self):
+    def test_with_column_checks_the_new_column(self):
         q = make_query([3.0, 2.0, 1.0], neutralities=[0.0, 1.0, 1.0])
-        for name, values in (("sigma", [0.1, -1.0, 0.2]), ("sigma", [0.1]),
-                             ("neutrality", [0.0, 1.5, 1.0]), ("protected", [True, False])):
-            with pytest.raises(ValueError) as want:
-                replace(q, **{name: values})
-            with pytest.raises(ValueError, match=re.escape(str(want.value)) + "$"):
+        for name, values, text in (
+            ("sigma", [0.1, -1.0, 0.2], "candidate 'd2': sigma must be finite and >= 0, got -1.0"),
+            ("sigma", [0.1], r"sigma has shape (1,), expected (3,)"),
+            ("neutrality", [0.0, 1.5, 1.0],
+             "candidate 'd2': neutrality score must lie in [0, 1], got 1.5"),
+            ("protected", [True, False], "protected has shape (2,), expected (3,)"),
+        ):
+            with pytest.raises(ValueError, match="^" + re.escape(f"query 'q': {text}") + "$"):
                 q.with_column(name, values)
 
     def test_ungrouped_query_has_no_group_columns(self):
@@ -240,28 +250,28 @@ class TestAssignGroups:
 class TestRankByScore:
     def test_two_distinct_scores(self):
         q = make_query([2.0, 1.0], doc_ids=["A", "B"])
-        ranking = rank_by_score(q, np.array([2.0, 1.0]))
-        assert ranking.doc_ids() == ("A", "B")
+        ranking = rank_by_score(q, np.array([[2.0, 1.0]]))
+        assert ranked_ids(ranking) == ("A", "B")
 
     def test_tie_falls_back_to_original_rank(self):
         q = make_query([2.0, 1.0], doc_ids=["A", "B"])  # A has original rank 1
-        ranking = rank_by_score(q, np.array([1.0, 1.0]))
-        assert ranking.doc_ids() == ("A", "B")
+        ranking = rank_by_score(q, np.array([[1.0, 1.0]]))
+        assert ranked_ids(ranking) == ("A", "B")
 
     def test_full_sort(self):
         q = make_query([1.0, 3.0, 2.0], doc_ids=["A", "B", "C"])
         ranking = rank_by_score(q, score_column(q, {"A": 1.0, "B": 3.0, "C": 2.0}))
-        assert ranking.doc_ids() == ("B", "C", "A")
+        assert ranked_ids(ranking) == ("B", "C", "A")
 
     def test_score_count_must_match_the_query(self):
         q = make_query([1.0, 2.0], doc_ids=["A", "B"])
-        with pytest.raises(ValueError, match=r"expected 2 scores, got shape \(1,\)"):
+        with pytest.raises(ValueError, match=r"expected scores of shape \(1, 2\), got shape \(1,\)"):
             rank_by_score(q, np.array([1.0]))
 
     def test_non_finite_score_rejected(self):
         q = make_query([2.0, 1.0], doc_ids=["A", "B"])
         with pytest.raises(ValueError, match="non-finite score for doc 'B'"):
-            rank_by_score(q, np.array([1.0, float("inf")]))
+            rank_by_score(q, np.array([[1.0, float("inf")]]))
 
     def test_idempotent_reranking(self):
         rng = np.random.default_rng(1)
@@ -270,10 +280,15 @@ class TestRankByScore:
             q = make_query(rng.normal(size=n))
             scores = {f"d{i + 1}": float(rng.choice([0.0, 1.0, 2.0])) for i in range(n)}
             first = rank_by_score(q, score_column(q, scores))
-            # the ranking read back as a query is a fixed point of the same scores
-            again = QueryCandidates(query_id=q.query_id, doc_ids=first.doc_ids(), mu=first.scores)
-            reranked = rank_by_score(again, score_column(again, scores))
-            assert ranking_key(reranked) == ranking_key(first)
+            # the ranking read back as a query, its docs renamed so that ids
+            # sort in rank order, is a fixed point of the same scores
+            renamed = {doc_id: f"r{rank:02d}" for rank, doc_id in enumerate(ranked_ids(first))}
+            again = QueryStack.ranked(["q"], [n], list(renamed.values()),
+                                      {"mu": first.scores[0].copy()})
+            reranked = rank_by_score(again, score_column(
+                again, {renamed[doc_id]: score for doc_id, score in scores.items()}))
+            assert ranked_ids(reranked) == again.doc_ids
+            assert ranking_key(reranked)[0][2] == ranking_key(first)[0][2]
 
     def test_deterministic_under_input_permutation(self):
         rng = np.random.default_rng(2)
@@ -295,9 +310,10 @@ def _query_lacking(column):
     """Query 'q' of docs 'a' (mu 2, protected) and 'b' (mu 1) with every
     column but ``column``; group labels need neutrality, so a query without
     neutrality has neither."""
-    values = {"sigma": [0.5, 0.25], "neutrality": [1.0, 0.0]}
+    values = {"mu": [2.0, 1.0], "sigma": [0.5, 0.25], "neutrality": [1.0, 0.0]}
     values.pop(column, None)
-    query = QueryCandidates.ranked("q", ["a", "b"], [2.0, 1.0], **values)
+    query = QueryStack.ranked(["q"], [2], ["a", "b"],
+                              {name: np.array(v) for name, v in values.items()})
     return query if column in ("protected", "neutrality") else assign_groups(query)
 
 
@@ -350,11 +366,11 @@ class TestOneRowErrors:
 
     def test_a_query_given_the_wrong_number_of_scores(self):
         with pytest.raises(ValueError,
-                           match=r"^query 'q': expected 2 scores, got shape \(3,\)$"):
+                           match=r"^expected scores of shape \(1, 2\), got shape \(3,\)$"):
             rank_by_score(_query_lacking(None), np.zeros(3))
         with pytest.raises(ValueError,
-                           match=r"^query 'q': expected 2 scores, got shape \(1, 2\)$"):
-            rank_by_score(_query_lacking(None), np.zeros((1, 2)))
+                           match=r"^expected scores of shape \(1, 2\), got shape \(2, 2\)$"):
+            rank_by_score(_query_lacking(None), np.zeros((2, 2)))
 
 
 _VALUES = st.sampled_from([0.0, -0.0, 1.0, 2.5, math.nan, math.inf, -math.inf]) | st.floats(-3, 3)
@@ -380,10 +396,26 @@ def unsorted_columns(draw):
         st.sampled_from([0.0, -0.0, 0.5, 1.0, 1.5, math.nan]))
 
 
+def _ranked(query_id, doc_ids, mu, sigma=None, neutrality=None):
+    """``QueryStack.ranked`` of one query's columns."""
+    return QueryStack.ranked([query_id], [len(doc_ids)], doc_ids,
+                             {"mu": mu, "sigma": sigma, "neutrality": neutrality})
+
+
+def _built_from_rows(query_id, doc_ids, mu, sigma=None, neutrality=None):
+    """``build_query`` of the columns, given as rows."""
+    def at(column, i):
+        return None if column is None else column[i]
+
+    return build_query(query_id, [ScoredCandidate(doc_id, mu[i], at(sigma, i), at(neutrality, i))
+                                  for i, doc_id in enumerate(doc_ids)])
+
+
 class TestRankedInOnePass:
-    """``QueryCandidates.ranked`` converts and checks each column once, and
-    builds the query, or raises the error, that converting and checking
-    twice built or raised."""
+    """``QueryStack.ranked`` converts, sorts and checks a query's columns in
+    one pass, and builds the query, or raises the error, that converting and
+    sorting first and checking after built or raised; so does
+    ``build_query`` of the same rows."""
 
     @settings(max_examples=500, deadline=None)
     @given(unsorted_columns())
@@ -393,22 +425,25 @@ class TestRankedInOnePass:
                 query = build("q", *columns)
             except ValueError as error:
                 return str(error)
-            assert query.protected is None
+            assert not query.has("protected")
             for name in ("mu", "sigma", "neutrality"):
-                values = getattr(query, name)
-                assert values is None or (values.dtype == np.float64
-                                          and not values.flags.writeable)
+                if query.has(name):
+                    values = query.flat(name)
+                    assert values.dtype == np.float64 and not values.flags.writeable
             return query_key(query)
 
         want = outcome(oracles.ranked_in_two_passes)
-        assert outcome(QueryCandidates.ranked) == want
+        assert outcome(_ranked) == want
+        if all(c is None or len(c) == len(columns[0]) for c in columns[1:]):
+            assert outcome(_built_from_rows) == want
 
     def test_a_sorted_column_is_not_the_callers_array(self):
         mu, sigma = np.array([1.0, 3.0, 2.0]), np.array([0.1, 0.2, 0.3])
-        query = QueryCandidates.ranked("q", ["a", "b", "c"], mu, sigma)
+        query = QueryStack.ranked(["q"], [3], ["a", "b", "c"], {"mu": mu, "sigma": sigma})
         mu[:], sigma[:] = 0.0, 0.0
         assert query.doc_ids == ("b", "c", "a")
-        assert query.mu.tolist() == [3.0, 2.0, 1.0] and query.sigma.tolist() == [0.2, 0.3, 0.1]
+        assert query.flat("mu").tolist() == [3.0, 2.0, 1.0]
+        assert query.flat("sigma").tolist() == [0.2, 0.3, 0.1]
 
 
 class TestStackIndexing:
@@ -426,8 +461,19 @@ class TestStackIndexing:
         part = stack[cut]
         assert isinstance(part, QueryStack)
         assert all(mine is theirs for mine, theirs in zip(part, rows)) and len(part) == len(rows)
-        assert part.query_ids == tuple(q.query_id for q in rows)
+        assert part.query_ids == tuple(q.query_ids[0] for q in rows)
         assert part.column("mu").tobytes() == QueryStack(rows).column("mu").tobytes()
+
+    def test_a_row_is_a_one_row_stack_kept_by_its_stack_alone(self):
+        stack = self.stack().with_column("sigma", np.zeros(6))  # no rows kept yet
+        row = stack.row(2)
+        assert stack[2] is row and stack[-1] is row and list(stack)[2] is row
+        assert (row.query_ids, row.lengths.tolist(), row.doc_ids) == (("c",), [3], stack.doc_ids[3:])
+        assert row.flat("mu").base is not None  # a view of the stack's column
+        assert QueryStack([row]).row(0) is row
+        alive = weakref.ref(stack)
+        del stack
+        assert alive() is None and row.flat("mu").tolist() == [3.0, 2.0, 1.0]
 
     def test_an_empty_slice_cannot_be_stacked(self):
         with pytest.raises(ValueError, match="^cannot stack an empty corpus$"):

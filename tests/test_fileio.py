@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from pufr.baselines import compute_m_table, fastar_rerank, unfair_rank
 from pufr.core import (
-    QueryCandidates,
     QueryStack,
-    Ranking,
     ScoredCandidate,
+    StackedRanking,
     assign_groups,
     build_query,
     rank_by_score,
@@ -29,7 +28,7 @@ from pufr.synth import SyntheticConfig, generate_synthetic
 from pufr import fileio
 
 import oracles
-from conftest import make_query, query_key, rows
+from conftest import make_query, query_key, rows, stacked_rankings
 
 
 class TestParseRunFile:
@@ -39,7 +38,7 @@ class TestParseRunFile:
         corpus = fileio.parse_run_file(path)
         assert len(corpus) == 1
         (c,) = rows(corpus[0])
-        assert (corpus[0].query_id, c.doc_id, c.mu) == ("q1", "d7", 8.25)
+        assert (corpus.query_ids[0], c.doc_id, c.mu) == ("q1", "d7", 8.25)
         assert c.sigma is None and c.neutrality is None
 
     def test_empty_file_is_an_error(self, tmp_path):
@@ -693,7 +692,7 @@ class TestBulkColumnParsing:
             corpus = oracles.parse_run_file(run_path)
             # in original-rank order, as write_sigma_file writes, the join
             # takes the columns as they are; in any other, it goes by doc id
-            pairs = [(q.query_id, d) for q in corpus for d in q.doc_ids]
+            pairs = [(q.query_ids[0], d) for q in corpus for d in q.doc_ids]
             if order == "run":
                 pairs = [(q, d) for q, _, d, _, _, _ in run]
             elif order == "shuffled":
@@ -831,7 +830,7 @@ class TestWholeFileRunChecks:
     @pytest.mark.parametrize("fault", [None, "repeated doc", "nan", "-inf"])
     def test_shuffled_lines_with_tied_scores_load_as_before(self, tmp_path, fault):
         # every query of two or more docs has exact ties and its lines out
-        # of order, so each is sorted by QueryCandidates.ranked
+        # of order, so each is sorted by QueryStack.ranked
         rng = np.random.default_rng(17)
         lines = []
         for q in range(30):
@@ -964,8 +963,8 @@ class TestStackedLoad:
             run, placed, moved = (Path(tmp) / name for name in ("run", "placed", "moved"))
             run.write_text(texts[0], encoding="utf-8")
             corpus = fileio.parse_run_file(run)
-            lines = [f"{q.query_id} {d} {data.draw(st.sampled_from(['0.0', '-0.0', '0.5', '2']))}\n"
-                     for q in corpus for d in q.doc_ids]
+            lines = [f"{query_id} {d} {data.draw(st.sampled_from(['0.0', '-0.0', '0.5', '2']))}\n"
+                     for query_id, q in zip(corpus.query_ids, corpus) for d in q.doc_ids]
             placed.write_text("".join(lines), encoding="utf-8")
             moved.write_text("".join(data.draw(st.permutations(lines))), encoding="utf-8")
             stacks = [fileio.attach_sigmas(corpus, fileio.parse_sigma_file(sigma))
@@ -1260,7 +1259,7 @@ class TestSharedColumnReader:
         assert plain_reads.call_count >= 5
         assert _same_queries(got, oracles.parse_run_file(path))
         # the queries interleave, so each takes its rows by position
-        assert [len(q) for q in got] == [15, 15, 15]
+        assert got.lengths.tolist() == [15, 15, 15]
 
     @pytest.mark.parametrize("block", [7, 1 << 20])
     @pytest.mark.parametrize("text, message", [
@@ -1444,12 +1443,17 @@ class TestWritersMatchPerLineOracles:
     def test_bytes_equal_the_per_line_writers(self, queries, tag):
         corpus, rankings = [], []
         for query_id, doc_ids, order, scores, sigma, neutrality in queries:
-            query = QueryCandidates(query_id, doc_ids, np.zeros(len(doc_ids)), sigma, neutrality)
+            # a falling mu keeps the docs in the order drawn
+            query = QueryStack.ranked([query_id], [len(doc_ids)], doc_ids, {
+                "mu": -np.arange(len(doc_ids), dtype=np.float64), "sigma": np.array(sigma),
+                "neutrality": np.array(neutrality)})
             corpus.append(query)
-            rankings.append(Ranking(query, np.array(order, dtype=np.intp), np.array(scores)))
+            rankings.append(StackedRanking(query, np.array([order], dtype=np.intp),
+                                           np.array([scores])))
         stack = QueryStack(corpus)
-        assert (_written(fileio.write_run_file, stack.rankings(rankings), tag)
-                == _written(oracles.write_run_file, rankings, tag))
+        ranked = stacked_rankings(rankings)
+        assert (_written(fileio.write_run_file, ranked, tag)
+                == _written(oracles.write_run_file, ranked, tag))
         assert (_written(fileio.write_sigma_file, stack)
                 == _written(oracles.write_sigma_file, corpus))
         assert (_written(fileio.write_neutrality_file, stack)
@@ -1484,7 +1488,7 @@ class TestWritersMatchPerLineOracles:
         else:
             ranked, _ = REGISTRY["constrained"].prepare(stack, 5)(0.8)(stack)
         written = _written(fileio.write_run_file, ranked, "t")
-        assert written == _written(oracles.write_run_file, ranked.rows(), "t")
+        assert written == _written(oracles.write_run_file, ranked, "t")
         places = [tuple(line.split()[0:3:2]) for line in written.decode().splitlines()]
         assert sorted(places) == sorted(
             (query_id, doc_id) for query, query_id in zip(stack, stack.query_ids)

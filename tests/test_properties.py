@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import Row, make_query, rows, score_column, score_map, sweep_key
+from conftest import Row, make_query, ranked_ids, rows, score_column, score_map, sweep_key
 from pufr.baselines import (
     ConstraintConfig,
     MTable,
@@ -29,9 +29,7 @@ from pufr.baselines import (
     unfair_rank,
 )
 from pufr.core import (
-    QueryCandidates,
     QueryStack,
-    Ranking,
     ScoredCandidate,
     StackedRanking,
     assign_groups,
@@ -94,14 +92,15 @@ def hexed_rows(query):
     return [(r.doc_id, r.mu.hex()) for r in rows(query)]
 
 
-def hexed(ranking):
-    """A ranking as (doc_id, score) entries, scores as ``float.hex``."""
-    return oracles.hexed(zip(ranking.doc_ids(), ranking.scores.tolist()))
+def hexed(ranking, i=0):
+    """Row i of a ranking as (doc_id, score) entries, scores as ``float.hex``."""
+    n = ranking.stack.lengths[i]
+    return oracles.hexed(zip(ranked_ids(ranking, i), ranking.scores[i, :n].tolist()))
 
 
 def group_sequences(ranking, query):
     protected = {r.doc_id: r.protected for r in rows(query)}
-    ids = ranking.doc_ids()
+    ids = ranked_ids(ranking)
     return [d for d in ids if protected[d]], [d for d in ids if not protected[d]]
 
 
@@ -124,7 +123,9 @@ def test_ranked_matches_the_canonical_order_from_any_input_order(items, arrangem
         items = oracles.canonical_order([Row(*item) for item in items])
         items = items[::-1] if arrangement == "reversed" else items
     doc_ids, mus, sigmas, neutralities, _ = zip(*items)
-    query = QueryCandidates.ranked("q", list(doc_ids), mus, sigmas, np.array(neutralities))
+    query = QueryStack.ranked(["q"], [len(doc_ids)], list(doc_ids), {
+        name: np.array(values) for name, values in
+        (("mu", mus), ("sigma", sigmas), ("neutrality", neutralities))})
     expected = oracles.canonical_order([Row(*item) for item in items])
     assert [(r.doc_id, r.mu.hex(), r.sigma.hex(), r.neutrality.hex()) for r in rows(query)] == [
         (r.doc_id, r.mu.hex(), r.sigma.hex(), r.neutrality.hex()) for r in expected
@@ -146,7 +147,7 @@ def test_ranked_names_the_first_non_finite_mu_in_rank_order(items, bad, data):
     with pytest.raises(ValueError, match=re.escape(
         f"query 'q': candidate {doc_id!r}: mu must be finite, got {mu!r}"
     )):
-        QueryCandidates.ranked("q", doc_ids, mus)
+        QueryStack.ranked(["q"], [len(doc_ids)], doc_ids, {"mu": np.array(mus)})
 
 
 @EXAMPLES
@@ -204,8 +205,8 @@ def test_alpha_zero_returns_the_input_order_and_means(items, zero):
     # above checks bit for bit.
     query = query_of(items)
     ranking = pufr_rerank(query, PufrConfig.symmetric(zero))
-    assert ranking.doc_ids() == tuple(r.doc_id for r in rows(query))
-    assert ranking.scores.tolist() == [r.mu for r in rows(query)]
+    assert ranked_ids(ranking) == tuple(r.doc_id for r in rows(query))
+    assert ranking.scores[0].tolist() == [r.mu for r in rows(query)]
 
 
 @EXAMPLES
@@ -235,15 +236,14 @@ def evaluated(draw):
     query = query_of(items)
     method = draw(st.sampled_from(METHODS))
     alpha = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0))
-    depth = draw(st.integers(1, len(query) + 1))
-    stack = QueryStack([query])
-    ranked, _ = REGISTRY[method].prepare(stack, depth)(alpha)(stack)
-    (ranking,) = ranked.rows()
+    n = len(query.doc_ids)
+    depth = draw(st.integers(1, n + 1))
+    ranking, _ = REGISTRY[method].prepare(query, depth)(alpha)(query)
     grades = {
         ("q", d): draw(st.integers(0, 3))
         for d in [*query.doc_ids, "unretrieved"] if draw(st.booleans())
     }
-    return query, ranking, grades, draw(st.integers(1, len(query) + 3))
+    return query, ranking, grades, draw(st.integers(1, n + 3))
 
 
 @EXAMPLES
@@ -251,12 +251,12 @@ def evaluated(draw):
 def test_metrics_match_the_scalar_oracles_bit_for_bit(case):
     query, ranking, grades, k = case
     neutrality = {r.doc_id: r.neutrality for r in rows(query)}
-    ranked = ranking.doc_ids()
-    assert fairr_at_k(ranking, k).hex() == oracles.fairr(ranked, neutrality, k).hex()
-    assert ideal_fairr_at_k(query, k).hex() == oracles.ideal_fairr(
+    ranked = ranked_ids(ranking)
+    assert fairr_at_k(ranking, k).item().hex() == oracles.fairr(ranked, neutrality, k).hex()
+    assert ideal_fairr_at_k(query, k).item().hex() == oracles.ideal_fairr(
         neutrality.values(), k).hex()
-    assert nfairr_at_k(ranking, k).hex() == oracles.nfairr(ranked, neutrality, k).hex()
-    assert ndcg_at_k(ranking, RelevanceJudgments(grades), k).hex() == oracles.ndcg(
+    assert nfairr_at_k(ranking, k).item().hex() == oracles.nfairr(ranked, neutrality, k).hex()
+    assert ndcg_at_k(ranking, RelevanceJudgments(grades), k).item().hex() == oracles.ndcg(
         "q", ranked, grades, k).hex()
 
 
@@ -317,7 +317,7 @@ def corpora(draw, huge=False, any_neutrality=False):
 def by_length(corpus):
     blocks = {}
     for query in corpus:
-        blocks.setdefault(len(query), []).append(query)
+        blocks.setdefault(len(query.doc_ids), []).append(query)
     return blocks.values()
 
 
@@ -329,7 +329,7 @@ def test_stacked_groups_with_masked_places_adjust_each_row_bit_for_bit(
     cfg = PufrConfig(alpha_protected=alpha_p, alpha_nonprotected=alpha_n)
     mean = compute_sigma_mean(QueryStack(corpus))
     for block in by_length(corpus):
-        mu, sigma, protected = (np.stack([getattr(q, name) for q in block])
+        mu, sigma, protected = (np.stack([q.flat(name) for q in block])
                                 for name in ("mu", "sigma", "protected"))
         if uniform:
             sigma = np.full_like(mu, mean)
@@ -341,9 +341,9 @@ def test_stacked_groups_with_masked_places_adjust_each_row_bit_for_bit(
         stacked = np.where(protected, raised, lowered[:, ::-1])
         if uniform:
             expected = [uniform_rerank(q, mean, cfg) for q in block]
-            expected = [r.scores[np.argsort(r.order)] for r in expected]
+            expected = [r.scores[0][np.argsort(r.order[0])] for r in expected]
         else:
-            expected = [adjust_scores(q, cfg) for q in block]
+            expected = [adjust_scores(q, cfg)[0] for q in block]
         assert stacked.tobytes() == np.stack(expected).tobytes()
 
 
@@ -394,7 +394,7 @@ def stacked_reference(corpus, alpha, k):
 @given(corpora(), ALPHAS, st.integers(1, 10))
 def test_the_reference_is_pufr_then_nfairr_bit_for_bit(corpus, alpha, k):
     expected = {
-        q.query_id: nfairr_at_k(pufr_rerank(q, PufrConfig.symmetric(alpha)), k).hex()
+        q.query_ids[0]: nfairr_at_k(pufr_rerank(q, PufrConfig.symmetric(alpha)), k).item().hex()
         for q in corpus
     }
     assert reference_outcome(lambda: stacked_reference(corpus, alpha, k)) == expected
@@ -406,7 +406,7 @@ def test_the_reference_is_pufr_then_nfairr_bit_for_bit(corpus, alpha, k):
 def test_an_overflowing_shift_raises_what_the_per_query_loop_raises(corpus, alpha, k):
     def per_query():
         cfg = PufrConfig.symmetric(alpha)
-        return {q.query_id: nfairr_at_k(pufr_rerank(q, cfg), k) for q in corpus}
+        return {q.query_ids[0]: nfairr_at_k(pufr_rerank(q, cfg), k).item() for q in corpus}
 
     expected = reference_outcome(per_query)
     assert reference_outcome(lambda: stacked_reference(corpus, alpha, k)) == expected
@@ -416,15 +416,12 @@ def hexes(values):
     return [value.hex() for value in values.tolist()]
 
 
-def shifted(query, alpha, pad):
-    """``mu + alpha * sigma`` of a query, or of a stack as padded rows with
-    ``pad`` at the pads."""
-    if isinstance(query, QueryStack):
-        return query.padded(np.concatenate([shifted(q, alpha, pad) for q in query]), pad)
-    return query.mu + alpha * query.sigma
+def shifted(stack, alpha, pad):
+    """``mu + alpha * sigma`` of a stack as padded rows, ``pad`` at the pads."""
+    return stack.padded(stack.flat("mu") + alpha * stack.flat("sigma"), pad)
 
 
-# each stack form, called as f(query or stack, cfg, sigma mean, pad)
+# each stack form, called as f(stack, cfg, sigma mean, pad)
 STACK_FORMS = {
     "adjust_scores": lambda query, cfg, mean, pad: adjust_scores(query, cfg),
     "pufr_rerank": lambda query, cfg, mean, pad: pufr_rerank(query, cfg),
@@ -441,8 +438,7 @@ def stacked_rows(stack, result):
     """A stack form's result as its per-query rows, hexed, after checking
     its pads: -inf scores and, in a ranking, the last ranks in place order."""
     rows = []
-    for i, query in enumerate(stack):
-        n = len(query)
+    for i, n in enumerate(stack.lengths.tolist()):
         if isinstance(result, StackedRanking):
             assert result.order[i, n:].tolist() == list(range(n, stack.real.shape[1]))
             assert (result.scores[i, n:] == -np.inf).all()
@@ -454,9 +450,10 @@ def stacked_rows(stack, result):
 
 
 def per_query_row(result):
-    if isinstance(result, Ranking):
-        return result.order.tolist(), hexes(result.scores)
-    return hexes(result)
+    """A one-row result, hexed as :func:`stacked_rows` hexes a row."""
+    if isinstance(result, StackedRanking):
+        return result.order[0].tolist(), hexes(result.scores[0])
+    return hexes(result[0])
 
 
 def outcome(call):
@@ -481,7 +478,7 @@ def outcome(call):
 def test_a_rows_bits_depend_on_neither_the_other_rows_nor_the_pads(
     corpus, alpha_p, alpha_n, form, pad
 ):
-    # A query is a one-row stack, so its call gives that stack's row. In a
+    # A query is a one-row stack, and a stack of it gives the same row. In a
     # padded stack of several queries each row gives the same bits: pads are
     # non-protected places at mu = -inf with sigma 0, and the scores given
     # for them, even when not finite, neither rank them nor raise.
@@ -519,9 +516,9 @@ def test_each_stack_form_matches_its_scalar_oracle_row_by_row(corpus, alpha, sco
     for i, query in enumerate(corpus):
         r = rows(query)
         want = oracles.adjust(r, alpha, alpha)
-        assert hexes(adjusted[i, :len(query)]) == [want[d].hex() for d in query.doc_ids]
+        assert hexes(adjusted[i, :len(query.doc_ids)]) == [want[d].hex() for d in query.doc_ids]
         for name, (ranked, oracle_scores) in rankers.items():
-            assert hexed(ranked.rows()[i]) == oracles.hexed(
+            assert hexed(ranked, i) == oracles.hexed(
                 oracles.rank_by_score(r, oracle_scores(i, r))), name
 
 
@@ -538,9 +535,10 @@ def judged_corpora(draw):
         grade = draw(st.sampled_from((st.just(0), st.integers(0, 3))))
         judged = [d for d in query.doc_ids if mode == "more" or draw(st.booleans())]
         if mode == "more":
-            judged += [f"unretrieved{j}" for j in range(len(query) + draw(st.integers(1, 4)))]
+            judged += [f"unretrieved{j}"
+                       for j in range(len(query.doc_ids) + draw(st.integers(1, 4)))]
         for doc in judged if mode != "none" else ():
-            grades[(query.query_id, doc)] = draw(grade)
+            grades[(query.query_ids[0], doc)] = draw(grade)
     return corpus, grades
 
 
@@ -553,16 +551,19 @@ def test_the_padded_ideal_dcg_and_the_stacked_metrics_match_the_scalar_oracles(
 ):
     corpus, grades = case
     judgments = RelevanceJudgments(grades)
-    ranked = pufr_rerank(QueryStack(corpus), PufrConfig.symmetric(alpha))
-    rankings = ranked.rows()
-    neutrality = [dict(zip(q.doc_ids, q.neutrality.tolist())) for q in corpus]
+    cfg = PufrConfig.symmetric(alpha)
+    ranked = pufr_rerank(QueryStack(corpus), cfg)
+    ids = [ranked_ids(ranked, i) for i in range(len(corpus))]
+    neutrality = [dict(zip(q.doc_ids, q.flat("neutrality").tolist())) for q in corpus]
     for k in cutoffs:  # every cutoff reads the sums the first one kept
-        expected = [oracles.ndcg(r.query_id, r.doc_ids(), grades, k).hex() for r in rankings]
+        expected = [oracles.ndcg(q.query_ids[0], docs, grades, k).hex()
+                    for q, docs in zip(corpus, ids)]
         assert hexes(ndcg_at_k(ranked, judgments, k)) == expected
-        assert [ndcg_at_k(r, judgments, k).hex() for r in rankings] == expected
+        assert [ndcg_at_k(pufr_rerank(q, cfg), judgments, k).item().hex()
+                for q in corpus] == expected
         for metric, oracle in ((fairr_at_k, oracles.fairr), (nfairr_at_k, oracles.nfairr)):
             assert hexes(metric(ranked, k)) == [
-                oracle(r.doc_ids(), n, k).hex() for r, n in zip(rankings, neutrality)]
+                oracle(docs, n, k).hex() for docs, n in zip(ids, neutrality)]
 
 
 def test_a_stack_ranked_again_with_another_sigma_mean_gives_its_bits():
@@ -573,14 +574,14 @@ def test_a_stack_ranked_again_with_another_sigma_mean_gives_its_bits():
     cfg = PufrConfig.symmetric(1.0)
     for mean in (0.0, -0.0, 0.5, 0.0):
         assert hexes(uniform_rerank(stack, mean, cfg).scores[0]) == hexes(
-            uniform_rerank(query, mean, cfg).scores)
+            uniform_rerank(query, mean, cfg).scores[0])
 
 
 @settings(max_examples=150, deadline=None)
 @given(corpora(), st.sampled_from(METHODS), st.data())
 def test_the_sweep_gives_the_per_query_sweeps_records(corpus, method, data):
     judgments = RelevanceJudgments({
-        (q.query_id, doc): data.draw(st.integers(0, 3))
+        (q.query_ids[0], doc): data.draw(st.integers(0, 3))
         for q in corpus for doc in q.doc_ids if data.draw(st.booleans())
     })
     grid = data.draw(st.lists(st.sampled_from((0.0, 0.25, 0.5, 1.0)), min_size=1, max_size=3))
@@ -623,12 +624,13 @@ def constrained_windows(draw):
 
 def window_measures(result, depth):
     """The window's utility and fairness as the solver defines them."""
-    query = result.ranking.query
-    window = result.ranking.order[:depth]
-    gains = query.mu - min(query.mu[:depth].tolist())
+    query = result.ranking.stack
+    window = result.ranking.order[0, :depth]
+    mu = query.flat("mu")
+    gains = mu - min(mu[:depth].tolist())
     positions = np.arange(depth)
     utility = float(np.sum(gains[window] / np.log2(positions + 2)))
-    fairness = float(np.sum(query.column("neutrality")[window] / (positions + 1)))
+    fairness = float(np.sum(query.flat("neutrality")[window] / (positions + 1)))
     return utility, fairness
 
 
@@ -646,7 +648,7 @@ def window_measures(result, depth):
 ))
 def test_the_crossing_search_keeps_what_the_bisection_found(case):
     query, cfg = case
-    depth = min(cfg.depth, len(query))
+    depth = min(cfg.depth, len(query.doc_ids))
     result = constrained_rerank(query, cfg)
     reference = oracles.constrained_rerank_bisection(query, cfg)
     assert result.feasible == reference.feasible
@@ -664,7 +666,7 @@ def test_the_crossing_search_keeps_what_the_bisection_found(case):
         return
     ref_utility, ref_fairness = window_measures(reference, depth)
     assert utility >= ref_utility - 1e-12
-    if result.ranking.order[:depth].tolist() != reference.ranking.order[:depth].tolist():
+    if result.ranking.order[0, :depth].tolist() != reference.ranking.order[0, :depth].tolist():
         # another order is only allowed as a co-optimum of the oracle's
         assert utility == pytest.approx(ref_utility, rel=1e-12, abs=1e-12)
         assert fairness == pytest.approx(ref_fairness, rel=1e-12, abs=1e-12)
@@ -701,11 +703,12 @@ def test_the_stacked_quota_merge_is_the_greedy_merge(corpus, table):
 @EXAMPLES
 @given(corpora(), quota_tables(unit_steps=True))
 def test_every_prefix_meets_its_quota_while_protected_docs_remain(corpus, table):
-    corpus = [q for q in corpus if len(q) <= len(table.required)] or [make_query([0.0], [0.0])]
+    corpus = [q for q in corpus if len(q.doc_ids) <= len(table.required)] or [
+        make_query([0.0], [0.0])]
     ranked = fastar_rerank(QueryStack(corpus), table)
-    for ranking in ranked.rows():
-        protected = ranking.query.protected
-        held = np.cumsum(protected[ranking.order])
+    for i, query in enumerate(corpus):
+        protected = query.flat("protected")
+        held = np.cumsum(protected[ranked.order[i, :len(protected)]])
         quota = np.minimum(table.required[:len(held)], np.count_nonzero(protected))
         assert (held >= quota).all()
 
@@ -719,10 +722,10 @@ INTERVAL_ALPHAS = st.sampled_from((0.25, 1.0, 2.0, 10.0)) | st.floats(1e-3, 10.0
 @given(st.one_of(corpora(), corpora(huge=True)), INTERVAL_ALPHAS)
 def test_stacked_overlap_counts_and_medians_are_the_per_query_ones(corpus, alpha):
     expected = [oracles.intersection_counts(q, alpha) for q in corpus]
-    assert [intersection_counts(q, alpha) for q in corpus] == expected
+    assert [intersection_counts(q, alpha)[0].tolist() for q in corpus] == expected
     stack = QueryStack(corpus)
     rows_ = intersection_counts(stack, alpha)
-    assert [rows_[i, :len(q)].tolist() for i, q in enumerate(corpus)] == expected
+    assert [rows_[i, :len(q.doc_ids)].tolist() for i, q in enumerate(corpus)] == expected
     assert (rows_[~stack.real] == 0).all()
     assert median_intersections(stack, alpha) == oracles.median_intersections(corpus, alpha)
 
@@ -733,6 +736,32 @@ def test_stacked_overlap_counts_and_medians_are_the_per_query_ones(corpus, alpha
 def test_stacked_ideal_fairr_has_the_per_query_bits(corpus, cutoffs):
     stack = QueryStack(corpus)
     for k in cutoffs:  # every cutoff reads the sums the first one kept
-        expected = [oracles.ideal_fairr(q.neutrality.tolist(), k).hex() for q in corpus]
-        assert [ideal_fairr_at_k(q, k).hex() for q in corpus] == expected
+        expected = [oracles.ideal_fairr(q.flat("neutrality").tolist(), k).hex() for q in corpus]
+        assert [ideal_fairr_at_k(q, k).item().hex() for q in corpus] == expected
         assert hexes(ideal_fairr_at_k(stack, k)) == expected
+
+
+def stack_key(stack):
+    """Everything a stack holds, its columns as bytes."""
+    return (stack.query_ids, stack.doc_ids, stack.lengths.tolist(), stack.bounds,
+            stack.real.shape, stack.real.tobytes(),
+            {name: (stack.flat(name).dtype.str, stack.flat(name).tobytes())
+             for name in ("mu", "sigma", "neutrality", "protected") if stack.has(name)})
+
+
+@EXAMPLES
+@example(MIXED_LENGTHS, True)
+@given(corpora(), st.booleans())
+def test_a_row_is_its_query_alone_and_the_rows_stack_back_to_the_stack(corpus, grouped):
+    # a stack built in one pass holds no rows until they are asked for
+    flat = QueryStack(corpus)
+    stack = QueryStack.ranked(flat.query_ids, flat.lengths, flat.doc_ids, {
+        name: flat.flat(name).copy() for name in ("mu", "sigma", "neutrality")})
+    stack = assign_groups(stack) if grouped else stack
+    for i, (start, end) in enumerate(zip(stack.bounds, stack.bounds[1:])):
+        alone = QueryStack.ranked(stack.query_ids[i:i + 1], [end - start],
+                                  stack.doc_ids[start:end], {
+            name: stack.flat(name)[start:end].copy() for name in ("mu", "sigma", "neutrality")})
+        alone = assign_groups(alone) if grouped else alone
+        assert stack_key(stack.row(i)) == stack_key(alone)
+    assert stack_key(QueryStack(list(stack))) == stack_key(stack)

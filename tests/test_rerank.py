@@ -6,7 +6,7 @@ from pufr.core import QueryStack, ScoredCandidate, assign_groups, build_query, r
 from pufr.metrics import fairr_at_k
 from pufr.rerank import PufrConfig, adjust_scores, compute_sigma_mean, pufr_rerank, uniform_rerank
 
-from conftest import groups_of, make_query, random_query, ranking_key, rows, score_map
+from conftest import groups_of, make_query, random_query, ranked_ids, ranking_key, rows, score_map
 
 
 def oracle_adjusted(query, cfg):
@@ -30,8 +30,8 @@ def oracle_adjusted(query, cfg):
 
 def group_sequences(ranking, query):
     groups = groups_of(query)
-    protected = [d for d in ranking.doc_ids() if groups[d]]
-    others = [d for d in ranking.doc_ids() if not groups[d]]
+    protected = [d for d in ranked_ids(ranking) if groups[d]]
+    others = [d for d in ranked_ids(ranking) if not groups[d]]
     return protected, others
 
 
@@ -49,14 +49,14 @@ class TestAdjustScores:
         for i in range(25):
             q = random_query(rng, query_id=f"q{i}")
             adjusted = adjust_scores(q, PufrConfig.symmetric(0.0))
-            assert adjusted.tolist() == q.mu.tolist()
+            assert adjusted.tolist() == [q.flat("mu").tolist()]
 
     def test_protected_clamp_produces_tie_resolved_by_rank(self):
         q = make_query([4.0, 3.9], [0.1, 1.0], [1.0, 1.0], doc_ids=["P1", "P2"])
         adjusted = score_map(q, adjust_scores(q, PufrConfig.symmetric(1.0)))
         assert adjusted["P1"] == pytest.approx(4.1, abs=1e-12)
         assert adjusted["P2"] == pytest.approx(4.1, abs=1e-12)
-        assert pufr_rerank(q, PufrConfig.symmetric(1.0)).doc_ids() == ("P1", "P2")
+        assert ranked_ids(pufr_rerank(q, PufrConfig.symmetric(1.0))) == ("P1", "P2")
 
     def test_unassigned_group_is_an_error(self):
         q = build_query("q", [ScoredCandidate(doc_id="d", mu=1.0, sigma=0.5)])
@@ -116,7 +116,7 @@ class TestPufrRerank:
     def test_hand_case_order(self):
         q = make_query([5.0, 3.0, 2.5], [0.2, 0.4, 0.6], [0.0, 0.0, 1.0],
                        doc_ids=["D1", "D2", "D3"])
-        assert pufr_rerank(q, PufrConfig.symmetric(1.0)).doc_ids() == ("D1", "D3", "D2")
+        assert ranked_ids(pufr_rerank(q, PufrConfig.symmetric(1.0))) == ("D1", "D3", "D2")
 
     def test_single_group_never_reorders(self):
         rng = np.random.default_rng(47)
@@ -126,20 +126,20 @@ class TestPufrRerank:
                            [1.0] * n, query_id=f"q{i}")
             for alpha in (0.5, 3.0, 100.0):
                 assert (
-                    pufr_rerank(q, PufrConfig.symmetric(alpha)).doc_ids()
-                    == unfair_rank(q).doc_ids()
+                    ranked_ids(pufr_rerank(q, PufrConfig.symmetric(alpha)))
+                    == ranked_ids(unfair_rank(q))
                 )
 
     def test_huge_alpha_fully_separates_groups(self):
         rng = np.random.default_rng(53)
         for i in range(25):
             q = random_query(rng, n_min=2, n_max=12, query_id=f"q{i}")
-            sigmas_positive = bool((q.sigma > 0).all())
+            sigmas_positive = bool((q.flat("sigma") > 0).all())
             if not sigmas_positive:
                 continue
             ranking = pufr_rerank(q, PufrConfig.symmetric(1e9))
             groups = groups_of(q)
-            labels = [groups[d] for d in ranking.doc_ids()]
+            labels = [groups[d] for d in ranked_ids(ranking)]
             # every protected doc must come before every non-protected one
             seen_non = False
             for label in labels:
@@ -170,7 +170,7 @@ class TestPufrRerank:
             for alpha in grid:
                 ranking = pufr_rerank(q, PufrConfig.symmetric(alpha))
                 positions_per_alpha.append(
-                    {d: pos for pos, d in enumerate(ranking.doc_ids())}
+                    {d: pos for pos, d in enumerate(ranked_ids(ranking))}
                 )
             protected = [d for d, g in groups.items() if g]
             others = [d for d, g in groups.items() if not g]
@@ -185,7 +185,7 @@ class TestPufrRerank:
         grid = [0.0, 0.5, 1.0, 2.0, 4.0, 8.0]
         for i in range(30):
             q = random_query(rng, n_min=2, n_max=15, query_id=f"q{i}")
-            values = [fairr_at_k(pufr_rerank(q, PufrConfig.symmetric(a)), 10) for a in grid]
+            values = [fairr_at_k(pufr_rerank(q, PufrConfig.symmetric(a)), 10).item() for a in grid]
             assert all(a <= b for a, b in zip(values, values[1:]))
 
 
@@ -216,7 +216,7 @@ class TestUniformRerank:
         for i in range(20):
             q = random_query(rng, query_id=f"q{i}")
             ranking = uniform_rerank(q, 0.0, PufrConfig.symmetric(3.0))
-            assert ranking.doc_ids() == unfair_rank(q).doc_ids()
+            assert ranked_ids(ranking) == ranked_ids(unfair_rank(q))
 
     def test_coincides_with_pufr_under_constant_sigma(self):
         rng = np.random.default_rng(73)
@@ -232,11 +232,11 @@ class TestUniformRerank:
         q = make_query([5.0, 3.0, 2.5], [9.0, 9.0, 9.0], [0.0, 0.0, 1.0],
                        doc_ids=["D1", "D2", "D3"])
         ranking = uniform_rerank(q, 0.4, PufrConfig.symmetric(1.0))
-        scores = dict(zip(ranking.doc_ids(), ranking.scores.tolist()))
+        scores = dict(zip(ranked_ids(ranking), ranking.scores[0].tolist()))
         assert scores["D1"] == pytest.approx(4.6, abs=1e-12)
         assert scores["D2"] == pytest.approx(2.6, abs=1e-12)
         assert scores["D3"] == pytest.approx(2.9, abs=1e-12)
-        assert ranking.doc_ids() == ("D1", "D3", "D2")
+        assert ranked_ids(ranking) == ("D1", "D3", "D2")
 
     def test_accepts_candidates_without_sigma(self):
         mus, neutralities = [4.0, 3.0, 2.5, 1.0], [0.0, 1.0, 1.0, 0.2]

@@ -24,16 +24,16 @@ class TestGenerateSynthetic:
             SyntheticConfig(n_queries=4, n_candidates=6, protected_fraction=1.0, seed=0)
         )
         for q in corpus:
-            assert q.protected.all()
-            assert (q.neutrality == 1.0).all()
+            assert q.flat("protected").all()
+            assert (q.flat("neutrality") == 1.0).all()
 
     def test_protected_fraction_zero_marks_nothing_protected(self):
         corpus, _ = generate_synthetic(
             SyntheticConfig(n_queries=4, n_candidates=6, protected_fraction=0.0, seed=0)
         )
         for q in corpus:
-            assert not q.protected.any()
-            assert (q.neutrality < 1.0).all()
+            assert not q.flat("protected").any()
+            assert (q.flat("neutrality") < 1.0).all()
 
     def test_zero_bias_keeps_group_means_statistically_equal(self):
         corpus, _ = generate_synthetic(
@@ -69,12 +69,12 @@ class TestGenerateSynthetic:
         for q in corpus:
             for c in rows(q):
                 mus.append(c.mu)
-                grades.append(judgments.grades.get((q.query_id, c.doc_id), 0))
+                grades.append(judgments.grades.get((q.query_ids[0], c.doc_id), 0))
         assert np.corrcoef(mus, grades)[0, 1] > 0.2
 
     def test_judgments_reference_existing_docs(self):
         corpus, judgments = generate_synthetic(SyntheticConfig(n_queries=5, seed=3))
-        known = {(q.query_id, doc_id) for q in corpus for doc_id in q.doc_ids}
+        known = {(q.query_ids[0], doc_id) for q in corpus for doc_id in q.doc_ids}
         assert set(judgments.grades) <= known
         assert all(g == 1 for g in judgments.grades.values())
 
